@@ -28,7 +28,7 @@ from .geometry import (
     VectorField,
 )
 from .hamiltonian import ActionScenario, AlgebroidCochain, CheckResult, \
-    algebroid_differential, _fn_add, _fn_is_zero, _fn_scale, _fn_simplify
+    algebroid_differential, _fn_add, _fn_is_zero, _fn_simplify
 from .liealg import random_polynomial
 from .scalars import ExactScalar, ZERO
 
@@ -90,7 +90,8 @@ def _add_overlap(a, b):
 
 
 class LineBundleData:
-    """Cover + transitions c_jk + metric weights h_j + potentials eta_j."""
+    """Cover + transitions c_jk + metric weights h_j + potentials eta_j.  The
+    data is not changed after construction, so `curvature` is computed once."""
 
     def __init__(self, name, cover: GoodCover, transitions, metric_weights,
                  potentials, branch_offsets=None):
@@ -101,6 +102,7 @@ class LineBundleData:
         self.potentials = dict(potentials)
         self.branch_offsets = dict(branch_offsets or {})
         self.validated = False
+        self._curvature = None
 
     def patch_chart(self, index):
         return self.cover.chart_of((index,))
@@ -241,6 +243,12 @@ def curvature(bundle: LineBundleData) -> DifferentialForm:
     """Chartwise d eta_j, checked consistent across patches and transitions."""
     if not bundle.validated:
         raise MalformedExpressionError("validate the bundle before taking curvature")
+    if bundle._curvature is None:
+        bundle._curvature = _curvature_form(bundle)
+    return bundle._curvature
+
+
+def _curvature_form(bundle: LineBundleData) -> DifferentialForm:
     atlas = bundle.cover.atlas
     tables = {}
     for idx in bundle.cover.index_set:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .bundles import LineBundleData, TransitionValue
 from .cech import GoodCover, OverlapFunction
+from .errors import UnknownScenarioError
 from .exprs import RationalExpr, parse_expr
 from .geometry import (
     Chart,
@@ -585,4 +586,4 @@ def build_scenario(name, level=None):
             except ValueError:
                 continue
             return info["factory"](lvl)
-    raise KeyError(name)
+    raise UnknownScenarioError(f"unknown scenario: {name}")

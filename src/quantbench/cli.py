@@ -14,7 +14,7 @@ import sys
 
 from .catalog import build_scenario, list_scenarios
 from .errors import QuantbenchError, SchemaError
-from .reports import Report
+from .reports import CheckRecord, Report
 from .runner import run_scenario
 from .scenario_io import load_scenario_file
 
@@ -48,24 +48,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = _build(args)
-    checks = set(args.checks.split(",")) if args.checks else None
-    report = run_scenario(scenario, checks=checks, seed=args.seed)
-    return _emit(report, args)
-
-
-def _cmd_quantize(args) -> int:
-    scenario = _build(args)
-    checks = {"quantize", "prequantize"}
-    report = run_scenario(scenario, checks=checks, seed=args.seed)
-    return _emit(report, args)
-
-
-def _cmd_reduce(args) -> int:
-    scenario = _build(args)
-    checks = {"quantize", "reduce"}
-    report = run_scenario(scenario, checks=checks, seed=args.seed)
-    return _emit(report, args)
+    """`run` honours --checks; `quantize` and `reduce` fix their stages."""
+    checks = args.stages or {name for name in args.checks.split(",") if name} or None
+    return _emit(run_scenario(_build(args), checks=checks, seed=args.seed), args)
 
 
 def _cmd_report(args) -> int:
@@ -75,12 +60,13 @@ def _cmd_report(args) -> int:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"report file invalid: {exc}") from exc
     report = Report(data.get("scenario", "?"))
-    from .reports import CheckRecord
-    for rec in data.get("records", []):
-        record = CheckRecord(rec["check"], rec["status"], rec.get("failures", []),
-                             rec.get("notes", []), rec.get("details", {}),
-                             rec.get("seconds", 0.0))
-        report.add(record)
+    try:
+        for rec in data.get("records", []):
+            report.add(CheckRecord(rec["check"], rec["status"], rec.get("failures", []),
+                                   rec.get("notes", []), rec.get("details", {}),
+                                   rec.get("seconds", 0.0), rec.get("anchor")))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"report record invalid: {exc!r}") from exc
     report.conventions = data.get("conventions", [])
     sys.stdout.write(report.to_text())
     return 0
@@ -102,23 +88,20 @@ def main(argv=None) -> int:
         p.add_argument("--level", type=int, default=None,
                        help="level parameter for parametrized families")
         p.add_argument("--checks", default="",
-                       help="comma-separated check ids or stage names")
+                       help="comma-separated check ids or stage names; the "
+                            "checks they depend on run too")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default="", help="write the report to a file")
         p.add_argument("--seed", type=int, default=1729,
                        help="seed for randomized property inputs")
 
-    p_run = sub.add_parser("run", help="run the full verification stack")
-    add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_quant = sub.add_parser("quantize", help="prequantization + quantization stages")
-    add_common(p_quant)
-    p_quant.set_defaults(func=_cmd_quantize)
-
-    p_red = sub.add_parser("reduce", help="quantization + reduction stages")
-    add_common(p_red)
-    p_red.set_defaults(func=_cmd_reduce)
+    for name, stages, text in (
+            ("run", None, "run the full verification stack"),
+            ("quantize", {"quantize", "prequantize"}, "prequantization + quantization stages"),
+            ("reduce", {"quantize", "reduce"}, "quantization + reduction stages")):
+        p_cmd = sub.add_parser(name, help=text)
+        add_common(p_cmd)
+        p_cmd.set_defaults(func=_cmd_run, stages=stages)
 
     p_rep = sub.add_parser("report", help="render a saved JSON report as text")
     p_rep.add_argument("file")
@@ -130,9 +113,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (KeyError,) as exc:
-        sys.stderr.write(f"unknown scenario: {exc}\n")
-        return 2
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2

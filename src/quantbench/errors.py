@@ -71,3 +71,11 @@ class UnsupportedFiberError(QuantbenchError):
 
 class SchemaError(QuantbenchError):
     """Scenario file failed schema validation."""
+
+
+class UnknownScenarioError(QuantbenchError):
+    """No catalog scenario has the requested name."""
+
+
+class UnknownCheckError(QuantbenchError):
+    """A check filter names neither a check id nor a stage."""

@@ -90,9 +90,6 @@ class PolyExpr:
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 
-    def degree_in(self, var: str) -> int:
-        return max((dict(m).get(var, 0) for m in self.terms), default=0)
-
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
@@ -394,9 +391,6 @@ class RationalExpr:
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.simplify().den.is_constant()
 
     def as_poly(self) -> PolyExpr:
         s = self.simplify()

@@ -24,7 +24,7 @@ from .geometry import (
     LEAF_JTILDE,
     Transition,
     VectorField,
-    exterior_derivative,
+    _field_sum,
     interior_product,
 )
 from .hamiltonian import (
@@ -43,13 +43,7 @@ from .hamiltonian import (
     _fn_simplify,
 )
 from .liealg import ActionMap, AlgebroidModel, LieAlgebra
-from .quantize import (
-    ComplexStructureData,
-    SectionAnsatz,
-    gram_matrix,
-    holomorphic_solve,
-    induced_representation,
-)
+from .quantize import ComplexStructureData, gram_matrix, quantize_monomial
 from .scalars import ExactScalar, ONE, ZERO
 
 
@@ -174,6 +168,18 @@ def _lift_form(form: DifferentialForm, atlas: FiberedAtlas,
                             {ch: dict(tbl) for ch, tbl in form.coefficients.items()})
 
 
+def _pairing_combination(atlas, pairings, vec) -> dict:
+    """Chartwise sum_a vec[a] <mu, e_a>, over the pairings given on each chart."""
+    out = {}
+    for ch in atlas.charts:
+        total = RationalExpr.zero()
+        for pairing, coeff in zip(pairings, vec):
+            if pairing.get(ch) is not None:
+                total = total + coerce_rational(coeff) * pairing[ch]
+        out[ch] = total
+    return out
+
+
 def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
                          name="gauge", base_samples=None) -> GaugeScenario:
     """Assemble the twisted 2-form, momentum pairings, bundle and structure."""
@@ -212,30 +218,12 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
     action = ActionMap(model, atlas, action_fields, name=f"{name}-action")
 
     # beta(A_i) and the pairing <mu, A_i> chart by chart
-    def beta_of(vec):
-        out = None
-        for a, coeff in enumerate(vec):
-            if coerce_rational(coeff).is_zero():
-                continue
-            scaled = fields[a] * coeff
-            out = scaled if out is None else out + scaled
-        if out is None:
-            out = VectorField(atlas, LEAF_J, {ch: {} for ch in atlas.charts})
-        return out
-
     def mu_pair(vec):
-        out = {}
-        for ch in atlas.charts:
-            total = RationalExpr.zero()
-            for a, coeff in enumerate(vec):
-                pairing = fiber.momentum_pairings[a].get(ch)
-                if pairing is None:
-                    continue
-                total = total + coerce_rational(coeff) * pairing
-            out[ch] = total
-        return out
+        return _pairing_combination(atlas, fiber.momentum_pairings, vec)
 
-    beta_a = [beta_of(bundle_data.potential[i]) for i in range(n_base)]
+    beta_a = [_field_sum(atlas, LEAF_J, ((coerce_rational(c), f) for c, f in
+                                         zip(bundle_data.potential[i], fields)))
+              for i in range(n_base)]
 
     omega_tables = {ch: dict(omega_fiber.coefficients.get(ch, {}))
                     for ch in atlas.charts}
@@ -342,32 +330,13 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
     atlas = scenario.atlas
     fiber_fields = [scenario.generator_field(n_base + a)
                     for a in range(fiber.algebra.dimension)]
+    fiber_pairings = [scenario.momentum.pairing(n_base + a)
+                      for a in range(fiber.algebra.dimension)]
     omega_fiber = scenario.presymplectic.omega
 
     def beta_tau(index):
-        vec = gauge.tau(index)
-        out = None
-        for a, coeff in enumerate(vec):
-            coeff = coerce_rational(coeff)
-            if coeff.is_zero():
-                continue
-            scaled = fiber_fields[a] * coeff
-            out = scaled if out is None else out + scaled
-        if out is None:
-            out = VectorField(atlas, LEAF_J, {ch: {} for ch in atlas.charts})
-        return out
-
-    def mu_pair_vec(vec):
-        out = {}
-        for ch in atlas.charts:
-            total = RationalExpr.zero()
-            for a, coeff in enumerate(vec):
-                pairing = scenario.momentum.pairing(n_base + a).get(ch)
-                if pairing is None:
-                    continue
-                total = total + coerce_rational(coeff) * pairing
-            out[ch] = total
-        return out
+        return _field_sum(atlas, LEAF_J, ((coerce_rational(c), f) for c, f in
+                                          zip(gauge.tau(index), fiber_fields)))
 
     for i in range(model.n):
         for j in range(i + 1, model.n):
@@ -377,7 +346,8 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
                 f_vec = tuple(ZERO for _ in range(fiber.algebra.dimension))
             lhs = d_mu.value(i, j)
             omega_term = omega_fiber.apply(beta_tau(i), beta_tau(j))
-            rhs = _fn_add(mu_pair_vec(f_vec), _fn_scale(omega_term, ExactScalar(-1)))
+            rhs = _fn_add(_pairing_combination(atlas, fiber_pairings, f_vec),
+                          _fn_scale(omega_term, ExactScalar(-1)))
             residual = _fn_simplify(_fn_add(lhs, _fn_scale(rhs, ExactScalar(-1))))
             if not _fn_is_zero(residual):
                 failures.append((f"curvature-pairing {model.generator_names[i]},"
@@ -396,25 +366,21 @@ def quantization_isomorphism_check(gauge: GaugeScenario) -> CheckResult:
                            status="pass")
     failures = []
     notes = []
-    cap = fiber.ansatz_cap
-    fiber_ansatz = SectionAnsatz.monomial(fiber.line_bundle, fiber.holomorphic_coords, cap)
-    fiber_structure = ComplexStructureData(fiber.atlas, fiber.complex_matrices)
-    fiber_basis = holomorphic_solve(fiber.line_bundle, fiber_structure, fiber_ansatz)
-    fiber_rep = induced_representation(fiber.fiber_scenario, fiber.line_bundle,
-                                       fiber_basis)
+    fiber_rep = quantize_monomial(
+        fiber.fiber_scenario, fiber.line_bundle,
+        ComplexStructureData(fiber.atlas, fiber.complex_matrices),
+        fiber.holomorphic_coords, fiber.ansatz_cap)
+    gauge_rep = quantize_monomial(gauge.scenario, gauge.line_bundle,
+                                  gauge.complex_structure, fiber.holomorphic_coords,
+                                  fiber.ansatz_cap)
 
-    gauge_ansatz = SectionAnsatz.monomial(gauge.line_bundle, fiber.holomorphic_coords, cap)
-    gauge_basis = holomorphic_solve(gauge.line_bundle, gauge.complex_structure,
-                                    gauge_ansatz)
-    gauge_rep = induced_representation(gauge.scenario, gauge.line_bundle, gauge_basis)
-
-    if fiber_basis.dimension != gauge_basis.dimension:
+    if fiber_rep.dimension != gauge_rep.dimension:
         return CheckResult("quantization-isomorphism", False,
-                           [("dimension", f"fiber {fiber_basis.dimension} vs "
-                             f"gauge {gauge_basis.dimension}")])
+                           [("dimension", f"fiber {fiber_rep.dimension} vs "
+                             f"gauge {gauge_rep.dimension}")])
     n_base = gauge.scenario.model.gauge_base_count
     dim = fiber.algebra.dimension
-    n = fiber_basis.dimension
+    n = fiber_rep.dimension
     for a in range(dim):
         mat_fiber = fiber_rep.matrices[a]
         mat_gauge = gauge_rep.matrices[n_base + a]
@@ -429,7 +395,7 @@ def quantization_isomorphism_check(gauge: GaugeScenario) -> CheckResult:
                              "does not act by the flat transport"))
     # Gram agreement per declared base sample (constancy across the base)
     for sample in gauge.base_samples:
-        g_sample = gram_matrix(gauge.line_bundle, gauge_basis, base_point=sample)
+        g_sample = gram_matrix(gauge.line_bundle, gauge_rep.basis, base_point=sample)
         for i in range(n):
             for j in range(n):
                 if g_sample[i][j] != fiber_rep.gram[i][j]:

@@ -348,13 +348,6 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def scale_chartwise(self, functions: dict) -> "VectorField":
-        out = {}
-        for ch, table in self.components.items():
-            f = coerce_rational(functions[ch])
-            out[ch] = {coord: v * f for coord, v in table.items()}
-        return VectorField(self.atlas, self.leafwise_class, out)
-
     def derive(self, function, chart=None):
         """Directional derivative of a chartwise function dict or expression."""
         if isinstance(function, DifferentialForm):
@@ -385,6 +378,17 @@ class VectorField:
             for coord, v in table.items():
                 bits.append(f"[{ch}] ({v}) d/d{coord}")
         return "Field(" + "; ".join(bits) + ")" if bits else "Field(0)"
+
+
+def _field_sum(atlas, leafwise_class, terms) -> VectorField:
+    """Sum of coeff * field over (coeff, field) terms, skipping absent fields and
+    zero coefficients; the zero field of `leafwise_class` when none remain."""
+    out = None
+    for coeff, field in terms:
+        if field is not None and not coeff.is_zero():
+            out = field * coeff if out is None else out + field * coeff
+    return out if out is not None else \
+        VectorField(atlas, leafwise_class, {ch: {} for ch in atlas.charts})
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import MalformedExpressionError, ModelMismatchError, UnvalidatedActionError
 from .exprs import PolyExpr, RationalExpr, coerce_rational
-from .geometry import FiberedAtlas, VectorField, commutator
+from .geometry import LEAF_FULL, LEAF_JTILDE, FiberedAtlas, VectorField, _field_sum, commutator
 from .scalars import ExactScalar, I, ONE, ZERO
 
 
@@ -326,18 +326,7 @@ class AlgebroidModel:
     # -- structure maps ------------------------------------------------------
     def anchor(self, section: "SectionRep") -> VectorField:
         self._own(section)
-        out = None
-        for i, coeff in enumerate(section.coeffs):
-            field = self.anchor_fields[i]
-            if field is None or coeff.is_zero():
-                continue
-            scaled = field * coeff
-            out = scaled if out is None else out + scaled
-        if out is None:
-            charts = {ch: {} for ch in self.base_atlas.charts}
-            from .geometry import LEAF_FULL
-            out = VectorField(self.base_atlas, LEAF_FULL, charts)
-        return out
+        return _field_sum(self.base_atlas, LEAF_FULL, zip(section.coeffs, self.anchor_fields))
 
     def bracket(self, s1: "SectionRep", s2: "SectionRep") -> "SectionRep":
         """Leibniz extension of the generator bracket table."""
@@ -552,17 +541,7 @@ class ActionMap:
     def of(self, section: SectionRep) -> VectorField:
         if section.model is not self.model:
             raise ModelMismatchError("section belongs to another model")
-        out = None
-        for coeff, field in zip(section.coeffs, self.fields):
-            if coeff.is_zero():
-                continue
-            scaled = field * coeff
-            out = scaled if out is None else out + scaled
-        if out is None:
-            from .geometry import LEAF_JTILDE
-            out = VectorField(self.target_atlas, LEAF_JTILDE,
-                              {ch: {} for ch in self.target_atlas.charts})
-        return out
+        return _field_sum(self.target_atlas, LEAF_JTILDE, zip(section.coeffs, self.fields))
 
     def morphism_report(self, rng=None):
         """The four action identities on generators (and random coefficients)."""

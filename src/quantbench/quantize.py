@@ -205,14 +205,9 @@ def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
         total += len(ansatz.candidates[p])
     rows = []
     # (1) polarized-derivative kernel per patch
+    derivative = {p: _polarized_derivative(bundle, frames, p) for p in patches}
     for p in patches:
-        chart = bundle.patch_chart(p)
-        frame = frames[chart]
-        contraction = interior_product(frame, bundle.potential(p))
-        pot = contraction.coefficient(chart, ()) * RationalExpr.var(TWO_PI_I)
-        exprs = []
-        for f in ansatz.candidates[p]:
-            exprs.append(frame.derive(f, chart) + pot * f)
+        exprs = [derivative[p](f) for f in ansatz.candidates[p]]
         rows.extend(_linear_rows(exprs, offsets[p], total))
     # (2) frame gluing: f_j = c_jk (f_k o T) on every pair overlap
     for simplex in cover.k_simplices(1):
@@ -248,9 +243,19 @@ def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
     # deterministic order: by degree of the first-patch coefficient
     p0 = patches[0]
     elements.sort(key=lambda e: (e[p0].num.total_degree(), str(e[p0])))
-    basis = HolomorphicBasis(bundle, frames, elements)
-    _reverify(basis, bundle, frames)
-    return basis
+    for element in elements:
+        if not all(derivative[p](f).simplify().is_zero() for p, f in element.items()):
+            raise MalformedExpressionError("solver returned a non-polarized section")
+    return HolomorphicBasis(bundle, frames, elements)
+
+
+def _polarized_derivative(bundle, frames, p):
+    """f -> nabla_frame (f s_p) / s_p in patch p: frame derivative plus potential."""
+    chart = bundle.patch_chart(p)
+    frame = frames[chart]
+    contraction = interior_product(frame, bundle.potential(p))
+    pot = contraction.coefficient(chart, ()) * RationalExpr.var(TWO_PI_I)
+    return lambda f: frame.derive(f, chart) + pot * f
 
 
 def _to_chart(expr, src_chart, dst_chart, atlas):
@@ -279,19 +284,6 @@ def _linear_rows_indexed(indexed, total):
             row = monomial_rows.setdefault(mono, [ZERO] * total)
             row[pos] = row[pos] + coeff
     return list(monomial_rows.values())
-
-
-def _reverify(basis, bundle, frames):
-    for element in basis.elements:
-        for p, f in element.items():
-            chart = bundle.patch_chart(p)
-            frame = frames[chart]
-            contraction = interior_product(frame, bundle.potential(p))
-            pot = contraction.coefficient(chart, ()) * RationalExpr.var(TWO_PI_I)
-            resid = (frame.derive(f, chart) + pot * f).simplify()
-            if not resid.is_zero():
-                raise MalformedExpressionError(
-                    "solver returned a non-polarized section")
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +472,21 @@ def induced_representation(scenario: ActionScenario, bundle: LineBundleData,
         matrices.append(mat)
     gram = gram_matrix(bundle, basis)
     return QuantizationResult(bundle, basis, gram, matrices, model.generator_names)
+
+
+def monomial_basis(bundle: LineBundleData, structure, holomorphic_coords,
+                   degree_cap) -> HolomorphicBasis:
+    """Holomorphic sections among the monomials up to `degree_cap`."""
+    ansatz = SectionAnsatz.monomial(bundle, holomorphic_coords, degree_cap)
+    return holomorphic_solve(bundle, structure, ansatz)
+
+
+def quantize_monomial(scenario: ActionScenario, bundle: LineBundleData, structure,
+                      holomorphic_coords, degree_cap) -> QuantizationResult:
+    """The fiberwise quantization pipeline: monomial ansatz, holomorphic
+    kernel, then the induced representation on it."""
+    basis = monomial_basis(bundle, structure, holomorphic_coords, degree_cap)
+    return induced_representation(scenario, bundle, basis)
 
 
 def _split_twopii(poly: PolyExpr):

@@ -1,52 +1,14 @@
 """Check records and report rendering.
 
 Each record carries a stable anchor label describing the mathematical content
-of the check (the registry below), a status, failures with residual
-expressions, and a timing field that is excluded from canonical comparisons.
+of the check (given by the runner's check table), a status, failures with
+residual expressions, and a timing field that is excluded from canonical
+comparisons.
 """
 
 from __future__ import annotations
 
 import json
-
-CHECK_ANCHORS = {
-    "transition-consistency": "atlas transitions compose to the identity",
-    "action-morphism": "action map: additivity, linearity, bracket, anchor",
-    "bracket-structure": "generator bracket satisfies Jacobi and Leibniz",
-    "presymplectic": "leafwise closedness and fiberwise nondegeneracy",
-    "internal-momentum": "fiber identity d<mu,X> = -i_{alpha(X)} omega on ker(anchor)",
-    "coadjoint-equivariance": "alpha(X).<mu,Y> = <mu,[X,Y]> on isotropy pairs",
-    "prequantization-condition": "algebroid differential of mu equals -alpha^* omega",
-    "quantization-condition": "fiber restriction d<mu,X> = -(i_{alpha(X)} omega)|_J",
-    "differential-squares-to-zero": "algebroid differential squares to zero",
-    "bundle-data": "cocycle, metric compatibility, gluing, Hermitian potential",
-    "curvature-match": "chartwise curvature equals the scenario 2-form",
-    "representation-flatness": "[pi(X), pi(Y)] = pi([X,Y]) on local sections",
-    "representation-hermitian": "pairing derivative identity for the operators",
-    "connection-equivariance": "[pi(X), nabla_v] = nabla_{[alpha(X), v]}",
-    "chern-witness": "alpha^* curvature is exact with the momentum witness",
-    "complex-structure": "j^2 = -1 and transition compatibility",
-    "kahler-positivity": "omega(j . , .) positive at sample points",
-    "polarization-equivariance": "[alpha(X), j v] = j [alpha(X), v]",
-    "holomorphic-dimension": "solution-space dimension with cap robustness",
-    "quantization": "exact Gram matrix and representation matrices",
-    "gram-positivity": "exact leading principal minors of the Gram matrix",
-    "matrix-commutation": "representation matrices close under the bracket",
-    "infinitesimal-unitarity": "M^dagger G + G M = 0 exactly",
-    "zero-level": "defining equations, tangency, declared regularity",
-    "internal-quotient": "fiberwise reduced model and dimension count",
-    "descent-obstruction": "isotropy weight on the frame along the zero level",
-    "quantum-projector": "fixed-subspace projector idempotent and invariant",
-    "qr-comparison": "reduced quantization versus fixed subspace",
-    "gauge-momentum": "curvature pairing identity for the twisted momentum",
-    "gauge-curvature-formula": "potential curvature recomputed two ways",
-    "quantization-isomorphism": "twisted quantization matches the fiber model",
-    "integrated-representation": "closed-form integrated action data",
-    "cech-delta": "coboundary squares to zero on random cochains",
-    "cohomology-ranks": "cover cohomology ranks by exact elimination",
-    "integrality": "degree-2 class membership in the integer lattice",
-    "scenario-note": "informational record",
-}
 
 CONVENTION_NOTES = [
     "holomorphic chart coordinate: z = x - i y; unit area form "
@@ -64,20 +26,15 @@ CONVENTION_NOTES = [
 
 class CheckRecord:
     def __init__(self, check_id, status, failures=(), notes=(), details=None,
-                 seconds=0.0):
+                 seconds=0.0, anchor=None):
         self.check_id = check_id
-        self.anchor = CHECK_ANCHORS.get(check_id, check_id)
+        self.anchor = anchor or check_id
         self.status = status
         self.failures = [tuple(str(part) for part in f) if isinstance(f, (tuple, list))
                          else (str(f),) for f in failures]
         self.notes = [str(n) for n in notes]
         self.details = details or {}
         self.seconds = seconds
-
-    @staticmethod
-    def from_result(result, details=None, seconds=0.0):
-        return CheckRecord(result.check_id, result.status, result.failures,
-                           result.notes, details, seconds)
 
     def to_dict(self, with_timing=True):
         out = {

@@ -1,283 +1,318 @@
-"""Check orchestration: run a scenario's verification stack in dependency
-order (structure -> momentum conditions -> prequantization -> quantization ->
-reduction) and assemble a report."""
+"""Check orchestration.  `CHECKS` is the one ordered table of the verification
+stack: structure -> momentum conditions -> prequantization -> quantization ->
+reduction.  Each row declares a check's id, stage, anchor, the artifacts it
+needs and its function; `run_scenario` walks the table once."""
 
 from __future__ import annotations
 
 import random
 import time
+from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
 from .catalog import build_scenario, zero_level_data
-from .errors import QuantbenchError
-from .gauge import (
-    GaugeScenario,
-    gauge_momentum_verify,
-    quantization_isomorphism_check,
-)
+from .errors import UnknownCheckError
+from .gauge import GaugeScenario, gauge_momentum_verify, quantization_isomorphism_check
 from .hamiltonian import CheckResult
-from .quantize import SectionAnsatz, holomorphic_solve, induced_representation
 from .reports import CheckRecord, Report
 
-STAGES = ("structure", "hamiltonian", "prequantize", "quantize", "reduce")
+
+class RunContext:
+    """One run's inputs and artifacts.  The stage inputs `bundle`, `structure`,
+    `coords` and `cap` are read once: from the scenario's gauge construction
+    when it has one, else from `scenario.extras`.  The checks that produce
+    `basis`, `representation` and `zero_level` set them."""
+
+    def __init__(self, scenario, seed=1729):
+        if isinstance(scenario, str):
+            scenario = build_scenario(scenario)
+        gauge = scenario if isinstance(scenario, GaugeScenario) else scenario.extras.get("gauge")
+        self.scenario = scenario = gauge.scenario if gauge is not None else scenario
+        self.gauge, self.extras, self.rng = gauge, scenario.extras, random.Random(seed)
+        self.bundle = (gauge and gauge.line_bundle) or self.extras.get("bundle")
+        if gauge is not None:
+            self.structure = gauge.complex_structure
+            self.coords, self.cap = gauge.fiber.holomorphic_coords, gauge.fiber.ansatz_cap
+        else:
+            self.structure = self.extras.get("complex_structure")
+            self.coords = self.extras.get("holomorphic_coords")
+            self.cap = self.extras.get("ansatz_cap", 2)
+        self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
+        self.degenerate = bool(self.extras.get("degenerate_level"))
+        self.basis = self.representation = self.zero_level = None
 
 
-def _timed(report, check_id, fn, details=None):
-    start = time.perf_counter()
-    try:
-        result = fn()
-    except QuantbenchError as exc:
-        record = CheckRecord(check_id, "fail", failures=[(type(exc).__name__, str(exc))],
-                             seconds=time.perf_counter() - start)
-        report.add(record)
-        return None
-    seconds = time.perf_counter() - start
-    if isinstance(result, CheckResult):
-        record = CheckRecord.from_result(result, details, seconds)
-        report.add(record)
-        return result
-    record = CheckRecord(check_id, "pass", details=details or {}, seconds=seconds)
-    if isinstance(result, dict):
-        record.details.update(result)
-    report.add(record)
-    return result
-
-
-def run_scenario(scenario, checks=None, seed=1729) -> Report:
-    """Run the verification stack; `checks` filters by check id or stage name."""
-    if isinstance(scenario, str):
-        scenario = build_scenario(scenario)
-    gauge = None
-    if isinstance(scenario, GaugeScenario):
-        gauge = scenario
-        scenario = gauge.scenario
-    elif "gauge" in scenario.extras:
-        gauge = scenario.extras["gauge"]
-    rng = random.Random(seed)
-    report = Report(scenario.name)
-
-    def wanted(check_id, stage):
-        if not checks:
-            return True
-        return check_id in checks or stage in checks
-
-    # -- structure ---------------------------------------------------------
-    if wanted("transition-consistency", "structure"):
-        def transitions():
-            bad = scenario.atlas.check_transition_consistency()
-            return CheckResult("transition-consistency", not bad,
-                               [(f"{a}->{b}", c) for a, b, c in bad])
-        _timed(report, "transition-consistency", transitions)
-    if wanted("action-morphism", "structure"):
-        _timed(report, "action-morphism",
-               lambda: _as_result("action-morphism",
-                                  scenario.action.morphism_report(rng)))
-    if wanted("bracket-structure", "structure"):
-        def bracket_structure():
-            jac = scenario.action_model.jacobi_on_generators()
-            lei = scenario.action_model.leibniz_report(rng)
-            failures = [("jacobi", str(f)) for f in jac.failures]
-            failures += [("leibniz", str(f)) for f in lei.failures]
-            return CheckResult("bracket-structure", not failures, failures)
-        _timed(report, "bracket-structure", bracket_structure)
-
-    # -- momentum conditions -------------------------------------------------
-    degenerate = bool(scenario.extras.get("degenerate_level"))
-
-    def _degenerate_downgrade(result, kinds=None):
-        """Declared degenerate levels (point orbits modeled with the zero
-        form) report failed nondegeneracy/positivity as unmet hypotheses."""
-        if degenerate and not result.ok and \
-                (kinds is None or all(f[0] in kinds for f in result.failures)):
-            result.status = "hypotheses-not-met"
-            result.ok = True
-            result.notes.append("level 0 is the point orbit; the sphere model "
-                                "carries the zero form by declaration")
-        return result
-
-    if wanted("presymplectic", "hamiltonian"):
-        _timed(report, "presymplectic",
-               lambda: _degenerate_downgrade(
-                   hamiltonian.presymplectic_check(scenario.presymplectic),
-                   {"nondegeneracy", "nondegeneracy-sample"}))
-    if wanted("internal-momentum", "hamiltonian"):
-        _timed(report, "internal-momentum",
-               lambda: hamiltonian.internal_momentum_check(scenario))
-    if wanted("coadjoint-equivariance", "hamiltonian"):
-        _timed(report, "coadjoint-equivariance",
-               lambda: hamiltonian.equivariance_check(scenario))
-    if wanted("prequantization-condition", "hamiltonian"):
-        _timed(report, "prequantization-condition",
-               lambda: hamiltonian.prequantization_condition_check(scenario))
-    if wanted("quantization-condition", "hamiltonian"):
-        _timed(report, "quantization-condition",
-               lambda: hamiltonian.quantization_condition_check(scenario))
-    if wanted("differential-squares-to-zero", "hamiltonian"):
-        _timed(report, "differential-squares-to-zero",
-               lambda: hamiltonian.dd_zero_report(scenario, rng, samples=2))
-    if gauge is not None and wanted("gauge-momentum", "hamiltonian"):
-        _timed(report, "gauge-curvature-formula",
-               lambda: _as_result("gauge-curvature-formula",
-                                  gauge.bundle_data.curvature_reverify()))
-        _timed(report, "gauge-momentum", lambda: gauge_momentum_verify(gauge))
-
-    # -- prequantization -------------------------------------------------------
-    bundle = scenario.extras.get("bundle")
-    if gauge is not None and gauge.line_bundle is not None:
-        bundle = gauge.line_bundle
-    if bundle is not None:
-        if wanted("bundle-data", "prequantize"):
-            _timed(report, "bundle-data", lambda: bundles.validate_bundle(bundle))
-        if wanted("curvature-match", "prequantize"):
-            def curvature_match():
-                k_form = bundles.curvature(bundle)
-                diff = (k_form - scenario.presymplectic.omega_tilde).simplify()
-                ok = diff.is_zero()
-                return CheckResult("curvature-match", ok,
-                                   [] if ok else [("curvature", repr(diff))])
-            _timed(report, "curvature-match", curvature_match)
-        if wanted("representation-flatness", "prequantize"):
-            _timed(report, "representation-flatness",
-                   lambda: bundles.rep_flatness_check(scenario, bundle, rng))
-        if wanted("representation-hermitian", "prequantize"):
-            _timed(report, "representation-hermitian",
-                   lambda: bundles.rep_hermitian_check(scenario, bundle, rng))
-        if wanted("connection-equivariance", "prequantize"):
-            _timed(report, "connection-equivariance",
-                   lambda: bundles.connection_equivariance_check(scenario, bundle, rng))
-        if wanted("chern-witness", "prequantize"):
-            _timed(report, "chern-witness",
-                   lambda: bundles.chern_class_algebroid(scenario, bundle))
-
-    # -- quantization ---------------------------------------------------------
-    result = None
-    structure = gauge.complex_structure if gauge is not None else \
-        scenario.extras.get("complex_structure")
-    has_fibers = any(scenario.atlas.chart(ch).fiber_coords
-                     for ch in scenario.atlas.charts)
-    if not has_fibers and wanted("holomorphic-dimension", "quantize"):
-        note = scenario.extras.get("quantization_note",
-                                   "fibers are points; quantization empty")
-        report.add(CheckRecord("scenario-note", "pass", notes=[note]))
-    if bundle is not None and structure is not None and has_fibers:
-        if wanted("complex-structure", "quantize"):
-            _timed(report, "complex-structure", lambda: structure.validate())
-            _timed(report, "kahler-positivity",
-                   lambda: _degenerate_downgrade(
-                       structure.positivity_check(scenario.presymplectic.omega)))
-        if wanted("polarization-equivariance", "quantize"):
-            _timed(report, "polarization-equivariance",
-                   lambda: quantize.polarization_equivariance_check(scenario, structure))
-        coords = gauge.fiber.holomorphic_coords if gauge is not None else \
-            scenario.extras.get("holomorphic_coords")
-        cap = gauge.fiber.ansatz_cap if gauge is not None else \
-            scenario.extras.get("ansatz_cap", 2)
-        basis = None
-        if coords is not None and wanted("holomorphic-dimension", "quantize"):
-            def dims():
-                nonlocal basis
-                ansatz = SectionAnsatz.monomial(bundle, coords, cap)
-                basis = holomorphic_solve(bundle, structure, ansatz)
-                bigger = holomorphic_solve(
-                    bundle, structure, SectionAnsatz.monomial(bundle, coords, cap + 2))
-                ok = bigger.dimension == basis.dimension
-                return CheckResult(
-                    "holomorphic-dimension", ok,
-                    [] if ok else [("robustness", f"{basis.dimension} vs "
-                                    f"{bigger.dimension}")],
-                    notes=[f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
-            _timed(report, "holomorphic-dimension", dims)
-        if basis is not None:
-            def representation():
-                nonlocal result
-                result = induced_representation(scenario, bundle, basis)
-                return {"dimension": result.dimension,
-                        "gram": [[str(v) for v in row] for row in result.gram],
-                        "matrices": {name: [[str(v) for v in row] for row in mat]
-                                     for name, mat in zip(result.generator_names,
-                                                          result.matrices)}}
-            _timed(report, "quantization", representation)
-            if wanted("gram-positivity", "quantize"):
-                def gram_pos():
-                    ok = quantize.leading_minors_positive(result.gram)
-                    return CheckResult("gram-positivity", ok)
-                _timed(report, "gram-positivity", gram_pos)
-            if wanted("matrix-commutation", "quantize"):
-                _timed(report, "matrix-commutation",
-                       lambda: quantize.commutation_check(result, scenario.model))
-            if wanted("infinitesimal-unitarity", "quantize"):
-                _timed(report, "infinitesimal-unitarity",
-                       lambda: quantize.unitarity_check(result))
-    if gauge is not None and wanted("quantization-isomorphism", "quantize"):
-        _timed(report, "quantization-isomorphism",
-               lambda: quantization_isomorphism_check(gauge))
-    if scenario.extras.get("integration") and wanted("integrated-representation",
-                                                     "quantize"):
-        def integration():
-            rep = quantize.integrate_representation(scenario, result)
-            details = {"kind": rep.kind, "description": rep.description}
-            if "weights" in rep.data:
-                details["weights"] = [str(w) for w in rep.data["weights"]]
-            if "phase_exponent" in rep.data:
-                details["phase_exponent"] = str(rep.data["phase_exponent"])
-            if rep.kind == "sphere-family":
-                grid = [10.0 ** (-n) for n in range(8, 24, 4)]
-                probe = rep.data["probe"](grid)
-                details["endpoint_probe"] = [f"{p:.3e}" for p in probe]
-                decreasing = all(a >= b for a, b in zip(probe, probe[1:]))
-                if probe[-1] > 1e-6 or not decreasing:
-                    return CheckResult("integrated-representation", False,
-                                       [("continuity", str(details))])
-            return details
-        _timed(report, "integrated-representation", integration)
-
-    # -- reduction --------------------------------------------------------------
-    if "zero_level" in scenario.extras and result is not None:
-        zdata = zero_level_data(scenario)
-        if wanted("zero-level", "reduce"):
-            _timed(report, "zero-level", zdata.verify)
-        if wanted("internal-quotient", "reduce"):
-            def quotient():
-                space = reduce_mod.internal_mw_quotient(zdata)
-                return {"reduced": repr(space)}
-            _timed(report, "internal-quotient", quotient)
-        if wanted("descent-obstruction", "reduce"):
-            _timed(report, "descent-obstruction",
-                   lambda: reduce_mod.descent_obstruction_check(scenario, bundle, zdata))
-        if wanted("quantum-projector", "reduce"):
-            def projector():
-                fixed = reduce_mod.quantum_fixed_subspace(result,
-                                                          zdata.isotropy_indices)
-                res = reduce_mod.projector_checks(fixed)
-                res.notes.append(f"fixed-subspace dimension {fixed.dimension}")
-                return res
-            _timed(report, "quantum-projector", projector)
-        if wanted("qr-comparison", "reduce"):
-            def comparison():
-                qr = reduce_mod.qr_commute_check(scenario, bundle, result, zdata)
-                failures = [] if qr.ok else [("qr", str(qr))]
-                notes = list(qr.notes)
-                notes.append(f"fixed dimension {qr.fixed_dimension}, "
-                             f"reduced dimension {qr.reduced_dimension}")
-                if qr.obstruction:
-                    notes.append("obstruction weights: " + ", ".join(
-                        f"{k}: {v}" for k, v in qr.obstruction.items()))
-                if qr.intertwiner is not None:
-                    notes.append("intertwiner: " + str(
-                        [[str(v) for v in row] for row in qr.intertwiner]))
-                if qr.scale_squared is not None:
-                    notes.append(f"intertwiner scale^2 = {qr.scale_squared}")
-                return CheckResult("qr-comparison", qr.status != "fail",
-                                   failures, notes, status=qr.status)
-            _timed(report, "qr-comparison", comparison)
-    if scenario.extras.get("full_quotient") and wanted("internal-quotient", "reduce"):
-        report.add(CheckRecord("scenario-note", "pass",
-                               notes=[f"full quotient: "
-                                      f"{scenario.extras['full_quotient']}"]))
-    return report
+class Check(NamedTuple):
+    """One row of the table.  A selected check runs when `applies` holds and
+    the producers of its `needs` ran; it is `skipped` when the producer of one
+    of its `needs` or `uses` (artifacts read if the scenario has them) failed
+    or was skipped.  `note` may add an informational record in its place."""
+    id: str
+    stage: str
+    anchor: str
+    run: Callable
+    needs: tuple = ()
+    uses: tuple = ()
+    produces: str | None = None
+    applies: Callable = lambda ctx: True
+    note: Callable = lambda ctx: None
 
 
 def _as_result(check_id, report_obj) -> CheckResult:
     return CheckResult(check_id, report_obj.ok,
                        [(str(f),) if not isinstance(f, (tuple, list)) else f
                         for f in report_obj.failures])
+
+
+def _degenerate_downgrade(ctx, result, kinds=None):
+    """Declared degenerate levels (point orbits modeled with the zero form)
+    report failed nondegeneracy/positivity as unmet hypotheses."""
+    if ctx.degenerate and not result.ok and \
+            (kinds is None or all(f[0] in kinds for f in result.failures)):
+        result.status = "hypotheses-not-met"
+        result.ok = True
+        result.notes.append("level 0 is the point orbit; the sphere model "
+                            "carries the zero form by declaration")
+    return result
+
+
+def _transitions(ctx):
+    bad = ctx.scenario.atlas.check_transition_consistency()
+    return CheckResult("transition-consistency", not bad, [(f"{a}->{b}", c) for a, b, c in bad])
+
+
+def _bracket_structure(ctx):
+    jac = ctx.scenario.action_model.jacobi_on_generators()
+    lei = ctx.scenario.action_model.leibniz_report(ctx.rng)
+    failures = [("jacobi", str(f)) for f in jac.failures]
+    failures += [("leibniz", str(f)) for f in lei.failures]
+    return CheckResult("bracket-structure", not failures, failures)
+
+
+def _curvature_match(ctx):
+    diff = (bundles.curvature(ctx.bundle) -
+            ctx.scenario.presymplectic.omega_tilde).simplify()
+    ok = diff.is_zero()
+    return CheckResult("curvature-match", ok, [] if ok else [("curvature", repr(diff))])
+
+
+def _holomorphic_dimension(ctx):
+    basis = ctx.basis = quantize.monomial_basis(ctx.bundle, ctx.structure,
+                                                ctx.coords, ctx.cap)
+    bigger = quantize.monomial_basis(ctx.bundle, ctx.structure, ctx.coords, ctx.cap + 2)
+    ok = bigger.dimension == basis.dimension
+    return CheckResult(
+        "holomorphic-dimension", ok,
+        [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")],
+        notes=[f"dimension {basis.dimension} at caps {ctx.cap} and {ctx.cap + 2}"])
+
+
+def _quantization(ctx):
+    rep = ctx.representation = quantize.induced_representation(
+        ctx.scenario, ctx.bundle, ctx.basis)
+    return {"dimension": rep.dimension,
+            "gram": [[str(v) for v in row] for row in rep.gram],
+            "matrices": {name: [[str(v) for v in row] for row in mat]
+                         for name, mat in zip(rep.generator_names, rep.matrices)}}
+
+
+def _integration(ctx):
+    rep = quantize.integrate_representation(ctx.scenario, ctx.representation)
+    details = {"kind": rep.kind, "description": rep.description}
+    if "weights" in rep.data:
+        details["weights"] = [str(w) for w in rep.data["weights"]]
+    if "phase_exponent" in rep.data:
+        details["phase_exponent"] = str(rep.data["phase_exponent"])
+    if rep.kind == "sphere-family":
+        grid = [10.0 ** (-n) for n in range(8, 24, 4)]
+        probe = rep.data["probe"](grid)
+        details["endpoint_probe"] = [f"{p:.3e}" for p in probe]
+        decreasing = all(a >= b for a, b in zip(probe, probe[1:]))
+        if probe[-1] > 1e-6 or not decreasing:
+            return CheckResult("integrated-representation", False,
+                               [("continuity", str(details))])
+    return details
+
+
+def _zero_level(ctx):
+    ctx.zero_level = zero_level_data(ctx.scenario)
+    return ctx.zero_level.verify()
+
+
+def _projector(ctx):
+    fixed = reduce_mod.quantum_fixed_subspace(ctx.representation,
+                                              ctx.zero_level.isotropy_indices)
+    res = reduce_mod.projector_checks(fixed)
+    res.notes.append(f"fixed-subspace dimension {fixed.dimension}")
+    return res
+
+
+def _qr_comparison(ctx):
+    qr = reduce_mod.qr_commute_check(ctx.scenario, ctx.bundle, ctx.representation,
+                                     ctx.zero_level)
+    failures = [] if qr.ok else [("qr", str(qr))]
+    notes = list(qr.notes)
+    notes.append(f"fixed dimension {qr.fixed_dimension}, "
+                 f"reduced dimension {qr.reduced_dimension}")
+    if qr.obstruction:
+        notes.append("obstruction weights: " + ", ".join(
+            f"{k}: {v}" for k, v in qr.obstruction.items()))
+    if qr.intertwiner is not None:
+        notes.append("intertwiner: " + str(
+            [[str(v) for v in row] for row in qr.intertwiner]))
+    if qr.scale_squared is not None:
+        notes.append(f"intertwiner scale^2 = {qr.scale_squared}")
+    return CheckResult("qr-comparison", qr.status != "fail", failures, notes,
+                       status=qr.status)
+
+
+CHECKS = (
+    Check("transition-consistency", "structure", "atlas transitions compose to the identity",
+          _transitions),
+    Check("action-morphism", "structure", "action map: additivity, linearity, bracket, anchor",
+          lambda c: _as_result("action-morphism", c.scenario.action.morphism_report(c.rng))),
+    Check("bracket-structure", "structure", "generator bracket satisfies Jacobi and Leibniz",
+          _bracket_structure),
+    Check("presymplectic", "hamiltonian", "leafwise closedness and fiberwise nondegeneracy",
+          lambda c: _degenerate_downgrade(
+              c, hamiltonian.presymplectic_check(c.scenario.presymplectic),
+              {"nondegeneracy", "nondegeneracy-sample"})),
+    Check("internal-momentum", "hamiltonian",
+          "fiber identity d<mu,X> = -i_{alpha(X)} omega on ker(anchor)",
+          lambda c: hamiltonian.internal_momentum_check(c.scenario)),
+    Check("coadjoint-equivariance", "hamiltonian",
+          "alpha(X).<mu,Y> = <mu,[X,Y]> on isotropy pairs",
+          lambda c: hamiltonian.equivariance_check(c.scenario)),
+    Check("prequantization-condition", "hamiltonian",
+          "algebroid differential of mu equals -alpha^* omega",
+          lambda c: hamiltonian.prequantization_condition_check(c.scenario)),
+    Check("quantization-condition", "hamiltonian",
+          "fiber restriction d<mu,X> = -(i_{alpha(X)} omega)|_J",
+          lambda c: hamiltonian.quantization_condition_check(c.scenario)),
+    Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
+          lambda c: hamiltonian.dd_zero_report(c.scenario, c.rng, samples=2)),
+    Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",
+          lambda c: c.gauge.bundle_data.curvature_reverify(),
+          applies=lambda c: c.gauge is not None),
+    Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
+          lambda c: gauge_momentum_verify(c.gauge), applies=lambda c: c.gauge is not None),
+    Check("bundle-data", "prequantize",
+          "cocycle, metric compatibility, gluing, Hermitian potential",
+          lambda c: bundles.validate_bundle(c.bundle), produces="bundle",
+          applies=lambda c: c.bundle is not None),
+    Check("curvature-match", "prequantize", "chartwise curvature equals the scenario 2-form",
+          _curvature_match, needs=("bundle",)),
+    Check("representation-flatness", "prequantize", "[pi(X), pi(Y)] = pi([X,Y]) on local sections",
+          lambda c: bundles.rep_flatness_check(c.scenario, c.bundle, c.rng), needs=("bundle",)),
+    Check("representation-hermitian", "prequantize",
+          "pairing derivative identity for the operators",
+          lambda c: bundles.rep_hermitian_check(c.scenario, c.bundle, c.rng), needs=("bundle",)),
+    Check("connection-equivariance", "prequantize", "[pi(X), nabla_v] = nabla_{[alpha(X), v]}",
+          lambda c: bundles.connection_equivariance_check(c.scenario, c.bundle, c.rng),
+          needs=("bundle",)),
+    Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
+          lambda c: bundles.chern_class_algebroid(c.scenario, c.bundle), needs=("bundle",)),
+    Check("complex-structure", "quantize", "j^2 = -1 and transition compatibility",
+          lambda c: c.structure.validate(), produces="structure",
+          applies=lambda c: c.bundle is not None and c.structure is not None and c.has_fibers),
+    Check("kahler-positivity", "quantize", "omega(j . , .) positive at sample points",
+          lambda c: _degenerate_downgrade(
+              c, c.structure.positivity_check(c.scenario.presymplectic.omega)),
+          needs=("structure",)),
+    Check("polarization-equivariance", "quantize", "[alpha(X), j v] = j [alpha(X), v]",
+          lambda c: quantize.polarization_equivariance_check(c.scenario, c.structure),
+          needs=("structure",)),
+    Check("holomorphic-dimension", "quantize", "solution-space dimension with cap robustness",
+          _holomorphic_dimension, needs=("bundle", "structure"), produces="basis",
+          applies=lambda c: c.coords is not None,
+          note=lambda c: None if c.has_fibers else c.extras.get(
+              "quantization_note", "fibers are points; quantization empty")),
+    Check("quantization", "quantize", "exact Gram matrix and representation matrices",
+          _quantization, needs=("basis",), produces="representation"),
+    Check("gram-positivity", "quantize", "exact leading principal minors of the Gram matrix",
+          lambda c: CheckResult("gram-positivity",
+                                quantize.leading_minors_positive(c.representation.gram)),
+          needs=("representation",)),
+    Check("matrix-commutation", "quantize", "representation matrices close under the bracket",
+          lambda c: quantize.commutation_check(c.representation, c.scenario.model),
+          needs=("representation",)),
+    Check("infinitesimal-unitarity", "quantize", "M^dagger G + G M = 0 exactly",
+          lambda c: quantize.unitarity_check(c.representation), needs=("representation",)),
+    Check("quantization-isomorphism", "quantize", "twisted quantization matches the fiber model",
+          lambda c: quantization_isomorphism_check(c.gauge),
+          applies=lambda c: c.gauge is not None),
+    Check("integrated-representation", "quantize", "closed-form integrated action data",
+          _integration, uses=("representation",),
+          applies=lambda c: bool(c.extras.get("integration"))),
+    Check("zero-level", "reduce", "defining equations, tangency, declared regularity",
+          _zero_level, produces="zero_level", applies=lambda c: "zero_level" in c.extras),
+    Check("internal-quotient", "reduce", "fiberwise reduced model and dimension count",
+          lambda c: {"reduced": repr(reduce_mod.internal_mw_quotient(c.zero_level))},
+          needs=("zero_level",), note=lambda c: c.extras.get("full_quotient") and
+          f"full quotient: {c.extras['full_quotient']}"),
+    Check("descent-obstruction", "reduce", "isotropy weight on the frame along the zero level",
+          lambda c: reduce_mod.descent_obstruction_check(c.scenario, c.bundle, c.zero_level),
+          needs=("bundle", "zero_level")),
+    Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
+          _projector, needs=("representation", "zero_level")),
+    Check("qr-comparison", "reduce", "reduced quantization versus fixed subspace",
+          _qr_comparison, needs=("bundle", "representation", "zero_level")),
+)
+STAGES = tuple(dict.fromkeys(check.stage for check in CHECKS))
+PRODUCER = {check.produces: check.id for check in CHECKS if check.produces}
+
+
+def select_checks(checks=None) -> set:
+    """Ids of the checks a filter of check ids and stage names selects, plus
+    the checks producing what those need or use."""
+    if not checks:
+        return {check.id for check in CHECKS}
+    checks = set(checks)
+    unknown = checks - {check.id for check in CHECKS} - set(STAGES)
+    if unknown:
+        raise UnknownCheckError(f"unknown check or stage: {', '.join(sorted(unknown))}")
+    selected = {check.id for check in CHECKS if check.id in checks or check.stage in checks}
+    for check in reversed(CHECKS):  # every producer precedes its consumers
+        if check.id in selected:
+            selected.update(PRODUCER[name] for name in check.needs + check.uses)
+    return selected
+
+
+def _execute(check, ctx) -> CheckRecord:
+    """Run one check; any exception becomes a failed record."""
+    start = time.perf_counter()
+    try:
+        result = check.run(ctx)
+    except Exception as exc:
+        result = CheckResult(check.id, False, [(type(exc).__name__, str(exc))])
+    seconds = time.perf_counter() - start
+    if isinstance(result, CheckResult):
+        return CheckRecord(check.id, result.status, result.failures, result.notes,
+                           seconds=seconds, anchor=check.anchor)
+    return CheckRecord(check.id, "pass", details=result or {}, seconds=seconds,
+                       anchor=check.anchor)
+
+
+def run_scenario(scenario, checks=None, seed=1729) -> Report:
+    """Run the check table on `scenario`; `checks` filters by check id or stage
+    name and pulls in the checks the selected ones depend on."""
+    selected = select_checks(checks)
+    ctx = RunContext(scenario, seed)
+    report = Report(ctx.scenario.name)
+    status = {}
+    for check in (check for check in CHECKS if check.id in selected):
+        note = check.note(ctx)
+        if note:
+            report.add(CheckRecord("scenario-note", "pass", notes=[note],
+                                   anchor="informational record"))
+        if not check.applies(ctx) or any(PRODUCER[name] not in status for name in check.needs):
+            continue
+        broken = [f"needs {name} from {PRODUCER[name]}, which "
+                  f"{'failed' if status[PRODUCER[name]] == 'fail' else 'was skipped'}"
+                  for name in check.needs + check.uses
+                  if status.get(PRODUCER[name]) in ("fail", "skipped")]
+        record = CheckRecord(check.id, "skipped", notes=broken, anchor=check.anchor) \
+            if broken else _execute(check, ctx)
+        report.add(record)
+        status[check.id] = record.status
+    return report

@@ -15,10 +15,6 @@ from .liealg import ActionMap, AlgebroidModel
 from .scalars import ExactScalar
 
 
-def scalar_to_string(value: ExactScalar) -> str:
-    return str(value)
-
-
 def expr_to_string(expr) -> str:
     """Fully parseable rendering (explicit '*' between coefficient and i)."""
     expr = coerce_rational(expr).simplify()
@@ -89,6 +85,12 @@ def _field_from_dict(atlas, data) -> VectorField:
     return VectorField(atlas, data["class"], table)
 
 
+def _charts_to_list(atlas) -> list:
+    return [{"name": c.name, "base": list(c.base_coords), "fiber": list(c.fiber_coords),
+             "orbit": list(c.orbit_coords), "star_shaped": c.star_shaped}
+            for c in atlas.charts.values()]
+
+
 def dump_scenario(scenario: ActionScenario) -> dict:
     atlas = scenario.atlas
     model = scenario.model
@@ -96,12 +98,7 @@ def dump_scenario(scenario: ActionScenario) -> dict:
         "name": scenario.name,
         "atlas": {
             "leaf_structure": atlas.leaf_structure,
-            "charts": [
-                {"name": c.name, "base": list(c.base_coords),
-                 "fiber": list(c.fiber_coords), "orbit": list(c.orbit_coords),
-                 "star_shaped": c.star_shaped}
-                for c in atlas.charts.values()
-            ],
+            "charts": _charts_to_list(atlas),
             "transitions": [
                 {"source": t.source, "target": t.target, "overlap": t.overlap,
                  "map": {k: expr_to_string(v) for k, v in sorted(t.exprs.items())}}
@@ -112,12 +109,7 @@ def dump_scenario(scenario: ActionScenario) -> dict:
             "name": model.name,
             "variant": model.variant,
             "generators": list(model.generator_names),
-            "base_charts": [
-                {"name": c.name, "base": list(c.base_coords),
-                 "fiber": list(c.fiber_coords), "orbit": list(c.orbit_coords),
-                 "star_shaped": c.star_shaped}
-                for c in model.base_atlas.charts.values()
-            ],
+            "base_charts": _charts_to_list(model.base_atlas),
             "brackets": [
                 {"pair": list(pair), "coefficients": [expr_to_string(v) for v in vec]}
                 for pair, vec in sorted(model.bracket_table.items())
@@ -187,11 +179,6 @@ def load_scenario(data) -> ActionScenario:
                               extras=dict(data.get("extras", {})))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
-
-
-def save_scenario_file(scenario, path):
-    with open(path, "w") as handle:
-        json.dump(dump_scenario(scenario), handle, indent=2, sort_keys=True)
 
 
 def load_scenario_file(path) -> ActionScenario:

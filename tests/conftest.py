@@ -6,12 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quantbench import catalog
-from quantbench.quantize import SectionAnsatz, holomorphic_solve, induced_representation
-
-
-@pytest.fixture(scope="session")
-def sphere():
-    return catalog.sphere_atlas()
+from quantbench.quantize import quantize_monomial
+from quantbench.runner import RunContext
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +20,10 @@ def rotation_scenarios():
     return {k: catalog.u1_rotation_scenario(k) for k in (2, 3, 4)}
 
 
-def quantize_scenario(scenario, cap=None):
-    bundle = scenario.extras["bundle"]
-    cap = cap if cap is not None else scenario.extras["ansatz_cap"]
-    ansatz = SectionAnsatz.monomial(bundle, scenario.extras["holomorphic_coords"], cap)
-    basis = holomorphic_solve(bundle, scenario.extras["complex_structure"], ansatz)
-    return induced_representation(scenario, bundle, basis)
+def quantize_scenario(scenario):
+    """Quantize a catalog or gauge scenario with its declared stage inputs."""
+    ctx = RunContext(scenario)
+    return quantize_monomial(ctx.scenario, ctx.bundle, ctx.structure, ctx.coords, ctx.cap)
 
 
 @pytest.fixture(scope="session")

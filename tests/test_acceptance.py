@@ -16,7 +16,6 @@ from quantbench.bundles import (
     curvature,
     rep_flatness_check,
     rep_hermitian_check,
-    validate_bundle,
 )
 from quantbench.catalog import (
     control_flipped_field,
@@ -36,7 +35,6 @@ from quantbench.catalog import (
     sphere_family_scenario,
     standard_complex_structure,
     su2_orbit_scenario,
-    u1_rotation_scenario,
     zero_level_data,
 )
 from quantbench.cech import cech_delta, cohomology_compute, derham_to_cech, \
@@ -46,9 +44,7 @@ from quantbench.exprs import parse_expr
 from quantbench.gauge import gauge_momentum_verify, quantization_isomorphism_check
 from quantbench.geometry import exterior_derivative
 from quantbench.hamiltonian import (
-    dd_zero_report,
     equivariance_check,
-    internal_momentum_check,
     prequantization_condition_check,
     presymplectic_check,
     quantization_condition_check,
@@ -60,13 +56,11 @@ from quantbench.quantize import (
     inner_product,
     integrate_representation,
     polarization_equivariance_check,
-    unitarity_check,
-    commutation_check,
 )
 from quantbench.reduce import descent_obstruction_check, qr_commute_check, \
     quantum_fixed_subspace
+from quantbench.runner import RunContext
 from quantbench.scalars import ExactScalar, ZERO
-from tests_helpers_quantize import quantize_gauge
 
 
 def _verdict(number, ok, detail):
@@ -314,13 +308,9 @@ def test_criterion_9_morphism_and_equivariance_suites(orbit_scenarios,
     for s in scenarios:
         ok &= morphism_check(s.action).ok
         ok &= equivariance_check(s).ok
-        structure = s.extras.get("complex_structure")
+        structure = RunContext(s).structure  # the gauge's own, for the gauge scenario
         if structure is not None:
             ok &= polarization_equivariance_check(s, structure).ok
-    gauge = gauge_su2_1
-    if gauge.complex_structure is not None:
-        ok &= polarization_equivariance_check(gauge.scenario,
-                                              gauge.complex_structure).ok
     # negative controls
     ok &= not morphism_check(control_flipped_field()).ok
     ok &= not equivariance_check(control_scaled_momentum(2)).ok

@@ -8,7 +8,6 @@ import pytest
 
 from quantbench.bundles import (
     KostantOperator,
-    TransitionValue,
     chern_class_algebroid,
     connection_equivariance_check,
     construct_from_integral_class,
@@ -30,12 +29,10 @@ from quantbench.catalog import (
     sector_cover,
     sector_zigzag_data,
     sphere_atlas,
-    su2_orbit_scenario,
     two_chart_cover,
 )
 from quantbench.errors import CurvatureMismatchError, IntegralityError
 from quantbench.exprs import parse_expr
-from quantbench.geometry import LEAF_JTILDE, DifferentialForm
 from quantbench.scalars import ExactScalar
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from quantbench.catalog import (
-    angle_primitive,
     omega_fs,
     sector_cover,
     sector_zigzag_data,
@@ -16,19 +15,17 @@ from quantbench.catalog import (
 from quantbench.cech import (
     Cochain,
     GoodCover,
-    IntegralityReport,
     OverlapFunction,
     cech_delta,
-    class_of,
     cohomology_compute,
     derham_to_cech,
     integrality_test,
 )
 from quantbench.errors import MalformedExpressionError
 from quantbench.exprs import parse_expr
-from quantbench.geometry import Chart, DifferentialForm, FiberedAtlas, form_function
+from quantbench.geometry import Chart, DifferentialForm, FiberedAtlas
 from quantbench.linalg import smith_normal_form
-from quantbench.scalars import ExactScalar, rational
+from quantbench.scalars import ExactScalar
 
 
 @pytest.fixture(scope="module")

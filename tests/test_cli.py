@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from quantbench.catalog import su2_orbit_scenario
 from quantbench.cli import main
 from quantbench.hamiltonian import (

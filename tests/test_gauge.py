@@ -10,8 +10,6 @@ from quantbench.catalog import (
     gauge_su2_scenario,
     gauge_u1_character_scenario,
     gauge_u1_rotation_scenario,
-    rotation_fields,
-    sphere_atlas,
 )
 from quantbench.errors import UnsupportedPrimitiveError
 from quantbench.exprs import parse_expr
@@ -33,7 +31,6 @@ from quantbench.reduce import (
     quantum_fixed_subspace,
     ZeroLevelData,
 )
-from quantbench.scalars import ExactScalar, ONE
 
 UNIT_SQUARE = [{"b1": parse_expr("t"), "b2": parse_expr("0")},
                {"b1": parse_expr("1"), "b2": parse_expr("t")},
@@ -170,9 +167,9 @@ class TestIntegratedRep:
 
 class TestGaugeReduction:
     def test_u1_rotation_gauge_reduces_like_the_fiber(self):
-        from tests_helpers_quantize import quantize_gauge
+        from conftest import quantize_scenario
         gauge = gauge_u1_rotation_scenario(2)
-        result = quantize_gauge(gauge)
+        result = quantize_scenario(gauge)
         n_base = gauge.scenario.model.gauge_base_count
         z = ZeroLevelData(gauge.scenario, "N", [parse_expr("x^2+y^2-1")],
                           {"x": parse_expr("(1-t^2)/(1+t^2)"),

@@ -12,13 +12,12 @@ from quantbench.errors import (
     NotClosedError,
     UnsupportedPrimitiveError,
 )
-from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
+from quantbench.exprs import RationalExpr, parse_expr
 from quantbench.geometry import (
     Chart,
     DifferentialForm,
     FiberedAtlas,
     LEAF_J,
-    LEAF_JTILDE,
     Transition,
     VectorField,
     commutator,

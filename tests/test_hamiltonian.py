@@ -1,21 +1,16 @@
 """Momentum-map conditions, the algebroid differential, perturbations."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from quantbench.catalog import (
     control_flipped_momentum,
     control_scaled_momentum,
-    gauge_su2_scenario,
-    omega_fs,
     pair_groupoid_scenario,
     s1_plane_scenario,
     sphere_atlas,
     sphere_family_scenario,
-    su2_orbit_scenario,
-    u1_rotation_scenario,
 )
 from quantbench.errors import PerturbationRejectedError
 from quantbench.exprs import parse_expr
@@ -33,7 +28,6 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
-from quantbench.scalars import ExactScalar
 
 
 class TestPresymplectic:

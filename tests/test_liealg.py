@@ -8,7 +8,7 @@ import pytest
 from quantbench.catalog import rotation_fields, sphere_atlas, su2_point_model
 from quantbench.errors import MalformedExpressionError, ModelMismatchError
 from quantbench.exprs import parse_expr
-from quantbench.geometry import LEAF_J, VectorField, commutator
+from quantbench.geometry import LEAF_J, VectorField
 from quantbench.liealg import (
     ActionMap,
     Ad,
@@ -26,7 +26,7 @@ from quantbench.liealg import (
     su2,
     u1,
 )
-from quantbench.scalars import ExactScalar, I, ONE, ZERO
+from quantbench.scalars import ExactScalar, ONE, ZERO
 
 
 class TestJacobi:

@@ -14,7 +14,6 @@ from quantbench.catalog import (
     sphere_atlas,
     sphere_family_scenario,
     standard_complex_structure,
-    su2_orbit_scenario,
 )
 from quantbench.errors import UnsupportedFiberError, UnsupportedIntegrationError
 from quantbench.exprs import parse_expr
@@ -32,7 +31,7 @@ from quantbench.quantize import (
     polarization_equivariance_check,
     unitarity_check,
 )
-from quantbench.scalars import ExactScalar, I, ONE, ZERO, rational
+from quantbench.scalars import ExactScalar, I, ZERO, rational
 
 
 def beta_integral_oracle(a: int, k: int) -> Fraction:

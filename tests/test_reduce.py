@@ -6,15 +6,11 @@ import pytest
 
 from quantbench.catalog import (
     pair_groupoid_scenario,
-    su2_orbit_scenario,
-    u1_rotation_scenario,
     zero_level_data,
 )
 from quantbench.errors import MalformedExpressionError
 from quantbench.exprs import parse_expr
-from quantbench.hamiltonian import ActionScenario, MomentumMapRep
 from quantbench.reduce import (
-    QRReport,
     ZeroLevelData,
     descent_obstruction_check,
     full_mw_quotient,
