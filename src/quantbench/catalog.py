@@ -142,6 +142,13 @@ def _fs_samples():
             {"chart": "S", "point": {"u": -0.4, "v": 0.1}}]
 
 
+def _sphere_quantization(atlas, k: int) -> dict:
+    """Stage inputs of the level-k sphere: O(k), the standard polarization and
+    the monomial ansatz in z."""
+    return dict(bundle=o_bundle(atlas, k), structure=standard_complex_structure(atlas),
+                holomorphic_coords=holomorphic_coordinates(), ansatz_cap=max(k, 0) + 2)
+
+
 def su2_orbit_scenario(k: int, atlas=None) -> ActionScenario:
     """Coadjoint-orbit scenario: su(2) rotations on the sphere of level k."""
     atlas = atlas or sphere_atlas()
@@ -155,15 +162,8 @@ def su2_orbit_scenario(k: int, atlas=None) -> ActionScenario:
     momentum = MomentumMapRep(model, pairings)
     presymplectic = PresymplecticData(atlas, omega_fs(atlas, Fraction(k)),
                                       sample_points=_fs_samples())
-    scenario = ActionScenario(f"su2-orbit-{k}", model, action, presymplectic,
-                              momentum,
-                              extras={"kind": "coadjoint-orbit", "level": k,
-                                      "degenerate_level": k == 0})
-    scenario.extras["bundle"] = o_bundle(atlas, k)
-    scenario.extras["complex_structure"] = standard_complex_structure(atlas)
-    scenario.extras["holomorphic_coords"] = holomorphic_coordinates()
-    scenario.extras["ansatz_cap"] = max(k, 0) + 2
-    return scenario
+    return ActionScenario(f"su2-orbit-{k}", model, action, presymplectic, momentum,
+                          level=k, degenerate=k == 0, **_sphere_quantization(atlas, k))
 
 
 def u1_rotation_scenario(k: int, atlas=None) -> ActionScenario:
@@ -178,24 +178,18 @@ def u1_rotation_scenario(k: int, atlas=None) -> ActionScenario:
     momentum = MomentumMapRep(model, [{ch: _scale(v, half) for ch, v in n3.items()}])
     presymplectic = PresymplecticData(atlas, omega_fs(atlas, Fraction(k)),
                                       sample_points=_fs_samples())
-    scenario = ActionScenario(f"u1-rotation-reduction-{k}", model, action,
-                              presymplectic, momentum,
-                              extras={"kind": "rotation-reduction", "level": k,
-                                      "integration": "u1-weights"})
-    scenario.extras["bundle"] = o_bundle(atlas, k)
-    scenario.extras["complex_structure"] = standard_complex_structure(atlas)
-    scenario.extras["holomorphic_coords"] = holomorphic_coordinates()
-    scenario.extras["ansatz_cap"] = max(k, 0) + 2
-    scenario.extras["zero_level"] = dict(
+    zero_level = dict(
         chart="N", equations=[_pe("x^2+y^2-1")],
         parametrization={"x": _pe("(1-t^2)/(1+t^2)"), "y": _pe("2*t/(1+t^2)")},
         param_names=("t",), orbit_dimension=1,
         note="equator; rational parametrization omits one point of the circle")
-    return scenario
+    return ActionScenario(f"u1-rotation-reduction-{k}", model, action, presymplectic,
+                          momentum, level=k, integration="u1-weights",
+                          zero_level=zero_level, **_sphere_quantization(atlas, k))
 
 
 def zero_level_data(scenario: ActionScenario) -> ZeroLevelData:
-    decl = scenario.extras["zero_level"]
+    decl = scenario.zero_level
     return ZeroLevelData(scenario, decl["chart"], decl["equations"],
                          decl["parametrization"], decl["param_names"],
                          orbit_dimension=decl.get("orbit_dimension", 0),
@@ -282,29 +276,17 @@ def gauge_su2_scenario(k: int, twist: Fraction = Fraction(1)) -> GaugeScenario:
     a2 = (_pe("0"), _pe("0"), _scale(_pe("b1"), twist))
     bundle_data = PrincipalBundleData(base, "SU2", algebra, [zero, a2])
     fiber_atlas = sphere_atlas()
-    half = Fraction(k, 2)
-    pairings = [{ch: _scale(v, half) for ch, v in n.items()}
-                for n in direction_functions()]
+    fiber_scenario = su2_orbit_scenario(k, atlas=fiber_atlas)
     fiber = FiberPackage(
         algebra=algebra,
         atlas=fiber_atlas,
         action_fields=rotation_fields(fiber_atlas),
         omega=omega_fs(fiber_atlas, Fraction(k), LEAF_J),
-        momentum_pairings=pairings,
-        line_bundle=o_bundle(fiber_atlas, k),
-        complex_matrices={"N": [[_pe("0"), _pe("1")], [_pe("-1"), _pe("0")]],
-                          "S": [[_pe("0"), _pe("1")], [_pe("-1"), _pe("0")]]},
-        holomorphic_coords=holomorphic_coordinates(),
-        ansatz_cap=max(k, 0) + 2,
-        fiber_scenario=None,
+        momentum_pairings=fiber_scenario.momentum.pairings,
+        fiber_scenario=fiber_scenario,
     )
-    fiber_scenario = su2_orbit_scenario(k, atlas=fiber_atlas)
-    fiber_scenario.extras["bundle"] = fiber.line_bundle
-    fiber.fiber_scenario = fiber_scenario
     gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-su2-{k}")
-    gauge.scenario.extras["kind"] = "gauge-su2"
-    gauge.scenario.extras["level"] = k
-    gauge.scenario.extras["degenerate_level"] = k == 0
+    gauge.scenario.level, gauge.scenario.degenerate = k, k == 0
     return gauge
 
 
@@ -323,15 +305,9 @@ def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> GaugeS
         action_fields=[VectorField(fiber_atlas, LEAF_J, {"pt": {}})],
         omega=omega_point,
         momentum_pairings=[{"pt": RationalExpr.const(n)}],
-        line_bundle=None,
-        complex_matrices=None,
-        holomorphic_coords=None,
-        ansatz_cap=0,
-        fiber_scenario=None,
     )
     gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-u1-char-{n}")
-    gauge.scenario.extras["kind"] = "gauge-u1-character"
-    gauge.scenario.extras["level"] = n
+    gauge.scenario.level = n
     return gauge
 
 
@@ -343,27 +319,17 @@ def gauge_u1_rotation_scenario(k: int, twist: Fraction = Fraction(1)) -> GaugeSc
     a2 = (_scale(_pe("b1"), twist),)
     bundle_data = PrincipalBundleData(base, "U1", algebra, [a1, a2])
     fiber_atlas = sphere_atlas()
-    half = Fraction(k, 2)
-    n3 = direction_functions()[2]
+    fiber_scenario = u1_rotation_scenario(k, atlas=fiber_atlas)
     fiber = FiberPackage(
         algebra=algebra,
         atlas=fiber_atlas,
         action_fields=[rotation_fields(fiber_atlas)[2]],
         omega=omega_fs(fiber_atlas, Fraction(k), LEAF_J),
-        momentum_pairings=[{ch: _scale(v, half) for ch, v in n3.items()}],
-        line_bundle=o_bundle(fiber_atlas, k),
-        complex_matrices={"N": [[_pe("0"), _pe("1")], [_pe("-1"), _pe("0")]],
-                          "S": [[_pe("0"), _pe("1")], [_pe("-1"), _pe("0")]]},
-        holomorphic_coords=holomorphic_coordinates(),
-        ansatz_cap=max(k, 0) + 2,
-        fiber_scenario=None,
+        momentum_pairings=fiber_scenario.momentum.pairings,
+        fiber_scenario=fiber_scenario,
     )
-    fiber_scenario = u1_rotation_scenario(k, atlas=fiber_atlas)
-    fiber_scenario.extras["bundle"] = fiber.line_bundle
-    fiber.fiber_scenario = fiber_scenario
     gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-u1-rot-{k}")
-    gauge.scenario.extras["kind"] = "gauge-u1-rotation"
-    gauge.scenario.extras["level"] = k
+    gauge.scenario.level = k
     return gauge
 
 
@@ -381,13 +347,8 @@ def pair_groupoid_scenario() -> ActionScenario:
     action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"L": {}})
     momentum = MomentumMapRep(model, [{"L": RationalExpr.zero()}])
-    scenario = ActionScenario("pair-groupoid-flat", model, action,
-                              PresymplecticData(atlas, omega), momentum,
-                              extras={"kind": "pair-groupoid",
-                                      "quantization_note":
-                                      "fibers are points; quantization empty",
-                                      "full_quotient": "single point"})
-    return scenario
+    return ActionScenario("pair-groupoid-flat", model, action, PresymplecticData(atlas, omega),
+                          momentum, full_quotient="single point")
 
 
 def s1_plane_scenario(function=None) -> ActionScenario:
@@ -400,12 +361,8 @@ def s1_plane_scenario(function=None) -> ActionScenario:
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"P": {}})
     f = function if function is not None else _pe("x^2+y^2")
     momentum = MomentumMapRep(model, [{"P": f}])
-    scenario = ActionScenario("s1-plane-action", model, action,
-                              PresymplecticData(atlas, omega), momentum,
-                              extras={"kind": "plane-rotation",
-                                      "integration": "s1-plane",
-                                      "plane_function": f})
-    return scenario
+    return ActionScenario("s1-plane-action", model, action, PresymplecticData(atlas, omega),
+                          momentum, integration="s1-plane")
 
 
 def sphere_family_scenario(level: int = 1) -> ActionScenario:
@@ -419,14 +376,8 @@ def sphere_family_scenario(level: int = 1) -> ActionScenario:
     action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"I": {}})
     momentum = MomentumMapRep(model, [{"I": RationalExpr.const(level)}])
-    scenario = ActionScenario("sphere-family", model, action,
-                              PresymplecticData(atlas, omega), momentum,
-                              extras={"kind": "sphere-family", "level": level,
-                                      "integration": "sphere-family",
-                                      "endpoint_note":
-                                      "pairing value drops to 0 at q = +-1; the "
-                                      "integrated phase stays continuous"})
-    return scenario
+    return ActionScenario("sphere-family", model, action, PresymplecticData(atlas, omega),
+                          momentum, level=level, integration="sphere-family")
 
 
 def foliation_flat_scenario() -> ActionScenario:
@@ -443,18 +394,14 @@ def foliation_flat_scenario() -> ActionScenario:
                              {"F": {("x", "y"): _pe("1+w^2")}})
     momentum = MomentumMapRep(model, [{"F": RationalExpr.zero()},
                                       {"F": _pe("x*(1+w^2)")}])
-    scenario = ActionScenario("foliation-flat", model, action,
-                              PresymplecticData(atlas, omega), momentum,
-                              extras={"kind": "foliation",
-                                      "quantization_note":
-                                      "fibers are points; quantization empty"})
     # flat prequantization data: trivial line with the leafwise potential
     cover = GoodCover(atlas, ["F"], [], chart_refs={("F",): "F"})
     eta = DifferentialForm(atlas, 1, LEAF_JTILDE,
                            {"F": {("y",): _pe("x*(1+w^2)")}})
-    scenario.extras["bundle"] = LineBundleData(
-        "foliation-line", cover, {}, {"F": RationalExpr.const(1)}, {"F": eta})
-    return scenario
+    bundle = LineBundleData("foliation-line", cover, {}, {"F": RationalExpr.const(1)},
+                            {"F": eta})
+    return ActionScenario("foliation-flat", model, action,
+                          PresymplecticData(atlas, omega), momentum, bundle=bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +413,9 @@ def control_flipped_momentum(k: int = 2) -> ActionScenario:
     base = su2_orbit_scenario(k)
     pairings = [dict(base.momentum.pairing(0)), dict(base.momentum.pairing(1)),
                 {ch: -v for ch, v in base.momentum.pairing(2).items()}]
-    return ActionScenario(f"control-flipped-momentum-{k}", base.model, base.action,
-                          base.presymplectic, MomentumMapRep(base.model, pairings),
-                          extras=dict(base.extras, control=True))
+    base.name = f"control-flipped-momentum-{k}"
+    base.momentum = MomentumMapRep(base.model, pairings)
+    return base
 
 
 def control_scaled_momentum(k: int = 2) -> ActionScenario:
@@ -477,9 +424,9 @@ def control_scaled_momentum(k: int = 2) -> ActionScenario:
     factor = {"N": _pe("1+x"), "S": _pe("1+u/(u^2+v^2)")}
     pairings = [{ch: v * factor[ch] for ch, v in base.momentum.pairing(i).items()}
                 for i in range(3)]
-    return ActionScenario(f"control-scaled-momentum-{k}", base.model, base.action,
-                          base.presymplectic, MomentumMapRep(base.model, pairings),
-                          extras=dict(base.extras, control=True))
+    base.name = f"control-scaled-momentum-{k}"
+    base.momentum = MomentumMapRep(base.model, pairings)
+    return base
 
 
 def control_imaginary_momentum(k: int = 2) -> ActionScenario:
@@ -488,9 +435,9 @@ def control_imaginary_momentum(k: int = 2) -> ActionScenario:
     i_unit = ExactScalar(0, 1)
     pairings = [{ch: v * i_unit for ch, v in base.momentum.pairing(idx).items()}
                 for idx in range(3)]
-    return ActionScenario(f"control-imaginary-momentum-{k}", base.model, base.action,
-                          base.presymplectic, MomentumMapRep(base.model, pairings),
-                          extras=dict(base.extras, control=True))
+    base.name = f"control-imaginary-momentum-{k}"
+    base.momentum = MomentumMapRep(base.model, pairings)
+    return base
 
 
 def control_flipped_field(k: int = 2):
@@ -568,22 +515,25 @@ def list_scenarios(filter_text=""):
 
 
 def build_scenario(name, level=None):
-    if name in SCENARIO_FAMILIES:
-        info = SCENARIO_FAMILIES[name]
-        if info["levels"] is None:
-            return info["factory"]()
-        lvl = level if level is not None else info["levels"][min(1, len(info["levels"]) - 1)]
-        return info["factory"](lvl)
-    # allow concrete names like su2-orbit-2
-    for family, info in SCENARIO_FAMILIES.items():
-        if info["levels"] is None:
-            continue
-        stem = family.rsplit("-", 1)[0]
-        if name.startswith(stem + "-"):
-            suffix = name[len(stem) + 1:]
-            try:
-                lvl = int(suffix)
-            except ValueError:
-                continue
-            return info["factory"](lvl)
-    raise UnknownScenarioError(f"unknown scenario: {name}")
+    """A catalog scenario from a family name, at `level` or the family's
+    default level, or from a concrete name like `su2-orbit-2`.  A level the
+    family does not declare raises `UnknownScenarioError`."""
+    info = SCENARIO_FAMILIES.get(name)
+    if info is None:
+        stem, _, suffix = name.rpartition("-")
+        family = next((family for family, spec in SCENARIO_FAMILIES.items()
+                       if spec["levels"] and family.rsplit("-", 1)[0] == stem), None)
+        try:
+            name, info, level = family, SCENARIO_FAMILIES[family], int(suffix)
+        except (KeyError, ValueError):
+            raise UnknownScenarioError(f"unknown scenario: {name}") from None
+    levels = info["levels"]
+    if levels is None:
+        if level is not None:
+            raise UnknownScenarioError(f"{name} declares no levels, got level {level}")
+        return info["factory"]()
+    level = levels[min(1, len(levels) - 1)] if level is None else level
+    if level not in levels:
+        raise UnknownScenarioError(f"{name} declares levels "
+                                   f"{', '.join(map(str, levels))}, got level {level}")
+    return info["factory"](level)

@@ -103,33 +103,28 @@ class PrincipalBundleData:
 
 
 class FiberPackage:
-    """Everything known about the Hamiltonian fiber (the structure-group side)."""
+    """Everything known about the Hamiltonian fiber (the structure-group side).
+    A fiber with a quantization carries its `fiber_scenario`, whose bundle,
+    complex structure and ansatz the gauge scenario twists; a point fiber has
+    none."""
 
     def __init__(self, algebra, atlas, action_fields, omega, momentum_pairings,
-                 line_bundle=None, complex_matrices=None, holomorphic_coords=None,
-                 ansatz_cap=None, fiber_scenario=None):
+                 fiber_scenario=None):
         self.algebra = algebra
         self.atlas = atlas
         self.action_fields = list(action_fields)
         self.omega = omega
         self.momentum_pairings = list(momentum_pairings)
-        self.line_bundle = line_bundle
-        self.complex_matrices = complex_matrices
-        self.holomorphic_coords = holomorphic_coords
-        self.ansatz_cap = ansatz_cap
         self.fiber_scenario = fiber_scenario
 
 
 class GaugeScenario:
     def __init__(self, name, bundle_data: PrincipalBundleData, fiber: FiberPackage,
-                 scenario: ActionScenario, line_bundle, complex_structure,
-                 base_samples):
+                 scenario: ActionScenario, base_samples):
         self.name = name
         self.bundle_data = bundle_data
         self.fiber = fiber
         self.scenario = scenario
-        self.line_bundle = line_bundle
-        self.complex_structure = complex_structure
         self.base_samples = base_samples
 
     def tau(self, index):
@@ -263,22 +258,15 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
             point.update({b: 0.0 for b in base_coords})
             sample_points.append({"chart": ch.name, "point": point})
     presymplectic = PresymplecticData(atlas, omega_tilde, sample_points)
-    scenario = ActionScenario(name, model, action, presymplectic, momentum,
-                              extras={"kind": "gauge"})
-
-    line_bundle = None
-    if fiber.line_bundle is not None:
-        line_bundle = _twisted_bundle(fiber.line_bundle, atlas, base_coords,
-                                      pairings[:n_base], name)
-    structure = None
-    if fiber.complex_matrices is not None:
-        structure = ComplexStructureData(
-            atlas, {ch: mat for ch, mat in fiber.complex_matrices.items()},
-            positivity_samples=sample_points)
-    gauge = GaugeScenario(name, bundle_data, fiber, scenario, line_bundle,
-                          structure, samples)
-    scenario.extras["gauge"] = gauge
-    return gauge
+    scenario = ActionScenario(name, model, action, presymplectic, momentum)
+    fs = fiber.fiber_scenario
+    if fs is not None:  # the fiber's quantization inputs, twisted over the base
+        scenario.bundle = _twisted_bundle(fs.bundle, atlas, base_coords, pairings[:n_base], name)
+        scenario.structure = ComplexStructureData(atlas, fs.structure.matrices,
+                                                  positivity_samples=sample_points)
+        scenario.holomorphic_coords, scenario.ansatz_cap = fs.holomorphic_coords, fs.ansatz_cap
+    scenario.gauge = GaugeScenario(name, bundle_data, fiber, scenario, samples)
+    return scenario.gauge
 
 
 def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
@@ -356,23 +344,20 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
     return CheckResult("gauge-momentum", not failures, failures)
 
 
-def quantization_isomorphism_check(gauge: GaugeScenario) -> CheckResult:
-    """Fiber quantization and gauge quantization agree through the identity
-    intertwiner in trivialized coordinates (per declared base sample)."""
-    fiber = gauge.fiber
-    if fiber.line_bundle is None or gauge.line_bundle is None:
+def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResult:
+    """Fiber quantization and the gauge scenario's quantization `gauge_rep`
+    agree through the identity intertwiner in trivialized coordinates (per
+    declared base sample)."""
+    fiber, bundle = gauge.fiber, gauge.scenario.bundle
+    if bundle is None:
         return CheckResult("quantization-isomorphism", True,
                            notes=["point fiber: both sides are the declared line"],
                            status="pass")
     failures = []
     notes = []
-    fiber_rep = quantize_monomial(
-        fiber.fiber_scenario, fiber.line_bundle,
-        ComplexStructureData(fiber.atlas, fiber.complex_matrices),
-        fiber.holomorphic_coords, fiber.ansatz_cap)
-    gauge_rep = quantize_monomial(gauge.scenario, gauge.line_bundle,
-                                  gauge.complex_structure, fiber.holomorphic_coords,
-                                  fiber.ansatz_cap)
+    fs = fiber.fiber_scenario
+    fiber_rep = quantize_monomial(fs, fs.bundle, fs.structure, fs.holomorphic_coords,
+                                  fs.ansatz_cap)
 
     if fiber_rep.dimension != gauge_rep.dimension:
         return CheckResult("quantization-isomorphism", False,
@@ -395,7 +380,7 @@ def quantization_isomorphism_check(gauge: GaugeScenario) -> CheckResult:
                              "does not act by the flat transport"))
     # Gram agreement per declared base sample (constancy across the base)
     for sample in gauge.base_samples:
-        g_sample = gram_matrix(gauge.line_bundle, gauge_rep.basis, base_point=sample)
+        g_sample = gram_matrix(bundle, gauge_rep.basis, base_point=sample)
         for i in range(n):
             for j in range(n):
                 if g_sample[i][j] != fiber_rep.gram[i][j]:

@@ -8,6 +8,7 @@ linearity over pulled-back base functions.
 
 from __future__ import annotations
 
+import copy
 import random
 
 from .errors import PerturbationRejectedError
@@ -131,19 +132,36 @@ class MomentumMapRep:
 
 
 class ActionScenario:
-    """Everything the condition checks need, bundled."""
+    """Everything the checks need, bundled.  The keyword-only stage inputs are
+    None (or False) where a stage does not apply: the prequantization `bundle`;
+    the Kahler polarization `structure` with its `holomorphic_coords` and
+    monomial `ansatz_cap`; the `zero_level` declaration read by
+    `catalog.zero_level_data`; the closed-form `integration` kind; the family
+    `level`; `degenerate` for a point orbit modeled with the zero form; a
+    `full_quotient` description; and the `gauge` construction that built it.
+    A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
+    into every process."""
 
     def __init__(self, name, model: AlgebroidModel, action: ActionMap,
-                 presymplectic: PresymplecticData, momentum: MomentumMapRep,
-                 extras=None):
+                 presymplectic: PresymplecticData, momentum: MomentumMapRep, *,
+                 bundle=None, structure=None, holomorphic_coords=None, ansatz_cap=None,
+                 zero_level=None, integration=None, level=None, degenerate=False,
+                 full_quotient=None, gauge=None):
         self.name = name
         self.model = model
         self.action = action
         self.presymplectic = presymplectic
         self.momentum = momentum
-        self.extras = dict(extras or {})
-        self.atlas = presymplectic.atlas
+        self.bundle, self.structure = bundle, structure
+        self.holomorphic_coords, self.ansatz_cap = holomorphic_coords, ansatz_cap
+        self.zero_level, self.integration = zero_level, integration
+        self.level, self.degenerate = level, degenerate
+        self.full_quotient, self.gauge = full_quotient, gauge
         self._action_model = None
+
+    @property
+    def atlas(self):
+        return self.presymplectic.atlas
 
     @property
     def action_model(self) -> AlgebroidModel:
@@ -365,12 +383,10 @@ def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScena
             add = shift_form.coefficient(ch, ())
             shifted[ch] = shifted.get(ch, RationalExpr.zero()) + add
         pairings.append(shifted)
-    out = ActionScenario(
-        name or f"{s.name}+perturbation",
-        s.model, s.action,
-        PresymplecticData(s.atlas, omega_new, s.presymplectic.sample_points),
-        MomentumMapRep(s.model, pairings),
-        extras=dict(s.extras))
+    out = copy.copy(s)
+    out.name = name or f"{s.name}+perturbation"
+    out.presymplectic = PresymplecticData(s.atlas, omega_new, s.presymplectic.sample_points)
+    out.momentum = MomentumMapRep(s.model, pairings)
     pre = prequantization_condition_check(out)
     quant = quantization_condition_check(out)
     if not (pre.ok and quant.ok):

@@ -613,7 +613,7 @@ class IntegratedRep:
 
 def integrate_representation(scenario: ActionScenario, result=None):
     """Closed-form integrated action for the catalog scenarios."""
-    kind = scenario.extras.get("integration")
+    kind = scenario.integration
     if kind == "u1-weights":
         if result is None:
             raise UnsupportedIntegrationError("need a quantization result to integrate")
@@ -632,7 +632,7 @@ def integrate_representation(scenario: ActionScenario, result=None):
             "circle action by phases exp(i w t) on the monomial basis",
             {"weights": weights})
     if kind == "s1-plane":
-        f = scenario.extras["plane_function"]
+        (f,) = scenario.momentum.pairing(0).values()  # the one-chart plane function
         cb, sb = RationalExpr.var("cb"), RationalExpr.var("sb")
         rotated = f.subst({"x": cb * RationalExpr.var("x") - sb * RationalExpr.var("y"),
                            "y": sb * RationalExpr.var("x") + cb * RationalExpr.var("y")})
@@ -643,7 +643,7 @@ def integrate_representation(scenario: ActionScenario, result=None):
             {"phase_exponent": exponent,
              "carrier": ("rotate", "phase", "source")})
     if kind == "sphere-family":
-        level = scenario.extras["level"]
+        level = scenario.level
         return IntegratedRep(
             "sphere-family",
             "(x, arc s) -> exp(twopii mu(x) s) with mu = level on the open interval, 0 at the poles",

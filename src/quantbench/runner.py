@@ -12,33 +12,23 @@ from typing import Callable, NamedTuple
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
 from .catalog import build_scenario, zero_level_data
 from .errors import UnknownCheckError
-from .gauge import GaugeScenario, gauge_momentum_verify, quantization_isomorphism_check
+from .gauge import gauge_momentum_verify, quantization_isomorphism_check
 from .hamiltonian import CheckResult
 from .reports import CheckRecord, Report
 
 
 class RunContext:
-    """One run's inputs and artifacts.  The stage inputs `bundle`, `structure`,
-    `coords` and `cap` are read once: from the scenario's gauge construction
-    when it has one, else from `scenario.extras`.  The checks that produce
-    `basis`, `representation` and `zero_level` set them."""
+    """One run's scenario, seeded RNG and artifacts.  The stage inputs are the
+    scenario's own fields; a gauge construction is run through the scenario it
+    built.  The checks that produce `basis`, `representation` and `zero_level`
+    set them."""
 
     def __init__(self, scenario, seed=1729):
         if isinstance(scenario, str):
             scenario = build_scenario(scenario)
-        gauge = scenario if isinstance(scenario, GaugeScenario) else scenario.extras.get("gauge")
-        self.scenario = scenario = gauge.scenario if gauge is not None else scenario
-        self.gauge, self.extras, self.rng = gauge, scenario.extras, random.Random(seed)
-        self.bundle = (gauge and gauge.line_bundle) or self.extras.get("bundle")
-        if gauge is not None:
-            self.structure = gauge.complex_structure
-            self.coords, self.cap = gauge.fiber.holomorphic_coords, gauge.fiber.ansatz_cap
-        else:
-            self.structure = self.extras.get("complex_structure")
-            self.coords = self.extras.get("holomorphic_coords")
-            self.cap = self.extras.get("ansatz_cap", 2)
+        self.scenario = scenario = getattr(scenario, "scenario", scenario)
+        self.rng = random.Random(seed)
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
-        self.degenerate = bool(self.extras.get("degenerate_level"))
         self.basis = self.representation = self.zero_level = None
 
 
@@ -67,7 +57,7 @@ def _as_result(check_id, report_obj) -> CheckResult:
 def _degenerate_downgrade(ctx, result, kinds=None):
     """Declared degenerate levels (point orbits modeled with the zero form)
     report failed nondegeneracy/positivity as unmet hypotheses."""
-    if ctx.degenerate and not result.ok and \
+    if ctx.scenario.degenerate and not result.ok and \
             (kinds is None or all(f[0] in kinds for f in result.failures)):
         result.status = "hypotheses-not-met"
         result.ok = True
@@ -90,26 +80,26 @@ def _bracket_structure(ctx):
 
 
 def _curvature_match(ctx):
-    diff = (bundles.curvature(ctx.bundle) -
+    diff = (bundles.curvature(ctx.scenario.bundle) -
             ctx.scenario.presymplectic.omega_tilde).simplify()
     ok = diff.is_zero()
     return CheckResult("curvature-match", ok, [] if ok else [("curvature", repr(diff))])
 
 
 def _holomorphic_dimension(ctx):
-    basis = ctx.basis = quantize.monomial_basis(ctx.bundle, ctx.structure,
-                                                ctx.coords, ctx.cap)
-    bigger = quantize.monomial_basis(ctx.bundle, ctx.structure, ctx.coords, ctx.cap + 2)
+    s, cap = ctx.scenario, ctx.scenario.ansatz_cap
+    basis = ctx.basis = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap)
+    bigger = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap + 2)
     ok = bigger.dimension == basis.dimension
     return CheckResult(
         "holomorphic-dimension", ok,
         [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")],
-        notes=[f"dimension {basis.dimension} at caps {ctx.cap} and {ctx.cap + 2}"])
+        notes=[f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
 
 
 def _quantization(ctx):
     rep = ctx.representation = quantize.induced_representation(
-        ctx.scenario, ctx.bundle, ctx.basis)
+        ctx.scenario, ctx.scenario.bundle, ctx.basis)
     return {"dimension": rep.dimension,
             "gram": [[str(v) for v in row] for row in rep.gram],
             "matrices": {name: [[str(v) for v in row] for row in mat]
@@ -148,7 +138,7 @@ def _projector(ctx):
 
 
 def _qr_comparison(ctx):
-    qr = reduce_mod.qr_commute_check(ctx.scenario, ctx.bundle, ctx.representation,
+    qr = reduce_mod.qr_commute_check(ctx.scenario, ctx.scenario.bundle, ctx.representation,
                                      ctx.zero_level)
     failures = [] if qr.ok else [("qr", str(qr))]
     notes = list(qr.notes)
@@ -192,41 +182,45 @@ CHECKS = (
     Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
           lambda c: hamiltonian.dd_zero_report(c.scenario, c.rng, samples=2)),
     Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",
-          lambda c: c.gauge.bundle_data.curvature_reverify(),
-          applies=lambda c: c.gauge is not None),
+          lambda c: c.scenario.gauge.bundle_data.curvature_reverify(),
+          applies=lambda c: c.scenario.gauge is not None),
     Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
-          lambda c: gauge_momentum_verify(c.gauge), applies=lambda c: c.gauge is not None),
+          lambda c: gauge_momentum_verify(c.scenario.gauge),
+          applies=lambda c: c.scenario.gauge is not None),
     Check("bundle-data", "prequantize",
           "cocycle, metric compatibility, gluing, Hermitian potential",
-          lambda c: bundles.validate_bundle(c.bundle), produces="bundle",
-          applies=lambda c: c.bundle is not None),
+          lambda c: bundles.validate_bundle(c.scenario.bundle), produces="bundle",
+          applies=lambda c: c.scenario.bundle is not None),
     Check("curvature-match", "prequantize", "chartwise curvature equals the scenario 2-form",
           _curvature_match, needs=("bundle",)),
     Check("representation-flatness", "prequantize", "[pi(X), pi(Y)] = pi([X,Y]) on local sections",
-          lambda c: bundles.rep_flatness_check(c.scenario, c.bundle, c.rng), needs=("bundle",)),
+          lambda c: bundles.rep_flatness_check(c.scenario, c.scenario.bundle, c.rng),
+          needs=("bundle",)),
     Check("representation-hermitian", "prequantize",
           "pairing derivative identity for the operators",
-          lambda c: bundles.rep_hermitian_check(c.scenario, c.bundle, c.rng), needs=("bundle",)),
+          lambda c: bundles.rep_hermitian_check(c.scenario, c.scenario.bundle, c.rng),
+          needs=("bundle",)),
     Check("connection-equivariance", "prequantize", "[pi(X), nabla_v] = nabla_{[alpha(X), v]}",
-          lambda c: bundles.connection_equivariance_check(c.scenario, c.bundle, c.rng),
+          lambda c: bundles.connection_equivariance_check(c.scenario, c.scenario.bundle, c.rng),
           needs=("bundle",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
-          lambda c: bundles.chern_class_algebroid(c.scenario, c.bundle), needs=("bundle",)),
+          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle),
+          needs=("bundle",)),
     Check("complex-structure", "quantize", "j^2 = -1 and transition compatibility",
-          lambda c: c.structure.validate(), produces="structure",
-          applies=lambda c: c.bundle is not None and c.structure is not None and c.has_fibers),
+          lambda c: c.scenario.structure.validate(), produces="structure",
+          applies=lambda c: c.scenario.bundle is not None and
+          c.scenario.structure is not None and c.has_fibers),
     Check("kahler-positivity", "quantize", "omega(j . , .) positive at sample points",
           lambda c: _degenerate_downgrade(
-              c, c.structure.positivity_check(c.scenario.presymplectic.omega)),
+              c, c.scenario.structure.positivity_check(c.scenario.presymplectic.omega)),
           needs=("structure",)),
     Check("polarization-equivariance", "quantize", "[alpha(X), j v] = j [alpha(X), v]",
-          lambda c: quantize.polarization_equivariance_check(c.scenario, c.structure),
+          lambda c: quantize.polarization_equivariance_check(c.scenario, c.scenario.structure),
           needs=("structure",)),
     Check("holomorphic-dimension", "quantize", "solution-space dimension with cap robustness",
           _holomorphic_dimension, needs=("bundle", "structure"), produces="basis",
-          applies=lambda c: c.coords is not None,
-          note=lambda c: None if c.has_fibers else c.extras.get(
-              "quantization_note", "fibers are points; quantization empty")),
+          applies=lambda c: c.scenario.holomorphic_coords is not None,
+          note=lambda c: None if c.has_fibers else "fibers are points; quantization empty"),
     Check("quantization", "quantize", "exact Gram matrix and representation matrices",
           _quantization, needs=("basis",), produces="representation"),
     Check("gram-positivity", "quantize", "exact leading principal minors of the Gram matrix",
@@ -239,19 +233,21 @@ CHECKS = (
     Check("infinitesimal-unitarity", "quantize", "M^dagger G + G M = 0 exactly",
           lambda c: quantize.unitarity_check(c.representation), needs=("representation",)),
     Check("quantization-isomorphism", "quantize", "twisted quantization matches the fiber model",
-          lambda c: quantization_isomorphism_check(c.gauge),
-          applies=lambda c: c.gauge is not None),
+          lambda c: quantization_isomorphism_check(c.scenario.gauge, c.representation),
+          uses=("representation",), applies=lambda c: c.scenario.gauge is not None),
     Check("integrated-representation", "quantize", "closed-form integrated action data",
           _integration, uses=("representation",),
-          applies=lambda c: bool(c.extras.get("integration"))),
+          applies=lambda c: bool(c.scenario.integration)),
     Check("zero-level", "reduce", "defining equations, tangency, declared regularity",
-          _zero_level, produces="zero_level", applies=lambda c: "zero_level" in c.extras),
+          _zero_level, produces="zero_level",
+          applies=lambda c: c.scenario.zero_level is not None),
     Check("internal-quotient", "reduce", "fiberwise reduced model and dimension count",
           lambda c: {"reduced": repr(reduce_mod.internal_mw_quotient(c.zero_level))},
-          needs=("zero_level",), note=lambda c: c.extras.get("full_quotient") and
-          f"full quotient: {c.extras['full_quotient']}"),
+          needs=("zero_level",), note=lambda c: c.scenario.full_quotient and
+          f"full quotient: {c.scenario.full_quotient}"),
     Check("descent-obstruction", "reduce", "isotropy weight on the frame along the zero level",
-          lambda c: reduce_mod.descent_obstruction_check(c.scenario, c.bundle, c.zero_level),
+          lambda c: reduce_mod.descent_obstruction_check(c.scenario, c.scenario.bundle,
+                                                         c.zero_level),
           needs=("bundle", "zero_level")),
     Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
           _projector, needs=("representation", "zero_level")),

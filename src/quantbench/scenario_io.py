@@ -1,7 +1,9 @@
 """Scenario file format: JSON blocks for atlas, algebroid, action,
-presymplectic form and momentum map (plus optional bundle and reduction
-blocks).  Exact scalars are serialized as strings like "1/2-2/3i" and
-expressions as parseable strings, so nothing is lost to rounding."""
+presymplectic form and momentum map, plus an `extras` block of typed
+declarations (`DECLARATIONS`).  Bundles, complex structures, ansatz data and
+zero levels are not part of a file.  Exact scalars are serialized as strings
+like "1/2-2/3i" and expressions as parseable strings, so nothing is lost to
+rounding."""
 
 from __future__ import annotations
 
@@ -13,6 +15,12 @@ from .geometry import Chart, DifferentialForm, FiberedAtlas, Transition, VectorF
 from .hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
 from .liealg import ActionMap, AlgebroidModel
 from .scalars import ExactScalar
+
+# `extras` key -> (ActionScenario field, JSON type).  Other keys are ignored.
+DECLARATIONS = {"level": ("level", int), "degenerate_level": ("degenerate", bool),
+                "integration": ("integration", str), "full_quotient": ("full_quotient", str)}
+# The integration kinds that read nothing but the file's own blocks.
+FILE_INTEGRATIONS = ("s1-plane", "sphere-family")
 
 
 def expr_to_string(expr) -> str:
@@ -136,10 +144,25 @@ def dump_scenario(scenario: ActionScenario) -> dict:
                 for i in range(model.n)
             ],
         },
-        "extras": {k: v for k, v in scenario.extras.items()
-                   if isinstance(v, (str, int, bool))},
     }
+    declared = {key: getattr(scenario, attr) for key, (attr, _) in DECLARATIONS.items()}
+    if declared["integration"] not in FILE_INTEGRATIONS:
+        declared["integration"] = None
+    data["extras"] = {key: value for key, value in declared.items() if value is not None}
     return data
+
+
+def _declarations(extras) -> dict:
+    if not isinstance(extras, dict):
+        raise SchemaError("scenario file invalid: extras must be an object")
+    out = {}
+    for key, (attr, kind) in DECLARATIONS.items():
+        if key in extras:
+            if type(extras[key]) is not kind:
+                raise SchemaError(f"scenario file invalid: extras.{key} must be "
+                                  f"of type {kind.__name__}")
+            out[attr] = extras[key]
+    return out
 
 
 def load_scenario(data) -> ActionScenario:
@@ -176,8 +199,8 @@ def load_scenario(data) -> ActionScenario:
             pairings.append({e["chart"]: parse_expr(e["value"]) for e in entries})
         momentum = MomentumMapRep(model, pairings)
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
-                              extras=dict(data.get("extras", {})))
-    except (KeyError, TypeError, ValueError) as exc:
+                              **_declarations(data.get("extras", {})))
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
 
 

@@ -22,8 +22,8 @@ def rotation_scenarios():
 
 def quantize_scenario(scenario):
     """Quantize a catalog or gauge scenario with its declared stage inputs."""
-    ctx = RunContext(scenario)
-    return quantize_monomial(ctx.scenario, ctx.bundle, ctx.structure, ctx.coords, ctx.cap)
+    s = RunContext(scenario).scenario
+    return quantize_monomial(s, s.bundle, s.structure, s.holomorphic_coords, s.ansatz_cap)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import quantize_scenario
 
 from quantbench.bundles import (
     construct_from_integral_class,
@@ -59,7 +60,6 @@ from quantbench.quantize import (
 )
 from quantbench.reduce import descent_obstruction_check, qr_commute_check, \
     quantum_fixed_subspace
-from quantbench.runner import RunContext
 from quantbench.scalars import ExactScalar, ZERO
 
 
@@ -94,7 +94,6 @@ def test_criterion_2_exact_gram_matrices(orbit_quantizations):
     ok = True
     details = []
     quantizations = dict(orbit_quantizations)
-    from conftest import quantize_scenario
     quantizations[4] = quantize_scenario(su2_orbit_scenario(4))
     for k in (0, 1, 2, 3, 4):
         gram = quantizations[k].gram
@@ -125,21 +124,21 @@ def test_criterion_3_kostant_closure_and_hermiticity(orbit_scenarios):
     ok = True
     for k in (0, 1, 2, 3):
         s = orbit_scenarios[k]
-        ok &= rep_flatness_check(s, s.extras["bundle"], rng).ok
-        ok &= rep_hermitian_check(s, s.extras["bundle"], rng).ok
+        ok &= rep_flatness_check(s, s.bundle, rng).ok
+        ok &= rep_hermitian_check(s, s.bundle, rng).ok
     for k in (0, 1, 2, 3):
         g = gauge_su2_scenario(k)
-        ok &= rep_flatness_check(g.scenario, g.line_bundle, rng).ok
-        ok &= rep_hermitian_check(g.scenario, g.line_bundle, rng).ok
+        ok &= rep_flatness_check(g.scenario, g.scenario.bundle, rng).ok
+        ok &= rep_hermitian_check(g.scenario, g.scenario.bundle, rng).ok
     controls = []
     flipped = control_flipped_momentum(2)
-    r1 = rep_flatness_check(flipped, flipped.extras["bundle"], rng)
+    r1 = rep_flatness_check(flipped, flipped.bundle, rng)
     controls.append(not r1.ok and bool(r1.failures))
     imag = control_imaginary_momentum(2)
-    r2 = rep_hermitian_check(imag, imag.extras["bundle"], rng)
+    r2 = rep_hermitian_check(imag, imag.bundle, rng)
     controls.append(not r2.ok and bool(r2.failures))
     scaled = control_scaled_momentum(2)
-    r3 = rep_flatness_check(scaled, scaled.extras["bundle"], rng)
+    r3 = rep_flatness_check(scaled, scaled.bundle, rng)
     controls.append(not r3.ok and bool(r3.failures))
     ok &= all(controls)
     _verdict(3, ok, "orbit + gauge catalogs pass for k <= 3; three negative "
@@ -236,7 +235,7 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
     details = []
     for k in (2, 4):
         s = rotation_scenarios[k]
-        report = qr_commute_check(s, s.extras["bundle"],
+        report = qr_commute_check(s, s.bundle,
                                   rotation_quantizations[k], zero_level_data(s))
         ok &= report.status == "pass"
         ok &= report.fixed_dimension == 1 and report.reduced_dimension == 1
@@ -244,9 +243,9 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
             report.scale_squared.is_positive()
         details.append(f"k={k}: dims 1/1, scale^2 = {report.scale_squared}")
     s3 = rotation_scenarios[3]
-    descent = descent_obstruction_check(s3, s3.extras["bundle"],
+    descent = descent_obstruction_check(s3, s3.bundle,
                                         zero_level_data(s3))
-    report3 = qr_commute_check(s3, s3.extras["bundle"], rotation_quantizations[3],
+    report3 = qr_commute_check(s3, s3.bundle, rotation_quantizations[3],
                                zero_level_data(s3))
     ok &= not descent.descends
     ok &= descent.obstructions["e1"] == ExactScalar(Fraction(1, 2))
@@ -268,7 +267,7 @@ def test_criterion_7_gauge_pipeline():
         ok &= prequantization_condition_check(gauge.scenario).ok
         ok &= quantization_condition_check(gauge.scenario).ok
         ok &= gauge_momentum_verify(gauge).ok
-        iso = quantization_isomorphism_check(gauge)
+        iso = quantization_isomorphism_check(gauge, quantize_scenario(gauge))
         ok &= iso.ok
         ok &= any(f"dimension per base point: {k + 1}" in n for n in iso.notes)
         details.append(f"k={k}: dimension {k + 1} per base point")
@@ -308,9 +307,8 @@ def test_criterion_9_morphism_and_equivariance_suites(orbit_scenarios,
     for s in scenarios:
         ok &= morphism_check(s.action).ok
         ok &= equivariance_check(s).ok
-        structure = RunContext(s).structure  # the gauge's own, for the gauge scenario
-        if structure is not None:
-            ok &= polarization_equivariance_check(s, structure).ok
+        if s.structure is not None:  # the gauge's own, for the gauge scenario
+            ok &= polarization_equivariance_check(s, s.structure).ok
     # negative controls
     ok &= not morphism_check(control_flipped_field()).ok
     ok &= not equivariance_check(control_scaled_momentum(2)).ok

@@ -116,7 +116,7 @@ class TestKostantOperators:
         # vertical generator on z^a: eigenvalue -i (a - k/2)
         for k in (1, 2, 3):
             scenario = orbit_scenarios[k]
-            bundle = scenario.extras["bundle"]
+            bundle = scenario.bundle
             op = kostant_operator(scenario, bundle, scenario.model.basis_section(2))
             z = parse_expr("x - i*y")
             for a in range(k + 1):
@@ -126,7 +126,7 @@ class TestKostantOperators:
 
     def test_zero_section_zero_operator(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        bundle = scenario.extras["bundle"]
+        bundle = scenario.bundle
         op = kostant_operator(scenario, bundle, scenario.model.section([0, 0, 0]))
         assert op.apply("N", parse_expr("x^2 - i*y")).simplify().is_zero()
 
@@ -134,7 +134,7 @@ class TestKostantOperators:
         # trivial bundle over a foliated chart: the operator is the flat
         # transport minus the momentum potential
         scenario = foliation_flat_scenario()
-        bundle = scenario.extras["bundle"]
+        bundle = scenario.bundle
         op = kostant_operator(scenario, bundle, scenario.model.basis_section(1))
         f = parse_expr("x*w")
         manual = parse_expr("x*w").derivative("y") * 0 + \
@@ -154,35 +154,35 @@ class TestRepresentationChecks:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_flatness_and_hermiticity(self, orbit_scenarios, k):
         scenario = orbit_scenarios[k]
-        bundle = scenario.extras["bundle"]
+        bundle = scenario.bundle
         rng = random.Random(41)
         assert rep_flatness_check(scenario, bundle, rng).ok
         assert rep_hermitian_check(scenario, bundle, rng).ok
 
     def test_connection_equivariance(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        bundle = scenario.extras["bundle"]
+        bundle = scenario.bundle
         assert connection_equivariance_check(scenario, bundle).ok
 
     def test_flipped_momentum_breaks_flatness(self):
         bad = control_flipped_momentum(2)
-        bundle = bad.extras["bundle"]
+        bundle = bad.bundle
         report = rep_flatness_check(bad, bundle)
         assert not report.ok
 
     def test_flipped_momentum_breaks_connection_equivariance(self):
         bad = control_flipped_momentum(2)
-        report = connection_equivariance_check(bad, bad.extras["bundle"])
+        report = connection_equivariance_check(bad, bad.bundle)
         assert not report.ok
 
     def test_imaginary_momentum_breaks_hermiticity(self):
         bad = control_imaginary_momentum(2)
-        report = rep_hermitian_check(bad, bad.extras["bundle"])
+        report = rep_hermitian_check(bad, bad.bundle)
         assert not report.ok
 
     def test_zero_operator_hermitian(self, orbit_scenarios):
         scenario = orbit_scenarios[0]
-        assert rep_hermitian_check(scenario, scenario.extras["bundle"]).ok
+        assert rep_hermitian_check(scenario, scenario.bundle).ok
 
 
 class TestPicardStructure:
@@ -234,17 +234,17 @@ class TestChernWitness:
     def test_catalog_scenarios_have_witness(self, orbit_scenarios):
         for k in (1, 2):
             scenario = orbit_scenarios[k]
-            assert chern_class_algebroid(scenario, scenario.extras["bundle"]).ok
+            assert chern_class_algebroid(scenario, scenario.bundle).ok
 
     def test_withheld_momentum_reports_no_witness(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
         from quantbench.hamiltonian import ActionScenario
         stripped = ActionScenario(scenario.name, scenario.model, scenario.action,
                                   scenario.presymplectic, None)
-        report = chern_class_algebroid(stripped, scenario.extras["bundle"])
+        report = chern_class_algebroid(stripped, scenario.bundle)
         assert report.status == "hypotheses-not-met"
         assert any("no witness" in n for n in report.notes)
 
     def test_gauge_witness_is_connection_pairing(self, gauge_su2_1):
         assert chern_class_algebroid(gauge_su2_1.scenario,
-                                     gauge_su2_1.line_bundle).ok
+                                     gauge_su2_1.scenario.bundle).ok

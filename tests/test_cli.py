@@ -1,16 +1,22 @@
 """Command-line interface, report determinism and scenario file round trips."""
 
 import json
+from functools import lru_cache
 
-from quantbench.catalog import su2_orbit_scenario
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantbench.catalog import SCENARIO_FAMILIES, su2_orbit_scenario
 from quantbench.cli import main
+from quantbench.errors import QuantbenchError, SchemaError
 from quantbench.hamiltonian import (
     equivariance_check,
     internal_momentum_check,
     prequantization_condition_check,
     quantization_condition_check,
 )
-from quantbench.runner import run_scenario
+from quantbench.runner import RunContext, run_scenario
 from quantbench.scenario_io import dump_scenario, load_scenario
 
 
@@ -132,3 +138,66 @@ class TestScenarioFiles:
         a = json.dumps(dump_scenario(su2_orbit_scenario(1)), sort_keys=True)
         b = json.dumps(dump_scenario(su2_orbit_scenario(1)), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
+    def test_dumped_catalog_scenario_runs_without_fail(self, family, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dump_scenario(RunContext(family).scenario)))
+        checks = ["--checks", "hamiltonian"] if family == "gauge-su2-k" else []
+        assert main(["run", str(path), "--format", "json", *checks]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records and "fail" not in {r["status"] for r in records}
+
+    @pytest.mark.parametrize("path,value", [
+        (("presymplectic", "samples", 0, "point"), [0.1, 0.2]),
+        (("extras",), []),
+        (("extras", "level"), "1"),
+        (("extras", "degenerate_level"), 0),
+    ])
+    def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
+        data = _mutated(path, value)
+        with pytest.raises(SchemaError):
+            load_scenario(data)
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        assert main(["run", str(file)]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_file_loads_or_raises_a_usage_error(self, data):
+        path = data.draw(st.sampled_from(_paths()))
+        value = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+            st.text(max_size=4), st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+        try:
+            load_scenario(_mutated(path, value))
+        except QuantbenchError:
+            pass
+
+
+@lru_cache(maxsize=None)
+def _dumped_orbit():
+    return json.dumps(dump_scenario(su2_orbit_scenario(1)))
+
+
+def _paths():
+    """Every block and field of the dumped su2-orbit-1 scenario, as key/index paths."""
+    def walk(node, prefix):
+        yield prefix
+        items = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            yield from walk(child, prefix + (key,))
+    return list(walk(json.loads(_dumped_orbit()), ()))[1:]
+
+
+def _mutated(path, value):
+    """The dumped su2-orbit-1 scenario with the value at `path` replaced."""
+    data = json.loads(_dumped_orbit())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data

@@ -4,6 +4,7 @@ connection independence."""
 from fractions import Fraction
 
 import pytest
+from conftest import quantize_scenario
 
 from quantbench.bundles import curvature, validate_bundle
 from quantbench.catalog import (
@@ -66,8 +67,8 @@ class TestAssembly:
                     "flat connection must leave no twist terms"
 
     def test_twisted_bundle_validates_with_matching_curvature(self, gauge_su2_1):
-        assert validate_bundle(gauge_su2_1.line_bundle).ok
-        diff = curvature(gauge_su2_1.line_bundle) - \
+        assert validate_bundle(gauge_su2_1.scenario.bundle).ok
+        diff = curvature(gauge_su2_1.scenario.bundle) - \
             gauge_su2_1.scenario.presymplectic.omega_tilde
         assert diff.is_zero()
 
@@ -100,11 +101,8 @@ class TestMomentumVerify:
         bad_pairings = [dict(s.momentum.pairing(i)) for i in range(s.model.n)]
         bad_pairings[2] = {ch: v * parse_expr("2") for ch, v in
                            bad_pairings[2].items()}
-        from quantbench.hamiltonian import MomentumMapRep, ActionScenario
-        s_bad = ActionScenario(s.name, s.model, s.action, s.presymplectic,
-                               MomentumMapRep(s.model, bad_pairings),
-                               extras=dict(s.extras))
-        gauge.scenario = s_bad
+        from quantbench.hamiltonian import MomentumMapRep
+        s.momentum = MomentumMapRep(s.model, bad_pairings)
         report = gauge_momentum_verify(gauge)
         assert not report.ok
 
@@ -113,13 +111,13 @@ class TestQuantizationIsomorphism:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_su2_levels(self, k):
         gauge = gauge_su2_scenario(k)
-        report = quantization_isomorphism_check(gauge)
+        report = quantization_isomorphism_check(gauge, quantize_scenario(gauge))
         assert report.ok, report.failures
         assert any(f"dimension per base point: {k + 1}" in n for n in report.notes)
 
     def test_point_fiber_character(self):
         gauge = gauge_u1_character_scenario(1)
-        report = quantization_isomorphism_check(gauge)
+        report = quantization_isomorphism_check(gauge, None)
         assert report.ok
 
 
@@ -167,7 +165,6 @@ class TestIntegratedRep:
 
 class TestGaugeReduction:
     def test_u1_rotation_gauge_reduces_like_the_fiber(self):
-        from conftest import quantize_scenario
         gauge = gauge_u1_rotation_scenario(2)
         result = quantize_scenario(gauge)
         n_base = gauge.scenario.model.gauge_base_count
@@ -176,10 +173,10 @@ class TestGaugeReduction:
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
                           ("t",), isotropy_indices=(n_base,), orbit_dimension=1)
-        descent = descent_obstruction_check(gauge.scenario, gauge.line_bundle, z)
+        descent = descent_obstruction_check(gauge.scenario, gauge.scenario.bundle, z)
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1
-        report = qr_commute_check(gauge.scenario, gauge.line_bundle, result, z)
+        report = qr_commute_check(gauge.scenario, gauge.scenario.bundle, result, z)
         assert report.status == "pass"
         assert report.fixed_dimension == report.reduced_dimension == 1

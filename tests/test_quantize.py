@@ -65,7 +65,7 @@ class TestComplexStructure:
         omega = orbit_scenarios[2].presymplectic.omega
         # rebuild on the scenario atlas for identity of atlas objects
         scenario = orbit_scenarios[2]
-        structure = scenario.extras["complex_structure"]
+        structure = scenario.structure
         assert structure.positivity_check(omega).ok
 
     def test_polarization_frame_is_antiholomorphic(self, atlas):
@@ -78,7 +78,7 @@ class TestComplexStructure:
 class TestPolarizationEquivariance:
     def test_rotations_are_holomorphic(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        structure = scenario.extras["complex_structure"]
+        structure = scenario.structure
         assert polarization_equivariance_check(scenario, structure).ok
 
     def test_skew_perturbation_fails(self, orbit_scenarios):

@@ -107,7 +107,7 @@ class TestDescent:
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_levels_descend(self, rotation_scenarios, k):
         scenario = rotation_scenarios[k]
-        result = descent_obstruction_check(scenario, scenario.extras["bundle"],
+        result = descent_obstruction_check(scenario, scenario.bundle,
                                            zero_level_data(scenario))
         assert result.descends
         assert result.weights["e1"] == ExactScalar(Fraction(k, 2))
@@ -115,7 +115,7 @@ class TestDescent:
 
     def test_odd_level_obstructed(self, rotation_scenarios):
         scenario = rotation_scenarios[3]
-        result = descent_obstruction_check(scenario, scenario.extras["bundle"],
+        result = descent_obstruction_check(scenario, scenario.bundle,
                                            zero_level_data(scenario))
         assert not result.descends
         assert result.status == "hypotheses-not-met"
@@ -128,7 +128,7 @@ class TestDescent:
                           {"x": parse_expr("p"), "y": parse_expr("q"),
                            "w": parse_expr("r")},
                           ("p", "q", "r"), isotropy_indices=(), orbit_dimension=0)
-        result = descent_obstruction_check(scenario, scenario.extras["bundle"], z)
+        result = descent_obstruction_check(scenario, scenario.bundle, z)
         assert result.descends
 
 
@@ -137,7 +137,7 @@ class TestComparison:
     def test_even_levels_pass_with_unitary_scale(self, rotation_scenarios,
                                                  rotation_quantizations, k, scale2):
         scenario = rotation_scenarios[k]
-        report = qr_commute_check(scenario, scenario.extras["bundle"],
+        report = qr_commute_check(scenario, scenario.bundle,
                                   rotation_quantizations[k],
                                   zero_level_data(scenario))
         assert report.status == "pass"
@@ -149,7 +149,7 @@ class TestComparison:
     def test_odd_level_hypotheses_not_met(self, rotation_scenarios,
                                           rotation_quantizations):
         scenario = rotation_scenarios[3]
-        report = qr_commute_check(scenario, scenario.extras["bundle"],
+        report = qr_commute_check(scenario, scenario.bundle,
                                   rotation_quantizations[3],
                                   zero_level_data(scenario))
         assert report.status == "hypotheses-not-met"
@@ -160,7 +160,7 @@ class TestComparison:
                                                     rotation_quantizations):
         for k in (2, 4):
             scenario = rotation_scenarios[k]
-            report = qr_commute_check(scenario, scenario.extras["bundle"],
+            report = qr_commute_check(scenario, scenario.bundle,
                                       rotation_quantizations[k],
                                       zero_level_data(scenario))
             assert report.fixed_dimension == report.reduced_dimension

@@ -30,6 +30,8 @@ PINNED = [
     ("gauge-u1-char-n", 2, "235271fdb4de76fe1e908528bcb0c32982206c83546c8a68833257bd374413a7"),
     ("u1-rotation-reduction-k", 1,
      "7457a47c33ad432f9975f367a9974bd7cd7004ab9c0fb0802a23bbdaa4d3fab9"),
+    ("su2-orbit-k", 0, "effa1eddcf2dce490af4ad167af9b760638acb4031aa1b789b6283eb68f4cfeb"),
+    ("gauge-su2-k", 0, "d648370f87e2dff740dc4543504857cdc3f2a7621501f986b8458b5ad01ccc2a"),
 ]
 
 
@@ -76,6 +78,12 @@ def test_unknown_check_exits_two(selection, capsys):
     assert "unknown check or stage" in capsys.readouterr().err
     assert main(["run", "no-such-scenario"]) == 2
     assert "unknown scenario: no-such-scenario" in capsys.readouterr().err
+    for argv, declared in ((["su2-orbit-k", "--level", "-1"], "levels 0, 1, 2, 3, 4"),
+                           (["gauge-u1-char-n", "--level", "99"], "levels 0, 1, 2"),
+                           (["su2-orbit-9"], "levels 0, 1, 2, 3, 4"),
+                           (["pair-groupoid-flat", "--level", "3"], "no levels")):
+        assert main(["run", *argv]) == 2
+        assert declared in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factory,fails", [
