@@ -28,7 +28,7 @@ from .geometry import (
     VectorField,
 )
 from .hamiltonian import ActionScenario, AlgebroidCochain, CheckResult, \
-    algebroid_differential, _fn_add, _fn_is_zero, _fn_simplify
+    algebroid_differential, _fn_add, _fn_is_zero
 from .liealg import random_polynomial
 from .scalars import ExactScalar, ZERO
 
@@ -101,7 +101,6 @@ class LineBundleData:
         self.metric_weights = dict(metric_weights)
         self.potentials = dict(potentials)
         self.branch_offsets = dict(branch_offsets or {})
-        self.validated = False
         self._curvature = None
 
     def patch_chart(self, index):
@@ -208,13 +207,13 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         h_j = _express_function(bundle.weight(j), bundle.patch_chart(j), chart, atlas)
         h_k = _express_function(bundle.weight(k), bundle.patch_chart(k), chart, atlas)
         abs2 = _express_function(c.abs_squared(), c.chart, chart, atlas)
-        residual = (h_k - abs2 * h_j).light()
+        residual = h_k - abs2 * h_j
         if not residual.is_zero():
             failures.append(("metric", f"{simplex}: residual {residual}"))
         eta_j = _express_form(bundle.potential(j), chart, atlas)
         eta_k = _express_form(bundle.potential(k), chart, atlas)
         dlog = _express_form(c.dlog(cover), chart, atlas)
-        glue_res = (eta_k - eta_j - dlog).light()
+        glue_res = eta_k - eta_j - dlog
         if not glue_res.is_zero():
             failures.append(("gluing", f"{simplex}: residual {glue_res}"))
     # Hermiticity of the connection against the metric, patch by patch
@@ -227,12 +226,10 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         dh = exterior_derivative(
             DifferentialForm(atlas, 0, LEAF_JTILDE, {chart: {(): h}}), LEAF_JTILDE)
         rhs = dh * (RationalExpr.const(1) / h)
-        residual = (lhs - rhs).light()
+        residual = lhs - rhs
         if not residual.is_zero():
             failures.append(("hermitian", f"patch {idx}: residual {residual}"))
-    result = CheckResult("bundle-data", not failures, failures, notes)
-    bundle.validated = result.ok
-    return result
+    return CheckResult("bundle-data", not failures, failures, notes)
 
 
 def _angle_coeff(value: TransitionValue) -> ExactScalar:
@@ -241,8 +238,6 @@ def _angle_coeff(value: TransitionValue) -> ExactScalar:
 
 def curvature(bundle: LineBundleData) -> DifferentialForm:
     """Chartwise d eta_j, checked consistent across patches and transitions."""
-    if not bundle.validated:
-        raise MalformedExpressionError("validate the bundle before taking curvature")
     if bundle._curvature is None:
         bundle._curvature = _curvature_form(bundle)
     return bundle._curvature
@@ -356,10 +351,8 @@ class KostantOperator:
 def kostant_operator(scenario: ActionScenario, bundle: LineBundleData,
                      section) -> KostantOperator:
     """Construct the operator; curvature must match the scenario's 2-form."""
-    if not bundle.validated:
-        validate_bundle(bundle)
     k_form = curvature(bundle)
-    diff = (k_form - scenario.presymplectic.omega_tilde).light()
+    diff = k_form - scenario.presymplectic.omega_tilde
     if not diff.is_zero():
         raise CurvatureMismatchError(
             "bundle curvature differs from the scenario's leafwise 2-form")
@@ -408,7 +401,7 @@ def rep_flatness_check(scenario: ActionScenario, bundle: LineBundleData,
                 for f in _test_coefficients(bundle, idx, rng):
                     resid = (ops[i].apply(idx, ops[j].apply(idx, f))
                              - ops[j].apply(idx, ops[i].apply(idx, f))
-                             - bracket_op.apply(idx, f)).light()
+                             - bracket_op.apply(idx, f))
                     if not resid.is_zero():
                         failures.append((f"{model.generator_names[i]},"
                                          f"{model.generator_names[j]}@patch {idx}",
@@ -433,7 +426,7 @@ def rep_hermitian_check(scenario: ActionScenario, bundle: LineBundleData,
                 for g in tests[1:]:
                     lhs = (op.apply(idx, f).conj() * g + f.conj() * op.apply(idx, g)) * h
                     rhs = field.derive(f.conj() * g * h, chart)
-                    resid = (lhs - rhs).light()
+                    resid = lhs - rhs
                     if not resid.is_zero():
                         failures.append((f"{model.generator_names[i]}@patch {idx}",
                                          str(resid)))
@@ -461,7 +454,7 @@ def connection_equivariance_check(scenario: ActionScenario, bundle: LineBundleDa
             for f in _test_coefficients(bundle, idx, rng):
                 resid = (op.apply(idx, nabla_v(idx, f))
                          - nabla_v(idx, op.apply(idx, f))
-                         - nabla_moved(idx, f)).light()
+                         - nabla_moved(idx, f))
                 if not resid.is_zero():
                     failures.append((f"{model.generator_names[i]}@patch {idx}",
                                      str(resid)))
@@ -503,8 +496,6 @@ def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> C
     if scenario.momentum is None:
         return CheckResult("chern-witness", True,
                            notes=["no witness declared"], status="hypotheses-not-met")
-    if not bundle.validated:
-        validate_bundle(bundle)
     k_form = curvature(bundle)
     mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
     d_mu = algebroid_differential(mu)
@@ -514,7 +505,7 @@ def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> C
         for j in range(i + 1, model.n):
             pulled = k_form.apply(scenario.generator_field(i),
                                   scenario.generator_field(j))
-            residual = _fn_simplify(_fn_add(d_mu.value(i, j), pulled))
+            residual = _fn_add(d_mu.value(i, j), pulled)
             if not _fn_is_zero(residual):
                 failures.append((f"{model.generator_names[i]},{model.generator_names[j]}",
                                  str({ch: str(v) for ch, v in residual.items()})))

@@ -155,7 +155,6 @@ def su2_orbit_scenario(k: int, atlas=None) -> ActionScenario:
     model = su2_point_model()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, fields, name="su2-rotations")
-    action.require_validated()
     half = Fraction(k, 2)
     pairings = [{ch: _scale(v, half) for ch, v in n.items()}
                 for n in direction_functions()]
@@ -172,7 +171,6 @@ def u1_rotation_scenario(k: int, atlas=None) -> ActionScenario:
     model = u1_point_model()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, [fields[2]], name="u1-rotation")
-    action.require_validated()
     half = Fraction(k, 2)
     n3 = direction_functions()[2]
     momentum = MomentumMapRep(model, [{ch: _scale(v, half) for ch, v in n3.items()}])
@@ -344,7 +342,6 @@ def pair_groupoid_scenario() -> ActionScenario:
     field = VectorField(atlas, LEAF_JTILDE, {"L": {"s": 1}})
     model = AlgebroidModel("pair-line", "tangent", atlas, ("ds",), {}, [field])
     action = ActionMap(model, atlas, [field], name="translation")
-    action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"L": {}})
     momentum = MomentumMapRep(model, [{"L": RationalExpr.zero()}])
     return ActionScenario("pair-groupoid-flat", model, action, PresymplecticData(atlas, omega),
@@ -357,7 +354,6 @@ def s1_plane_scenario(function=None) -> ActionScenario:
     rotation = VectorField(atlas, "full", {"P": {"x": _pe("-y"), "y": _pe("x")}})
     model = AlgebroidModel("s1-plane", "action", atlas, ("e1",), {}, [rotation])
     action = ActionMap(model, atlas, [rotation], name="plane-rotation")
-    action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"P": {}})
     f = function if function is not None else _pe("x^2+y^2")
     momentum = MomentumMapRep(model, [{"P": f}])
@@ -373,7 +369,6 @@ def sphere_family_scenario(level: int = 1) -> ActionScenario:
     action = ActionMap(model, atlas,
                        [VectorField(atlas, LEAF_J, {"I": {}})],
                        name="family-action")
-    action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"I": {}})
     momentum = MomentumMapRep(model, [{"I": RationalExpr.const(level)}])
     return ActionScenario("sphere-family", model, action, PresymplecticData(atlas, omega),
@@ -389,7 +384,6 @@ def foliation_flat_scenario() -> ActionScenario:
     model = AlgebroidModel("foliation", "foliation", atlas, ("dx", "dy"),
                            {(0, 1): (0, 0)}, [d_x, d_y])
     action = ActionMap(model, atlas, [d_x, d_y], name="leafwise")
-    action.require_validated()
     omega = DifferentialForm(atlas, 2, LEAF_JTILDE,
                              {"F": {("x", "y"): _pe("1+w^2")}})
     momentum = MomentumMapRep(model, [{"F": RationalExpr.zero()},
@@ -514,19 +508,30 @@ def list_scenarios(filter_text=""):
     return out
 
 
+def _concrete_stem(family):
+    """A concrete name is the stem plus `-<level>`: the family name without
+    its `-k`/`-n` placeholder, or the whole name when it has none."""
+    stem, _, last = family.rpartition("-")
+    return stem if last in ("k", "n") else family
+
+
 def build_scenario(name, level=None):
     """A catalog scenario from a family name, at `level` or the family's
-    default level, or from a concrete name like `su2-orbit-2`.  A level the
-    family does not declare raises `UnknownScenarioError`."""
+    default level, or from a concrete name like `su2-orbit-2` or
+    `sphere-family-2`.  A level the family does not declare, or one that
+    contradicts the concrete name, raises `UnknownScenarioError`."""
     info = SCENARIO_FAMILIES.get(name)
     if info is None:
         stem, _, suffix = name.rpartition("-")
         family = next((family for family, spec in SCENARIO_FAMILIES.items()
-                       if spec["levels"] and family.rsplit("-", 1)[0] == stem), None)
+                       if spec["levels"] and _concrete_stem(family) == stem), None)
         try:
-            name, info, level = family, SCENARIO_FAMILIES[family], int(suffix)
+            info, named = SCENARIO_FAMILIES[family], int(suffix)
         except (KeyError, ValueError):
             raise UnknownScenarioError(f"unknown scenario: {name}") from None
+        if level not in (None, named):
+            raise UnknownScenarioError(f"{name} names level {named}, got level {level}")
+        name, level = family, named
     levels = info["levels"]
     if levels is None:
         if level is not None:

@@ -33,10 +33,6 @@ class ModelMismatchError(QuantbenchError):
     """Sections belong to different algebroid models."""
 
 
-class UnvalidatedActionError(QuantbenchError):
-    """The action map failed (or skipped) its morphism validation."""
-
-
 class OverlapMismatchError(QuantbenchError):
     """Cochain values supplied on overlaps absent from the cover."""
 

@@ -477,15 +477,6 @@ class RationalExpr:
             return RationalExpr(self.num.exact_div(g), self.den.exact_div(g))
         return RationalExpr(self.num, self.den)
 
-    def light(self) -> "RationalExpr":
-        """Cheap normal form: exact division only, no gcd (safe on large inputs)."""
-        if self.num.is_zero():
-            return RationalExpr(PolyExpr())
-        fast = self.num.exact_div(self.den)
-        if fast is not None:
-            return RationalExpr(fast)
-        return self
-
     # -- calculus --------------------------------------------------------------
     def derivative(self, var: str) -> "RationalExpr":
         return RationalExpr(
@@ -518,10 +509,14 @@ class RationalExpr:
         return num / den
 
     def __str__(self):
-        # display uses the cheap normal form; gcd reduction can be costly on
-        # large incidental expressions and str() must never hang
-        small = (self.num.total_degree() + self.den.total_degree()) <= 12
-        s = self.simplify() if small else self.light()
+        # display normal form: simplify() on small expressions; large ones only
+        # take an exact division, since gcd reduction can be costly on large
+        # incidental expressions and str() must never hang
+        s = self
+        if self.num.total_degree() + self.den.total_degree() <= 12:
+            s = self.simplify()
+        elif (quotient := self.num.exact_div(self.den)) is not None:
+            return str(quotient)
         if s.den.is_constant() and s.den.constant_value() == ONE:
             return str(s.num)
         return f"({s.num})/({s.den})"

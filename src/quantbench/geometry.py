@@ -129,6 +129,14 @@ class FiberedAtlas:
         return bad
 
 
+def _charts_of(atlas, *tables, every=False):
+    """The charts keyed in any (or, with `every`, all) of `tables`, in the
+    atlas's declared order; a set's order would follow PYTHONHASHSEED into
+    the coefficient tables and the reports."""
+    test = all if every else any
+    return [ch for ch in atlas.charts if test(ch in table for table in tables)]
+
+
 def _check_class(requested, available):
     if _CLASS_ORDER[requested] > _CLASS_ORDER[available]:
         raise LeafwiseClassError(
@@ -190,9 +198,8 @@ class DifferentialForm:
             raise AtlasMismatchError("forms on different atlases")
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
-        charts = self.charts() | other.charts()
         out = {}
-        for ch in charts:
+        for ch in _charts_of(self.atlas, self.coefficients, other.coefficients):
             table = dict(self.coefficients.get(ch, {}))
             for idx, v in other.coefficients.get(ch, {}).items():
                 table[idx] = table.get(idx, RationalExpr.zero()) + v
@@ -239,11 +246,6 @@ class DifferentialForm:
 
     def simplify(self) -> "DifferentialForm":
         out = {ch: {idx: v.simplify() for idx, v in table.items()}
-               for ch, table in self.coefficients.items()}
-        return DifferentialForm(self.atlas, self.degree, self.leafwise_class, out)
-
-    def light(self) -> "DifferentialForm":
-        out = {ch: {idx: v.light() for idx, v in table.items()}
                for ch, table in self.coefficients.items()}
         return DifferentialForm(self.atlas, self.degree, self.leafwise_class, out)
 
@@ -325,9 +327,8 @@ class VectorField:
         if other.atlas is not self.atlas:
             raise AtlasMismatchError("fields on different atlases")
         cls = max(self.leafwise_class, other.leafwise_class, key=lambda c: _CLASS_ORDER[c])
-        charts = set(self.components) | set(other.components)
         out = {}
-        for ch in charts:
+        for ch in _charts_of(self.atlas, self.components, other.components):
             table = dict(self.components.get(ch, {}))
             for coord, v in other.components.get(ch, {}).items():
                 table[coord] = table.get(coord, RationalExpr.zero()) + v
@@ -397,7 +398,7 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
         raise AtlasMismatchError("fields on different atlases")
     cls = max(v.leafwise_class, w.leafwise_class, key=lambda c: _CLASS_ORDER[c])
     out = {}
-    for ch in set(v.components) & set(w.components):
+    for ch in _charts_of(v.atlas, v.components, w.components, every=True):
         chart = v.atlas.chart(ch)
         table = {}
         for coord in chart.coords:
@@ -451,7 +452,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
         raise AtlasMismatchError("wedge of forms on different atlases")
     cls = max(a.leafwise_class, b.leafwise_class, key=lambda c: _CLASS_ORDER[c])
     out = {}
-    for ch in a.charts() & b.charts():
+    for ch in _charts_of(a.atlas, a.coefficients, b.coefficients, every=True):
         chart = a.atlas.chart(ch)
         order = {c: i for i, c in enumerate(chart.coords)}
         table = {}

@@ -217,10 +217,6 @@ def _fn_add(*fns):
     return out
 
 
-def _fn_simplify(fn):
-    return {ch: v.light() for ch, v in fn.items()}
-
-
 def _fn_is_zero(fn):
     return all(v.is_zero() for v in fn.values())
 
@@ -297,7 +293,7 @@ def internal_momentum_check(s: ActionScenario) -> CheckResult:
         pairing = s.momentum.pairing_form(s.atlas, i)
         lhs = exterior_derivative(pairing, LEAF_J)
         rhs = interior_product(s.generator_field(i), s.presymplectic.omega)
-        residual = (lhs + rhs).light()
+        residual = lhs + rhs
         if not residual.is_zero():
             failures.append((s.model.generator_names[i], repr(residual)))
     return CheckResult("internal-momentum", not failures, failures)
@@ -324,7 +320,7 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
                     continue
                 expected = _fn_add(expected,
                                    {ch: v * coeff for ch, v in s.momentum.pairing(k).items()})
-            residual = _fn_simplify(_fn_add(derived, _fn_scale(expected, ExactScalar(-1))))
+            residual = _fn_add(derived, _fn_scale(expected, ExactScalar(-1)))
             if not _fn_is_zero(residual):
                 failures.append((f"{s.model.generator_names[i]},"
                                  f"{s.model.generator_names[j]}",
@@ -341,7 +337,7 @@ def prequantization_condition_check(s: ActionScenario) -> CheckResult:
         for j in range(i + 1, s.model.n):
             pulled = s.presymplectic.omega_tilde.apply(
                 s.generator_field(i), s.generator_field(j))
-            residual = _fn_simplify(_fn_add(d_mu.value(i, j), pulled))
+            residual = _fn_add(d_mu.value(i, j), pulled)
             if not _fn_is_zero(residual):
                 failures.append((f"{s.model.generator_names[i]},"
                                  f"{s.model.generator_names[j]}",
@@ -357,7 +353,7 @@ def quantization_condition_check(s: ActionScenario) -> CheckResult:
         lhs = exterior_derivative(pairing, LEAF_J)
         contraction = interior_product(s.generator_field(i), s.presymplectic.omega_tilde)
         rhs = contraction.restrict(LEAF_J)
-        residual = (lhs + rhs).light()
+        residual = lhs + rhs
         if not residual.is_zero():
             failures.append((s.model.generator_names[i], repr(residual)))
     return CheckResult("quantization-condition", not failures, failures)

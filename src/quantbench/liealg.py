@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import MalformedExpressionError, ModelMismatchError, UnvalidatedActionError
+from .errors import MalformedExpressionError, ModelMismatchError
 from .exprs import PolyExpr, RationalExpr, coerce_rational
 from .geometry import LEAF_FULL, LEAF_JTILDE, FiberedAtlas, VectorField, _field_sum, commutator
 from .scalars import ExactScalar, I, ONE, ZERO
@@ -536,7 +536,6 @@ class ActionMap:
         self.target_atlas = target_atlas
         self.fields = list(fields)
         self.name = name
-        self.validated = False
 
     def of(self, section: SectionRep) -> VectorField:
         if section.model is not self.model:
@@ -578,16 +577,7 @@ class ActionMap:
             scaled = self.of(gen * f)
             if not (scaled - self.of(gen) * f).is_zero():
                 failures.append(("linearity", self.model.generator_names[i]))
-        ok = not failures
-        if ok:
-            self.validated = True
-        return MorphismReport(ok, failures)
-
-    def require_validated(self):
-        if not self.validated:
-            report = self.morphism_report()
-            if not report.ok:
-                raise UnvalidatedActionError(f"action fails morphism check: {report.failures}")
+        return MorphismReport(not failures, failures)
 
 
 class MorphismReport:
@@ -611,8 +601,8 @@ def morphism_check(action: ActionMap, rng=None) -> MorphismReport:
 
 
 def action_algebroid(parent: AlgebroidModel, action: ActionMap) -> AlgebroidModel:
-    """Action algebroid: same generators, base moved to the action target."""
-    action.require_validated()
+    """Action algebroid: same generators, base moved to the action target.
+    Its structure is an algebroid only when `action` passes `morphism_report`."""
     bracket_table = {}
     for i in range(parent.n):
         for j in range(i + 1, parent.n):

@@ -160,9 +160,10 @@ CHECKS = (
     Check("transition-consistency", "structure", "atlas transitions compose to the identity",
           _transitions),
     Check("action-morphism", "structure", "action map: additivity, linearity, bracket, anchor",
-          lambda c: _as_result("action-morphism", c.scenario.action.morphism_report(c.rng))),
+          lambda c: _as_result("action-morphism", c.scenario.action.morphism_report(c.rng)),
+          produces="action"),
     Check("bracket-structure", "structure", "generator bracket satisfies Jacobi and Leibniz",
-          _bracket_structure),
+          _bracket_structure, needs=("action",)),
     Check("presymplectic", "hamiltonian", "leafwise closedness and fiberwise nondegeneracy",
           lambda c: _degenerate_downgrade(
               c, hamiltonian.presymplectic_check(c.scenario.presymplectic),

@@ -93,7 +93,7 @@ class TestIntegralClassConstruction:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_round_trip(self, atlas, level):
         bundle = self._build(atlas, Fraction(level))
-        assert bundle.validated
+        assert validate_bundle(bundle).ok
         diff = curvature(bundle) - omega_fs(atlas, Fraction(level), "full")
         assert diff.simplify().is_zero()
 

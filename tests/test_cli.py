@@ -80,6 +80,22 @@ class TestRun:
         assert code == 1
         assert "FAIL" in out
 
+    def test_flipped_action_field_fails_morphism_and_skips_bracket(self, tmp_path, capsys):
+        # the vertical rotation field negated, as in control_flipped_field
+        data = dump_scenario(su2_orbit_scenario(1))
+        for entry in data["action"]["fields"][2]["components"]:
+            entry["value"] = f"0 - ({entry['value']})"
+        path = tmp_path / "flipped-field.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        records = {r["check"]: r for r in json.loads(captured.out)["records"]}
+        assert records["action-morphism"]["status"] == "fail"
+        assert records["bracket-structure"]["status"] == "skipped"
+        assert records["bracket-structure"]["notes"] == [
+            "needs action from action-morphism, which failed"]
+        assert "Traceback" not in captured.err
+
     def test_schema_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"name\": \"x\"}")

@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from quantbench import catalog, hamiltonian
-from quantbench.bundles import curvature, validate_bundle
+from quantbench import catalog, hamiltonian, liealg
+from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
 
@@ -81,9 +82,27 @@ def test_unknown_check_exits_two(selection, capsys):
     for argv, declared in ((["su2-orbit-k", "--level", "-1"], "levels 0, 1, 2, 3, 4"),
                            (["gauge-u1-char-n", "--level", "99"], "levels 0, 1, 2"),
                            (["su2-orbit-9"], "levels 0, 1, 2, 3, 4"),
-                           (["pair-groupoid-flat", "--level", "3"], "no levels")):
+                           (["pair-groupoid-flat", "--level", "3"], "no levels"),
+                           (["su2-orbit-2", "--level", "3"], "su2-orbit-2 names level 2"),
+                           (["sphere-2"], "unknown scenario: sphere-2")):
         assert main(["run", *argv]) == 2
         assert declared in capsys.readouterr().err
+
+
+def test_concrete_name_is_the_family_stem_and_level():
+    assert catalog.build_scenario("sphere-family-2").level == 2
+    assert catalog.build_scenario("su2-orbit-2", 2).name == "su2-orbit-2"
+    assert catalog.build_scenario("gauge-u1-char-1").scenario.name == "gauge-u1-char-1"
+
+
+# SHA-256 of the controls' canonical reports, keyed by scenario name so that
+# the parametrized test ids stay as they are.
+CONTROL_DIGESTS = {
+    "control-flipped-momentum-1":
+        "91adc088922420ee3d053181025b7999164f5411e97af60d4bf7c23eb1f1cdbf",
+    "control-imaginary-momentum-1":
+        "dda656c471df07af2f47e6a6174e6e067800651c64227f2663fcbfc3cfd206d0",
+}
 
 
 @pytest.mark.parametrize("factory,fails", [
@@ -91,7 +110,10 @@ def test_unknown_check_exits_two(selection, capsys):
     (catalog.control_imaginary_momentum, ("representation-hermitian",)),
 ])
 def test_negative_control_fails_and_skips_downstream(factory, fails):
-    records = {r.check_id: r for r in run_scenario(factory(1)).records}
+    report = run_scenario(factory(1))
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == CONTROL_DIGESTS[report.scenario_name]
+    records = {r.check_id: r for r in report.records}
     assert all(records[c].status == "fail" for c in fails + ("quantization",))
     for check_id in ("gram-positivity", "matrix-commutation", "infinitesimal-unitarity"):
         assert records[check_id].status == "skipped"
@@ -108,9 +130,35 @@ def test_unexpected_exception_is_a_failed_record(monkeypatch):
     assert report.records[-1].check_id == "scenario-note"  # the run went on
 
 
+def test_each_validation_runs_once_in_the_table(monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        # every module that binds the function, so a direct import is counted too
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "quantbench"]
+        for module in [owner, *modules]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    count(liealg.ActionMap, "morphism_report")
+    count(hamiltonian, "prequantization_condition_check")
+    count(hamiltonian, "quantization_condition_check")
+    for name, level in (("pair-groupoid-flat", None), ("gauge-u1-char-n", 1)):
+        calls.clear()
+        scenario = catalog.build_scenario(name, level)
+        assert calls["morphism_report"] == 0
+        run_scenario(scenario)
+        assert calls == {"morphism_report": 1, "prequantization_condition_check": 1,
+                         "quantization_condition_check": 1}
+
+
 def test_curvature_is_computed_once_per_bundle():
     bundle = catalog.o_bundle(catalog.sphere_atlas(), 1)
-    validate_bundle(bundle)
     assert curvature(bundle) is curvature(bundle)
 
 
