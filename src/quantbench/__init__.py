@@ -30,7 +30,6 @@ from .liealg import (
     action_algebroid,
     coAd,
     jacobi_check,
-    morphism_check,
     su2,
     u1,
 )
@@ -103,6 +102,6 @@ from .gauge import (
 )
 from .catalog import build_scenario, list_scenarios
 from .runner import run_scenario
-from .reports import Report
+from .reports import CheckResult, Report
 
 __version__ = "0.1.0"

@@ -22,14 +22,17 @@ from .geometry import (
     LEAF_J,
     LEAF_JTILDE,
     exterior_derivative,
+    form_on_chart,
     glue_check,
     interior_product,
     commutator,
+    to_chart,
     VectorField,
 )
-from .hamiltonian import ActionScenario, AlgebroidCochain, CheckResult, \
-    algebroid_differential, _fn_add, _fn_is_zero
+from .hamiltonian import ActionScenario, AlgebroidCochain, algebroid_differential, \
+    _fn_add, _fn_is_zero
 from .liealg import random_polynomial
+from .reports import CheckResult
 from .scalars import ExactScalar, ZERO
 
 
@@ -132,22 +135,6 @@ def trivial_bundle(cover: GoodCover, name="trivial") -> LineBundleData:
     return LineBundleData(name, cover, {}, weights, pots)
 
 
-def _express_function(expr, src_chart, dst_chart, atlas):
-    if src_chart == dst_chart:
-        return expr
-    transition = atlas.transition(dst_chart, src_chart)
-    return transition.compose_into(expr)
-
-
-def _express_form(form, dst_chart, atlas):
-    if dst_chart in form.charts():
-        return DifferentialForm(atlas, form.degree, LEAF_FULL,
-                                {dst_chart: form.coefficients[dst_chart]})
-    from .geometry import pullback
-    src = next(iter(form.charts()))
-    return pullback(atlas.transition(dst_chart, src), form)
-
-
 def validate_bundle(bundle: LineBundleData) -> CheckResult:
     """Cocycle identity, metric compatibility, gluing, Hermiticity."""
     cover = bundle.cover
@@ -162,7 +149,7 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         c_jk, c_kl, c_jl = (bundle.transition_value(*p) for p in ((j, k), (k, l), (j, l)))
         rational = RationalExpr.const(1)
         for val, power in ((c_jk, 1), (c_kl, 1), (c_jl, -1)):
-            expr = _express_function(val.rational, val.chart, chart, atlas)
+            expr = to_chart(atlas, val.rational, val.chart, chart)
             rational = rational * (expr if power == 1 else RationalExpr.const(1) / expr)
         exps = [c_jk.exponent, c_kl.exponent,
                 None if c_jl.exponent is None else c_jl.exponent.scaled(ExactScalar(-1))]
@@ -204,15 +191,15 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         j, k = simplex
         chart = cover.chart_of(simplex)
         c = bundle.transition_value(j, k)
-        h_j = _express_function(bundle.weight(j), bundle.patch_chart(j), chart, atlas)
-        h_k = _express_function(bundle.weight(k), bundle.patch_chart(k), chart, atlas)
-        abs2 = _express_function(c.abs_squared(), c.chart, chart, atlas)
+        h_j = to_chart(atlas, bundle.weight(j), bundle.patch_chart(j), chart)
+        h_k = to_chart(atlas, bundle.weight(k), bundle.patch_chart(k), chart)
+        abs2 = to_chart(atlas, c.abs_squared(), c.chart, chart)
         residual = h_k - abs2 * h_j
         if not residual.is_zero():
             failures.append(("metric", f"{simplex}: residual {residual}"))
-        eta_j = _express_form(bundle.potential(j), chart, atlas)
-        eta_k = _express_form(bundle.potential(k), chart, atlas)
-        dlog = _express_form(c.dlog(cover), chart, atlas)
+        eta_j = form_on_chart(atlas, bundle.potential(j), chart)
+        eta_k = form_on_chart(atlas, bundle.potential(k), chart)
+        dlog = form_on_chart(atlas, c.dlog(cover), chart)
         glue_res = eta_k - eta_j - dlog
         if not glue_res.is_zero():
             failures.append(("gluing", f"{simplex}: residual {glue_res}"))
@@ -229,7 +216,7 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         residual = lhs - rhs
         if not residual.is_zero():
             failures.append(("hermitian", f"patch {idx}: residual {residual}"))
-    return CheckResult("bundle-data", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)
 
 
 def _angle_coeff(value: TransitionValue) -> ExactScalar:
@@ -265,7 +252,7 @@ def _curvature_form(bundle: LineBundleData) -> DifferentialForm:
     if len(tables) > 1:
         report = glue_check(atlas, form)
         if not report.ok:
-            raise MalformedExpressionError(f"curvature does not glue: {report.residuals}")
+            raise MalformedExpressionError(f"curvature does not glue: {report.failures}")
     return form
 
 
@@ -406,7 +393,7 @@ def rep_flatness_check(scenario: ActionScenario, bundle: LineBundleData,
                         failures.append((f"{model.generator_names[i]},"
                                          f"{model.generator_names[j]}@patch {idx}",
                                          str(resid)))
-    return CheckResult("representation-flatness", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def rep_hermitian_check(scenario: ActionScenario, bundle: LineBundleData,
@@ -430,7 +417,7 @@ def rep_hermitian_check(scenario: ActionScenario, bundle: LineBundleData,
                     if not resid.is_zero():
                         failures.append((f"{model.generator_names[i]}@patch {idx}",
                                          str(resid)))
-    return CheckResult("representation-hermitian", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def connection_equivariance_check(scenario: ActionScenario, bundle: LineBundleData,
@@ -458,7 +445,7 @@ def connection_equivariance_check(scenario: ActionScenario, bundle: LineBundleDa
                 if not resid.is_zero():
                     failures.append((f"{model.generator_names[i]}@patch {idx}",
                                      str(resid)))
-    return CheckResult("connection-equivariance", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +481,7 @@ def pic_dual(a: LineBundleData) -> LineBundleData:
 def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> CheckResult:
     """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data."""
     if scenario.momentum is None:
-        return CheckResult("chern-witness", True,
-                           notes=["no witness declared"], status="hypotheses-not-met")
+        return CheckResult(True, notes=["no witness declared"], status="hypotheses-not-met")
     k_form = curvature(bundle)
     mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
     d_mu = algebroid_differential(mu)
@@ -510,4 +496,4 @@ def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> C
                 failures.append((f"{model.generator_names[i]},{model.generator_names[j]}",
                                  str({ch: str(v) for ch, v in residual.items()})))
     notes = ["witness: the declared momentum pairing exhibits alpha^*K as exact"]
-    return CheckResult("chern-witness", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)

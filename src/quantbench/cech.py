@@ -21,8 +21,9 @@ from .geometry import (
     DifferentialForm,
     FiberedAtlas,
     exterior_derivative,
+    form_on_chart,
     poincare_primitive,
-    pullback,
+    to_chart,
 )
 from .linalg import (
     integer_kernel_basis,
@@ -391,8 +392,8 @@ def derham_to_cech(omega: DifferentialForm, cover: GoodCover, primitives=None,
     # verify the overlap functions
     for (j, k), f in overlap_functions.items():
         chart_name = f.chart
-        eta_diff = _express_on_chart(etas[j], chart_name, atlas) - \
-            _express_on_chart(etas[k], chart_name, atlas)
+        eta_diff = form_on_chart(atlas, etas[j], chart_name) - \
+            form_on_chart(atlas, etas[k], chart_name)
         mismatch = f.differential(cover) - eta_diff
         if not mismatch.is_zero():
             raise MalformedExpressionError(
@@ -412,9 +413,11 @@ def derham_to_cech(omega: DifferentialForm, cover: GoodCover, primitives=None,
                     f"angle coefficients do not cancel on {simplex}")
             # rational parts must combine to a leafwise-constant function
             chart_name = cover.chart_of(simplex)
-            rot = _express_scalar(f_jk, chart_name, cover) + \
-                _express_scalar(f_kl, chart_name, cover) - \
-                _express_scalar(f_jl, chart_name, cover)
+            # the angle parts enter through the offsets; an undeclared
+            # overlap function has no chart and is zero everywhere
+            jk, kl, jl = (to_chart(atlas, f.rational_part, f.chart or chart_name, chart_name)
+                          for f in (f_jk, f_kl, f_jl))
+            rot = jk + kl - jl
             chart = atlas.chart(chart_name)
             for coord in chart.coords_for(omega.leafwise_class):
                 if not rot.derivative(coord).is_zero():
@@ -443,23 +446,6 @@ def _get_overlap(functions, j, k):
     if (k, j) in functions:
         return functions[(k, j)].scaled(ExactScalar(-1))
     return OverlapFunction(chart=None, rational_part=0, angle_coeff=0)
-
-
-def _express_scalar(f: OverlapFunction, chart_name, cover):
-    """Rational part of f moved to the requested chart (angle part handled via offsets)."""
-    if f.chart is None or f.chart == chart_name:
-        return f.rational_part
-    transition = cover.atlas.transition(chart_name, f.chart)
-    return transition.compose_into(f.rational_part)
-
-
-def _express_on_chart(form: DifferentialForm, chart_name, atlas) -> DifferentialForm:
-    if chart_name in form.charts():
-        return DifferentialForm(atlas, form.degree, "full",
-                                {chart_name: form.coefficients[chart_name]})
-    source = next(iter(form.charts()))
-    transition = atlas.transition(chart_name, source)
-    return pullback(transition, form)
 
 
 def _restrict_to_chart(form, chart_name, atlas):

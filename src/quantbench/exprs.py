@@ -580,13 +580,22 @@ def equal_at_random_points(a: RationalExpr, b: RationalExpr, trials: int = 20,
 # A small expression parser for scenario files and tests
 # ---------------------------------------------------------------------------
 
+# Parentheses and unary minus signs nested deeper than this are rejected, so
+# that the recursive descent stays far below the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
 def parse_expr(text: str) -> RationalExpr:
-    """Parse +,-,*,/,^, parentheses, integers, 'i', 'twopii' and variables."""
+    """Parse +,-,*,/,^, parentheses, integers, 'i', 'twopii' and variables.
+    Any text that is not such an expression raises `MalformedExpressionError`."""
     tokens = _tokenize(text)
-    expr, pos = _parse_sum(tokens, 0)
+    expr, pos = _parse_sum(tokens, 0, 0)
     if pos != len(tokens):
         raise MalformedExpressionError(f"trailing input in {text!r}")
     return expr
+
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts digits int() rejects
 
 
 def _tokenize(text: str):
@@ -599,11 +608,14 @@ def _tokenize(text: str):
         elif ch in "+-*/^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(int(text[i:j]))
+            try:
+                tokens.append(int(text[i:j]))
+            except ValueError:  # longer than the interpreter converts
+                raise MalformedExpressionError(f"integer too long in {text!r}") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -616,32 +628,32 @@ def _tokenize(text: str):
     return tokens
 
 
-def _parse_sum(tokens, pos):
+def _parse_sum(tokens, pos, depth):
     sign = 1
     if pos < len(tokens) and tokens[pos] in ("+", "-"):
         sign = -1 if tokens[pos] == "-" else 1
         pos += 1
-    left, pos = _parse_product(tokens, pos)
+    left, pos = _parse_product(tokens, pos, depth)
     if sign < 0:
         left = -left
     while pos < len(tokens) and tokens[pos] in ("+", "-"):
         op = tokens[pos]
-        right, pos = _parse_product(tokens, pos + 1)
+        right, pos = _parse_product(tokens, pos + 1, depth)
         left = left + right if op == "+" else left - right
     return left, pos
 
 
-def _parse_product(tokens, pos):
-    left, pos = _parse_power(tokens, pos)
+def _parse_product(tokens, pos, depth):
+    left, pos = _parse_power(tokens, pos, depth)
     while pos < len(tokens) and tokens[pos] in ("*", "/"):
         op = tokens[pos]
-        right, pos = _parse_power(tokens, pos + 1)
+        right, pos = _parse_power(tokens, pos + 1, depth)
         left = left * right if op == "*" else left / right
     return left, pos
 
 
-def _parse_power(tokens, pos):
-    base, pos = _parse_atom(tokens, pos)
+def _parse_power(tokens, pos, depth):
+    base, pos = _parse_atom(tokens, pos, depth)
     if pos < len(tokens) and tokens[pos] == "^":
         neg = False
         pos += 1
@@ -656,17 +668,19 @@ def _parse_power(tokens, pos):
     return base, pos
 
 
-def _parse_atom(tokens, pos):
+def _parse_atom(tokens, pos, depth):
     if pos >= len(tokens):
         raise MalformedExpressionError("unexpected end of expression")
+    if depth > _MAX_NESTING:
+        raise MalformedExpressionError(f"expression nested more than {_MAX_NESTING} deep")
     tok = tokens[pos]
     if tok == "(":
-        expr, pos = _parse_sum(tokens, pos + 1)
+        expr, pos = _parse_sum(tokens, pos + 1, depth + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
             raise MalformedExpressionError("unbalanced parenthesis")
         return expr, pos + 1
     if tok == "-":
-        expr, pos = _parse_atom(tokens, pos + 1)
+        expr, pos = _parse_atom(tokens, pos + 1, depth + 1)
         return -expr, pos
     if isinstance(tok, int):
         return RationalExpr.const(tok), pos + 1

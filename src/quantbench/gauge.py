@@ -30,7 +30,6 @@ from .geometry import (
 from .hamiltonian import (
     ActionScenario,
     AlgebroidCochain,
-    CheckResult,
     MomentumMapRep,
     PresymplecticData,
     algebroid_differential,
@@ -41,6 +40,7 @@ from .hamiltonian import (
 )
 from .liealg import ActionMap, AlgebroidModel, LieAlgebra
 from .quantize import ComplexStructureData, gram_matrix, quantize_monomial
+from .reports import CheckResult
 from .scalars import ExactScalar, ONE, ZERO
 
 
@@ -92,7 +92,7 @@ class PrincipalBundleData:
             diff = [(a - b).simplify() for a, b in zip(vec, display)]
             if any(not d.is_zero() for d in diff):
                 failures.append((f"F[{i},{j}]", "display mismatch"))
-        return CheckResult("curvature-formula", not failures, failures)
+        return CheckResult(not failures, failures)
 
     def is_flat(self) -> bool:
         return all(all(c.is_zero() for c in vec)
@@ -335,7 +335,7 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
                 failures.append((f"curvature-pairing {model.generator_names[i]},"
                                  f"{model.generator_names[j]}",
                                  str({ch: str(v) for ch, v in residual.items()})))
-    return CheckResult("gauge-momentum", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResult:
@@ -344,9 +344,7 @@ def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResu
     declared base sample)."""
     fiber, bundle = gauge.fiber, gauge.scenario.bundle
     if bundle is None:
-        return CheckResult("quantization-isomorphism", True,
-                           notes=["point fiber: both sides are the declared line"],
-                           status="pass")
+        return CheckResult(True, notes=["point fiber: both sides are the declared line"])
     failures = []
     notes = []
     fs = fiber.fiber_scenario
@@ -354,9 +352,8 @@ def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResu
                                   fs.ansatz_cap)
 
     if fiber_rep.dimension != gauge_rep.dimension:
-        return CheckResult("quantization-isomorphism", False,
-                           [("dimension", f"fiber {fiber_rep.dimension} vs "
-                             f"gauge {gauge_rep.dimension}")])
+        return CheckResult(False, [("dimension", f"fiber {fiber_rep.dimension} vs "
+                                                 f"gauge {gauge_rep.dimension}")])
     n_base = gauge.scenario.model.gauge_base_count
     dim = fiber.algebra.dimension
     n = fiber_rep.dimension
@@ -382,7 +379,7 @@ def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResu
     notes.append("intertwiner: identity matrix in trivialized frames; "
                  "unitary since the Gram matrices coincide")
     notes.append(f"dimension per base point: {n}")
-    return CheckResult("quantization-isomorphism", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)
 
 
 def integrated_rep_check(gauge: GaugeScenario, other_potential,
@@ -462,7 +459,7 @@ def integrated_rep_check(gauge: GaugeScenario, other_potential,
         if h1 != h2:
             failures.append(("holonomy", f"loop exponents differ: {h1} vs {h2}"))
         notes.append(f"loop exponent: {h1}")
-    return CheckResult("integrated-representation", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)
 
 
 def _forms_equal_chartwise(a: DifferentialForm, b: DifferentialForm) -> bool:

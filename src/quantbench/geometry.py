@@ -21,6 +21,7 @@ from .errors import (
     UnsupportedPrimitiveError,
 )
 from .exprs import PolyExpr, RationalExpr, coerce_rational
+from .reports import CheckResult
 from .scalars import ExactScalar
 
 LEAF_J = "J"
@@ -127,6 +128,14 @@ class FiberedAtlas:
                 if not (roundtrip - RationalExpr.var(coord)).is_zero():
                     bad.append((a, b, coord))
         return bad
+
+
+def to_chart(atlas, expr, source, target) -> RationalExpr:
+    """`expr`, written in chart `source`'s coordinates, in chart `target`'s;
+    unchanged when the two are the same chart."""
+    if source == target:
+        return expr
+    return atlas.transition(target, source).compose_into(expr)
 
 
 def _charts_of(atlas, *tables, every=False):
@@ -549,19 +558,17 @@ def pullback(transition: Transition, form: DifferentialForm) -> DifferentialForm
     return out
 
 
-class GlueReport:
-    def __init__(self, ok, residuals):
-        self.ok = ok
-        self.residuals = residuals
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"GlueReport(ok={self.ok}, residuals={len(self.residuals)})"
+def form_on_chart(atlas, form: DifferentialForm, chart) -> DifferentialForm:
+    """`form` on `chart`: its own coefficients there, or else the pullback
+    from the first chart, in the atlas's declared order, that carries it."""
+    if chart in form.coefficients:
+        return DifferentialForm(atlas, form.degree, LEAF_FULL,
+                                {chart: form.coefficients[chart]})
+    source = _charts_of(atlas, form.coefficients)[0]
+    return pullback(atlas.transition(chart, source), form)
 
 
-def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> GlueReport:
+def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> CheckResult:
     """Chart expressions agree under every declared transition."""
     residuals = []
     for (src, tgt), transition in atlas.transitions.items():
@@ -576,10 +583,10 @@ def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> GlueReport:
             value = value.simplify()
             if not value.is_zero():
                 residuals.append((src, tgt, f"d{idx}: {value}"))
-    return GlueReport(not residuals, residuals)
+    return CheckResult(not residuals, residuals)
 
 
-def glue_check_field(atlas: FiberedAtlas, field: VectorField) -> GlueReport:
+def glue_check_field(atlas: FiberedAtlas, field: VectorField) -> CheckResult:
     """Pushforward consistency of chartwise components along transitions."""
     residuals = []
     for (src, tgt), transition in atlas.transitions.items():
@@ -595,7 +602,7 @@ def glue_check_field(atlas: FiberedAtlas, field: VectorField) -> GlueReport:
             diff = (pushed - declared).simplify()
             if not diff.is_zero():
                 residuals.append((src, tgt, coord, str(diff)))
-    return GlueReport(not residuals, residuals)
+    return CheckResult(not residuals, residuals)
 
 
 def poincare_primitive(form: DifferentialForm, chart: Chart,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import random
 
+from . import linalg
 from .errors import PerturbationRejectedError
 from .exprs import RationalExpr, coerce_rational
 from .geometry import (
@@ -24,22 +25,8 @@ from .geometry import (
     lie_derivative,
 )
 from .liealg import ActionMap, AlgebroidModel, action_algebroid, random_polynomial
+from .reports import CheckResult
 from .scalars import ExactScalar
-
-
-class CheckResult:
-    def __init__(self, check_id, ok, failures=None, notes=None, status=None):
-        self.check_id = check_id
-        self.ok = bool(ok)
-        self.failures = list(failures or [])
-        self.notes = list(notes or [])
-        self.status = status or ("pass" if self.ok else "fail")
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"CheckResult({self.check_id}: {self.status}, {len(self.failures)} failures)"
 
 
 class PresymplecticData:
@@ -61,20 +48,6 @@ class PresymplecticData:
                  for b in fibers] for a in fibers]
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return RationalExpr.const(1)
-    if n == 1:
-        return rows[0][0]
-    total = RationalExpr.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def presymplectic_check(data: PresymplecticData) -> CheckResult:
     """Leafwise closedness plus fiberwise nondegeneracy (symbolic + samples)."""
     failures = []
@@ -84,21 +57,21 @@ def presymplectic_check(data: PresymplecticData) -> CheckResult:
         failures.append(("closedness", repr(d_omega.simplify())))
     glue = glue_check(data.atlas, data.omega_tilde)
     if not glue.ok:
-        failures.append(("gluing", str(glue.residuals)))
+        failures.append(("gluing", str(glue.failures)))
     # charts in the atlas's declared order, so the failure order is fixed
     for chart_name in data.omega_tilde.atlas.charts:
         if chart_name not in data.omega_tilde.coefficients:
             continue
-        det = _det(data.fiber_matrix(chart_name)).simplify()
+        det = linalg.det(data.fiber_matrix(chart_name), RationalExpr.const(1)).simplify()
         if data.atlas.chart(chart_name).fiber_coords and det.is_zero():
             failures.append(("nondegeneracy", f"chart {chart_name}: determinant vanishes"))
     for sample in data.sample_points:
         chart_name, point = sample["chart"], sample["point"]
-        det = _det(data.fiber_matrix(chart_name))
+        det = linalg.det(data.fiber_matrix(chart_name), RationalExpr.const(1))
         value = det.numeric(point)
         if abs(value) < 1e-12:
             failures.append(("nondegeneracy-sample", f"{chart_name}@{point}"))
-    return CheckResult("presymplectic", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)
 
 
 class MomentumMapRep:
@@ -296,7 +269,7 @@ def internal_momentum_check(s: ActionScenario) -> CheckResult:
         residual = lhs + rhs
         if not residual.is_zero():
             failures.append((s.model.generator_names[i], repr(residual)))
-    return CheckResult("internal-momentum", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def equivariance_check(s: ActionScenario) -> CheckResult:
@@ -325,7 +298,7 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
                 failures.append((f"{s.model.generator_names[i]},"
                                  f"{s.model.generator_names[j]}",
                                  str({ch: str(v) for ch, v in residual.items()})))
-    return CheckResult("coadjoint-equivariance", not failures, failures, notes)
+    return CheckResult(not failures, failures, notes)
 
 
 def prequantization_condition_check(s: ActionScenario) -> CheckResult:
@@ -342,7 +315,7 @@ def prequantization_condition_check(s: ActionScenario) -> CheckResult:
                 failures.append((f"{s.model.generator_names[i]},"
                                  f"{s.model.generator_names[j]}",
                                  str({ch: str(v) for ch, v in residual.items()})))
-    return CheckResult("prequantization-condition", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def quantization_condition_check(s: ActionScenario) -> CheckResult:
@@ -356,7 +329,7 @@ def quantization_condition_check(s: ActionScenario) -> CheckResult:
         residual = lhs + rhs
         if not residual.is_zero():
             failures.append((s.model.generator_names[i], repr(residual)))
-    return CheckResult("quantization-condition", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScenario:
@@ -410,4 +383,4 @@ def dd_zero_report(s: ActionScenario, rng: random.Random, samples=3) -> CheckRes
     for key, fn in dd_mu.values.items():
         if not _fn_is_zero(fn):
             failures.append((f"ddmu triple {key}", "nonzero"))
-    return CheckResult("differential-squares-to-zero", not failures, failures)
+    return CheckResult(not failures, failures)

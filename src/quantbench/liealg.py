@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import MalformedExpressionError, ModelMismatchError
 from .exprs import PolyExpr, RationalExpr, coerce_rational
 from .geometry import LEAF_FULL, LEAF_JTILDE, FiberedAtlas, VectorField, _field_sum, commutator
+from .reports import CheckResult
 from .scalars import ExactScalar, I, ONE, ZERO
 
 
@@ -71,7 +72,7 @@ class LieAlgebra:
                         out[k] = out[k] + ua * vb * cc
         return out
 
-    def jacobi_report(self):
+    def jacobi_report(self) -> CheckResult:
         n = self.dimension
         failures = []
         basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -86,25 +87,16 @@ class LieAlgebra:
                     if any(not t.is_zero() for t in total):
                         failures.append((self.basis_names[a], self.basis_names[b],
                                          self.basis_names[c]))
-        return JacobiReport(not failures, failures)
+        return CheckResult(not failures, failures)
 
 
-class JacobiReport:
-    def __init__(self, ok, failures):
-        self.ok = ok
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
-
-
-def jacobi_check(algebra_or_constants, basis_names=None) -> JacobiReport:
+def jacobi_check(algebra_or_constants, basis_names=None) -> CheckResult:
     """Jacobi identity over all basis triples, exactly."""
     if isinstance(algebra_or_constants, LieAlgebra):
         return algebra_or_constants.jacobi_report()
     alg = LieAlgebra(basis_names, algebra_or_constants, check=False)
     if alg.antisymmetry_violations():
-        return JacobiReport(False, ["antisymmetry"])
+        return CheckResult(False, ["antisymmetry"])
     return alg.jacobi_report()
 
 
@@ -381,7 +373,7 @@ class AlgebroidModel:
             raise ModelMismatchError("section belongs to another model")
 
     # -- structural validation -----------------------------------------------
-    def anchor_morphism_report(self, rng=None):
+    def anchor_morphism_report(self, rng=None) -> CheckResult:
         """anchor([X,Y]) = [anchor X, anchor Y] on generators, symbolically."""
         failures = []
         gens = self.generators()
@@ -391,9 +383,9 @@ class AlgebroidModel:
                 rhs = commutator(self.anchor(gens[i]), self.anchor(gens[j]))
                 if not (lhs - rhs).is_zero():
                     failures.append((self.generator_names[i], self.generator_names[j]))
-        return JacobiReport(not failures, failures)
+        return CheckResult(not failures, failures)
 
-    def leibniz_report(self, rng: random.Random):
+    def leibniz_report(self, rng: random.Random) -> CheckResult:
         """[X, f Y] = f [X, Y] + (rho(X).f) Y on generators, random polynomial f."""
         failures = []
         gens = self.generators()
@@ -413,9 +405,9 @@ class AlgebroidModel:
                 diff = [(a - b).simplify() for a, b in zip(lhs.coeffs, expect)]
                 if any(not d.is_zero() for d in diff):
                     failures.append((self.generator_names[i], self.generator_names[j]))
-        return JacobiReport(not failures, failures)
+        return CheckResult(not failures, failures)
 
-    def jacobi_on_generators(self, coefficient=None):
+    def jacobi_on_generators(self, coefficient=None) -> CheckResult:
         """Jacobi for the extended bracket on all generator triples.
 
         coefficient, when given, multiplies the first slot of each triple to
@@ -439,7 +431,7 @@ class AlgebroidModel:
                             [p + q for p, q in zip(total.coeffs, term.coeffs)])
                     if any(not v.is_zero() for v in total.coeffs):
                         failures.append((a, b, c))
-        return JacobiReport(not failures, failures)
+        return CheckResult(not failures, failures)
 
 
 class SectionRep:
@@ -542,7 +534,7 @@ class ActionMap:
             raise ModelMismatchError("section belongs to another model")
         return _field_sum(self.target_atlas, LEAF_JTILDE, zip(section.coeffs, self.fields))
 
-    def morphism_report(self, rng=None):
+    def morphism_report(self, rng=None) -> CheckResult:
         """The four action identities on generators (and random coefficients)."""
         rng = rng or random.Random(11)
         failures = []
@@ -577,16 +569,7 @@ class ActionMap:
             scaled = self.of(gen * f)
             if not (scaled - self.of(gen) * f).is_zero():
                 failures.append(("linearity", self.model.generator_names[i]))
-        return MorphismReport(not failures, failures)
-
-
-class MorphismReport:
-    def __init__(self, ok, failures):
-        self.ok = ok
-        self.failures = failures
-
-    def __bool__(self):
-        return self.ok
+        return CheckResult(not failures, failures)
 
 
 def _base_component(field: VectorField, coord) -> RationalExpr:
@@ -594,10 +577,6 @@ def _base_component(field: VectorField, coord) -> RationalExpr:
         if coord in field.atlas.chart(ch).coords:
             return field.component(ch, coord)
     return RationalExpr.zero()
-
-
-def morphism_check(action: ActionMap, rng=None) -> MorphismReport:
-    return action.morphism_report(rng)
 
 
 def action_algebroid(parent: AlgebroidModel, action: ActionMap) -> AlgebroidModel:

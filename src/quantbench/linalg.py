@@ -4,6 +4,7 @@ the integers (with unimodular transforms)."""
 
 from __future__ import annotations
 
+from .exprs import RationalExpr, coerce_rational
 from .scalars import ExactScalar, ONE, ZERO
 
 
@@ -108,6 +109,29 @@ def _transpose(cols, nrows):
 def matvec(rows, vec):
     return [sum((_fieldify(a) * _fieldify(v)
                  for a, v in zip(row, vec)), ZERO) for row in rows]
+
+
+def mat_mul(a, b):
+    """Product of matrices whose entries `coerce_rational` accepts; the
+    entries of the product are `RationalExpr`."""
+    p = len(b[0]) if b else 0
+    return [[sum((coerce_rational(a[i][k]) * coerce_rational(b[k][j])
+                  for k in range(len(b))), RationalExpr.zero())
+             for j in range(p)] for i in range(len(a))]
+
+
+def det(rows, one=ONE):
+    """Determinant by Laplace expansion along the first row.  `one` is the
+    determinant of the empty matrix, so the result has the entries' type."""
+    if not rows:
+        return one
+    if len(rows) == 1:
+        return rows[0][0]
+    total = one - one
+    for j in range(len(rows)):
+        term = rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]], one)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 # ---------------------------------------------------------------------------

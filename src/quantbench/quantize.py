@@ -19,9 +19,10 @@ from .errors import (
     UnsupportedIntegrationError,
 )
 from .exprs import PolyExpr, RationalExpr, coerce_rational, TWO_PI_I
-from .geometry import LEAF_J, VectorField, commutator, interior_product
-from .hamiltonian import ActionScenario, CheckResult
-from .linalg import kernel_basis, solve_linear
+from .geometry import LEAF_J, VectorField, commutator, interior_product, to_chart
+from .hamiltonian import ActionScenario
+from .linalg import det, kernel_basis, mat_mul, solve_linear
+from .reports import CheckResult
 from .scalars import ExactScalar, I, ONE, ZERO
 
 
@@ -55,14 +56,14 @@ class ComplexStructureData:
             j_src = self.matrices[src]
             j_tgt_pulled = [[transition.compose_into(v) for v in row]
                             for row in self.matrices[tgt]]
-            lhs = _mat_mul_expr(jac, j_src)
-            rhs = _mat_mul_expr(j_tgt_pulled, jac)
+            lhs = mat_mul(jac, j_src)
+            rhs = mat_mul(j_tgt_pulled, jac)
             for i in range(len(tf)):
                 for j in range(len(sf)):
                     if not (lhs[i][j] - rhs[i][j]).is_zero():
                         failures.append((f"{src}->{tgt}: jacobian does not intertwine",
                                          f"entry {i},{j}"))
-        return CheckResult("complex-structure", not failures, failures)
+        return CheckResult(not failures, failures)
 
     def apply(self, field: VectorField) -> VectorField:
         """j(v) for a fiberwise field."""
@@ -122,14 +123,8 @@ class ComplexStructureData:
                 num = value.numeric(point)
                 if not (abs(num.imag) < 1e-9 and num.real > 1e-12):
                     failures.append((f"{ch}@{point}", f"omega(j d{c}, d{c}) = {num}"))
-        return CheckResult("kahler-positivity", not failures, failures,
+        return CheckResult(not failures, failures,
                            notes=["positivity sampled numerically at declared points"])
-
-
-def _mat_mul_expr(a, b):
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), RationalExpr.zero())
-             for j in range(p)] for i in range(n)]
 
 
 def polarization_equivariance_check(scenario: ActionScenario,
@@ -152,7 +147,7 @@ def polarization_equivariance_check(scenario: ActionScenario,
                 if bad:
                     failures.append((f"{scenario.model.generator_names[i]}@"
                                      f"{ch}:d{c}", str([(c0, str(v0)) for c0, v0 in bad])))
-    return CheckResult("polarization-equivariance", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +213,12 @@ def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
                 "holomorphic solver supports rational transitions only")
         chart_j = bundle.patch_chart(j)
         chart_k = bundle.patch_chart(k)
-        c_expr = _to_chart(c.rational, c.chart, chart_j, atlas)
+        c_expr = to_chart(atlas, c.rational, c.chart, chart_j)
         glue_exprs = []
-        transition = atlas.transition(chart_j, chart_k) if chart_j != chart_k else None
         for a, f in enumerate(ansatz.candidates[j]):
             glue_exprs.append((offsets[j] + a, f))
         for b, g in enumerate(ansatz.candidates[k]):
-            moved = transition.compose_into(g) if transition is not None else g
+            moved = to_chart(atlas, g, chart_k, chart_j)
             glue_exprs.append((offsets[k] + b, -(c_expr * moved)))
         rows.extend(_linear_rows_indexed(glue_exprs, total))
     kernel = kernel_basis(rows, total) if rows else \
@@ -256,12 +250,6 @@ def _polarized_derivative(bundle, frames, p):
     contraction = interior_product(frame, bundle.potential(p))
     pot = contraction.coefficient(chart, ()) * RationalExpr.var(TWO_PI_I)
     return lambda f: frame.derive(f, chart) + pot * f
-
-
-def _to_chart(expr, src_chart, dst_chart, atlas):
-    if src_chart == dst_chart:
-        return expr
-    return atlas.transition(dst_chart, src_chart).compose_into(expr)
 
 
 def _linear_rows(exprs, offset, total):
@@ -410,24 +398,9 @@ def leading_minors_positive(gram) -> bool:
     n = len(gram)
     for size in range(1, n + 1):
         sub = [[gram[i][j] for j in range(size)] for i in range(size)]
-        det = _scalar_det(sub)
-        if not det.is_positive():
+        if not det(sub).is_positive():
             return False
     return True
-
-
-def _scalar_det(rows):
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _scalar_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +539,7 @@ def commutation_check(result: QuantizationResult, model) -> CheckResult:
                    for a in range(n) for b in range(n)):
                 failures.append((f"{result.generator_names[i]},"
                                  f"{result.generator_names[j]}", "commutator mismatch"))
-    return CheckResult("matrix-commutation", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def unitarity_check(result: QuantizationResult) -> CheckResult:
@@ -576,17 +549,10 @@ def unitarity_check(result: QuantizationResult) -> CheckResult:
     n = result.dimension
     for idx, m in enumerate(result.matrices):
         m_dag = [[coerce_rational(m[j][i]).conj() for j in range(n)] for i in range(n)]
-        lhs = _mat_add(_mat_mul(m_dag, g), _mat_mul(g, m))
+        lhs = _mat_add(mat_mul(m_dag, g), mat_mul(g, m))
         if any(not v.is_zero() for row in lhs for v in row):
             failures.append((result.generator_names[idx], "M*G + GM != 0"))
-    return CheckResult("infinitesimal-unitarity", not failures, failures)
-
-
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((coerce_rational(a[i][k]) * coerce_rational(b[k][j])
-                  for k in range(m)), RationalExpr.zero())
-             for j in range(p)] for i in range(n)]
+    return CheckResult(not failures, failures)
 
 
 def _mat_add(a, b):
@@ -595,8 +561,8 @@ def _mat_add(a, b):
 
 
 def _mat_commutator(a, b):
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
+    ab = mat_mul(a, b)
+    ba = mat_mul(b, a)
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
-from .hamiltonian import ActionScenario, CheckResult
+from .hamiltonian import ActionScenario
 from .bundles import LineBundleData, kostant_operator
-from .linalg import kernel_basis, rref
-from .quantize import QuantizationResult, _mat_mul
+from .linalg import kernel_basis, mat_mul, rref
+from .quantize import QuantizationResult
+from .reports import CheckResult
 from .scalars import ExactScalar, I, ONE, ZERO
 
 
@@ -66,7 +67,7 @@ class ZeroLevelData:
                 derived = field.derive(eq, self.chart).subst(self.parametrization)
                 if not derived.is_zero():
                     failures.append(("tangency", f"generator {i}"))
-        return CheckResult("zero-level", not failures, failures,
+        return CheckResult(not failures, failures,
                            notes=[f"freeness declared: {self.free}",
                                   f"properness declared: {self.proper}"])
 
@@ -148,9 +149,12 @@ def full_mw_quotient(z: ZeroLevelData, internal: ReducedSpace, base_points,
 # ---------------------------------------------------------------------------
 
 class QuantumReduction:
-    def __init__(self, source: QuantizationResult, basis_columns, projector,
-                 weights, weight_integral):
+    """The vectors of `source` that the `isotropy_indices` generators fix."""
+
+    def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns,
+                 projector, weights, weight_integral):
         self.source = source
+        self.isotropy_indices = tuple(isotropy_indices)
         self.basis = basis_columns
         self.projector = projector
         self.weights = weights
@@ -186,7 +190,8 @@ def quantum_fixed_subspace(result: QuantizationResult,
     else:
         kernel = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
     projector = _metric_projector(kernel, result.gram, n)
-    return QuantumReduction(result, kernel, projector, weights, weight_integral)
+    return QuantumReduction(result, isotropy_indices, kernel, projector, weights,
+                            weight_integral)
 
 
 def _metric_projector(columns, gram, n):
@@ -195,10 +200,10 @@ def _metric_projector(columns, gram, n):
     k = len(columns)
     b = [[columns[j][i] for j in range(k)] for i in range(n)]  # n x k
     b_dag = [[b[i][j].conj() for i in range(n)] for j in range(k)]  # k x n
-    gb = _mat_mul(gram, b)
-    small = _mat_mul(b_dag, gb)  # k x k, Hermitian positive
+    gb = mat_mul(gram, b)
+    small = mat_mul(b_dag, gb)  # k x k, Hermitian positive
     small_inv = _invert(small)
-    return _mat_mul(_mat_mul(b, small_inv), _mat_mul(b_dag, gram))
+    return mat_mul(mat_mul(b, small_inv), mat_mul(b_dag, gram))
 
 
 def _invert(mat):
@@ -215,18 +220,18 @@ def projector_checks(red: QuantumReduction) -> CheckResult:
     """Idempotence and commutation with the full representation matrices."""
     failures = []
     p = red.projector
-    pp = _mat_mul(p, p)
+    pp = mat_mul(p, p)
     if any(not (pp[i][j] - p[i][j]).is_zero()
            for i in range(len(p)) for j in range(len(p))):
         failures.append(("idempotent", "P^2 != P"))
     for idx, mat in enumerate(red.source.matrices):
-        lhs = _mat_mul(p, mat)
-        rhs = _mat_mul(mat, p)
+        lhs = mat_mul(p, mat)
+        rhs = mat_mul(mat, p)
         if any(not (lhs[i][j] - rhs[i][j]).is_zero()
                for i in range(len(p)) for j in range(len(p))):
             failures.append(("invariance",
                              f"projector does not commute with generator {idx}"))
-    return CheckResult("quantum-projector", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +269,7 @@ def descent_obstruction_check(scenario: ActionScenario, bundle: LineBundleData,
     notes = [f"weights: {[f'{k}: {v}' for k, v in weights.items()]}",
              f"obstruction (weight mod 1): {[f'{k}: {v}' for k, v in obstructions.items()]}"]
     status = "pass" if descends else "hypotheses-not-met"
-    result = CheckResult("descent-obstruction", not failures, failures, notes,
-                         status=status)
+    result = CheckResult(not failures, failures, notes, status=status)
     result.weights = weights
     result.obstructions = obstructions
     result.descends = descends
@@ -293,72 +297,40 @@ class QRReport:
                 f"reduced {self.reduced_dimension})")
 
 
-def qr_commute_check(scenario: ActionScenario, bundle: LineBundleData,
-                     result: QuantizationResult, z: ZeroLevelData,
-                     reduced_quantization=None) -> QRReport:
-    """Compare the reduced quantization with the fixed subspace.
-
-    reduced_quantization: declared description of Q(reduced); for point
-    quotients in the catalog this is dimension 1 with unit Gram and trivial
-    representation.
-    """
-    descent = descent_obstruction_check(scenario, bundle, z)
-    fixed = quantum_fixed_subspace(result, z.isotropy_indices)
+def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
+                     descent: CheckResult) -> QRReport:
+    """Compare the quantization of the `reduced` space with the `fixed`
+    subspace, given the `descent` obstruction of the line bundle.  A point
+    quotient quantizes to the line with unit Gram matrix and trivial action;
+    positive-dimensional quotients have no declared quantization."""
     if not descent.descends:
         return QRReport("hypotheses-not-met", fixed.dimension,
                         None, obstruction=descent.obstructions,
                         notes=["line bundle does not descend; "
                                "comparison hypotheses not met",
                                f"fixed-subspace dimension {fixed.dimension}"])
-    if reduced_quantization is None:
-        internal = internal_mw_quotient(z)
-        if internal.kind == "point":
-            reduced_quantization = {"dimension": 1, "gram": [[ONE]],
-                                    "matrices": {}}
-        else:
-            raise MalformedExpressionError(
-                "declare the reduced quantization for positive-dimensional quotients")
-    red_dim = reduced_quantization["dimension"]
-    if red_dim != fixed.dimension:
-        return QRReport("fail", fixed.dimension, red_dim,
-                        notes=["dimension mismatch"])
-    # restricted data on the fixed subspace
-    n = result.dimension
-    cols = fixed.basis
-    k = len(cols)
-    b = [[cols[j][i] for j in range(k)] for i in range(n)]
-    b_dag = [[b[i][j].conj() for i in range(n)] for j in range(k)]
-    g_fixed = _mat_mul(b_dag, _mat_mul(result.gram, b))
-    notes = []
-    intertwiner = [[ONE if i == j else ZERO for j in range(red_dim)]
-                   for i in range(red_dim)]
-    # intertwining: any non-isotropy generators must agree with the declared
-    # reduced matrices through the identity map on the chosen bases
-    red_mats = reduced_quantization.get("matrices", {})
-    residual = []
-    for idx in range(len(result.matrices)):
-        if idx in z.isotropy_indices:
-            continue
-        restricted = _mat_mul(b_dag, _mat_mul(result.gram,
-                                              _mat_mul(result.matrices[idx], b)))
-        target = red_mats.get(idx, [[ZERO] * red_dim for _ in range(red_dim)])
-        g_target = _mat_mul(g_fixed, target)
-        if any(not (restricted[i][j] - g_target[i][j]).is_zero()
-               for i in range(k) for j in range(k)):
-            residual.append(idx)
+    if reduced.kind != "point":
+        raise MalformedExpressionError(
+            "no declared quantization for a positive-dimensional quotient")
+    if fixed.dimension != 1:
+        return QRReport("fail", fixed.dimension, 1, notes=["dimension mismatch"])
+    # restricted data on the fixed line
+    result = fixed.source
+    b = [[column[i] for column in fixed.basis] for i in range(result.dimension)]
+    b_dag = [[row[0].conj() for row in b]]
+    g_fixed = mat_mul(b_dag, mat_mul(result.gram, b))
+    # intertwining: the non-isotropy generators must act on the fixed line as
+    # they act on the reduced one, trivially
+    residual = [idx for idx, mat in enumerate(result.matrices)
+                if idx not in fixed.isotropy_indices and
+                not mat_mul(b_dag, mat_mul(result.gram, mat_mul(mat, b)))[0][0].is_zero()]
     if residual:
-        return QRReport("fail", fixed.dimension, red_dim,
+        return QRReport("fail", fixed.dimension, 1,
                         notes=[f"intertwiner fails on generators {residual}"])
-    scale_squared = None
-    if red_dim == 1:
-        ratio = (coerce_rational(reduced_quantization["gram"][0][0]) /
-                 coerce_rational(g_fixed[0][0])).simplify()
-        if not (ratio.is_constant() and ratio.constant_value().is_positive()):
-            return QRReport("fail", fixed.dimension, red_dim,
-                            notes=["Gram ratio not positive"])
-        scale_squared = ratio.constant_value()
-        notes.append("unitary normalizer: scale^2 = reduced Gram / fixed Gram "
-                     f"= {ratio}")
-    return QRReport("pass", fixed.dimension, red_dim, intertwiner=intertwiner,
-                    scale_squared=scale_squared, obstruction=descent.obstructions,
-                    notes=notes)
+    ratio = (coerce_rational(ONE) / g_fixed[0][0]).simplify()
+    if not (ratio.is_constant() and ratio.constant_value().is_positive()):
+        return QRReport("fail", fixed.dimension, 1, notes=["Gram ratio not positive"])
+    return QRReport("pass", fixed.dimension, 1, intertwiner=[[ONE]],
+                    scale_squared=ratio.constant_value(), obstruction=descent.obstructions,
+                    notes=["unitary normalizer: scale^2 = reduced Gram / fixed Gram "
+                           f"= {ratio}"])

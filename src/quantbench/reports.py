@@ -24,6 +24,23 @@ CONVENTION_NOTES = [
 ]
 
 
+class CheckResult:
+    """A check's verdict: `ok`, the failures, notes and the status.  The row
+    of the runner's check table that runs the check gives it its id."""
+
+    def __init__(self, ok, failures=None, notes=None, status=None):
+        self.ok = bool(ok)
+        self.failures = list(failures or [])
+        self.notes = list(notes or [])
+        self.status = status or ("pass" if self.ok else "fail")
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        return f"CheckResult({self.status}, {len(self.failures)} failures)"
+
+
 class CheckRecord:
     def __init__(self, check_id, status, failures=(), notes=(), details=None,
                  seconds=0.0, anchor=None):

@@ -13,15 +13,14 @@ from . import bundles, hamiltonian, quantize, reduce as reduce_mod
 from .catalog import build_scenario, zero_level_data
 from .errors import UnknownCheckError
 from .gauge import gauge_momentum_verify, quantization_isomorphism_check
-from .hamiltonian import CheckResult
-from .reports import CheckRecord, Report
+from .reports import CheckRecord, CheckResult, Report
 
 
 class RunContext:
     """One run's scenario, seeded RNG and artifacts.  The stage inputs are the
     scenario's own fields; a gauge construction is run through the scenario it
-    built.  The checks that produce `basis`, `representation` and `zero_level`
-    set them."""
+    built.  The checks that produce `basis`, `representation`, `zero_level`,
+    `reduced`, `descent` and `fixed_subspace` set them."""
 
     def __init__(self, scenario, seed=1729):
         if isinstance(scenario, str):
@@ -30,6 +29,7 @@ class RunContext:
         self.rng = random.Random(seed)
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
         self.basis = self.representation = self.zero_level = None
+        self.reduced = self.descent = self.fixed_subspace = None
 
 
 class Check(NamedTuple):
@@ -48,12 +48,6 @@ class Check(NamedTuple):
     note: Callable = lambda ctx: None
 
 
-def _as_result(check_id, report_obj) -> CheckResult:
-    return CheckResult(check_id, report_obj.ok,
-                       [(str(f),) if not isinstance(f, (tuple, list)) else f
-                        for f in report_obj.failures])
-
-
 def _degenerate_downgrade(ctx, result, kinds=None):
     """Declared degenerate levels (point orbits modeled with the zero form)
     report failed nondegeneracy/positivity as unmet hypotheses."""
@@ -68,7 +62,7 @@ def _degenerate_downgrade(ctx, result, kinds=None):
 
 def _transitions(ctx):
     bad = ctx.scenario.atlas.check_transition_consistency()
-    return CheckResult("transition-consistency", not bad, [(f"{a}->{b}", c) for a, b, c in bad])
+    return CheckResult(not bad, [(f"{a}->{b}", c) for a, b, c in bad])
 
 
 def _bracket_structure(ctx):
@@ -76,14 +70,14 @@ def _bracket_structure(ctx):
     lei = ctx.scenario.action_model.leibniz_report(ctx.rng)
     failures = [("jacobi", str(f)) for f in jac.failures]
     failures += [("leibniz", str(f)) for f in lei.failures]
-    return CheckResult("bracket-structure", not failures, failures)
+    return CheckResult(not failures, failures)
 
 
 def _curvature_match(ctx):
     diff = (bundles.curvature(ctx.scenario.bundle) -
             ctx.scenario.presymplectic.omega_tilde).simplify()
     ok = diff.is_zero()
-    return CheckResult("curvature-match", ok, [] if ok else [("curvature", repr(diff))])
+    return CheckResult(ok, [] if ok else [("curvature", repr(diff))])
 
 
 def _holomorphic_dimension(ctx):
@@ -91,10 +85,8 @@ def _holomorphic_dimension(ctx):
     basis = ctx.basis = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap)
     bigger = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap + 2)
     ok = bigger.dimension == basis.dimension
-    return CheckResult(
-        "holomorphic-dimension", ok,
-        [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")],
-        notes=[f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
+    failures = [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")]
+    return CheckResult(ok, failures, [f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
 
 
 def _quantization(ctx):
@@ -119,8 +111,7 @@ def _integration(ctx):
         details["endpoint_probe"] = [f"{p:.3e}" for p in probe]
         decreasing = all(a >= b for a, b in zip(probe, probe[1:]))
         if probe[-1] > 1e-6 or not decreasing:
-            return CheckResult("integrated-representation", False,
-                               [("continuity", str(details))])
+            return CheckResult(False, [("continuity", str(details))])
     return details
 
 
@@ -129,17 +120,27 @@ def _zero_level(ctx):
     return ctx.zero_level.verify()
 
 
+def _internal_quotient(ctx):
+    ctx.reduced = reduce_mod.internal_mw_quotient(ctx.zero_level)
+    return {"reduced": repr(ctx.reduced)}
+
+
+def _descent(ctx):
+    ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.scenario.bundle,
+                                                       ctx.zero_level)
+    return ctx.descent
+
+
 def _projector(ctx):
-    fixed = reduce_mod.quantum_fixed_subspace(ctx.representation,
-                                              ctx.zero_level.isotropy_indices)
+    fixed = ctx.fixed_subspace = reduce_mod.quantum_fixed_subspace(
+        ctx.representation, ctx.zero_level.isotropy_indices)
     res = reduce_mod.projector_checks(fixed)
     res.notes.append(f"fixed-subspace dimension {fixed.dimension}")
     return res
 
 
 def _qr_comparison(ctx):
-    qr = reduce_mod.qr_commute_check(ctx.scenario, ctx.scenario.bundle, ctx.representation,
-                                     ctx.zero_level)
+    qr = reduce_mod.qr_commute_check(ctx.fixed_subspace, ctx.reduced, ctx.descent)
     failures = [] if qr.ok else [("qr", str(qr))]
     notes = list(qr.notes)
     notes.append(f"fixed dimension {qr.fixed_dimension}, "
@@ -152,15 +153,14 @@ def _qr_comparison(ctx):
             [[str(v) for v in row] for row in qr.intertwiner]))
     if qr.scale_squared is not None:
         notes.append(f"intertwiner scale^2 = {qr.scale_squared}")
-    return CheckResult("qr-comparison", qr.status != "fail", failures, notes,
-                       status=qr.status)
+    return CheckResult(qr.status != "fail", failures, notes, status=qr.status)
 
 
 CHECKS = (
     Check("transition-consistency", "structure", "atlas transitions compose to the identity",
           _transitions),
     Check("action-morphism", "structure", "action map: additivity, linearity, bracket, anchor",
-          lambda c: _as_result("action-morphism", c.scenario.action.morphism_report(c.rng)),
+          lambda c: c.scenario.action.morphism_report(c.rng),
           produces="action"),
     Check("bracket-structure", "structure", "generator bracket satisfies Jacobi and Leibniz",
           _bracket_structure, needs=("action",)),
@@ -225,8 +225,7 @@ CHECKS = (
     Check("quantization", "quantize", "exact Gram matrix and representation matrices",
           _quantization, needs=("basis",), produces="representation"),
     Check("gram-positivity", "quantize", "exact leading principal minors of the Gram matrix",
-          lambda c: CheckResult("gram-positivity",
-                                quantize.leading_minors_positive(c.representation.gram)),
+          lambda c: CheckResult(quantize.leading_minors_positive(c.representation.gram)),
           needs=("representation",)),
     Check("matrix-commutation", "quantize", "representation matrices close under the bracket",
           lambda c: quantize.commutation_check(c.representation, c.scenario.model),
@@ -243,17 +242,15 @@ CHECKS = (
           _zero_level, produces="zero_level",
           applies=lambda c: c.scenario.zero_level is not None),
     Check("internal-quotient", "reduce", "fiberwise reduced model and dimension count",
-          lambda c: {"reduced": repr(reduce_mod.internal_mw_quotient(c.zero_level))},
-          needs=("zero_level",), note=lambda c: c.scenario.full_quotient and
+          _internal_quotient, needs=("zero_level",), produces="reduced",
+          note=lambda c: c.scenario.full_quotient and
           f"full quotient: {c.scenario.full_quotient}"),
     Check("descent-obstruction", "reduce", "isotropy weight on the frame along the zero level",
-          lambda c: reduce_mod.descent_obstruction_check(c.scenario, c.scenario.bundle,
-                                                         c.zero_level),
-          needs=("bundle", "zero_level")),
+          _descent, needs=("bundle", "zero_level"), produces="descent"),
     Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
-          _projector, needs=("representation", "zero_level")),
+          _projector, needs=("representation", "zero_level"), produces="fixed_subspace"),
     Check("qr-comparison", "reduce", "reduced quantization versus fixed subspace",
-          _qr_comparison, needs=("bundle", "representation", "zero_level")),
+          _qr_comparison, needs=("reduced", "descent", "fixed_subspace")),
 )
 STAGES = tuple(dict.fromkeys(check.stage for check in CHECKS))
 PRODUCER = {check.produces: check.id for check in CHECKS if check.produces}
@@ -281,7 +278,7 @@ def _execute(check, ctx) -> CheckRecord:
     try:
         result = check.run(ctx)
     except Exception as exc:
-        result = CheckResult(check.id, False, [(type(exc).__name__, str(exc))])
+        result = CheckResult(False, [(type(exc).__name__, str(exc))])
     seconds = time.perf_counter() - start
     if isinstance(result, CheckResult):
         return CheckRecord(check.id, result.status, result.failures, result.notes,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import SchemaError
+from .errors import MalformedExpressionError, SchemaError
 from .exprs import PolyExpr, coerce_rational, parse_expr
 from .geometry import Chart, DifferentialForm, FiberedAtlas, Transition, VectorField
 from .hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
@@ -200,7 +200,8 @@ def load_scenario(data) -> ActionScenario:
         momentum = MomentumMapRep(model, pairings)
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
                               **_declarations(data.get("extras", {})))
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            MalformedExpressionError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
 
 

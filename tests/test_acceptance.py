@@ -50,7 +50,6 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
-from quantbench.liealg import morphism_check
 from quantbench.quantize import (
     SectionAnsatz,
     holomorphic_solve,
@@ -58,8 +57,8 @@ from quantbench.quantize import (
     integrate_representation,
     polarization_equivariance_check,
 )
-from quantbench.reduce import descent_obstruction_check, qr_commute_check, \
-    quantum_fixed_subspace
+from quantbench.reduce import descent_obstruction_check, internal_mw_quotient, \
+    qr_commute_check, quantum_fixed_subspace
 from quantbench.scalars import ExactScalar, ZERO
 
 
@@ -235,8 +234,10 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
     details = []
     for k in (2, 4):
         s = rotation_scenarios[k]
-        report = qr_commute_check(s, s.bundle,
-                                  rotation_quantizations[k], zero_level_data(s))
+        z = zero_level_data(s)
+        report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
+                                  internal_mw_quotient(z),
+                                  descent_obstruction_check(s, s.bundle, z))
         ok &= report.status == "pass"
         ok &= report.fixed_dimension == 1 and report.reduced_dimension == 1
         ok &= report.scale_squared is not None and \
@@ -245,8 +246,8 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
     s3 = rotation_scenarios[3]
     descent = descent_obstruction_check(s3, s3.bundle,
                                         zero_level_data(s3))
-    report3 = qr_commute_check(s3, s3.bundle, rotation_quantizations[3],
-                               zero_level_data(s3))
+    report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
+                               internal_mw_quotient(zero_level_data(s3)), descent)
     ok &= not descent.descends
     ok &= descent.obstructions["e1"] == ExactScalar(Fraction(1, 2))
     ok &= report3.status == "hypotheses-not-met"
@@ -305,12 +306,12 @@ def test_criterion_9_morphism_and_equivariance_suites(orbit_scenarios,
                   s1_plane_scenario(), sphere_family_scenario(1)]
     ok = True
     for s in scenarios:
-        ok &= morphism_check(s.action).ok
+        ok &= s.action.morphism_report().ok
         ok &= equivariance_check(s).ok
         if s.structure is not None:  # the gauge's own, for the gauge scenario
             ok &= polarization_equivariance_check(s, s.structure).ok
     # negative controls
-    ok &= not morphism_check(control_flipped_field()).ok
+    ok &= not control_flipped_field().morphism_report().ok
     ok &= not equivariance_check(control_scaled_momentum(2)).ok
     base = orbit_scenarios[2]
     ok &= not polarization_equivariance_check(

@@ -169,6 +169,8 @@ class TestScenarioFiles:
         (("extras",), []),
         (("extras", "level"), "1"),
         (("extras", "degenerate_level"), 0),
+        pytest.param(("momentum", "pairings", 0, 0, "value"), "(" * 3000 + "x" + ")" * 3000,
+                     id="nested-3000-deep"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)
@@ -177,7 +179,9 @@ class TestScenarioFiles:
         file = tmp_path / "bad.json"
         file.write_text(json.dumps(data))
         assert main(["run", str(file)]) == 2
-        assert "schema error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "schema error" in err
+        assert "Traceback" not in err
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -134,3 +134,21 @@ class TestCalculus:
             expr = parse_expr(text)
             again = parse_expr(expr_to_string(expr))
             assert (again - expr).simplify().is_zero()
+
+
+class TestParser:
+    @pytest.mark.parametrize("text", [
+        "²", "x+³", "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "1" * 5000],
+        ids=["superscript", "superscript-term", "nested-parentheses", "nested-minus",
+             "5000-digits"])
+    def test_malformed_text_raises_malformed_expression(self, text):
+        with pytest.raises(MalformedExpressionError):
+            parse_expr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_text_parses_or_raises_malformed_expression(self, text):
+        try:
+            parse_expr(text)
+        except MalformedExpressionError:
+            pass

@@ -28,6 +28,7 @@ from quantbench.hamiltonian import (
 )
 from quantbench.reduce import (
     descent_obstruction_check,
+    internal_mw_quotient,
     qr_commute_check,
     quantum_fixed_subspace,
     ZeroLevelData,
@@ -177,6 +178,6 @@ class TestGaugeReduction:
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1
-        report = qr_commute_check(gauge.scenario, gauge.scenario.bundle, result, z)
+        report = qr_commute_check(fixed, internal_mw_quotient(z), descent)
         assert report.status == "pass"
         assert report.fixed_dimension == report.reduced_dimension == 1

@@ -13,7 +13,7 @@ from quantbench.catalog import (
     sphere_family_scenario,
 )
 from quantbench.errors import PerturbationRejectedError
-from quantbench.exprs import parse_expr
+from quantbench.exprs import RationalExpr, parse_expr
 from quantbench.geometry import DifferentialForm, LEAF_JTILDE
 from quantbench.hamiltonian import (
     AlgebroidCochain,
@@ -46,8 +46,8 @@ class TestPresymplectic:
     def test_determinant_value(self, orbit_scenarios):
         # fiber determinant: (k/pi)^2 (1+r^2)^-4 written with the 2*pi*i token
         data = orbit_scenarios[2].presymplectic
-        from quantbench.hamiltonian import _det
-        det = _det(data.fiber_matrix("N")).simplify()
+        from quantbench.linalg import det
+        det = det(data.fiber_matrix("N"), RationalExpr.const(1)).simplify()
         expected = parse_expr("-16/(twopii^2*(1+x^2+y^2)^4)")
         assert (det - expected).simplify().is_zero()
 

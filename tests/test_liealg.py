@@ -20,7 +20,6 @@ from quantbench.liealg import (
     ad_star,
     coAd,
     jacobi_check,
-    morphism_check,
     pair,
     random_su2,
     su2,
@@ -154,11 +153,11 @@ class TestActions:
         atlas = sphere_atlas()
         model = su2_point_model()
         action = ActionMap(model, atlas, rotation_fields(atlas))
-        assert morphism_check(action).ok
+        assert action.morphism_report().ok
 
     def test_flipped_vertical_field_fails_bracket(self):
         from quantbench.catalog import control_flipped_field
-        report = morphism_check(control_flipped_field())
+        report = control_flipped_field().morphism_report()
         assert not report.ok
         assert any(f[0] == "bracket" for f in report.failures)
 
@@ -170,7 +169,7 @@ class TestActions:
                                {}, [None, None], fiber_algebra=abelian(2))
         zero = VectorField(atlas, LEAF_J, {"N": {}, "S": {}})
         action = ActionMap(model, atlas, [zero, zero])
-        assert morphism_check(action).ok
+        assert action.morphism_report().ok
 
     def test_action_algebroid_bracket(self):
         atlas = sphere_atlas()

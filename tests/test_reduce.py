@@ -132,14 +132,20 @@ class TestDescent:
         assert result.descends
 
 
+def _compare(scenario, result):
+    """qr_commute_check on the artifacts its check-table row reads."""
+    z = zero_level_data(scenario)
+    return qr_commute_check(quantum_fixed_subspace(result, z.isotropy_indices),
+                            internal_mw_quotient(z),
+                            descent_obstruction_check(scenario, scenario.bundle, z))
+
+
 class TestComparison:
     @pytest.mark.parametrize("k,scale2", [(2, Fraction(6)), (4, Fraction(30))])
     def test_even_levels_pass_with_unitary_scale(self, rotation_scenarios,
                                                  rotation_quantizations, k, scale2):
         scenario = rotation_scenarios[k]
-        report = qr_commute_check(scenario, scenario.bundle,
-                                  rotation_quantizations[k],
-                                  zero_level_data(scenario))
+        report = _compare(scenario, rotation_quantizations[k])
         assert report.status == "pass"
         assert report.fixed_dimension == report.reduced_dimension == 1
         # scale^2 = 1 / <z^(k/2), z^(k/2)> = (k+1)! / ((k/2)!)^2
@@ -149,9 +155,7 @@ class TestComparison:
     def test_odd_level_hypotheses_not_met(self, rotation_scenarios,
                                           rotation_quantizations):
         scenario = rotation_scenarios[3]
-        report = qr_commute_check(scenario, scenario.bundle,
-                                  rotation_quantizations[3],
-                                  zero_level_data(scenario))
+        report = _compare(scenario, rotation_quantizations[3])
         assert report.status == "hypotheses-not-met"
         assert report.fixed_dimension == 0
         assert report.ok  # hypotheses-not-met is not a failure
@@ -160,7 +164,5 @@ class TestComparison:
                                                     rotation_quantizations):
         for k in (2, 4):
             scenario = rotation_scenarios[k]
-            report = qr_commute_check(scenario, scenario.bundle,
-                                      rotation_quantizations[k],
-                                      zero_level_data(scenario))
+            report = _compare(scenario, rotation_quantizations[k])
             assert report.fixed_dimension == report.reduced_dimension

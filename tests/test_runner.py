@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quantbench import catalog, hamiltonian, liealg
+from quantbench import catalog, hamiltonian, liealg, reduce
 from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
@@ -31,6 +31,8 @@ PINNED = [
     ("gauge-u1-char-n", 2, "235271fdb4de76fe1e908528bcb0c32982206c83546c8a68833257bd374413a7"),
     ("u1-rotation-reduction-k", 1,
      "7457a47c33ad432f9975f367a9974bd7cd7004ab9c0fb0802a23bbdaa4d3fab9"),
+    ("u1-rotation-reduction-k", 2,
+     "c23ff154eafda90c2870e0a5027fa6c466bc0f470b7a09d61424a08139e1bb57"),
     ("su2-orbit-k", 0, "effa1eddcf2dce490af4ad167af9b760638acb4031aa1b789b6283eb68f4cfeb"),
     ("gauge-su2-k", 0, "d648370f87e2dff740dc4543504857cdc3f2a7621501f986b8458b5ad01ccc2a"),
 ]
@@ -62,7 +64,8 @@ PREREQUISITES = ["bundle-data", "complex-structure", "holomorphic-dimension", "q
     ("reduce", PREREQUISITES + ["zero-level", "internal-quotient", "descent-obstruction",
                                 "quantum-projector", "qr-comparison"]),
     ("quantization", PREREQUISITES),
-    ("qr-comparison", PREREQUISITES + ["zero-level", "qr-comparison"]),
+    ("qr-comparison", PREREQUISITES + ["zero-level", "internal-quotient", "descent-obstruction",
+                                       "quantum-projector", "qr-comparison"]),
 ])
 def test_filter_runs_prerequisites(selection, expected, tmp_path):
     out = tmp_path / "report.json"
@@ -148,13 +151,21 @@ def test_each_validation_runs_once_in_the_table(monkeypatch):
     count(liealg.ActionMap, "morphism_report")
     count(hamiltonian, "prequantization_condition_check")
     count(hamiltonian, "quantization_condition_check")
-    for name, level in (("pair-groupoid-flat", None), ("gauge-u1-char-n", 1)):
+    for name in ("descent_obstruction_check", "quantum_fixed_subspace", "internal_mw_quotient"):
+        count(reduce, name)
+    validations = {"morphism_report": 1, "prequantization_condition_check": 1,
+                   "quantization_condition_check": 1}
+    reduction = {**validations, "descent_obstruction_check": 1, "quantum_fixed_subspace": 1,
+                 "internal_mw_quotient": 1}
+    for name, level, expected in (("pair-groupoid-flat", None, validations),
+                                  ("gauge-u1-char-n", 1, validations),
+                                  ("u1-rotation-reduction-k", 1, reduction),
+                                  ("u1-rotation-reduction-k", 2, reduction)):
         calls.clear()
         scenario = catalog.build_scenario(name, level)
         assert calls["morphism_report"] == 0
         run_scenario(scenario)
-        assert calls == {"morphism_report": 1, "prequantization_condition_check": 1,
-                         "quantization_condition_check": 1}
+        assert calls == expected
 
 
 def test_curvature_is_computed_once_per_bundle():
