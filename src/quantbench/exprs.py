@@ -10,8 +10,8 @@ unless explicitly asked.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from .errors import MalformedExpressionError
 from .scalars import ExactScalar, ONE, ZERO
@@ -22,10 +22,15 @@ Monomial = tuple  # tuple[(var, exp), ...] sorted by var
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    # exponents are positive, so no sum vanishes
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
+    return tuple(sorted(d.items()))
 
 
 def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
@@ -48,17 +53,31 @@ def _mono_key(m: Monomial):
 
 
 class PolyExpr:
-    """Multivariate polynomial with ExactScalar coefficients, canonical form."""
+    """Multivariate polynomial over the Gaussian rationals, in canonical form.
 
-    __slots__ = ("terms",)
+    ``terms`` maps each monomial to a Gaussian-integer pair ``(re, im)``, and
+    ``den`` is one positive integer: the coefficient of a monomial is
+    ``(re + im*i) / den``.  No pair is ``(0, 0)`` and the gcd of ``den`` and
+    every part is 1 (``den`` is 1 for zero), so equal polynomials have equal
+    ``terms`` and ``den``.  Arithmetic runs on these integers; ``coeffs()``
+    gives the coefficients as ExactScalar.
+    """
+
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
+        """`terms` maps monomials to ExactScalar, int or Fraction values."""
         clean = {}
         for mono, coeff in (terms or {}).items():
             coeff = ExactScalar.coerce(coeff)
             if not coeff.is_zero():
                 clean[tuple(sorted(mono))] = coeff
-        object.__setattr__(self, "terms", clean)
+        # the lcm of reduced denominators shares no factor with every part
+        den = lcm(*(part.denominator for c in clean.values() for part in (c.re, c.im)))
+        _set_terms(self, {m: (c.re.numerator * (den // c.re.denominator),
+                              c.im.numerator * (den // c.im.denominator))
+                          for m, c in clean.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyExpr is immutable")
@@ -66,14 +85,15 @@ class PolyExpr:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def const(value) -> "PolyExpr":
-        value = ExactScalar.coerce(value)
-        return PolyExpr({(): value}) if not value.is_zero() else PolyExpr()
+        if type(value) is int:
+            return _raw({(): (value, 0)} if value else {}, 1)
+        return PolyExpr({(): value})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "PolyExpr":
         if exp == 0:
             return PolyExpr.const(1)
-        return PolyExpr({((name, exp),): ONE})
+        return _raw({((name, exp),): (1, 0)}, 1)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -85,7 +105,7 @@ class PolyExpr:
     def constant_value(self) -> ExactScalar:
         if not self.is_constant():
             raise MalformedExpressionError("polynomial is not constant")
-        return self.terms.get((), ZERO)
+        return self.coeffs().get((), ZERO)
 
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
@@ -93,34 +113,54 @@ class PolyExpr:
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
+    def coeffs(self) -> dict:
+        """{monomial: ExactScalar coefficient}, in the order of `terms`."""
+        den = self.den
+        return {m: ExactScalar(Fraction(re, den), Fraction(im, den))
+                for m, (re, im) in self.terms.items()}
+
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        other = _coerce_poly(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return PolyExpr(terms)
+        return _add(self, _coerce_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyExpr({m: -c for m, c in self.terms.items()})
+        return _raw({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce_poly(other))
+        return _add(self, _coerce_poly(other), -1)
 
     def __rsub__(self, other):
-        return _coerce_poly(other) + (-self)
+        return _add(_coerce_poly(other), self, -1)
 
     def __mul__(self, other):
         other = _coerce_poly(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = terms.get(m, ZERO) + c1 * c2
-                terms[m] = c
-        return PolyExpr(terms)
+        if not self.terms or not other.terms:
+            return _raw({}, 1)
+        many, one = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(one.terms) == 1:
+            (m2, (c, d)), = one.terms.items()
+            if not m2 and c == one.den and not d:  # times 1
+                return many
+            # times a single term: the products need no collecting, since
+            # shifting by a monomial is injective and Z[i] has no zero divisors
+            terms = {_mono_mul(m1, m2): (a * c - b * d, a * d + b * c)
+                     for m1, (a, b) in many.terms.items()}
+        else:
+            acc = {}
+            get = acc.get
+            for m1, (a, b) in self.terms.items():
+                for m2, (c, d) in other.terms.items():
+                    m = _mono_mul(m1, m2)
+                    slot = get(m)
+                    if slot is None:
+                        acc[m] = [a * c - b * d, a * d + b * c]
+                    else:
+                        slot[0] += a * c - b * d
+                        slot[1] += a * d + b * c
+            terms = {m: (re, im) for m, (re, im) in acc.items() if re or im}
+        return _canonical(terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -141,15 +181,16 @@ class PolyExpr:
             other = _coerce_poly(other)
         except MalformedExpressionError:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     # -- calculus ------------------------------------------------------------
     def derivative(self, var: str) -> "PolyExpr":
+        # lowering one exponent is injective on the monomials that have it
         terms = {}
-        for m, c in self.terms.items():
+        for m, (re, im) in self.terms.items():
             d = dict(m)
             e = d.get(var, 0)
             if not e:
@@ -158,21 +199,17 @@ class PolyExpr:
                 del d[var]
             else:
                 d[var] = e - 1
-            mono = tuple(sorted(d.items()))
-            terms[mono] = terms.get(mono, ZERO) + c * e
-        return PolyExpr(terms)
+            terms[tuple(sorted(d.items()))] = (re * e, im * e)
+        return _canonical(terms, self.den)
 
     def conj(self) -> "PolyExpr":
         """Gaussian-conjugate coefficients; the twopii token flips sign."""
-        terms = {}
-        for m, c in self.terms.items():
-            sign = -1 if dict(m).get(TWO_PI_I, 0) % 2 else 1
-            terms[m] = c.conj() * sign
-        return PolyExpr(terms)
+        return _raw({m: (-re, im) if dict(m).get(TWO_PI_I, 0) % 2 else (re, -im)
+                     for m, (re, im) in self.terms.items()}, self.den)
 
     def evaluate(self, point: dict) -> ExactScalar:
         total = ZERO
-        for m, c in self.terms.items():
+        for m, c in self.coeffs().items():
             val = c
             for v, e in m:
                 if v not in point:
@@ -184,8 +221,8 @@ class PolyExpr:
     def subst(self, mapping: dict) -> "RationalExpr":
         """Substitute variables by RationalExpr values (missing vars stay)."""
         out = RationalExpr.zero()
-        for m, c in self.terms.items():
-            term = RationalExpr.const(c)
+        for m, pair in self.terms.items():
+            term = RationalExpr(_canonical({(): pair}, self.den))
             for v, e in m:
                 if v in mapping:
                     term = term * (_coerce_rational(mapping[v]) ** e)
@@ -196,7 +233,8 @@ class PolyExpr:
 
     # -- structure for division/gcd ------------------------------------------
     def leading(self):
-        """(monomial, coeff) maximal in graded-lex order."""
+        """(monomial, (re, im)) maximal in graded-lex order; the coefficient
+        is that pair over `den`."""
         if self.is_zero():
             raise MalformedExpressionError("leading term of zero polynomial")
         m = max(self.terms, key=_mono_key)
@@ -209,12 +247,16 @@ class PolyExpr:
             raise MalformedExpressionError("division by zero polynomial")
         rem = self
         quot = PolyExpr()
-        lm, lc = other.leading()
+        lm, (lr, li) = other.leading()
+        # (rr + ri*i)/rem.den divided by (lr + li*i)/other.den
+        scale, norm = other.den, lr * lr + li * li
         while not rem.is_zero():
-            rm, rc = rem.leading()
+            rm, (rr, ri) = rem.leading()
             if not _mono_divides(lm, rm):
                 return None
-            t = PolyExpr({_mono_div(rm, lm): rc / lc})
+            t = _canonical({_mono_div(rm, lm): ((rr * lr + ri * li) * scale,
+                                                (ri * lr - rr * li) * scale)},
+                           rem.den * norm)
             quot = quot + t
             rem = rem - t * other
         return quot
@@ -222,9 +264,10 @@ class PolyExpr:
     def __str__(self):
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs()
         bits = []
-        for m in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[m]
+        for m in sorted(coeffs, key=_mono_key, reverse=True):
+            c = coeffs[m]
             mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or (c.im != 0 and c.re != 0):
@@ -233,6 +276,67 @@ class PolyExpr:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+_set_terms = PolyExpr.terms.__set__
+_set_den = PolyExpr.den.__set__
+
+
+def _raw(terms: dict, den: int) -> PolyExpr:
+    """A PolyExpr over pairs and a denominator already in canonical form."""
+    p = object.__new__(PolyExpr)
+    _set_terms(p, terms)
+    _set_den(p, den)
+    return p
+
+
+def _canonical(terms: dict, den: int) -> PolyExpr:
+    """A PolyExpr over nonzero pairs and a positive denominator, reduced by
+    their common gcd."""
+    if den != 1:
+        g = den
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {m: (re // g, im // g) for m, (re, im) in terms.items()}
+            den //= g
+    return _raw(terms, den)
+
+
+def _add(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
+    """a + sign*b, sign being 1 or -1."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b if sign == 1 else -b
+    da, db = a.den, b.den
+    if da == db:
+        sa, sb, den = 1, sign, da
+    else:
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        den = da * sa
+    terms = dict(a.terms) if sa == 1 else \
+        {m: (re * sa, im * sa) for m, (re, im) in a.terms.items()}
+    for m, (re, im) in b.terms.items():
+        old = terms.get(m)
+        if old is None:
+            terms[m] = (re * sb, im * sb)
+        else:
+            re, im = old[0] + re * sb, old[1] + im * sb
+            if re or im:
+                terms[m] = (re, im)
+            else:
+                del terms[m]
+    return _canonical(terms, den)
+
+
+def _leading_inverse(p: PolyExpr) -> PolyExpr:
+    """The constant polynomial 1/lc(p)."""
+    _, (re, im) = p.leading()
+    return _canonical({(): (re * p.den, -im * p.den)}, re * re + im * im)
 
 
 def _coerce_poly(value) -> PolyExpr:
@@ -250,12 +354,11 @@ def _coerce_poly(value) -> PolyExpr:
 def _to_univariate(p: PolyExpr, var: str) -> dict:
     """Represent p as {exp: PolyExpr-in-other-vars}."""
     coeffs = {}
-    for m, c in p.terms.items():
+    for m, pair in p.terms.items():
         d = dict(m)
         e = d.pop(var, 0)
-        rest = tuple(sorted(d.items()))
-        coeffs.setdefault(e, {})[rest] = c
-    return {e: PolyExpr(t) for e, t in coeffs.items()}
+        coeffs.setdefault(e, {})[tuple(sorted(d.items()))] = pair
+    return {e: _canonical(t, p.den) for e, t in coeffs.items()}
 
 
 def _from_univariate(coeffs: dict, var: str) -> PolyExpr:
@@ -341,8 +444,7 @@ def _content(coeffs: dict) -> PolyExpr:
 def _normalize_leading(p: PolyExpr) -> PolyExpr:
     if p.is_zero():
         return p
-    _, lc = p.leading()
-    return p * PolyExpr.const(lc.inverse())
+    return p * _leading_inverse(p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +464,7 @@ class RationalExpr:
         if num.is_zero():
             den = PolyExpr.const(1)
         else:
-            _, lc = den.leading()
-            inv = PolyExpr.const(lc.inverse())
+            inv = _leading_inverse(den)
             num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -396,7 +497,7 @@ class RationalExpr:
         s = self.simplify()
         if not s.den.is_constant():
             raise MalformedExpressionError("expression is not polynomial")
-        return s.num * PolyExpr.const(s.den.constant_value().inverse())
+        return s.num * _leading_inverse(s.den)
 
     def is_constant(self) -> bool:
         s = self.simplify()
@@ -504,8 +605,8 @@ class RationalExpr:
         import cmath
         full = dict(point)
         full.setdefault(TWO_PI_I, twopii if twopii is not None else 2j * cmath.pi)
-        num = sum(complex(c) * _mono_numeric(m, full) for m, c in self.num.terms.items())
-        den = sum(complex(c) * _mono_numeric(m, full) for m, c in self.den.terms.items())
+        num = sum(complex(c) * _mono_numeric(m, full) for m, c in self.num.coeffs().items())
+        den = sum(complex(c) * _mono_numeric(m, full) for m, c in self.den.coeffs().items())
         return num / den
 
     def __str__(self):
@@ -550,32 +651,6 @@ def simplify(expr: RationalExpr) -> RationalExpr:
     return _coerce_rational(expr).simplify()
 
 
-def random_point(variables, rng: random.Random, span: int = 23) -> dict:
-    """Random rational sample point avoiding small denominators' poles."""
-    return {
-        v: ExactScalar(Fraction(rng.randint(-span, span), rng.randint(1, 7)))
-        for v in variables
-    }
-
-
-def equal_at_random_points(a: RationalExpr, b: RationalExpr, trials: int = 20,
-                           seed: int = 7) -> bool:
-    """Probabilistic equality oracle used by tests (never by the library)."""
-    rng = random.Random(seed)
-    variables = sorted(a.variables() | b.variables())
-    done = 0
-    while done < trials:
-        point = random_point(variables, rng)
-        try:
-            va, vb = a.evaluate(point), b.evaluate(point)
-        except MalformedExpressionError:
-            continue
-        if va != vb:
-            return False
-        done += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # A small expression parser for scenario files and tests
 # ---------------------------------------------------------------------------
@@ -583,6 +658,11 @@ def equal_at_random_points(a: RationalExpr, b: RationalExpr, trials: int = 20,
 # Parentheses and unary minus signs nested deeper than this are rejected, so
 # that the recursive descent stays far below the interpreter's recursion limit.
 _MAX_NESTING = 100
+# A power whose result may have more terms or longer integers than these is
+# rejected before it is built: "37^9999999" or "(x+y+1)^200" would otherwise
+# compute for minutes.
+_MAX_POWER_TERMS = 1000
+_MAX_POWER_BITS = 10000
 
 
 def parse_expr(text: str) -> RationalExpr:
@@ -663,9 +743,31 @@ def _parse_power(tokens, pos, depth):
         if pos >= len(tokens) or not isinstance(tokens[pos], int):
             raise MalformedExpressionError("exponent must be an integer")
         exp = tokens[pos]
+        _check_power_size(base, exp)
         base = base ** (-exp if neg else exp)
         pos += 1
     return base, pos
+
+
+def _check_power_size(base: RationalExpr, exp: int):
+    """Raise if numerator or denominator of base**exp may exceed the size bounds.
+
+    p**n has at most as many terms as there are multisets of n terms of p, or
+    monomials of degree up to n*deg(p); its coefficients are at most the n-th
+    power of the sum of p's coefficient magnitudes, over den**n.
+    """
+    for p in (base.num, base.den):
+        if p.is_zero():
+            continue
+        count, nvars = len(p.terms), len(p.variables())
+        terms = min(comb(exp + count - 1, count - 1),
+                    comb(p.total_degree() * exp + nvars, nvars))
+        norm = sum(abs(re) + abs(im) for re, im in p.terms.values())
+        bits = exp * max((norm - 1).bit_length(), (p.den - 1).bit_length())
+        if terms > _MAX_POWER_TERMS or bits > _MAX_POWER_BITS:
+            raise MalformedExpressionError(
+                f"power ^{exp} too large: over {_MAX_POWER_TERMS} terms "
+                f"or {_MAX_POWER_BITS}-bit coefficients")
 
 
 def _parse_atom(tokens, pos, depth):

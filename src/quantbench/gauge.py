@@ -504,7 +504,7 @@ def _integrate_unit_interval(expr: RationalExpr) -> ExactScalar:
         raise UnsupportedPrimitiveError("loop integrand must be polynomial in t")
     poly = expr.as_poly()
     total = ZERO
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.coeffs().items():
         d = dict(mono)
         t_pow = d.pop("t", 0)
         if d:

@@ -627,7 +627,7 @@ def poincare_primitive(form: DifferentialForm, chart: Chart,
             raise UnsupportedPrimitiveError(
                 "radial integration requires polynomial coefficients")
         poly = coeff.as_poly()
-        for mono, scal in poly.terms.items():
+        for mono, scal in poly.coeffs().items():
             block_deg = sum(e for v, e in mono if v in block)
             weight = RationalExpr.const(scal) / (block_deg + k)
             base = PolyExpr({mono: ExactScalar(1)})

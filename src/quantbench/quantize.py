@@ -268,7 +268,7 @@ def _linear_rows_indexed(indexed, total):
     monomial_rows = {}
     for pos, expr in cleaned:
         scaled = expr.num * den.exact_div(expr.den)
-        for mono, coeff in scaled.terms.items():
+        for mono, coeff in scaled.coeffs().items():
             row = monomial_rows.setdefault(mono, [ZERO] * total)
             row[pos] = row[pos] + coeff
     return list(monomial_rows.values())
@@ -301,7 +301,7 @@ def _zz_decompose(poly: PolyExpr, x_name, y_name):
         raise MalformedExpressionError("unexpected denominator in decomposition")
     moved_poly = moved.as_poly()
     out = {}
-    for mono, coeff in moved_poly.terms.items():
+    for mono, coeff in moved_poly.coeffs().items():
         d = dict(mono)
         m = d.pop("__z", 0)
         n = d.pop("__zb", 0)
@@ -463,15 +463,13 @@ def quantize_monomial(scenario: ActionScenario, bundle: LineBundleData, structur
 
 
 def _split_twopii(poly: PolyExpr):
-    """{twopii degree: coordinate polynomial}."""
+    """{twopii degree: {coordinate monomial: coefficient}}."""
     out = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.coeffs().items():
         d = dict(mono)
         deg = d.pop(TWO_PI_I, 0)
-        rest = tuple(sorted(d.items()))
-        table = out.setdefault(deg, {})
-        table[rest] = table.get(rest, ZERO) + coeff
-    return {deg: PolyExpr(t) for deg, t in out.items()}
+        out.setdefault(deg, {})[tuple(sorted(d.items()))] = coeff
+    return out
 
 
 def _expand_in_basis(images, basis_exprs):
@@ -485,26 +483,26 @@ def _expand_in_basis(images, basis_exprs):
     den = PolyExpr.const(1)
     for expr in list(images) + list(basis_exprs):
         den = den * coerce_rational(expr).simplify().den
-    basis_polys = []
+    basis_coeffs = []
     for expr in basis_exprs:
         expr = coerce_rational(expr).simplify()
         poly = expr.num * den.exact_div(expr.den)
         if TWO_PI_I in poly.variables():
             raise MalformedExpressionError("basis elements must not carry twopii")
-        basis_polys.append(poly)
-    monomials = sorted({m for p in basis_polys for m in p.terms},
+        basis_coeffs.append(poly.coeffs())
+    monomials = sorted({m for c in basis_coeffs for m in c},
                        key=lambda m: tuple(sorted(m)))
-    rows = [[p.terms.get(m, ZERO) for p in basis_polys] for m in monomials]
+    rows = [[c.get(m, ZERO) for c in basis_coeffs] for m in monomials]
     matrix = [[RationalExpr.zero()] * len(images) for _ in range(n)]
     for e, expr in enumerate(images):
         expr = coerce_rational(expr).simplify()
         target = expr.num * den.exact_div(expr.den)
         for deg, part in _split_twopii(target).items():
-            extra = set(part.terms) - set(monomials)
+            extra = set(part) - set(monomials)
             if extra:
                 raise MalformedExpressionError(
                     "operator image leaves the holomorphic solution space")
-            rhs = [part.terms.get(m, ZERO) for m in monomials]
+            rhs = [part.get(m, ZERO) for m in monomials]
             sol = solve_linear(rows, rhs)
             if sol is None:
                 raise MalformedExpressionError(
@@ -629,7 +627,7 @@ def _reduce_rotation(expr: RationalExpr) -> RationalExpr:
     while changed:
         changed = False
         out = PolyExpr()
-        for mono, coeff in poly.terms.items():
+        for mono, coeff in poly.coeffs().items():
             d = dict(mono)
             s_pow = d.get("sb", 0)
             if s_pow >= 2:

@@ -36,7 +36,7 @@ def _poly_to_string(poly: PolyExpr) -> str:
     if poly.is_zero():
         return "0"
     bits = []
-    for mono, coeff in sorted(poly.terms.items()):
+    for mono, coeff in sorted(poly.coeffs().items()):
         factors = []
         re_part, im_part = coeff.re, coeff.im
         if im_part == 0:

@@ -171,6 +171,8 @@ class TestScenarioFiles:
         (("extras", "degenerate_level"), 0),
         pytest.param(("momentum", "pairings", 0, 0, "value"), "(" * 3000 + "x" + ")" * 3000,
                      id="nested-3000-deep"),
+        pytest.param(("momentum", "pairings", 0, 0, "value"), "37^9999999",
+                     id="power-9999999"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

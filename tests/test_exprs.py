@@ -1,6 +1,8 @@
 """Exact scalar and expression kernel."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,14 +11,34 @@ from hypothesis import strategies as st
 
 from quantbench.errors import MalformedExpressionError
 from quantbench.exprs import (
+    TWO_PI_I,
     PolyExpr,
     RationalExpr,
-    equal_at_random_points,
     parse_expr,
     poly_gcd,
     simplify,
 )
 from quantbench.scalars import ExactScalar, rational
+
+
+def equal_at_random_points(a: RationalExpr, b: RationalExpr, trials: int = 20,
+                           seed: int = 7) -> bool:
+    """Probabilistic equality: a and b agree at `trials` random rational points
+    that are not poles of either."""
+    rng = random.Random(seed)
+    variables = sorted(a.variables() | b.variables())
+    done = 0
+    while done < trials:
+        point = {v: ExactScalar(Fraction(rng.randint(-23, 23), rng.randint(1, 7)))
+                 for v in variables}
+        try:
+            va, vb = a.evaluate(point), b.evaluate(point)
+        except MalformedExpressionError:
+            continue
+        if va != vb:
+            return False
+        done += 1
+    return True
 
 
 class TestExactScalar:
@@ -145,6 +167,13 @@ class TestParser:
         with pytest.raises(MalformedExpressionError):
             parse_expr(text)
 
+    @pytest.mark.parametrize("text", ["37^9999999", "(x+y+1)^200"])
+    def test_oversized_power_raises_before_it_is_built(self, text):
+        start = time.perf_counter()
+        with pytest.raises(MalformedExpressionError):
+            parse_expr(text)
+        assert time.perf_counter() - start < 1.0
+
     @settings(max_examples=300, deadline=None)
     @given(st.text())
     def test_any_text_parses_or_raises_malformed_expression(self, text):
@@ -152,3 +181,137 @@ class TestParser:
             parse_expr(text)
         except MalformedExpressionError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy's polynomial ring over QQ_I
+# ---------------------------------------------------------------------------
+
+VARS = ("x", "y", TWO_PI_I)
+_part = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+_coefficients = st.builds(ExactScalar, _part, _part)
+
+
+def _polys(max_terms):
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exponents, _coefficients, max_size=max_terms).map(
+        lambda table: PolyExpr({tuple((v, e) for v, e in zip(VARS, exps) if e): c
+                                for exps, c in table.items()}))
+
+
+polys = _polys(4)
+small_polys = _polys(3)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+small_nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    pytest.importorskip("sympy")
+    return QQIOracle()
+
+
+class QQIOracle:
+    """Conversions between PolyExpr and sympy's ring QQ_I[x, y, twopii]."""
+
+    def __init__(self):
+        from sympy.polys.domains import QQ, QQ_I
+        from sympy.polys.rings import ring
+        self.QQ, self.QQ_I = QQ, QQ_I
+        self.ring = ring(",".join(VARS), QQ_I)[0]
+
+    def to_sympy(self, p: PolyExpr):
+        QQ = self.QQ
+        return self.ring.from_dict({
+            tuple(dict(m).get(v, 0) for v in VARS):
+                self.QQ_I(QQ(c.re.numerator, c.re.denominator),
+                          QQ(c.im.numerator, c.im.denominator))
+            for m, c in p.coeffs().items()})
+
+    def from_sympy(self, q) -> PolyExpr:
+        return PolyExpr({
+            tuple((v, e) for v, e in zip(VARS, exps) if e):
+                ExactScalar(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                            Fraction(int(c.y.numerator), int(c.y.denominator)))
+            for exps, c in q.terms()})
+
+    def conj(self, q):
+        """Conjugate coefficients, and the sign flip of odd twopii powers."""
+        return self.ring.from_dict({
+            exps: self.QQ_I(-c.x, c.y) if exps[2] % 2 else self.QQ_I(c.x, -c.y)
+            for exps, c in q.terms()})
+
+    def is_unit(self, q) -> bool:
+        return not q.is_zero and q.is_ground
+
+
+def assert_canonical(p: PolyExpr):
+    """The stored layout: nonzero Gaussian-integer pairs over one positive
+    denominator, with no factor common to all of them."""
+    parts = [part for pair in p.terms.values() for part in pair]
+    assert all(pair != (0, 0) for pair in p.terms.values())
+    assert p.den > 0
+    assert math.gcd(p.den, *parts) == 1
+
+
+def assert_matches(oracle, ours: PolyExpr, theirs):
+    assert_canonical(ours)
+    assert ours == oracle.from_sympy(theirs)
+
+
+class TestAgainstSympy:
+    """The integer kernel agrees with an independent exact implementation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys, polys)
+    def test_sum_difference_and_product(self, oracle, a, b):
+        sa, sb = oracle.to_sympy(a), oracle.to_sympy(b)
+        assert_matches(oracle, a + b, sa + sb)
+        assert_matches(oracle, a - b, sa - sb)
+        assert_matches(oracle, -a, -sa)
+        assert_matches(oracle, a * b, sa * sb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, st.integers(1, 4))
+    def test_power(self, oracle, a, n):
+        assert_matches(oracle, a ** n, oracle.to_sympy(a) ** n)
+        assert a ** 0 == PolyExpr.const(1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, nonzero_polys)
+    def test_exact_division(self, oracle, a, b):
+        assert_matches(oracle, (a * b).exact_div(b), oracle.to_sympy(a))
+        from sympy.polys.polyerrors import ExactQuotientFailed
+        try:
+            expected = oracle.to_sympy(a).exquo(oracle.to_sympy(b))
+        except ExactQuotientFailed:
+            assert a.exact_div(b) is None
+        else:
+            assert_matches(oracle, a.exact_div(b), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_nonzero_polys, small_polys, small_nonzero_polys)
+    def test_gcd_up_to_a_unit(self, oracle, a, b, c):
+        ours = poly_gcd(a * c, b * c)
+        assert_canonical(ours)
+        theirs = (oracle.to_sympy(a) * oracle.to_sympy(c)).gcd(
+            oracle.to_sympy(b) * oracle.to_sympy(c))
+        assert oracle.is_unit(oracle.to_sympy(ours).exquo(theirs))
+        assert ours.leading()[1] == (ours.den, 0)  # leading coefficient 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_nonzero_polys, small_nonzero_polys)
+    def test_simplify(self, oracle, a, b, c):
+        s = RationalExpr(a * c, b * c).simplify()
+        num, den = oracle.to_sympy(s.num), oracle.to_sympy(s.den)
+        assert num * oracle.to_sympy(b) == den * oracle.to_sympy(a)
+        assert oracle.is_unit(num.gcd(den)) or num.is_zero
+        assert s.den.leading()[1] == (s.den.den, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys)
+    def test_derivative_and_conjugation(self, oracle, a):
+        sa = oracle.to_sympy(a)
+        for i, v in enumerate(VARS):
+            assert_matches(oracle, a.derivative(v), sa.diff(oracle.ring.gens[i]))
+        assert_matches(oracle, a.conj(), oracle.conj(sa))

@@ -3,21 +3,25 @@
 Runs every catalog family at every declared level, the gauge circle-rotation
 construction at level 1 and the three momentum controls at level 1 (25 runs),
 each at the default check filter and seed, and prints the SHA-256 of
-`Report.canonical_json()` for each.  The script re-executes itself under
-`PYTHONHASHSEED=1`, so the digests do not depend on the caller's hash seed.
+`Report.canonical_json()` for each.  Below each digest it prints the seconds
+that run's build and `run_scenario` took, and at the end the sweep's total.
+The script re-executes itself under `PYTHONHASHSEED=1`, so the digests do not
+depend on the caller's hash seed.
 
 It compares the digests with `catalog_digests.txt` next to it and exits 1 on
-any difference.  When that file is missing, it writes it and exits 0: delete
-the file and run the script to record new reference digests.
+any difference; the timing lines are never compared.  When that file is
+missing, it writes it and exits 0: delete the file and run the script to
+record new reference digests.
 
     python3 tools/catalog_digests.py
 
-A full sweep takes a few minutes; it is not part of the test suite.
+It is not part of the test suite.
 """
 
 import hashlib
 import os
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -48,10 +52,16 @@ def main():
     from quantbench.runner import run_scenario
 
     lines = []
+    sweep_s = 0.0
     for label, build in runs():
+        start = time.perf_counter()
         text = run_scenario(build()).canonical_json()
+        seconds = time.perf_counter() - start
+        sweep_s += seconds
         lines.append(f"{label}: {hashlib.sha256(text.encode()).hexdigest()}")
         print(lines[-1], flush=True)
+        print(f"  {seconds:.2f} s", flush=True)
+    print(f"sweep: {sweep_s:.1f} s")
     if not REFERENCE.exists():
         REFERENCE.write_text("\n".join(lines) + "\n")
         print(f"wrote {REFERENCE.name}")
