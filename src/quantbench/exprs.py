@@ -23,10 +23,6 @@ Monomial = tuple  # tuple[(var, exp), ...] sorted by var
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     # exponents are positive, so no sum vanishes
-    if not m1:
-        return m2
-    if not m2:
-        return m1
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
@@ -136,30 +132,23 @@ class PolyExpr:
 
     def __mul__(self, other):
         other = _coerce_poly(other)
-        if not self.terms or not other.terms:
-            return _raw({}, 1)
-        many, one = (other, self) if len(self.terms) == 1 else (self, other)
-        if len(one.terms) == 1:
-            (m2, (c, d)), = one.terms.items()
-            if not m2 and c == one.den and not d:  # times 1
-                return many
-            # times a single term: the products need no collecting, since
-            # shifting by a monomial is injective and Z[i] has no zero divisors
-            terms = {_mono_mul(m1, m2): (a * c - b * d, a * d + b * c)
-                     for m1, (a, b) in many.terms.items()}
-        else:
-            acc = {}
-            get = acc.get
-            for m1, (a, b) in self.terms.items():
-                for m2, (c, d) in other.terms.items():
-                    m = _mono_mul(m1, m2)
-                    slot = get(m)
-                    if slot is None:
-                        acc[m] = [a * c - b * d, a * d + b * c]
-                    else:
-                        slot[0] += a * c - b * d
-                        slot[1] += a * d + b * c
-            terms = {m: (re, im) for m, (re, im) in acc.items() if re or im}
+        # products by 1 are common: coerced constants, polynomial denominators
+        if other.terms == _ONE_TERMS and other.den == 1:
+            return self
+        if self.terms == _ONE_TERMS and self.den == 1:
+            return other
+        acc = {}
+        get = acc.get
+        for m1, (a, b) in self.terms.items():
+            for m2, (c, d) in other.terms.items():
+                m = _mono_mul(m1, m2)
+                slot = get(m)
+                if slot is None:
+                    acc[m] = [a * c - b * d, a * d + b * c]
+                else:
+                    slot[0] += a * c - b * d
+                    slot[1] += a * d + b * c
+        terms = {m: (re, im) for m, (re, im) in acc.items() if re or im}
         return _canonical(terms, self.den * other.den)
 
     __rmul__ = __mul__
@@ -278,6 +267,7 @@ class PolyExpr:
     __repr__ = __str__
 
 
+_ONE_TERMS = {(): (1, 0)}  # the terms of 1, and of every 1/den
 _set_terms = PolyExpr.terms.__set__
 _set_den = PolyExpr.den.__set__
 
@@ -658,10 +648,12 @@ def simplify(expr: RationalExpr) -> RationalExpr:
 # Parentheses and unary minus signs nested deeper than this are rejected, so
 # that the recursive descent stays far below the interpreter's recursion limit.
 _MAX_NESTING = 100
-# A power whose result may have more terms or longer integers than these is
-# rejected before it is built: "37^9999999" or "(x+y+1)^200" would otherwise
-# compute for minutes.
+# A power whose result may have more terms, a higher degree or longer integers
+# than these is rejected before it is built: "37^9999999" or "(x+y+1)^200"
+# would otherwise compute for minutes, and "x^99999999" would stall the first
+# exact evaluation.
 _MAX_POWER_TERMS = 1000
+_MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10000
 
 
@@ -752,16 +744,20 @@ def _parse_power(tokens, pos, depth):
 def _check_power_size(base: RationalExpr, exp: int):
     """Raise if numerator or denominator of base**exp may exceed the size bounds.
 
-    p**n has at most as many terms as there are multisets of n terms of p, or
-    monomials of degree up to n*deg(p); its coefficients are at most the n-th
-    power of the sum of p's coefficient magnitudes, over den**n.
+    p**n has degree n*deg(p) and at most as many terms as there are multisets
+    of n terms of p, or monomials of degree up to n*deg(p); its coefficients
+    are at most the n-th power of the sum of p's coefficient magnitudes, over
+    den**n.
     """
     for p in (base.num, base.den):
         if p.is_zero():
             continue
+        degree = p.total_degree() * exp
+        if degree > _MAX_POWER_DEGREE:
+            raise MalformedExpressionError(
+                f"power ^{exp} too large: degree over {_MAX_POWER_DEGREE}")
         count, nvars = len(p.terms), len(p.variables())
-        terms = min(comb(exp + count - 1, count - 1),
-                    comb(p.total_degree() * exp + nvars, nvars))
+        terms = min(comb(exp + count - 1, count - 1), comb(degree + nvars, nvars))
         norm = sum(abs(re) + abs(im) for re, im in p.terms.values())
         bits = exp * max((norm - 1).bit_length(), (p.den - 1).bit_length())
         if terms > _MAX_POWER_TERMS or bits > _MAX_POWER_BITS:

@@ -173,6 +173,8 @@ class TestScenarioFiles:
                      id="nested-3000-deep"),
         pytest.param(("momentum", "pairings", 0, 0, "value"), "37^9999999",
                      id="power-9999999"),
+        pytest.param(("momentum", "pairings", 0, 0, "value"), "x^99999999",
+                     id="power-degree-99999999"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

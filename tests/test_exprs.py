@@ -167,7 +167,9 @@ class TestParser:
         with pytest.raises(MalformedExpressionError):
             parse_expr(text)
 
-    @pytest.mark.parametrize("text", ["37^9999999", "(x+y+1)^200"])
+    @pytest.mark.parametrize("text", [
+        "37^9999999", "(x+y+1)^200", "x^99999999", "(x^999)^999",
+        pytest.param("x^" + "9" * 4000, id="4000-digit-exponent")])
     def test_oversized_power_raises_before_it_is_built(self, text):
         start = time.perf_counter()
         with pytest.raises(MalformedExpressionError):
@@ -270,6 +272,15 @@ class TestAgainstSympy:
         assert_matches(oracle, a - b, sa - sb)
         assert_matches(oracle, -a, -sa)
         assert_matches(oracle, a * b, sa * sb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, st.one_of(st.integers(1, 12).map(lambda d: Fraction(1, d)),
+                            st.integers(-3, 3), _coefficients))
+    def test_product_by_a_constant(self, oracle, a, value):
+        k = PolyExpr.const(value)
+        expected = oracle.to_sympy(a) * oracle.to_sympy(k)
+        assert_matches(oracle, a * k, expected)
+        assert_matches(oracle, k * a, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(small_polys, st.integers(1, 4))
