@@ -290,18 +290,14 @@ def construct_from_integral_class(omega: DifferentialForm, cover: GoodCover,
         weights[idx] = RationalExpr.const(1)
         if idx not in pots:
             raise MalformedExpressionError("constructed bundles need declared primitives")
+    # under f -> -f the per-pair offsets are unchanged: they scale with the
+    # angle primitive, whose coefficient already flipped
     bundle = LineBundleData(name, cover, transitions, weights, pots,
-                            branch_offsets=_negate_offsets(branch_offsets))
+                            branch_offsets=branch_offsets)
     result = validate_bundle(bundle)
     if not result.ok:
         raise MalformedExpressionError(f"constructed bundle fails validation: {result.failures}")
     return bundle
-
-
-def _negate_offsets(branch_offsets):
-    # offsets transported through f -> -f: the per-pair offsets are unchanged
-    # (they scale with the angle primitive, whose coefficient already flipped).
-    return dict(branch_offsets or {})
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +331,18 @@ class KostantOperator:
         return self.vector_part.derive(f, chart) + self._potentials[idx] * f
 
 
-def kostant_operator(scenario: ActionScenario, bundle: LineBundleData,
-                     section) -> KostantOperator:
-    """Construct the operator; curvature must match the scenario's 2-form."""
-    k_form = curvature(bundle)
-    diff = k_form - scenario.presymplectic.omega_tilde
-    if not diff.is_zero():
+def kostant_operator(scenario: ActionScenario, bundle: LineBundleData) -> tuple:
+    """The operator of every basis generator, in generator order.  They exist
+    only once the bundle prequantizes: its curvature must equal the
+    scenario's leafwise 2-form, else `CurvatureMismatchError` carries the
+    simplified residual."""
+    residual = (curvature(bundle) - scenario.presymplectic.omega_tilde).simplify()
+    if not residual.is_zero():
         raise CurvatureMismatchError(
-            "bundle curvature differs from the scenario's leafwise 2-form")
-    return KostantOperator(scenario, bundle, section)
+            "bundle curvature differs from the scenario's leafwise 2-form", residual)
+    model = scenario.model
+    return tuple(KostantOperator(scenario, bundle, model.basis_section(i))
+                 for i in range(model.n))
 
 
 def covariant_operator(bundle: LineBundleData, field: VectorField):
@@ -371,14 +370,12 @@ def _test_coefficients(bundle, idx, rng):
     return tests
 
 
-def rep_flatness_check(scenario: ActionScenario, bundle: LineBundleData,
-                       rng=None) -> CheckResult:
+def rep_flatness_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
     """[pi(X), pi(Y)] = pi([X, Y]) on frames and polynomial local sections."""
     rng = rng or random.Random(23)
     failures = []
     model = scenario.model
-    ops = [kostant_operator(scenario, bundle, model.basis_section(i))
-           for i in range(model.n)]
+    bundle = ops[0].bundle
     for i in range(model.n):
         for j in range(i + 1, model.n):
             bracket_op = KostantOperator(scenario, bundle,
@@ -396,14 +393,13 @@ def rep_flatness_check(scenario: ActionScenario, bundle: LineBundleData,
     return CheckResult(not failures, failures)
 
 
-def rep_hermitian_check(scenario: ActionScenario, bundle: LineBundleData,
-                        rng=None) -> CheckResult:
+def rep_hermitian_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
     """h(pi(X)f, g) + h(f, pi(X)g) = alpha(X).h(f, g) with h(f,g) = conj(f) g h_j."""
     rng = rng or random.Random(29)
     failures = []
     model = scenario.model
-    for i in range(model.n):
-        op = kostant_operator(scenario, bundle, model.basis_section(i))
+    bundle = ops[0].bundle
+    for i, op in enumerate(ops):
         field = op.vector_part
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
@@ -420,21 +416,20 @@ def rep_hermitian_check(scenario: ActionScenario, bundle: LineBundleData,
     return CheckResult(not failures, failures)
 
 
-def connection_equivariance_check(scenario: ActionScenario, bundle: LineBundleData,
-                                  rng=None) -> CheckResult:
+def connection_equivariance_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
     """[pi(X), nabla_v] = nabla_{[alpha(X), v]} for random polynomial fiber fields."""
     rng = rng or random.Random(31)
     failures = []
     model = scenario.model
     atlas = scenario.atlas
+    bundle = ops[0].bundle
     comps = {}
     for ch_name, chart in atlas.charts.items():
         comps[ch_name] = {c: random_polynomial(chart.coords, rng, degree=1)
                           for c in chart.fiber_coords}
     v = VectorField(atlas, LEAF_J, comps)
     nabla_v = covariant_operator(bundle, v)
-    for i in range(model.n):
-        op = kostant_operator(scenario, bundle, model.basis_section(i))
+    for i, op in enumerate(ops):
         moved = commutator(op.vector_part, v)
         nabla_moved = covariant_operator(bundle, moved)
         for idx in bundle.cover.index_set:

@@ -46,7 +46,12 @@ class IntegralityError(QuantbenchError):
 
 
 class CurvatureMismatchError(QuantbenchError):
-    """Bundle curvature disagrees with the scenario's presymplectic form."""
+    """Bundle curvature disagrees with the scenario's presymplectic form;
+    carries the residual 2-form."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 class PerturbationRejectedError(QuantbenchError):

@@ -420,15 +420,15 @@ class QuantizationResult:
         return self.basis.dimension
 
 
-def induced_representation(scenario: ActionScenario, bundle: LineBundleData,
+def induced_representation(scenario: ActionScenario, ops,
                            basis: HolomorphicBasis) -> QuantizationResult:
-    """Matrices of the momentum operators in the holomorphic basis."""
-    model = scenario.model
+    """Matrices of the operators `ops` of `kostant_operator` in the
+    holomorphic basis."""
+    bundle = basis.bundle
     n = basis.dimension
     patches = list(bundle.cover.index_set)
     matrices = []
-    for g in range(model.n):
-        op = kostant_operator(scenario, bundle, model.basis_section(g))
+    for op in ops:
         images = {p: [op.apply(p, basis.elements[e][p]) for e in range(n)]
                   for p in patches}
         # solve for constant matrix entries using the first patch
@@ -444,7 +444,7 @@ def induced_representation(scenario: ActionScenario, bundle: LineBundleData,
                             "representation matrices differ between patches")
         matrices.append(mat)
     gram = gram_matrix(bundle, basis)
-    return QuantizationResult(bundle, basis, gram, matrices, model.generator_names)
+    return QuantizationResult(bundle, basis, gram, matrices, scenario.model.generator_names)
 
 
 def monomial_basis(bundle: LineBundleData, structure, holomorphic_coords,
@@ -459,7 +459,7 @@ def quantize_monomial(scenario: ActionScenario, bundle: LineBundleData, structur
     """The fiberwise quantization pipeline: monomial ansatz, holomorphic
     kernel, then the induced representation on it."""
     basis = monomial_basis(bundle, structure, holomorphic_coords, degree_cap)
-    return induced_representation(scenario, bundle, basis)
+    return induced_representation(scenario, kostant_operator(scenario, bundle), basis)
 
 
 def _split_twopii(poly: PolyExpr):

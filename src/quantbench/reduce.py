@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
 from .hamiltonian import ActionScenario
-from .bundles import LineBundleData, kostant_operator
 from .linalg import kernel_basis, mat_mul, rref
 from .quantize import QuantizationResult
 from .reports import CheckResult
@@ -86,9 +85,6 @@ class ReducedSpace:
 
 def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
     """Per-fiber symplectic quotient of the zero level by the isotropy orbits."""
-    check = z.verify()
-    if not check.ok:
-        raise MalformedExpressionError(f"zero level data inconsistent: {check.failures}")
     quotient_dim = z.level_dimension - z.orbit_dimension
     if quotient_dim < 0:
         raise MalformedExpressionError("orbit dimension exceeds the zero level")
@@ -238,12 +234,11 @@ def projector_checks(red: QuantumReduction) -> CheckResult:
 # descent obstruction and the quantization/reduction comparison
 # ---------------------------------------------------------------------------
 
-def descent_obstruction_check(scenario: ActionScenario, bundle: LineBundleData,
+def descent_obstruction_check(scenario: ActionScenario, ops,
                               z: ZeroLevelData) -> CheckResult:
-    """Isotropy weight on the frame along the zero level; descends iff integral."""
-    check = z.verify()
-    if not check.ok:
-        raise MalformedExpressionError(f"zero level data inconsistent: {check.failures}")
+    """Isotropy weight on the frame along the zero level; descends iff
+    integral.  `ops` are the operators of `kostant_operator`."""
+    bundle = ops[0].bundle
     weights = {}
     failures = []
     patch = None
@@ -254,8 +249,7 @@ def descent_obstruction_check(scenario: ActionScenario, bundle: LineBundleData,
     if patch is None:
         raise MalformedExpressionError("no bundle patch covers the zero-level chart")
     for i in z.isotropy_indices:
-        op = kostant_operator(scenario, bundle, scenario.model.basis_section(i))
-        potential = op.potential_part(patch)
+        potential = ops[i].potential_part(patch)
         restricted = potential.subst(z.parametrization).simplify()
         if not restricted.is_constant():
             failures.append(("weight", f"generator {i}: non-constant along the level"))

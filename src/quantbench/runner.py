@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
 from .catalog import build_scenario, zero_level_data
-from .errors import UnknownCheckError
+from .errors import CurvatureMismatchError, UnknownCheckError
 from .gauge import gauge_momentum_verify, quantization_isomorphism_check
 from .reports import CheckRecord, CheckResult, Report
 
@@ -19,8 +19,8 @@ from .reports import CheckRecord, CheckResult, Report
 class RunContext:
     """One run's scenario, seeded RNG and artifacts.  The stage inputs are the
     scenario's own fields; a gauge construction is run through the scenario it
-    built.  The checks that produce `basis`, `representation`, `zero_level`,
-    `reduced`, `descent` and `fixed_subspace` set them."""
+    built.  The checks that produce `operators`, `basis`, `representation`,
+    `zero_level`, `reduced`, `descent` and `fixed_subspace` set them."""
 
     def __init__(self, scenario, seed=1729):
         if isinstance(scenario, str):
@@ -28,7 +28,7 @@ class RunContext:
         self.scenario = scenario = getattr(scenario, "scenario", scenario)
         self.rng = random.Random(seed)
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
-        self.basis = self.representation = self.zero_level = None
+        self.operators = self.basis = self.representation = self.zero_level = None
         self.reduced = self.descent = self.fixed_subspace = None
 
 
@@ -74,10 +74,11 @@ def _bracket_structure(ctx):
 
 
 def _curvature_match(ctx):
-    diff = (bundles.curvature(ctx.scenario.bundle) -
-            ctx.scenario.presymplectic.omega_tilde).simplify()
-    ok = diff.is_zero()
-    return CheckResult(ok, [] if ok else [("curvature", repr(diff))])
+    try:
+        ctx.operators = bundles.kostant_operator(ctx.scenario, ctx.scenario.bundle)
+    except CurvatureMismatchError as exc:
+        return CheckResult(False, [("curvature", repr(exc.residual))])
+    return CheckResult(True)
 
 
 def _holomorphic_dimension(ctx):
@@ -91,7 +92,7 @@ def _holomorphic_dimension(ctx):
 
 def _quantization(ctx):
     rep = ctx.representation = quantize.induced_representation(
-        ctx.scenario, ctx.scenario.bundle, ctx.basis)
+        ctx.scenario, ctx.operators, ctx.basis)
     return {"dimension": rep.dimension,
             "gram": [[str(v) for v in row] for row in rep.gram],
             "matrices": {name: [[str(v) for v in row] for row in mat]
@@ -126,7 +127,7 @@ def _internal_quotient(ctx):
 
 
 def _descent(ctx):
-    ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.scenario.bundle,
+    ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.operators,
                                                        ctx.zero_level)
     return ctx.descent
 
@@ -193,17 +194,17 @@ CHECKS = (
           lambda c: bundles.validate_bundle(c.scenario.bundle), produces="bundle",
           applies=lambda c: c.scenario.bundle is not None),
     Check("curvature-match", "prequantize", "chartwise curvature equals the scenario 2-form",
-          _curvature_match, needs=("bundle",)),
+          _curvature_match, needs=("bundle",), produces="operators"),
     Check("representation-flatness", "prequantize", "[pi(X), pi(Y)] = pi([X,Y]) on local sections",
-          lambda c: bundles.rep_flatness_check(c.scenario, c.scenario.bundle, c.rng),
-          needs=("bundle",)),
+          lambda c: bundles.rep_flatness_check(c.scenario, c.operators, c.rng),
+          needs=("operators",)),
     Check("representation-hermitian", "prequantize",
           "pairing derivative identity for the operators",
-          lambda c: bundles.rep_hermitian_check(c.scenario, c.scenario.bundle, c.rng),
-          needs=("bundle",)),
+          lambda c: bundles.rep_hermitian_check(c.scenario, c.operators, c.rng),
+          needs=("operators",)),
     Check("connection-equivariance", "prequantize", "[pi(X), nabla_v] = nabla_{[alpha(X), v]}",
-          lambda c: bundles.connection_equivariance_check(c.scenario, c.scenario.bundle, c.rng),
-          needs=("bundle",)),
+          lambda c: bundles.connection_equivariance_check(c.scenario, c.operators, c.rng),
+          needs=("operators",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
           lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle),
           needs=("bundle",)),
@@ -223,7 +224,7 @@ CHECKS = (
           applies=lambda c: c.scenario.holomorphic_coords is not None,
           note=lambda c: None if c.has_fibers else "fibers are points; quantization empty"),
     Check("quantization", "quantize", "exact Gram matrix and representation matrices",
-          _quantization, needs=("basis",), produces="representation"),
+          _quantization, needs=("basis", "operators"), produces="representation"),
     Check("gram-positivity", "quantize", "exact leading principal minors of the Gram matrix",
           lambda c: CheckResult(quantize.leading_minors_positive(c.representation.gram)),
           needs=("representation",)),
@@ -246,7 +247,7 @@ CHECKS = (
           note=lambda c: c.scenario.full_quotient and
           f"full quotient: {c.scenario.full_quotient}"),
     Check("descent-obstruction", "reduce", "isotropy weight on the frame along the zero level",
-          _descent, needs=("bundle", "zero_level"), produces="descent"),
+          _descent, needs=("operators", "zero_level"), produces="descent"),
     Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
           _projector, needs=("representation", "zero_level"), produces="fixed_subspace"),
     Check("qr-comparison", "reduce", "reduced quantization versus fixed subspace",

@@ -15,6 +15,7 @@ from conftest import quantize_scenario
 from quantbench.bundles import (
     construct_from_integral_class,
     curvature,
+    kostant_operator,
     rep_flatness_check,
     rep_hermitian_check,
 )
@@ -123,21 +124,23 @@ def test_criterion_3_kostant_closure_and_hermiticity(orbit_scenarios):
     ok = True
     for k in (0, 1, 2, 3):
         s = orbit_scenarios[k]
-        ok &= rep_flatness_check(s, s.bundle, rng).ok
-        ok &= rep_hermitian_check(s, s.bundle, rng).ok
+        ops = kostant_operator(s, s.bundle)
+        ok &= rep_flatness_check(s, ops, rng).ok
+        ok &= rep_hermitian_check(s, ops, rng).ok
     for k in (0, 1, 2, 3):
-        g = gauge_su2_scenario(k)
-        ok &= rep_flatness_check(g.scenario, g.scenario.bundle, rng).ok
-        ok &= rep_hermitian_check(g.scenario, g.scenario.bundle, rng).ok
+        g = gauge_su2_scenario(k).scenario
+        ops = kostant_operator(g, g.bundle)
+        ok &= rep_flatness_check(g, ops, rng).ok
+        ok &= rep_hermitian_check(g, ops, rng).ok
     controls = []
     flipped = control_flipped_momentum(2)
-    r1 = rep_flatness_check(flipped, flipped.bundle, rng)
+    r1 = rep_flatness_check(flipped, kostant_operator(flipped, flipped.bundle), rng)
     controls.append(not r1.ok and bool(r1.failures))
     imag = control_imaginary_momentum(2)
-    r2 = rep_hermitian_check(imag, imag.bundle, rng)
+    r2 = rep_hermitian_check(imag, kostant_operator(imag, imag.bundle), rng)
     controls.append(not r2.ok and bool(r2.failures))
     scaled = control_scaled_momentum(2)
-    r3 = rep_flatness_check(scaled, scaled.bundle, rng)
+    r3 = rep_flatness_check(scaled, kostant_operator(scaled, scaled.bundle), rng)
     controls.append(not r3.ok and bool(r3.failures))
     ok &= all(controls)
     _verdict(3, ok, "orbit + gauge catalogs pass for k <= 3; three negative "
@@ -237,14 +240,15 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
         z = zero_level_data(s)
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
                                   internal_mw_quotient(z),
-                                  descent_obstruction_check(s, s.bundle, z))
+                                  descent_obstruction_check(
+                                      s, kostant_operator(s, s.bundle), z))
         ok &= report.status == "pass"
         ok &= report.fixed_dimension == 1 and report.reduced_dimension == 1
         ok &= report.scale_squared is not None and \
             report.scale_squared.is_positive()
         details.append(f"k={k}: dims 1/1, scale^2 = {report.scale_squared}")
     s3 = rotation_scenarios[3]
-    descent = descent_obstruction_check(s3, s3.bundle,
+    descent = descent_obstruction_check(s3, kostant_operator(s3, s3.bundle),
                                         zero_level_data(s3))
     report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
                                internal_mw_quotient(zero_level_data(s3)), descent)

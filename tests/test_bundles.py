@@ -117,7 +117,7 @@ class TestKostantOperators:
         for k in (1, 2, 3):
             scenario = orbit_scenarios[k]
             bundle = scenario.bundle
-            op = kostant_operator(scenario, bundle, scenario.model.basis_section(2))
+            op = kostant_operator(scenario, bundle)[2]
             z = parse_expr("x - i*y")
             for a in range(k + 1):
                 image = op.apply("N", z ** a).simplify()
@@ -127,7 +127,7 @@ class TestKostantOperators:
     def test_zero_section_zero_operator(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
         bundle = scenario.bundle
-        op = kostant_operator(scenario, bundle, scenario.model.section([0, 0, 0]))
+        op = KostantOperator(scenario, bundle, scenario.model.section([0, 0, 0]))
         assert op.apply("N", parse_expr("x^2 - i*y")).simplify().is_zero()
 
     def test_flat_connection_example(self):
@@ -135,7 +135,7 @@ class TestKostantOperators:
         # transport minus the momentum potential
         scenario = foliation_flat_scenario()
         bundle = scenario.bundle
-        op = kostant_operator(scenario, bundle, scenario.model.basis_section(1))
+        op = kostant_operator(scenario, bundle)[1]
         f = parse_expr("x*w")
         manual = parse_expr("x*w").derivative("y") * 0 + \
             op.vector_part.derive(f, "F") + \
@@ -146,8 +146,9 @@ class TestKostantOperators:
     def test_curvature_mismatch_rejected(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
         wrong = o_bundle(scenario.atlas, 1)
-        with pytest.raises(CurvatureMismatchError):
-            kostant_operator(scenario, wrong, scenario.model.basis_section(0))
+        with pytest.raises(CurvatureMismatchError) as err:
+            kostant_operator(scenario, wrong)
+        assert not err.value.residual.is_zero()
 
 
 class TestRepresentationChecks:
@@ -156,33 +157,34 @@ class TestRepresentationChecks:
         scenario = orbit_scenarios[k]
         bundle = scenario.bundle
         rng = random.Random(41)
-        assert rep_flatness_check(scenario, bundle, rng).ok
-        assert rep_hermitian_check(scenario, bundle, rng).ok
+        ops = kostant_operator(scenario, bundle)
+        assert rep_flatness_check(scenario, ops, rng).ok
+        assert rep_hermitian_check(scenario, ops, rng).ok
 
     def test_connection_equivariance(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
         bundle = scenario.bundle
-        assert connection_equivariance_check(scenario, bundle).ok
+        assert connection_equivariance_check(scenario, kostant_operator(scenario, bundle)).ok
 
     def test_flipped_momentum_breaks_flatness(self):
         bad = control_flipped_momentum(2)
         bundle = bad.bundle
-        report = rep_flatness_check(bad, bundle)
+        report = rep_flatness_check(bad, kostant_operator(bad, bundle))
         assert not report.ok
 
     def test_flipped_momentum_breaks_connection_equivariance(self):
         bad = control_flipped_momentum(2)
-        report = connection_equivariance_check(bad, bad.bundle)
+        report = connection_equivariance_check(bad, kostant_operator(bad, bad.bundle))
         assert not report.ok
 
     def test_imaginary_momentum_breaks_hermiticity(self):
         bad = control_imaginary_momentum(2)
-        report = rep_hermitian_check(bad, bad.bundle)
+        report = rep_hermitian_check(bad, kostant_operator(bad, bad.bundle))
         assert not report.ok
 
     def test_zero_operator_hermitian(self, orbit_scenarios):
         scenario = orbit_scenarios[0]
-        assert rep_hermitian_check(scenario, scenario.bundle).ok
+        assert rep_hermitian_check(scenario, kostant_operator(scenario, scenario.bundle)).ok
 
 
 class TestPicardStructure:

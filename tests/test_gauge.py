@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import quantize_scenario
 
-from quantbench.bundles import curvature, validate_bundle
+from quantbench.bundles import curvature, kostant_operator, validate_bundle
 from quantbench.catalog import (
     gauge_su2_scenario,
     gauge_u1_character_scenario,
@@ -174,7 +174,8 @@ class TestGaugeReduction:
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
                           ("t",), isotropy_indices=(n_base,), orbit_dimension=1)
-        descent = descent_obstruction_check(gauge.scenario, gauge.scenario.bundle, z)
+        descent = descent_obstruction_check(
+            gauge.scenario, kostant_operator(gauge.scenario, gauge.scenario.bundle), z)
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1

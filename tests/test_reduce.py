@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from quantbench.bundles import kostant_operator
 from quantbench.catalog import (
+    build_scenario,
     pair_groupoid_scenario,
     zero_level_data,
 )
-from quantbench.errors import MalformedExpressionError
 from quantbench.exprs import parse_expr
 from quantbench.reduce import (
     ZeroLevelData,
@@ -19,6 +20,7 @@ from quantbench.reduce import (
     qr_commute_check,
     quantum_fixed_subspace,
 )
+from quantbench.runner import run_scenario
 from quantbench.scalars import ExactScalar, ONE, ZERO
 
 
@@ -33,8 +35,14 @@ class TestZeroLevel:
                             {"x": parse_expr("t"), "y": parse_expr("t")}, ("t",),
                             orbit_dimension=1)
         assert not bad.verify().ok
-        with pytest.raises(MalformedExpressionError):
-            internal_mw_quotient(bad)
+        # the table rejects it: the zero-level row fails and its consumers skip
+        scenario = build_scenario("u1-rotation-reduction-k", 2)
+        scenario.zero_level = dict(scenario.zero_level, parametrization=bad.parametrization)
+        records = {r.check_id: r for r in run_scenario(scenario).records}
+        assert records["zero-level"].status == "fail"
+        for check_id in ("internal-quotient", "descent-obstruction", "quantum-projector",
+                         "qr-comparison"):
+            assert records[check_id].status == "skipped"
 
 
 class TestInternalQuotient:
@@ -107,7 +115,7 @@ class TestDescent:
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_levels_descend(self, rotation_scenarios, k):
         scenario = rotation_scenarios[k]
-        result = descent_obstruction_check(scenario, scenario.bundle,
+        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
                                            zero_level_data(scenario))
         assert result.descends
         assert result.weights["e1"] == ExactScalar(Fraction(k, 2))
@@ -115,7 +123,7 @@ class TestDescent:
 
     def test_odd_level_obstructed(self, rotation_scenarios):
         scenario = rotation_scenarios[3]
-        result = descent_obstruction_check(scenario, scenario.bundle,
+        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
                                            zero_level_data(scenario))
         assert not result.descends
         assert result.status == "hypotheses-not-met"
@@ -128,7 +136,8 @@ class TestDescent:
                           {"x": parse_expr("p"), "y": parse_expr("q"),
                            "w": parse_expr("r")},
                           ("p", "q", "r"), isotropy_indices=(), orbit_dimension=0)
-        result = descent_obstruction_check(scenario, scenario.bundle, z)
+        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
+                                           z)
         assert result.descends
 
 
@@ -137,7 +146,8 @@ def _compare(scenario, result):
     z = zero_level_data(scenario)
     return qr_commute_check(quantum_fixed_subspace(result, z.isotropy_indices),
                             internal_mw_quotient(z),
-                            descent_obstruction_check(scenario, scenario.bundle, z))
+                            descent_obstruction_check(
+                                scenario, kostant_operator(scenario, scenario.bundle), z))
 
 
 class TestComparison:

@@ -12,42 +12,44 @@ from pathlib import Path
 
 import pytest
 
-from quantbench import catalog, hamiltonian, liealg, reduce
+from quantbench import bundles, catalog, hamiltonian, liealg, reduce
 from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# SHA-256 of Report.canonical_json() at the default filter and seed.
-PINNED = [
-    ("pair-groupoid-flat", None, "2fbe39c24eab6340919c2adec2cfc85f9dd8fdad41b78a6a2866edce1d52fdbb"),
-    ("s1-plane-action", None, "d0a2b6fd769be92e1bb9103d94ad681b3a2d0b2d3f0d5a2eb8ceb0db786c9812"),
-    ("sphere-family", 1, "3feb6aca2194f55f8a05ba2790dcd2515a99a4f9f3655cd8b585dc30c17dc39a"),
-    ("sphere-family", 2, "68a6852b187ecaa6c77bbe5ef7b450d2778185f8c4cf1f40263b8e7757939160"),
-    ("foliation-flat", None, "2a4377db558d4b2984a1f1e996c81578753651be447de62a4ebbcd5bf44041c0"),
-    ("gauge-u1-char-n", 0, "220cd8d1f704255ccf70113ac4febb37206fbe033a2554da0ad378cfedd83fa3"),
-    ("gauge-u1-char-n", 1, "592a25e5f864215521972b4f2a2049c8f61519271320fb289d1fa660909bfb45"),
-    ("gauge-u1-char-n", 2, "235271fdb4de76fe1e908528bcb0c32982206c83546c8a68833257bd374413a7"),
-    ("u1-rotation-reduction-k", 1,
-     "7457a47c33ad432f9975f367a9974bd7cd7004ab9c0fb0802a23bbdaa4d3fab9"),
-    ("u1-rotation-reduction-k", 2,
-     "c23ff154eafda90c2870e0a5027fa6c466bc0f470b7a09d61424a08139e1bb57"),
-    ("su2-orbit-k", 0, "effa1eddcf2dce490af4ad167af9b760638acb4031aa1b789b6283eb68f4cfeb"),
-    ("gauge-su2-k", 0, "d648370f87e2dff740dc4543504857cdc3f2a7621501f986b8458b5ad01ccc2a"),
-]
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("name,level,digest", PINNED)
-def test_canonical_report_is_pinned(name, level, digest):
-    text = run_scenario(catalog.build_scenario(name, level)).canonical_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+catalog_digests = _load(ROOT / "tools/catalog_digests.py")
+# SHA-256 of Report.canonical_json() for every run of the catalog sweep, at the
+# default filter and seed: the one list, kept by tools/catalog_digests.py.  The
+# reports do not depend on the string-hash seed, so pytest's own seed will do.
+DIGESTS = dict(line.split(": ") for line in
+               (ROOT / "tools/catalog_digests.txt").read_text().splitlines())
+
+
+def _run_id(label):
+    """Test id `<scenario>-<level>-<digest>`, level `None` for a run without one."""
+    name, _, level = label.partition(" ")
+    return f"{name}-{level or None}-{DIGESTS.get(label)}"
+
+
+@pytest.mark.parametrize("label,build", [
+    pytest.param(label, build, id=_run_id(label)) for label, build in catalog_digests.runs()])
+def test_canonical_report_is_pinned(label, build):
+    text = run_scenario(build()).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS.get(label)
 
 
 def test_table_matches_the_bench_stage_table_and_produces_before_reading():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench/workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load(ROOT / "perfbench/workloads.py")
     expected = dict(workloads.STAGE_OF_CHECK)
     del expected["scenario-note"]
     assert {c.id: c.stage for c in CHECKS} == expected and len(CHECKS) == len(expected)
@@ -57,7 +59,8 @@ def test_table_matches_the_bench_stage_table_and_produces_before_reading():
                for i, check in enumerate(CHECKS) for name in check.needs + check.uses)
 
 
-PREREQUISITES = ["bundle-data", "complex-structure", "holomorphic-dimension", "quantization"]
+PREREQUISITES = ["bundle-data", "curvature-match", "complex-structure", "holomorphic-dimension",
+                 "quantization"]
 
 
 @pytest.mark.parametrize("selection,expected", [
@@ -98,16 +101,6 @@ def test_concrete_name_is_the_family_stem_and_level():
     assert catalog.build_scenario("gauge-u1-char-1").scenario.name == "gauge-u1-char-1"
 
 
-# SHA-256 of the controls' canonical reports, keyed by scenario name so that
-# the parametrized test ids stay as they are.
-CONTROL_DIGESTS = {
-    "control-flipped-momentum-1":
-        "91adc088922420ee3d053181025b7999164f5411e97af60d4bf7c23eb1f1cdbf",
-    "control-imaginary-momentum-1":
-        "dda656c471df07af2f47e6a6174e6e067800651c64227f2663fcbfc3cfd206d0",
-}
-
-
 @pytest.mark.parametrize("factory,fails", [
     (catalog.control_flipped_momentum, ("internal-momentum", "representation-flatness")),
     (catalog.control_imaginary_momentum, ("representation-hermitian",)),
@@ -115,12 +108,25 @@ CONTROL_DIGESTS = {
 def test_negative_control_fails_and_skips_downstream(factory, fails):
     report = run_scenario(factory(1))
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
-    assert digest == CONTROL_DIGESTS[report.scenario_name]
+    assert digest == DIGESTS[f"{factory.__name__}(1)"]
     records = {r.check_id: r for r in report.records}
     assert all(records[c].status == "fail" for c in fails + ("quantization",))
     for check_id in ("gram-positivity", "matrix-commutation", "infinitesimal-unitarity"):
         assert records[check_id].status == "skipped"
         assert records[check_id].notes == ["needs representation from quantization, which failed"]
+
+
+def test_failed_curvature_match_skips_the_operator_checks():
+    scenario = catalog.build_scenario("su2-orbit-k", 2)
+    scenario.bundle = catalog.o_bundle(scenario.atlas, 1)
+    records = {r.check_id: r for r in run_scenario(scenario).records}
+    residual = (curvature(scenario.bundle) - scenario.presymplectic.omega_tilde).simplify()
+    assert records["curvature-match"].status == "fail"
+    assert records["curvature-match"].failures == [("curvature", repr(residual))]
+    for check_id in ("representation-flatness", "representation-hermitian",
+                     "connection-equivariance", "quantization"):
+        assert records[check_id].status == "skipped"
+        assert records[check_id].notes == ["needs operators from curvature-match, which failed"]
 
 
 def test_unexpected_exception_is_a_failed_record(monkeypatch):
@@ -153,12 +159,16 @@ def test_each_validation_runs_once_in_the_table(monkeypatch):
     count(hamiltonian, "quantization_condition_check")
     for name in ("descent_obstruction_check", "quantum_fixed_subspace", "internal_mw_quotient"):
         count(reduce, name)
+    count(bundles, "kostant_operator")
+    count(reduce.ZeroLevelData, "verify")
     validations = {"morphism_report": 1, "prequantization_condition_check": 1,
                    "quantization_condition_check": 1}
-    reduction = {**validations, "descent_obstruction_check": 1, "quantum_fixed_subspace": 1,
-                 "internal_mw_quotient": 1}
+    bundled = {**validations, "kostant_operator": 1}
+    reduction = {**bundled, "descent_obstruction_check": 1, "quantum_fixed_subspace": 1,
+                 "internal_mw_quotient": 1, "verify": 1}
     for name, level, expected in (("pair-groupoid-flat", None, validations),
                                   ("gauge-u1-char-n", 1, validations),
+                                  ("foliation-flat", None, bundled),
                                   ("u1-rotation-reduction-k", 1, reduction),
                                   ("u1-rotation-reduction-k", 2, reduction)):
         calls.clear()
