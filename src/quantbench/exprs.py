@@ -1,59 +1,125 @@
 """Exact multivariate polynomials and rational functions over the Gaussian rationals.
 
-Monomials are sorted ``(variable, exponent)`` tuples, so expressions in
-different variable sets combine freely.  The reserved variable ``twopii``
-stands for the formal constant 2*pi*i; it participates in arithmetic like any
-other variable (so 1/pi = 2i/twopii is exact) but conjugation sends it to its
-negative.  Coordinate operations (derivatives, substitution) never touch it
-unless explicitly asked.
+A monomial is one non-negative int holding a fixed-width bit field per
+variable: the exponent of the variable interned at position k sits in bits
+16k to 16k+14, and bit 16k+15 is that field's guard bit.  A module-level
+registry interns variable names on first use (``twopii`` takes field 0), so
+expressions in different variable sets combine freely.  A product of
+monomials is one ``+``, and a division is one subtraction whose borrows show
+in the guard bits.  No stored exponent reaches its guard bit: a product or a
+constructor that would raise an exponent past 32767 raises
+`MalformedExpressionError` instead of carrying into the next field.
+
+Field positions depend on the order in which a process first meets its
+variables, so nothing that is printed, compared or sorted reads them.  The
+monomial order of `leading()` and of printing is graded lex, the variable
+whose name sorts later dominating; its key is derived from the names and
+memoized per monomial.  ``coeffs()`` and the constructor speak
+``(variable, exponent)`` tuples sorted by name.
+
+The reserved variable ``twopii`` stands for the formal constant 2*pi*i; it
+participates in arithmetic like any other variable (so 1/pi = 2i/twopii is
+exact) but conjugation sends it to its negative.  Coordinate operations
+(derivatives, substitution) never touch it unless explicitly asked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
+from operator import or_
 
 from .errors import MalformedExpressionError
 from .scalars import ExactScalar, ONE, ZERO
 
 TWO_PI_I = "twopii"
 
-Monomial = tuple  # tuple[(var, exp), ...] sorted by var
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+_FIELD = 16                             # bits per variable
+_MASK = (1 << _FIELD) - 1
+_MAX_EXP = (1 << (_FIELD - 1)) - 1      # the top bit of a field is its guard bit
+_SHIFT = {}                             # variable name -> bit offset of its field
+_NAMES = []                             # variable names in field order
+_GUARDS = 0                             # the guard bit of every field in use
+_RANK_SHIFTS = []                       # field index -> offset in an order key
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    # exponents are positive, so no sum vanishes
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+class _OrderKeys(dict):
+    """Packed monomial -> int key of the graded lex order in which the variable
+    whose name sorts later dominates.  A key re-packs the exponents by the rank
+    of each name among the interned ones, above the total degree, so keys
+    compare as the names do; interning a name clears the memo."""
+
+    def __missing__(self, mono):
+        degree = key = 0
+        for index, e in _fields(mono):
+            degree += e
+            key |= e << _RANK_SHIFTS[index]
+        key |= degree << (_FIELD * len(_NAMES))
+        self[mono] = key
+        return key
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True if m1 | m2 componentwise."""
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
+_ORDER_KEYS = _OrderKeys()
+_order_key = _ORDER_KEYS.__getitem__
 
 
-def _mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    d = dict(m2)
-    for v, e in m1:
-        d[v] = d.get(v, 0) - e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
+def _shift(name: str) -> int:
+    """Bit offset of the field of `name`, interning the name on first use."""
+    s = _SHIFT.get(name)
+    if s is None:
+        global _GUARDS
+        s = _SHIFT[name] = _FIELD * len(_NAMES)
+        _NAMES.append(name)
+        _GUARDS |= 1 << (s + _FIELD - 1)
+        rank = {v: i for i, v in enumerate(sorted(_NAMES))}
+        _RANK_SHIFTS[:] = [_FIELD * rank[v] for v in _NAMES]
+        _ORDER_KEYS.clear()
+    return s
 
 
-def _mono_key(m: Monomial):
-    # graded lexicographic; descending pair list makes later names dominate,
-    # which is a consistent monomial order even across variable sets
-    return (sum(e for _, e in m), tuple(sorted(m, reverse=True)))
+_TWO_PI_I_SHIFT = _shift(TWO_PI_I)
+
+
+def _pack(mono) -> int:
+    """The packed form of a `(variable, exponent)` tuple monomial."""
+    exps = {}
+    for v, e in mono:
+        exps[v] = exps.get(v, 0) + e
+    m = 0
+    for v, e in exps.items():
+        if not 0 <= e <= _MAX_EXP:
+            raise MalformedExpressionError(f"exponent {e} of {v} outside 0..{_MAX_EXP}")
+        m |= e << _shift(v)
+    return m
+
+
+def _fields(m: int):
+    """(field index, exponent) for every variable of a packed monomial."""
+    index = 0
+    while m:
+        e = m & _MASK
+        if e:
+            yield index, e
+        m >>= _FIELD
+        index += 1
+
+
+def _mono_tuple(m: int) -> tuple:
+    """The `(variable, exponent)` pairs of a packed monomial, sorted by name."""
+    return tuple(sorted((_NAMES[i], e) for i, e in _fields(m)))
 
 
 class PolyExpr:
     """Multivariate polynomial over the Gaussian rationals, in canonical form.
 
-    ``terms`` maps each monomial to a Gaussian-integer pair ``(re, im)``, and
-    ``den`` is one positive integer: the coefficient of a monomial is
-    ``(re + im*i) / den``.  No pair is ``(0, 0)`` and the gcd of ``den`` and
+    ``terms`` maps each packed monomial to a Gaussian-integer pair
+    ``(re, im)``, and ``den`` is one positive integer: the coefficient of a
+    monomial is ``(re + im*i) / den``.  No pair is ``(0, 0)`` and the gcd of ``den`` and
     every part is 1 (``den`` is 1 for zero), so equal polynomials have equal
     ``terms`` and ``den``.  Arithmetic runs on these integers; ``coeffs()``
     gives the coefficients as ExactScalar.
@@ -62,12 +128,13 @@ class PolyExpr:
     __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        """`terms` maps monomials to ExactScalar, int or Fraction values."""
+        """`terms` maps `(variable, exponent)` tuple monomials to ExactScalar,
+        int or Fraction values."""
         clean = {}
         for mono, coeff in (terms or {}).items():
             coeff = ExactScalar.coerce(coeff)
             if not coeff.is_zero():
-                clean[tuple(sorted(mono))] = coeff
+                clean[_pack(mono)] = coeff
         # the lcm of reduced denominators shares no factor with every part
         den = lcm(*(part.denominator for c in clean.values() for part in (c.re, c.im)))
         _set_terms(self, {m: (c.re.numerator * (den // c.re.denominator),
@@ -82,21 +149,21 @@ class PolyExpr:
     @staticmethod
     def const(value) -> "PolyExpr":
         if type(value) is int:
-            return _raw({(): (value, 0)} if value else {}, 1)
+            return _raw({0: (value, 0)} if value else {}, 1)
         return PolyExpr({(): value})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "PolyExpr":
         if exp == 0:
             return PolyExpr.const(1)
-        return _raw({((name, exp),): (1, 0)}, 1)
+        return _raw({_pack(((name, exp),)): (1, 0)}, 1)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> ExactScalar:
         if not self.is_constant():
@@ -104,15 +171,17 @@ class PolyExpr:
         return self.coeffs().get((), ZERO)
 
     def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
+        used = reduce(or_, self.terms, 0)
+        return {v for v, s in _SHIFT.items() if (used >> s) & _MASK}
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max((sum(e for _, e in _fields(m)) for m in self.terms), default=0)
 
     def coeffs(self) -> dict:
-        """{monomial: ExactScalar coefficient}, in the order of `terms`."""
+        """{`(variable, exponent)` tuple monomial: ExactScalar coefficient}, in
+        the order of `terms`."""
         den = self.den
-        return {m: ExactScalar(Fraction(re, den), Fraction(im, den))
+        return {_mono_tuple(m): ExactScalar(Fraction(re, den), Fraction(im, den))
                 for m, (re, im) in self.terms.items()}
 
     # -- arithmetic --------------------------------------------------------
@@ -141,13 +210,15 @@ class PolyExpr:
         get = acc.get
         for m1, (a, b) in self.terms.items():
             for m2, (c, d) in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 slot = get(m)
                 if slot is None:
                     acc[m] = [a * c - b * d, a * d + b * c]
                 else:
                     slot[0] += a * c - b * d
                     slot[1] += a * d + b * c
+        if _GUARDS & reduce(or_, acc, 0):
+            raise MalformedExpressionError(f"exponent over {_MAX_EXP} in a product")
         terms = {m: (re, im) for m, (re, im) in acc.items() if re or im}
         return _canonical(terms, self.den * other.den)
 
@@ -178,22 +249,21 @@ class PolyExpr:
     # -- calculus ------------------------------------------------------------
     def derivative(self, var: str) -> "PolyExpr":
         # lowering one exponent is injective on the monomials that have it
+        s = _SHIFT.get(var)
+        if s is None:
+            return PolyExpr()
+        one = 1 << s
         terms = {}
         for m, (re, im) in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[var]
-            else:
-                d[var] = e - 1
-            terms[tuple(sorted(d.items()))] = (re * e, im * e)
+            e = (m >> s) & _MASK
+            if e:
+                terms[m - one] = (re * e, im * e)
         return _canonical(terms, self.den)
 
     def conj(self) -> "PolyExpr":
         """Gaussian-conjugate coefficients; the twopii token flips sign."""
-        return _raw({m: (-re, im) if dict(m).get(TWO_PI_I, 0) % 2 else (re, -im)
+        s = _TWO_PI_I_SHIFT
+        return _raw({m: (-re, im) if (m >> s) & 1 else (re, -im)
                      for m, (re, im) in self.terms.items()}, self.den)
 
     def evaluate(self, point: dict) -> ExactScalar:
@@ -211,8 +281,8 @@ class PolyExpr:
         """Substitute variables by RationalExpr values (missing vars stay)."""
         out = RationalExpr.zero()
         for m, pair in self.terms.items():
-            term = RationalExpr(_canonical({(): pair}, self.den))
-            for v, e in m:
+            term = RationalExpr(_canonical({0: pair}, self.den))
+            for v, e in _mono_tuple(m):
                 if v in mapping:
                     term = term * (_coerce_rational(mapping[v]) ** e)
                 else:
@@ -226,7 +296,7 @@ class PolyExpr:
         is that pair over `den`."""
         if self.is_zero():
             raise MalformedExpressionError("leading term of zero polynomial")
-        m = max(self.terms, key=_mono_key)
+        m = max(self.terms, key=_order_key)
         return m, self.terms[m]
 
     def exact_div(self, other: "PolyExpr"):
@@ -239,12 +309,15 @@ class PolyExpr:
         lm, (lr, li) = other.leading()
         # (rr + ri*i)/rem.den divided by (lr + li*i)/other.den
         scale, norm = other.den, lr * lr + li * li
+        guards = _GUARDS
         while not rem.is_zero():
             rm, (rr, ri) = rem.leading()
-            if not _mono_divides(lm, rm):
+            # a field of rm below the one of lm borrows its guard bit
+            q = (rm | guards) - lm
+            if q & guards != guards:
                 return None
-            t = _canonical({_mono_div(rm, lm): ((rr * lr + ri * li) * scale,
-                                                (ri * lr - rr * li) * scale)},
+            t = _canonical({q ^ guards: ((rr * lr + ri * li) * scale,
+                                         (ri * lr - rr * li) * scale)},
                            rem.den * norm)
             quot = quot + t
             rem = rem - t * other
@@ -253,11 +326,12 @@ class PolyExpr:
     def __str__(self):
         if self.is_zero():
             return "0"
-        coeffs = self.coeffs()
+        den = self.den
         bits = []
-        for m in sorted(coeffs, key=_mono_key, reverse=True):
-            c = coeffs[m]
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+        for m in sorted(self.terms, key=_order_key, reverse=True):
+            re, im = self.terms[m]
+            c = ExactScalar(Fraction(re, den), Fraction(im, den))
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _mono_tuple(m))
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or (c.im != 0 and c.re != 0):
                 cs = f"({cs})"
@@ -267,7 +341,7 @@ class PolyExpr:
     __repr__ = __str__
 
 
-_ONE_TERMS = {(): (1, 0)}  # the terms of 1, and of every 1/den
+_ONE_TERMS = {0: (1, 0)}  # the terms of 1, and of every 1/den
 _set_terms = PolyExpr.terms.__set__
 _set_den = PolyExpr.den.__set__
 
@@ -326,7 +400,7 @@ def _add(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
 def _leading_inverse(p: PolyExpr) -> PolyExpr:
     """The constant polynomial 1/lc(p)."""
     _, (re, im) = p.leading()
-    return _canonical({(): (re * p.den, -im * p.den)}, re * re + im * im)
+    return _canonical({0: (re * p.den, -im * p.den)}, re * re + im * im)
 
 
 def _coerce_poly(value) -> PolyExpr:
@@ -343,11 +417,11 @@ def _coerce_poly(value) -> PolyExpr:
 
 def _to_univariate(p: PolyExpr, var: str) -> dict:
     """Represent p as {exp: PolyExpr-in-other-vars}."""
+    s = _SHIFT[var]
     coeffs = {}
     for m, pair in p.terms.items():
-        d = dict(m)
-        e = d.pop(var, 0)
-        coeffs.setdefault(e, {})[tuple(sorted(d.items()))] = pair
+        e = (m >> s) & _MASK
+        coeffs.setdefault(e, {})[m - (e << s)] = pair
     return {e: _canonical(t, p.den) for e, t in coeffs.items()}
 
 
@@ -379,16 +453,17 @@ def _uni_shift(coeffs: dict, k: int) -> dict:
 
 
 def _pseudo_rem(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of univariate polys with PolyExpr coefficients."""
+    """lc(b)^(deg a - deg b + 1) * a mod b, for univariate polys with PolyExpr
+    coefficients."""
     db = _uni_deg(b)
     lb = b[db]
     r = dict(a)
-    while True:
+    steps = _uni_deg(a) - db + 1
+    while steps and _uni_deg(r) >= db:
         dr = _uni_deg(r)
-        if dr < db:
-            return r
-        lr = r[dr]
-        r = _uni_sub(_uni_scale(r, lb), _uni_shift(_uni_scale(b, lr), dr - db))
+        r = _uni_sub(_uni_scale(r, lb), _uni_shift(_uni_scale(b, r[dr]), dr - db))
+        steps -= 1
+    return _uni_scale(r, lb ** steps) if steps and r else r
 
 
 def poly_gcd(a: PolyExpr, b: PolyExpr) -> PolyExpr:
@@ -409,16 +484,27 @@ def poly_gcd(a: PolyExpr, b: PolyExpr) -> PolyExpr:
     prim_b = {e: c.exact_div(cont_b) for e, c in ub.items()}
     if _uni_deg(prim_a) < _uni_deg(prim_b):
         prim_a, prim_b = prim_b, prim_a
-    while _uni_deg(prim_b) >= 0:
-        r = _pseudo_rem(prim_a, prim_b)
-        prim_a = prim_b
-        if _uni_deg(r) < 0:
-            prim_b = {}
+    # subresultant remainder sequence (Collins 1967; Brown, JACM 18, 1971):
+    # each pseudo-remainder is divided by g*h^d, a factor known to divide it,
+    # so coefficients stay small without a content gcd at every step
+    f, s = prim_a, prim_b
+    g = h = PolyExpr.const(1)
+    while _uni_deg(s) > 0:
+        d = _uni_deg(f) - _uni_deg(s)
+        r = _pseudo_rem(f, s)
+        if not r:
             break
-        rc = _content(r)
-        prim_b = {e: c.exact_div(rc) for e, c in r.items()}
+        divisor = g * h ** d
+        f, s = s, {e: c.exact_div(divisor) for e, c in r.items()}
+        g = f[_uni_deg(f)]
+        h = h if d == 0 else g if d == 1 else (g ** d).exact_div(h ** (d - 1))
+    if _uni_deg(s) == 0:  # the primitive parts are coprime
+        prim = {0: PolyExpr.const(1)}
+    else:
+        rc = _content(s)
+        prim = {e: c.exact_div(rc) for e, c in s.items()}
     cont_gcd = poly_gcd(cont_a, cont_b)
-    result = _from_univariate(prim_a, var) * cont_gcd
+    result = _from_univariate(prim, var) * cont_gcd
     return _normalize_leading(result)
 
 
@@ -615,7 +701,7 @@ class RationalExpr:
     __repr__ = __str__
 
 
-def _mono_numeric(m: Monomial, point: dict) -> complex:
+def _mono_numeric(m: tuple, point: dict) -> complex:
     out = 1.0 + 0j
     for v, e in m:
         out *= complex(point[v]) ** e

@@ -20,33 +20,50 @@ def _coerce_row(row):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [_coerce_row(r) for r in rows]
-    if not m:
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    The result is dense: the pivot rows, then the zero rows.  Elimination runs
+    on sparse rows, {column: nonzero entry}, so no zero entry is ever scaled
+    or subtracted.  Pivots are chosen as in textbook Gauss-Jordan (the first
+    row from the current one down with a nonzero entry in the column), and
+    every nonzero entry goes through the same operations in the same order, so
+    `RationalExpr` entries keep their unsimplified form too.
+    """
+    dense = [_coerce_row(r) for r in rows]
+    if not dense:
         return [], []
-    ncols = len(m[0])
+    ncols = len(dense[0])
+    m = [{c: v for c, v in enumerate(row) if not v.is_zero()} for row in dense]
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        row = m[r]
+        inv = row[c].inverse()
+        for k, v in row.items():
+            row[k] = v * inv
+        for i, other in enumerate(m):
+            if i == r or c not in other:
+                continue
+            factor = other.pop(c)  # the pivot column clears exactly
+            for k, b in row.items():
+                if k == c:
+                    continue
+                a = other.get(k)
+                v = -(factor * b) if a is None else a - factor * b
+                if v.is_zero():
+                    del other[k]
+                else:
+                    other[k] = v
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    zero = dense[0][0] - dense[0][0] if ncols else None  # of the entries' type
+    return [[row.get(c, zero) for c in range(ncols)] for row in m], pivots
 
 
 def rank(rows):

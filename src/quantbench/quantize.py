@@ -264,7 +264,9 @@ def _linear_rows_indexed(indexed, total):
     for pos, expr in indexed:
         expr = coerce_rational(expr).simplify()
         cleaned.append((pos, expr))
-        den = den * expr.den
+        # any common multiple of the denominators gives the same row space
+        if den.exact_div(expr.den) is None:
+            den = expr.den if expr.den.exact_div(den) is not None else den * expr.den
     monomial_rows = {}
     for pos, expr in cleaned:
         scaled = expr.num * den.exact_div(expr.den)

@@ -189,13 +189,18 @@ class TestParser:
 # Differential tests against sympy's polynomial ring over QQ_I
 # ---------------------------------------------------------------------------
 
-VARS = ("x", "y", TWO_PI_I)
+# The order in which a process first meets these names differs from their
+# sorted order (__z, __zb, a, b, twopii), so a monomial order read from field
+# positions instead of names would show.
+VARS = ("b", "a", "__zb", "__z", TWO_PI_I)
+for _name in VARS:
+    PolyExpr.var(_name)
 _part = st.fractions(min_value=-12, max_value=12, max_denominator=12)
 _coefficients = st.builds(ExactScalar, _part, _part)
 
 
 def _polys(max_terms):
-    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(VARS))
     return st.dictionaries(exponents, _coefficients, max_size=max_terms).map(
         lambda table: PolyExpr({tuple((v, e) for v, e in zip(VARS, exps) if e): c
                                 for exps, c in table.items()}))
@@ -240,7 +245,8 @@ class QQIOracle:
     def conj(self, q):
         """Conjugate coefficients, and the sign flip of odd twopii powers."""
         return self.ring.from_dict({
-            exps: self.QQ_I(-c.x, c.y) if exps[2] % 2 else self.QQ_I(c.x, -c.y)
+            exps: self.QQ_I(-c.x, c.y) if exps[VARS.index(TWO_PI_I)] % 2
+            else self.QQ_I(c.x, -c.y)
             for exps, c in q.terms()})
 
     def is_unit(self, q) -> bool:
@@ -310,6 +316,22 @@ class TestAgainstSympy:
         assert oracle.is_unit(oracle.to_sympy(ours).exquo(theirs))
         assert ours.leading()[1] == (ours.den, 0)  # leading coefficient 1
 
+    def test_gcd_of_a_five_variable_product(self, oracle):
+        """Hypothesis found this case; it ran for minutes while every
+        pseudo-remainder was made primitive by a content gcd."""
+        a, b, c = (parse_expr(text).as_poly() for text in (
+            "(8+12*i)*__z*a^2*b*twopii^2 + (-17/6-7*i)*__z^2*__zb*a*b + (13/10-6*i)*__z",
+            "(77/9+9/7*i)*__z^2*a^2*b^2*twopii^2 + (10-5*i)*__z^2*__zb^2*a"
+            " + (-2+7/5*i)*__zb*b^2",
+            "(1+35/4*i)*__z*__zb*b*twopii^2 + (-33/7-5*i)*__z*a^2*b*twopii"
+            " + (-17/6+8*i)*__zb^2*a^2*twopii"))
+        start = time.perf_counter()
+        ours = poly_gcd(a * c, b * c)
+        assert time.perf_counter() - start < 10.0
+        theirs = (oracle.to_sympy(a) * oracle.to_sympy(c)).gcd(
+            oracle.to_sympy(b) * oracle.to_sympy(c))
+        assert oracle.is_unit(oracle.to_sympy(ours).exquo(theirs))
+
     @settings(max_examples=60, deadline=None)
     @given(small_polys, small_nonzero_polys, small_nonzero_polys)
     def test_simplify(self, oracle, a, b, c):
@@ -326,3 +348,43 @@ class TestAgainstSympy:
         for i, v in enumerate(VARS):
             assert_matches(oracle, a.derivative(v), sa.diff(oracle.ring.gens[i]))
         assert_matches(oracle, a.conj(), oracle.conj(sa))
+
+
+class TestPackedMonomials:
+    """Each exponent has a 15-bit field; one past it raises and never carries
+    into the next variable's field.  The monomial order reads names, not
+    fields."""
+
+    MAX = 2 ** 15 - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_polys)
+    def test_leading_term_is_graded_lex_with_later_names_dominating(self, a):
+        coeffs = a.coeffs()
+        top = max(coeffs, key=lambda m: (sum(e for _, e in m), sorted(m, reverse=True)))
+        assert a.leading()[0] == next(iter(PolyExpr({top: 1}).terms))
+        assert str(a).startswith(str(PolyExpr({top: coeffs[top]})))
+
+    def test_largest_exponent_round_trips(self):
+        p = PolyExpr.var("x", self.MAX) * PolyExpr.var("y", self.MAX)
+        assert p.coeffs() == {(("x", self.MAX), ("y", self.MAX)): ExactScalar(1)}
+        assert p.derivative("x").coeffs() == {
+            (("x", self.MAX - 1), ("y", self.MAX)): ExactScalar(self.MAX)}
+        assert p.exact_div(PolyExpr.var("x", self.MAX)) == PolyExpr.var("y", self.MAX)
+
+    @pytest.mark.parametrize("build", [
+        lambda: PolyExpr.var("x", 2 ** 15),
+        lambda: PolyExpr({(("x", 2 ** 15),): 1}),
+        lambda: PolyExpr({(("x", 2 ** 14), ("x", 2 ** 14)): 1}),
+        lambda: PolyExpr({(("x", -1),): 1}),
+        lambda: PolyExpr.var("x", 2 ** 15 - 1) * PolyExpr.var("x"),
+        lambda: PolyExpr.var("y") * (PolyExpr.var("x", 2 ** 14) + 1) ** 2,
+    ], ids=["var", "constructor", "repeated-variable", "negative", "product", "power"])
+    def test_overflowing_exponent_raises(self, build):
+        with pytest.raises(MalformedExpressionError, match="exponent"):
+            build()
+
+    def test_division_by_a_larger_exponent_borrows_nothing(self):
+        # x^2*y / x^3 would borrow from y's field if the guard bit did not stop it
+        assert (PolyExpr.var("x", 2) * PolyExpr.var("y")).exact_div(PolyExpr.var("x", 3)) is None
+        assert PolyExpr.var("y").exact_div(PolyExpr.var("x")) is None

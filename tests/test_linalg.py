@@ -1,0 +1,149 @@
+"""Exact elimination against independent references: sympy's `Matrix.rref()`
+over the Gaussian rationals, and a dense Gauss-Jordan for `RationalExpr`
+entries kept below."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
+from quantbench.linalg import kernel_basis, rank, rref, solve_linear
+from quantbench.scalars import ExactScalar, ONE, ZERO
+
+_part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_entries = st.one_of(st.just(ZERO), st.builds(ExactScalar, _part, _part))
+
+
+@st.composite
+def matrices(draw, max_dim=7):
+    """Sparse Gaussian-rational matrices of any shape, some of them products
+    through fewer dimensions than either side (rank-deficient), with zero rows
+    and zero columns blanked in."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n) - 1))
+        left = [[draw(_entries) for _ in range(k)] for _ in range(m)]
+        right = [[draw(_entries) for _ in range(n)] for _ in range(k)]
+        rows = [[sum((left[i][t] * right[t][j] for t in range(k)), ZERO)
+                 for j in range(n)] for i in range(m)]
+    else:
+        rows = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m // 2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    return [[ZERO if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator)
+                          + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+                          for v in row] for row in rows])
+
+
+def from_sympy(entry) -> ExactScalar:
+    re, im = entry.as_real_imag()
+    return ExactScalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def sympy_rref(sympy, rows):
+    red, pivots = to_sympy(sympy, rows).rref()
+    return [[from_sympy(red[i, j]) for j in range(red.cols)]
+            for i in range(red.rows)], list(pivots)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_rref_and_rank(self, sympy, rows):
+        expected, pivots = sympy_rref(sympy, rows)
+        assert rref(rows) == (expected, pivots)
+        assert rank(rows) == len(pivots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_kernel_basis(self, sympy, rows):
+        n = len(rows[0])
+        expected = [[from_sympy(v) for v in vec] for vec in to_sympy(sympy, rows).nullspace()]
+        basis = kernel_basis(rows, n)
+        assert basis == expected
+        assert all(sum((a * x for a, x in zip(row, vec)), ZERO) == ZERO
+                   for vec in basis for row in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_linear(self, sympy, data):
+        rows = data.draw(matrices())
+        m, n = len(rows), len(rows[0])
+        if data.draw(st.booleans()):  # consistent by construction
+            x0 = [data.draw(_entries) for _ in range(n)]
+            rhs = [sum((a * x for a, x in zip(row, x0)), ZERO) for row in rows]
+        else:
+            rhs = [data.draw(_entries) for _ in range(m)]
+        red, pivots = sympy_rref(sympy, [row + [b] for row, b in zip(rows, rhs)])
+        solution = solve_linear(rows, rhs)
+        if n in pivots:
+            assert solution is None
+            return
+        expected = [ZERO] * n
+        for r, c in enumerate(pivots):
+            expected[c] = red[r][n]
+        assert solution == expected
+        assert [sum((a * x for a, x in zip(row, solution)), ZERO) for row in rows] == rhs
+
+
+def dense_rref(rows):
+    """Textbook Gauss-Jordan on dense rows: the reference for the sparse rref."""
+    m = [[v if hasattr(v, "inverse") else ExactScalar.coerce(v) for v in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+@pytest.mark.parametrize("texts", [
+    [["x", "1", "x^2", "0"],
+     ["1", "x", "0", "y"],
+     ["x+1", "1+x", "x^2", "y"],
+     ["0", "0", "0", "0"],
+     ["1/(1+x^2)", "0", "y/(x-y)", "1"]],
+    # a Gram-like block beside an identity, as the reduce stage inverts it
+    [["1+x*y", "x", "1", "0"],
+     ["y", "1/(1+y^2)", "0", "1"]],
+], ids=["rank-deficient", "inverse"])
+def test_rational_entries_match_the_dense_reference(texts):
+    rows = [[parse_expr(t) if t not in ("0", "1") else (ZERO if t == "0" else ONE)
+             for t in row] for row in texts]
+    red, pivots = rref(rows)
+    expected, expected_pivots = dense_rref(rows)
+    assert pivots == expected_pivots
+    for row, ref in zip(red, expected):
+        for value, want in zip(row, ref):
+            value, want = coerce_rational(value), coerce_rational(want)
+            assert value == want
+            # the same operations in the same order: the same unsimplified form
+            assert (value.num, value.den) == (want.num, want.den)
+    basis = kernel_basis(rows, len(rows[0]))
+    assert len(basis) == len(rows[0]) - len(pivots)
+    assert all(sum((coerce_rational(a) * coerce_rational(x) for a, x in zip(row, vec)),
+                   RationalExpr.zero()).is_zero()
+               for vec in basis for row in rows)

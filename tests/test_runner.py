@@ -41,11 +41,47 @@ def _run_id(label):
     return f"{name}-{level or None}-{DIGESTS.get(label)}"
 
 
+@pytest.fixture(scope="module")
+def report_of():
+    """The report of a run of the sweep, by label: each run is made once per
+    module, however many tests read it."""
+    reports = {}
+
+    def report(label, build):
+        if label not in reports:
+            reports[label] = run_scenario(build())
+        return reports[label]
+    return report
+
+
 @pytest.mark.parametrize("label,build", [
     pytest.param(label, build, id=_run_id(label)) for label, build in catalog_digests.runs()])
-def test_canonical_report_is_pinned(label, build):
-    text = run_scenario(build()).canonical_json()
+def test_canonical_report_is_pinned(label, build, report_of):
+    text = report_of(label, build).canonical_json()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS.get(label)
+
+
+def test_reports_do_not_depend_on_the_order_variables_are_first_met():
+    """Monomials pack each variable's exponent at a position fixed by the
+    variable's first use in the process.  A fresh process that meets unrelated
+    names first, then runs three sweep runs in reverse sweep order, must still
+    produce the pinned reports."""
+    labels = {"control_imaginary_momentum(1)": "catalog.control_imaginary_momentum(1)",
+              "u1-rotation-reduction-k 2": "catalog.build_scenario('u1-rotation-reduction-k', 2)",
+              "su2-orbit-k 1": "catalog.build_scenario('su2-orbit-k', 1)"}
+    code = "\n".join([
+        "import hashlib",
+        "from quantbench import catalog",
+        "from quantbench.exprs import PolyExpr",
+        "from quantbench.runner import run_scenario",
+        "for name in ('zeta', 'aa', 'm1', '__w', 'q7'):",
+        "    PolyExpr.var(name)",
+        *(f"print(hashlib.sha256(run_scenario({build}).canonical_json().encode()).hexdigest())"
+          for build in labels.values())])
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.split() == [DIGESTS[label] for label in labels]
 
 
 def test_table_matches_the_bench_stage_table_and_produces_before_reading():
@@ -105,8 +141,8 @@ def test_concrete_name_is_the_family_stem_and_level():
     (catalog.control_flipped_momentum, ("internal-momentum", "representation-flatness")),
     (catalog.control_imaginary_momentum, ("representation-hermitian",)),
 ])
-def test_negative_control_fails_and_skips_downstream(factory, fails):
-    report = run_scenario(factory(1))
+def test_negative_control_fails_and_skips_downstream(factory, fails, report_of):
+    report = report_of(f"{factory.__name__}(1)", lambda: factory(1))
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == DIGESTS[f"{factory.__name__}(1)"]
     records = {r.check_id: r for r in report.records}
