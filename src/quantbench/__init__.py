@@ -73,7 +73,6 @@ from .bundles import (
 from .quantize import (
     ComplexStructureData,
     QuantizationResult,
-    SectionAnsatz,
     holomorphic_solve,
     induced_representation,
     inner_product,
@@ -92,7 +91,6 @@ from .reduce import (
     quantum_fixed_subspace,
 )
 from .gauge import (
-    FiberPackage,
     GaugeScenario,
     PrincipalBundleData,
     build_gauge_scenario,

@@ -13,6 +13,7 @@ Conventions used throughout (recorded in reports):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .bundles import LineBundleData, TransitionValue
 from .cech import GoodCover, OverlapFunction
@@ -29,7 +30,7 @@ from .geometry import (
 )
 from .hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
 from .liealg import ActionMap, AlgebroidModel, su2, u1
-from .gauge import FiberPackage, GaugeScenario, PrincipalBundleData, build_gauge_scenario
+from .gauge import PrincipalBundleData, build_gauge_scenario
 from .quantize import ComplexStructureData
 from .reduce import ZeroLevelData
 from .scalars import ExactScalar
@@ -149,9 +150,9 @@ def _sphere_quantization(atlas, k: int) -> dict:
                 holomorphic_coords=holomorphic_coordinates(), ansatz_cap=max(k, 0) + 2)
 
 
-def su2_orbit_scenario(k: int, atlas=None) -> ActionScenario:
+def su2_orbit_scenario(k: int) -> ActionScenario:
     """Coadjoint-orbit scenario: su(2) rotations on the sphere of level k."""
-    atlas = atlas or sphere_atlas()
+    atlas = sphere_atlas()
     model = su2_point_model()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, fields, name="su2-rotations")
@@ -165,9 +166,9 @@ def su2_orbit_scenario(k: int, atlas=None) -> ActionScenario:
                           level=k, degenerate=k == 0, **_sphere_quantization(atlas, k))
 
 
-def u1_rotation_scenario(k: int, atlas=None) -> ActionScenario:
+def u1_rotation_scenario(k: int) -> ActionScenario:
     """Circle rotation about the vertical axis on the level-k sphere."""
-    atlas = atlas or sphere_atlas()
+    atlas = sphere_atlas()
     model = u1_point_model()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, [fields[2]], name="u1-rotation")
@@ -210,8 +211,7 @@ def sector_cover(atlas, sectors: int) -> GoodCover:
     if sectors not in (3, 4):
         raise ValueError("catalog covers use 3 or 4 sectors")
     idx = list(range(sectors + 1))
-    import itertools
-    simplices = [tuple(p) for p in itertools.combinations(idx, 2)]
+    simplices = [tuple(p) for p in combinations(idx, 2)]
     if sectors == 3:
         triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         samples = {((0, 1, 2), "c0"): {"x": -1, "y": 3},
@@ -266,69 +266,39 @@ def base_plane_atlas() -> FiberedAtlas:
     return FiberedAtlas([Chart("B", base_coords=("b1", "b2"), star_shaped=True)])
 
 
-def gauge_su2_scenario(k: int, twist: Fraction = Fraction(1)) -> GaugeScenario:
+def _plane_gauge(name, group_tag, algebra, fiber: ActionScenario,
+                 twist: Fraction) -> ActionScenario:
+    """`fiber` twisted over the plane by A = twist * b1 db2 along the last
+    basis element of the structure algebra."""
+    zero = _pe("0")
+    a2 = [zero] * (algebra.dimension - 1) + [_scale(_pe("b1"), twist)]
+    bundle_data = PrincipalBundleData(base_plane_atlas(), group_tag, algebra,
+                                      [[zero] * algebra.dimension, a2])
+    return build_gauge_scenario(bundle_data, fiber, name=name)
+
+
+def gauge_su2_scenario(k: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """Nonflat su(2) potential over the plane twisting the level-k sphere."""
-    base = base_plane_atlas()
-    algebra = su2()
-    zero = (_pe("0"), _pe("0"), _pe("0"))
-    a2 = (_pe("0"), _pe("0"), _scale(_pe("b1"), twist))
-    bundle_data = PrincipalBundleData(base, "SU2", algebra, [zero, a2])
-    fiber_atlas = sphere_atlas()
-    fiber_scenario = su2_orbit_scenario(k, atlas=fiber_atlas)
-    fiber = FiberPackage(
-        algebra=algebra,
-        atlas=fiber_atlas,
-        action_fields=rotation_fields(fiber_atlas),
-        omega=omega_fs(fiber_atlas, Fraction(k), LEAF_J),
-        momentum_pairings=fiber_scenario.momentum.pairings,
-        fiber_scenario=fiber_scenario,
-    )
-    gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-su2-{k}")
-    gauge.scenario.level, gauge.scenario.degenerate = k, k == 0
-    return gauge
+    return _plane_gauge(f"gauge-su2-{k}", "SU2", su2(), su2_orbit_scenario(k), twist)
 
 
-def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> GaugeScenario:
+def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """U(1) character n over the plane: the fiber is a point."""
-    base = base_plane_atlas()
-    algebra = u1()
-    a1 = (_pe("0"),)
-    a2 = (_scale(_pe("b1"), twist),)
-    bundle_data = PrincipalBundleData(base, "U1", algebra, [a1, a2])
-    fiber_atlas = FiberedAtlas([Chart("pt", star_shaped=True)])
-    omega_point = DifferentialForm(fiber_atlas, 2, LEAF_J, {"pt": {}})
-    fiber = FiberPackage(
-        algebra=algebra,
-        atlas=fiber_atlas,
-        action_fields=[VectorField(fiber_atlas, LEAF_J, {"pt": {}})],
-        omega=omega_point,
-        momentum_pairings=[{"pt": RationalExpr.const(n)}],
-    )
-    gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-u1-char-{n}")
-    gauge.scenario.level = n
-    return gauge
+    atlas = FiberedAtlas([Chart("pt", star_shaped=True)])
+    model = u1_point_model()
+    action = ActionMap(model, atlas, [VectorField(atlas, LEAF_J, {"pt": {}})],
+                       name="u1-character")
+    presymplectic = PresymplecticData(atlas, DifferentialForm(atlas, 2, LEAF_JTILDE,
+                                                              {"pt": {}}))
+    momentum = MomentumMapRep(model, [{"pt": RationalExpr.const(n)}])
+    point = ActionScenario(f"u1-character-{n}", model, action, presymplectic, momentum,
+                           level=n)
+    return _plane_gauge(f"gauge-u1-char-{n}", "U1", u1(), point, twist)
 
 
-def gauge_u1_rotation_scenario(k: int, twist: Fraction = Fraction(1)) -> GaugeScenario:
+def gauge_u1_rotation_scenario(k: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """U(1) structure group acting on the level-k sphere, twisted over the plane."""
-    base = base_plane_atlas()
-    algebra = u1()
-    a1 = (_pe("0"),)
-    a2 = (_scale(_pe("b1"), twist),)
-    bundle_data = PrincipalBundleData(base, "U1", algebra, [a1, a2])
-    fiber_atlas = sphere_atlas()
-    fiber_scenario = u1_rotation_scenario(k, atlas=fiber_atlas)
-    fiber = FiberPackage(
-        algebra=algebra,
-        atlas=fiber_atlas,
-        action_fields=[rotation_fields(fiber_atlas)[2]],
-        omega=omega_fs(fiber_atlas, Fraction(k), LEAF_J),
-        momentum_pairings=fiber_scenario.momentum.pairings,
-        fiber_scenario=fiber_scenario,
-    )
-    gauge = build_gauge_scenario(bundle_data, fiber, name=f"gauge-u1-rot-{k}")
-    gauge.scenario.level = k
-    return gauge
+    return _plane_gauge(f"gauge-u1-rot-{k}", "U1", u1(), u1_rotation_scenario(k), twist)
 
 
 # ---------------------------------------------------------------------------

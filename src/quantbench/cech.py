@@ -26,15 +26,16 @@ from .geometry import (
     to_chart,
 )
 from .linalg import (
+    column_space_completion,
     integer_kernel_basis,
+    inverse,
     kernel_basis,
     matvec,
     rank,
-    rref,
     smith_normal_form,
     solve_linear,
 )
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ZERO
 
 
 class GoodCover:
@@ -210,13 +211,11 @@ def cohomology_compute(cover: GoodCover, degree, coefficients="real"):
     d_prev = delta_matrix(cover, degree - 1) if degree > 0 else None
     n_k = len(cover.slots(degree))
     if coefficients == "real":
-        kb = kernel_basis(d_k, n_k) if d_k else \
-            [[ONE if i == j else ZERO for i in range(n_k)] for j in range(n_k)]
+        kb = kernel_basis(d_k, n_k)
         image_cols = []
         if d_prev:
             for j in range(len(cover.slots(degree - 1))):
                 image_cols.append([row[j] for row in d_prev])
-        from .linalg import column_space_completion
         chosen = column_space_completion(image_cols, kb, n_k)
         gens = [Cochain.from_vector(cover, degree, kb[i]) for i in chosen]
         return CohomologyDescription(degree, "real", len(chosen), (), gens)
@@ -269,13 +268,10 @@ def _as_int(v):
 
 
 def _int_inverse(u):
-    n = len(u)
-    aug = [[ExactScalar(u[i][j]) for j in range(n)] +
-           [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
+    inv = inverse([[ExactScalar(v) for v in row] for row in u])
+    if inv is None:
         raise MalformedExpressionError("matrix not invertible")
-    return [[_as_int(red[i][n + j]) for j in range(n)] for i in range(n)]
+    return [[_as_int(v) for v in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

@@ -99,35 +99,21 @@ class PrincipalBundleData:
                    for vec in self.curvature_components().values())
 
 
-class FiberPackage:
-    """Everything known about the Hamiltonian fiber (the structure-group side).
-    A fiber with a quantization carries its `fiber_scenario`, whose bundle,
-    complex structure and ansatz the gauge scenario twists; a point fiber has
-    none."""
-
-    def __init__(self, algebra, atlas, action_fields, omega, momentum_pairings,
-                 fiber_scenario=None):
-        self.algebra = algebra
-        self.atlas = atlas
-        self.action_fields = list(action_fields)
-        self.omega = omega
-        self.momentum_pairings = list(momentum_pairings)
-        self.fiber_scenario = fiber_scenario
-
-
 class GaugeScenario:
-    def __init__(self, name, bundle_data: PrincipalBundleData, fiber: FiberPackage,
-                 scenario: ActionScenario, base_samples):
-        self.name = name
+    """The construction behind a gauge scenario, kept at `scenario.gauge`: the
+    principal-bundle data, the fiber `ActionScenario` it twists and the base
+    points at which the two quantizations are compared."""
+
+    def __init__(self, bundle_data: PrincipalBundleData, fiber: ActionScenario,
+                 base_samples):
         self.bundle_data = bundle_data
         self.fiber = fiber
-        self.scenario = scenario
         self.base_samples = base_samples
 
     def tau(self, index):
         """Connection functional on the generator: algebra coefficient vector."""
         n_base = len(self.bundle_data.base_chart.coords)
-        dim = self.fiber.algebra.dimension
+        dim = self.bundle_data.algebra.dimension
         if index < n_base:
             return self.bundle_data.potential[index]
         return tuple(ONE if a == index - n_base else ZERO for a in range(dim))
@@ -172,25 +158,28 @@ def _pairing_combination(atlas, pairings, vec) -> dict:
     return out
 
 
-def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
-                         name="gauge", base_samples=None) -> GaugeScenario:
-    """Assemble the twisted 2-form, momentum pairings, bundle and structure."""
+def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario,
+                         name="gauge", base_samples=None) -> ActionScenario:
+    """Twist the Hamiltonian `fiber` over the base of `bundle_data`: the
+    twisted 2-form, momentum pairings, bundle and structure, with the fiber's
+    level, degeneracy and monomial ansatz."""
     base_chart = bundle_data.base_chart
     base_coords = base_chart.coords
-    dim = fiber.algebra.dimension
+    algebra = bundle_data.algebra
+    dim = algebra.dimension
     atlas = _product_atlas(base_chart, fiber.atlas)
-    fields = [_lift_field(v, atlas) for v in fiber.action_fields]
-    omega_fiber = _lift_form(fiber.omega, atlas, LEAF_J)
+    fields = [_lift_field(v, atlas) for v in fiber.action.fields]
+    omega_fiber = _lift_form(fiber.presymplectic.omega, atlas, LEAF_J)
 
     # gauge algebroid model over the base
-    names = tuple(f"d{b}" for b in base_coords) + tuple(fiber.algebra.basis_names)
+    names = tuple(f"d{b}" for b in base_coords) + tuple(algebra.basis_names)
     n_base = len(base_coords)
     bracket_table = {}
     for a in range(dim):
         for b in range(a + 1, dim):
             vec = [ZERO] * (n_base + dim)
             for k in range(dim):
-                vec[n_base + k] = fiber.algebra.c(a, b, k)
+                vec[n_base + k] = algebra.c(a, b, k)
             bracket_table[(n_base + a, n_base + b)] = vec
     anchor_fields = []
     for i, bc in enumerate(base_coords):
@@ -200,7 +189,7 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
     model = AlgebroidModel(f"{name}-algebroid", "gauge", bundle_data.base_atlas,
                            names, bracket_table, anchor_fields,
                            isotropy_indices=tuple(range(n_base, n_base + dim)),
-                           fiber_algebra=fiber.algebra, gauge_base_count=n_base)
+                           fiber_algebra=algebra, gauge_base_count=n_base)
 
     action_fields = []
     for i, bc in enumerate(base_coords):
@@ -211,7 +200,7 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
 
     # beta(A_i) and the pairing <mu, A_i> chart by chart
     def mu_pair(vec):
-        return _pairing_combination(atlas, fiber.momentum_pairings, vec)
+        return _pairing_combination(atlas, fiber.momentum.pairings, vec)
 
     beta_a = [_field_sum(atlas, LEAF_J, ((coerce_rational(c), f) for c, f in
                                          zip(bundle_data.potential[i], fields)))
@@ -255,15 +244,16 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: FiberPackage,
             point.update({b: 0.0 for b in base_coords})
             sample_points.append({"chart": ch.name, "point": point})
     presymplectic = PresymplecticData(atlas, omega_tilde, sample_points)
-    scenario = ActionScenario(name, model, action, presymplectic, momentum)
-    fs = fiber.fiber_scenario
-    if fs is not None:  # the fiber's quantization inputs, twisted over the base
-        scenario.bundle = _twisted_bundle(fs.bundle, atlas, base_coords, pairings[:n_base], name)
-        scenario.structure = ComplexStructureData(atlas, fs.structure.matrices,
-                                                  positivity_samples=sample_points)
-        scenario.holomorphic_coords, scenario.ansatz_cap = fs.holomorphic_coords, fs.ansatz_cap
-    scenario.gauge = GaugeScenario(name, bundle_data, fiber, scenario, samples)
-    return scenario.gauge
+    quantization = {}
+    if fiber.bundle is not None:  # the fiber's quantization inputs, twisted over the base
+        quantization = dict(
+            bundle=_twisted_bundle(fiber.bundle, atlas, base_coords, pairings[:n_base], name),
+            structure=ComplexStructureData(atlas, fiber.structure.matrices,
+                                           positivity_samples=sample_points),
+            holomorphic_coords=fiber.holomorphic_coords, ansatz_cap=fiber.ansatz_cap)
+    return ActionScenario(name, model, action, presymplectic, momentum,
+                          level=fiber.level, degenerate=fiber.degenerate,
+                          gauge=GaugeScenario(bundle_data, fiber, samples), **quantization)
 
 
 def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
@@ -297,23 +287,26 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
 # the gauge checks
 # ---------------------------------------------------------------------------
 
-def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
+def _fiber_pairings(scenario: ActionScenario) -> list:
+    """<mu, e_a> for the structure-algebra generators e_a of a gauge scenario."""
+    return scenario.momentum.pairings[scenario.model.gauge_base_count:]
+
+
+def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
     """The curvature pairing identity
     d_P mu(s1, s2) = <mu, F(s1, s2)> - omega(beta tau(s1), beta tau(s2)).
     The two momentum conditions are their own rows of the check table."""
-    scenario = gauge.scenario
+    gauge = scenario.gauge
     failures = []
     model = scenario.model
-    fiber = gauge.fiber
     n_base = model.gauge_base_count
+    dim = gauge.bundle_data.algebra.dimension
     curv = gauge.bundle_data.curvature_components()
     mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
     d_mu = algebroid_differential(mu)
     atlas = scenario.atlas
-    fiber_fields = [scenario.generator_field(n_base + a)
-                    for a in range(fiber.algebra.dimension)]
-    fiber_pairings = [scenario.momentum.pairing(n_base + a)
-                      for a in range(fiber.algebra.dimension)]
+    fiber_fields = [scenario.generator_field(n_base + a) for a in range(dim)]
+    fiber_pairings = _fiber_pairings(scenario)
     omega_fiber = scenario.presymplectic.omega
 
     def beta_tau(index):
@@ -325,7 +318,7 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
             if i < n_base and j < n_base:
                 f_vec = curv[(i, j)]
             else:
-                f_vec = tuple(ZERO for _ in range(fiber.algebra.dimension))
+                f_vec = tuple(ZERO for _ in range(dim))
             lhs = d_mu.value(i, j)
             omega_term = omega_fiber.apply(beta_tau(i), beta_tau(j))
             rhs = _fn_add(_pairing_combination(atlas, fiber_pairings, f_vec),
@@ -338,31 +331,29 @@ def gauge_momentum_verify(gauge: GaugeScenario) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResult:
+def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> CheckResult:
     """Fiber quantization and the gauge scenario's quantization `gauge_rep`
     agree through the identity intertwiner in trivialized coordinates (per
     declared base sample)."""
-    fiber, bundle = gauge.fiber, gauge.scenario.bundle
+    gauge, bundle = scenario.gauge, scenario.bundle
     if bundle is None:
         return CheckResult(True, notes=["point fiber: both sides are the declared line"])
     failures = []
     notes = []
-    fs = fiber.fiber_scenario
-    fiber_rep = quantize_monomial(fs, fs.bundle, fs.structure, fs.holomorphic_coords,
-                                  fs.ansatz_cap)
+    fiber_rep = quantize_monomial(gauge.fiber)
 
     if fiber_rep.dimension != gauge_rep.dimension:
         return CheckResult(False, [("dimension", f"fiber {fiber_rep.dimension} vs "
                                                  f"gauge {gauge_rep.dimension}")])
-    n_base = gauge.scenario.model.gauge_base_count
-    dim = fiber.algebra.dimension
+    n_base = scenario.model.gauge_base_count
+    algebra = gauge.bundle_data.algebra
     n = fiber_rep.dimension
-    for a in range(dim):
+    for a in range(algebra.dimension):
         mat_fiber = fiber_rep.matrices[a]
         mat_gauge = gauge_rep.matrices[n_base + a]
         if any(not (mat_fiber[i][j] - mat_gauge[i][j]).is_zero()
                for i in range(n) for j in range(n)):
-            failures.append((f"intertwining {fiber.algebra.basis_names[a]}",
+            failures.append((f"intertwining {algebra.basis_names[a]}",
                              "matrix mismatch"))
     for i in range(n_base):
         mat = gauge_rep.matrices[i]
@@ -382,11 +373,12 @@ def quantization_isomorphism_check(gauge: GaugeScenario, gauge_rep) -> CheckResu
     return CheckResult(not failures, failures, notes)
 
 
-def integrated_rep_check(gauge: GaugeScenario, other_potential,
+def integrated_rep_check(scenario: ActionScenario, other_potential,
                          exact_primitive=None, loops=()) -> CheckResult:
     """Connection-independence witness: representations for two potentials
     differ by the <mu, tau1 - tau2> shift; exact differences delegate to the
     perturbation lemma; holonomies along declared polynomial loops agree."""
+    gauge = scenario.gauge
     bundle = gauge.bundle_data
     base_coords = bundle.base_chart.coords
     diff = [tuple(coerce_rational(a) - coerce_rational(b)
@@ -402,24 +394,18 @@ def integrated_rep_check(gauge: GaugeScenario, other_potential,
     notes = []
     other = PrincipalBundleData(bundle.base_atlas, bundle.group_tag,
                                 bundle.algebra, other_potential)
-    gauge2 = build_gauge_scenario(other, gauge.fiber, name=f"{gauge.name}-alt",
-                                  base_samples=gauge.base_samples)
+    other_scenario = build_gauge_scenario(other, gauge.fiber, name=f"{scenario.name}-alt",
+                                          base_samples=gauge.base_samples)
     # potential shift of the momentum pairings: <mu, tau2 - tau1>
-    model = gauge.scenario.model
+    model = scenario.model
     n_base = model.gauge_base_count
+    atlas = scenario.atlas
+    fiber_pairings = _fiber_pairings(scenario)
     for i in range(model.n):
-        p1 = gauge.scenario.momentum.pairing(i)
-        p2 = gauge2.scenario.momentum.pairing(i)
+        p1 = scenario.momentum.pairing(i)
+        p2 = other_scenario.momentum.pairing(i)
         if i < n_base:
-            vec = diff[i]
-            expected = {}
-            for ch in gauge.scenario.atlas.charts:
-                total = RationalExpr.zero()
-                for a, coeff in enumerate(vec):
-                    total = total + coerce_rational(coeff) * \
-                        gauge.scenario.momentum.pairing(n_base + a).get(
-                            ch, RationalExpr.zero())
-                expected[ch] = total
+            expected = _pairing_combination(atlas, fiber_pairings, diff[i])
         else:
             expected = {ch: RationalExpr.zero() for ch in p1}
         for ch in p1:
@@ -429,33 +415,28 @@ def integrated_rep_check(gauge: GaugeScenario, other_potential,
     if exact_primitive is not None:
         # tau2 = tau1 + d g: the shift is the perturbation beta = <mu, dg>
         g_vec = [coerce_rational(c) for c in exact_primitive]
-        beta_table = {}
-        for ch in gauge.scenario.atlas.charts:
-            table = {}
-            for i, bc in enumerate(base_coords):
-                total = RationalExpr.zero()
-                for a in range(len(g_vec)):
-                    total = total + g_vec[a].derivative(bc) * \
-                        gauge.scenario.momentum.pairing(n_base + a).get(
-                            ch, RationalExpr.zero())
+        beta_table = {ch: {} for ch in atlas.charts}
+        for bc in base_coords:
+            d_g = _pairing_combination(atlas, fiber_pairings,
+                                       [g.derivative(bc) for g in g_vec])
+            for ch, total in d_g.items():
                 if not total.is_zero():
-                    table[(bc,)] = total
-            beta_table[ch] = table
-        beta = DifferentialForm(gauge.scenario.atlas, 1, LEAF_JTILDE, beta_table)
-        perturbed = perturb(gauge.scenario, beta)
+                    beta_table[ch][(bc,)] = total
+        beta = DifferentialForm(atlas, 1, LEAF_JTILDE, beta_table)
+        perturbed = perturb(scenario, beta)
         for i in range(model.n):
             for ch, v in perturbed.momentum.pairing(i).items():
-                target = gauge2.scenario.momentum.pairing(i).get(ch, RationalExpr.zero())
+                target = other_scenario.momentum.pairing(i).get(ch, RationalExpr.zero())
                 if not (v - target).is_zero():
                     failures.append((f"perturbation-delegation gen {i}@{ch}", "mismatch"))
         if not _forms_equal_chartwise(perturbed.presymplectic.omega_tilde,
-                                      gauge2.scenario.presymplectic.omega_tilde):
+                                      other_scenario.presymplectic.omega_tilde):
             failures.append(("perturbation-delegation omega", "mismatch"))
         notes.append("exact difference handled by the perturbation lemma")
     # holonomy agreement along declared loops (at a fixed fiber sample)
     for loop in loops:
-        h1 = _loop_exponent(gauge, bundle.potential, loop)
-        h2 = _loop_exponent(gauge, other_potential, loop)
+        h1 = _loop_exponent(scenario, bundle.potential, loop)
+        h2 = _loop_exponent(scenario, other_potential, loop)
         if h1 != h2:
             failures.append(("holonomy", f"loop exponents differ: {h1} vs {h2}"))
         notes.append(f"loop exponent: {h1}")
@@ -474,15 +455,13 @@ def _forms_equal_chartwise(a: DifferentialForm, b: DifferentialForm) -> bool:
     return True
 
 
-def _loop_exponent(gauge: GaugeScenario, potential, loop):
+def _loop_exponent(scenario: ActionScenario, potential, loop):
     """Exact integral of <mu, A_i> db_i along a piecewise polynomial loop."""
-    base_coords = gauge.bundle_data.base_chart.coords
+    base_coords = scenario.gauge.bundle_data.base_chart.coords
     fiber_point = loop.get("fiber_point", {})
     chart = loop.get("chart")
     total = ZERO
-    n_base = len(base_coords)
-    pairings = [gauge.scenario.momentum.pairing(n_base + a)
-                for a in range(gauge.fiber.algebra.dimension)]
+    pairings = _fiber_pairings(scenario)
     for segment in loop["segments"]:
         subs = {bc: coerce_rational(segment[bc]) for bc in base_coords}
         integrand = RationalExpr.zero()

@@ -10,7 +10,7 @@ than the form carries is an error while finer requests restrict first.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import (
     AtlasMismatchError,
@@ -299,13 +299,9 @@ def _component_determinant(comp_dicts, idx):
 
 
 def _signed_permutations(n):
-    import itertools
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i, j in combinations(range(n), 2):
-            if perm[i] > perm[j]:
-                sign = -sign
-        yield perm, sign
+    identity = range(n)
+    for perm in permutations(identity):
+        yield perm, _sort_sign(perm, identity)
 
 
 class VectorField:

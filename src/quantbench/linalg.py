@@ -90,6 +90,17 @@ def kernel_basis(rows, ncols=None):
     return basis
 
 
+def inverse(rows):
+    """Inverse of a square matrix by elimination on [A | I], or None when A
+    is singular."""
+    n = len(rows)
+    red, pivots = rref([list(row) + [ONE if i == j else ZERO for j in range(n)]
+                        for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 def solve_linear(rows, rhs):
     """One solution of A x = b over the scalar field, or None."""
     if not rows:

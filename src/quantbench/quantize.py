@@ -23,7 +23,7 @@ from .geometry import LEAF_J, VectorField, commutator, interior_product, to_char
 from .hamiltonian import ActionScenario
 from .linalg import det, kernel_basis, mat_mul, solve_linear
 from .reports import CheckResult
-from .scalars import ExactScalar, I, ONE, ZERO
+from .scalars import ExactScalar, I, ZERO
 
 
 class ComplexStructureData:
@@ -154,28 +154,9 @@ def polarization_equivariance_check(scenario: ActionScenario,
 # holomorphic-section solver
 # ---------------------------------------------------------------------------
 
-class SectionAnsatz:
-    """Finite candidate coefficient functions per patch."""
-
-    def __init__(self, candidates):
-        self.candidates = {patch: [coerce_rational(c) for c in funcs]
-                           for patch, funcs in candidates.items()}
-
-    @staticmethod
-    def monomial(bundle: LineBundleData, holomorphic_coords, degree_cap):
-        """Powers of the chart holomorphic coordinate up to the cap, per patch."""
-        table = {}
-        for idx in bundle.cover.index_set:
-            chart = bundle.patch_chart(idx)
-            z = holomorphic_coords[chart]
-            table[idx] = [z ** a for a in range(degree_cap + 1)]
-        return SectionAnsatz(table)
-
-
 class HolomorphicBasis:
-    def __init__(self, bundle, frames, elements):
+    def __init__(self, bundle, elements):
         self.bundle = bundle
-        self.frames = frames
         self.elements = elements  # list of {patch: RationalExpr}
 
     @property
@@ -183,27 +164,25 @@ class HolomorphicBasis:
         return len(self.elements)
 
 
-def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
-                      ansatz: SectionAnsatz) -> HolomorphicBasis:
-    """Kernel of the polarized covariant derivative over the ansatz."""
-    if isinstance(structure_or_frames, ComplexStructureData):
-        frames = {ch: fs[0] for ch, fs in structure_or_frames.polarization_frames().items()}
-    else:
-        frames = dict(structure_or_frames)
+def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
+                      holomorphic_coords, degree_cap) -> HolomorphicBasis:
+    """Kernel of the polarized covariant derivative over the monomial ansatz:
+    the powers of each patch chart's holomorphic coordinate up to
+    `degree_cap`."""
+    frames = {ch: fs[0] for ch, fs in structure.polarization_frames().items()}
     cover = bundle.cover
     atlas = cover.atlas
     patches = list(cover.index_set)
-    offsets = {}
-    total = 0
-    for p in patches:
-        offsets[p] = total
-        total += len(ansatz.candidates[p])
+    candidates = {p: [holomorphic_coords[bundle.patch_chart(p)] ** a
+                      for a in range(degree_cap + 1)] for p in patches}
+    offsets = {p: i * (degree_cap + 1) for i, p in enumerate(patches)}
+    total = len(patches) * (degree_cap + 1)
     rows = []
     # (1) polarized-derivative kernel per patch
     derivative = {p: _polarized_derivative(bundle, frames, p) for p in patches}
     for p in patches:
-        exprs = [derivative[p](f) for f in ansatz.candidates[p]]
-        rows.extend(_linear_rows(exprs, offsets[p], total))
+        rows.extend(_linear_rows([(offsets[p] + a, derivative[p](f))
+                                  for a, f in enumerate(candidates[p])], total))
     # (2) frame gluing: f_j = c_jk (f_k o T) on every pair overlap
     for simplex in cover.k_simplices(1):
         j, k = simplex
@@ -215,20 +194,18 @@ def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
         chart_k = bundle.patch_chart(k)
         c_expr = to_chart(atlas, c.rational, c.chart, chart_j)
         glue_exprs = []
-        for a, f in enumerate(ansatz.candidates[j]):
+        for a, f in enumerate(candidates[j]):
             glue_exprs.append((offsets[j] + a, f))
-        for b, g in enumerate(ansatz.candidates[k]):
+        for b, g in enumerate(candidates[k]):
             moved = to_chart(atlas, g, chart_k, chart_j)
             glue_exprs.append((offsets[k] + b, -(c_expr * moved)))
-        rows.extend(_linear_rows_indexed(glue_exprs, total))
-    kernel = kernel_basis(rows, total) if rows else \
-        [[ONE if i == j else ZERO for i in range(total)] for j in range(total)]
+        rows.extend(_linear_rows(glue_exprs, total))
     elements = []
-    for vec in kernel:
+    for vec in kernel_basis(rows, total):
         element = {}
         for p in patches:
             expr = RationalExpr.zero()
-            for a, f in enumerate(ansatz.candidates[p]):
+            for a, f in enumerate(candidates[p]):
                 coeff = vec[offsets[p] + a]
                 if not coeff.is_zero():
                     expr = expr + f * coeff
@@ -240,7 +217,7 @@ def holomorphic_solve(bundle: LineBundleData, structure_or_frames,
     for element in elements:
         if not all(derivative[p](f).simplify().is_zero() for p, f in element.items()):
             raise MalformedExpressionError("solver returned a non-polarized section")
-    return HolomorphicBasis(bundle, frames, elements)
+    return HolomorphicBasis(bundle, elements)
 
 
 def _polarized_derivative(bundle, frames, p):
@@ -252,13 +229,9 @@ def _polarized_derivative(bundle, frames, p):
     return lambda f: frame.derive(f, chart) + pot * f
 
 
-def _linear_rows(exprs, offset, total):
-    """Rows for sum_e lambda_e expr_e = 0 with exprs rational, exact."""
-    indexed = [(offset + e, expr) for e, expr in enumerate(exprs)]
-    return _linear_rows_indexed(indexed, total)
-
-
-def _linear_rows_indexed(indexed, total):
+def _linear_rows(indexed, total):
+    """Rows for sum lambda_pos expr = 0 over the (pos, expr) pairs: one row
+    per monomial of the numerators over a common denominator."""
     den = PolyExpr.const(1)
     cleaned = []
     for pos, expr in indexed:
@@ -449,18 +422,13 @@ def induced_representation(scenario: ActionScenario, ops,
     return QuantizationResult(bundle, basis, gram, matrices, scenario.model.generator_names)
 
 
-def monomial_basis(bundle: LineBundleData, structure, holomorphic_coords,
-                   degree_cap) -> HolomorphicBasis:
-    """Holomorphic sections among the monomials up to `degree_cap`."""
-    ansatz = SectionAnsatz.monomial(bundle, holomorphic_coords, degree_cap)
-    return holomorphic_solve(bundle, structure, ansatz)
-
-
-def quantize_monomial(scenario: ActionScenario, bundle: LineBundleData, structure,
-                      holomorphic_coords, degree_cap) -> QuantizationResult:
-    """The fiberwise quantization pipeline: monomial ansatz, holomorphic
-    kernel, then the induced representation on it."""
-    basis = monomial_basis(bundle, structure, holomorphic_coords, degree_cap)
+def quantize_monomial(scenario: ActionScenario) -> QuantizationResult:
+    """The fiberwise quantization pipeline on the scenario's stage inputs:
+    holomorphic kernel over the monomial ansatz, then the induced
+    representation on it."""
+    bundle = scenario.bundle
+    basis = holomorphic_solve(bundle, scenario.structure, scenario.holomorphic_coords,
+                              scenario.ansatz_cap)
     return induced_representation(scenario, kostant_operator(scenario, bundle), basis)
 
 

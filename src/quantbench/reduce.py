@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
 from .hamiltonian import ActionScenario
-from .linalg import kernel_basis, mat_mul, rref
+from .linalg import inverse, kernel_basis, mat_mul
 from .quantize import QuantizationResult
 from .reports import CheckResult
 from .scalars import ExactScalar, I, ONE, ZERO
@@ -181,10 +181,7 @@ def quantum_fixed_subspace(result: QuantizationResult,
                 weights.append(value)
                 if not value.is_integer():
                     weight_integral = False
-    if stacked:
-        kernel = kernel_basis(stacked, n)
-    else:
-        kernel = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    kernel = kernel_basis(stacked, n)
     projector = _metric_projector(kernel, result.gram, n)
     return QuantumReduction(result, isotropy_indices, kernel, projector, weights,
                             weight_integral)
@@ -198,18 +195,10 @@ def _metric_projector(columns, gram, n):
     b_dag = [[b[i][j].conj() for i in range(n)] for j in range(k)]  # k x n
     gb = mat_mul(gram, b)
     small = mat_mul(b_dag, gb)  # k x k, Hermitian positive
-    small_inv = _invert(small)
-    return mat_mul(mat_mul(b, small_inv), mat_mul(b_dag, gram))
-
-
-def _invert(mat):
-    n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] + [ONE if i == j else ZERO for j in range(n)]
-           for i in range(n)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
+    small_inv = inverse(small)
+    if small_inv is None:
         raise MalformedExpressionError("singular Gram restriction")
-    return [[red[i][n + j] for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(b, small_inv), mat_mul(b_dag, gram))
 
 
 def projector_checks(red: QuantumReduction) -> CheckResult:

@@ -18,14 +18,14 @@ from .reports import CheckRecord, CheckResult, Report
 
 class RunContext:
     """One run's scenario, seeded RNG and artifacts.  The stage inputs are the
-    scenario's own fields; a gauge construction is run through the scenario it
-    built.  The checks that produce `operators`, `basis`, `representation`,
-    `zero_level`, `reduced`, `descent` and `fixed_subspace` set them."""
+    scenario's own fields.  The checks that produce `operators`, `basis`,
+    `representation`, `zero_level`, `reduced`, `descent` and `fixed_subspace`
+    set them."""
 
     def __init__(self, scenario, seed=1729):
         if isinstance(scenario, str):
             scenario = build_scenario(scenario)
-        self.scenario = scenario = getattr(scenario, "scenario", scenario)
+        self.scenario = scenario
         self.rng = random.Random(seed)
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
         self.operators = self.basis = self.representation = self.zero_level = None
@@ -83,8 +83,9 @@ def _curvature_match(ctx):
 
 def _holomorphic_dimension(ctx):
     s, cap = ctx.scenario, ctx.scenario.ansatz_cap
-    basis = ctx.basis = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap)
-    bigger = quantize.monomial_basis(s.bundle, s.structure, s.holomorphic_coords, cap + 2)
+    inputs = (s.bundle, s.structure, s.holomorphic_coords)
+    basis = ctx.basis = quantize.holomorphic_solve(*inputs, cap)
+    bigger = quantize.holomorphic_solve(*inputs, cap + 2)
     ok = bigger.dimension == basis.dimension
     failures = [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")]
     return CheckResult(ok, failures, [f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
@@ -187,7 +188,7 @@ CHECKS = (
           lambda c: c.scenario.gauge.bundle_data.curvature_reverify(),
           applies=lambda c: c.scenario.gauge is not None),
     Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
-          lambda c: gauge_momentum_verify(c.scenario.gauge),
+          lambda c: gauge_momentum_verify(c.scenario),
           applies=lambda c: c.scenario.gauge is not None),
     Check("bundle-data", "prequantize",
           "cocycle, metric compatibility, gluing, Hermitian potential",
@@ -234,7 +235,7 @@ CHECKS = (
     Check("infinitesimal-unitarity", "quantize", "M^dagger G + G M = 0 exactly",
           lambda c: quantize.unitarity_check(c.representation), needs=("representation",)),
     Check("quantization-isomorphism", "quantize", "twisted quantization matches the fiber model",
-          lambda c: quantization_isomorphism_check(c.scenario.gauge, c.representation),
+          lambda c: quantization_isomorphism_check(c.scenario, c.representation),
           uses=("representation",), applies=lambda c: c.scenario.gauge is not None),
     Check("integrated-representation", "quantize", "closed-form integrated action data",
           _integration, uses=("representation",),

@@ -7,7 +7,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quantbench import catalog
 from quantbench.quantize import quantize_monomial
-from quantbench.runner import RunContext
 
 
 @pytest.fixture(scope="session")
@@ -20,20 +19,14 @@ def rotation_scenarios():
     return {k: catalog.u1_rotation_scenario(k) for k in (2, 3, 4)}
 
 
-def quantize_scenario(scenario):
-    """Quantize a catalog or gauge scenario with its declared stage inputs."""
-    s = RunContext(scenario).scenario
-    return quantize_monomial(s, s.bundle, s.structure, s.holomorphic_coords, s.ansatz_cap)
-
-
 @pytest.fixture(scope="session")
 def orbit_quantizations(orbit_scenarios):
-    return {k: quantize_scenario(s) for k, s in orbit_scenarios.items()}
+    return {k: quantize_monomial(s) for k, s in orbit_scenarios.items()}
 
 
 @pytest.fixture(scope="session")
 def rotation_quantizations(rotation_scenarios):
-    return {k: quantize_scenario(s) for k, s in rotation_scenarios.items()}
+    return {k: quantize_monomial(s) for k, s in rotation_scenarios.items()}
 
 
 @pytest.fixture(scope="session")

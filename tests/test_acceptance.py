@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import quantize_scenario
 
 from quantbench.bundles import (
     construct_from_integral_class,
@@ -52,11 +51,11 @@ from quantbench.hamiltonian import (
     quantization_condition_check,
 )
 from quantbench.quantize import (
-    SectionAnsatz,
     holomorphic_solve,
     inner_product,
     integrate_representation,
     polarization_equivariance_check,
+    quantize_monomial,
 )
 from quantbench.reduce import descent_obstruction_check, internal_mw_quotient, \
     qr_commute_check, quantum_fixed_subspace
@@ -78,10 +77,8 @@ def test_criterion_1_borel_weil_dimensions():
     for k in (-1, 0, 1, 2, 3, 4):
         bundle = o_bundle(atlas, k)
         for cap_shift in (2, 4):
-            ansatz = SectionAnsatz.monomial(bundle, holomorphic_coordinates(),
-                                            max(k, 0) + cap_shift)
-            dims.setdefault(k, set()).add(
-                holomorphic_solve(bundle, structure, ansatz).dimension)
+            dims.setdefault(k, set()).add(holomorphic_solve(
+                bundle, structure, holomorphic_coordinates(), max(k, 0) + cap_shift).dimension)
     elapsed = time.perf_counter() - start
     ok = all(dims[k] == {max(k + 1, 0)} for k in dims) and elapsed < 10.0
     _verdict(1, ok, f"dimensions {sorted((k, sorted(v)) for k, v in dims.items())} "
@@ -94,7 +91,7 @@ def test_criterion_2_exact_gram_matrices(orbit_quantizations):
     ok = True
     details = []
     quantizations = dict(orbit_quantizations)
-    quantizations[4] = quantize_scenario(su2_orbit_scenario(4))
+    quantizations[4] = quantize_monomial(su2_orbit_scenario(4))
     for k in (0, 1, 2, 3, 4):
         gram = quantizations[k].gram
         for a in range(k + 1):
@@ -128,7 +125,7 @@ def test_criterion_3_kostant_closure_and_hermiticity(orbit_scenarios):
         ok &= rep_flatness_check(s, ops, rng).ok
         ok &= rep_hermitian_check(s, ops, rng).ok
     for k in (0, 1, 2, 3):
-        g = gauge_su2_scenario(k).scenario
+        g = gauge_su2_scenario(k)
         ops = kostant_operator(g, g.bundle)
         ok &= rep_flatness_check(g, ops, rng).ok
         ok &= rep_hermitian_check(g, ops, rng).ok
@@ -266,13 +263,13 @@ def test_criterion_7_gauge_pipeline():
     ok = True
     details = []
     for k in (1, 2):
-        gauge = gauge_su2_scenario(k)
-        ok &= not gauge.bundle_data.is_flat()
-        ok &= presymplectic_check(gauge.scenario.presymplectic).ok
-        ok &= prequantization_condition_check(gauge.scenario).ok
-        ok &= quantization_condition_check(gauge.scenario).ok
-        ok &= gauge_momentum_verify(gauge).ok
-        iso = quantization_isomorphism_check(gauge, quantize_scenario(gauge))
+        scenario = gauge_su2_scenario(k)
+        ok &= not scenario.gauge.bundle_data.is_flat()
+        ok &= presymplectic_check(scenario.presymplectic).ok
+        ok &= prequantization_condition_check(scenario).ok
+        ok &= quantization_condition_check(scenario).ok
+        ok &= gauge_momentum_verify(scenario).ok
+        iso = quantization_isomorphism_check(scenario, quantize_monomial(scenario))
         ok &= iso.ok
         ok &= any(f"dimension per base point: {k + 1}" in n for n in iso.notes)
         details.append(f"k={k}: dimension {k + 1} per base point")
@@ -306,7 +303,7 @@ def test_criterion_9_morphism_and_equivariance_suites(orbit_scenarios,
     """Structure suites pass on every catalog scenario carrying the data;
     each suite has a failing negative control."""
     scenarios = list(orbit_scenarios.values()) + list(rotation_scenarios.values())
-    scenarios += [gauge_su2_1.scenario, pair_groupoid_scenario(),
+    scenarios += [gauge_su2_1, pair_groupoid_scenario(),
                   s1_plane_scenario(), sphere_family_scenario(1)]
     ok = True
     for s in scenarios:

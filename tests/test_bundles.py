@@ -248,5 +248,4 @@ class TestChernWitness:
         assert any("no witness" in n for n in report.notes)
 
     def test_gauge_witness_is_connection_pairing(self, gauge_su2_1):
-        assert chern_class_algebroid(gauge_su2_1.scenario,
-                                     gauge_su2_1.scenario.bundle).ok
+        assert chern_class_algebroid(gauge_su2_1, gauge_su2_1.bundle).ok

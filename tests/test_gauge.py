@@ -4,7 +4,6 @@ connection independence."""
 from fractions import Fraction
 
 import pytest
-from conftest import quantize_scenario
 
 from quantbench.bundles import curvature, kostant_operator, validate_bundle
 from quantbench.catalog import (
@@ -26,6 +25,7 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
+from quantbench.quantize import quantize_monomial
 from quantbench.reduce import (
     descent_obstruction_check,
     internal_mw_quotient,
@@ -42,35 +42,35 @@ UNIT_SQUARE = [{"b1": parse_expr("t"), "b2": parse_expr("0")},
 
 class TestAssembly:
     def test_curvature_formula_reverified(self, gauge_su2_1):
-        assert gauge_su2_1.bundle_data.curvature_reverify().ok
-        assert not gauge_su2_1.bundle_data.is_flat()
+        assert gauge_su2_1.gauge.bundle_data.curvature_reverify().ok
+        assert not gauge_su2_1.gauge.bundle_data.is_flat()
 
     def test_assembled_form_closed_and_glues(self, gauge_su2_1):
-        assert presymplectic_check(gauge_su2_1.scenario.presymplectic).ok
+        assert presymplectic_check(gauge_su2_1.presymplectic).ok
 
     def test_character_form_is_minus_level_times_curvature(self):
         for n in (1, 2):
-            gauge = gauge_u1_character_scenario(n)
-            omega = gauge.scenario.presymplectic.omega_tilde
+            scenario = gauge_u1_character_scenario(n)
+            omega = scenario.presymplectic.omega_tilde
             coeff = omega.coefficient("pt", ("b1", "b2"))
-            f12 = gauge.bundle_data.curvature_components()[(0, 1)][0]
+            f12 = scenario.gauge.bundle_data.curvature_components()[(0, 1)][0]
             # omega = -n * F as two-forms on the base
             assert (coeff + f12 * n).is_zero()
 
     def test_flat_connection_collapses_to_product(self):
-        gauge = gauge_su2_scenario(1, twist=Fraction(0))
-        assert gauge.bundle_data.is_flat()
-        omega = gauge.scenario.presymplectic.omega_tilde
+        scenario = gauge_su2_scenario(1, twist=Fraction(0))
+        assert scenario.gauge.bundle_data.is_flat()
+        omega = scenario.presymplectic.omega_tilde
         for ch in ("N", "S"):
-            chart = gauge.scenario.atlas.chart(ch)
+            chart = scenario.atlas.chart(ch)
             for idx in omega.coefficients[ch]:
                 assert not set(idx) & set(chart.base_coords), \
                     "flat connection must leave no twist terms"
 
     def test_twisted_bundle_validates_with_matching_curvature(self, gauge_su2_1):
-        assert validate_bundle(gauge_su2_1.scenario.bundle).ok
-        diff = curvature(gauge_su2_1.scenario.bundle) - \
-            gauge_su2_1.scenario.presymplectic.omega_tilde
+        assert validate_bundle(gauge_su2_1.bundle).ok
+        diff = curvature(gauge_su2_1.bundle) - \
+            gauge_su2_1.presymplectic.omega_tilde
         assert diff.is_zero()
 
 
@@ -79,15 +79,15 @@ class TestMomentumVerify:
         assert gauge_momentum_verify(gauge_su2_1).ok
 
     def test_momentum_conditions_delegate(self, gauge_su2_1):
-        s = gauge_su2_1.scenario
+        s = gauge_su2_1
         assert prequantization_condition_check(s).ok
         assert quantization_condition_check(s).ok
         assert internal_momentum_check(s).ok
         assert equivariance_check(s).ok
 
     def test_flat_connection_case(self):
-        gauge = gauge_su2_scenario(1, twist=Fraction(0))
-        assert gauge_momentum_verify(gauge).ok
+        scenario = gauge_su2_scenario(1, twist=Fraction(0))
+        assert gauge_momentum_verify(scenario).ok
 
     def test_character_scenarios(self):
         for n in (0, 1, 2):
@@ -95,8 +95,7 @@ class TestMomentumVerify:
 
     def test_broken_equivariance_fails(self, gauge_su2_1):
         import copy
-        gauge = gauge_su2_scenario(1)
-        s = gauge.scenario
+        s = gauge_su2_scenario(1)
         # scale one fiber momentum pairing by a fiber function: H-equivariance
         # of the fiber momentum breaks, and with it the curvature identity
         bad_pairings = [dict(s.momentum.pairing(i)) for i in range(s.model.n)]
@@ -104,78 +103,78 @@ class TestMomentumVerify:
                            bad_pairings[2].items()}
         from quantbench.hamiltonian import MomentumMapRep
         s.momentum = MomentumMapRep(s.model, bad_pairings)
-        report = gauge_momentum_verify(gauge)
+        report = gauge_momentum_verify(s)
         assert not report.ok
 
 
 class TestQuantizationIsomorphism:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_su2_levels(self, k):
-        gauge = gauge_su2_scenario(k)
-        report = quantization_isomorphism_check(gauge, quantize_scenario(gauge))
+        scenario = gauge_su2_scenario(k)
+        report = quantization_isomorphism_check(scenario, quantize_monomial(scenario))
         assert report.ok, report.failures
         assert any(f"dimension per base point: {k + 1}" in n for n in report.notes)
 
     def test_point_fiber_character(self):
-        gauge = gauge_u1_character_scenario(1)
-        report = quantization_isomorphism_check(gauge, None)
+        scenario = gauge_u1_character_scenario(1)
+        report = quantization_isomorphism_check(scenario, None)
         assert report.ok
 
 
 class TestIntegratedRep:
     def test_same_potential_trivially_equal(self):
-        gauge = gauge_u1_character_scenario(1)
+        scenario = gauge_u1_character_scenario(1)
         report = integrated_rep_check(
-            gauge, gauge.bundle_data.potential,
+            scenario, scenario.gauge.bundle_data.potential,
             loops=[{"chart": "pt", "fiber_point": {}, "segments": UNIT_SQUARE}])
         assert report.ok
         # the loop exponent is the flux of F through the unit square
         assert any("loop exponent: 1" in n for n in report.notes)
 
     def test_exact_shift_delegates_to_perturbation(self):
-        gauge = gauge_u1_character_scenario(1)
-        base = gauge.bundle_data.potential
+        scenario = gauge_u1_character_scenario(1)
+        base = scenario.gauge.bundle_data.potential
         # tau2 = tau1 + d(b1 b2)
         pot2 = [(base[0][0] + parse_expr("b2"),),
                 (base[1][0] + parse_expr("b1"),)]
         report = integrated_rep_check(
-            gauge, pot2, exact_primitive=[parse_expr("b1*b2")],
+            scenario, pot2, exact_primitive=[parse_expr("b1*b2")],
             loops=[{"chart": "pt", "fiber_point": {}, "segments": UNIT_SQUARE}])
         assert report.ok, report.failures
         assert any("perturbation lemma" in n for n in report.notes)
 
     def test_su2_exact_shift(self):
-        gauge = gauge_su2_scenario(1)
-        base = gauge.bundle_data.potential
+        scenario = gauge_su2_scenario(1)
+        base = scenario.gauge.bundle_data.potential
         pot2 = [tuple(base[0][a] + (parse_expr("b2") if a == 2 else 0)
                       for a in range(3)),
                 tuple(base[1][a] + (parse_expr("b1") if a == 2 else 0)
                       for a in range(3))]
         report = integrated_rep_check(
-            gauge, pot2,
+            scenario, pot2,
             exact_primitive=[parse_expr("0"), parse_expr("0"), parse_expr("b1*b2")])
         assert report.ok, report.failures
 
     def test_punctured_chart_difference_rejected(self):
-        gauge = gauge_u1_character_scenario(1)
+        scenario = gauge_u1_character_scenario(1)
         closed_non_exact = [(parse_expr("-b2/(b1^2+b2^2)"),),
                             (parse_expr("b1/(b1^2+b2^2)"),)]
         with pytest.raises(UnsupportedPrimitiveError):
-            integrated_rep_check(gauge, closed_non_exact)
+            integrated_rep_check(scenario, closed_non_exact)
 
 
 class TestGaugeReduction:
     def test_u1_rotation_gauge_reduces_like_the_fiber(self):
-        gauge = gauge_u1_rotation_scenario(2)
-        result = quantize_scenario(gauge)
-        n_base = gauge.scenario.model.gauge_base_count
-        z = ZeroLevelData(gauge.scenario, "N", [parse_expr("x^2+y^2-1")],
+        scenario = gauge_u1_rotation_scenario(2)
+        result = quantize_monomial(scenario)
+        n_base = scenario.model.gauge_base_count
+        z = ZeroLevelData(scenario, "N", [parse_expr("x^2+y^2-1")],
                           {"x": parse_expr("(1-t^2)/(1+t^2)"),
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
                           ("t",), isotropy_indices=(n_base,), orbit_dimension=1)
         descent = descent_obstruction_check(
-            gauge.scenario, kostant_operator(gauge.scenario, gauge.scenario.bundle), z)
+            scenario, kostant_operator(scenario, scenario.bundle), z)
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1

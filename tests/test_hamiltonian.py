@@ -52,7 +52,7 @@ class TestPresymplectic:
         assert (det - expected).simplify().is_zero()
 
     def test_gauge_omega_closed(self, gauge_su2_1):
-        assert presymplectic_check(gauge_su2_1.scenario.presymplectic).ok
+        assert presymplectic_check(gauge_su2_1.presymplectic).ok
 
 
 class TestAlgebroidDifferential:
@@ -97,7 +97,7 @@ class TestConditionChecks:
                                                    gauge_su2_1):
         scenarios = list(orbit_scenarios.values()) + \
             list(rotation_scenarios.values()) + \
-            [gauge_su2_1.scenario, pair_groupoid_scenario(),
+            [gauge_su2_1, pair_groupoid_scenario(),
              sphere_family_scenario(1)]
         for s in scenarios:
             if prequantization_condition_check(s).ok and \
@@ -127,7 +127,7 @@ class TestConditionChecks:
         assert not quantization_condition_check(bad).ok
 
     def test_gauge_conditions(self, gauge_su2_1):
-        s = gauge_su2_1.scenario
+        s = gauge_su2_1
         assert prequantization_condition_check(s).ok
         assert quantization_condition_check(s).ok
 
@@ -150,7 +150,7 @@ class TestPerturb:
                 assert diff.simplify().is_zero()
 
     def test_gauge_base_perturbation_passes(self, gauge_su2_1):
-        s = gauge_su2_1.scenario
+        s = gauge_su2_1
         atlas = s.atlas
         beta = DifferentialForm(atlas, 1, LEAF_JTILDE,
                                 {ch: {("b1",): parse_expr("b1*b2")}
@@ -160,7 +160,7 @@ class TestPerturb:
         assert quantization_condition_check(out).ok
 
     def test_perturbing_back_restores(self, gauge_su2_1):
-        s = gauge_su2_1.scenario
+        s = gauge_su2_1
         atlas = s.atlas
         table = {ch: {("b2",): parse_expr("b1^2")} for ch in atlas.charts}
         beta = DifferentialForm(atlas, 1, LEAF_JTILDE, table)

@@ -139,8 +139,7 @@ class TestAlgebroidModels:
 
     def test_gauge_splitting_recovers_base_field(self):
         from quantbench.catalog import gauge_u1_character_scenario
-        gauge = gauge_u1_character_scenario(1)
-        model = gauge.scenario.model
+        model = gauge_u1_character_scenario(1).model
         section = model.splitting([parse_expr("b2"), parse_expr("1")])
         field = model.anchor(section)
         chart = next(iter(model.base_atlas.charts))

@@ -1,6 +1,6 @@
 """Exact elimination against independent references: sympy's `Matrix.rref()`
-over the Gaussian rationals, and a dense Gauss-Jordan for `RationalExpr`
-entries kept below."""
+and `Matrix.inv()` over the Gaussian rationals, and a dense Gauss-Jordan for
+`RationalExpr` entries kept below."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
-from quantbench.linalg import kernel_basis, rank, rref, solve_linear
+from quantbench.linalg import inverse, kernel_basis, rank, rref, solve_linear
 from quantbench.scalars import ExactScalar, ONE, ZERO
 
 _part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -96,6 +96,19 @@ class TestAgainstSympy:
             expected[c] = red[r][n]
         assert solution == expected
         assert [sum((a * x for a, x in zip(row, solution)), ZERO) for row in rows] == rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_inverse(self, sympy, rows):
+        n = min(len(rows), len(rows[0]))
+        square = [row[:n] for row in rows[:n]]
+        try:
+            expected = to_sympy(sympy, square).inv()
+        except ValueError:  # sympy's NonInvertibleMatrixError: singular
+            assert inverse(square) is None
+            return
+        assert inverse(square) == [[from_sympy(expected[i, j]) for j in range(n)]
+                                   for i in range(n)]
 
 
 def dense_rref(rows):

@@ -18,7 +18,6 @@ from quantbench.catalog import (
 from quantbench.errors import UnsupportedFiberError, UnsupportedIntegrationError
 from quantbench.exprs import parse_expr
 from quantbench.quantize import (
-    SectionAnsatz,
     commutation_check,
     fs_integral,
     fs_monomial_integral,
@@ -101,9 +100,8 @@ class TestHolomorphicSolve:
     def test_dimensions(self, atlas, k, expected):
         bundle = o_bundle(atlas, k)
         structure = standard_complex_structure(atlas)
-        ansatz = SectionAnsatz.monomial(bundle, holomorphic_coordinates(),
-                                        max(k, 0) + 2)
-        assert holomorphic_solve(bundle, structure, ansatz).dimension == expected
+        basis = holomorphic_solve(bundle, structure, holomorphic_coordinates(), max(k, 0) + 2)
+        assert basis.dimension == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cap_robustness(self, atlas, k):
@@ -111,15 +109,14 @@ class TestHolomorphicSolve:
         structure = standard_complex_structure(atlas)
         dims = set()
         for cap in (k + 2, k + 4):
-            ansatz = SectionAnsatz.monomial(bundle, holomorphic_coordinates(), cap)
-            dims.add(holomorphic_solve(bundle, structure, ansatz).dimension)
+            dims.add(holomorphic_solve(bundle, structure, holomorphic_coordinates(),
+                                       cap).dimension)
         assert dims == {k + 1}
 
     def test_kernel_is_monomial_span(self, atlas):
         bundle = o_bundle(atlas, 2)
         structure = standard_complex_structure(atlas)
-        ansatz = SectionAnsatz.monomial(bundle, holomorphic_coordinates(), 4)
-        basis = holomorphic_solve(bundle, structure, ansatz)
+        basis = holomorphic_solve(bundle, structure, holomorphic_coordinates(), 4)
         z = parse_expr("x - i*y")
         spanned = set()
         for element in basis.elements:

@@ -15,6 +15,7 @@ import pytest
 from quantbench import bundles, catalog, hamiltonian, liealg, reduce
 from quantbench.bundles import curvature
 from quantbench.cli import main
+from quantbench.hamiltonian import ActionScenario
 from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,7 +135,21 @@ def test_unknown_check_exits_two(selection, capsys):
 def test_concrete_name_is_the_family_stem_and_level():
     assert catalog.build_scenario("sphere-family-2").level == 2
     assert catalog.build_scenario("su2-orbit-2", 2).name == "su2-orbit-2"
-    assert catalog.build_scenario("gauge-u1-char-1").scenario.name == "gauge-u1-char-1"
+    assert catalog.build_scenario("gauge-u1-char-1").name == "gauge-u1-char-1"
+
+
+def test_every_build_is_an_action_scenario():
+    """Every family at every level, and every other run of the sweep, builds
+    one `ActionScenario`.  A gauge construction hangs off its scenario at
+    `.gauge`, keeps its fiber as an `ActionScenario` and links back to
+    nothing."""
+    for label, build in catalog_digests.runs():
+        scenario = build()
+        assert isinstance(scenario, ActionScenario), label
+        assert (scenario.gauge is not None) == label.startswith("gauge"), label
+        if scenario.gauge is not None:
+            assert isinstance(scenario.gauge.fiber, ActionScenario), label
+            assert not hasattr(scenario.gauge, "scenario"), label
 
 
 @pytest.mark.parametrize("factory,fails", [

@@ -15,7 +15,8 @@ record new reference digests.
 
     python3 tools/catalog_digests.py
 
-It is not part of the test suite.
+The test suite pins the same 25 runs: `tests/test_runner.py` builds them
+through `runs()` and compares each with `catalog_digests.txt`.
 """
 
 import hashlib
