@@ -25,11 +25,10 @@ from .liealg import (
     Ad,
     AlgebroidModel,
     GroupElement,
-    LieAlgebra,
     SectionRep,
     action_algebroid,
     coAd,
-    jacobi_check,
+    lie_algebra,
     su2,
     u1,
 )

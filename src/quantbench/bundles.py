@@ -30,7 +30,7 @@ from .geometry import (
     VectorField,
 )
 from .hamiltonian import ActionScenario, AlgebroidCochain, algebroid_differential, \
-    _fn_add, _fn_is_zero
+    pairing_combination, _fn_add, _fn_is_zero
 from .liealg import random_polynomial
 from .reports import CheckResult
 from .scalars import ExactScalar, ZERO
@@ -207,6 +207,8 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
     for idx in cover.index_set:
         chart = bundle.patch_chart(idx)
         h = bundle.weight(idx)
+        if not (h - h.conj()).is_zero():
+            failures.append(("metric", f"patch {idx}: weight {h} is not real"))
         eta = bundle.potential(idx)
         imag_part = eta - eta.conj()
         lhs = imag_part * RationalExpr.var("twopii")
@@ -312,7 +314,8 @@ class KostantOperator:
         self.bundle = bundle
         self.section = section
         self.vector_part = scenario.action.of(section)
-        self.pairing = scenario.momentum.section_pairing(section)
+        self.pairing = pairing_combination(scenario.atlas, scenario.momentum.pairings,
+                                           section.coeffs)
         self._potentials = {}
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)

@@ -123,21 +123,6 @@ def o_bundle(atlas, k: int, cover=None) -> LineBundleData:
                           {"N": h_n, "S": h_s}, {"N": eta_n, "S": eta_s})
 
 
-def su2_point_model(algebra=None) -> AlgebroidModel:
-    algebra = algebra or su2()
-    point = FiberedAtlas([Chart("pt")])
-    return AlgebroidModel("su2-point", "bundle_of_algebras", point,
-                          algebra.basis_names,
-                          {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)},
-                          [None, None, None], fiber_algebra=algebra)
-
-
-def u1_point_model() -> AlgebroidModel:
-    point = FiberedAtlas([Chart("pt")])
-    return AlgebroidModel("u1-point", "bundle_of_algebras", point, ("e1",), {},
-                          [None], fiber_algebra=u1())
-
-
 def _fs_samples():
     return [{"chart": "N", "point": {"x": 0.3, "y": -0.2}},
             {"chart": "S", "point": {"u": -0.4, "v": 0.1}}]
@@ -153,7 +138,7 @@ def _sphere_quantization(atlas, k: int) -> dict:
 def su2_orbit_scenario(k: int) -> ActionScenario:
     """Coadjoint-orbit scenario: su(2) rotations on the sphere of level k."""
     atlas = sphere_atlas()
-    model = su2_point_model()
+    model = su2()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, fields, name="su2-rotations")
     half = Fraction(k, 2)
@@ -169,7 +154,7 @@ def su2_orbit_scenario(k: int) -> ActionScenario:
 def u1_rotation_scenario(k: int) -> ActionScenario:
     """Circle rotation about the vertical axis on the level-k sphere."""
     atlas = sphere_atlas()
-    model = u1_point_model()
+    model = u1()
     fields = rotation_fields(atlas)
     action = ActionMap(model, atlas, [fields[2]], name="u1-rotation")
     half = Fraction(k, 2)
@@ -271,9 +256,9 @@ def _plane_gauge(name, group_tag, algebra, fiber: ActionScenario,
     """`fiber` twisted over the plane by A = twist * b1 db2 along the last
     basis element of the structure algebra."""
     zero = _pe("0")
-    a2 = [zero] * (algebra.dimension - 1) + [_scale(_pe("b1"), twist)]
+    a2 = [zero] * (algebra.n - 1) + [_scale(_pe("b1"), twist)]
     bundle_data = PrincipalBundleData(base_plane_atlas(), group_tag, algebra,
-                                      [[zero] * algebra.dimension, a2])
+                                      [[zero] * algebra.n, a2])
     return build_gauge_scenario(bundle_data, fiber, name=name)
 
 
@@ -285,7 +270,7 @@ def gauge_su2_scenario(k: int, twist: Fraction = Fraction(1)) -> ActionScenario:
 def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """U(1) character n over the plane: the fiber is a point."""
     atlas = FiberedAtlas([Chart("pt", star_shaped=True)])
-    model = u1_point_model()
+    model = u1()
     action = ActionMap(model, atlas, [VectorField(atlas, LEAF_J, {"pt": {}})],
                        name="u1-character")
     presymplectic = PresymplecticData(atlas, DifferentialForm(atlas, 2, LEAF_JTILDE,
@@ -335,7 +320,7 @@ def sphere_family_scenario(level: int = 1) -> ActionScenario:
     """The sphere as a family of circles over the interval; step momentum."""
     atlas = FiberedAtlas([Chart("I", base_coords=("q",), star_shaped=True)])
     model = AlgebroidModel("sphere-family", "bundle_of_algebras", atlas, ("e1",),
-                          {}, [None], fiber_algebra=u1())
+                          {}, [None])
     action = ActionMap(model, atlas,
                        [VectorField(atlas, LEAF_J, {"I": {}})],
                        name="family-action")
@@ -407,7 +392,7 @@ def control_imaginary_momentum(k: int = 2) -> ActionScenario:
 def control_flipped_field(k: int = 2):
     """Vertical rotation field negated with the others kept: morphism fails."""
     atlas = sphere_atlas()
-    model = su2_point_model()
+    model = su2()
     v1, v2, v3 = rotation_fields(atlas)
     return ActionMap(model, atlas, [v1, v2, -v3], name="flipped-vertical")
 

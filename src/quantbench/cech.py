@@ -163,17 +163,8 @@ class Cochain:
 
 def cech_delta(c: Cochain) -> Cochain:
     """Alternating face sum; sign (-1)^(j+1) for the j-th deleted index (0-based)."""
-    cover = c.cover
-    out = {}
-    for simplex in cover.k_simplices(c.degree + 1):
-        for comp in cover.components[simplex]:
-            total = ZERO
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1:]
-                fcomp = cover.face_component(simplex, comp, face)
-                total = total + c.value(face, fcomp) * ExactScalar((-1) ** (j + 1))
-            out[(simplex, comp)] = total
-    return Cochain(cover, c.degree + 1, out)
+    return Cochain.from_vector(c.cover, c.degree + 1,
+                               matvec(delta_matrix(c.cover, c.degree), c.vector()))
 
 
 def delta_matrix(cover: GoodCover, degree):

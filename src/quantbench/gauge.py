@@ -33,12 +33,13 @@ from .hamiltonian import (
     MomentumMapRep,
     PresymplecticData,
     algebroid_differential,
+    pairing_combination,
     perturb,
     _fn_add,
     _fn_is_zero,
     _fn_scale,
 )
-from .liealg import ActionMap, AlgebroidModel, LieAlgebra
+from .liealg import ActionMap, AlgebroidModel
 from .quantize import ComplexStructureData, gram_matrix, quantize_monomial
 from .reports import CheckResult
 from .scalars import ExactScalar, ONE, ZERO
@@ -48,7 +49,7 @@ class PrincipalBundleData:
     """Trivialized principal bundle: star-shaped base chart plus a polynomial
     connection potential A with values in the structure algebra."""
 
-    def __init__(self, base_atlas: FiberedAtlas, group_tag, algebra: LieAlgebra,
+    def __init__(self, base_atlas: FiberedAtlas, group_tag, algebra: AlgebroidModel,
                  potential):
         self.base_atlas = base_atlas
         if len(base_atlas.charts) != 1:
@@ -62,8 +63,11 @@ class PrincipalBundleData:
         if len(self.potential) != len(self.base_chart.coords):
             raise MalformedExpressionError("one potential component per base coordinate")
         for vec in self.potential:
-            if len(vec) != algebra.dimension:
+            if len(vec) != algebra.n:
                 raise MalformedExpressionError("potential components live in the algebra")
+
+    def _bracket(self, u, v):
+        return self.algebra.bracket(self.algebra.section(u), self.algebra.section(v)).coeffs
 
     def curvature_components(self):
         """F for each base coordinate pair (i < j), as algebra coefficient vectors."""
@@ -73,7 +77,7 @@ class PrincipalBundleData:
             for j in range(i + 1, len(coords)):
                 d_i_aj = [c.derivative(coords[i]) for c in self.potential[j]]
                 d_j_ai = [c.derivative(coords[j]) for c in self.potential[i]]
-                comm = self.algebra.bracket_vectors(self.potential[i], self.potential[j])
+                comm = self._bracket(self.potential[i], self.potential[j])
                 out[(i, j)] = tuple(-a + b + c for a, b, c in zip(d_i_aj, d_j_ai, comm))
         return out
 
@@ -87,7 +91,7 @@ class PrincipalBundleData:
             # with coordinate fields: [w_i, w_j] = 0
             term = [-c.derivative(coords[i]) for c in self.potential[j]]
             term = [t + c.derivative(coords[j]) for t, c in zip(term, self.potential[i])]
-            comm = self.algebra.bracket_vectors(self.potential[i], self.potential[j])
+            comm = self._bracket(self.potential[i], self.potential[j])
             display = [t + c for t, c in zip(term, comm)]
             diff = [(a - b).simplify() for a, b in zip(vec, display)]
             if any(not d.is_zero() for d in diff):
@@ -113,7 +117,7 @@ class GaugeScenario:
     def tau(self, index):
         """Connection functional on the generator: algebra coefficient vector."""
         n_base = len(self.bundle_data.base_chart.coords)
-        dim = self.bundle_data.algebra.dimension
+        dim = self.bundle_data.algebra.n
         if index < n_base:
             return self.bundle_data.potential[index]
         return tuple(ONE if a == index - n_base else ZERO for a in range(dim))
@@ -146,18 +150,6 @@ def _lift_form(form: DifferentialForm, atlas: FiberedAtlas,
                             {ch: dict(tbl) for ch, tbl in form.coefficients.items()})
 
 
-def _pairing_combination(atlas, pairings, vec) -> dict:
-    """Chartwise sum_a vec[a] <mu, e_a>, over the pairings given on each chart."""
-    out = {}
-    for ch in atlas.charts:
-        total = RationalExpr.zero()
-        for pairing, coeff in zip(pairings, vec):
-            if pairing.get(ch) is not None:
-                total = total + coerce_rational(coeff) * pairing[ch]
-        out[ch] = total
-    return out
-
-
 def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario,
                          name="gauge", base_samples=None) -> ActionScenario:
     """Twist the Hamiltonian `fiber` over the base of `bundle_data`: the
@@ -166,21 +158,16 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario
     base_chart = bundle_data.base_chart
     base_coords = base_chart.coords
     algebra = bundle_data.algebra
-    dim = algebra.dimension
+    dim = algebra.n
     atlas = _product_atlas(base_chart, fiber.atlas)
     fields = [_lift_field(v, atlas) for v in fiber.action.fields]
     omega_fiber = _lift_form(fiber.presymplectic.omega, atlas, LEAF_J)
 
     # gauge algebroid model over the base
-    names = tuple(f"d{b}" for b in base_coords) + tuple(algebra.basis_names)
+    names = tuple(f"d{b}" for b in base_coords) + algebra.generator_names
     n_base = len(base_coords)
-    bracket_table = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            vec = [ZERO] * (n_base + dim)
-            for k in range(dim):
-                vec[n_base + k] = algebra.c(a, b, k)
-            bracket_table[(n_base + a, n_base + b)] = vec
+    bracket_table = {(n_base + a, n_base + b): (ZERO,) * n_base + vec
+                     for (a, b), vec in algebra.bracket_table.items()}
     anchor_fields = []
     for i, bc in enumerate(base_coords):
         anchor_fields.append(VectorField(bundle_data.base_atlas, "full",
@@ -189,7 +176,7 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario
     model = AlgebroidModel(f"{name}-algebroid", "gauge", bundle_data.base_atlas,
                            names, bracket_table, anchor_fields,
                            isotropy_indices=tuple(range(n_base, n_base + dim)),
-                           fiber_algebra=algebra, gauge_base_count=n_base)
+                           gauge_base_count=n_base)
 
     action_fields = []
     for i, bc in enumerate(base_coords):
@@ -200,7 +187,7 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario
 
     # beta(A_i) and the pairing <mu, A_i> chart by chart
     def mu_pair(vec):
-        return _pairing_combination(atlas, fiber.momentum.pairings, vec)
+        return pairing_combination(atlas, fiber.momentum.pairings, vec)
 
     beta_a = [_field_sum(atlas, LEAF_J, ((coerce_rational(c), f) for c, f in
                                          zip(bundle_data.potential[i], fields)))
@@ -300,7 +287,7 @@ def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
     failures = []
     model = scenario.model
     n_base = model.gauge_base_count
-    dim = gauge.bundle_data.algebra.dimension
+    dim = gauge.bundle_data.algebra.n
     curv = gauge.bundle_data.curvature_components()
     mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
     d_mu = algebroid_differential(mu)
@@ -321,7 +308,7 @@ def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
                 f_vec = tuple(ZERO for _ in range(dim))
             lhs = d_mu.value(i, j)
             omega_term = omega_fiber.apply(beta_tau(i), beta_tau(j))
-            rhs = _fn_add(_pairing_combination(atlas, fiber_pairings, f_vec),
+            rhs = _fn_add(pairing_combination(atlas, fiber_pairings, f_vec),
                           _fn_scale(omega_term, ExactScalar(-1)))
             residual = _fn_add(lhs, _fn_scale(rhs, ExactScalar(-1)))
             if not _fn_is_zero(residual):
@@ -348,12 +335,12 @@ def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> Check
     n_base = scenario.model.gauge_base_count
     algebra = gauge.bundle_data.algebra
     n = fiber_rep.dimension
-    for a in range(algebra.dimension):
+    for a in range(algebra.n):
         mat_fiber = fiber_rep.matrices[a]
         mat_gauge = gauge_rep.matrices[n_base + a]
         if any(not (mat_fiber[i][j] - mat_gauge[i][j]).is_zero()
                for i in range(n) for j in range(n)):
-            failures.append((f"intertwining {algebra.basis_names[a]}",
+            failures.append((f"intertwining {algebra.generator_names[a]}",
                              "matrix mismatch"))
     for i in range(n_base):
         mat = gauge_rep.matrices[i]
@@ -405,7 +392,7 @@ def integrated_rep_check(scenario: ActionScenario, other_potential,
         p1 = scenario.momentum.pairing(i)
         p2 = other_scenario.momentum.pairing(i)
         if i < n_base:
-            expected = _pairing_combination(atlas, fiber_pairings, diff[i])
+            expected = pairing_combination(atlas, fiber_pairings, diff[i])
         else:
             expected = {ch: RationalExpr.zero() for ch in p1}
         for ch in p1:
@@ -417,8 +404,8 @@ def integrated_rep_check(scenario: ActionScenario, other_potential,
         g_vec = [coerce_rational(c) for c in exact_primitive]
         beta_table = {ch: {} for ch in atlas.charts}
         for bc in base_coords:
-            d_g = _pairing_combination(atlas, fiber_pairings,
-                                       [g.derivative(bc) for g in g_vec])
+            d_g = pairing_combination(atlas, fiber_pairings,
+                                      [g.derivative(bc) for g in g_vec])
             for ch, total in d_g.items():
                 if not total.is_zero():
                     beta_table[ch][(bc,)] = total

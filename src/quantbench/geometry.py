@@ -10,8 +10,9 @@ than the form carries is an error while finer requests restrict first.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
+from . import linalg
 from .errors import (
     AtlasMismatchError,
     DegreeError,
@@ -268,8 +269,8 @@ class DifferentialForm:
                 continue
             total = RationalExpr.zero()
             for idx, coeff in table.items():
-                det = _component_determinant([f.components[ch] for f in fields], idx)
-                total = total + coeff * det
+                minor = [[f.component(ch, c) for c in idx] for f in fields]
+                total = total + coeff * linalg.det(minor, RationalExpr.const(1))
             out[ch] = total
         return out
 
@@ -280,28 +281,6 @@ class DifferentialForm:
                 label = "^".join(f"d{c}" for c in idx) or "1"
                 bits.append(f"[{ch}] ({v}) {label}")
         return "Form(" + "; ".join(bits) + ")" if bits else "Form(0)"
-
-
-def _component_determinant(comp_dicts, idx):
-    """det of the matrix (field_a components along idx coords)."""
-    n = len(idx)
-    if n == 0:
-        return RationalExpr.const(1)
-    if n == 1:
-        return comp_dicts[0].get(idx[0], RationalExpr.zero())
-    total = RationalExpr.zero()
-    for perm, sign in _signed_permutations(n):
-        term = RationalExpr.const(sign)
-        for row, col in enumerate(perm):
-            term = term * comp_dicts[row].get(idx[col], RationalExpr.zero())
-        total = total + term
-    return total
-
-
-def _signed_permutations(n):
-    identity = range(n)
-    for perm in permutations(identity):
-        yield perm, _sort_sign(perm, identity)
 
 
 class VectorField:

@@ -90,18 +90,18 @@ class MomentumMapRep:
     def pairing_form(self, atlas, index) -> DifferentialForm:
         return form_function(atlas, self.pairings[index], LEAF_JTILDE)
 
-    def section_pairing(self, section) -> dict:
-        """<mu, sum f_i gen_i> = sum (J^* f_i) <mu, gen_i>, chartwise."""
-        charts = set()
-        for p in self.pairings:
-            charts |= set(p)
-        out = {}
-        for ch in charts:
-            total = RationalExpr.zero()
-            for coeff, p in zip(section.coeffs, self.pairings):
-                total = total + coeff * p.get(ch, RationalExpr.zero())
-            out[ch] = total
-        return out
+
+def pairing_combination(atlas, pairings, vec) -> dict:
+    """Chartwise sum_a vec[a] <mu, e_a>, over the pairings given on each chart:
+    the pairing of mu with the section sum_a vec[a] e_a."""
+    out = {}
+    for ch in atlas.charts:
+        total = RationalExpr.zero()
+        for pairing, coeff in zip(pairings, vec):
+            if pairing.get(ch) is not None:
+                total = total + coerce_rational(coeff) * pairing[ch]
+        out[ch] = total
+    return out
 
 
 class ActionScenario:
@@ -219,10 +219,8 @@ def algebroid_differential(cochain: AlgebroidCochain) -> AlgebroidCochain:
                         {ch: v * coeff for ch, v in cochain.values[k].items()})
                 f_i = scenario.generator_field(i)
                 f_j = scenario.generator_field(j)
-                term_i = {ch: f_i.derive(v, ch) for ch, v in cochain.values[j].items()
-                          if ch in f_i.components}
-                term_j = {ch: f_j.derive(v, ch) for ch, v in cochain.values[i].items()
-                          if ch in f_j.components}
+                term_i = f_i.derive(cochain.values[j])
+                term_j = f_j.derive(cochain.values[i])
                 values[(i, j)] = _fn_add(mu_bracket, _fn_scale(term_i, ExactScalar(-1)),
                                          term_j)
         return AlgebroidCochain(scenario, 2, values)
@@ -236,8 +234,7 @@ def algebroid_differential(cochain: AlgebroidCochain) -> AlgebroidCochain:
                     for (pos, a, rest) in ((0, i, (j, k)), (1, j, (i, k)), (2, k, (i, j))):
                         field = scenario.generator_field(a)
                         nu = cochain.value(*rest)
-                        term = {ch: field.derive(v, ch) for ch, v in nu.items()
-                                if ch in field.components}
+                        term = field.derive(nu)
                         total = _fn_add(total, _fn_scale(term, ExactScalar((-1) ** pos)))
                     for (pos, pair_, c) in ((0, (i, j), k), (1, (i, k), j), (2, (j, k), i)):
                         bracket = model.generator_bracket(*pair_)
@@ -284,8 +281,7 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
         field = s.generator_field(i)
         for j in s.isotropy_indices():
             pairing_j = s.momentum.pairing(j)
-            derived = {ch: field.derive(v, ch) for ch, v in pairing_j.items()
-                       if ch in field.components}
+            derived = field.derive(pairing_j)
             bracket = s.model.generator_bracket(i, j)
             expected = {}
             for k, coeff in enumerate(bracket):

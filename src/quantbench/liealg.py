@@ -1,11 +1,12 @@
-"""Lie algebras by structure constants, exact U(1)/SU(2) elements, algebroid
-models with anchor and bracket, and actions on fibered atlases.
+"""Lie algebras as algebroids over a point, exact U(1)/SU(2) elements,
+algebroid models with anchor and bracket, and actions on fibered atlases.
 
 A section of any model is a coefficient vector over finitely many declared
 generating sections; coefficients are rational functions on the model's base.
 The bracket of generators is tabulated and extended by the Leibniz rule, so
-one bracket/anchor implementation serves the tangent, foliation,
-bundle-of-Lie-algebras, gauge and action variants alike.
+one bracket/anchor implementation serves Lie algebras (the point case) and
+the tangent, foliation, bundle-of-Lie-algebras, gauge and action variants
+alike.
 """
 
 from __future__ import annotations
@@ -15,106 +16,59 @@ from fractions import Fraction
 
 from .errors import MalformedExpressionError, ModelMismatchError
 from .exprs import PolyExpr, RationalExpr, coerce_rational
-from .geometry import LEAF_FULL, LEAF_JTILDE, FiberedAtlas, VectorField, _field_sum, commutator
+from .geometry import (
+    LEAF_FULL,
+    LEAF_JTILDE,
+    Chart,
+    FiberedAtlas,
+    VectorField,
+    _field_sum,
+    commutator,
+)
 from .reports import CheckResult
 from .scalars import ExactScalar, I, ONE, ZERO
 
 
-class LieAlgebra:
-    """Finite-dimensional Lie algebra given by exact structure constants."""
-
-    def __init__(self, basis_names, structure_constants, check=True):
-        self.basis_names = tuple(basis_names)
-        self.dimension = len(self.basis_names)
-        table = {}
-        for (a, b, k), value in structure_constants.items():
-            value = ExactScalar.coerce(value)
-            if value.is_zero():
-                continue
-            table[(a, b, k)] = value
-        self.constants = table
-        if check:
-            bad = self.antisymmetry_violations()
-            if bad:
-                raise MalformedExpressionError(f"structure constants not antisymmetric: {bad}")
-            report = self.jacobi_report()
-            if not report.ok:
-                raise MalformedExpressionError(f"Jacobi identity fails on {report.failures}")
-
-    def c(self, a, b, k) -> ExactScalar:
-        return self.constants.get((a, b, k), ZERO)
-
-    def antisymmetry_violations(self):
-        bad = []
-        n = self.dimension
-        for a in range(n):
-            for b in range(n):
-                for k in range(n):
-                    if self.c(a, b, k) != -self.c(b, a, k):
-                        bad.append((a, b, k))
-        return bad
-
-    def bracket_vectors(self, u, v):
-        """Bracket of coefficient vectors (entries ExactScalar or RationalExpr)."""
-        n = self.dimension
-        out = [RationalExpr.zero() for _ in range(n)]
-        for a in range(n):
-            ua = coerce_rational(u[a])
-            if ua.is_zero():
-                continue
-            for b in range(n):
-                vb = coerce_rational(v[b])
-                if vb.is_zero():
-                    continue
-                for k in range(n):
-                    cc = self.c(a, b, k)
-                    if not cc.is_zero():
-                        out[k] = out[k] + ua * vb * cc
-        return out
-
-    def jacobi_report(self) -> CheckResult:
-        n = self.dimension
-        failures = []
-        basis = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    total = [RationalExpr.zero()] * n
-                    for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                        inner = self.bracket_vectors(basis[x], basis[y])
-                        term = self.bracket_vectors(inner, basis[z])
-                        total = [t + s for t, s in zip(total, term)]
-                    if any(not t.is_zero() for t in total):
-                        failures.append((self.basis_names[a], self.basis_names[b],
-                                         self.basis_names[c]))
-        return CheckResult(not failures, failures)
+def lie_algebra(name, basis_names, structure_constants) -> AlgebroidModel:
+    """The Lie algebra [e_a, e_b] = sum_k c e_k, for {(a, b, k): c}, as the
+    algebroid over a point: no anchor, one chart.  Its Jacobi identity is
+    the `bracket-structure` row's verdict; the constants must be
+    antisymmetric, [e_a, e_a] = 0 included, and index the basis."""
+    n = len(basis_names)
+    constants = {}
+    for key, value in structure_constants.items():
+        value = ExactScalar.coerce(value)
+        if not value.is_zero():
+            constants[key] = value
+    if any(not 0 <= i < n for key in constants for i in key):
+        raise MalformedExpressionError(f"structure constant index outside a basis of {n}")
+    bad = [(a, b, k) for (a, b, k), value in constants.items()
+           if constants.get((b, a, k), ZERO) != -value]
+    if bad:
+        raise MalformedExpressionError(f"structure constants not antisymmetric: {bad}")
+    table = {}
+    for (a, b, k), value in constants.items():
+        if a < b:
+            table.setdefault((a, b), [ZERO] * n)[k] = value
+    return AlgebroidModel(name, "bundle_of_algebras", FiberedAtlas([Chart("pt")]),
+                          basis_names, table, [None] * n)
 
 
-def jacobi_check(algebra_or_constants, basis_names=None) -> CheckResult:
-    """Jacobi identity over all basis triples, exactly."""
-    if isinstance(algebra_or_constants, LieAlgebra):
-        return algebra_or_constants.jacobi_report()
-    alg = LieAlgebra(basis_names, algebra_or_constants, check=False)
-    if alg.antisymmetry_violations():
-        return CheckResult(False, ["antisymmetry"])
-    return alg.jacobi_report()
-
-
-def su2() -> LieAlgebra:
+def su2() -> AlgebroidModel:
     """so(3)-normalized basis: [e_a, e_b] = sum_c eps_abc e_c."""
     eps = {}
     for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[(a, b, c)] = ONE
         eps[(b, a, c)] = -ONE
-    return LieAlgebra(("e1", "e2", "e3"), eps)
+    return lie_algebra("su2-point", ("e1", "e2", "e3"), eps)
 
 
-def u1() -> LieAlgebra:
-    return LieAlgebra(("e1",), {})
+def u1() -> AlgebroidModel:
+    return lie_algebra("u1-point", ("e1",), {})
 
 
-def abelian(n) -> LieAlgebra:
-    return LieAlgebra(tuple(f"e{i+1}" for i in range(n)), {})
+def abelian(n) -> AlgebroidModel:
+    return lie_algebra(f"abelian-{n}", tuple(f"e{i+1}" for i in range(n)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +191,14 @@ def pair(covector, vector):
                 for a, b in zip(covector, vector)), ZERO)
 
 
-def ad_star(algebra: LieAlgebra, x_coeffs, covector):
+def ad_star(model: AlgebroidModel, x_coeffs, covector):
     """<ad*(X) xi, Y> := <xi, ad(-X) Y> (sign convention flagged in reports)."""
-    n = algebra.dimension
-    neg_x = [-ExactScalar.coerce(c) for c in x_coeffs]
+    neg_x = -model.section(x_coeffs)
     out = []
-    for b in range(n):
-        basis = [ONE if i == b else ZERO for i in range(n)]
-        moved = algebra.bracket_vectors(neg_x, basis)
-        total = RationalExpr.zero()
-        for k in range(n):
-            total = total + coerce_rational(covector[k]) * moved[k]
-        out.append(total)
+    for b in range(model.n):
+        moved = model.bracket(neg_x, model.basis_section(b)).coeffs
+        out.append(sum((coerce_rational(xi) * m for xi, m in zip(covector, moved)),
+                       RationalExpr.zero()))
     return tuple(out)
 
 
@@ -275,8 +225,7 @@ class AlgebroidModel:
     """
 
     def __init__(self, name, variant, base_atlas, generator_names, bracket_table,
-                 anchor_fields, isotropy_indices=None, fiber_algebra=None,
-                 gauge_base_count=0):
+                 anchor_fields, isotropy_indices=None, gauge_base_count=0):
         self.name = name
         self.variant = variant
         self.base_atlas = base_atlas
@@ -290,7 +239,6 @@ class AlgebroidModel:
             isotropy_indices if isotropy_indices is not None
             else [i for i, f in enumerate(self.anchor_fields)
                   if f is None or f.is_zero()])
-        self.fiber_algebra = fiber_algebra
         self.gauge_base_count = gauge_base_count
 
     # -- sections ---------------------------------------------------------
@@ -594,5 +542,4 @@ def action_algebroid(parent: AlgebroidModel, action: ActionMap) -> AlgebroidMode
         bracket_table=bracket_table,
         anchor_fields=[action.of(parent.basis_section(i)) for i in range(parent.n)],
         isotropy_indices=parent.isotropy_indices,
-        fiber_algebra=parent.fiber_algebra,
     )

@@ -363,10 +363,18 @@ def _numeric_fs_integral(expr, x_name, y_name, tolerance):
 
 def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis, base_point=None,
                 patch=None):
+    """Gram matrix of `basis`.  Only the upper triangle is integrated: the
+    integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
+    row), so entry (j, i) is the conjugate of entry (i, j)."""
     n = basis.dimension
-    return [[inner_product(bundle, basis.elements[i], basis.elements[j],
-                           base_point=base_point, patch=patch)
-             for j in range(n)] for i in range(n)]
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = inner_product(bundle, basis.elements[i], basis.elements[j],
+                                       base_point=base_point, patch=patch)
+            if j > i:
+                gram[j][i] = gram[i][j].conj()
+    return gram
 
 
 def leading_minors_positive(gram) -> bool:

@@ -58,6 +58,17 @@ class TestValidateBundle:
         assert not report.ok
         assert any(f[0] == "metric" for f in report.failures)
 
+    def test_non_real_weight_fails(self, atlas):
+        # i times the O(-1) weights: compatible on the overlap and with the
+        # connection, but no metric, and the Gram matrix is then not Hermitian
+        bundle = o_bundle(atlas, -1)
+        bundle.metric_weights = {"N": parse_expr("i*(1+x^2+y^2)"),
+                                 "S": parse_expr("i*(1+u^2+v^2)")}
+        report = validate_bundle(bundle)
+        assert not report.ok
+        assert [f[0] for f in report.failures] == ["metric", "metric"]
+        assert all("not real" in f[1] for f in report.failures)
+
 
 class TestCurvature:
     def test_chern_connection_curvature(self, atlas, orbit_scenarios):

@@ -5,52 +5,104 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.catalog import rotation_fields, sphere_atlas, su2_point_model
+from quantbench.catalog import rotation_fields, sphere_atlas
 from quantbench.errors import MalformedExpressionError, ModelMismatchError
-from quantbench.exprs import parse_expr
-from quantbench.geometry import LEAF_J, VectorField
+from quantbench.exprs import coerce_rational, parse_expr
+from quantbench.geometry import (
+    LEAF_J,
+    LEAF_JTILDE,
+    Chart,
+    DifferentialForm,
+    FiberedAtlas,
+    VectorField,
+)
+from quantbench.hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
 from quantbench.liealg import (
     ActionMap,
     Ad,
     AlgebroidModel,
     GroupElement,
-    LieAlgebra,
     abelian,
     action_algebroid,
     ad_star,
     coAd,
-    jacobi_check,
+    lie_algebra,
     pair,
     random_su2,
     su2,
     u1,
 )
+from quantbench.runner import run_scenario
 from quantbench.scalars import ExactScalar, ONE, ZERO
+
+
+# antisymmetric, but [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = -(e1 + e2 + e3)
+NON_JACOBI = {(0, 1, 0): 1, (1, 0, 0): -1, (1, 2, 1): 1, (2, 1, 1): -1,
+              (2, 0, 2): 1, (0, 2, 2): -1}
 
 
 class TestJacobi:
     def test_su2(self):
-        assert jacobi_check(su2()).ok
+        assert su2().jacobi_on_generators().ok
 
     def test_abelian(self):
-        assert jacobi_check(abelian(3)).ok
+        assert abelian(3).jacobi_on_generators().ok
 
     def test_cyclic_rescaling_still_lie(self):
         # any purely cyclic antisymmetric table in dimension 3 satisfies Jacobi
         constants = {(0, 1, 2): 1, (1, 0, 2): -1, (1, 2, 0): 2, (2, 1, 0): -2,
                      (2, 0, 1): 1, (0, 2, 1): -1}
-        assert jacobi_check(constants, ("e1", "e2", "e3")).ok
+        algebra = lie_algebra("cyclic", ("e1", "e2", "e3"), constants)
+        assert algebra.jacobi_on_generators().ok
 
     def test_genuinely_failing_constants(self):
-        constants = {(0, 1, 0): 1, (1, 0, 0): -1, (1, 2, 1): 1, (2, 1, 1): -1,
-                     (2, 0, 2): 1, (0, 2, 2): -1}
-        report = jacobi_check(constants, ("e1", "e2", "e3"))
+        report = lie_algebra("bad", ("e1", "e2", "e3"), NON_JACOBI).jacobi_on_generators()
         assert not report.ok
         assert report.failures
 
     def test_antisymmetry_enforced(self):
         with pytest.raises(MalformedExpressionError):
-            LieAlgebra(("a", "b"), {(0, 1, 0): 1})
+            lie_algebra("ab", ("a", "b"), {(0, 1, 0): 1})
+
+    def test_diagonal_constant_rejected(self):
+        # [e1, e1] = e2 is not antisymmetric
+        with pytest.raises(MalformedExpressionError):
+            lie_algebra("ab", ("a", "b"), {(0, 0, 1): 1})
+
+    def test_index_outside_basis_rejected(self):
+        with pytest.raises(MalformedExpressionError):
+            lie_algebra("ab", ("a", "b"), {(0, 1, 2): 1, (1, 0, 2): -1})
+        with pytest.raises(MalformedExpressionError):
+            lie_algebra("a", ("a",), {(0, 1, 0): 1, (1, 0, 0): -1})
+
+    def test_su2_table_is_the_hand_table(self):
+        hand = {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (0, 2): (0, -1, 0)}
+        assert su2().bracket_table == \
+            {key: tuple(coerce_rational(c) for c in vec) for key, vec in hand.items()}
+
+    def test_algebras_are_point_algebroids(self):
+        for algebra in (su2(), u1(), abelian(2)):
+            assert isinstance(algebra, AlgebroidModel)
+            assert list(algebra.base_atlas.charts) == ["pt"]
+            assert algebra.anchor_fields == [None] * algebra.n
+
+    def test_bracket_structure_row_decides_jacobi(self):
+        # zero fields act by every table, so only the table can fail
+        algebra = lie_algebra("bad", ("e1", "e2", "e3"), NON_JACOBI)
+        atlas = FiberedAtlas([Chart("pt", star_shaped=True)])
+        zero = VectorField(atlas, LEAF_J, {"pt": {}})
+        action = ActionMap(algebra, atlas, [zero] * 3, name="zero-action")
+        omega = DifferentialForm(atlas, 2, LEAF_JTILDE, {"pt": {}})
+        momentum = MomentumMapRep(algebra, [{"pt": parse_expr("0")}] * 3)
+        scenario = ActionScenario("non-jacobi-point", algebra, action,
+                                  PresymplecticData(atlas, omega), momentum)
+        records = {r.check_id: r for r in
+                   run_scenario(scenario, checks=["bracket-structure"]).records}
+        assert set(records) == {"action-morphism", "bracket-structure"}
+        assert records["action-morphism"].status == "pass"
+        assert records["bracket-structure"].status == "fail"
+        assert records["bracket-structure"].failures
+        assert all(f[0] == "jacobi" for f in records["bracket-structure"].failures)
 
 
 class TestGroupElements:
@@ -91,10 +143,10 @@ class TestGroupElements:
             g = random_su2(rng)
             x = tuple(ExactScalar(rng.randint(-3, 3)) for _ in range(3))
             y = tuple(ExactScalar(rng.randint(-3, 3)) for _ in range(3))
-            lhs = Ad(g, tuple(v.constant_value()
-                              for v in alg.bracket_vectors(x, y)))
+            lhs = Ad(g, tuple(v.constant_value() for v in
+                              alg.bracket(alg.section(x), alg.section(y)).coeffs))
             rhs = tuple(v.constant_value() for v in
-                        alg.bracket_vectors(Ad(g, x), Ad(g, y)))
+                        alg.bracket(alg.section(Ad(g, x)), alg.section(Ad(g, y))).coeffs)
             assert lhs == rhs
 
     def test_pairing_invariance(self):
@@ -115,7 +167,7 @@ class TestGroupElements:
 
 class TestAlgebroidModels:
     def test_ad_on_structure_constants(self):
-        model = su2_point_model()
+        model = su2()
         out = model.ad(model.basis_section(0), model.basis_section(1))
         assert [c.simplify() for c in out.coeffs] == \
             [parse_expr("0"), parse_expr("0"), parse_expr("1")]
@@ -150,7 +202,7 @@ class TestAlgebroidModels:
 class TestActions:
     def test_su2_rotations_pass(self):
         atlas = sphere_atlas()
-        model = su2_point_model()
+        model = su2()
         action = ActionMap(model, atlas, rotation_fields(atlas))
         assert action.morphism_report().ok
 
@@ -162,17 +214,16 @@ class TestActions:
 
     def test_zero_abelian_action_passes(self):
         atlas = sphere_atlas()
-        from quantbench.geometry import FiberedAtlas, Chart
         point = FiberedAtlas([Chart("pt")])
         model = AlgebroidModel("ab", "bundle_of_algebras", point, ("e1", "e2"),
-                               {}, [None, None], fiber_algebra=abelian(2))
+                               {}, [None, None])
         zero = VectorField(atlas, LEAF_J, {"N": {}, "S": {}})
         action = ActionMap(model, atlas, [zero, zero])
         assert action.morphism_report().ok
 
     def test_action_algebroid_bracket(self):
         atlas = sphere_atlas()
-        model = su2_point_model()
+        model = su2()
         action = ActionMap(model, atlas, rotation_fields(atlas))
         derived = action_algebroid(model, action)
         # constant sections reproduce the structure constants
@@ -185,7 +236,7 @@ class TestActions:
 
     def test_action_algebroid_anchor_is_action(self):
         atlas = sphere_atlas()
-        model = su2_point_model()
+        model = su2()
         fields = rotation_fields(atlas)
         action = ActionMap(model, atlas, fields)
         derived = action_algebroid(model, action)

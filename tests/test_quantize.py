@@ -18,6 +18,7 @@ from quantbench.catalog import (
 from quantbench.errors import UnsupportedFiberError, UnsupportedIntegrationError
 from quantbench.exprs import parse_expr
 from quantbench.quantize import (
+    HolomorphicBasis,
     commutation_check,
     fs_integral,
     fs_monomial_integral,
@@ -154,6 +155,22 @@ class TestInnerProducts:
         for i in range(3):
             for j in range(3):
                 assert gram[i][j] == (expected[i] if i == j else ZERO)
+
+    def test_gram_matrix_is_the_full_evaluation(self, rotation_quantizations):
+        # gram_matrix integrates only the upper triangle; a mixed basis makes
+        # the entries below it nonzero and not real
+        basis = rotation_quantizations[2].basis
+        e = basis.elements
+        mixed = HolomorphicBasis(basis.bundle, [
+            {p: e[0][p] + e[1][p] * I for p in e[0]},
+            {p: e[1][p] - e[2][p] * 2 for p in e[0]},
+            e[2]])
+        for b in (basis, mixed):
+            full = [[inner_product(b.bundle, f, g) for g in b.elements]
+                    for f in b.elements]
+            assert gram_matrix(b.bundle, b) == full
+        assert gram_matrix(mixed.bundle, mixed)[1][0] != \
+            gram_matrix(mixed.bundle, mixed)[0][1]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_gram_diagonal_closed_form(self, orbit_quantizations, k):
