@@ -11,27 +11,23 @@ bundles share one code path.
 
 from __future__ import annotations
 
-import random
-
 from .cech import GoodCover, OverlapFunction, derham_to_cech, integrality_test
 from .errors import CurvatureMismatchError, IntegralityError, MalformedExpressionError
 from .exprs import RationalExpr, coerce_rational
 from .geometry import (
     DifferentialForm,
     LEAF_FULL,
-    LEAF_J,
     LEAF_JTILDE,
+    _field_sum,
     exterior_derivative,
     form_on_chart,
     glue_check,
     interior_product,
     commutator,
     to_chart,
-    VectorField,
 )
 from .hamiltonian import ActionScenario, AlgebroidCochain, algebroid_differential, \
     pairing_combination, _fn_add, _fn_is_zero
-from .liealg import random_polynomial
 from .reports import CheckResult
 from .scalars import ExactScalar, ZERO
 
@@ -348,101 +344,115 @@ def kostant_operator(scenario: ActionScenario, bundle: LineBundleData) -> tuple:
                  for i in range(model.n))
 
 
-def covariant_operator(bundle: LineBundleData, field: VectorField):
-    """Plain nabla_v on local frames (no momentum potential)."""
-    pots = {}
-    for idx in bundle.cover.index_set:
-        chart = bundle.patch_chart(idx)
-        contraction = interior_product(field, bundle.potential(idx))
-        pots[idx] = contraction.coefficient(chart, ()) * RationalExpr.var("twopii")
-
-    def apply(idx, f):
-        chart = bundle.patch_chart(idx)
-        f = coerce_rational(f)
-        return field.derive(f, chart) + pots[idx] * f
-    return apply
-
-
-def _test_coefficients(bundle, idx, rng):
-    chart_name = bundle.patch_chart(idx)
-    chart = bundle.cover.atlas.chart(chart_name)
-    tests = [RationalExpr.const(1)]
-    for coord in chart.coords[:2]:
-        tests.append(RationalExpr.var(coord))
-    tests.append(random_polynomial(chart.coords, rng))
-    return tests
-
-
-def rep_flatness_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
-    """[pi(X), pi(Y)] = pi([X, Y]) on frames and polynomial local sections."""
-    rng = rng or random.Random(23)
-    failures = []
+def flatness_pieces(scenario: ActionScenario, ops):
+    """(i, j, patch, W, q) for each generator pair i < j and patch.  pi is
+    linear over functions in the section, so pi([X_i, X_j]) = sum_k c_k pi(X_k)
+    for [X_i, X_j] = sum_k c_k X_k.  pi(X) = V_X + p_X is first order and
+    multiplications commute, so on the patch [pi(X_i), pi(X_j)] -
+    pi([X_i, X_j]) is the vector field W (the chart's nonzero components of
+    [V_i, V_j] - sum_k c_k V_k) plus multiplication by
+    q = V_i p_j - V_j p_i - sum_k c_k p_k."""
     model = scenario.model
     bundle = ops[0].bundle
     for i in range(model.n):
         for j in range(i + 1, model.n):
-            bracket_op = KostantOperator(scenario, bundle,
-                                         model.bracket(model.basis_section(i),
-                                                       model.basis_section(j)))
+            c = model.bracket(model.basis_section(i), model.basis_section(j)).coeffs
+            vi, vj = ops[i].vector_part, ops[j].vector_part
+            field = commutator(vi, vj) - _field_sum(
+                scenario.atlas, LEAF_JTILDE, zip(c, (op.vector_part for op in ops)))
             for idx in bundle.cover.index_set:
-                for f in _test_coefficients(bundle, idx, rng):
-                    resid = (ops[i].apply(idx, ops[j].apply(idx, f))
-                             - ops[j].apply(idx, ops[i].apply(idx, f))
-                             - bracket_op.apply(idx, f))
-                    if not resid.is_zero():
-                        failures.append((f"{model.generator_names[i]},"
-                                         f"{model.generator_names[j]}@patch {idx}",
-                                         str(resid)))
-    return CheckResult(not failures, failures)
+                chart = bundle.patch_chart(idx)
+                q = vi.derive(ops[j].potential_part(idx), chart) \
+                    - vj.derive(ops[i].potential_part(idx), chart)
+                for ck, op in zip(c, ops):
+                    if not ck.is_zero():
+                        q = q - ck * op.potential_part(idx)
+                yield i, j, idx, field.components.get(chart, {}), q
 
 
-def rep_hermitian_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
-    """h(pi(X)f, g) + h(f, pi(X)g) = alpha(X).h(f, g) with h(f,g) = conj(f) g h_j."""
-    rng = rng or random.Random(29)
-    failures = []
-    model = scenario.model
+def hermitian_pieces(ops):
+    """(i, patch, I, r) for each generator and patch: I holds the nonzero
+    components of V - conj(V) on the patch's chart and r = (p + conj p) h - V(h).
+    With h(f, g) = conj(f) g h, the residual h(pi f, g) + h(f, pi g) - V(h(f, g))
+    is -I(conj f) g h + conj(f) g r."""
     bundle = ops[0].bundle
     for i, op in enumerate(ops):
         field = op.vector_part
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
-            h = bundle.weight(idx)
-            tests = _test_coefficients(bundle, idx, rng)
-            for f in tests[:2]:
-                for g in tests[1:]:
-                    lhs = (op.apply(idx, f).conj() * g + f.conj() * op.apply(idx, g)) * h
-                    rhs = field.derive(f.conj() * g * h, chart)
-                    resid = lhs - rhs
-                    if not resid.is_zero():
-                        failures.append((f"{model.generator_names[i]}@patch {idx}",
-                                         str(resid)))
+            imaginary = {c: v - v.conj() for c, v in field.components.get(chart, {}).items()}
+            h, p = bundle.weight(idx), op.potential_part(idx)
+            yield i, idx, {c: v for c, v in imaginary.items() if not v.is_zero()}, \
+                (p + p.conj()) * h - field.derive(h, chart)
+
+
+def equivariance_pieces(ops):
+    """(i, patch, c, E) for each generator, patch and fiber coordinate c of the
+    patch's chart.  With nabla_v = v + theta(v), theta = twopii eta, the
+    residual [pi(X), nabla_v] - nabla_[V, v] is V(theta(v)) - v(p)
+    - theta([V, v]): of order 0 and C-infinity-linear in v, so it is
+    multiplication by sum_c v^c E with E = V(theta_c) - d_c p
+    + sum_a d_c(V^a) theta_a, the leafwise L_V theta = dp."""
+    bundle = ops[0].bundle
+    twopii = RationalExpr.var("twopii")
+    for i, op in enumerate(ops):
+        field = op.vector_part
+        for idx in bundle.cover.index_set:
+            chart = bundle.patch_chart(idx)
+            theta = {a: coeff * twopii
+                     for (a,), coeff in bundle.potential(idx).terms(chart).items()}
+            p = op.potential_part(idx)
+            for c in bundle.cover.atlas.chart(chart).fiber_coords:
+                resid = field.derive(theta.get(c, RationalExpr.zero()), chart) - p.derivative(c)
+                for a, theta_a in theta.items():
+                    resid = resid + field.component(chart, a).derivative(c) * theta_a
+                yield i, idx, c, resid
+
+
+def _vector_text(table) -> str:
+    return "; ".join(f"({v}) d/d{c}" for c, v in table.items())
+
+
+def rep_flatness_check(scenario: ActionScenario, ops) -> CheckResult:
+    """[pi(X), pi(Y)] = pi([X, Y]) on every patch, decided exactly: a
+    first-order operator vanishes on a patch exactly when both of its
+    `flatness_pieces` do."""
+    names = scenario.model.generator_names
+    failures = []
+    for i, j, idx, field, q in flatness_pieces(scenario, ops):
+        label = f"{names[i]},{names[j]}@patch {idx}"
+        if field:
+            failures.append((label, "[V_X, V_Y] - V_[X,Y] = " + _vector_text(field)))
+        if not q.is_zero():
+            failures.append((label, f"V_X p_Y - V_Y p_X - p_[X,Y] = {q}"))
     return CheckResult(not failures, failures)
 
 
-def connection_equivariance_check(scenario: ActionScenario, ops, rng=None) -> CheckResult:
-    """[pi(X), nabla_v] = nabla_{[alpha(X), v]} for random polynomial fiber fields."""
-    rng = rng or random.Random(31)
+def rep_hermitian_check(scenario: ActionScenario, ops) -> CheckResult:
+    """h(pi(X)f, g) + h(f, pi(X)g) = alpha(X).h(f, g) on every patch, decided
+    exactly: the residual vanishes for all f and g exactly when both
+    `hermitian_pieces` do (f = g = 1 isolates r; g = 1 and f a coordinate
+    then isolate I)."""
+    names = scenario.model.generator_names
     failures = []
-    model = scenario.model
-    atlas = scenario.atlas
-    bundle = ops[0].bundle
-    comps = {}
-    for ch_name, chart in atlas.charts.items():
-        comps[ch_name] = {c: random_polynomial(chart.coords, rng, degree=1)
-                          for c in chart.fiber_coords}
-    v = VectorField(atlas, LEAF_J, comps)
-    nabla_v = covariant_operator(bundle, v)
-    for i, op in enumerate(ops):
-        moved = commutator(op.vector_part, v)
-        nabla_moved = covariant_operator(bundle, moved)
-        for idx in bundle.cover.index_set:
-            for f in _test_coefficients(bundle, idx, rng):
-                resid = (op.apply(idx, nabla_v(idx, f))
-                         - nabla_v(idx, op.apply(idx, f))
-                         - nabla_moved(idx, f))
-                if not resid.is_zero():
-                    failures.append((f"{model.generator_names[i]}@patch {idx}",
-                                     str(resid)))
+    for i, idx, imaginary, r in hermitian_pieces(ops):
+        label = f"{names[i]}@patch {idx}"
+        if imaginary:
+            failures.append((label, "V - conj(V) = " + _vector_text(imaginary)))
+        if not r.is_zero():
+            failures.append((label, f"(p + conj(p)) h - V(h) = {r}"))
+    return CheckResult(not failures, failures)
+
+
+def connection_equivariance_check(scenario: ActionScenario, ops) -> CheckResult:
+    """[pi(X), nabla_v] = nabla_{[alpha(X), v]} for every fiber field v on
+    every patch, decided exactly: the residual is multiplication by
+    sum_c v^c E_c, so it vanishes for every v exactly when each
+    `equivariance_pieces` E_c does."""
+    names = scenario.model.generator_names
+    failures = [(f"{names[i]}@patch {idx}", f"d/d{c}: {resid}")
+                for i, idx, c, resid in equivariance_pieces(ops)
+                if not resid.is_zero()]
     return CheckResult(not failures, failures)
 
 

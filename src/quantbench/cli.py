@@ -93,7 +93,8 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default="", help="write the report to a file")
         p.add_argument("--seed", type=int, default=1729,
-                       help="seed for randomized property inputs")
+                       help="accepted and ignored: every check is decided exactly, "
+                       "so no report depends on a seed")
 
     for name, stages, text in (
             ("run", None, "run the full verification stack"),

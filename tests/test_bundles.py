@@ -1,7 +1,8 @@
 """Line-bundle data, curvature, the integral-class construction, covariant
 operators with momentum potentials, and the tensor/dual group structure."""
 
-import random
+import copy
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from quantbench.bundles import (
     connection_equivariance_check,
     construct_from_integral_class,
     curvature,
+    equivariance_pieces,
+    flatness_pieces,
+    hermitian_pieces,
     kostant_operator,
     pic_dual,
     pic_tensor,
@@ -21,9 +25,12 @@ from quantbench.bundles import (
     validate_bundle,
 )
 from quantbench.catalog import (
+    build_scenario,
     control_flipped_momentum,
     control_imaginary_momentum,
+    control_scaled_momentum,
     foliation_flat_scenario,
+    gauge_su2_scenario,
     o_bundle,
     omega_fs,
     sector_cover,
@@ -32,7 +39,8 @@ from quantbench.catalog import (
     two_chart_cover,
 )
 from quantbench.errors import CurvatureMismatchError, IntegralityError
-from quantbench.exprs import parse_expr
+from quantbench.exprs import RationalExpr, parse_expr
+from quantbench.geometry import LEAF_J, LEAF_JTILDE, VectorField, commutator, interior_product
 from quantbench.scalars import ExactScalar
 
 
@@ -167,10 +175,9 @@ class TestRepresentationChecks:
     def test_flatness_and_hermiticity(self, orbit_scenarios, k):
         scenario = orbit_scenarios[k]
         bundle = scenario.bundle
-        rng = random.Random(41)
         ops = kostant_operator(scenario, bundle)
-        assert rep_flatness_check(scenario, ops, rng).ok
-        assert rep_hermitian_check(scenario, ops, rng).ok
+        assert rep_flatness_check(scenario, ops).ok
+        assert rep_hermitian_check(scenario, ops).ok
 
     def test_connection_equivariance(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
@@ -260,3 +267,199 @@ class TestChernWitness:
 
     def test_gauge_witness_is_connection_pairing(self, gauge_su2_1):
         assert chern_class_algebroid(gauge_su2_1, gauge_su2_1.bundle).ok
+
+
+# ---------------------------------------------------------------------------
+# the exact operator rows: against the direct composition of the operators,
+# and under fiber-direction perturbations of gauge-su2-1's operators
+# ---------------------------------------------------------------------------
+
+TWOPII = RationalExpr.var("twopii")
+
+
+def _test_functions(chart):
+    """1, each coordinate of `chart` and one fixed polynomial in all of them."""
+    coords = [RationalExpr.var(c) for c in chart.coords]
+    fixed = RationalExpr.const(Fraction(3, 2))
+    for k, c in enumerate(coords):
+        fixed = fixed + c ** (k % 3 + 1) * (k + 2) + c * coords[k - 1] * Fraction(-1, k + 3)
+    return [RationalExpr.const(1), *coords, fixed]
+
+
+def _apply_field(table, f):
+    """sum_c table[c] * d_c f for a chart's component table."""
+    return sum((v * f.derivative(c) for c, v in table.items()), RationalExpr.zero())
+
+
+def _nabla(bundle, idx, v, f):
+    """nabla_v f = v(f) + twopii eta_idx(v) f in the idx-th frame."""
+    chart = bundle.patch_chart(idx)
+    pot = interior_product(v, bundle.potential(idx)).coefficient(chart, ())
+    return v.derive(f, chart) + pot * TWOPII * f
+
+
+EPS = Fraction(1, 7)
+PERTURBED = 4  # e3, the rotation about the fiber axis
+
+
+def _with_operator(ops, index, **changes):
+    op = copy.copy(ops[index])
+    op.__dict__.update(changes)
+    return ops[:index] + (op,) + ops[index + 1:]
+
+
+def _y_shifted_vector_part(scenario, ops, eps=EPS):
+    """An extra eps d/dy, on chart N only, in e3's vector part."""
+    extra = VectorField(scenario.atlas, LEAF_JTILDE, {"N": {"y": eps}})
+    return _with_operator(ops, PERTURBED, vector_part=ops[PERTURBED].vector_part + extra)
+
+
+def _imaginary_vector_part(scenario, ops):
+    """An extra (i/7) d/dy, on chart N only, in e3's vector part."""
+    return _y_shifted_vector_part(scenario, ops, ExactScalar(0, EPS))
+
+
+def _shifted_potential(scenario, ops):
+    """e3's potential on patch N shifted by EPS y."""
+    potentials = dict(ops[PERTURBED]._potentials)
+    potentials["N"] = potentials["N"] + parse_expr("y") * EPS
+    return _with_operator(ops, PERTURBED, _potentials=potentials)
+
+
+def _operators(build, perturb=None):
+    def make():
+        scenario = build()
+        ops = kostant_operator(scenario, scenario.bundle)
+        return scenario, ops if perturb is None else perturb(scenario, ops)
+    return make
+
+
+ORACLE_RUNS = {
+    "gauge-su2-1": _operators(lambda: gauge_su2_scenario(1)),
+    "gauge-su2-1, imaginary d/dy in e3": _operators(lambda: gauge_su2_scenario(1),
+                                                     _imaginary_vector_part),
+    "su2-orbit-1": _operators(lambda: build_scenario("su2-orbit-k", 1)),
+    "control_flipped_momentum(1)": _operators(lambda: control_flipped_momentum(1)),
+    "control_scaled_momentum(1)": _operators(lambda: control_scaled_momentum(1)),
+    "control_imaginary_momentum(1)": _operators(lambda: control_imaginary_momentum(1)),
+}
+
+
+@pytest.fixture(scope="module")
+def operators_of():
+    made = {}
+
+    def get(label):
+        if label not in made:
+            made[label] = ORACLE_RUNS[label]()
+        return made[label]
+    return get
+
+
+@pytest.mark.parametrize("label", list(ORACLE_RUNS))
+class TestExactPiecesAgainstComposition:
+    """Each operator row decides its identity from exact pieces.  Recombined
+    and applied to a function, the pieces must give what composing the
+    operators themselves gives, on 1, each chart coordinate and a fixed
+    polynomial in all coordinates."""
+
+    def test_flatness(self, label, operators_of):
+        scenario, ops = operators_of(label)
+        model, bundle = scenario.model, ops[0].bundle
+        atlas = bundle.cover.atlas
+        for i, j, idx, field, q in flatness_pieces(scenario, ops):
+            c = model.bracket(model.basis_section(i), model.basis_section(j)).coeffs
+            for f in _test_functions(atlas.chart(bundle.patch_chart(idx))):
+                direct = (ops[i].apply(idx, ops[j].apply(idx, f))
+                          - ops[j].apply(idx, ops[i].apply(idx, f))
+                          - sum((ck * op.apply(idx, f) for ck, op in zip(c, ops)),
+                                RationalExpr.zero()))
+                assert (direct - _apply_field(field, f) - q * f).is_zero(), (i, j, idx, f)
+
+    def test_hermitian(self, label, operators_of):
+        _, ops = operators_of(label)
+        bundle = ops[0].bundle
+        atlas = bundle.cover.atlas
+        for i, idx, imaginary, r in hermitian_pieces(ops):
+            op, h, chart = ops[i], bundle.weight(idx), bundle.patch_chart(idx)
+            tests = _test_functions(atlas.chart(chart))
+            one, fixed = tests[0], tests[-1]
+            for f, g in [(f, one) for f in tests] + [(one, g) for g in tests] + [(fixed, fixed)]:
+                direct = ((op.apply(idx, f).conj() * g + f.conj() * op.apply(idx, g)) * h
+                          - op.vector_part.derive(f.conj() * g * h, chart))
+                pieces = f.conj() * g * r - _apply_field(imaginary, f.conj()) * g * h
+                assert (direct - pieces).is_zero(), (i, idx, f, g)
+
+    def test_connection_equivariance(self, label, operators_of):
+        _, ops = operators_of(label)
+        bundle = ops[0].bundle
+        atlas = bundle.cover.atlas
+        pieces = {}
+        for i, idx, c, resid in equivariance_pieces(ops):
+            pieces.setdefault((i, idx), {})[c] = resid
+        for (i, idx), table in pieces.items():
+            chart_name = bundle.patch_chart(idx)
+            chart = atlas.chart(chart_name)
+            coords = [RationalExpr.var(c) for c in chart.coords]
+            fields = [{c: 1} for c in chart.fiber_coords]
+            fields.append({c: coords[k] * coords[k - 1] + k + 1
+                           for k, c in enumerate(chart.fiber_coords)})
+            for comps in fields:
+                v = VectorField(atlas, LEAF_J, {chart_name: comps})
+                moved = commutator(ops[i].vector_part, v)
+                expected = sum((table[c] * comps[c] for c in comps), RationalExpr.zero())
+                for f in _test_functions(chart):
+                    direct = (ops[i].apply(idx, _nabla(bundle, idx, v, f))
+                              - _nabla(bundle, idx, v, ops[i].apply(idx, f))
+                              - _nabla(bundle, idx, moved, f))
+                    assert (direct - expected * f).is_zero(), (i, idx, comps, f)
+
+
+def test_flatness_closes_the_given_operators(operators_of):
+    """pi([e1, e2]) is e3's own operator: shifting e3's potential on patch N
+    by the constant i/7 keeps V, p + conj(p) and every derivative of p, so
+    only the closure [pi(e1), pi(e2)] = pi(e3) on patch N fails."""
+    scenario, ops = operators_of("gauge-su2-1")
+    potentials = dict(ops[PERTURBED]._potentials)
+    potentials["N"] = potentials["N"] + ExactScalar(0, EPS)
+    shifted = _with_operator(ops, PERTURBED, _potentials=potentials)
+    assert [label for label, _ in rep_flatness_check(scenario, shifted).failures] == \
+        ["e1,e2@patch N"]
+    assert rep_hermitian_check(scenario, shifted).ok
+    assert connection_equivariance_check(scenario, shifted).ok
+
+
+# The identities each perturbation breaks, by row: the text of a failure
+# starts with its identity.
+BROKEN = {
+    ("rep_flatness_check", "_y_shifted_vector_part"):
+        {"[V_X, V_Y] - V_[X,Y]", "V_X p_Y - V_Y p_X - p_[X,Y]"},
+    ("rep_flatness_check", "_imaginary_vector_part"):
+        {"[V_X, V_Y] - V_[X,Y]", "V_X p_Y - V_Y p_X - p_[X,Y]"},
+    ("rep_flatness_check", "_shifted_potential"): {"V_X p_Y - V_Y p_X - p_[X,Y]"},
+    ("rep_hermitian_check", "_y_shifted_vector_part"): {"(p + conj(p)) h - V(h)"},
+    ("rep_hermitian_check", "_imaginary_vector_part"):
+        {"V - conj(V)", "(p + conj(p)) h - V(h)"},
+    ("rep_hermitian_check", "_shifted_potential"): {"(p + conj(p)) h - V(h)"},
+    ("connection_equivariance_check", "_y_shifted_vector_part"): {"d/dx", "d/dy"},
+    ("connection_equivariance_check", "_imaginary_vector_part"): {"d/dx", "d/dy"},
+    ("connection_equivariance_check", "_shifted_potential"): {"d/dy"},
+}
+
+
+@pytest.mark.parametrize("perturb", [_y_shifted_vector_part, _imaginary_vector_part,
+                                     _shifted_potential])
+@pytest.mark.parametrize("row", [rep_flatness_check, rep_hermitian_check,
+                                 connection_equivariance_check])
+def test_fiber_perturbation_fails_the_row_at_its_patch(row, perturb, operators_of):
+    """Each perturbation of e3 on patch N fails the row there, and only
+    there, at the generators it moves, through the identities it breaks."""
+    scenario, ops = operators_of("gauge-su2-1")
+    assert row(scenario, ops).ok
+    report = row(scenario, perturb(scenario, ops))
+    assert not report.ok
+    # flatness: the pairs with e3 in the pair or in its bracket [e1, e2] = e3
+    named = {"e1,e2", "e1,e3", "e2,e3"} if row is rep_flatness_check else {"e3"}
+    assert {label for label, _ in report.failures} == {f"{n}@patch N" for n in named}
+    broken = {re.split(" = |:", text)[0] for _, text in report.failures}
+    assert broken == BROKEN[(row.__name__, perturb.__name__)]

@@ -12,7 +12,7 @@ from quantbench.errors import (
     NotClosedError,
     UnsupportedPrimitiveError,
 )
-from quantbench.exprs import RationalExpr, parse_expr
+from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
 from quantbench.geometry import (
     Chart,
     DifferentialForm,
@@ -31,13 +31,29 @@ from quantbench.geometry import (
     pullback,
     wedge,
 )
-from quantbench.liealg import random_polynomial
 from quantbench.scalars import ExactScalar
 
 
 @pytest.fixture(scope="module")
 def atlas():
     return sphere_atlas()
+
+
+def random_polynomial(variables, rng, degree=2, span=5) -> RationalExpr:
+    """Four random monomials in `variables`, each exponent at most `degree`,
+    with rational coefficients of numerator at most `span`."""
+    if not variables:
+        return RationalExpr.const(Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+    poly = PolyExpr()
+    for _ in range(4):
+        mono = {}
+        for v in variables:
+            e = rng.randint(0, degree)
+            if e:
+                mono[v] = e
+        coeff = ExactScalar(Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+        poly = poly + PolyExpr({tuple(sorted(mono.items())): coeff})
+    return RationalExpr.from_poly(poly)
 
 
 def random_form(atlas, degree, rng, chart="N"):

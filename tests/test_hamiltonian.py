@@ -1,6 +1,7 @@
 """Momentum-map conditions, the algebroid differential, perturbations."""
 
-import random
+import copy
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from quantbench.catalog import (
 )
 from quantbench.errors import PerturbationRejectedError
 from quantbench.exprs import RationalExpr, parse_expr
-from quantbench.geometry import DifferentialForm, LEAF_JTILDE
+from quantbench.geometry import DifferentialForm, LEAF_JTILDE, VectorField
 from quantbench.hamiltonian import (
     AlgebroidCochain,
     MomentumMapRep,
@@ -28,6 +29,7 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
+from quantbench.liealg import ActionMap
 
 
 class TestPresymplectic:
@@ -80,7 +82,26 @@ class TestAlgebroidDifferential:
             assert (d_mu.value(i, j)[ch] - manual).simplify().is_zero()
 
     def test_differential_squares_to_zero(self, orbit_scenarios):
-        assert dd_zero_report(orbit_scenarios[2], random.Random(4)).ok
+        assert dd_zero_report(orbit_scenarios[2]).ok
+
+    def test_anchor_perturbed_along_y_fails_at_its_pairs(self, gauge_su2_1):
+        """e3's action field gains 1/7 d/dy on chart N.  d_A^2 then fails on
+        the pairs with e3 and on (e1, e2), whose residual -1/7 d/dy moves only
+        y: a test set without y would miss that pair."""
+        assert dd_zero_report(gauge_su2_1).ok
+        fields = list(gauge_su2_1.action.fields)
+        fields[4] = fields[4] + VectorField(gauge_su2_1.atlas, LEAF_JTILDE,
+                                            {"N": {"y": Fraction(1, 7)}})
+        perturbed = copy.copy(gauge_su2_1)
+        perturbed.action = ActionMap(gauge_su2_1.model, gauge_su2_1.atlas, fields)
+        report = dd_zero_report(perturbed)
+        assert not report.ok
+        on_functions = [(label, text) for label, text in report.failures
+                        if label.count(",") == 1]
+        assert {label for label, _ in on_functions} == \
+            {"e1,e2@chart N", "e1,e3@chart N", "e2,e3@chart N"}
+        assert [text for label, text in on_functions if label == "e1,e2@chart N"] == \
+            ["d_A^2 y = 1/7"]
 
 
 class TestConditionChecks:

@@ -187,7 +187,17 @@ class TestAlgebroidModels:
         from quantbench.catalog import foliation_flat_scenario
         model = foliation_flat_scenario().model
         assert model.anchor_morphism_report().ok
-        assert model.leibniz_report(random.Random(2)).ok
+        assert model.leibniz_report().ok
+
+    def test_leibniz_reaches_first_order_errors(self):
+        """A bracket off by d/dw of the second slot's coefficients is wrong
+        only on functions of w: f = 1 passes it, and f = w catches it."""
+        from quantbench.catalog import foliation_flat_scenario
+        model = foliation_flat_scenario().model
+        right = model.bracket
+        model.bracket = lambda s1, s2: right(s1, s2) + model.section(
+            [c.derivative("w") for c in s2.coeffs])
+        assert model.leibniz_report().failures == [("dx", "dy"), ("dy", "dx")]
 
     def test_gauge_splitting_recovers_base_field(self):
         from quantbench.catalog import gauge_u1_character_scenario
@@ -211,6 +221,16 @@ class TestActions:
         report = control_flipped_field().morphism_report()
         assert not report.ok
         assert any(f[0] == "bracket" for f in report.failures)
+
+    def test_linearity_reaches_first_order_errors(self):
+        """An action off by d/dy of the first coefficient is right on f = 1;
+        the base variable y catches it."""
+        from quantbench.catalog import foliation_flat_scenario
+        action = foliation_flat_scenario().action
+        right = action.of
+        action.of = lambda section: right(section) + \
+            action.fields[1] * section.coeffs[0].derivative("y")
+        assert action.morphism_report().failures == [("linearity", "dx")]
 
     def test_zero_abelian_action_passes(self):
         atlas = sphere_atlas()

@@ -1,10 +1,12 @@
 """The runner's check table: pinned canonical reports, filter closure,
 skipped records, contained failures and deterministic failure order."""
 
+import ast
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -12,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from quantbench import bundles, catalog, hamiltonian, liealg, reduce
+from quantbench import bundles, catalog, hamiltonian, liealg, reduce, runner
 from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.hamiltonian import ActionScenario
-from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
+from quantbench.runner import CHECKS, PRODUCER, STAGES, RunContext, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,6 +167,58 @@ def test_negative_control_fails_and_skips_downstream(factory, fails, report_of):
     for check_id in ("gram-positivity", "matrix-commutation", "infinitesimal-unitarity"):
         assert records[check_id].status == "skipped"
         assert records[check_id].notes == ["needs representation from quantization, which failed"]
+
+
+CONTROL_FAILS = ("internal-momentum", "prequantization-condition", "quantization-condition",
+                 "representation-flatness", "connection-equivariance", "chern-witness",
+                 "quantization")
+
+
+@pytest.mark.parametrize("control,also_fails", [
+    ("control_flipped_momentum", "coadjoint-equivariance"),
+    ("control_scaled_momentum", "coadjoint-equivariance"),
+    ("control_imaginary_momentum", "representation-hermitian"),
+])
+def test_control_fails_and_skips_exactly_its_rows(control, also_fails, report_of):
+    """Each control fails eight rows and skips three.  An operator row's
+    failure names the generator pair or generator and the patch."""
+    label = f"{control}(1)"
+    report = report_of(label, lambda: getattr(catalog, control)(1))
+    status = {r.check_id: r.status for r in report.records}
+    assert {c for c, s in status.items() if s == "fail"} == {*CONTROL_FAILS, also_fails}
+    assert {c for c, s in status.items() if s == "skipped"} == \
+        {"gram-positivity", "matrix-commutation", "infinitesimal-unitarity"}
+    names = "e1|e2|e3"
+    shapes = {"representation-flatness": rf"({names}),({names})@patch (N|S)",
+              "representation-hermitian": rf"({names})@patch (N|S)",
+              "connection-equivariance": rf"({names})@patch (N|S)"}
+    for record in report.records:
+        if record.check_id in shapes and record.status == "fail":
+            assert all(re.fullmatch(shapes[record.check_id], label)
+                       for label, _ in record.failures), record.failures
+
+
+@pytest.mark.parametrize("label", ["gauge-su2-k 1", "control_flipped_momentum(1)",
+                                   "control_scaled_momentum(1)",
+                                   "control_imaginary_momentum(1)"])
+def test_reports_do_not_depend_on_the_seed(label):
+    build = dict(catalog_digests.runs())[label]
+    texts = {run_scenario(build(), seed=seed).canonical_json() for seed in (1, 4242)}
+    assert len(texts) == 1
+    assert hashlib.sha256(texts.pop().encode()).hexdigest() == DIGESTS[label]
+
+
+def test_no_check_draws_from_an_rng():
+    """The run context carries no RNG, and the modules of the check table do
+    not import `random`."""
+    assert not hasattr(RunContext(catalog.pair_groupoid_scenario()), "rng")
+    for module in (runner, bundles, hamiltonian):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert "random" not in imported, module.__name__
 
 
 def test_failed_curvature_match_skips_the_operator_checks():
