@@ -31,7 +31,7 @@ from math import comb, gcd, lcm
 from operator import or_
 
 from .errors import MalformedExpressionError
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ZERO
 
 TWO_PI_I = "twopii"
 
@@ -281,7 +281,7 @@ class PolyExpr:
         """Substitute variables by RationalExpr values (missing vars stay)."""
         out = RationalExpr.zero()
         for m, pair in self.terms.items():
-            term = RationalExpr(_canonical({0: pair}, self.den))
+            term = _quotient(_canonical({0: pair}, self.den), _ONE_POLY)
             for v, e in _mono_tuple(m):
                 if v in mapping:
                     term = term * (_coerce_rational(mapping[v]) ** e)
@@ -528,22 +528,35 @@ def _normalize_leading(p: PolyExpr) -> PolyExpr:
 # ---------------------------------------------------------------------------
 
 class RationalExpr:
-    """Quotient of PolyExpr, lightly normalized; simplify() gives canonical form."""
+    """Quotient num/den of PolyExpr whose denominator is monic.
+
+    Every instance holds one invariant: the leading coefficient of ``den`` in
+    the graded lex order of `leading()` is 1, and zero is 0/1.  The order is a
+    monomial order, so lead(f*g) = lead(f)*lead(g), and a product of monic
+    polynomials is monic: sums, differences, products, non-negative powers
+    and derivatives keep the invariant without normalizing.  A denominator
+    that comes from outside it is normalized once, on the way in: the public
+    constructor ``RationalExpr(num, den)``, ``/``, `inverse`, negative powers
+    (through ``/``) and `conj`, which flips the sign of odd ``twopii`` powers.
+    ``simplify()`` also cancels the gcd, which gives the canonical form
+    (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
-        den = PolyExpr.const(1) if den is None else _coerce_poly(den)
-        if den.is_zero():
-            raise MalformedExpressionError("zero denominator")
-        if num.is_zero():
-            den = PolyExpr.const(1)
+        if den is None:
+            den = _ONE_POLY
         else:
-            inv = _leading_inverse(den)
-            num, den = num * inv, den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            den = _coerce_poly(den)
+            if den.is_zero():
+                raise MalformedExpressionError("zero denominator")
+            if num.terms:
+                inv = _leading_inverse(den)
+                num, den = num * inv, den * inv
+        _set_num(self, num)
+        _set_quotient_den(self, den if num.terms else _ONE_POLY)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalExpr is immutable")
@@ -551,19 +564,19 @@ class RationalExpr:
     # -- constructors ----------------------------------------------------
     @staticmethod
     def zero() -> "RationalExpr":
-        return RationalExpr(PolyExpr())
+        return _ZERO
 
     @staticmethod
     def const(value) -> "RationalExpr":
-        return RationalExpr(PolyExpr.const(value))
+        return _quotient(PolyExpr.const(value), _ONE_POLY)
 
     @staticmethod
     def var(name: str) -> "RationalExpr":
-        return RationalExpr(PolyExpr.var(name))
+        return _quotient(PolyExpr.var(name), _ONE_POLY)
 
     @staticmethod
     def from_poly(p: PolyExpr) -> "RationalExpr":
-        return RationalExpr(p)
+        return _quotient(p, _ONE_POLY)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
@@ -573,15 +586,14 @@ class RationalExpr:
         s = self.simplify()
         if not s.den.is_constant():
             raise MalformedExpressionError("expression is not polynomial")
-        return s.num * _leading_inverse(s.den)
+        return s.num  # a monic constant denominator is 1
 
     def is_constant(self) -> bool:
         s = self.simplify()
         return s.num.is_constant() and s.den.is_constant()
 
     def constant_value(self) -> ExactScalar:
-        s = self.simplify()
-        return s.num.constant_value() / s.den.constant_value()
+        return self.as_poly().constant_value()
 
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
@@ -590,14 +602,14 @@ class RationalExpr:
     def __add__(self, other):
         other = _coerce_rational(other)
         if self.den == other.den:
-            return RationalExpr(self.num + other.num, self.den)
-        return RationalExpr(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+            return _quotient(self.num + other.num, self.den)
+        return _quotient(self.num * other.den + other.num * self.den,
+                         self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalExpr(-self.num, self.den)
+        return _quotient(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce_rational(other))
@@ -607,7 +619,7 @@ class RationalExpr:
 
     def __mul__(self, other):
         other = _coerce_rational(other)
-        return RationalExpr(self.num * other.num, self.den * other.den)
+        return _quotient(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -623,7 +635,7 @@ class RationalExpr:
     def __pow__(self, n: int):
         if n < 0:
             return (RationalExpr.const(1) / self) ** (-n)
-        return RationalExpr(self.num ** n, self.den ** n)
+        return _quotient(self.num ** n, self.den ** n)
 
     def inverse(self) -> "RationalExpr":
         if self.is_zero():
@@ -645,18 +657,19 @@ class RationalExpr:
     def simplify(self) -> "RationalExpr":
         """Canonical representative: gcd-reduced, denominator leading coeff 1."""
         if self.num.is_zero():
-            return RationalExpr(PolyExpr())
+            return _ZERO
         fast = self.num.exact_div(self.den)
         if fast is not None:
-            return RationalExpr(fast)
+            return _quotient(fast, _ONE_POLY)
+        # a monic denominator over the monic gcd is monic
         g = poly_gcd(self.num, self.den)
         if not g.is_constant():
-            return RationalExpr(self.num.exact_div(g), self.den.exact_div(g))
-        return RationalExpr(self.num, self.den)
+            return _quotient(self.num.exact_div(g), self.den.exact_div(g))
+        return self
 
     # -- calculus --------------------------------------------------------------
     def derivative(self, var: str) -> "RationalExpr":
-        return RationalExpr(
+        return _quotient(
             self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
             self.den * self.den,
         )
@@ -694,11 +707,29 @@ class RationalExpr:
             s = self.simplify()
         elif (quotient := self.num.exact_div(self.den)) is not None:
             return str(quotient)
-        if s.den.is_constant() and s.den.constant_value() == ONE:
+        if s.den.is_constant():  # a monic constant is 1
             return str(s.num)
         return f"({s.num})/({s.den})"
 
     __repr__ = __str__
+
+
+_ONE_POLY = PolyExpr.const(1)  # the one constant-1 denominator
+_set_num = RationalExpr.num.__set__
+_set_quotient_den = RationalExpr.den.__set__
+_ZERO = object.__new__(RationalExpr)
+_set_num(_ZERO, PolyExpr())
+_set_quotient_den(_ZERO, _ONE_POLY)
+
+
+def _quotient(num: PolyExpr, den: PolyExpr) -> RationalExpr:
+    """num/den for a monic `den`, unchecked; a zero `num` gives the shared zero."""
+    if not num.terms:
+        return _ZERO
+    q = object.__new__(RationalExpr)
+    _set_num(q, num)
+    _set_quotient_den(q, den)
+    return q
 
 
 def _mono_numeric(m: tuple, point: dict) -> complex:
@@ -712,7 +743,7 @@ def _coerce_rational(value) -> RationalExpr:
     if isinstance(value, RationalExpr):
         return value
     if isinstance(value, PolyExpr):
-        return RationalExpr(value)
+        return _quotient(value, _ONE_POLY)
     if isinstance(value, (int, Fraction, ExactScalar)):
         return RationalExpr.const(value)
     raise MalformedExpressionError(f"cannot coerce {value!r} to RationalExpr")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedExpressionError, ModelMismatchError
-from .exprs import RationalExpr, coerce_rational
+from .errors import AtlasMismatchError, MalformedExpressionError, ModelMismatchError
+from .exprs import TWO_PI_I, RationalExpr, coerce_rational
 from .geometry import (
     LEAF_FULL,
     LEAF_JTILDE,
@@ -199,16 +199,6 @@ def ad_star(model: AlgebroidModel, x_coeffs, covector):
         out.append(sum((coerce_rational(xi) * m for xi, m in zip(covector, moved)),
                        RationalExpr.zero()))
     return tuple(out)
-
-
-def random_su2(rng) -> GroupElement:
-    """Cayley transform of a rational pure quaternion: exact unit quaternion."""
-    v = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3)]
-    n2 = 1 + sum(c * c for c in v)
-    # (1+v)^2 / |1+v|^2 with v pure imaginary: (1 - |v|^2 + 2v) / (1 + |v|^2)
-    t = Fraction(1 - sum(c * c for c in v)) / n2
-    x, y, z = (2 * c / n2 for c in v)
-    return GroupElement.su2_from_quaternion(t, x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +403,22 @@ class SectionRep:
 
 
 def _derive_everywhere(field: VectorField, expr: RationalExpr) -> RationalExpr:
-    """Directional derivative of a base-coordinate expression, chart-agnostic.
+    """Directional derivative of a base-coordinate expression.
 
-    Generator coefficient functions are written in base coordinates shared by
-    every chart, so any chart of the field computes the same derivative; we
-    use the first chart carrying components.  A zero expression has the zero
-    derivative, so it is not derived.
+    It is taken on the first chart of the field whose coordinates include
+    every variable of the expression but `twopii`; a chart without one of
+    them would treat it as a constant.  A constant has the zero derivative,
+    so it is not derived.
     """
     expr = coerce_rational(expr)
-    if field is None or expr.is_zero():
+    names = expr.variables() - {TWO_PI_I}
+    if field is None or not names:
         return RationalExpr.zero()
     for ch in field.components:
-        return field.derive(expr, ch)
-    return RationalExpr.zero()
+        if names <= set(field.atlas.chart(ch).coords):
+            return field.derive(expr, ch)
+    raise AtlasMismatchError(
+        f"no chart of the field has every variable of {expr}: {sorted(names)}")
 
 
 def _base_functions(atlas: FiberedAtlas):

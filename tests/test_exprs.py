@@ -267,6 +267,20 @@ def assert_matches(oracle, ours: PolyExpr, theirs):
     assert ours == oracle.from_sympy(theirs)
 
 
+def assert_monic_quotient(oracle, ours: RationalExpr, num, den):
+    """`ours` holds the invariant (canonical parts, a denominator with leading
+    coefficient 1, zero as 0/1) and equals the sympy quotient num/den."""
+    assert_canonical(ours.num)
+    assert_canonical(ours.den)
+    assert ours.den.leading()[1] == (ours.den.den, 0)
+    if ours.is_zero():
+        assert ours.den == PolyExpr.const(1)
+    assert oracle.to_sympy(ours.num) * den == oracle.to_sympy(ours.den) * num
+
+
+quotients = st.builds(RationalExpr, small_polys, small_nonzero_polys)
+
+
 class TestAgainstSympy:
     """The integer kernel agrees with an independent exact implementation."""
 
@@ -348,6 +362,86 @@ class TestAgainstSympy:
         for i, v in enumerate(VARS):
             assert_matches(oracle, a.derivative(v), sa.diff(oracle.ring.gens[i]))
         assert_matches(oracle, a.conj(), oracle.conj(sa))
+
+    @settings(max_examples=60, deadline=None)
+    @given(quotients, quotients, st.integers(-2, 3))
+    def test_quotients_keep_a_monic_denominator(self, oracle, p, q, n):
+        """Every operation gives a monic denominator, whether it normalizes
+        (/, inverse, negative powers, conj) or keeps the invariant of its
+        operands (+, -, *, non-negative powers, derivative, simplify)."""
+        pn, pd = oracle.to_sympy(p.num), oracle.to_sympy(p.den)
+        qn, qd = oracle.to_sympy(q.num), oracle.to_sympy(q.den)
+        assert_monic_quotient(oracle, p, pn, pd)
+        assert_monic_quotient(oracle, p + q, pn * qd + qn * pd, pd * qd)
+        assert_monic_quotient(oracle, p - q, pn * qd - qn * pd, pd * qd)
+        assert_monic_quotient(oracle, -p, -pn, pd)
+        assert_monic_quotient(oracle, p * q, pn * qn, pd * qd)
+        assert_monic_quotient(oracle, p.conj(), oracle.conj(pn), oracle.conj(pd))
+        assert_monic_quotient(oracle, p.simplify(), pn, pd)
+        for i, v in enumerate(VARS):
+            x = oracle.ring.gens[i]
+            assert_monic_quotient(oracle, p.derivative(v),
+                                  pn.diff(x) * pd - pn * pd.diff(x), pd * pd)
+        if q.is_zero():
+            return
+        assert_monic_quotient(oracle, p / q, pn * qd, pd * qn)
+        assert_monic_quotient(oracle, q.inverse(), qd, qn)
+        if n >= 0:
+            assert_monic_quotient(oracle, q ** n, qn ** n, qd ** n)
+        else:
+            assert_monic_quotient(oracle, q ** n, qd ** -n, qn ** -n)
+
+    @pytest.mark.parametrize("text, conjugate, den", [
+        ("1/twopii", "-1/twopii", "twopii"),
+        ("1/(2*x+twopii)", "1/(2*x-twopii)", "x-twopii/2"),
+        ("1/(2*a+twopii)", "1/(2*a-twopii)", "twopii-2*a"),
+    ])
+    def test_conjugation_renormalizes_odd_twopii_powers(self, text, conjugate, den):
+        """Conjugation sends twopii to -twopii.  Where twopii leads the
+        denominator (names sorting later dominate: a < twopii < x), the
+        conjugate denominator leads with -1 until conj normalizes it."""
+        conj = parse_expr(text).conj()
+        assert conj.den == parse_expr(den).as_poly()
+        assert conj.den.leading()[1] == (conj.den.den, 0)
+        assert conj == parse_expr(conjugate)
+
+
+class TestMonicByConstruction:
+    """Only a denominator from outside the invariant is normalized."""
+
+    @pytest.fixture
+    def normalizations(self, monkeypatch):
+        import quantbench.exprs as exprs
+        calls = []
+        normalize = exprs._leading_inverse
+
+        def counted(p):
+            calls.append(p)
+            return normalize(p)
+
+        monkeypatch.setattr(exprs, "_leading_inverse", counted)
+        return calls
+
+    def test_arithmetic_on_monic_operands_never_normalizes(self, normalizations):
+        p = parse_expr("(x+2*i*y)/(x^2+3*y+twopii)")
+        q = parse_expr("y/(2*x-1)")
+        normalizations.clear()  # parsing divides
+        results = [p + q, p - q, -p, p * q, p ** 3, p.derivative("x"),
+                   q.derivative("y"), RationalExpr.zero(), p + 1, 2 * q]
+        assert normalizations == []
+        for r in results:
+            assert r.den.leading()[1] == (r.den.den, 0)
+
+    def test_an_outside_denominator_is_normalized_once(self, normalizations):
+        r = RationalExpr(PolyExpr.var("x"), PolyExpr.var("x") * 2 + 3)
+        assert len(normalizations) == 1
+        assert r.den.leading()[1] == (r.den.den, 0)
+        assert r == parse_expr("x/(2*x+3)")
+
+    def test_zero_is_shared(self):
+        assert RationalExpr.zero() is RationalExpr.zero()
+        assert (parse_expr("x/(x+1)") - parse_expr("x/(x+1)")) is RationalExpr.zero()
+        assert RationalExpr.zero().den == PolyExpr.const(1)
 
 
 class TestPackedMonomials:

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.catalog import rotation_fields, sphere_atlas
-from quantbench.errors import MalformedExpressionError, ModelMismatchError
+from quantbench.catalog import rotation_fields, sphere_atlas, su2_orbit_scenario
+from quantbench.errors import (
+    AtlasMismatchError,
+    MalformedExpressionError,
+    ModelMismatchError,
+)
 from quantbench.exprs import coerce_rational, parse_expr
 from quantbench.geometry import (
     LEAF_J,
@@ -28,12 +32,21 @@ from quantbench.liealg import (
     coAd,
     lie_algebra,
     pair,
-    random_su2,
     su2,
     u1,
 )
 from quantbench.runner import run_scenario
 from quantbench.scalars import ExactScalar, ONE, ZERO
+
+
+def random_su2(rng) -> GroupElement:
+    """Cayley transform of a rational pure quaternion: exact unit quaternion."""
+    v = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3)]
+    n2 = 1 + sum(c * c for c in v)
+    # (1+v)^2 / |1+v|^2 with v pure imaginary: (1 - |v|^2 + 2v) / (1 + |v|^2)
+    t = Fraction(1 - sum(c * c for c in v)) / n2
+    x, y, z = (2 * c / n2 for c in v)
+    return GroupElement.su2_from_quaternion(t, x, y, z)
 
 
 # antisymmetric, but [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = -(e1 + e2 + e3)
@@ -253,6 +266,29 @@ class TestActions:
         # f = g = 1 collapse and Jacobi with f = x
         assert derived.jacobi_on_generators().ok
         assert derived.jacobi_on_generators(coefficient=parse_expr("x")).ok
+
+    def test_action_algebroid_derives_on_the_chart_of_the_coefficient(self):
+        """u is a coordinate of chart S only, so [e1, u*e2] reads
+        alpha(e1)(u) = u*v there."""
+        derived = su2_orbit_scenario(1).action_model
+        e1, e2, _ = derived.generators()
+        bracket = derived.bracket(e1, e2 * parse_expr("u"))
+        assert list(bracket.coeffs) == [parse_expr("0"), parse_expr("u*v"), parse_expr("u")]
+        with pytest.raises(AtlasMismatchError):
+            derived.bracket(e1, e2 * parse_expr("x*u"))
+
+    def test_leibniz_catches_an_anchor_perturbed_on_chart_s(self):
+        """A bracket built from an anchor whose e3 field gains 1/7 d/du on
+        chart S breaks Leibniz only where f = u is derived on chart S."""
+        scenario = su2_orbit_scenario(1)
+        derived = scenario.action_model
+        atlas = scenario.action.target_atlas
+        fields = rotation_fields(atlas)
+        fields[2] = fields[2] + VectorField(atlas, LEAF_J, {"S": {"u": Fraction(1, 7)}})
+        perturbed = action_algebroid(scenario.model, ActionMap(scenario.model, atlas, fields))
+        derived.bracket = lambda s1, s2: derived.section(perturbed.bracket(
+            perturbed.section(s1.coeffs), perturbed.section(s2.coeffs)).coeffs)
+        assert derived.leibniz_report().failures == [("e3", "e1"), ("e3", "e2")]
 
     def test_action_algebroid_anchor_is_action(self):
         atlas = sphere_atlas()
