@@ -26,8 +26,7 @@ from .geometry import (
     commutator,
     to_chart,
 )
-from .hamiltonian import ActionScenario, AlgebroidCochain, algebroid_differential, \
-    pairing_combination, _fn_add, _fn_is_zero
+from .hamiltonian import ActionScenario, pairing_combination, _exactness_check
 from .reports import CheckResult
 from .scalars import ExactScalar, ZERO
 
@@ -490,18 +489,6 @@ def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> C
     """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data."""
     if scenario.momentum is None:
         return CheckResult(True, notes=["no witness declared"], status="hypotheses-not-met")
-    k_form = curvature(bundle)
-    mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
-    d_mu = algebroid_differential(mu)
-    failures = []
-    model = scenario.model
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            pulled = k_form.apply(scenario.generator_field(i),
-                                  scenario.generator_field(j))
-            residual = _fn_add(d_mu.value(i, j), pulled)
-            if not _fn_is_zero(residual):
-                failures.append((f"{model.generator_names[i]},{model.generator_names[j]}",
-                                 str({ch: str(v) for ch, v in residual.items()})))
-    notes = ["witness: the declared momentum pairing exhibits alpha^*K as exact"]
-    return CheckResult(not failures, failures, notes)
+    result = _exactness_check(scenario, curvature(bundle))
+    result.notes.append("witness: the declared momentum pairing exhibits alpha^*K as exact")
+    return result

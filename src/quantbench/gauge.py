@@ -11,6 +11,7 @@ curvature components are F_12 = -d1 A2 + d2 A1 + [A1, A2].
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .bundles import LineBundleData, TransitionValue
 from .cech import GoodCover
@@ -29,15 +30,14 @@ from .geometry import (
 )
 from .hamiltonian import (
     ActionScenario,
-    AlgebroidCochain,
     MomentumMapRep,
     PresymplecticData,
-    algebroid_differential,
+    momentum_differential,
     pairing_combination,
     perturb,
     _fn_add,
-    _fn_is_zero,
     _fn_scale,
+    _pair_failures,
 )
 from .liealg import ActionMap, AlgebroidModel
 from .quantize import ComplexStructureData, gram_matrix, quantize_monomial
@@ -202,15 +202,14 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario
                 key = (bc, fc)
                 cur = omega_tables[ch].get(key, RationalExpr.zero())
                 omega_tables[ch][key] = cur + val
-    if n_base == 2:
-        b1, b2 = base_coords
-        grad = [a2.derivative(b1) - a1.derivative(b2)
-                for a1, a2 in zip(bundle_data.potential[0], bundle_data.potential[1])]
+    for i, j in combinations(range(n_base), 2):  # d<mu, A> along the base
+        bi, bj = base_coords[i], base_coords[j]
+        grad = [aj.derivative(bi) - ai.derivative(bj)
+                for ai, aj in zip(bundle_data.potential[i], bundle_data.potential[j])]
         c_fn = mu_pair(grad)
         for ch in atlas.charts:
-            key = (b1, b2)
-            cur = omega_tables[ch].get(key, RationalExpr.zero())
-            omega_tables[ch][key] = cur + c_fn[ch]
+            cur = omega_tables[ch].get((bi, bj), RationalExpr.zero())
+            omega_tables[ch][(bi, bj)] = cur + c_fn[ch]
     omega_tilde = DifferentialForm(atlas, 2, LEAF_JTILDE, omega_tables)
 
     pairings = [mu_pair(bundle_data.potential[i]) for i in range(n_base)]
@@ -284,13 +283,11 @@ def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
     d_P mu(s1, s2) = <mu, F(s1, s2)> - omega(beta tau(s1), beta tau(s2)).
     The two momentum conditions are their own rows of the check table."""
     gauge = scenario.gauge
-    failures = []
     model = scenario.model
     n_base = model.gauge_base_count
     dim = gauge.bundle_data.algebra.n
     curv = gauge.bundle_data.curvature_components()
-    mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
-    d_mu = algebroid_differential(mu)
+    d_mu = momentum_differential(scenario)
     atlas = scenario.atlas
     fiber_fields = [scenario.generator_field(n_base + a) for a in range(dim)]
     fiber_pairings = _fiber_pairings(scenario)
@@ -300,21 +297,15 @@ def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
         return _field_sum(atlas, LEAF_J, ((coerce_rational(c), f) for c, f in
                                           zip(gauge.tau(index), fiber_fields)))
 
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            if i < n_base and j < n_base:
-                f_vec = curv[(i, j)]
-            else:
-                f_vec = tuple(ZERO for _ in range(dim))
-            lhs = d_mu.value(i, j)
-            omega_term = omega_fiber.apply(beta_tau(i), beta_tau(j))
-            rhs = _fn_add(pairing_combination(atlas, fiber_pairings, f_vec),
-                          _fn_scale(omega_term, ExactScalar(-1)))
-            residual = _fn_add(lhs, _fn_scale(rhs, ExactScalar(-1)))
-            if not _fn_is_zero(residual):
-                failures.append((f"curvature-pairing {model.generator_names[i]},"
-                                 f"{model.generator_names[j]}",
-                                 str({ch: str(v) for ch, v in residual.items()})))
+    def residual(i, j):
+        terms = [d_mu.value(i, j), omega_fiber.apply(beta_tau(i), beta_tau(j))]
+        if j < n_base:
+            terms.append(_fn_scale(pairing_combination(atlas, fiber_pairings, curv[(i, j)]),
+                                   -1))
+        return _fn_add(*terms)
+
+    failures = [(f"curvature-pairing {label}", text) for label, text in
+                _pair_failures(scenario, combinations(range(model.n), 2), residual)]
     return CheckResult(not failures, failures)
 
 

@@ -9,6 +9,7 @@ linearity over pulled-back base functions.
 from __future__ import annotations
 
 import copy
+from itertools import combinations
 
 from . import linalg
 from .errors import PerturbationRejectedError
@@ -25,7 +26,6 @@ from .geometry import (
 )
 from .liealg import ActionMap, AlgebroidModel, action_algebroid
 from .reports import CheckResult
-from .scalars import ExactScalar
 
 
 class PresymplecticData:
@@ -149,15 +149,13 @@ class ActionScenario:
 
 
 # ---------------------------------------------------------------------------
-# the algebroid differential (sign: d_n = (-1)^n * Chevalley-Eilenberg d_n)
+# the algebroid differential (sign: d_p = (-1)^p * Chevalley-Eilenberg d_p)
 # ---------------------------------------------------------------------------
 
 class AlgebroidCochain:
-    """Antisymmetric multilinear data on the action algebroid's generators.
-
-    degree 0: chartwise function; degree 1: list per generator; degree 2:
-    dict (i, j) with i < j -> chartwise function.
-    """
+    """An alternating p-cochain on the action algebroid's generators:
+    `values` maps each increasing index tuple of length p (the empty tuple at
+    degree 0) to a chartwise function; a missing tuple is zero."""
 
     def __init__(self, scenario: ActionScenario, degree, values):
         self.scenario = scenario
@@ -165,19 +163,19 @@ class AlgebroidCochain:
         self.values = values
 
     def value(self, *indices) -> dict:
-        if self.degree == 0:
-            return self.values
-        if self.degree == 1:
-            return self.values[indices[0]]
-        i, j = indices
-        if i == j:
+        """c(X_i, X_j, ...) in any order: zero on a repeated index, otherwise
+        the value at the sorted tuple times the sign of the sorting
+        permutation."""
+        key = tuple(sorted(indices))
+        if len(set(key)) < len(key):
             return {}
-        if i < j:
-            return self.values.get((i, j), {})
-        return _fn_scale(self.values.get((j, i), {}), ExactScalar(-1))
+        inversions = sum(a > b for a, b in combinations(indices, 2))
+        return _fn_scale(self.values.get(key, {}), (-1) ** inversions)
 
 
 def _fn_scale(fn, scalar):
+    if scalar == 1:
+        return fn
     return {ch: v * scalar for ch, v in fn.items()}
 
 
@@ -185,83 +183,80 @@ def _fn_add(*fns):
     out = {}
     for fn in fns:
         for ch, v in fn.items():
-            out[ch] = out.get(ch, RationalExpr.zero()) + v
+            out[ch] = out[ch] + v if ch in out else v
     return out
 
 
-def _fn_is_zero(fn):
-    return all(v.is_zero() for v in fn.values())
-
-
 def algebroid_differential(cochain: AlgebroidCochain) -> AlgebroidCochain:
-    scenario = cochain.scenario
+    """d c on every increasing (p+1)-tuple of generators, c of degree p:
+    (d c)(X_0..X_p) = (-1)^p [sum_{a<b} (-1)^(a+b) c([X_a, X_b], X_0..^a..^b..X_p)
+                              + sum_a (-1)^a alpha(X_a) c(X_0..^a..X_p)].
+    At degree 1 this is d mu (X, Y) = <mu, [X, Y]> - alpha(X)<mu, Y> +
+    alpha(Y)<mu, X>, so that the prequantization condition reads
+    d_A mu = -alpha^* omega_tilde.  The bracket terms are summed first: a
+    failing row prints its residual unsimplified, so the order of the sum
+    shows in the report."""
+    scenario, p = cochain.scenario, cochain.degree
     model = scenario.model
-    n = model.n
-    fields = [scenario.generator_field(i) for i in range(n)]
-    if cochain.degree == 0:
-        values = []
-        for field in fields:
-            values.append({ch: field.derive(v, ch) if ch in field.components else
-                           RationalExpr.zero() for ch, v in cochain.values.items()})
-        return AlgebroidCochain(scenario, 1, values)
-    if cochain.degree == 1:
-        values = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                bracket = model.generator_bracket(i, j)
-                mu_bracket = {}
-                for k, coeff in enumerate(bracket):
-                    if coeff.is_zero():
-                        continue
-                    mu_bracket = _fn_add(
-                        mu_bracket,
-                        {ch: v * coeff for ch, v in cochain.values[k].items()})
-                term_i = fields[i].derive(cochain.values[j])
-                term_j = fields[j].derive(cochain.values[i])
-                values[(i, j)] = _fn_add(mu_bracket, _fn_scale(term_i, ExactScalar(-1)),
-                                         term_j)
-        return AlgebroidCochain(scenario, 2, values)
-    if cochain.degree == 2:
-        # d_2 = +CE_2 on generator triples
-        values = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = {}
-                    for (pos, a, rest) in ((0, i, (j, k)), (1, j, (i, k)), (2, k, (i, j))):
-                        term = fields[a].derive(cochain.value(*rest))
-                        total = _fn_add(total, _fn_scale(term, ExactScalar((-1) ** pos)))
-                    for (pos, pair_, c) in ((0, (i, j), k), (1, (i, k), j), (2, (j, k), i)):
-                        bracket = model.generator_bracket(*pair_)
-                        contraction = {}
-                        for m, coeff in enumerate(bracket):
-                            if coeff.is_zero():
-                                continue
-                            nu = cochain.value(m, c)
-                            contraction = _fn_add(contraction,
-                                                  {ch: v * coeff for ch, v in nu.items()})
-                        total = _fn_add(total, _fn_scale(contraction,
-                                                         ExactScalar((-1) ** (pos + 1))))
-                    values[(i, j, k)] = total
-        return AlgebroidCochain(scenario, 3, values)
-    raise NotImplementedError("differential implemented through degree 2")
+    fields = [scenario.generator_field(i) for i in range(model.n)]
+    values = {}
+    for gens in combinations(range(model.n), p + 1):
+        total = {}
+        for a, b in combinations(range(p + 1), 2):
+            rest = gens[:a] + gens[a + 1:b] + gens[b + 1:]
+            sign = (-1) ** (p + a + b)
+            for m, coeff in enumerate(model.generator_bracket(gens[a], gens[b])):
+                if not coeff.is_zero():
+                    total = _fn_add(total, _fn_scale(cochain.value(m, *rest),
+                                                     coeff if sign == 1 else -coeff))
+        for a in range(p + 1):
+            derived = fields[gens[a]].derive(cochain.value(*gens[:a], *gens[a + 1:]))
+            total = _fn_add(total, _fn_scale(derived, (-1) ** (p + a)))
+        values[gens] = total
+    return AlgebroidCochain(scenario, p + 1, values)
+
+
+def momentum_differential(s: ActionScenario) -> AlgebroidCochain:
+    """d_A mu, the momentum pairings taken as a 1-cochain."""
+    return algebroid_differential(AlgebroidCochain(
+        s, 1, {(i,): pairing for i, pairing in enumerate(s.momentum.pairings)}))
+
+
+def _pair_failures(s: ActionScenario, pairs, residual) -> list:
+    """("X,Y", "{chart: residual}") for each generator pair (i, j) whose
+    chartwise `residual(i, j)` does not vanish."""
+    names = s.model.generator_names
+    failures = []
+    for i, j in pairs:
+        fn = residual(i, j)
+        if not all(v.is_zero() for v in fn.values()):
+            failures.append((f"{names[i]},{names[j]}",
+                             str({ch: str(v) for ch, v in fn.items()})))
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # the condition checks
 # ---------------------------------------------------------------------------
 
-def internal_momentum_check(s: ActionScenario) -> CheckResult:
-    """d^J <mu, X> = - iota_{alpha(X)} omega for isotropy generators."""
+def _fiber_hamilton_check(s: ActionScenario, indices) -> CheckResult:
+    """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for the generators
+    `indices`."""
     failures = []
-    for i in s.isotropy_indices():
-        pairing = s.momentum.pairing_form(s.atlas, i)
-        lhs = exterior_derivative(pairing, LEAF_J)
-        rhs = interior_product(s.generator_field(i), s.presymplectic.omega)
-        residual = lhs + rhs
+    for i in indices:
+        lhs = exterior_derivative(s.momentum.pairing_form(s.atlas, i), LEAF_J)
+        contraction = interior_product(s.generator_field(i), s.presymplectic.omega_tilde)
+        residual = lhs + contraction.restrict(LEAF_J)
         if not residual.is_zero():
             failures.append((s.model.generator_names[i], repr(residual)))
     return CheckResult(not failures, failures)
+
+
+def internal_momentum_check(s: ActionScenario) -> CheckResult:
+    """d^J <mu, X> = - iota_{alpha(X)} omega for isotropy generators.  For X
+    in ker(anchor), alpha(X) is tangent to J, so there the identity is the
+    quantization condition."""
+    return _fiber_hamilton_check(s, s.isotropy_indices())
 
 
 def equivariance_check(s: ActionScenario) -> CheckResult:
@@ -270,57 +265,33 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
     The dual-side convention <ad*(X) xi, Y> = <xi, ad(-X) Y> differs from this
     identity by a sign; reports carry the adopted form.
     """
-    failures = []
     notes = ["equivariance verified as alpha(X).<mu,Y> - <mu,[X,Y]> = 0"]
-    for i in range(s.model.n):
-        field = s.generator_field(i)
-        for j in s.isotropy_indices():
-            pairing_j = s.momentum.pairing(j)
-            derived = field.derive(pairing_j)
-            bracket = s.model.generator_bracket(i, j)
-            expected = {}
-            for k, coeff in enumerate(bracket):
-                if coeff.is_zero():
-                    continue
-                expected = _fn_add(expected,
-                                   {ch: v * coeff for ch, v in s.momentum.pairing(k).items()})
-            residual = _fn_add(derived, _fn_scale(expected, ExactScalar(-1)))
-            if not _fn_is_zero(residual):
-                failures.append((f"{s.model.generator_names[i]},"
-                                 f"{s.model.generator_names[j]}",
-                                 str({ch: str(v) for ch, v in residual.items()})))
+    fields = [s.generator_field(i) for i in range(s.model.n)]
+    pairs = ((i, j) for i in range(s.model.n) for j in s.isotropy_indices())
+    failures = _pair_failures(s, pairs, lambda i, j: _fn_add(
+        fields[i].derive(s.momentum.pairing(j)),
+        _fn_scale(pairing_combination(s.atlas, s.momentum.pairings,
+                                      s.model.generator_bracket(i, j)), -1)))
     return CheckResult(not failures, failures, notes)
+
+
+def _exactness_check(s: ActionScenario, two_form: DifferentialForm) -> CheckResult:
+    """d_A mu + alpha^* B = 0 on generator pairs, for the 2-form B."""
+    d_mu = momentum_differential(s)
+    fields = [s.generator_field(i) for i in range(s.model.n)]
+    failures = _pair_failures(s, combinations(range(s.model.n), 2), lambda i, j: _fn_add(
+        d_mu.value(i, j), two_form.apply(fields[i], fields[j])))
+    return CheckResult(not failures, failures)
 
 
 def prequantization_condition_check(s: ActionScenario) -> CheckResult:
     """d_A mu + alpha^* omega_tilde = 0 on generator pairs."""
-    failures = []
-    mu = AlgebroidCochain(s, 1, s.momentum.pairings)
-    d_mu = algebroid_differential(mu)
-    for i in range(s.model.n):
-        for j in range(i + 1, s.model.n):
-            pulled = s.presymplectic.omega_tilde.apply(
-                s.generator_field(i), s.generator_field(j))
-            residual = _fn_add(d_mu.value(i, j), pulled)
-            if not _fn_is_zero(residual):
-                failures.append((f"{s.model.generator_names[i]},"
-                                 f"{s.model.generator_names[j]}",
-                                 str({ch: str(v) for ch, v in residual.items()})))
-    return CheckResult(not failures, failures)
+    return _exactness_check(s, s.presymplectic.omega_tilde)
 
 
 def quantization_condition_check(s: ActionScenario) -> CheckResult:
     """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for every generator."""
-    failures = []
-    for i in range(s.model.n):
-        pairing = s.momentum.pairing_form(s.atlas, i)
-        lhs = exterior_derivative(pairing, LEAF_J)
-        contraction = interior_product(s.generator_field(i), s.presymplectic.omega_tilde)
-        rhs = contraction.restrict(LEAF_J)
-        residual = lhs + rhs
-        if not residual.is_zero():
-            failures.append((s.model.generator_names[i], repr(residual)))
-    return CheckResult(not failures, failures)
+    return _fiber_hamilton_check(s, range(s.model.n))
 
 
 def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScenario:
@@ -369,14 +340,13 @@ def dd_zero_report(s: ActionScenario) -> CheckResult:
     charts = s.atlas.charts
     for coord in dict.fromkeys(c for chart in charts.values() for c in chart.coords):
         f = RationalExpr.var(coord)
-        zero_cochain = AlgebroidCochain(s, 0, {name: f for name, chart in charts.items()
-                                               if coord in chart.coords})
+        zero_cochain = AlgebroidCochain(s, 0, {(): {name: f for name, chart in charts.items()
+                                                    if coord in chart.coords}})
         dd = algebroid_differential(algebroid_differential(zero_cochain))
         for (i, j), fn in dd.values.items():
             failures.extend((f"{names[i]},{names[j]}@chart {ch}", f"d_A^2 {coord} = {v}")
                             for ch, v in fn.items() if not v.is_zero())
-    mu = AlgebroidCochain(s, 1, s.momentum.pairings)
-    dd_mu = algebroid_differential(algebroid_differential(mu))
+    dd_mu = algebroid_differential(momentum_differential(s))
     for (i, j, k), fn in dd_mu.values.items():
         failures.extend((f"{names[i]},{names[j]},{names[k]}@chart {ch}", f"d_A^2 mu = {v}")
                         for ch, v in fn.items() if not v.is_zero())

@@ -310,18 +310,6 @@ class AlgebroidModel:
             raise ModelMismatchError("section belongs to another model")
 
     # -- structural validation -----------------------------------------------
-    def anchor_morphism_report(self) -> CheckResult:
-        """anchor([X,Y]) = [anchor X, anchor Y] on generators, symbolically."""
-        failures = []
-        gens = self.generators()
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                lhs = self.anchor(self.bracket(gens[i], gens[j]))
-                rhs = commutator(self.anchor(gens[i]), self.anchor(gens[j]))
-                if not (lhs - rhs).is_zero():
-                    failures.append((self.generator_names[i], self.generator_names[j]))
-        return CheckResult(not failures, failures)
-
     def leibniz_report(self) -> CheckResult:
         """[X, f Y] = f [X, Y] + (rho(X).f) Y on generators.  The residual is
         a first-order differential operator in f, so f = 1 and each base

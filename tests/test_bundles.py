@@ -268,6 +268,23 @@ class TestChernWitness:
     def test_gauge_witness_is_connection_pairing(self, gauge_su2_1):
         assert chern_class_algebroid(gauge_su2_1, gauge_su2_1.bundle).ok
 
+    def test_witness_reads_the_bundle_curvature(self):
+        """On the level-1 orbit with the degree-2 bundle, the momentum still
+        satisfies d_A mu = -alpha^* omega_tilde, but alpha^* K = 2 alpha^*
+        omega_tilde, so the witness fails on every pair with nonzero alpha^*
+        omega_tilde while the prequantization condition passes."""
+        from quantbench.runner import run_scenario
+        scenario = build_scenario("su2-orbit-k", 1)
+        scenario.bundle = o_bundle(scenario.atlas, 2)
+        records = {r.check_id: r for r in run_scenario(scenario).records}
+        assert records["prequantization-condition"].status == "pass"
+        assert records["curvature-match"].status == "fail"
+        witness = records["chern-witness"]
+        assert witness.status == "fail"
+        assert [label for label, _ in witness.failures] == ["e1,e2", "e1,e3", "e2,e3"]
+        assert witness.notes == ["witness: the declared momentum pairing exhibits "
+                                 "alpha^*K as exact"]
+
 
 # ---------------------------------------------------------------------------
 # the exact operator rows: against the direct composition of the operators,

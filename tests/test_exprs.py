@@ -228,6 +228,11 @@ class QQIOracle:
         self.ring = ring(",".join(VARS), QQ_I)[0]
 
     def to_sympy(self, p: PolyExpr):
+        """p in QQ_I[VARS]; a variable outside VARS raises, since dropping it
+        would compare a different polynomial."""
+        stray = p.variables() - set(VARS)
+        if stray:
+            raise ValueError(f"variables outside the oracle ring: {sorted(stray)}")
         QQ = self.QQ
         return self.ring.from_dict({
             tuple(dict(m).get(v, 0) for v in VARS):
@@ -390,6 +395,13 @@ class TestAgainstSympy:
             assert_monic_quotient(oracle, q ** n, qn ** n, qd ** n)
         else:
             assert_monic_quotient(oracle, q ** n, qd ** -n, qn ** -n)
+
+    def test_oracle_rejects_a_variable_outside_its_ring(self, oracle):
+        outside = PolyExpr.var("x") * PolyExpr.var(TWO_PI_I)
+        with pytest.raises(ValueError, match=r"\['x'\]"):
+            oracle.to_sympy(outside)
+        assert oracle.from_sympy(oracle.to_sympy(PolyExpr.var(TWO_PI_I))) == \
+            PolyExpr.var(TWO_PI_I)
 
     @pytest.mark.parametrize("text, conjugate, den", [
         ("1/twopii", "-1/twopii", "twopii"),

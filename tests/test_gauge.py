@@ -8,12 +8,16 @@ import pytest
 from quantbench.bundles import curvature, kostant_operator, validate_bundle
 from quantbench.catalog import (
     gauge_su2_scenario,
+    su2_orbit_scenario,
     gauge_u1_character_scenario,
     gauge_u1_rotation_scenario,
 )
 from quantbench.errors import UnsupportedPrimitiveError
 from quantbench.exprs import parse_expr
+from quantbench.geometry import Chart, FiberedAtlas
 from quantbench.gauge import (
+    PrincipalBundleData,
+    build_gauge_scenario,
     gauge_momentum_verify,
     integrated_rep_check,
     quantization_isomorphism_check,
@@ -25,7 +29,9 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
+from quantbench.liealg import su2
 from quantbench.quantize import quantize_monomial
+from quantbench.runner import run_scenario
 from quantbench.reduce import (
     descent_obstruction_check,
     internal_mw_quotient,
@@ -88,6 +94,26 @@ class TestMomentumVerify:
     def test_flat_connection_case(self):
         scenario = gauge_su2_scenario(1, twist=Fraction(0))
         assert gauge_momentum_verify(scenario).ok
+
+    def test_twist_over_a_three_dimensional_base(self):
+        """A = (0, b1 e3, b2 e3) over B(b1, b2, b3) has curvature on the pairs
+        (b1, b2) and (b2, b3).  The twisted form carries d<mu, A> on every
+        base pair, so it is closed, and the momentum conditions and the
+        bundle's curvature hold."""
+        base = FiberedAtlas([Chart("B", base_coords=("b1", "b2", "b3"), star_shaped=True)])
+        zero, e3 = parse_expr("0"), (parse_expr("0"),) * 2
+        potential = [(zero,) * 3, e3 + (parse_expr("b1"),), e3 + (parse_expr("b2"),)]
+        scenario = build_gauge_scenario(PrincipalBundleData(base, "SU2", su2(), potential),
+                                        su2_orbit_scenario(1), name="gauge-su2-3d")
+        omega = scenario.presymplectic.omega_tilde
+        mu3 = scenario.momentum.pairing(5)["N"]
+        assert omega.coefficient("N", ("b1", "b2")) == mu3
+        assert omega.coefficient("N", ("b2", "b3")) == mu3
+        records = run_scenario(scenario).records
+        assert [r.check_id for r in records if r.status == "fail"] == []
+        passed = {r.check_id for r in records if r.status == "pass"}
+        assert {"presymplectic", "prequantization-condition", "gauge-momentum",
+                "curvature-match", "chern-witness", "quantization-isomorphism"} <= passed
 
     def test_character_scenarios(self):
         for n in (0, 1, 2):

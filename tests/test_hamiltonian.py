@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -61,15 +62,16 @@ class TestAlgebroidDifferential:
     def test_degree_zero_values(self, orbit_scenarios):
         scenario = orbit_scenarios[1]
         fn = {"N": parse_expr("x"), "S": parse_expr("u/(u^2+v^2)")}
-        d0 = algebroid_differential(AlgebroidCochain(scenario, 0, fn))
+        d0 = algebroid_differential(AlgebroidCochain(scenario, 0, {(): fn}))
         field = scenario.generator_field(2)  # vertical rotation
         expect = field.derive(parse_expr("x"), "N")
-        assert (d0.values[2]["N"] - expect).simplify().is_zero()
+        assert (d0.values[(2,)]["N"] - expect).simplify().is_zero()
 
     def test_degree_one_display(self, orbit_scenarios):
         # d mu (X, Y) = <mu,[X,Y]> - alpha(X).<mu,Y> + alpha(Y).<mu,X>
         scenario = orbit_scenarios[2]
-        mu = AlgebroidCochain(scenario, 1, scenario.momentum.pairings)
+        mu = AlgebroidCochain(scenario, 1, {(i,): pairing for i, pairing
+                                            in enumerate(scenario.momentum.pairings)})
         d_mu = algebroid_differential(mu)
         i, j = 0, 1
         bracket_pairing = scenario.momentum.pairing(2)  # [e1,e2] = e3
@@ -83,6 +85,44 @@ class TestAlgebroidDifferential:
 
     def test_differential_squares_to_zero(self, orbit_scenarios):
         assert dd_zero_report(orbit_scenarios[2]).ok
+
+    def test_value_takes_any_order(self, gauge_su2_1):
+        c = _chartwise_two_cochain(gauge_su2_1)
+        assert c.value(3, 3) == {}
+        assert c.value(1, 3) is c.values[(1, 3)]
+        flipped = c.value(3, 1)
+        for ch, v in c.values[(1, 3)].items():
+            assert (flipped[ch] + v).is_zero()
+        d_c = algebroid_differential(c)
+        for order, sign in (((0, 2, 4), 1), ((2, 0, 4), -1), ((2, 4, 0), 1),
+                            ((4, 2, 0), -1)):
+            for ch, v in d_c.values[(0, 2, 4)].items():
+                assert (d_c.value(*order)[ch] - v * sign).is_zero()
+
+    def test_degree_two_matches_the_hand_formula(self, gauge_su2_1):
+        c = _chartwise_two_cochain(gauge_su2_1)
+        d_c = algebroid_differential(c)
+        oracle = _hand_degree_two(c)
+        assert d_c.degree == 3 and set(d_c.values) == set(oracle) and len(oracle) == 10
+        nonzero = 0
+        for key, fn in oracle.items():
+            for ch in set(fn) | set(d_c.values[key]):
+                ours = d_c.values[key].get(ch, RationalExpr.zero())
+                theirs = fn.get(ch, RationalExpr.zero())
+                assert (ours - theirs).simplify().is_zero(), (key, ch)
+                nonzero += not theirs.is_zero()
+        assert nonzero > 10  # the comparison is not between zeros
+
+    def test_squares_to_zero_from_degree_two_to_four(self, gauge_su2_1):
+        c = _chartwise_two_cochain(gauge_su2_1)
+        dd = algebroid_differential(algebroid_differential(c))
+        assert dd.degree == 4
+        assert sorted(dd.values) == [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4),
+                                     (0, 2, 3, 4), (1, 2, 3, 4)]
+        for key, fn in dd.values.items():
+            assert all(v.simplify().is_zero() for v in fn.values()), key
+        assert any(not v.is_zero() for fn in algebroid_differential(c).values.values()
+                   for v in fn.values())
 
     def test_anchor_perturbed_along_y_fails_at_its_pairs(self, gauge_su2_1):
         """e3's action field gains 1/7 d/dy on chart N.  d_A^2 then fails on
@@ -102,6 +142,50 @@ class TestAlgebroidDifferential:
             {"e1,e2@chart N", "e1,e3@chart N", "e2,e3@chart N"}
         assert [text for label, text in on_functions if label == "e1,e2@chart N"] == \
             ["d_A^2 y = 1/7"]
+
+
+def _chartwise_two_cochain(s):
+    """A degree-2 cochain on the generators of `s` whose values differ by
+    chart and by pair, with the pair (0, 1) left out (zero)."""
+    values = {}
+    for i in range(s.model.n):
+        for j in range(i + 1, s.model.n):
+            if (i, j) != (0, 1):
+                values[(i, j)] = {
+                    "N": parse_expr(f"{i + 1}*x*b2 + {j + 1}*y^2 - b1*y"),
+                    "S": parse_expr(f"{i - j}*u*v + {j}*b1*u + u^2/{i + 2}")}
+    return AlgebroidCochain(s, 2, values)
+
+
+def _hand_degree_two(cochain) -> dict:
+    """d_2 = +CE_2 on generator triples, written out term by term: the
+    alpha(X_a) terms with sign (-1)^a, then the bracket terms of the pairs
+    (i, j), (i, k), (j, k) with signs -, +, -."""
+    s = cochain.scenario
+    fields = [s.generator_field(i) for i in range(s.model.n)]
+
+    def nu(a, b):
+        if a == b:
+            return {}
+        if a < b:
+            return cochain.values.get((a, b), {})
+        return {ch: -v for ch, v in cochain.values.get((b, a), {}).items()}
+
+    def add(total, fn, scale):
+        for ch, v in fn.items():
+            total[ch] = total.get(ch, RationalExpr.zero()) + v * scale
+
+    out = {}
+    for i, j, k in combinations(range(s.model.n), 3):
+        total = {}
+        for pos, a, rest in ((0, i, (j, k)), (1, j, (i, k)), (2, k, (i, j))):
+            add(total, fields[a].derive(nu(*rest)), (-1) ** pos)
+        for pos, pair, c in ((0, (i, j), k), (1, (i, k), j), (2, (j, k), i)):
+            for m, coeff in enumerate(s.model.generator_bracket(*pair)):
+                if not coeff.is_zero():
+                    add(total, nu(m, c), coeff * (-1) ** (pos + 1))
+        out[(i, j, k)] = total
+    return out
 
 
 class TestConditionChecks:

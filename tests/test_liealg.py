@@ -198,9 +198,30 @@ class TestAlgebroidModels:
 
     def test_anchor_morphism_and_leibniz(self):
         from quantbench.catalog import foliation_flat_scenario
-        model = foliation_flat_scenario().model
-        assert model.anchor_morphism_report().ok
-        assert model.leibniz_report().ok
+        scenario = foliation_flat_scenario()
+        assert scenario.action.morphism_report().ok
+        assert scenario.model.leibniz_report().ok
+
+    def test_action_morphism_catches_a_non_morphic_anchor(self):
+        """With [dx, dy] = dx the coordinate anchors are no bracket morphism:
+        rho[dx, dy] = d/dx, but [d/dx, d/dy] = 0.  The action fields are the
+        anchors, so the bracket half of `action-morphism` reads
+        [alpha dx, alpha dy] = 0 against alpha [dx, dy] = d/dx, and with its
+        anchor half that is the whole anchor identity."""
+        import copy
+        from quantbench.catalog import foliation_flat_scenario
+        scenario = foliation_flat_scenario()
+        good = scenario.model
+        broken = AlgebroidModel("foliation", "foliation", good.base_atlas,
+                                good.generator_names, {(0, 1): (1, 0)},
+                                good.anchor_fields)
+        action = ActionMap(broken, scenario.atlas, scenario.action.fields)
+        assert action.morphism_report().failures == [("bracket", "dx", "dy")]
+        bad = copy.copy(scenario)
+        bad.model, bad.action = broken, action
+        record = run_scenario(bad, checks=["action-morphism"]).records[0]
+        assert (record.check_id, record.status) == ("action-morphism", "fail")
+        assert record.failures == [("bracket", "dx", "dy")]
 
     def test_leibniz_reaches_first_order_errors(self):
         """A bracket off by d/dw of the second slot's coefficients is wrong
