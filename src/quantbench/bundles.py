@@ -485,10 +485,12 @@ def pic_dual(a: LineBundleData) -> LineBundleData:
                           branch_offsets=dict(a.branch_offsets))
 
 
-def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> CheckResult:
-    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data."""
+def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData,
+                          d_mu=None) -> CheckResult:
+    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data;
+    `d_mu` is d_A mu when the caller has it already."""
     if scenario.momentum is None:
         return CheckResult(True, notes=["no witness declared"], status="hypotheses-not-met")
-    result = _exactness_check(scenario, curvature(bundle))
+    result = _exactness_check(scenario, curvature(bundle), d_mu)
     result.notes.append("witness: the declared momentum pairing exhibits alpha^*K as exact")
     return result

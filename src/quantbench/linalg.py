@@ -76,15 +76,23 @@ def kernel_basis(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    return rref_kernel(*rref(rows), ncols)
+
+
+def rref_kernel(red, pivots, ncols):
+    """Kernel basis of the first `ncols` columns of a matrix, read from the
+    output of `rref` on the matrix.  Elimination runs column by column, so
+    those columns of the result are the reduced form of the leading block:
+    the kernel of a block is read off the elimination of a wider matrix."""
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
+            if pc >= ncols:
+                break
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis

@@ -21,7 +21,7 @@ from .errors import (
 from .exprs import PolyExpr, RationalExpr, coerce_rational, TWO_PI_I
 from .geometry import LEAF_J, VectorField, commutator, interior_product, to_chart
 from .hamiltonian import ActionScenario
-from .linalg import det, kernel_basis, mat_mul, solve_linear
+from .linalg import kernel_basis, mat_mul, rref, rref_kernel, solve_linear
 from .reports import CheckResult
 from .scalars import ExactScalar, I, ZERO
 
@@ -155,9 +155,13 @@ def polarization_equivariance_check(scenario: ActionScenario,
 # ---------------------------------------------------------------------------
 
 class HolomorphicBasis:
-    def __init__(self, bundle, elements):
+    """The holomorphic sections found at a degree cap, and `probe_dimension`,
+    the dimension of the solution space at the solve's probe cap."""
+
+    def __init__(self, bundle, elements, probe_dimension=None):
         self.bundle = bundle
         self.elements = elements  # list of {patch: RationalExpr}
+        self.probe_dimension = len(elements) if probe_dimension is None else probe_dimension
 
     @property
     def dimension(self):
@@ -165,23 +169,32 @@ class HolomorphicBasis:
 
 
 def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
-                      holomorphic_coords, degree_cap) -> HolomorphicBasis:
+                      holomorphic_coords, degree_cap, probe_cap=None) -> HolomorphicBasis:
     """Kernel of the polarized covariant derivative over the monomial ansatz:
     the powers of each patch chart's holomorphic coordinate up to
-    `degree_cap`."""
+    `degree_cap`.  With a `probe_cap` above it, the powers up to the probe
+    cap join the same system as trailing columns, and one elimination gives
+    both the basis at `degree_cap` (the kernel of the leading columns) and
+    the dimension at `probe_cap`."""
+    probe_cap = degree_cap if probe_cap is None else probe_cap
     frames = {ch: fs[0] for ch, fs in structure.polarization_frames().items()}
     cover = bundle.cover
     atlas = cover.atlas
     patches = list(cover.index_set)
     candidates = {p: [holomorphic_coords[bundle.patch_chart(p)] ** a
-                      for a in range(degree_cap + 1)] for p in patches}
-    offsets = {p: i * (degree_cap + 1) for i, p in enumerate(patches)}
-    total = len(patches) * (degree_cap + 1)
+                      for a in range(probe_cap + 1)] for p in patches}
+    # the columns up to the degree cap first, patch by patch, then the rest
+    low = len(patches) * (degree_cap + 1)
+    high = probe_cap - degree_cap
+    column = {(p, a): i * (degree_cap + 1) + a if a <= degree_cap else
+              low + i * high + a - degree_cap - 1
+              for i, p in enumerate(patches) for a in range(probe_cap + 1)}
+    total = len(column)
     rows = []
     # (1) polarized-derivative kernel per patch
     derivative = {p: _polarized_derivative(bundle, frames, p) for p in patches}
     for p in patches:
-        rows.extend(_linear_rows([(offsets[p] + a, derivative[p](f))
+        rows.extend(_linear_rows([(column[p, a], derivative[p](f))
                                   for a, f in enumerate(candidates[p])], total))
     # (2) frame gluing: f_j = c_jk (f_k o T) on every pair overlap
     for simplex in cover.k_simplices(1):
@@ -195,18 +208,19 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
         c_expr = to_chart(atlas, c.rational, c.chart, chart_j)
         glue_exprs = []
         for a, f in enumerate(candidates[j]):
-            glue_exprs.append((offsets[j] + a, f))
+            glue_exprs.append((column[j, a], f))
         for b, g in enumerate(candidates[k]):
             moved = to_chart(atlas, g, chart_k, chart_j)
-            glue_exprs.append((offsets[k] + b, -(c_expr * moved)))
+            glue_exprs.append((column[k, b], -(c_expr * moved)))
         rows.extend(_linear_rows(glue_exprs, total))
+    red, pivots = rref(rows)
     elements = []
-    for vec in kernel_basis(rows, total):
+    for vec in rref_kernel(red, pivots, low):
         element = {}
         for p in patches:
             expr = RationalExpr.zero()
-            for a, f in enumerate(candidates[p]):
-                coeff = vec[offsets[p] + a]
+            for a, f in enumerate(candidates[p][:degree_cap + 1]):
+                coeff = vec[column[p, a]]
                 if not coeff.is_zero():
                     expr = expr + f * coeff
             element[p] = expr.simplify()
@@ -217,7 +231,7 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
     for element in elements:
         if not all(derivative[p](f).simplify().is_zero() for p, f in element.items()):
             raise MalformedExpressionError("solver returned a non-polarized section")
-    return HolomorphicBasis(bundle, elements)
+    return HolomorphicBasis(bundle, elements, total - len(pivots))
 
 
 def _polarized_derivative(bundle, frames, p):
@@ -254,14 +268,16 @@ def _linear_rows(indexed, total):
 # ---------------------------------------------------------------------------
 
 def fs_monomial_integral(m, n, weight_power) -> ExactScalar:
-    """(1/pi) int z^m zbar^n (1+r^2)^(-weight_power) dx dy, z = x - i y."""
+    """(1/pi) int z^m zbar^n (1+r^2)^(-weight_power) dx dy, z = x - i y.
+
+    |z^m zbar^n| grows like r^(m+n), so the integral converges exactly when
+    m + n + 2 < 2 weight_power; off the diagonal the angle integrates to 0."""
+    if m + n + 2 >= 2 * weight_power:
+        raise UnsupportedFiberError("integral diverges: weight power too small")
     if m != n:
         return ZERO
-    n_pow = weight_power
-    if m + 2 > n_pow:
-        raise UnsupportedFiberError("integral diverges: weight power too small")
-    num = math.factorial(m) * math.factorial(n_pow - m - 2)
-    den = math.factorial(n_pow - 1)
+    num = math.factorial(m) * math.factorial(weight_power - m - 2)
+    den = math.factorial(weight_power - 1)
     return ExactScalar(Fraction(num, den))
 
 
@@ -290,24 +306,37 @@ def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
     """Exact integral against the unit Fubini-Study density.
 
     Accepts P(x, y) / (1 + x^2 + y^2)^N; the density (1/pi)(1+r^2)^-2 dx dy is
-    included, so the result is (1/pi) int P (1+r^2)^(-N-2).
+    included, so the result is (1/pi) int P (1+r^2)^(-N-2).  Powers of
+    q = 1 + x^2 + y^2 are stripped from the denominator as they stand: a
+    numerator that q divides integrates to the same value, and converges
+    exactly when the cancelled one does, so a gcd runs only when a factor
+    other than q is left.
     """
-    expr = expr.simplify()
     q = PolyExpr.var(x_name, 2) + PolyExpr.var(y_name, 2) + PolyExpr.const(1)
-    den = expr.den
-    n_pow = 0
-    while not den.is_constant():
-        divided = den.exact_div(q)
-        if divided is None:
+    den, n_pow = _strip_powers(expr.den, q)
+    if not den.is_constant():
+        expr = expr.simplify()
+        den, n_pow = _strip_powers(expr.den, q)
+        if not den.is_constant():
             raise UnsupportedFiberError("denominator is not a power of 1 + r^2")
-        den = divided
-        n_pow += 1
     scale = den.constant_value().inverse()
     num = expr.num * PolyExpr.const(scale)
     total = ZERO
     for (m, n), coeff in _zz_decompose(num, x_name, y_name).items():
         total = total + coeff * fs_monomial_integral(m, n, n_pow + 2)
     return total
+
+
+def _strip_powers(den: PolyExpr, q: PolyExpr):
+    """(den / q^N, N) for the largest N with q^N dividing `den`."""
+    n_pow = 0
+    while not den.is_constant():
+        divided = den.exact_div(q)
+        if divided is None:
+            break
+        den = divided
+        n_pow += 1
+    return den, n_pow
 
 
 def inner_product(bundle: LineBundleData, elem1, elem2, base_point=None,
@@ -327,7 +356,7 @@ def inner_product(bundle: LineBundleData, elem1, elem2, base_point=None,
     if base_point:
         f, g, h = (v.subst({k: coerce_rational(val) for k, val in base_point.items()})
                    for v in (f, g, h))
-    integrand = (f.conj() * g * h).simplify()
+    integrand = f.conj() * g * h
     if not chart.fiber_coords:
         return integrand.constant_value() if method == "exact" else \
             complex(integrand.constant_value())
@@ -378,11 +407,20 @@ def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis, base_point=None
 
 
 def leading_minors_positive(gram) -> bool:
-    n = len(gram)
-    for size in range(1, n + 1):
-        sub = [[gram[i][j] for j in range(size)] for i in range(size)]
-        if not det(sub).is_positive():
+    """Every leading principal minor is positive.  Elimination without row
+    exchanges keeps the leading minors, so the k-th one is the product of the
+    first k pivots: all are positive exactly when every pivot is, and a zero
+    pivot is a zero minor."""
+    rows = [list(row) for row in gram]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if not pivot.is_positive():
             return False
+        inv = pivot.inverse()
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] * inv
+            if not factor.is_zero():
+                rows[i] = [a - factor * b for a, b in zip(rows[i], pivot_row)]
     return True
 
 

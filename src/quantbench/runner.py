@@ -6,6 +6,7 @@ needs and its function; `run_scenario` walks the table once."""
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
@@ -19,7 +20,7 @@ class RunContext:
     """One run's scenario and artifacts.  The stage inputs are the
     scenario's own fields.  The checks that produce `operators`, `basis`,
     `representation`, `zero_level`, `reduced`, `descent` and `fixed_subspace`
-    set them."""
+    set them; `d_mu` is built on first use by the rows that read it."""
 
     def __init__(self, scenario):
         if isinstance(scenario, str):
@@ -28,6 +29,12 @@ class RunContext:
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
         self.operators = self.basis = self.representation = self.zero_level = None
         self.reduced = self.descent = self.fixed_subspace = None
+
+    @cached_property
+    def d_mu(self):
+        """d_A mu, or None when the scenario declares no momentum map."""
+        s = self.scenario
+        return None if s.momentum is None else hamiltonian.momentum_differential(s)
 
 
 class Check(NamedTuple):
@@ -81,11 +88,10 @@ def _curvature_match(ctx):
 
 def _holomorphic_dimension(ctx):
     s, cap = ctx.scenario, ctx.scenario.ansatz_cap
-    inputs = (s.bundle, s.structure, s.holomorphic_coords)
-    basis = ctx.basis = quantize.holomorphic_solve(*inputs, cap)
-    bigger = quantize.holomorphic_solve(*inputs, cap + 2)
-    ok = bigger.dimension == basis.dimension
-    failures = [] if ok else [("robustness", f"{basis.dimension} vs {bigger.dimension}")]
+    basis = ctx.basis = quantize.holomorphic_solve(s.bundle, s.structure,
+                                                   s.holomorphic_coords, cap, cap + 2)
+    ok = basis.probe_dimension == basis.dimension
+    failures = [] if ok else [("robustness", f"{basis.dimension} vs {basis.probe_dimension}")]
     return CheckResult(ok, failures, [f"dimension {basis.dimension} at caps {cap} and {cap + 2}"])
 
 
@@ -176,17 +182,17 @@ CHECKS = (
           lambda c: hamiltonian.equivariance_check(c.scenario)),
     Check("prequantization-condition", "hamiltonian",
           "algebroid differential of mu equals -alpha^* omega",
-          lambda c: hamiltonian.prequantization_condition_check(c.scenario)),
+          lambda c: hamiltonian.prequantization_condition_check(c.scenario, c.d_mu)),
     Check("quantization-condition", "hamiltonian",
           "fiber restriction d<mu,X> = -(i_{alpha(X)} omega)|_J",
           lambda c: hamiltonian.quantization_condition_check(c.scenario)),
     Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
-          lambda c: hamiltonian.dd_zero_report(c.scenario)),
+          lambda c: hamiltonian.dd_zero_report(c.scenario, c.d_mu)),
     Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",
           lambda c: c.scenario.gauge.bundle_data.curvature_reverify(),
           applies=lambda c: c.scenario.gauge is not None),
     Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
-          lambda c: gauge_momentum_verify(c.scenario),
+          lambda c: gauge_momentum_verify(c.scenario, c.d_mu),
           applies=lambda c: c.scenario.gauge is not None),
     Check("bundle-data", "prequantize",
           "cocycle, metric compatibility, gluing, Hermitian potential",
@@ -205,7 +211,7 @@ CHECKS = (
           lambda c: bundles.connection_equivariance_check(c.scenario, c.operators),
           needs=("operators",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
-          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle),
+          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle, c.d_mu),
           needs=("bundle",)),
     Check("complex-structure", "quantize", "j^2 = -1 and transition compatibility",
           lambda c: c.scenario.structure.validate(), produces="structure",

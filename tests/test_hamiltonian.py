@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from quantbench import exprs
 from quantbench.catalog import (
     control_flipped_momentum,
     control_scaled_momentum,
@@ -56,6 +57,15 @@ class TestPresymplectic:
 
     def test_gauge_omega_closed(self, gauge_su2_1):
         assert presymplectic_check(gauge_su2_1.presymplectic).ok
+
+    def test_nondegeneracy_runs_no_gcd(self, monkeypatch, orbit_scenarios, gauge_su2_1):
+        # a determinant is zero exactly when its numerator is: nothing to cancel
+        calls = []
+        original = exprs.poly_gcd
+        monkeypatch.setattr(exprs, "poly_gcd", lambda *a: calls.append(a) or original(*a))
+        for data in (orbit_scenarios[2].presymplectic, gauge_su2_1.presymplectic):
+            assert presymplectic_check(data).ok
+        assert calls == []
 
 
 class TestAlgebroidDifferential:

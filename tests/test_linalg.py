@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
-from quantbench.linalg import inverse, kernel_basis, rank, rref, solve_linear
+from quantbench.linalg import inverse, kernel_basis, rank, rref, rref_kernel, solve_linear
 from quantbench.scalars import ExactScalar, ONE, ZERO
 
 _part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -75,6 +75,17 @@ class TestAgainstSympy:
         assert basis == expected
         assert all(sum((a * x for a, x in zip(row, vec)), ZERO) == ZERO
                    for vec in basis for row in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kernel_of_a_leading_block(self, sympy, data):
+        """The kernel of the first columns, read off the elimination of the
+        whole matrix, is the kernel of those columns alone."""
+        rows = data.draw(matrices())
+        width = data.draw(st.integers(1, len(rows[0])))
+        block = [row[:width] for row in rows]
+        expected = [[from_sympy(v) for v in vec] for vec in to_sympy(sympy, block).nullspace()]
+        assert rref_kernel(*rref(rows), width) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,11 +1,15 @@
 """Holomorphic solver, exact inner products, representation matrices,
 closed-form integration."""
 
+import copy
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantbench import catalog, exprs, linalg, quantize, runner
 from quantbench.catalog import (
     control_skew_structure,
     holomorphic_coordinates,
@@ -16,7 +20,8 @@ from quantbench.catalog import (
     standard_complex_structure,
 )
 from quantbench.errors import UnsupportedFiberError, UnsupportedIntegrationError
-from quantbench.exprs import parse_expr
+from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
+from quantbench.linalg import det
 from quantbench.quantize import (
     HolomorphicBasis,
     commutation_check,
@@ -31,7 +36,57 @@ from quantbench.quantize import (
     polarization_equivariance_check,
     unitarity_check,
 )
-from quantbench.scalars import ExactScalar, I, ZERO, rational
+from quantbench.scalars import ExactScalar, I, ONE, ZERO, rational
+
+_part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_scalars = st.builds(ExactScalar, _part, _part)
+# nonzero polynomials in x, y of degree at most 3 in each
+_xy_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _scalars,
+                            min_size=1, max_size=5).map(
+    lambda table: PolyExpr({tuple((v, e) for v, e in (("x", a), ("y", b)) if e): c
+                            for (a, b), c in table.items()})).filter(lambda p: not p.is_zero())
+Q = parse_expr("1 + x^2 + y^2").as_poly()
+
+
+class CallCounter:
+    """Counts the calls of `module.name` while installed with `monkeypatch`,
+    or as a context manager where no fixture is at hand."""
+
+    def __init__(self, module, name):
+        self.module, self.name = module, name
+        self.original = getattr(module, name)
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.original(*args, **kwargs)
+
+    def __enter__(self):
+        setattr(self.module, self.name, self)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.module, self.name, self.original)
+
+
+def _holomorphic_scenarios():
+    """(label, builder) for every catalog scenario the holomorphic-dimension
+    row solves on: holomorphic coordinates, a bundle, a structure, fibers."""
+    builds = [(f"{family}-{level}", lambda family=family, level=level:
+               catalog.build_scenario(family, level))
+              for family, spec in catalog.SCENARIO_FAMILIES.items()
+              for level in spec["levels"] or (None,)]
+    builds.append(("gauge-u1-rotation-1", lambda: catalog.gauge_u1_rotation_scenario(1)))
+    for label, build in builds:
+        s = build()
+        if s.holomorphic_coords is not None and s.bundle is not None and \
+                s.structure is not None and \
+                any(chart.fiber_coords for chart in s.atlas.charts.values()):
+            yield label, s
+
+
+def _texts(basis):
+    return [{p: str(f) for p, f in element.items()} for element in basis.elements]
 
 
 def beta_integral_oracle(a: int, k: int) -> Fraction:
@@ -113,6 +168,44 @@ class TestHolomorphicSolve:
             dims.add(holomorphic_solve(bundle, structure, holomorphic_coordinates(),
                                        cap).dimension)
         assert dims == {k + 1}
+
+    @pytest.mark.parametrize("scenario", [pytest.param(s, id=label)
+                                          for label, s in _holomorphic_scenarios()])
+    def test_one_elimination_matches_separate_solves(self, scenario):
+        inputs = (scenario.bundle, scenario.structure, scenario.holomorphic_coords)
+        cap = scenario.ansatz_cap
+        both = holomorphic_solve(*inputs, cap, cap + 2)
+        alone = holomorphic_solve(*inputs, cap)
+        assert _texts(both) == _texts(alone)
+        assert alone.probe_dimension == alone.dimension
+        assert both.probe_dimension == holomorphic_solve(*inputs, cap + 2).dimension
+
+    def test_robustness_mismatch_fails(self, orbit_scenarios):
+        # at cap 1 only z glues on the level-2 sphere; at cap 3 so do 1 and z^2
+        scenario = copy.copy(orbit_scenarios[2])
+        scenario.ansatz_cap = 1
+        ctx = runner.RunContext(scenario)
+        result = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension").run(ctx)
+        assert (result.ok, result.failures) == (False, [("robustness", "1 vs 3")])
+        assert result.notes == ["dimension 1 at caps 1 and 3"]
+        alone = holomorphic_solve(scenario.bundle, scenario.structure,
+                                  scenario.holomorphic_coords, 1)
+        assert _texts(ctx.basis) == _texts(alone) == [{"N": "-1i*y + x", "S": "-1i*v + u"}]
+
+    def test_holomorphic_dimension_eliminates_once(self, monkeypatch, rotation_scenarios):
+        scenario = rotation_scenarios[4]
+        ctx = runner.RunContext(scenario)
+        row = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension")
+        section_system = CallCounter(quantize, "rref")
+        every = CallCounter(linalg, "rref")
+        monkeypatch.setattr(quantize, "rref", section_system)
+        monkeypatch.setattr(linalg, "rref", every)
+        assert row.run(ctx).ok
+        assert section_system.calls == 1
+        row_calls, every.calls = every.calls, 0
+        holomorphic_solve(scenario.bundle, scenario.structure, scenario.holomorphic_coords,
+                          scenario.ansatz_cap)
+        assert row_calls == every.calls  # the polarization frames, then the system
 
     def test_kernel_is_monomial_span(self, atlas):
         bundle = o_bundle(atlas, 2)
@@ -199,6 +292,97 @@ class TestInnerProducts:
         bundle = o_bundle(atlas, 1)
         with pytest.raises(UnsupportedFiberError):
             fs_integral(parse_expr("1/(1+x^2)"))
+
+    @pytest.mark.parametrize("text", ["x^5/(1+x^2+y^2)",
+                                      "x^5*(1+x^2+y^2)^2/(1+x^2+y^2)^3",
+                                      "x^2*y^2/(1+x^2+y^2)"])
+    def test_divergent_integral_raises(self, text):
+        # off the diagonal too: |x^5| grows like r^5 against (1+r^2)^-3
+        with pytest.raises(UnsupportedFiberError):
+            fs_integral(parse_expr(text))
+
+    def test_monomial_convergence_counts_both_exponents(self):
+        assert fs_monomial_integral(1, 0, 2) == ZERO
+        assert fs_monomial_integral(3, 1, 4) == ZERO
+        for m, n, weight in ((5, 0, 3), (2, 0, 2), (3, 2, 3)):
+            with pytest.raises(UnsupportedFiberError):
+                fs_monomial_integral(m, n, weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_xy_polys, st.integers(-1, 2), st.integers(0, 3),
+           st.sampled_from([None, "x + 2", "y - i", "1 + x*y"]))
+    def test_uncancelled_powers_of_q_integrate_alike(self, p, shift, k, extra):
+        """P q^k / q^(N+k), and P f / (f q^N) for a factor f other than q,
+        give the simplify-first value of P / q^N; N = deg(P)//2 - 1 diverges."""
+        n = p.total_degree() // 2 + shift
+        if n < 0:
+            return
+        num, den = p * Q ** k, Q ** (n + k)
+        if extra is not None:
+            f = parse_expr(extra).as_poly()
+            num, den = num * f, den * f
+        expr = RationalExpr(num, den)
+        try:
+            expected = fs_integral(expr.simplify())
+        except UnsupportedFiberError:
+            assert shift < 0
+            with pytest.raises(UnsupportedFiberError):
+                fs_integral(expr)
+            return
+        assert shift >= 0
+        with CallCounter(exprs, "poly_gcd") as gcd:
+            assert fs_integral(expr) == expected
+        if extra is None:
+            assert gcd.calls == 0
+
+    def test_non_q_factor_takes_the_fallback(self):
+        # (x^2 + y^2) (x + 2) / ((x + 2) q^3): z zbar at weight 5 is 1!2!/4!
+        expr = RationalExpr(parse_expr("(x^2 + y^2)*(x + 2)").as_poly(),
+                            parse_expr("x + 2").as_poly() * Q ** 3)
+        with CallCounter(exprs, "poly_gcd") as gcd:
+            assert fs_integral(expr) == rational(1, 12)
+        assert gcd.calls > 0
+
+    def test_gram_matrix_runs_no_gcd(self, monkeypatch, rotation_quantizations):
+        result = rotation_quantizations[4]  # u1-rotation-reduction-4
+        gcd = CallCounter(exprs, "poly_gcd")
+        monkeypatch.setattr(exprs, "poly_gcd", gcd)
+        assert gram_matrix(result.bundle, result.basis) == result.gram
+        assert gcd.calls == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(_scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.fractions(-2, 6, max_denominator=2), min_size=n, max_size=n),
+        st.sampled_from(["gram", "hermitian", "plain"]))))
+    def test_leading_minors_match_determinants(self, drawn):
+        """Against the Laplace determinant of every leading block: on A^H A
+        shifted along the diagonal (often singular or indefinite), on
+        Hermitian matrices with a real diagonal, and on plain matrices."""
+        a, diagonal, kind = drawn
+        n = len(a)
+        if kind == "gram":
+            rows = [[sum((a[t][i].conj() * a[t][j] for t in range(n)), ZERO)
+                     + (diagonal[i] if i == j else ZERO) for j in range(n)]
+                    for i in range(n)]
+        elif kind == "hermitian":
+            rows = [[ExactScalar(diagonal[i]) if i == j else
+                     a[i][j] if i < j else a[j][i].conj() for j in range(n)]
+                    for i in range(n)]
+        else:
+            rows = a
+        expected = all(det([row[:size] for row in rows[:size]]).is_positive()
+                       for size in range(1, n + 1))
+        assert leading_minors_positive(rows) == expected
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[ZERO, ONE], [ONE, ZERO]], False),          # zero first pivot
+        ([[ONE, ONE], [ONE, ONE]], False),            # singular
+        ([[ONE, I], [-I, ExactScalar(2)]], True),
+        ([[ONE, ZERO], [ZERO, ExactScalar(-1)]], False),
+        ([], True)])
+    def test_leading_minors_edge_cases(self, rows, expected):
+        assert leading_minors_positive(rows) == expected
 
 
 class TestInducedRepresentation:

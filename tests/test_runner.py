@@ -283,6 +283,30 @@ def test_each_validation_runs_once_in_the_table(monkeypatch):
         assert calls == expected
 
 
+@pytest.mark.parametrize("build", [lambda: catalog.gauge_su2_scenario(1),
+                                   lambda: catalog.su2_orbit_scenario(1),
+                                   lambda: catalog.control_flipped_momentum(1)],
+                         ids=["gauge-su2-1", "su2-orbit-1", "control-flipped-momentum-1"])
+def test_momentum_differential_is_built_once_per_run(monkeypatch, build):
+    scenario = build()
+    original = hamiltonian.momentum_differential
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return original(s)
+    # every module that binds it, so a direct import is counted too
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "quantbench"]:
+        if getattr(module, "momentum_differential", None) is original:
+            monkeypatch.setattr(module, "momentum_differential", counted)
+    report = run_scenario(scenario)
+    assert built == [scenario]
+    readers = {"prequantization-condition", "differential-squares-to-zero", "chern-witness"}
+    if scenario.gauge is not None:
+        readers.add("gauge-momentum")
+    assert readers <= {r.check_id for r in report.records}
+
+
 def test_curvature_is_computed_once_per_bundle():
     bundle = catalog.o_bundle(catalog.sphere_atlas(), 1)
     assert curvature(bundle) is curvature(bundle)
