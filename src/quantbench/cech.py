@@ -31,7 +31,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     matvec,
-    rank,
     smith_normal_form,
     solve_linear,
 )
@@ -226,12 +225,11 @@ def cohomology_compute(cover: GoodCover, degree, coefficients="real"):
         image_cols = []
     # express image vectors in the kernel basis (exact rational solve, then int)
     kernel_rows = [[ExactScalar(kb[b][i]) for b in range(len(kb))] for i in range(n_k)]
-    rel_cols = []
-    for col in image_cols:
-        sol = solve_linear(kernel_rows, [ExactScalar(v) for v in col])
-        if sol is None:
-            raise MalformedExpressionError("image does not lie in the kernel")
-        rel_cols.append([_as_int(v) for v in sol])
+    solutions = solve_linear(kernel_rows, [[ExactScalar(v) for v in col]
+                                           for col in image_cols]) if image_cols else []
+    if any(sol is None for sol in solutions):
+        raise MalformedExpressionError("image does not lie in the kernel")
+    rel_cols = [[_as_int(v) for v in sol] for sol in solutions]
     if rel_cols:
         rel = [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(len(kb))]
         u, s, v, r = smith_normal_form(rel)
@@ -339,7 +337,7 @@ def class_of(cover: GoodCover, cochain: Cochain) -> CohomologyClass:
         for j in range(len(cover.slots(cochain.degree - 1))):
             cols.append([row[j] for row in d_prev])
     rows = [[cols[c][i] for c in range(len(cols))] for i in range(n)]
-    sol = solve_linear(rows, cochain.vector())
+    (sol,) = solve_linear(rows, [cochain.vector()])
     if sol is None:
         raise MalformedExpressionError("cocycle not in span of generators + coboundaries")
     return CohomologyClass(cover, cochain.degree, cochain, sol[:len(gen_vecs)])

@@ -68,12 +68,11 @@ class Chart:
 class Transition:
     """Coordinate map source -> target; exprs give target coords in source coords."""
 
-    def __init__(self, source, target, exprs, overlap="", sample_point=None):
+    def __init__(self, source, target, exprs, overlap=""):
         self.source = source
         self.target = target
         self.exprs = {k: coerce_rational(v) for k, v in exprs.items()}
         self.overlap = overlap
-        self.sample_point = sample_point
 
     def jacobian_entry(self, target_coord, source_coord):
         return self.exprs[target_coord].derivative(source_coord)

@@ -66,10 +66,6 @@ def rref(rows):
     return [[row.get(c, zero) for c in range(ncols)] for row in m], pivots
 
 
-def rank(rows):
-    return len(rref(rows)[1])
-
-
 def kernel_basis(rows, ncols=None):
     """Basis of the right kernel (list of column vectors)."""
     if ncols is None:
@@ -109,37 +105,36 @@ def inverse(rows):
     return [row[n:] for row in red]
 
 
-def solve_linear(rows, rhs):
-    """One solution of A x = b over the scalar field, or None."""
+def solve_linear(rows, columns):
+    """One solution of A x = b per right-hand side b in `columns`, or None
+    where b is inconsistent, from one elimination of [A | B].  The rows past
+    A's pivots are zero on A, so b is consistent exactly when they are zero
+    on b too; the free variables are set to zero."""
     if not rows:
-        return None if any(not _fieldify(v).is_zero() for v in rhs) else []
+        return [[] for _ in columns]
     ncols = len(rows[0])
-    aug = [_coerce_row(r) + [_fieldify(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+    red, pivots = rref([_coerce_row(row) + [_fieldify(col[i]) for col in columns]
+                        for i, row in enumerate(rows)])
+    rank_a = sum(1 for pc in pivots if pc < ncols)
+    solutions = []
+    for j in range(ncols, ncols + len(columns)):
+        if any(not row[j].is_zero() for row in red[rank_a:]):
+            solutions.append(None)
+            continue
+        x = [ZERO] * ncols
+        for r in range(rank_a):
+            x[pivots[r]] = red[r][j]
+        solutions.append(x)
+    return solutions
 
 
 def column_space_completion(image_cols, candidate_cols, nrows):
-    """Indices of candidates that extend span(image_cols) to a larger space."""
-    chosen = []
-    current = [list(col) for col in image_cols]
-    base_rank = rank(_transpose(current, nrows)) if current else 0
-    for idx, cand in enumerate(candidate_cols):
-        trial = current + [list(cand)]
-        if rank(_transpose(trial, nrows)) > base_rank:
-            chosen.append(idx)
-            current = trial
-            base_rank += 1
-    return chosen
-
-
-def _transpose(cols, nrows):
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
+    """Indices of the candidates that extend span(image_cols), each outside
+    the span of the image and the candidates before it: the pivot columns of
+    the candidate block in one elimination of [image | candidates]."""
+    cols = list(image_cols) + list(candidate_cols)
+    _, pivots = rref([[col[i] for col in cols] for i in range(nrows)])
+    return [pc - len(image_cols) for pc in pivots if pc >= len(image_cols)]
 
 
 def matvec(rows, vec):

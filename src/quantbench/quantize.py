@@ -206,12 +206,13 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
         chart_j = bundle.patch_chart(j)
         chart_k = bundle.patch_chart(k)
         c_expr = to_chart(atlas, c.rational, c.chart, chart_j)
-        glue_exprs = []
-        for a, f in enumerate(candidates[j]):
-            glue_exprs.append((column[j, a], f))
-        for b, g in enumerate(candidates[k]):
-            moved = to_chart(atlas, g, chart_k, chart_j)
+        # to_chart is a ring map: move w once and multiply up its powers
+        w = to_chart(atlas, holomorphic_coords[chart_k], chart_k, chart_j)
+        glue_exprs = [(column[j, a], f) for a, f in enumerate(candidates[j])]
+        moved = RationalExpr.const(1)
+        for b in range(probe_cap + 1):
             glue_exprs.append((column[k, b], -(c_expr * moved)))
+            moved = moved * w
         rows.extend(_linear_rows(glue_exprs, total))
     red, pivots = rref(rows)
     elements = []
@@ -339,8 +340,8 @@ def _strip_powers(den: PolyExpr, q: PolyExpr):
     return den, n_pow
 
 
-def inner_product(bundle: LineBundleData, elem1, elem2, base_point=None,
-                  patch=None, method="exact", tolerance=1e-9):
+def inner_product(bundle: LineBundleData, elem1, elem2, patch=None,
+                  method="exact", tolerance=1e-9):
     """Hermitian pairing <sigma1, sigma2> integrated over the fiber.
 
     The exact path covers the projective-line model (rational data over the
@@ -353,9 +354,6 @@ def inner_product(bundle: LineBundleData, elem1, elem2, base_point=None,
     f = coerce_rational(elem1[patch] if isinstance(elem1, dict) else elem1)
     g = coerce_rational(elem2[patch] if isinstance(elem2, dict) else elem2)
     h = bundle.weight(patch)
-    if base_point:
-        f, g, h = (v.subst({k: coerce_rational(val) for k, val in base_point.items()})
-                   for v in (f, g, h))
     integrand = f.conj() * g * h
     if not chart.fiber_coords:
         return integrand.constant_value() if method == "exact" else \
@@ -390,8 +388,7 @@ def _numeric_fs_integral(expr, x_name, y_name, tolerance):
     return complex(re_val, im_val)
 
 
-def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis, base_point=None,
-                patch=None):
+def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):
     """Gram matrix of `basis`.  Only the upper triangle is integrated: the
     integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
     row), so entry (j, i) is the conjugate of entry (i, j)."""
@@ -399,8 +396,7 @@ def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis, base_point=None
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            gram[i][j] = inner_product(bundle, basis.elements[i], basis.elements[j],
-                                       base_point=base_point, patch=patch)
+            gram[i][j] = inner_product(bundle, basis.elements[i], basis.elements[j])
             if j > i:
                 gram[j][i] = gram[i][j].conj()
     return gram
@@ -444,25 +440,24 @@ class QuantizationResult:
 def induced_representation(scenario: ActionScenario, ops,
                            basis: HolomorphicBasis) -> QuantizationResult:
     """Matrices of the operators `ops` of `kostant_operator` in the
-    holomorphic basis."""
+    holomorphic basis: one elimination per operator on the first patch, then
+    the identity image = sum_i M[i][e] basis_i, checked exactly on every other
+    patch."""
     bundle = basis.bundle
-    n = basis.dimension
-    patches = list(bundle.cover.index_set)
+    elements = basis.elements
+    p0, *others = bundle.cover.index_set
     matrices = []
     for op in ops:
-        images = {p: [op.apply(p, basis.elements[e][p]) for e in range(n)]
-                  for p in patches}
-        # solve for constant matrix entries using the first patch
-        p0 = patches[0]
-        mat = _expand_in_basis(images[p0], [basis.elements[e][p0] for e in range(n)])
-        # consistency on the remaining patches
-        for p in patches[1:]:
-            alt = _expand_in_basis(images[p], [basis.elements[e][p] for e in range(n)])
-            for i in range(n):
-                for j in range(n):
-                    if not (mat[i][j] - alt[i][j]).is_zero():
-                        raise MalformedExpressionError(
-                            "representation matrices differ between patches")
+        mat = _expand_in_basis([op.apply(p0, e[p0]) for e in elements],
+                               [e[p0] for e in elements])
+        for p in others:
+            for e, element in enumerate(elements):
+                image = op.apply(p, element[p])
+                for i, other in enumerate(elements):
+                    image = image - mat[i][e] * other[p]
+                if not image.is_zero():
+                    raise MalformedExpressionError(
+                        "representation matrices differ between patches")
         matrices.append(mat)
     gram = gram_matrix(bundle, basis)
     return QuantizationResult(bundle, basis, gram, matrices, scenario.model.generator_names)
@@ -478,56 +473,28 @@ def quantize_monomial(scenario: ActionScenario) -> QuantizationResult:
     return induced_representation(scenario, kostant_operator(scenario, bundle), basis)
 
 
-def _split_twopii(poly: PolyExpr):
-    """{twopii degree: {coordinate monomial: coefficient}}."""
-    out = {}
-    for mono, coeff in poly.coeffs().items():
-        d = dict(mono)
-        deg = d.pop(TWO_PI_I, 0)
-        out.setdefault(deg, {})[tuple(sorted(d.items()))] = coeff
-    return out
-
-
 def _expand_in_basis(images, basis_exprs):
-    """images[e] = sum_i M[i][e] basis_exprs[i]; entries polynomial in twopii.
-
-    Basis coefficient functions must be free of the twopii token; images may
-    carry it (momentum potentials do), so each twopii degree is matched
-    separately over the Gaussian rationals.
-    """
+    """M with images[e] = sum_i M[i][e] basis_exprs[i], entries polynomial in
+    twopii.  Basis elements must be free of twopii; images may carry it
+    (momentum potentials do), so the columns are basis_i twopii^d up to the
+    images' twopii degree, and every image is a right-hand side of the one
+    system."""
+    if any(TWO_PI_I in coerce_rational(b).variables() for b in basis_exprs):
+        raise MalformedExpressionError("basis elements must not carry twopii")
+    images = [coerce_rational(f) for f in images]
+    top = max((e for f in images for mono in f.num.coeffs() for v, e in mono
+               if v == TWO_PI_I), default=0)
+    token = RationalExpr.var(TWO_PI_I)
+    columns = [b * token ** d for d in range(top + 1) for b in basis_exprs]
+    width = len(columns)
+    rows = _linear_rows(enumerate(columns + images), width + len(images))
+    solutions = solve_linear([row[:width] for row in rows],
+                             [[row[width + e] for row in rows] for e in range(len(images))])
+    if any(sol is None for sol in solutions):
+        raise MalformedExpressionError("operator image leaves the holomorphic solution space")
     n = len(basis_exprs)
-    den = PolyExpr.const(1)
-    for expr in list(images) + list(basis_exprs):
-        den = den * coerce_rational(expr).simplify().den
-    basis_coeffs = []
-    for expr in basis_exprs:
-        expr = coerce_rational(expr).simplify()
-        poly = expr.num * den.exact_div(expr.den)
-        if TWO_PI_I in poly.variables():
-            raise MalformedExpressionError("basis elements must not carry twopii")
-        basis_coeffs.append(poly.coeffs())
-    monomials = sorted({m for c in basis_coeffs for m in c},
-                       key=lambda m: tuple(sorted(m)))
-    rows = [[c.get(m, ZERO) for c in basis_coeffs] for m in monomials]
-    matrix = [[RationalExpr.zero()] * len(images) for _ in range(n)]
-    for e, expr in enumerate(images):
-        expr = coerce_rational(expr).simplify()
-        target = expr.num * den.exact_div(expr.den)
-        for deg, part in _split_twopii(target).items():
-            extra = set(part) - set(monomials)
-            if extra:
-                raise MalformedExpressionError(
-                    "operator image leaves the holomorphic solution space")
-            rhs = [part.get(m, ZERO) for m in monomials]
-            sol = solve_linear(rows, rhs)
-            if sol is None:
-                raise MalformedExpressionError(
-                    "operator image leaves the holomorphic solution space")
-            token = RationalExpr.var(TWO_PI_I) ** deg
-            for i in range(n):
-                if not sol[i].is_zero():
-                    matrix[i][e] = matrix[i][e] + token * sol[i]
-    return matrix
+    return [[sum((token ** d * sol[d * n + i] for d in range(top + 1)), RationalExpr.zero())
+             for sol in solutions] for i in range(n)]
 
 
 def commutation_check(result: QuantizationResult, model) -> CheckResult:

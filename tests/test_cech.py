@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quantbench import cech
 from quantbench.catalog import (
     omega_fs,
     sector_cover,
@@ -102,6 +103,21 @@ class TestCohomology:
                           chart_refs={(i,): "C" for i in (0, 1, 2)})
         assert cohomology_compute(cover, 1, "real").rank == 1
         assert cohomology_compute(cover, 0, "real").rank == 1
+
+    def test_integer_path_solves_once(self, monkeypatch, cover4):
+        """Every image column of the degree-1 coboundary is expressed in the
+        kernel basis by one solve."""
+        calls = []
+        original = cech.solve_linear
+
+        def counted(rows, columns):
+            calls.append(len(columns))
+            return original(rows, columns)
+
+        monkeypatch.setattr(cech, "solve_linear", counted)
+        h2 = cohomology_compute(cover4, 2, "integer")
+        assert (h2.rank, h2.torsion) == (1, ())
+        assert len(calls) == 1 and calls[0] == len(cover4.slots(1))
 
     def test_smith_normal_form_oracle(self):
         # independently verify U A V = S and divisibility on a fixed matrix

@@ -146,6 +146,19 @@ class TestQuantizationIsomorphism:
         report = quantization_isomorphism_check(scenario, None)
         assert report.ok
 
+    def test_scaled_fiber_weights_fail_the_gram(self):
+        """The gauge bundle copies the fiber's weights at the build; scaling
+        the fiber's afterwards scales its Gram matrix, whose nonzero entries
+        (the diagonal) then differ from the gauge scenario's."""
+        scenario = gauge_su2_scenario(1)
+        gauge_rep = quantize_monomial(scenario)
+        fiber_bundle = scenario.gauge.fiber.bundle
+        for patch, weight in list(fiber_bundle.metric_weights.items()):
+            fiber_bundle.metric_weights[patch] = parse_expr("2") * weight
+        report = quantization_isomorphism_check(scenario, gauge_rep)
+        assert (report.ok, report.failures) == \
+            (False, [("gram", "entry 0,0"), ("gram", "entry 1,1")])
+
 
 class TestIntegratedRep:
     def test_same_potential_trivially_equal(self):

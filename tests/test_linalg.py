@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
-from quantbench.linalg import inverse, kernel_basis, rank, rref, rref_kernel, solve_linear
+from quantbench import linalg
+from quantbench.linalg import (
+    column_space_completion,
+    inverse,
+    kernel_basis,
+    rref,
+    rref_kernel,
+    solve_linear,
+)
 from quantbench.scalars import ExactScalar, ONE, ZERO
 
 _part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -64,7 +72,6 @@ class TestAgainstSympy:
     def test_rref_and_rank(self, sympy, rows):
         expected, pivots = sympy_rref(sympy, rows)
         assert rref(rows) == (expected, pivots)
-        assert rank(rows) == len(pivots)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())
@@ -98,7 +105,7 @@ class TestAgainstSympy:
         else:
             rhs = [data.draw(_entries) for _ in range(m)]
         red, pivots = sympy_rref(sympy, [row + [b] for row, b in zip(rows, rhs)])
-        solution = solve_linear(rows, rhs)
+        (solution,) = solve_linear(rows, [rhs])
         if n in pivots:
             assert solution is None
             return
@@ -107,6 +114,73 @@ class TestAgainstSympy:
             expected[c] = red[r][n]
         assert solution == expected
         assert [sum((a * x for a, x in zip(row, solution)), ZERO) for row in rows] == rhs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_linear_many_columns(self, sympy, data):
+        """One elimination of [A | B] against sympy's rref of [A | b] for each
+        column alone.  A gains a zero row; one column is nonzero there, so it
+        is inconsistent, and another is in the span of A and that column."""
+        rows = data.draw(matrices())
+        n = len(rows[0])
+        rows = rows + [[ZERO] * n]
+        columns = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):  # consistent by construction
+                x0 = [data.draw(_entries) for _ in range(n)]
+                columns.append([sum((a * x for a, x in zip(row, x0)), ZERO) for row in rows])
+            else:
+                columns.append([data.draw(_entries) for _ in rows])
+        bad = [data.draw(_entries) for _ in rows[:-1]] + [ONE]
+        x0 = [data.draw(_entries) for _ in range(n)]
+        mixed = [2 * b + sum((a * x for a, x in zip(row, x0)), ZERO)
+                 for b, row in zip(bad, rows)]
+        at = data.draw(st.integers(0, len(columns)))
+        columns[at:at] = [bad, mixed]
+        solutions = solve_linear(rows, columns)
+        assert len(solutions) == len(columns)
+        assert solutions[at] is None and solutions[at + 1] is None
+        for rhs, solution in zip(columns, solutions):
+            red, pivots = sympy_rref(sympy, [row + [b] for row, b in zip(rows, rhs)])
+            if n in pivots:
+                assert solution is None
+                continue
+            expected = [ZERO] * n
+            for r, c in enumerate(pivots):
+                expected[c] = red[r][n]
+            assert solution == expected
+
+    def test_solve_linear_without_rows(self):
+        assert solve_linear([], []) == []
+        assert solve_linear([], [[], []]) == [[], []]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_column_space_completion(self, sympy, data):
+        """The pivots of one elimination against the greedy rank loop that
+        chose the candidates before, one rank per trial."""
+        rows = data.draw(matrices())
+        cols = [list(col) for col in zip(*rows)]
+        cols += [cols[i] for i in data.draw(st.lists(st.integers(0, len(cols) - 1),
+                                                       max_size=2))]
+        split = data.draw(st.integers(0, len(cols)))
+        image, candidates = cols[:split], cols[split:]
+        assert column_space_completion(image, candidates, len(rows)) == \
+            greedy_completion(sympy, image, candidates, len(rows))
+
+    def test_column_space_completion_eliminates_once(self, monkeypatch):
+        calls = []
+        original = linalg.rref
+
+        def counted(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        image = [[ONE, ZERO, ZERO]]
+        candidates = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ONE, ONE, ZERO], [ZERO, ZERO, ONE]]
+        assert column_space_completion(image, candidates, 3) == [1, 3]
+        assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())
@@ -120,6 +194,26 @@ class TestAgainstSympy:
             return
         assert inverse(square) == [[from_sympy(expected[i, j]) for j in range(n)]
                                    for i in range(n)]
+
+
+def greedy_completion(sympy, image_cols, candidate_cols, nrows):
+    """The greedy loop `column_space_completion` ran before it eliminated
+    once: keep a candidate when it raises the rank (sympy's) of the columns
+    kept so far."""
+    def rank(cols):
+        return to_sympy(sympy, [[col[i] for col in cols] for i in range(nrows)]).rank() \
+            if cols and nrows else 0
+
+    chosen = []
+    current = [list(col) for col in image_cols]
+    base_rank = rank(current)
+    for idx, cand in enumerate(candidate_cols):
+        trial = current + [list(cand)]
+        if rank(trial) > base_rank:
+            chosen.append(idx)
+            current = trial
+            base_rank += 1
+    return chosen
 
 
 def dense_rref(rows):

@@ -19,9 +19,14 @@ from quantbench.catalog import (
     sphere_family_scenario,
     standard_complex_structure,
 )
-from quantbench.errors import UnsupportedFiberError, UnsupportedIntegrationError
-from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
-from quantbench.linalg import det
+from quantbench.bundles import kostant_operator
+from quantbench.errors import (
+    MalformedExpressionError,
+    UnsupportedFiberError,
+    UnsupportedIntegrationError,
+)
+from quantbench.exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational, parse_expr
+from quantbench.linalg import det, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
     commutation_check,
@@ -83,6 +88,45 @@ def _holomorphic_scenarios():
                 s.structure is not None and \
                 any(chart.fiber_coords for chart in s.atlas.charts.values()):
             yield label, s
+
+
+def reference_matrix(images, basis_exprs):
+    """M with images[e] = sum_i M[i][e] basis_exprs[i], solved as before one
+    elimination served every operator: over the product of all denominators,
+    one solve for each image and each twopii degree of it."""
+    images = [coerce_rational(f).simplify() for f in images]
+    basis_exprs = [coerce_rational(f).simplify() for f in basis_exprs]
+    den = PolyExpr.const(1)
+    for expr in images + basis_exprs:
+        den = den * expr.den
+    basis_coeffs = [(f.num * den.exact_div(f.den)).coeffs() for f in basis_exprs]
+    monomials = sorted({m for c in basis_coeffs for m in c})
+    rows = [[c.get(m, ZERO) for c in basis_coeffs] for m in monomials]
+    matrix = [[RationalExpr.zero()] * len(images) for _ in basis_exprs]
+    for e, f in enumerate(images):
+        parts = {}
+        for mono, coeff in (f.num * den.exact_div(f.den)).coeffs().items():
+            rest = dict(mono)
+            parts.setdefault(rest.pop(TWO_PI_I, 0), {})[tuple(sorted(rest.items()))] = coeff
+        for deg, part in parts.items():
+            assert set(part) <= set(monomials)
+            (sol,) = solve_linear(rows, [[part.get(m, ZERO) for m in monomials]])
+            assert sol is not None
+            for i, value in enumerate(sol):
+                matrix[i][e] = matrix[i][e] + RationalExpr.var(TWO_PI_I) ** deg * value
+    return matrix
+
+
+class Shifted:
+    """An operator whose image on the given patches gains `shift` times its
+    argument."""
+
+    def __init__(self, op, shift, patches):
+        self.op, self.shift, self.patches = op, shift, patches
+
+    def apply(self, p, f):
+        image = self.op.apply(p, f)
+        return image + f * self.shift if p in self.patches else image
 
 
 def _texts(basis):
@@ -421,6 +465,71 @@ class TestInducedRepresentation:
         assert diffs == {ExactScalar(1)}
         assert weights[0] == ExactScalar(Fraction(-k, 2))
         assert weights[-1] == ExactScalar(Fraction(k, 2))
+
+    @pytest.mark.parametrize("scenario", [pytest.param(s, id=label)
+                                          for label, s in _holomorphic_scenarios()])
+    def test_matrices_match_separate_solves(self, scenario):
+        """One elimination per operator gives the matrices of one solve per
+        image and twopii degree, and image = sum_i M[i][e] basis_i holds on
+        every patch."""
+        result = quantize.quantize_monomial(scenario)
+        elements = result.basis.elements
+        p0 = scenario.bundle.cover.index_set[0]
+        for op, mat in zip(kostant_operator(scenario, scenario.bundle), result.matrices):
+            expected = reference_matrix([op.apply(p0, e[p0]) for e in elements],
+                                        [e[p0] for e in elements])
+            assert [[str(v) for v in row] for row in mat] == \
+                [[str(v) for v in row] for row in expected]
+            for p in scenario.bundle.cover.index_set:
+                for e, element in enumerate(elements):
+                    combination = sum((mat[i][e] * other[p] for i, other in enumerate(elements)),
+                                      RationalExpr.zero())
+                    assert (op.apply(p, element[p]) - combination).is_zero()
+
+    def test_twopii_images_split_by_degree(self, orbit_scenarios):
+        """The catalog's images cancel twopii; operators shifted by a
+        polynomial in twopii on every patch give matrices of twopii degree 2,
+        equal to the per-degree solves and to the unshifted matrices plus the
+        shift on the diagonal."""
+        scenario = orbit_scenarios[2]
+        token = RationalExpr.var(TWO_PI_I)
+        shift = token * rational(1, 3) + token ** 2 * rational(-2, 5)
+        ops = kostant_operator(scenario, scenario.bundle)
+        shifted = [Shifted(op, shift, set(scenario.bundle.cover.index_set)) for op in ops]
+        basis = holomorphic_solve(scenario.bundle, scenario.structure,
+                                  scenario.holomorphic_coords, scenario.ansatz_cap)
+        plain = induced_representation(scenario, ops, basis).matrices
+        result = induced_representation(scenario, shifted, basis).matrices
+        elements = basis.elements
+        for op, mat, before in zip(shifted, result, plain):
+            expected = reference_matrix([op.apply("N", e["N"]) for e in elements],
+                                        [e["N"] for e in elements])
+            assert [[str(v) for v in row] for row in mat] == \
+                [[str(v) for v in row] for row in expected]
+            for i, row in enumerate(mat):
+                for j, value in enumerate(row):
+                    assert (value - before[i][j] - (shift if i == j else 0)).is_zero()
+
+    def test_perturbed_patch_differs(self, orbit_scenarios):
+        scenario = orbit_scenarios[1]
+        ops = kostant_operator(scenario, scenario.bundle)
+        basis = holomorphic_solve(scenario.bundle, scenario.structure,
+                                  scenario.holomorphic_coords, scenario.ansatz_cap)
+        assert scenario.bundle.cover.index_set == ("N", "S")
+        induced_representation(scenario, ops, basis)
+        perturbed = (ops[0], Shifted(ops[1], rational(1, 7), {"S"}), ops[2])
+        with pytest.raises(MalformedExpressionError, match="differ between patches"):
+            induced_representation(scenario, perturbed, basis)
+
+    def test_one_elimination_per_operator(self, monkeypatch, gauge_su2_1):
+        ops = kostant_operator(gauge_su2_1, gauge_su2_1.bundle)
+        basis = holomorphic_solve(gauge_su2_1.bundle, gauge_su2_1.structure,
+                                  gauge_su2_1.holomorphic_coords, gauge_su2_1.ansatz_cap)
+        every = CallCounter(linalg, "rref")
+        monkeypatch.setattr(linalg, "rref", every)
+        result = induced_representation(gauge_su2_1, ops, basis)
+        assert len(ops) == len(result.matrices) == 5
+        assert every.calls == 5
 
     def test_kernel_preserved_for_all_generators(self, orbit_quantizations):
         # induced_representation raises if any operator leaves the kernel,
