@@ -84,7 +84,6 @@ from .reduce import (
     ReducedSpace,
     ZeroLevelData,
     descent_obstruction_check,
-    full_mw_quotient,
     internal_mw_quotient,
     qr_commute_check,
     quantum_fixed_subspace,

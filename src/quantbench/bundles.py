@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .cech import GoodCover, OverlapFunction, derham_to_cech, integrality_test
 from .errors import CurvatureMismatchError, IntegralityError, MalformedExpressionError
-from .exprs import RationalExpr, coerce_rational
+from .exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational
 from .geometry import (
     DifferentialForm,
     LEAF_FULL,
@@ -301,6 +301,9 @@ def construct_from_integral_class(omega: DifferentialForm, cover: GoodCover,
 # covariant operators with momentum potentials
 # ---------------------------------------------------------------------------
 
+_TWO_PI_I_POLY = PolyExpr.var(TWO_PI_I)
+
+
 class KostantOperator:
     """First-order operator nabla_{alpha(X)} - twopii <mu, X> on local frames."""
 
@@ -312,12 +315,19 @@ class KostantOperator:
         self.pairing = pairing_combination(scenario.atlas, scenario.momentum.pairings,
                                            section.coeffs)
         self._potentials = {}
+        self._multipliers = {}
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
             contraction = interior_product(self.vector_part, bundle.potential(idx))
             pot = contraction.coefficient(chart, ()) - \
                 self.pairing.get(chart, RationalExpr.zero())
-            self._potentials[idx] = pot * RationalExpr.var("twopii")
+            self._potentials[idx] = pot * RationalExpr.var(TWO_PI_I)
+            # the same potential with its 1/twopii cancelled by an exact
+            # division of the denominator by the monomial, so that images
+            # stay free of twopii; the identity rows print the form above
+            lowered = pot.den.exact_div(_TWO_PI_I_POLY)
+            self._multipliers[idx] = self._potentials[idx] if lowered is None \
+                else RationalExpr(pot.num, lowered)
 
     def potential_part(self, idx) -> RationalExpr:
         return self._potentials[idx]
@@ -326,7 +336,7 @@ class KostantOperator:
         """Action on f s_idx in the idx-th frame."""
         chart = self.bundle.patch_chart(idx)
         f = coerce_rational(local_coefficient)
-        return self.vector_part.derive(f, chart) + self._potentials[idx] * f
+        return self.vector_part.derive(f, chart) + self._multipliers[idx] * f
 
 
 def kostant_operator(scenario: ActionScenario, bundle: LineBundleData) -> tuple:

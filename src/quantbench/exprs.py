@@ -201,6 +201,10 @@ class PolyExpr:
 
     def __mul__(self, other):
         other = _coerce_poly(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         # products by 1 are common: coerced constants, polynomial denominators
         if other.terms == _ONE_TERMS and other.den == 1:
             return self
@@ -278,17 +282,13 @@ class PolyExpr:
         return total
 
     def subst(self, mapping: dict) -> "RationalExpr":
-        """Substitute variables by RationalExpr values (missing vars stay)."""
-        out = RationalExpr.zero()
-        for m, pair in self.terms.items():
-            term = _quotient(_canonical({0: pair}, self.den), _ONE_POLY)
-            for v, e in _mono_tuple(m):
-                if v in mapping:
-                    term = term * (_coerce_rational(mapping[v]) ** e)
-                else:
-                    term = term * RationalExpr.from_poly(PolyExpr.var(v, e))
-            out = out + term
-        return out
+        """Substitute variables by RationalExpr values (missing vars stay).
+        The result is over one denominator: the product of d^k over the
+        distinct denominators d of the values, k being the largest degree of
+        a term in the variables whose values are over d."""
+        sub = _Substitution(mapping, self)
+        num, degrees = sub.numerator(self)
+        return _quotient(num, sub.denominator(degrees))
 
     # -- structure for division/gcd ------------------------------------------
     def leading(self):
@@ -669,6 +669,8 @@ class RationalExpr:
 
     # -- calculus --------------------------------------------------------------
     def derivative(self, var: str) -> "RationalExpr":
+        if self.den.terms == _ONE_TERMS:  # a monic constant is 1
+            return _quotient(self.num.derivative(var), self.den)
         return _quotient(
             self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
             self.den * self.den,
@@ -678,10 +680,14 @@ class RationalExpr:
         return RationalExpr(self.num.conj(), self.den.conj())
 
     def subst(self, mapping: dict) -> "RationalExpr":
-        den = self.den.subst(mapping)
+        sub = _Substitution(mapping, self.num, self.den)
+        den, down = sub.numerator(self.den)
         if den.is_zero():
             raise MalformedExpressionError("substitution lands on zero denominator")
-        return self.num.subst(mapping) / den
+        num, up = sub.numerator(self.num)
+        # (num / prod d^up) / (den / prod d^down): each side takes the powers
+        # by which the other one's exceed its own
+        return RationalExpr(num * sub.denominator(down, up), den * sub.denominator(up, down))
 
     def evaluate(self, point: dict) -> ExactScalar:
         d = self.den.evaluate(point)
@@ -756,6 +762,102 @@ def coerce_rational(value) -> RationalExpr:
 def simplify(expr: RationalExpr) -> RationalExpr:
     """Module-level canonical simplification (idempotent)."""
     return _coerce_rational(expr).simplify()
+
+
+class _Substitution:
+    """The values of one `subst` call, grouped by denominator.
+
+    A polynomial whose terms have degree at most k_g in the variables of
+    group g becomes N / prod_g d_g^k_g, where each term contributes its
+    coefficient times the unmapped part of its monomial times the product of
+    the values' numerator powers and of d_g^(k_g - its degree in group g).
+    Adding those terms is one pass over one dict, with no denominator to
+    cross-multiply.  Each power of a value's numerator or of a group
+    denominator is built once per call (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, 2013, sec. 6)."""
+
+    def __init__(self, mapping: dict, *polys: PolyExpr):
+        used = reduce(or_, (m for p in polys for m in p.terms), 0)
+        self.fields = []  # (bit offset, group or None, [numerator^0, numerator^1, ...])
+        self.groups = []  # group -> [d^0, d^1, ...]
+        for v, value in mapping.items():
+            s = _SHIFT.get(v)
+            if s is None or not (used >> s) & _MASK:
+                continue
+            value = _coerce_rational(value)
+            group = None
+            if value.den.terms != _ONE_TERMS:  # a monic constant is 1
+                for group, powers in enumerate(self.groups):
+                    if powers[1] == value.den:
+                        break
+                else:
+                    group = len(self.groups)
+                    self.groups.append([_ONE_POLY, value.den])
+            self.fields.append((s, group, [_ONE_POLY, value.num]))
+
+    @staticmethod
+    def _power(powers: list, e: int) -> PolyExpr:
+        while len(powers) <= e:
+            powers.append(powers[-1] * powers[1])
+        return powers[e]
+
+    def numerator(self, poly: PolyExpr):
+        """(N, k): `poly` after substitution is N / prod_g d_g^k[g]."""
+        fields, power = self.fields, self._power
+        degrees = [0] * len(self.groups)
+        if not fields:
+            return poly, degrees
+        split, signatures = [], {}
+        for m, pair in poly.terms.items():
+            exps = tuple((m >> s) & _MASK for s, _, _ in fields)
+            for (s, _, _), e in zip(fields, exps):
+                m -= e << s
+            split.append((exps, m, pair))
+            if exps not in signatures:
+                own = [0] * len(self.groups)
+                for (_, group, _), e in zip(fields, exps):
+                    if group is not None:
+                        own[group] += e
+                signatures[exps] = own
+                degrees = [max(k, d) for k, d in zip(degrees, own)]
+        products = {}
+        for exps, own in signatures.items():
+            factors = [power(powers, e) for (_, _, powers), e in zip(fields, exps) if e]
+            factors += [power(self.groups[g], k - d)
+                        for g, (k, d) in enumerate(zip(degrees, own)) if k > d]
+            product = _ONE_POLY
+            for factor in sorted(factors, key=lambda f: len(f.terms)):
+                product = product * factor
+            products[exps] = product
+        den = lcm(*(p.den for p in products.values()))
+        acc = {}
+        get = acc.get
+        for exps, rest, (a, b) in split:
+            product = products[exps]
+            scale = den // product.den
+            a, b = a * scale, b * scale
+            for m, (c, d) in product.terms.items():
+                m += rest
+                slot = get(m)
+                if slot is None:
+                    acc[m] = [a * c - b * d, a * d + b * c]
+                else:
+                    slot[0] += a * c - b * d
+                    slot[1] += a * d + b * c
+        if _GUARDS & reduce(or_, acc, 0):
+            raise MalformedExpressionError(f"exponent over {_MAX_EXP} in a substitution")
+        terms = {m: (re, im) for m, (re, im) in acc.items() if re or im}
+        return _canonical(terms, poly.den * den), degrees
+
+    def denominator(self, degrees: list, minus: list = None) -> PolyExpr:
+        """prod_g d_g^(degrees[g] - minus[g]) over the positive differences;
+        monic, since every d_g is."""
+        out = _ONE_POLY
+        for g, powers in enumerate(self.groups):
+            e = degrees[g] - (minus[g] if minus else 0)
+            if e > 0:
+                out = out * self._power(powers, e)
+        return out
 
 
 # ---------------------------------------------------------------------------

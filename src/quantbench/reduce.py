@@ -102,44 +102,6 @@ def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
         "positive-dimensional quotients with nontrivial isotropy need a declared model")
 
 
-class FullQuotient:
-    def __init__(self, orbit_classes, fibers, hausdorff, note=""):
-        self.orbit_classes = orbit_classes
-        self.fibers = fibers
-        self.hausdorff = hausdorff
-        self.note = note
-
-    def __repr__(self):
-        return (f"FullQuotient({len(self.orbit_classes)} orbit classes, "
-                f"hausdorff={self.hausdorff})")
-
-
-def full_mw_quotient(z: ZeroLevelData, internal: ReducedSpace, base_points,
-                     identifications, hausdorff=True, note="") -> FullQuotient:
-    """Glue internal quotients along declared groupoid arrows.
-
-    identifications: iterable of pairs of base points declared to lie in one
-    orbit; the fiber models are identified by the declared symplectomorphism
-    (identity in the trivialized catalog).
-    """
-    parents = {p: p for p in base_points}
-
-    def find(p):
-        while parents[p] != p:
-            parents[p] = parents[parents[p]]
-            p = parents[p]
-        return p
-
-    for a, b in identifications:
-        parents[find(a)] = find(b)
-    classes = {}
-    for p in base_points:
-        classes.setdefault(find(p), []).append(p)
-    orbit_classes = sorted(classes.values(), key=lambda c: str(c))
-    fibers = {tuple(c): internal for c in orbit_classes}
-    return FullQuotient(orbit_classes, fibers, hausdorff, note)
-
-
 # ---------------------------------------------------------------------------
 # quantum reduction
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from quantbench.exprs import (
     TWO_PI_I,
     PolyExpr,
     RationalExpr,
+    _canonical,
     parse_expr,
     poly_gcd,
     simplify,
@@ -199,8 +200,8 @@ _part = st.fractions(min_value=-12, max_value=12, max_denominator=12)
 _coefficients = st.builds(ExactScalar, _part, _part)
 
 
-def _polys(max_terms):
-    exponents = st.tuples(*[st.integers(0, 2)] * len(VARS))
+def _polys(max_terms, max_exp=2):
+    exponents = st.tuples(*[st.integers(0, max_exp)] * len(VARS))
     return st.dictionaries(exponents, _coefficients, max_size=max_terms).map(
         lambda table: PolyExpr({tuple((v, e) for v, e in zip(VARS, exps) if e): c
                                 for exps, c in table.items()}))
@@ -416,6 +417,125 @@ class TestAgainstSympy:
         assert conj.den == parse_expr(den).as_poly()
         assert conj.den.leading()[1] == (conj.den.den, 0)
         assert conj == parse_expr(conjugate)
+
+
+def _ring_subst(oracle, poly: PolyExpr, values: dict):
+    """(A, B) with poly(values) = A/B in sympy's ring, `values` mapping names
+    to (numerator, denominator) ring pairs: the textbook term-by-term sum,
+    each term over the product of its values' denominators."""
+    ring = oracle.ring
+    gens = dict(zip(VARS, ring.gens))
+    total, common = ring.zero, ring.one
+    for exps, c in oracle.to_sympy(poly).terms():
+        num, den = ring(c), ring.one
+        for v, e in zip(VARS, exps):
+            if not e:
+                continue
+            if v in values:
+                n, d = values[v]
+                num, den = num * n ** e, den * d ** e
+            else:
+                num = num * gens[v] ** e
+        total, common = total * den + num * common, common * den
+    return total, common
+
+
+def _check_substitution(oracle, p: RationalExpr, mapping: dict):
+    """p.subst(mapping) against the quotient of the two sides substituted in
+    sympy's ring, compared by cross-multiplication, or the zero-denominator
+    error where sympy's substituted denominator is 0.  No gcd runs on the
+    sympy side: cancelling the term-by-term quotient, or sympy's cancel()
+    of subs() on expressions, takes minutes on some five-variable inputs."""
+    values = {v: (oracle.to_sympy(r.num), oracle.to_sympy(r.den)) for v, r in mapping.items()}
+    top, top_den = _ring_subst(oracle, p.num, values)
+    bottom, bottom_den = _ring_subst(oracle, p.den, values)
+    if bottom.is_zero:
+        with pytest.raises(MalformedExpressionError, match="substitution lands"):
+            p.subst(mapping)
+        return
+    assert_monic_quotient(oracle, p.subst(mapping), top * bottom_den, top_den * bottom)
+
+
+_targets = st.sets(st.sampled_from(VARS), min_size=1, max_size=3)
+# exponents up to 1 keep the products of sympy's term-by-term sum small
+_linear_polys = _polys(3, 1)
+_linear_nonzero = _polys(2, 1).filter(lambda p: not p.is_zero())
+_values = st.builds(RationalExpr, _linear_polys, _linear_nonzero)
+# what is substituted into: squares make the numerator and denominator powers
+_substituted = st.builds(RationalExpr, small_polys, _linear_nonzero)
+
+
+class TestSubstitution:
+    """`subst` over one denominator agrees with sympy's ring."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_substituted, _targets, st.lists(_linear_polys, min_size=3, max_size=3),
+           _linear_nonzero)
+    def test_values_over_one_denominator(self, oracle, p, targets, nums, d):
+        mapping = {v: RationalExpr(n, d) for v, n in zip(sorted(targets), nums)}
+        _check_substitution(oracle, p, mapping)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_substituted, _targets, st.lists(_values, min_size=3, max_size=3))
+    def test_values_over_distinct_denominators(self, oracle, p, targets, values):
+        _check_substitution(oracle, p, dict(zip(sorted(targets), values)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_substituted, st.sampled_from([v for v in VARS if v != TWO_PI_I]), _values)
+    def test_partial_mapping_keeps_the_other_variables(self, oracle, p, target, value):
+        _check_substitution(oracle, p, {target: value})
+
+    @settings(max_examples=15, deadline=None)
+    @given(_substituted, _values, _values)
+    def test_twopii_is_substituted_when_mapped(self, oracle, p, value, other):
+        _check_substitution(oracle, p, {TWO_PI_I: value, "a": other})
+
+    @pytest.mark.parametrize("text, mapping", [
+        ("x/(x-y)", {"y": "x"}),
+        ("1/(a*b-1)", {"a": "c/(c^2+1)", "b": "(c^2+1)/c"}),
+        ("1/(a+b)", {"a": "1/(c+1)", "b": "-1/(c+1)"}),
+    ])
+    def test_zero_denominator_raises(self, text, mapping):
+        with pytest.raises(MalformedExpressionError, match="substitution lands"):
+            parse_expr(text).subst({v: parse_expr(t) for v, t in mapping.items()})
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5])
+    def test_sphere_pull_back_is_over_one_power(self, degree):
+        """A degree-d polynomial in the S chart's (u, v), pulled back through
+        the N -> S transition u = x/(x^2+y^2), v = -y/(x^2+y^2), is over
+        (x^2+y^2)^d: the one group's denominator to the largest degree."""
+        from quantbench import catalog
+        transition = catalog.su2_orbit_scenario(1).atlas.transition("N", "S")
+        rng = random.Random(degree)
+        poly = PolyExpr({(("u", i), ("v", j)): rational(rng.randint(1, 9), rng.randint(1, 5))
+                         for i in range(degree + 1) for j in range(degree + 1 - i)})
+        pulled = transition.compose_into(RationalExpr.from_poly(poly))
+        assert pulled.den == parse_expr(f"(x^2+y^2)^{degree}").as_poly()
+        again = transition.compose_into(RationalExpr(poly, poly + 1))
+        assert again.den.total_degree() == again.num.total_degree() == 2 * degree
+
+
+class TestEarlyReturns:
+    """The shortcuts give the `terms` and `den` of the general path."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys)
+    def test_product_with_zero(self, a):
+        zero = PolyExpr()
+        general = _canonical({}, a.den * zero.den)
+        for product in (a * zero, zero * a, a * 0):
+            assert (product.terms, product.den) == (general.terms, general.den)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys)
+    def test_derivative_over_one(self, a):
+        p = RationalExpr.from_poly(a)
+        for v in VARS:
+            num = p.num.derivative(v) * p.den - p.num * p.den.derivative(v)
+            den = p.den * p.den
+            ours = p.derivative(v)
+            assert (ours.num.terms, ours.num.den) == (num.terms, num.den)
+            assert (ours.den.terms, ours.den.den) == (den.terms, den.den)
 
 
 class TestMonicByConstruction:

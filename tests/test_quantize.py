@@ -531,6 +531,22 @@ class TestInducedRepresentation:
         assert len(ops) == len(result.matrices) == 5
         assert every.calls == 5
 
+    @pytest.mark.parametrize("family, level", [("su2-orbit-k", 1),
+                                               ("u1-rotation-reduction-k", 2)])
+    def test_one_column_per_basis_element(self, monkeypatch, family, level):
+        """The operators cancel the 1/twopii of their potentials, so images
+        carry no twopii and each solve has n columns, not basis_i twopii^d
+        for d = 0, 1."""
+        widths = []
+
+        def recorded(rows, columns):
+            widths.append(len(rows[0]))
+            return solve_linear(rows, columns)
+
+        monkeypatch.setattr(quantize, "solve_linear", recorded)
+        result = quantize.quantize_monomial(catalog.build_scenario(family, level))
+        assert widths == [result.dimension] * len(result.matrices)
+
     def test_kernel_preserved_for_all_generators(self, orbit_quantizations):
         # induced_representation raises if any operator leaves the kernel,
         # so reaching matrices at all certifies preservation; re-assert shape

@@ -7,14 +7,12 @@ import pytest
 from quantbench.bundles import kostant_operator
 from quantbench.catalog import (
     build_scenario,
-    pair_groupoid_scenario,
     zero_level_data,
 )
 from quantbench.exprs import parse_expr
 from quantbench.reduce import (
     ZeroLevelData,
     descent_obstruction_check,
-    full_mw_quotient,
     internal_mw_quotient,
     projector_checks,
     qr_commute_check,
@@ -58,34 +56,6 @@ class TestInternalQuotient:
         red = internal_mw_quotient(z)
         assert red.kind == "symplectic" and red.dimension == 2
         assert red.omega0 is scenario.presymplectic.omega
-
-
-class TestFullQuotient:
-    def test_two_point_base_without_arrows(self, rotation_scenarios):
-        z = zero_level_data(rotation_scenarios[2])
-        internal = internal_mw_quotient(z)
-        fq = full_mw_quotient(z, internal, base_points=["m1", "m2"],
-                              identifications=[])
-        assert len(fq.orbit_classes) == 2
-        assert fq.hausdorff
-
-    def test_pair_groupoid_single_orbit(self):
-        scenario = pair_groupoid_scenario()
-        z = ZeroLevelData(scenario, "L", [], {"s": parse_expr("p")}, ("p",),
-                          isotropy_indices=(), orbit_dimension=0)
-        internal = internal_mw_quotient(z)
-        fq = full_mw_quotient(z, internal, base_points=["a", "b", "c"],
-                              identifications=[("a", "b"), ("b", "c")])
-        assert len(fq.orbit_classes) == 1
-
-    def test_gauge_full_quotient_is_single_fiber(self, rotation_scenarios):
-        z = zero_level_data(rotation_scenarios[2])
-        internal = internal_mw_quotient(z)
-        fq = full_mw_quotient(z, internal, base_points=["b0", "b1"],
-                              identifications=[("b0", "b1")],
-                              note="transitive base: one fiber over the point")
-        assert len(fq.orbit_classes) == 1
-        assert fq.fibers[tuple(fq.orbit_classes[0])] is internal
 
 
 class TestFixedSubspace:
