@@ -93,7 +93,6 @@ from .gauge import (
     PrincipalBundleData,
     build_gauge_scenario,
     gauge_momentum_verify,
-    integrated_rep_check,
     quantization_isomorphism_check,
 )
 from .catalog import build_scenario, list_scenarios

@@ -162,11 +162,11 @@ def u1_rotation_scenario(k: int) -> ActionScenario:
     momentum = MomentumMapRep(model, [{ch: _scale(v, half) for ch, v in n3.items()}])
     presymplectic = PresymplecticData(atlas, omega_fs(atlas, Fraction(k)),
                                       sample_points=_fs_samples())
+    # the equator; the rational parametrization omits one point of the circle
     zero_level = dict(
         chart="N", equations=[_pe("x^2+y^2-1")],
         parametrization={"x": _pe("(1-t^2)/(1+t^2)"), "y": _pe("2*t/(1+t^2)")},
-        param_names=("t",), orbit_dimension=1,
-        note="equator; rational parametrization omits one point of the circle")
+        param_names=("t",), orbit_dimension=1)
     return ActionScenario(f"u1-rotation-reduction-{k}", model, action, presymplectic,
                           momentum, level=k, integration="u1-weights",
                           zero_level=zero_level, **_sphere_quantization(atlas, k))
@@ -176,8 +176,7 @@ def zero_level_data(scenario: ActionScenario) -> ZeroLevelData:
     decl = scenario.zero_level
     return ZeroLevelData(scenario, decl["chart"], decl["equations"],
                          decl["parametrization"], decl["param_names"],
-                         orbit_dimension=decl.get("orbit_dimension", 0),
-                         note=decl.get("note", ""))
+                         orbit_dimension=decl.get("orbit_dimension", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +250,18 @@ def base_plane_atlas() -> FiberedAtlas:
     return FiberedAtlas([Chart("B", base_coords=("b1", "b2"), star_shaped=True)])
 
 
-def _plane_gauge(name, group_tag, algebra, fiber: ActionScenario,
-                 twist: Fraction) -> ActionScenario:
+def _plane_gauge(name, algebra, fiber: ActionScenario, twist: Fraction) -> ActionScenario:
     """`fiber` twisted over the plane by A = twist * b1 db2 along the last
     basis element of the structure algebra."""
     zero = _pe("0")
     a2 = [zero] * (algebra.n - 1) + [_scale(_pe("b1"), twist)]
-    bundle_data = PrincipalBundleData(base_plane_atlas(), group_tag, algebra,
-                                      [[zero] * algebra.n, a2])
+    bundle_data = PrincipalBundleData(base_plane_atlas(), algebra, [[zero] * algebra.n, a2])
     return build_gauge_scenario(bundle_data, fiber, name=name)
 
 
 def gauge_su2_scenario(k: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """Nonflat su(2) potential over the plane twisting the level-k sphere."""
-    return _plane_gauge(f"gauge-su2-{k}", "SU2", su2(), su2_orbit_scenario(k), twist)
+    return _plane_gauge(f"gauge-su2-{k}", su2(), su2_orbit_scenario(k), twist)
 
 
 def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> ActionScenario:
@@ -278,12 +275,12 @@ def gauge_u1_character_scenario(n: int, twist: Fraction = Fraction(1)) -> Action
     momentum = MomentumMapRep(model, [{"pt": RationalExpr.const(n)}])
     point = ActionScenario(f"u1-character-{n}", model, action, presymplectic, momentum,
                            level=n)
-    return _plane_gauge(f"gauge-u1-char-{n}", "U1", u1(), point, twist)
+    return _plane_gauge(f"gauge-u1-char-{n}", u1(), point, twist)
 
 
 def gauge_u1_rotation_scenario(k: int, twist: Fraction = Fraction(1)) -> ActionScenario:
     """U(1) structure group acting on the level-k sphere, twisted over the plane."""
-    return _plane_gauge(f"gauge-u1-rot-{k}", "U1", u1(), u1_rotation_scenario(k), twist)
+    return _plane_gauge(f"gauge-u1-rot-{k}", u1(), u1_rotation_scenario(k), twist)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .scenario_io import load_scenario_file
 
 def _build(args):
     if args.scenario.endswith(".json") or os.path.sep in args.scenario:
+        if args.level is not None:
+            raise QuantbenchError("--level applies to catalog names, not to a scenario file")
         return load_scenario_file(args.scenario)
     return build_scenario(args.scenario, level=args.level)
 
@@ -59,17 +61,26 @@ def _cmd_report(args) -> int:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"report file invalid: {exc}") from exc
-    report = Report(data.get("scenario", "?"))
-    try:
-        for rec in data.get("records", []):
-            report.add(CheckRecord(rec["check"], rec["status"], rec.get("failures", []),
-                                   rec.get("notes", []), rec.get("details", {}),
-                                   rec.get("seconds", 0.0), rec.get("anchor")))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"report record invalid: {exc!r}") from exc
-    report.conventions = data.get("conventions", [])
+    report = Report(_field(data, "scenario", str, "?"),
+                    conventions=_field(data, "conventions", list, []))
+    for rec in _field(data, "records", list, []):
+        report.add(CheckRecord(_field(rec, "check", str), _field(rec, "status", str),
+                               _field(rec, "failures", list, []),
+                               _field(rec, "notes", list, []),
+                               _field(rec, "details", dict, {}), anchor=rec.get("anchor")))
     sys.stdout.write(report.to_text())
     return 0
+
+
+def _field(node, key, kind, default=None):
+    """`node[key]`, or `default` when it is missing, checked to be a `kind`:
+    the text rendering reads every such field of a saved report as one."""
+    if not isinstance(node, dict):
+        raise SchemaError("report file invalid: a report and each record are objects")
+    value = node.get(key, default)
+    if not isinstance(value, kind):
+        raise SchemaError(f"report file invalid: {key} must be of type {kind.__name__}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -695,11 +695,11 @@ class RationalExpr:
             raise MalformedExpressionError("evaluation at a pole")
         return self.num.evaluate(point) / d
 
-    def numeric(self, point: dict, twopii: complex = None) -> complex:
-        """Float evaluation; twopii defaults to its analytic value 2*pi*i."""
+    def numeric(self, point: dict) -> complex:
+        """Float evaluation, with twopii at its analytic value 2*pi*i."""
         import cmath
         full = dict(point)
-        full.setdefault(TWO_PI_I, twopii if twopii is not None else 2j * cmath.pi)
+        full.setdefault(TWO_PI_I, 2j * cmath.pi)
         num = sum(complex(c) * _mono_numeric(m, full) for m, c in self.num.coeffs().items())
         den = sum(complex(c) * _mono_numeric(m, full) for m, c in self.den.coeffs().items())
         return num / den

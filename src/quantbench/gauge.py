@@ -10,12 +10,11 @@ curvature components are F_12 = -d1 A2 + d2 A1 + [A1, A2].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .bundles import LineBundleData, TransitionValue
+from .bundles import LineBundleData
 from .cech import GoodCover
-from .errors import MalformedExpressionError, UnsupportedPrimitiveError
+from .errors import MalformedExpressionError
 from .exprs import RationalExpr, coerce_rational
 from .geometry import (
     Chart,
@@ -34,7 +33,6 @@ from .hamiltonian import (
     PresymplecticData,
     momentum_differential,
     pairing_combination,
-    perturb,
     _fn_add,
     _fn_scale,
     _pair_failures,
@@ -42,22 +40,20 @@ from .hamiltonian import (
 from .liealg import ActionMap, AlgebroidModel
 from .quantize import ComplexStructureData, quantize_monomial
 from .reports import CheckResult
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ONE, ZERO
 
 
 class PrincipalBundleData:
     """Trivialized principal bundle: star-shaped base chart plus a polynomial
     connection potential A with values in the structure algebra."""
 
-    def __init__(self, base_atlas: FiberedAtlas, group_tag, algebra: AlgebroidModel,
-                 potential):
+    def __init__(self, base_atlas: FiberedAtlas, algebra: AlgebroidModel, potential):
         self.base_atlas = base_atlas
         if len(base_atlas.charts) != 1:
             raise MalformedExpressionError("catalog principal bundles are single-chart")
         self.base_chart = next(iter(base_atlas.charts.values()))
         if not self.base_chart.star_shaped:
             raise MalformedExpressionError("base chart must be star-shaped")
-        self.group_tag = group_tag
         self.algebra = algebra
         self.potential = [tuple(coerce_rational(c) for c in vec) for vec in potential]
         if len(self.potential) != len(self.base_chart.coords):
@@ -244,9 +240,7 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
                       chart_refs=dict(fiber_bundle.cover.chart_refs),
                       sample_points=dict(fiber_bundle.cover.sample_points),
                       angle_forms={})
-    transitions = {}
-    for key, val in fiber_bundle.transitions.items():
-        transitions[key] = TransitionValue(val.chart, val.rational, val.exponent)
+    transitions = dict(fiber_bundle.transitions)
     weights = dict(fiber_bundle.metric_weights)
     potentials = {}
     for idx in fiber_bundle.cover.index_set:
@@ -339,121 +333,3 @@ def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> Check
                  "unitary since the Gram matrices coincide")
     notes.append(f"dimension per base point: {n}")
     return CheckResult(not failures, failures, notes)
-
-
-def integrated_rep_check(scenario: ActionScenario, other_potential,
-                         exact_primitive=None, loops=()) -> CheckResult:
-    """Connection-independence witness: representations for two potentials
-    differ by the <mu, tau1 - tau2> shift; exact differences delegate to the
-    perturbation lemma; holonomies along declared polynomial loops agree."""
-    gauge = scenario.gauge
-    bundle = gauge.bundle_data
-    base_coords = bundle.base_chart.coords
-    diff = [tuple(coerce_rational(a) - coerce_rational(b)
-                  for a, b in zip(vec2, vec1))
-            for vec1, vec2 in zip(bundle.potential, other_potential)]
-    for vec in diff:
-        for comp in vec:
-            if not comp.simplify().den.is_constant():
-                raise UnsupportedPrimitiveError(
-                    "potential difference is not polynomial: outside the "
-                    "star-shaped catalog (closed non-exact forms are rejected)")
-    failures = []
-    notes = []
-    other = PrincipalBundleData(bundle.base_atlas, bundle.group_tag,
-                                bundle.algebra, other_potential)
-    other_scenario = build_gauge_scenario(other, gauge.fiber, name=f"{scenario.name}-alt")
-    # potential shift of the momentum pairings: <mu, tau2 - tau1>
-    model = scenario.model
-    n_base = model.gauge_base_count
-    atlas = scenario.atlas
-    fiber_pairings = _fiber_pairings(scenario)
-    for i in range(model.n):
-        p1 = scenario.momentum.pairing(i)
-        p2 = other_scenario.momentum.pairing(i)
-        if i < n_base:
-            expected = pairing_combination(atlas, fiber_pairings, diff[i])
-        else:
-            expected = {ch: RationalExpr.zero() for ch in p1}
-        for ch in p1:
-            resid = (p2.get(ch, RationalExpr.zero()) - p1[ch] - expected[ch]).simplify()
-            if not resid.is_zero():
-                failures.append((f"potential-shift gen {i}@{ch}", str(resid)))
-    if exact_primitive is not None:
-        # tau2 = tau1 + d g: the shift is the perturbation beta = <mu, dg>
-        g_vec = [coerce_rational(c) for c in exact_primitive]
-        beta_table = {ch: {} for ch in atlas.charts}
-        for bc in base_coords:
-            d_g = pairing_combination(atlas, fiber_pairings,
-                                      [g.derivative(bc) for g in g_vec])
-            for ch, total in d_g.items():
-                if not total.is_zero():
-                    beta_table[ch][(bc,)] = total
-        beta = DifferentialForm(atlas, 1, LEAF_JTILDE, beta_table)
-        perturbed = perturb(scenario, beta)
-        for i in range(model.n):
-            for ch, v in perturbed.momentum.pairing(i).items():
-                target = other_scenario.momentum.pairing(i).get(ch, RationalExpr.zero())
-                if not (v - target).is_zero():
-                    failures.append((f"perturbation-delegation gen {i}@{ch}", "mismatch"))
-        if not _forms_equal_chartwise(perturbed.presymplectic.omega_tilde,
-                                      other_scenario.presymplectic.omega_tilde):
-            failures.append(("perturbation-delegation omega", "mismatch"))
-        notes.append("exact difference handled by the perturbation lemma")
-    # holonomy agreement along declared loops (at a fixed fiber sample)
-    for loop in loops:
-        h1 = _loop_exponent(scenario, bundle.potential, loop)
-        h2 = _loop_exponent(scenario, other_potential, loop)
-        if h1 != h2:
-            failures.append(("holonomy", f"loop exponents differ: {h1} vs {h2}"))
-        notes.append(f"loop exponent: {h1}")
-    return CheckResult(not failures, failures, notes)
-
-
-def _forms_equal_chartwise(a: DifferentialForm, b: DifferentialForm) -> bool:
-    """Coefficient-table equality for forms living on twin atlas instances."""
-    if a.degree != b.degree:
-        return False
-    for ch in set(a.charts()) | set(b.charts()):
-        keys = set(a.coefficients.get(ch, {})) | set(b.coefficients.get(ch, {}))
-        for key in keys:
-            if not (a.coefficient(ch, key) - b.coefficient(ch, key)).is_zero():
-                return False
-    return True
-
-
-def _loop_exponent(scenario: ActionScenario, potential, loop):
-    """Exact integral of <mu, A_i> db_i along a piecewise polynomial loop."""
-    base_coords = scenario.gauge.bundle_data.base_chart.coords
-    fiber_point = loop.get("fiber_point", {})
-    chart = loop.get("chart")
-    total = ZERO
-    pairings = _fiber_pairings(scenario)
-    for segment in loop["segments"]:
-        subs = {bc: coerce_rational(segment[bc]) for bc in base_coords}
-        integrand = RationalExpr.zero()
-        for i, bc in enumerate(base_coords):
-            speed = coerce_rational(segment[bc]).derivative("t")
-            for a, coeff in enumerate(potential[i]):
-                mu_val = pairings[a].get(chart, RationalExpr.zero())
-                mu_fixed = mu_val.subst({k: coerce_rational(v)
-                                         for k, v in fiber_point.items()})
-                term = coerce_rational(coeff).subst(subs) * mu_fixed * speed
-                integrand = integrand + term
-        total = total + _integrate_unit_interval(integrand)
-    return total
-
-
-def _integrate_unit_interval(expr: RationalExpr) -> ExactScalar:
-    expr = expr.simplify()
-    if not expr.den.is_constant():
-        raise UnsupportedPrimitiveError("loop integrand must be polynomial in t")
-    poly = expr.as_poly()
-    total = ZERO
-    for mono, coeff in poly.coeffs().items():
-        d = dict(mono)
-        t_pow = d.pop("t", 0)
-        if d:
-            raise UnsupportedPrimitiveError("loop integrand has stray variables")
-        total = total + coeff * ExactScalar(Fraction(1, t_pow + 1))
-    return total

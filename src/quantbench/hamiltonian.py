@@ -144,9 +144,6 @@ class ActionScenario:
     def generator_field(self, index):
         return self.action.of(self.model.basis_section(index))
 
-    def isotropy_indices(self):
-        return self.model.isotropy_indices
-
 
 # ---------------------------------------------------------------------------
 # the algebroid differential (sign: d_p = (-1)^p * Chevalley-Eilenberg d_p)
@@ -256,7 +253,7 @@ def internal_momentum_check(s: ActionScenario) -> CheckResult:
     """d^J <mu, X> = - iota_{alpha(X)} omega for isotropy generators.  For X
     in ker(anchor), alpha(X) is tangent to J, so there the identity is the
     quantization condition."""
-    return _fiber_hamilton_check(s, s.isotropy_indices())
+    return _fiber_hamilton_check(s, s.model.isotropy_indices)
 
 
 def equivariance_check(s: ActionScenario) -> CheckResult:
@@ -267,7 +264,7 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
     """
     notes = ["equivariance verified as alpha(X).<mu,Y> - <mu,[X,Y]> = 0"]
     fields = [s.generator_field(i) for i in range(s.model.n)]
-    pairs = ((i, j) for i in range(s.model.n) for j in s.isotropy_indices())
+    pairs = ((i, j) for i in range(s.model.n) for j in s.model.isotropy_indices)
     failures = _pair_failures(s, pairs, lambda i, j: _fn_add(
         fields[i].derive(s.momentum.pairing(j)),
         _fn_scale(pairing_combination(s.atlas, s.momentum.pairings,

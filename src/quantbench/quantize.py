@@ -340,52 +340,21 @@ def _strip_powers(den: PolyExpr, q: PolyExpr):
     return den, n_pow
 
 
-def inner_product(bundle: LineBundleData, elem1, elem2, patch=None,
-                  method="exact", tolerance=1e-9):
-    """Hermitian pairing <sigma1, sigma2> integrated over the fiber.
+def inner_product(bundle, elem1, elem2):
+    """Hermitian pairing <sigma1, sigma2> of two sections (patch -> local
+    expression) integrated exactly over the fiber on the first patch.
 
-    The exact path covers the projective-line model (rational data over the
-    two-chart atlas); conjugation is in the first slot.
+    Covers the projective-line model (rational data over the two-chart
+    atlas) and point fibers; conjugation is in the first slot.
     """
-    cover = bundle.cover
-    patch = patch or cover.index_set[0]
-    chart_name = bundle.patch_chart(patch)
-    chart = cover.atlas.chart(chart_name)
-    f = coerce_rational(elem1[patch] if isinstance(elem1, dict) else elem1)
-    g = coerce_rational(elem2[patch] if isinstance(elem2, dict) else elem2)
-    h = bundle.weight(patch)
-    integrand = f.conj() * g * h
+    patch = bundle.cover.index_set[0]
+    chart = bundle.cover.atlas.chart(bundle.patch_chart(patch))
+    integrand = elem1[patch].conj() * elem2[patch] * bundle.weight(patch)
     if not chart.fiber_coords:
-        return integrand.constant_value() if method == "exact" else \
-            complex(integrand.constant_value())
+        return integrand.constant_value()
     if len(chart.fiber_coords) != 2:
         raise UnsupportedFiberError("exact inner products need a 2-dimensional fiber")
-    x_name, y_name = chart.fiber_coords
-    if method == "exact":
-        return fs_integral(integrand, x_name, y_name)
-    return _numeric_fs_integral(integrand, x_name, y_name, tolerance)
-
-
-def _numeric_fs_integral(expr, x_name, y_name, tolerance):
-    from scipy import integrate
-
-    def density(r, theta):
-        x = r * math.cos(theta)
-        y = r * math.sin(theta)
-        val = expr.numeric({x_name: x, y_name: y})
-        return val * r / math.pi / (1 + r * r) ** 2
-
-    def real_part(r, theta):
-        return density(r, theta).real
-
-    def imag_part(r, theta):
-        return density(r, theta).imag
-
-    re_val, _ = integrate.dblquad(real_part, 0, 2 * math.pi, 0, math.inf,
-                                  epsabs=tolerance / 10, epsrel=tolerance / 10)
-    im_val, _ = integrate.dblquad(imag_part, 0, 2 * math.pi, 0, math.inf,
-                                  epsabs=tolerance / 10, epsrel=tolerance / 10)
-    return complex(re_val, im_val)
+    return fs_integral(integrand, *chart.fiber_coords)
 
 
 def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):

@@ -25,7 +25,7 @@ class ZeroLevelData:
 
     def __init__(self, scenario: ActionScenario, chart, equations, parametrization,
                  param_names, isotropy_indices=None, orbit_dimension=0,
-                 free=True, proper=True, note=""):
+                 free=True, proper=True):
         self.scenario = scenario
         self.chart = chart
         self.equations = [coerce_rational(e) for e in equations]
@@ -34,11 +34,10 @@ class ZeroLevelData:
         self.param_names = tuple(param_names)
         self.isotropy_indices = tuple(
             isotropy_indices if isotropy_indices is not None
-            else scenario.isotropy_indices())
+            else scenario.model.isotropy_indices)
         self.orbit_dimension = int(orbit_dimension)
         self.free = bool(free)
         self.proper = bool(proper)
-        self.note = note
 
     @property
     def level_dimension(self):
@@ -72,12 +71,10 @@ class ZeroLevelData:
 
 
 class ReducedSpace:
-    def __init__(self, kind, dimension, omega0=None, note="", declarations=None):
+    def __init__(self, kind, dimension, omega0=None):
         self.kind = kind  # "point" or "symplectic"
         self.dimension = dimension
         self.omega0 = omega0
-        self.note = note
-        self.declarations = dict(declarations or {})
 
     def __repr__(self):
         return f"ReducedSpace({self.kind}, dim {self.dimension})"
@@ -89,15 +86,11 @@ def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
     if quotient_dim < 0:
         raise MalformedExpressionError("orbit dimension exceeds the zero level")
     if quotient_dim == 0:
-        return ReducedSpace("point", 0, note=z.note,
-                            declarations={"free": z.free, "proper": z.proper})
+        return ReducedSpace("point", 0)
     if z.orbit_dimension == 0:
-        # trivial isotropy: the quotient is the zero level with restricted form
-        omega0 = z.scenario.presymplectic.omega
-        return ReducedSpace("symplectic", quotient_dim, omega0=omega0,
-                            note="trivial isotropy: quotient equals the zero level; "
-                                 "the restricted form is the reduced form",
-                            declarations={"free": z.free, "proper": z.proper})
+        # trivial isotropy: the quotient is the zero level, and the restricted
+        # form is the reduced form
+        return ReducedSpace("symplectic", quotient_dim, omega0=z.scenario.presymplectic.omega)
     raise MalformedExpressionError(
         "positive-dimensional quotients with nontrivial isotropy need a declared model")
 
@@ -110,13 +103,11 @@ class QuantumReduction:
     """The vectors of `source` that the `isotropy_indices` generators fix."""
 
     def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns,
-                 projector, weights, weight_integral):
+                 projector):
         self.source = source
         self.isotropy_indices = tuple(isotropy_indices)
         self.basis = basis_columns
         self.projector = projector
-        self.weights = weights
-        self.weight_integral = weight_integral
 
     @property
     def dimension(self):
@@ -127,26 +118,11 @@ def quantum_fixed_subspace(result: QuantizationResult,
                            isotropy_indices) -> QuantumReduction:
     """Joint kernel of the isotropy generator matrices, with metric projector."""
     n = result.dimension
-    stacked = []
-    weights = []
-    weight_integral = True
-    for idx in isotropy_indices:
-        mat = [[coerce_rational(v) for v in row] for row in result.matrices[idx]]
-        stacked.extend(mat)
-        diagonal = all(mat[a][b].is_zero() for a in range(n) for b in range(n) if a != b)
-        if diagonal:
-            for a in range(n):
-                w = (mat[a][a] * I).simplify()
-                if not w.is_constant():
-                    continue
-                value = w.constant_value()
-                weights.append(value)
-                if not value.is_integer():
-                    weight_integral = False
+    stacked = [[coerce_rational(v) for v in row]
+               for idx in isotropy_indices for row in result.matrices[idx]]
     kernel = kernel_basis(stacked, n)
-    projector = _metric_projector(kernel, result.gram, n)
-    return QuantumReduction(result, isotropy_indices, kernel, projector, weights,
-                            weight_integral)
+    return QuantumReduction(result, isotropy_indices, kernel,
+                            _metric_projector(kernel, result.gram, n))
 
 
 def _metric_projector(columns, gram, n):

@@ -8,6 +8,7 @@ rounding."""
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import MalformedExpressionError, SchemaError
 from .exprs import PolyExpr, coerce_rational, parse_expr
@@ -191,7 +192,7 @@ def load_scenario(data) -> ActionScenario:
         action = ActionMap(model, atlas, fields)
         omega = _form_from_dict(atlas, data["presymplectic"]["omega"])
         samples = [{"chart": s["chart"],
-                    "point": {k: float(v) for k, v in s["point"].items()}}
+                    "point": {k: _finite(v) for k, v in s["point"].items()}}
                    for s in data["presymplectic"].get("samples", [])]
         presymplectic = PresymplecticData(atlas, omega, samples)
         pairings = []
@@ -203,6 +204,14 @@ def load_scenario(data) -> ActionScenario:
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             MalformedExpressionError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
+
+
+def _finite(text) -> float:
+    """A sample coordinate: a test at nan or inf could never fail."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"scenario file invalid: sample coordinate {text!r} is not finite")
+    return value
 
 
 def load_scenario_file(path) -> ActionScenario:

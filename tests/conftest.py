@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -32,3 +33,26 @@ def rotation_quantizations(rotation_scenarios):
 @pytest.fixture(scope="session")
 def gauge_su2_1():
     return catalog.gauge_su2_scenario(1)
+
+
+@pytest.fixture(scope="session")
+def fs_quadrature():
+    """Float oracle for `quantize.inner_product`: the Fubini-Study integral of
+    conj(f) g h on `patch`, by scipy's `dblquad` in polar coordinates, with
+    error targets of 1e-10."""
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def quadrature(bundle, elem1, elem2, patch):
+        x_name, y_name = bundle.cover.atlas.chart(bundle.patch_chart(patch)).fiber_coords
+        expr = elem1[patch].conj() * elem2[patch] * bundle.weight(patch)
+
+        def density(r, theta):
+            value = expr.numeric({x_name: r * math.cos(theta), y_name: r * math.sin(theta)})
+            return value * r / math.pi / (1 + r * r) ** 2
+
+        re_val, im_val = (
+            integrate.dblquad(lambda r, t: getattr(density(r, t), part), 0, 2 * math.pi,
+                              0, math.inf, epsabs=1e-10, epsrel=1e-10)[0]
+            for part in ("real", "imag"))
+        return complex(re_val, im_val)
+    return quadrature

@@ -52,7 +52,6 @@ from quantbench.hamiltonian import (
 )
 from quantbench.quantize import (
     holomorphic_solve,
-    inner_product,
     integrate_representation,
     polarization_equivariance_check,
     quantize_monomial,
@@ -85,7 +84,7 @@ def test_criterion_1_borel_weil_dimensions():
                     f"in {elapsed:.2f}s (< 10 s), caps k+2 and k+4 agree")
 
 
-def test_criterion_2_exact_gram_matrices(orbit_quantizations):
+def test_criterion_2_exact_gram_matrices(orbit_quantizations, fs_quadrature):
     """<z^a, z^b> = delta_ab a!(k-a)!/(k+1)! for k <= 4; quadrature to 1e-9."""
     atlas = sphere_atlas()
     ok = True
@@ -106,8 +105,7 @@ def test_criterion_2_exact_gram_matrices(orbit_quantizations):
     z = parse_expr("x - i*y")
     worst = 0.0
     for a, exact in ((0, Fraction(1, 3)), (1, Fraction(1, 6)), (2, Fraction(1, 3))):
-        numeric = inner_product(bundle, {"N": z ** a}, {"N": z ** a}, patch="N",
-                                method="numeric", tolerance=1e-9)
+        numeric = fs_quadrature(bundle, {"N": z ** a}, {"N": z ** a}, "N")
         worst = max(worst, abs(numeric - float(exact)))
     ok &= worst < 1e-9
     details.append(f"numeric quadrature deviation {worst:.2e} (< 1e-9)")

@@ -124,6 +124,21 @@ class TestReportRendering:
         rendered = capsys.readouterr().out
         assert "pair-groupoid-flat" in rendered
 
+    @pytest.mark.parametrize("data", [
+        pytest.param([], id="top-level-list"),
+        pytest.param({"scenario": "s", "conventions": 5}, id="conventions-number"),
+        pytest.param({"records": [{"check": "c", "status": "pass", "details": 5}]},
+                     id="details-number"),
+        pytest.param({"records": [{"check": "c", "status": 5}]}, id="status-number"),
+    ])
+    def test_malformed_report_exits_two(self, data, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema error: report file invalid" in captured.err
+
     def test_determinism_modulo_timing(self):
         a = run_scenario("su2-orbit-1", checks={"hamiltonian"}, seed=5)
         b = run_scenario("su2-orbit-1", checks={"hamiltonian"}, seed=5)
@@ -187,6 +202,8 @@ class TestScenarioFiles:
                      id="power-9999999"),
         pytest.param(("momentum", "pairings", 0, 0, "value"), "x^99999999",
                      id="power-degree-99999999"),
+        pytest.param(("presymplectic", "samples", 0, "point", "x"), "nan", id="sample-nan"),
+        pytest.param(("presymplectic", "samples", 1, "point", "u"), "-inf", id="sample-inf"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

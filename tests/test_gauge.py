@@ -1,5 +1,5 @@
 """Gauge scenarios: assembly, twisted momentum, quantization isomorphism,
-connection independence."""
+reduction."""
 
 from fractions import Fraction
 
@@ -12,14 +12,12 @@ from quantbench.catalog import (
     gauge_u1_character_scenario,
     gauge_u1_rotation_scenario,
 )
-from quantbench.errors import UnsupportedPrimitiveError
 from quantbench.exprs import parse_expr
 from quantbench.geometry import Chart, FiberedAtlas
 from quantbench.gauge import (
     PrincipalBundleData,
     build_gauge_scenario,
     gauge_momentum_verify,
-    integrated_rep_check,
     quantization_isomorphism_check,
 )
 from quantbench.hamiltonian import (
@@ -39,11 +37,6 @@ from quantbench.reduce import (
     quantum_fixed_subspace,
     ZeroLevelData,
 )
-
-UNIT_SQUARE = [{"b1": parse_expr("t"), "b2": parse_expr("0")},
-               {"b1": parse_expr("1"), "b2": parse_expr("t")},
-               {"b1": parse_expr("1-t"), "b2": parse_expr("1")},
-               {"b1": parse_expr("0"), "b2": parse_expr("1-t")}]
 
 
 class TestAssembly:
@@ -103,7 +96,7 @@ class TestMomentumVerify:
         base = FiberedAtlas([Chart("B", base_coords=("b1", "b2", "b3"), star_shaped=True)])
         zero, e3 = parse_expr("0"), (parse_expr("0"),) * 2
         potential = [(zero,) * 3, e3 + (parse_expr("b1"),), e3 + (parse_expr("b2"),)]
-        scenario = build_gauge_scenario(PrincipalBundleData(base, "SU2", su2(), potential),
+        scenario = build_gauge_scenario(PrincipalBundleData(base, su2(), potential),
                                         su2_orbit_scenario(1), name="gauge-su2-3d")
         omega = scenario.presymplectic.omega_tilde
         mu3 = scenario.momentum.pairing(5)["N"]
@@ -158,48 +151,6 @@ class TestQuantizationIsomorphism:
         report = quantization_isomorphism_check(scenario, gauge_rep)
         assert (report.ok, report.failures) == \
             (False, [("gram", "entry 0,0"), ("gram", "entry 1,1")])
-
-
-class TestIntegratedRep:
-    def test_same_potential_trivially_equal(self):
-        scenario = gauge_u1_character_scenario(1)
-        report = integrated_rep_check(
-            scenario, scenario.gauge.bundle_data.potential,
-            loops=[{"chart": "pt", "fiber_point": {}, "segments": UNIT_SQUARE}])
-        assert report.ok
-        # the loop exponent is the flux of F through the unit square
-        assert any("loop exponent: 1" in n for n in report.notes)
-
-    def test_exact_shift_delegates_to_perturbation(self):
-        scenario = gauge_u1_character_scenario(1)
-        base = scenario.gauge.bundle_data.potential
-        # tau2 = tau1 + d(b1 b2)
-        pot2 = [(base[0][0] + parse_expr("b2"),),
-                (base[1][0] + parse_expr("b1"),)]
-        report = integrated_rep_check(
-            scenario, pot2, exact_primitive=[parse_expr("b1*b2")],
-            loops=[{"chart": "pt", "fiber_point": {}, "segments": UNIT_SQUARE}])
-        assert report.ok, report.failures
-        assert any("perturbation lemma" in n for n in report.notes)
-
-    def test_su2_exact_shift(self):
-        scenario = gauge_su2_scenario(1)
-        base = scenario.gauge.bundle_data.potential
-        pot2 = [tuple(base[0][a] + (parse_expr("b2") if a == 2 else 0)
-                      for a in range(3)),
-                tuple(base[1][a] + (parse_expr("b1") if a == 2 else 0)
-                      for a in range(3))]
-        report = integrated_rep_check(
-            scenario, pot2,
-            exact_primitive=[parse_expr("0"), parse_expr("0"), parse_expr("b1*b2")])
-        assert report.ok, report.failures
-
-    def test_punctured_chart_difference_rejected(self):
-        scenario = gauge_u1_character_scenario(1)
-        closed_non_exact = [(parse_expr("-b2/(b1^2+b2^2)"),),
-                            (parse_expr("b1/(b1^2+b2^2)"),)]
-        with pytest.raises(UnsupportedPrimitiveError):
-            integrated_rep_check(scenario, closed_non_exact)
 
 
 class TestGaugeReduction:

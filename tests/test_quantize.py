@@ -278,7 +278,7 @@ class TestInnerProducts:
                 assert oracle == closed
 
     def test_numeric_quadrature_cross_check(self):
-        from scipy import integrate
+        integrate = pytest.importorskip("scipy.integrate")
         for k, a in ((2, 0), (2, 1), (3, 2), (4, 4)):
             numeric, err = integrate.quad(
                 lambda t, a=a, k=k: t ** a * (1 + t) ** (-k - 2), 0, math.inf)
@@ -321,15 +321,13 @@ class TestInnerProducts:
     def test_off_diagonal_vanishes(self, atlas):
         bundle = o_bundle(atlas, 2)
         z = parse_expr("x - i*y")
-        assert inner_product(bundle, {"N": parse_expr("1")}, {"N": z},
-                             patch="N") == ZERO
+        assert inner_product(bundle, {"N": parse_expr("1")}, {"N": z}) == ZERO
 
-    def test_numeric_matches_exact_inner_product(self, atlas):
+    def test_numeric_matches_exact_inner_product(self, atlas, fs_quadrature):
         bundle = o_bundle(atlas, 2)
         z = parse_expr("x - i*y")
-        exact = inner_product(bundle, {"N": z}, {"N": z}, patch="N")
-        numeric = inner_product(bundle, {"N": z}, {"N": z}, patch="N",
-                                method="numeric")
+        exact = inner_product(bundle, {"N": z}, {"N": z})
+        numeric = fs_quadrature(bundle, {"N": z}, {"N": z}, "N")
         assert abs(numeric - complex(exact)) < 1e-9
 
     def test_unsupported_fiber_rejected(self, atlas):

@@ -87,6 +87,26 @@ def test_reports_do_not_depend_on_the_order_variables_are_first_met():
     assert out.split() == [DIGESTS[label] for label in labels]
 
 
+def test_the_runtime_needs_only_the_standard_library():
+    """Runs through every stage, gauge twist included, import neither scipy
+    nor numpy, and the package declares no runtime dependency."""
+    code = "\n".join([
+        "import sys",
+        "from quantbench import catalog",
+        "from quantbench.runner import run_scenario",
+        "for name, level in (('su2-orbit-k', 1), ('u1-rotation-reduction-k', 2), "
+        "('gauge-su2-k', 1)):",
+        "    assert not run_scenario(catalog.build_scenario(name, level)).failed",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"])
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.split() == ["[]"]
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+
+
 def test_table_matches_the_bench_stage_table_and_produces_before_reading():
     workloads = _load(ROOT / "perfbench/workloads.py")
     expected = dict(workloads.STAGE_OF_CHECK)
@@ -129,6 +149,7 @@ def test_unknown_check_exits_two(selection, capsys):
                            (["su2-orbit-9"], "levels 0, 1, 2, 3, 4"),
                            (["pair-groupoid-flat", "--level", "3"], "no levels"),
                            (["su2-orbit-2", "--level", "3"], "su2-orbit-2 names level 2"),
+                           (["su2.json", "--level", "3"], "--level applies to catalog names"),
                            (["sphere-2"], "unknown scenario: sphere-2")):
         assert main(["run", *argv]) == 2
         assert declared in capsys.readouterr().err
