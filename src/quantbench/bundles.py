@@ -11,7 +11,7 @@ bundles share one code path.
 
 from __future__ import annotations
 
-from .cech import GoodCover, OverlapFunction, derham_to_cech, integrality_test
+from .cech import GoodCover, OverlapFunction, cocycle_value, derham_to_cech, integrality_test
 from .errors import CurvatureMismatchError, IntegralityError, MalformedExpressionError
 from .exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational
 from .geometry import (
@@ -154,33 +154,20 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         if total is None:
             if not (rational - 1).is_zero():
                 failures.append(("cocycle", f"{simplex}: residual {rational.simplify()}"))
-        else:
-            # rational part must be 1 and the exponent an integer constant
-            if not (rational - 1).is_zero():
-                failures.append(("cocycle", f"{simplex}: rational residual"))
-            if not total.angle_coeff.is_zero():
-                offsets = bundle.branch_offsets.get((simplex, "c0"), None)
-                if offsets is None:
-                    failures.append(("cocycle", f"{simplex}: angle part without offsets"))
-                    continue
-            value = total.rational_part.simplify()
-            for comp in cover.components[simplex]:
-                offsets = bundle.branch_offsets.get((simplex, comp), {})
-                offset_value = (
-                    _angle_coeff(c_jk) * ExactScalar.coerce(offsets.get((j, k), 0))
-                    + _angle_coeff(c_kl) * ExactScalar.coerce(offsets.get((k, l), 0))
-                    - _angle_coeff(c_jl) * ExactScalar.coerce(offsets.get((j, l), 0)))
-                sample = cover.sample_points.get((simplex, comp))
-                if value.is_constant():
-                    base = value.constant_value()
-                elif sample is not None:
-                    base = value.evaluate(sample)
-                else:
-                    failures.append(("cocycle", f"{simplex}: nonconstant exponent"))
-                    continue
-                if not (base + offset_value).is_integer():
-                    failures.append(("cocycle",
-                                     f"{simplex}/{comp}: exponent sum {base + offset_value}"))
+            continue
+        # rational part must be 1 and the exponent an integer constant
+        if not (rational - 1).is_zero():
+            failures.append(("cocycle", f"{simplex}: rational residual"))
+        if not total.angle_coeff.is_zero() and simplex not in bundle.branch_offsets:
+            failures.append(("cocycle", f"{simplex}: angle part without offsets"))
+            continue
+        value = cocycle_value(cover, simplex, total.rational_part.simplify(),
+                              [_angle_coeff(c) for c in (c_jk, c_kl, c_jl)],
+                              bundle.branch_offsets.get(simplex, {}))
+        if value is None:
+            failures.append(("cocycle", f"{simplex}: nonconstant exponent"))
+        elif not value.is_integer():
+            failures.append(("cocycle", f"{simplex}: exponent sum {value}"))
     # metric compatibility and gluing on pair overlaps
     for simplex in cover.k_simplices(1):
         j, k = simplex

@@ -163,20 +163,12 @@ def u1_rotation_scenario(k: int) -> ActionScenario:
     presymplectic = PresymplecticData(atlas, omega_fs(atlas, Fraction(k)),
                                       sample_points=_fs_samples())
     # the equator; the rational parametrization omits one point of the circle
-    zero_level = dict(
-        chart="N", equations=[_pe("x^2+y^2-1")],
-        parametrization={"x": _pe("(1-t^2)/(1+t^2)"), "y": _pe("2*t/(1+t^2)")},
-        param_names=("t",), orbit_dimension=1)
+    zero_level = ZeroLevelData(
+        "N", [_pe("x^2+y^2-1")],
+        {"x": _pe("(1-t^2)/(1+t^2)"), "y": _pe("2*t/(1+t^2)")}, ("t",), orbit_dimension=1)
     return ActionScenario(f"u1-rotation-reduction-{k}", model, action, presymplectic,
                           momentum, level=k, integration="u1-weights",
                           zero_level=zero_level, **_sphere_quantization(atlas, k))
-
-
-def zero_level_data(scenario: ActionScenario) -> ZeroLevelData:
-    decl = scenario.zero_level
-    return ZeroLevelData(scenario, decl["chart"], decl["equations"],
-                         decl["parametrization"], decl["param_names"],
-                         orbit_dimension=decl.get("orbit_dimension", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +190,18 @@ def sector_cover(atlas, sectors: int) -> GoodCover:
     simplices = [tuple(p) for p in combinations(idx, 2)]
     if sectors == 3:
         triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        samples = {((0, 1, 2), "c0"): {"x": -1, "y": 3},
-                   ((0, 2, 3), "c0"): {"x": -1, "y": -3},
-                   ((0, 1, 3), "c0"): {"x": 3, "y": 1},
-                   ((1, 2, 3), "c0"): {"x": Fraction(1, 4), "y": Fraction(1, 4)}}
+        samples = {(0, 1, 2): {"x": -1, "y": 3},
+                   (0, 2, 3): {"x": -1, "y": -3},
+                   (0, 1, 3): {"x": 3, "y": 1},
+                   (1, 2, 3): {"x": Fraction(1, 4), "y": Fraction(1, 4)}}
         quads = []
     else:
         triples = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4),
                    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-        samples = {((0, 1, 2), "c0"): {"x": 1, "y": 3},
-                   ((0, 2, 3), "c0"): {"x": -3, "y": 1},
-                   ((0, 3, 4), "c0"): {"x": -1, "y": -3},
-                   ((0, 1, 4), "c0"): {"x": 3, "y": 1}}
+        samples = {(0, 1, 2): {"x": 1, "y": 3},
+                   (0, 2, 3): {"x": -3, "y": 1},
+                   (0, 3, 4): {"x": -1, "y": -3},
+                   (0, 1, 4): {"x": 3, "y": 1}}
         quads = [(1, 2, 3, 4)]
     charts = {(i,): "N" if i > 0 else "S" for i in idx}
     for s in simplices + triples + quads:
@@ -238,7 +230,7 @@ def sector_zigzag_data(atlas, cover: GoodCover, level: Fraction):
             overlaps[(j, k)] = OverlapFunction("N", 0, 0)
     sectors = len(cover.index_set) - 1
     cut_triple = (0, 1, 3) if sectors == 3 else (0, 1, 4)
-    offsets = {(cut_triple, "c0"): {(0, cut_triple[2]): 1}}
+    offsets = {cut_triple: {(0, cut_triple[2]): 1}}
     return primitives, overlaps, offsets
 
 

@@ -1,10 +1,12 @@
 """Longitudinal Cech complex on finite good covers: exact cohomology, the
 de Rham -> Cech zig-zag, and integrality of degree-2 classes.
 
-Overlap functions live per overlap component.  The zig-zag's f_jk are stored
-as a rational part plus an exact multiple of a declared angle primitive (a
-closed 1-form with unit monodromy); branch offsets per triple overlap are
-scenario declarations, so every cocycle value is evaluated exactly.
+Every nonempty intersection of a good cover is contractible, hence connected,
+so a cochain, a sample point and a branch offset are keyed by the simplex
+alone.  The zig-zag's f_jk are stored as a rational part plus an exact
+multiple of a declared angle primitive (a closed 1-form with unit monodromy);
+branch offsets per triple overlap are scenario declarations, so every cocycle
+value is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .scalars import ExactScalar, ZERO
 
 
 class GoodCover:
-    """Finite cover with declared nerve, components and chart references."""
+    """Finite good cover with declared nerve and chart references."""
 
-    def __init__(self, atlas: FiberedAtlas, index_set, simplices, components=None,
-                 chart_refs=None, sample_points=None, angle_forms=None):
+    def __init__(self, atlas: FiberedAtlas, index_set, simplices, chart_refs=None,
+                 sample_points=None, angle_forms=None):
         self.atlas = atlas
         self.index_set = tuple(index_set)
         pos = {label: i for i, label in enumerate(self.index_set)}
@@ -62,34 +64,15 @@ class GoodCover:
                         f"cover simplices not downward closed: missing {face}")
         self.simplices = simps
         self.position = pos
-        self.components = {}
-        for s in simps:
-            comps = (components or {}).get(s, ("c0",))
-            self.components[s] = tuple(comps)
         self.chart_refs = dict(chart_refs or {})
         self.sample_points = dict(sample_points or {})
         # chart-local closed 1-forms with unit monodromy (angle primitives)
         self.angle_forms = dict(angle_forms or {})
 
     def k_simplices(self, k):
+        """The k-simplices in index order: the basis of C^k."""
         return sorted((s for s in self.simplices if len(s) == k + 1),
                       key=lambda s: tuple(self.position[i] for i in s))
-
-    def slots(self, k):
-        """Ordered (simplex, component) slots indexing C^k."""
-        out = []
-        for s in self.k_simplices(k):
-            for comp in self.components[s]:
-                out.append((s, comp))
-        return out
-
-    def face_component(self, simplex, comp, face):
-        """Component of the face containing the given overlap component."""
-        face_comps = self.components[face]
-        if len(face_comps) == 1:
-            return face_comps[0]
-        raise OverlapMismatchError(
-            f"ambiguous component inclusion {simplex}/{comp} into {face}; declare it")
 
     def chart_of(self, simplex):
         if simplex in self.chart_refs:
@@ -104,27 +87,22 @@ class Cochain:
         self.cover = cover
         self.degree = int(degree)
         vals = {}
-        for key, v in (values or {}).items():
-            simplex, comp = key
+        for simplex, v in (values or {}).items():
             simplex = tuple(simplex)
             if simplex not in cover.simplices or len(simplex) != degree + 1:
                 raise OverlapMismatchError(f"value on unknown overlap {simplex}")
-            if comp not in cover.components[simplex]:
-                raise OverlapMismatchError(f"unknown component {comp} of {simplex}")
-            vals[(simplex, comp)] = ExactScalar.coerce(v)
+            vals[simplex] = ExactScalar.coerce(v)
         self.values = vals
 
-    def value(self, simplex, comp="c0") -> ExactScalar:
-        return self.values.get((tuple(simplex), comp), ZERO)
+    def value(self, simplex) -> ExactScalar:
+        return self.values.get(tuple(simplex), ZERO)
 
     def vector(self):
-        return [self.value(s, c) for s, c in self.cover.slots(self.degree)]
+        return [self.value(s) for s in self.cover.k_simplices(self.degree)]
 
     @staticmethod
     def from_vector(cover, degree, vec):
-        slots = cover.slots(degree)
-        return Cochain(cover, degree,
-                       {slot: v for slot, v in zip(slots, vec)})
+        return Cochain(cover, degree, dict(zip(cover.k_simplices(degree), vec)))
 
     def __add__(self, other):
         out = dict(self.values)
@@ -155,8 +133,7 @@ class Cochain:
         return all(v.is_real() for v in self.values.values())
 
     def __repr__(self):
-        bits = [f"{s}/{c}: {v}" for (s, c), v in sorted(self.values.items(),
-                key=lambda kv: kv[0]) if not v.is_zero()]
+        bits = [f"{s}: {v}" for s, v in sorted(self.values.items()) if not v.is_zero()]
         return "Cochain{" + ", ".join(bits) + "}"
 
 
@@ -167,16 +144,13 @@ def cech_delta(c: Cochain) -> Cochain:
 
 
 def delta_matrix(cover: GoodCover, degree):
-    """Matrix of cech_delta: C^degree -> C^(degree+1) in slot bases."""
-    source = cover.slots(degree)
-    target = cover.slots(degree + 1)
+    """Matrix of cech_delta: C^degree -> C^(degree+1) in simplex bases."""
+    source = cover.k_simplices(degree)
     rows = []
-    for simplex, comp in target:
+    for simplex in cover.k_simplices(degree + 1):
         row = [ZERO] * len(source)
         for j in range(len(simplex)):
-            face = simplex[:j] + simplex[j + 1:]
-            fcomp = cover.face_component(simplex, comp, face)
-            idx = source.index((face, fcomp))
+            idx = source.index(simplex[:j] + simplex[j + 1:])
             row[idx] = row[idx] + ExactScalar((-1) ** (j + 1))
         rows.append(row)
     return rows
@@ -198,14 +172,10 @@ class CohomologyDescription:
 def cohomology_compute(cover: GoodCover, degree, coefficients="real"):
     """Cohomology of the longitudinal complex by exact elimination / SNF."""
     d_k = delta_matrix(cover, degree)
-    d_prev = delta_matrix(cover, degree - 1) if degree > 0 else None
-    n_k = len(cover.slots(degree))
+    image_cols = _coboundary_columns(cover, degree)
+    n_k = len(cover.k_simplices(degree))
     if coefficients == "real":
         kb = kernel_basis(d_k, n_k)
-        image_cols = []
-        if d_prev:
-            for j in range(len(cover.slots(degree - 1))):
-                image_cols.append([row[j] for row in d_prev])
         chosen = column_space_completion(image_cols, kb, n_k)
         gens = [Cochain.from_vector(cover, degree, kb[i]) for i in chosen]
         return CohomologyDescription(degree, "real", len(chosen), (), gens)
@@ -217,16 +187,9 @@ def cohomology_compute(cover: GoodCover, degree, coefficients="real"):
         [[1 if i == j else 0 for i in range(n_k)] for j in range(n_k)]
     if not kb:
         return CohomologyDescription(degree, "integer", 0, (), [])
-    if d_prev:
-        d_prev_int = [[_as_int(v) for v in row] for row in d_prev]
-        image_cols = [[row[j] for row in d_prev_int]
-                      for j in range(len(cover.slots(degree - 1)))]
-    else:
-        image_cols = []
     # express image vectors in the kernel basis (exact rational solve, then int)
     kernel_rows = [[ExactScalar(kb[b][i]) for b in range(len(kb))] for i in range(n_k)]
-    solutions = solve_linear(kernel_rows, [[ExactScalar(v) for v in col]
-                                           for col in image_cols]) if image_cols else []
+    solutions = solve_linear(kernel_rows, image_cols) if image_cols else []
     if any(sol is None for sol in solutions):
         raise MalformedExpressionError("image does not lie in the kernel")
     rel_cols = [[_as_int(v) for v in sol] for sol in solutions]
@@ -247,6 +210,13 @@ def cohomology_compute(cover: GoodCover, degree, coefficients="real"):
         return CohomologyDescription(degree, "integer", free_rank, torsion, gens)
     gens = [Cochain.from_vector(cover, degree, vec) for vec in kb]
     return CohomologyDescription(degree, "integer", len(kb), (), gens)
+
+
+def _coboundary_columns(cover: GoodCover, degree):
+    """Columns of the coboundary C^(degree-1) -> C^degree, which span the
+    degree-`degree` coboundaries."""
+    d_prev = delta_matrix(cover, degree - 1) if degree > 0 else []
+    return [list(col) for col in zip(*d_prev)]
 
 
 def _as_int(v):
@@ -329,13 +299,8 @@ def class_of(cover: GoodCover, cochain: Cochain) -> CohomologyClass:
         raise MalformedExpressionError("representative is not a cocycle")
     desc = cohomology_compute(cover, cochain.degree, "real")
     gen_vecs = [g.vector() for g in desc.generators]
-    d_prev = delta_matrix(cover, cochain.degree - 1) if cochain.degree > 0 else None
-    n = len(cover.slots(cochain.degree))
-    cols = []
-    cols.extend(gen_vecs)
-    if d_prev:
-        for j in range(len(cover.slots(cochain.degree - 1))):
-            cols.append([row[j] for row in d_prev])
+    n = len(cover.k_simplices(cochain.degree))
+    cols = gen_vecs + _coboundary_columns(cover, cochain.degree)
     rows = [[cols[c][i] for c in range(len(cols))] for i in range(n)]
     (sol,) = solve_linear(rows, [cochain.vector()])
     if sol is None:
@@ -350,7 +315,7 @@ def derham_to_cech(omega: DifferentialForm, cover: GoodCover, primitives=None,
     primitives: {index: DifferentialForm} declared patch primitives (computed
     by radial homotopy when omitted and the patch chart is star-shaped with
     polynomial data).  overlap_functions: {(j,k): OverlapFunction} with
-    d f_jk = eta_j - eta_k.  branch_offsets: {(simplex, comp): {(j,k): offset}}.
+    d f_jk = eta_j - eta_k.  branch_offsets: {simplex: {(j,k): offset}}.
     """
     atlas = cover.atlas
     d_omega = exterior_derivative(omega)
@@ -383,46 +348,53 @@ def derham_to_cech(omega: DifferentialForm, cover: GoodCover, primitives=None,
         if not mismatch.is_zero():
             raise MalformedExpressionError(
                 f"overlap function ({j},{k}) fails d f = eta_j - eta_k")
-    branch_offsets = dict(branch_offsets or {})
     values = {}
     for simplex in cover.k_simplices(2):
         j, k, l = simplex
-        f_jk = _get_overlap(overlap_functions, j, k)
-        f_kl = _get_overlap(overlap_functions, k, l)
-        f_jl = _get_overlap(overlap_functions, j, l)
-        for comp in cover.components[simplex]:
-            offsets = branch_offsets.get((simplex, comp), {})
-            angle_total = f_jk.angle_coeff + f_kl.angle_coeff - f_jl.angle_coeff
-            if not angle_total.is_zero():
+        f_jk, f_kl, f_jl = (_get_overlap(overlap_functions, *pair)
+                            for pair in ((j, k), (k, l), (j, l)))
+        angle_total = f_jk.angle_coeff + f_kl.angle_coeff - f_jl.angle_coeff
+        if not angle_total.is_zero():
+            raise MalformedExpressionError(
+                f"angle coefficients do not cancel on {simplex}")
+        # rational parts must combine to a leafwise-constant function
+        chart_name = cover.chart_of(simplex)
+        # the angle parts enter through the offsets; an undeclared
+        # overlap function has no chart and is zero everywhere
+        jk, kl, jl = (to_chart(atlas, f.rational_part, f.chart or chart_name, chart_name)
+                      for f in (f_jk, f_kl, f_jl))
+        rot = jk + kl - jl
+        chart = atlas.chart(chart_name)
+        for coord in chart.coords_for(omega.leafwise_class):
+            if not rot.derivative(coord).is_zero():
                 raise MalformedExpressionError(
-                    f"angle coefficients do not cancel on {simplex}")
-            # rational parts must combine to a leafwise-constant function
-            chart_name = cover.chart_of(simplex)
-            # the angle parts enter through the offsets; an undeclared
-            # overlap function has no chart and is zero everywhere
-            jk, kl, jl = (to_chart(atlas, f.rational_part, f.chart or chart_name, chart_name)
-                          for f in (f_jk, f_kl, f_jl))
-            rot = jk + kl - jl
-            chart = atlas.chart(chart_name)
-            for coord in chart.coords_for(omega.leafwise_class):
-                if not rot.derivative(coord).is_zero():
-                    raise MalformedExpressionError(
-                        f"cocycle value on {simplex} is not leafwise constant")
-            sample = cover.sample_points.get((simplex, comp))
-            if sample is None and rot.is_constant():
-                value = rot.constant_value()
-            elif sample is None:
-                raise MalformedExpressionError(
-                    f"sample point required for overlap {simplex}")
-            else:
-                value = rot.evaluate(sample)
-            offset_value = (
-                f_jk.angle_coeff * ExactScalar.coerce(offsets.get((j, k), 0))
-                + f_kl.angle_coeff * ExactScalar.coerce(offsets.get((k, l), 0))
-                - f_jl.angle_coeff * ExactScalar.coerce(offsets.get((j, l), 0)))
-            values[(simplex, comp)] = value + offset_value
+                    f"cocycle value on {simplex} is not leafwise constant")
+        value = cocycle_value(cover, simplex, rot,
+                              (f_jk.angle_coeff, f_kl.angle_coeff, f_jl.angle_coeff),
+                              (branch_offsets or {}).get(simplex, {}))
+        if value is None:
+            raise MalformedExpressionError(f"sample point required for overlap {simplex}")
+        values[simplex] = value
     cochain = Cochain(cover, 2, values)
     return class_of(cover, cochain)
+
+
+def cocycle_value(cover: GoodCover, simplex, rational, angle_coeffs, offsets):
+    """Value on the triple overlap (j, k, l) of f_jk + f_kl - f_jl, from the
+    combination's `rational` part and the angle coefficients
+    (a_jk, a_kl, a_jl) of the three functions: the rational part, a constant
+    or taken at the simplex's sample point, plus the branch offsets
+    a_jk o_jk + a_kl o_kl - a_jl o_jl.  None when the rational part is not
+    constant and the simplex declares no sample point."""
+    j, k, l = simplex
+    a_jk, a_kl, a_jl = angle_coeffs
+    offset = (a_jk * ExactScalar.coerce(offsets.get((j, k), 0))
+              + a_kl * ExactScalar.coerce(offsets.get((k, l), 0))
+              - a_jl * ExactScalar.coerce(offsets.get((j, l), 0)))
+    if rational.is_constant():
+        return rational.constant_value() + offset
+    sample = cover.sample_points.get(simplex)
+    return None if sample is None else rational.evaluate(sample) + offset
 
 
 def _get_overlap(functions, j, k):
@@ -447,9 +419,9 @@ def integrality_test(cls: CohomologyClass) -> IntegralityReport:
     if any(not v.is_real() for v in a_vec):
         raise MalformedExpressionError("integrality needs a real cocycle")
     d1 = delta_matrix(cover, 1)
-    m = len(cover.slots(2))
+    m = len(cover.k_simplices(2))
     if not d1:
-        d1_int = [[0] * max(len(cover.slots(1)), 1) for _ in range(m)]
+        d1_int = [[0] * max(len(cover.k_simplices(1)), 1) for _ in range(m)]
     else:
         d1_int = [[_as_int(v) for v in row] for row in d1]
     u, s, v, r = smith_normal_form(d1_int)
@@ -459,11 +431,11 @@ def integrality_test(cls: CohomologyClass) -> IntegralityReport:
         return IntegralityReport(cls, False)
     # build the correction: kill fractional parts along the first r coordinates
     q_prime = []
-    for i in range(min(r, len(cover.slots(1)))):
+    for i in range(min(r, len(cover.k_simplices(1)))):
         d_i = s[i][i]
         frac = ua[i] - ExactScalar(Fraction(int(ua[i].re // 1)))
         q_prime.append((frac / ExactScalar(d_i)) if not frac.is_zero() else ZERO)
-    n1 = len(cover.slots(1))
+    n1 = len(cover.k_simplices(1))
     q_full = [ZERO] * n1
     for i, val in enumerate(q_prime):
         q_full[i] = val

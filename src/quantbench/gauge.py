@@ -77,23 +77,6 @@ class PrincipalBundleData:
                 out[(i, j)] = tuple(-a + b + c for a, b, c in zip(d_i_aj, d_j_ai, comm))
         return out
 
-    def curvature_reverify(self) -> CheckResult:
-        """Recompute F through the pair-bracket display and compare."""
-        coords = self.base_chart.coords
-        failures = []
-        direct = self.curvature_components()
-        for (i, j), vec in direct.items():
-            # tau([w_i, w_j]) - w_i.tau(w_j) + w_j.tau(w_i) + [tau(w_i), tau(w_j)]
-            # with coordinate fields: [w_i, w_j] = 0
-            term = [-c.derivative(coords[i]) for c in self.potential[j]]
-            term = [t + c.derivative(coords[j]) for t, c in zip(term, self.potential[i])]
-            comm = self._bracket(self.potential[i], self.potential[j])
-            display = [t + c for t, c in zip(term, comm)]
-            diff = [(a - b).simplify() for a, b in zip(vec, display)]
-            if any(not d.is_zero() for d in diff):
-                failures.append((f"F[{i},{j}]", "display mismatch"))
-        return CheckResult(not failures, failures)
-
     def is_flat(self) -> bool:
         return all(all(c.is_zero() for c in vec)
                    for vec in self.curvature_components().values())
@@ -235,8 +218,6 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
     """Fiber bundle data extended by the <mu, A_i> db_i connection terms."""
     cover = GoodCover(atlas, fiber_bundle.cover.index_set,
                       [s for s in fiber_bundle.cover.simplices if len(s) > 1],
-                      components={s: fiber_bundle.cover.components[s]
-                                  for s in fiber_bundle.cover.simplices},
                       chart_refs=dict(fiber_bundle.cover.chart_refs),
                       sample_points=dict(fiber_bundle.cover.sample_points),
                       angle_forms={})
@@ -258,6 +239,30 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
 # ---------------------------------------------------------------------------
 # the gauge checks
 # ---------------------------------------------------------------------------
+
+def curvature_formula_check(scenario: ActionScenario) -> CheckResult:
+    """F(w_i, w_j) = tau([w_i, w_j]) - w_i.tau(w_j) + w_j.tau(w_i)
+    + [tau(w_i), tau(w_j)] on the base generators, through the gauge model's
+    bracket and anchor, against `PrincipalBundleData.curvature_components`."""
+    model = scenario.model
+    data = scenario.gauge.bundle_data
+    taus = [[coerce_rational(c) for c in scenario.gauge.tau(k)] for k in range(model.n)]
+
+    def tau(section):  # linear over functions
+        return [sum((c * t[a] for c, t in zip(section.coeffs, taus)), RationalExpr.zero())
+                for a in range(data.algebra.n)]
+
+    failures = []
+    for (i, j), direct in data.curvature_components().items():
+        w_i, w_j = model.basis_section(i), model.basis_section(j)
+        tau_i, tau_j = tau(w_i), tau(w_j)
+        rho_i, rho_j = model.anchor(w_i), model.anchor(w_j)
+        formula = [b - rho_i.derive(t_j) + rho_j.derive(t_i) + c for b, t_i, t_j, c in
+                   zip(tau(model.bracket(w_i, w_j)), tau_i, tau_j, data._bracket(tau_i, tau_j))]
+        if any(not (a - b).simplify().is_zero() for a, b in zip(direct, formula)):
+            failures.append((f"F[{i},{j}]", "display mismatch"))
+    return CheckResult(not failures, failures)
+
 
 def _fiber_pairings(scenario: ActionScenario) -> list:
     """<mu, e_a> for the structure-algebra generators e_a of a gauge scenario."""

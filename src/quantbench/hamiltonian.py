@@ -107,10 +107,10 @@ class ActionScenario:
     """Everything the checks need, bundled.  The keyword-only stage inputs are
     None (or False) where a stage does not apply: the prequantization `bundle`;
     the Kahler polarization `structure` with its `holomorphic_coords` and
-    monomial `ansatz_cap`; the `zero_level` declaration read by
-    `catalog.zero_level_data`; the closed-form `integration` kind; the family
-    `level`; `degenerate` for a point orbit modeled with the zero form; a
-    `full_quotient` description; and the `gauge` construction that built it.
+    monomial `ansatz_cap`; the `zero_level`, a `reduce.ZeroLevelData`; the
+    closed-form `integration` kind; the family `level`; `degenerate` for a
+    point orbit modeled with the zero form; a `full_quotient` description;
+    and the `gauge` construction that built it.
     A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
     into every process."""
 

@@ -222,12 +222,18 @@ class AlgebroidModel:
         self.n = len(self.generator_names)
         self.bracket_table = {}
         for (i, j), vec in bracket_table.items():
+            if not (0 <= i < self.n and 0 <= j < self.n and i != j) or len(vec) != self.n:
+                raise ModelMismatchError(f"bracket entry {(i, j)} needs two distinct "
+                                         f"generator indices and {self.n} coefficients")
             self.bracket_table[(i, j)] = tuple(coerce_rational(v) for v in vec)
         self.anchor_fields = list(anchor_fields)
         self.isotropy_indices = tuple(
             isotropy_indices if isotropy_indices is not None
             else [i for i, f in enumerate(self.anchor_fields)
                   if f is None or f.is_zero()])
+        if any(type(i) is not int or not 0 <= i < self.n for i in self.isotropy_indices):
+            raise ModelMismatchError(f"isotropy indices {self.isotropy_indices} "
+                                     "are not generator indices")
         self.gauge_base_count = gauge_base_count
 
     # -- sections ---------------------------------------------------------

@@ -21,37 +21,32 @@ from .scalars import ExactScalar, I, ONE, ZERO
 
 
 class ZeroLevelData:
-    """Parametrized zero level of the internal momentum map."""
+    """Parametrized zero level of the internal momentum map on one chart.  The
+    isotropy generators are the scenario model's; the free and proper action
+    of their orbits is declared, and `verify` echoes it."""
 
-    def __init__(self, scenario: ActionScenario, chart, equations, parametrization,
-                 param_names, isotropy_indices=None, orbit_dimension=0,
-                 free=True, proper=True):
-        self.scenario = scenario
+    def __init__(self, chart, equations, parametrization, param_names, orbit_dimension=0):
         self.chart = chart
         self.equations = [coerce_rational(e) for e in equations]
         self.parametrization = {c: coerce_rational(v)
                                 for c, v in parametrization.items()}
         self.param_names = tuple(param_names)
-        self.isotropy_indices = tuple(
-            isotropy_indices if isotropy_indices is not None
-            else scenario.model.isotropy_indices)
         self.orbit_dimension = int(orbit_dimension)
-        self.free = bool(free)
-        self.proper = bool(proper)
 
     @property
     def level_dimension(self):
         return len(self.param_names)
 
-    def verify(self) -> CheckResult:
+    def verify(self, scenario: ActionScenario) -> CheckResult:
         """Equations vanish on the parametrization; momentum vanishes too."""
         failures = []
+        isotropy = scenario.model.isotropy_indices
         for eq in self.equations:
             resid = eq.subst(self.parametrization).simplify()
             if not resid.is_zero():
                 failures.append(("defining-equation", str(resid)))
-        for i in self.isotropy_indices:
-            pairing = self.scenario.momentum.pairing(i).get(self.chart)
+        for i in isotropy:
+            pairing = scenario.momentum.pairing(i).get(self.chart)
             if pairing is None:
                 continue
             resid = pairing.subst(self.parametrization).simplify()
@@ -59,15 +54,14 @@ class ZeroLevelData:
                 failures.append(("momentum-vanishing",
                                  f"generator {i}: {resid}"))
         # isotropy orbit directions are tangent to the zero level
-        for i in self.isotropy_indices:
-            field = self.scenario.generator_field(i)
+        for i in isotropy:
+            field = scenario.generator_field(i)
             for eq in self.equations:
                 derived = field.derive(eq, self.chart).subst(self.parametrization)
                 if not derived.is_zero():
                     failures.append(("tangency", f"generator {i}"))
         return CheckResult(not failures, failures,
-                           notes=[f"freeness declared: {self.free}",
-                                  f"properness declared: {self.proper}"])
+                           notes=["freeness declared: True", "properness declared: True"])
 
 
 class ReducedSpace:
@@ -80,7 +74,7 @@ class ReducedSpace:
         return f"ReducedSpace({self.kind}, dim {self.dimension})"
 
 
-def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
+def internal_mw_quotient(scenario: ActionScenario, z: ZeroLevelData) -> ReducedSpace:
     """Per-fiber symplectic quotient of the zero level by the isotropy orbits."""
     quotient_dim = z.level_dimension - z.orbit_dimension
     if quotient_dim < 0:
@@ -90,7 +84,7 @@ def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
     if z.orbit_dimension == 0:
         # trivial isotropy: the quotient is the zero level, and the restricted
         # form is the reduced form
-        return ReducedSpace("symplectic", quotient_dim, omega0=z.scenario.presymplectic.omega)
+        return ReducedSpace("symplectic", quotient_dim, omega0=scenario.presymplectic.omega)
     raise MalformedExpressionError(
         "positive-dimensional quotients with nontrivial isotropy need a declared model")
 
@@ -175,7 +169,7 @@ def descent_obstruction_check(scenario: ActionScenario, ops,
             break
     if patch is None:
         raise MalformedExpressionError("no bundle patch covers the zero-level chart")
-    for i in z.isotropy_indices:
+    for i in scenario.model.isotropy_indices:
         potential = ops[i].potential_part(patch)
         restricted = potential.subst(z.parametrization).simplify()
         if not restricted.is_constant():

@@ -10,24 +10,22 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
-from .catalog import build_scenario, zero_level_data
 from .errors import CurvatureMismatchError, UnknownCheckError
-from .gauge import gauge_momentum_verify, quantization_isomorphism_check
+from .gauge import curvature_formula_check, gauge_momentum_verify, \
+    quantization_isomorphism_check
 from .reports import CheckRecord, CheckResult, Report
 
 
 class RunContext:
     """One run's scenario and artifacts.  The stage inputs are the
     scenario's own fields.  The checks that produce `operators`, `basis`,
-    `representation`, `zero_level`, `reduced`, `descent` and `fixed_subspace`
-    set them; `d_mu` is built on first use by the rows that read it."""
+    `representation`, `reduced`, `descent` and `fixed_subspace` set them;
+    `d_mu` is built on first use by the rows that read it."""
 
     def __init__(self, scenario):
-        if isinstance(scenario, str):
-            scenario = build_scenario(scenario)
         self.scenario = scenario
         self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
-        self.operators = self.basis = self.representation = self.zero_level = None
+        self.operators = self.basis = self.representation = None
         self.reduced = self.descent = self.fixed_subspace = None
 
     @cached_property
@@ -121,25 +119,20 @@ def _integration(ctx):
     return details
 
 
-def _zero_level(ctx):
-    ctx.zero_level = zero_level_data(ctx.scenario)
-    return ctx.zero_level.verify()
-
-
 def _internal_quotient(ctx):
-    ctx.reduced = reduce_mod.internal_mw_quotient(ctx.zero_level)
+    ctx.reduced = reduce_mod.internal_mw_quotient(ctx.scenario, ctx.scenario.zero_level)
     return {"reduced": repr(ctx.reduced)}
 
 
 def _descent(ctx):
     ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.operators,
-                                                       ctx.zero_level)
+                                                       ctx.scenario.zero_level)
     return ctx.descent
 
 
 def _projector(ctx):
     fixed = ctx.fixed_subspace = reduce_mod.quantum_fixed_subspace(
-        ctx.representation, ctx.zero_level.isotropy_indices)
+        ctx.representation, ctx.scenario.model.isotropy_indices)
     res = reduce_mod.projector_checks(fixed)
     res.notes.append(f"fixed-subspace dimension {fixed.dimension}")
     return res
@@ -189,7 +182,7 @@ CHECKS = (
     Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
           lambda c: hamiltonian.dd_zero_report(c.scenario, c.d_mu)),
     Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",
-          lambda c: c.scenario.gauge.bundle_data.curvature_reverify(),
+          lambda c: curvature_formula_check(c.scenario),
           applies=lambda c: c.scenario.gauge is not None),
     Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
           lambda c: gauge_momentum_verify(c.scenario, c.d_mu),
@@ -245,7 +238,7 @@ CHECKS = (
           _integration, uses=("representation",),
           applies=lambda c: bool(c.scenario.integration)),
     Check("zero-level", "reduce", "defining equations, tangency, declared regularity",
-          _zero_level, produces="zero_level",
+          lambda c: c.scenario.zero_level.verify(c.scenario), produces="zero_level",
           applies=lambda c: c.scenario.zero_level is not None),
     Check("internal-quotient", "reduce", "fiberwise reduced model and dimension count",
           _internal_quotient, needs=("zero_level",), produces="reduced",
@@ -293,7 +286,7 @@ def _execute(check, ctx) -> CheckRecord:
                        anchor=check.anchor)
 
 
-def run_scenario(scenario, checks=None, seed=1729) -> Report:
+def run_scenario(scenario: hamiltonian.ActionScenario, checks=None, seed=1729) -> Report:
     """Run the check table on `scenario`; `checks` filters by check id or stage
     name and pulls in the checks the selected ones depend on.  Every check is
     decided on a finite test set, so `seed` is accepted and read by none."""

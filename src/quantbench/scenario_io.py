@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import MalformedExpressionError, SchemaError
+from .errors import MalformedExpressionError, ModelMismatchError, SchemaError
 from .exprs import PolyExpr, coerce_rational, parse_expr
 from .geometry import Chart, DifferentialForm, FiberedAtlas, Transition, VectorField
 from .hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
@@ -191,19 +191,28 @@ def load_scenario(data) -> ActionScenario:
         fields = [_field_from_dict(atlas, f) for f in data["action"]["fields"]]
         action = ActionMap(model, atlas, fields)
         omega = _form_from_dict(atlas, data["presymplectic"]["omega"])
-        samples = [{"chart": s["chart"],
-                    "point": {k: _finite(v) for k, v in s["point"].items()}}
-                   for s in data["presymplectic"].get("samples", [])]
+        samples = [_sample(atlas, s) for s in data["presymplectic"].get("samples", [])]
         presymplectic = PresymplecticData(atlas, omega, samples)
         pairings = []
         for entries in data["momentum"]["pairings"]:
-            pairings.append({e["chart"]: parse_expr(e["value"]) for e in entries})
+            pairings.append({atlas.chart(e["chart"]).name: parse_expr(e["value"])
+                             for e in entries})
         momentum = MomentumMapRep(model, pairings)
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
                               **_declarations(data.get("extras", {})))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            MalformedExpressionError) as exc:
+            MalformedExpressionError, ModelMismatchError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
+
+
+def _sample(atlas, entry) -> dict:
+    """A sample point: a finite value for every coordinate of an atlas chart."""
+    chart = atlas.chart(entry["chart"])
+    point = {k: _finite(v) for k, v in entry["point"].items()}
+    if not set(chart.coords) <= set(point):
+        raise SchemaError(f"scenario file invalid: sample on chart {chart.name} "
+                          f"needs the coordinates {list(chart.coords)}")
+    return {"chart": chart.name, "point": point}
 
 
 def _finite(text) -> float:

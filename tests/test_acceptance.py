@@ -36,7 +36,6 @@ from quantbench.catalog import (
     sphere_family_scenario,
     standard_complex_structure,
     su2_orbit_scenario,
-    zero_level_data,
 )
 from quantbench.cech import cech_delta, cohomology_compute, derham_to_cech, \
     integrality_test, Cochain
@@ -179,7 +178,7 @@ def test_criterion_5_cech_suite(orbit_scenarios):
     delta_trials = 0
     for cover in (cover4, cover5):
         for degree in (0, 1):
-            n = len(cover.slots(degree))
+            n = len(cover.k_simplices(degree))
             for _ in range(30):
                 vec = [ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                        for _ in range(n)]
@@ -231,9 +230,9 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
     details = []
     for k in (2, 4):
         s = rotation_scenarios[k]
-        z = zero_level_data(s)
+        z = s.zero_level
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
-                                  internal_mw_quotient(z),
+                                  internal_mw_quotient(s, z),
                                   descent_obstruction_check(
                                       s, kostant_operator(s, s.bundle), z))
         ok &= report.status == "pass"
@@ -243,9 +242,9 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
         details.append(f"k={k}: dims 1/1, scale^2 = {report.scale_squared}")
     s3 = rotation_scenarios[3]
     descent = descent_obstruction_check(s3, kostant_operator(s3, s3.bundle),
-                                        zero_level_data(s3))
+                                        s3.zero_level)
     report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
-                               internal_mw_quotient(zero_level_data(s3)), descent)
+                               internal_mw_quotient(s3, s3.zero_level), descent)
     ok &= not descent.descends
     ok &= descent.obstructions["e1"] == ExactScalar(Fraction(1, 2))
     ok &= report3.status == "hypotheses-not-met"

@@ -9,6 +9,8 @@ import pytest
 
 from quantbench.bundles import (
     KostantOperator,
+    LineBundleData,
+    TransitionValue,
     chern_class_algebroid,
     connection_equivariance_check,
     construct_from_integral_class,
@@ -128,6 +130,38 @@ class TestIntegralClassConstruction:
             self._build(atlas, level)
         assert err.value.report is not None
         assert not err.value.report.integral
+
+
+class TestTripleOverlapCocycle:
+    """The cocycle identity of `validate_bundle` on the triples of the
+    four-patch sector cover, from the zig-zag data with no integrality
+    correction: transitions exp(-twopii f_jk)."""
+
+    def _zigzag_bundle(self, atlas, level, offsets=True):
+        cover = sector_cover(atlas, 3)
+        primitives, overlaps, branch = sector_zigzag_data(atlas, cover, level)
+        transitions = {pair: TransitionValue(f.chart, 1, f.scaled(-1))
+                       for pair, f in overlaps.items()}
+        return LineBundleData("zigzag", cover, transitions, {i: 1 for i in cover.index_set},
+                              primitives, branch_offsets=branch if offsets else None)
+
+    @pytest.mark.parametrize("level", [Fraction(1, 2), Fraction(3, 2)])
+    def test_half_level_fails_the_exponent_sum(self, atlas, level):
+        result = validate_bundle(self._zigzag_bundle(atlas, level))
+        assert not result.ok
+        [(kind, text)] = result.failures
+        assert kind == "cocycle" and text.startswith("(0, 1, 3)")
+        assert text.endswith(f": exponent sum {-level}")
+
+    def test_angle_part_without_offsets(self, atlas):
+        """The sector data's angle coefficients cancel on every triple, so the
+        offsets are read only once the (0, 1) transition loses its angle part."""
+        bundle = self._zigzag_bundle(atlas, Fraction(1), offsets=False)
+        assert validate_bundle(bundle).ok
+        bundle.transitions[(0, 1)] = TransitionValue("N", 1, None)
+        cocycle = [text for kind, text in validate_bundle(bundle).failures if kind == "cocycle"]
+        assert cocycle == ["(0, 1, 2): angle part without offsets",
+                           "(0, 1, 3): angle part without offsets"]
 
 
 class TestKostantOperators:

@@ -53,23 +53,30 @@ def fs_class(atlas, cover, level: Fraction):
 
 class TestDelta:
     def test_constant_cochain_closed(self, cover4):
-        c = Cochain(cover4, 0, {((i,), "c0"): ExactScalar(7)
-                                for i in cover4.index_set})
+        c = Cochain(cover4, 0, {(i,): ExactScalar(7) for i in cover4.index_set})
         assert cech_delta(c).is_zero()
 
     def test_two_set_telescoping(self, atlas):
         cover = GoodCover(atlas, ["N", "S"], [("N", "S")],
                           chart_refs={("N",): "N", ("S",): "S", ("N", "S"): "N"})
-        c = Cochain(cover, 0, {(("N",), "c0"): 0, (("S",), "c0"): 1})
+        c = Cochain(cover, 0, {("N",): 0, ("S",): 1})
         delta = cech_delta(c)
         assert delta.value(("N", "S")).abs2() == ExactScalar(1)
+
+    def test_sign_convention(self, atlas):
+        """(delta c)(N, S) = c(N) - c(S): the face without index j has sign
+        (-1)^(j+1)."""
+        cover = GoodCover(atlas, ["N", "S"], [("N", "S")],
+                          chart_refs={("N",): "N", ("S",): "S", ("N", "S"): "N"})
+        delta = cech_delta(Cochain(cover, 0, {("N",): 5, ("S",): 2}))
+        assert delta.value(("N", "S")) == ExactScalar(3)
 
     def test_delta_squared_randomized(self, cover4, cover5):
         rng = random.Random(3)
         trials = 0
         for cover in (cover4, cover5):
             for degree in (0, 1):
-                n = len(cover.slots(degree))
+                n = len(cover.k_simplices(degree))
                 for _ in range(30):
                     vec = [ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
                            for _ in range(n)]
@@ -117,7 +124,7 @@ class TestCohomology:
         monkeypatch.setattr(cech, "solve_linear", counted)
         h2 = cohomology_compute(cover4, 2, "integer")
         assert (h2.rank, h2.torsion) == (1, ())
-        assert len(calls) == 1 and calls[0] == len(cover4.slots(1))
+        assert len(calls) == 1 and calls[0] == len(cover4.k_simplices(1))
 
     def test_smith_normal_form_oracle(self):
         # independently verify U A V = S and divisibility on a fixed matrix
@@ -199,8 +206,8 @@ class TestZigZag:
         # the declared offsets must reproduce atan2 at the sample points
         for cover in (cover4, cover5):
             _, overlaps, offsets = sector_zigzag_data(atlas, cover, Fraction(1))
-            for (simplex, comp), table in offsets.items():
-                sample = cover.sample_points[(simplex, comp)]
+            for simplex, table in offsets.items():
+                sample = cover.sample_points[simplex]
                 x, y = float(sample["x"]), float(sample["y"])
                 theta = math.atan2(y, x) / (2 * math.pi)
                 for (j, k), declared in table.items():

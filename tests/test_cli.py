@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantbench.catalog import SCENARIO_FAMILIES, su2_orbit_scenario
+from quantbench.catalog import SCENARIO_FAMILIES, build_scenario, su2_orbit_scenario
 from quantbench.cli import main
 from quantbench.errors import QuantbenchError, SchemaError
 from quantbench.hamiltonian import (
@@ -16,7 +16,7 @@ from quantbench.hamiltonian import (
     prequantization_condition_check,
     quantization_condition_check,
 )
-from quantbench.runner import RunContext, run_scenario
+from quantbench.runner import run_scenario
 from quantbench.scenario_io import dump_scenario, load_scenario
 
 
@@ -140,8 +140,8 @@ class TestReportRendering:
         assert "schema error: report file invalid" in captured.err
 
     def test_determinism_modulo_timing(self):
-        a = run_scenario("su2-orbit-1", checks={"hamiltonian"}, seed=5)
-        b = run_scenario("su2-orbit-1", checks={"hamiltonian"}, seed=5)
+        a = run_scenario(build_scenario("su2-orbit-1"), checks={"hamiltonian"}, seed=5)
+        b = run_scenario(build_scenario("su2-orbit-1"), checks={"hamiltonian"}, seed=5)
         assert a.canonical_json() == b.canonical_json()
 
     def test_seed_is_accepted_and_changes_nothing(self, tmp_path):
@@ -185,7 +185,7 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("family", list(SCENARIO_FAMILIES))
     def test_dumped_catalog_scenario_runs_without_fail(self, family, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(dump_scenario(RunContext(family).scenario)))
+        path.write_text(json.dumps(dump_scenario(build_scenario(family))))
         checks = ["--checks", "hamiltonian"] if family == "gauge-su2-k" else []
         assert main(["run", str(path), "--format", "json", *checks]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
@@ -204,6 +204,17 @@ class TestScenarioFiles:
                      id="power-degree-99999999"),
         pytest.param(("presymplectic", "samples", 0, "point", "x"), "nan", id="sample-nan"),
         pytest.param(("presymplectic", "samples", 1, "point", "u"), "-inf", id="sample-inf"),
+        pytest.param(("model", "isotropy"), [7], id="isotropy-out-of-range"),
+        pytest.param(("model", "isotropy"), ["a"], id="isotropy-not-an-index"),
+        pytest.param(("model", "brackets", 0, "pair"), [0, 9], id="bracket-out-of-range"),
+        pytest.param(("model", "brackets", 0, "pair"), [1, 1], id="bracket-diagonal"),
+        pytest.param(("model", "brackets", 0, "coefficients"), ["1"],
+                     id="bracket-one-coefficient"),
+        pytest.param(("presymplectic", "samples", 0, "chart"), "Q", id="sample-unknown-chart"),
+        pytest.param(("presymplectic", "samples", 0, "point"), {"x": "0.3"},
+                     id="sample-missing-coordinate"),
+        pytest.param(("momentum", "pairings", 0, 0, "chart"), "Q",
+                     id="pairing-unknown-chart"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

@@ -17,6 +17,7 @@ from quantbench.geometry import Chart, FiberedAtlas
 from quantbench.gauge import (
     PrincipalBundleData,
     build_gauge_scenario,
+    curvature_formula_check,
     gauge_momentum_verify,
     quantization_isomorphism_check,
 )
@@ -41,8 +42,19 @@ from quantbench.reduce import (
 
 class TestAssembly:
     def test_curvature_formula_reverified(self, gauge_su2_1):
-        assert gauge_su2_1.gauge.bundle_data.curvature_reverify().ok
+        assert curvature_formula_check(gauge_su2_1).ok
         assert not gauge_su2_1.gauge.bundle_data.is_flat()
+
+    def test_curvature_formula_reads_the_model_bracket(self):
+        """A base bracket [d_b1, d_b2] = e3 in the gauge model adds tau(e3) to
+        the recomputed F(d_b1, d_b2), which then differs from the potential's."""
+        scenario = gauge_su2_scenario(1)
+        zero, one = parse_expr("0"), parse_expr("1")
+        scenario.model.bracket_table[(0, 1)] = (zero, zero, zero, zero, one)
+        report = run_scenario(scenario, checks={"gauge-curvature-formula"})
+        (record,) = report.records
+        assert (record.check_id, record.status) == ("gauge-curvature-formula", "fail")
+        assert record.failures == [("F[0,1]", "display mismatch")]
 
     def test_assembled_form_closed_and_glues(self, gauge_su2_1):
         assert presymplectic_check(gauge_su2_1.presymplectic).ok
@@ -158,16 +170,16 @@ class TestGaugeReduction:
         scenario = gauge_u1_rotation_scenario(2)
         result = quantize_monomial(scenario)
         n_base = scenario.model.gauge_base_count
-        z = ZeroLevelData(scenario, "N", [parse_expr("x^2+y^2-1")],
+        z = ZeroLevelData("N", [parse_expr("x^2+y^2-1")],
                           {"x": parse_expr("(1-t^2)/(1+t^2)"),
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
-                          ("t",), isotropy_indices=(n_base,), orbit_dimension=1)
+                          ("t",), orbit_dimension=1)
         descent = descent_obstruction_check(
             scenario, kostant_operator(scenario, scenario.bundle), z)
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1
-        report = qr_commute_check(fixed, internal_mw_quotient(z), descent)
+        report = qr_commute_check(fixed, internal_mw_quotient(scenario, z), descent)
         assert report.status == "pass"
         assert report.fixed_dimension == report.reduced_dimension == 1

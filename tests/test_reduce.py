@@ -5,10 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quantbench.bundles import kostant_operator
-from quantbench.catalog import (
-    build_scenario,
-    zero_level_data,
-)
+from quantbench.catalog import build_scenario
 from quantbench.exprs import parse_expr
 from quantbench.reduce import (
     ZeroLevelData,
@@ -25,17 +22,19 @@ from quantbench.scalars import ExactScalar, ONE, ZERO
 class TestZeroLevel:
     def test_equator_data_verifies(self, rotation_scenarios):
         for k in (2, 3):
-            assert zero_level_data(rotation_scenarios[k]).verify().ok
+            scenario = rotation_scenarios[k]
+            assert scenario.zero_level.verify(scenario).ok
 
     def test_broken_parametrization_rejected(self, rotation_scenarios):
         scenario = rotation_scenarios[2]
-        bad = ZeroLevelData(scenario, "N", [parse_expr("x^2+y^2-1")],
+        bad = ZeroLevelData("N", [parse_expr("x^2+y^2-1")],
                             {"x": parse_expr("t"), "y": parse_expr("t")}, ("t",),
                             orbit_dimension=1)
-        assert not bad.verify().ok
+        assert not bad.verify(scenario).ok
         # the table rejects it: the zero-level row fails and its consumers skip
         scenario = build_scenario("u1-rotation-reduction-k", 2)
-        scenario.zero_level = dict(scenario.zero_level, parametrization=bad.parametrization)
+        scenario.zero_level = ZeroLevelData("N", scenario.zero_level.equations,
+                                            bad.parametrization, ("t",), orbit_dimension=1)
         records = {r.check_id: r for r in run_scenario(scenario).records}
         assert records["zero-level"].status == "fail"
         for check_id in ("internal-quotient", "descent-obstruction", "quantum-projector",
@@ -43,17 +42,29 @@ class TestZeroLevel:
             assert records[check_id].status == "skipped"
 
 
+    def test_momentum_must_vanish_on_the_level(self, rotation_scenarios):
+        """The circle of radius 2 solves its own equation and is tangent to the
+        rotation, but the model's isotropy generator has nonzero momentum on it."""
+        scenario = rotation_scenarios[2]
+        z = ZeroLevelData("N", [parse_expr("x^2+y^2-4")],
+                          {"x": parse_expr("2*(1-t^2)/(1+t^2)"),
+                           "y": parse_expr("4*t/(1+t^2)")}, ("t",), orbit_dimension=1)
+        result = z.verify(scenario)
+        assert [kind for kind, _ in result.failures] == ["momentum-vanishing"]
+        assert result.failures[0][1].startswith("generator 0: ")
+
+
 class TestInternalQuotient:
     def test_equator_reduces_to_point(self, rotation_scenarios):
-        red = internal_mw_quotient(zero_level_data(rotation_scenarios[2]))
+        scenario = rotation_scenarios[2]
+        red = internal_mw_quotient(scenario, scenario.zero_level)
         assert red.kind == "point" and red.dimension == 0
 
     def test_trivial_isotropy_keeps_the_level(self, rotation_scenarios):
         scenario = rotation_scenarios[2]
-        z = ZeroLevelData(scenario, "N", [], {"x": parse_expr("p"),
-                                              "y": parse_expr("q")},
-                          ("p", "q"), isotropy_indices=(), orbit_dimension=0)
-        red = internal_mw_quotient(z)
+        z = ZeroLevelData("N", [], {"x": parse_expr("p"), "y": parse_expr("q")},
+                          ("p", "q"), orbit_dimension=0)
+        red = internal_mw_quotient(scenario, z)
         assert red.kind == "symplectic" and red.dimension == 2
         assert red.omega0 is scenario.presymplectic.omega
 
@@ -86,7 +97,7 @@ class TestDescent:
     def test_even_levels_descend(self, rotation_scenarios, k):
         scenario = rotation_scenarios[k]
         result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
-                                           zero_level_data(scenario))
+                                           scenario.zero_level)
         assert result.descends
         assert result.weights["e1"] == ExactScalar(Fraction(k, 2))
         assert result.obstructions["e1"] == ZERO
@@ -94,7 +105,7 @@ class TestDescent:
     def test_odd_level_obstructed(self, rotation_scenarios):
         scenario = rotation_scenarios[3]
         result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
-                                           zero_level_data(scenario))
+                                           scenario.zero_level)
         assert not result.descends
         assert result.status == "hypotheses-not-met"
         assert result.obstructions["e1"] == ExactScalar(Fraction(1, 2))
@@ -102,10 +113,10 @@ class TestDescent:
     def test_trivial_bundle_descends(self):
         from quantbench.catalog import foliation_flat_scenario
         scenario = foliation_flat_scenario()
-        z = ZeroLevelData(scenario, "F", [],
+        z = ZeroLevelData("F", [],
                           {"x": parse_expr("p"), "y": parse_expr("q"),
                            "w": parse_expr("r")},
-                          ("p", "q", "r"), isotropy_indices=(), orbit_dimension=0)
+                          ("p", "q", "r"), orbit_dimension=0)
         result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
                                            z)
         assert result.descends
@@ -113,9 +124,9 @@ class TestDescent:
 
 def _compare(scenario, result):
     """qr_commute_check on the artifacts its check-table row reads."""
-    z = zero_level_data(scenario)
-    return qr_commute_check(quantum_fixed_subspace(result, z.isotropy_indices),
-                            internal_mw_quotient(z),
+    z = scenario.zero_level
+    return qr_commute_check(quantum_fixed_subspace(result, scenario.model.isotropy_indices),
+                            internal_mw_quotient(scenario, z),
                             descent_obstruction_check(
                                 scenario, kostant_operator(scenario, scenario.bundle), z))
 

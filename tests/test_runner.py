@@ -259,7 +259,7 @@ def test_unexpected_exception_is_a_failed_record(monkeypatch):
     def broken(scenario):
         raise RuntimeError("boom")
     monkeypatch.setattr(hamiltonian, "internal_momentum_check", broken)
-    report = run_scenario("pair-groupoid-flat")
+    report = run_scenario(catalog.build_scenario("pair-groupoid-flat"))
     record = next(r for r in report.records if r.check_id == "internal-momentum")
     assert (record.status, record.failures) == ("fail", [("RuntimeError", "boom")])
     assert report.records[-1].check_id == "scenario-note"  # the run went on
