@@ -258,7 +258,8 @@ def curvature_formula_check(scenario: ActionScenario) -> CheckResult:
         tau_i, tau_j = tau(w_i), tau(w_j)
         rho_i, rho_j = model.anchor(w_i), model.anchor(w_j)
         formula = [b - rho_i.derive(t_j) + rho_j.derive(t_i) + c for b, t_i, t_j, c in
-                   zip(tau(model.bracket(w_i, w_j)), tau_i, tau_j, data._bracket(tau_i, tau_j))]
+                   zip(tau(model.bracket(w_i, w_j)), tau_i, tau_j, data.algebra.bracket(
+                       data.algebra.section(tau_i), data.algebra.section(tau_j)).coeffs)]
         if any(not (a - b).simplify().is_zero() for a, b in zip(direct, formula)):
             failures.append((f"F[{i},{j}]", "display mismatch"))
     return CheckResult(not failures, failures)

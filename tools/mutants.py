@@ -11,8 +11,7 @@ It exits 1 when a mutant survives, when a run ends in any other pytest
 status, or when an entry's old text does not occur exactly once in its file;
 otherwise it exits 0.
 
-    python3 tools/mutants.py          # every entry
-    python3 tools/mutants.py 0 3      # the entries with these indices
+    python3 tools/mutants.py
 """
 
 import os
@@ -94,21 +93,19 @@ def _pytest(copy: Path, tests) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv) -> int:
-    chosen = [int(a) for a in argv] or list(range(len(MUTANTS)))
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        listed = sorted({test for i in chosen for test in MUTANTS[i]["tests"]})
+        listed = sorted({test for entry in MUTANTS for test in entry["tests"]})
         status = _pytest(copy, listed)
         if status != 0:
             print(f"baseline: the listed tests do not pass unchanged (pytest exit {status})")
             return 1
         bad = 0
-        for i in chosen:
-            entry = MUTANTS[i]
+        for i, entry in enumerate(MUTANTS):
             path = copy / entry["file"]
             original = path.read_text()
             found = original.count(entry["old"])
@@ -121,9 +118,9 @@ def main(argv) -> int:
                 verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
             bad += verdict != "killed"
             print(f"[{i}] {entry['name']}: {verdict}")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
