@@ -79,7 +79,6 @@ from .quantize import (
     polarization_equivariance_check,
 )
 from .reduce import (
-    QRReport,
     QuantumReduction,
     ReducedSpace,
     ZeroLevelData,

@@ -108,9 +108,9 @@ class ActionScenario:
     None (or False) where a stage does not apply: the prequantization `bundle`;
     the Kahler polarization `structure` with its `holomorphic_coords` and
     monomial `ansatz_cap`; the `zero_level`, a `reduce.ZeroLevelData`; the
-    closed-form `integration` kind; the family `level`; `degenerate` for a
-    point orbit modeled with the zero form; a `full_quotient` description;
-    and the `gauge` construction that built it.
+    `integration` kind, a key of `quantize.INTEGRATIONS`; the family `level`;
+    `degenerate` for a point orbit modeled with the zero form; a
+    `full_quotient` description; and the `gauge` construction that built it.
     A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
     into every process."""
 

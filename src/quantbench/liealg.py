@@ -220,13 +220,16 @@ class AlgebroidModel:
         self.base_atlas = base_atlas
         self.generator_names = tuple(generator_names)
         self.n = len(self.generator_names)
+        self.anchor_fields = list(anchor_fields)
+        if len(set(self.generator_names)) != self.n or len(self.anchor_fields) != self.n:
+            raise ModelMismatchError(f"{self.n} distinct generator names need "
+                                     f"{self.n} anchor entries")
         self.bracket_table = {}
         for (i, j), vec in bracket_table.items():
             if not (0 <= i < self.n and 0 <= j < self.n and i != j) or len(vec) != self.n:
                 raise ModelMismatchError(f"bracket entry {(i, j)} needs two distinct "
                                          f"generator indices and {self.n} coefficients")
             self.bracket_table[(i, j)] = tuple(coerce_rational(v) for v in vec)
-        self.anchor_fields = list(anchor_fields)
         self.isotropy_indices = tuple(
             isotropy_indices if isotropy_indices is not None
             else [i for i, f in enumerate(self.anchor_fields)

@@ -517,56 +517,59 @@ def _mat_commutator(a, b):
 
 
 # ---------------------------------------------------------------------------
-# scenario-specific integration of representations
+# closed-form integrations: one rule per `ActionScenario.integration` kind
 # ---------------------------------------------------------------------------
 
-class IntegratedRep:
-    def __init__(self, kind, description, data):
-        self.kind = kind
-        self.description = description
-        self.data = data
-
-
 def integrate_representation(scenario: ActionScenario, result=None):
-    """Closed-form integrated action for the catalog scenarios."""
-    kind = scenario.integration
-    if kind == "u1-weights":
-        if result is None:
-            raise UnsupportedIntegrationError("need a quantization result to integrate")
-        mat = result.matrices[0]
-        n = result.dimension
-        weights = []
-        for a in range(n):
-            entry = coerce_rational(mat[a][a]).simplify()
-            for b in range(n):
-                if a != b and not coerce_rational(mat[a][b]).is_zero():
-                    raise UnsupportedIntegrationError("generator matrix is not diagonal")
-            # eigenvalue -i w: the circle element at angle t acts by exp(i w t)
-            weights.append((entry * I).constant_value())
-        return IntegratedRep(
-            "u1-weights",
-            "circle action by phases exp(i w t) on the monomial basis",
-            {"weights": weights})
-    if kind == "s1-plane":
-        (f,) = scenario.momentum.pairing(0).values()  # the one-chart plane function
-        cb, sb = RationalExpr.var("cb"), RationalExpr.var("sb")
-        rotated = f.subst({"x": cb * RationalExpr.var("x") - sb * RationalExpr.var("y"),
-                           "y": sb * RationalExpr.var("x") + cb * RationalExpr.var("y")})
-        exponent = _reduce_rotation(rotated - f)
-        return IntegratedRep(
-            "s1-plane",
-            "(beta,(r,alpha)) -> ((r,alpha+beta), phase exp(twopii (f(r,alpha+beta)-f(r,alpha))), (r,alpha))",
-            {"phase_exponent": exponent,
-             "carrier": ("rotate", "phase", "source")})
-    if kind == "sphere-family":
-        level = scenario.level
-        return IntegratedRep(
-            "sphere-family",
-            "(x, arc s) -> exp(twopii mu(x) s) with mu = level on the open interval, 0 at the poles",
-            {"level": level,
-             "probe": lambda deltas: _sphere_family_probe(level, deltas)})
-    raise UnsupportedIntegrationError(
-        f"scenario {scenario.name} has no closed-form integration")
+    """The `integrated-representation` record: the `INTEGRATIONS` rule of the
+    scenario's kind returns the details, or a failed `CheckResult`."""
+    rule = INTEGRATIONS.get(scenario.integration)
+    if rule is None:
+        raise UnsupportedIntegrationError(
+            f"scenario {scenario.name} has no closed-form integration")
+    return rule({"kind": scenario.integration}, scenario, result)
+
+
+def _u1_weights(record, scenario, result):
+    if result is None:
+        raise UnsupportedIntegrationError("need a quantization result to integrate")
+    mat = result.matrices[0]
+    weights = []
+    for a in range(result.dimension):
+        for b in range(result.dimension):
+            if a != b and not coerce_rational(mat[a][b]).is_zero():
+                raise UnsupportedIntegrationError("generator matrix is not diagonal")
+        # eigenvalue -i w: the circle element at angle t acts by exp(i w t)
+        weights.append(str((coerce_rational(mat[a][a]).simplify() * I).constant_value()))
+    return dict(record, description="circle action by phases exp(i w t) on the monomial basis",
+                weights=weights)
+
+
+def _s1_plane(record, scenario, result):
+    (f,) = scenario.momentum.pairing(0).values()  # the one-chart plane function
+    cb, sb = RationalExpr.var("cb"), RationalExpr.var("sb")
+    rotated = f.subst({"x": cb * RationalExpr.var("x") - sb * RationalExpr.var("y"),
+                       "y": sb * RationalExpr.var("x") + cb * RationalExpr.var("y")})
+    return dict(record,
+                description="(beta,(r,alpha)) -> ((r,alpha+beta), phase exp(twopii "
+                            "(f(r,alpha+beta)-f(r,alpha))), (r,alpha))",
+                phase_exponent=str(_reduce_rotation(rotated - f)))
+
+
+def _sphere_family(record, scenario, result):
+    """Continuity at the poles: the probe decreases to at most 1e-6."""
+    probe = sphere_family_probe(scenario.level, [10.0 ** (-n) for n in range(8, 24, 4)])
+    record = dict(record,
+                  description="(x, arc s) -> exp(twopii mu(x) s) with mu = level on the "
+                              "open interval, 0 at the poles",
+                  endpoint_probe=[f"{p:.3e}" for p in probe])
+    if probe[-1] > 1e-6 or not all(a >= b for a, b in zip(probe, probe[1:])):
+        return CheckResult(False, [("continuity", str(record))])
+    return record
+
+
+INTEGRATIONS = {"u1-weights": _u1_weights, "s1-plane": _s1_plane,
+                "sphere-family": _sphere_family}
 
 
 def _reduce_rotation(expr: RationalExpr) -> RationalExpr:
@@ -596,7 +599,7 @@ def _reduce_rotation(expr: RationalExpr) -> RationalExpr:
     return RationalExpr(poly).simplify()
 
 
-def _sphere_family_probe(level, deltas):
+def sphere_family_probe(level, deltas):
     """Max |phase - 1| over the shrinking fiber, at distance delta from a pole.
 
     The grid is given as distances 1 - |x| so points far closer to the poles

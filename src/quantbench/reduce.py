@@ -191,44 +191,21 @@ def descent_obstruction_check(scenario: ActionScenario, ops,
     return result
 
 
-class QRReport:
-    def __init__(self, status, fixed_dimension, reduced_dimension,
-                 intertwiner=None, scale_squared=None, obstruction=None,
-                 notes=None):
-        self.status = status
-        self.fixed_dimension = fixed_dimension
-        self.reduced_dimension = reduced_dimension
-        self.intertwiner = intertwiner
-        self.scale_squared = scale_squared
-        self.obstruction = obstruction
-        self.notes = list(notes or [])
-
-    @property
-    def ok(self):
-        return self.status in ("pass", "hypotheses-not-met")
-
-    def __repr__(self):
-        return (f"QRReport({self.status}: fixed {self.fixed_dimension}, "
-                f"reduced {self.reduced_dimension})")
-
-
 def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
-                     descent: CheckResult) -> QRReport:
+                     descent: CheckResult) -> CheckResult:
     """Compare the quantization of the `reduced` space with the `fixed`
     subspace, given the `descent` obstruction of the line bundle.  A point
     quotient quantizes to the line with unit Gram matrix and trivial action;
     positive-dimensional quotients have no declared quantization."""
     if not descent.descends:
-        return QRReport("hypotheses-not-met", fixed.dimension,
-                        None, obstruction=descent.obstructions,
-                        notes=["line bundle does not descend; "
-                               "comparison hypotheses not met",
-                               f"fixed-subspace dimension {fixed.dimension}"])
+        return _qr_result("hypotheses-not-met", fixed, None, descent,
+                          ["line bundle does not descend; comparison hypotheses not met",
+                           f"fixed-subspace dimension {fixed.dimension}"])
     if reduced.kind != "point":
         raise MalformedExpressionError(
             "no declared quantization for a positive-dimensional quotient")
     if fixed.dimension != 1:
-        return QRReport("fail", fixed.dimension, 1, notes=["dimension mismatch"])
+        return _qr_result("fail", fixed, 1, descent, ["dimension mismatch"])
     # restricted data on the fixed line
     result = fixed.source
     b = [[column[i] for column in fixed.basis] for i in range(result.dimension)]
@@ -240,12 +217,23 @@ def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
                 if idx not in fixed.isotropy_indices and
                 not mat_mul(b_dag, mat_mul(result.gram, mat_mul(mat, b)))[0][0].is_zero()]
     if residual:
-        return QRReport("fail", fixed.dimension, 1,
-                        notes=[f"intertwiner fails on generators {residual}"])
+        return _qr_result("fail", fixed, 1, descent,
+                          [f"intertwiner fails on generators {residual}"])
     ratio = (coerce_rational(ONE) / g_fixed[0][0]).simplify()
     if not (ratio.is_constant() and ratio.constant_value().is_positive()):
-        return QRReport("fail", fixed.dimension, 1, notes=["Gram ratio not positive"])
-    return QRReport("pass", fixed.dimension, 1, intertwiner=[[ONE]],
-                    scale_squared=ratio.constant_value(), obstruction=descent.obstructions,
-                    notes=["unitary normalizer: scale^2 = reduced Gram / fixed Gram "
-                           f"= {ratio}"])
+        return _qr_result("fail", fixed, 1, descent, ["Gram ratio not positive"])
+    return _qr_result("pass", fixed, 1, descent,
+                      [f"unitary normalizer: scale^2 = reduced Gram / fixed Gram = {ratio}"],
+                      ["intertwiner: [['1']]", f"intertwiner scale^2 = {ratio.constant_value()}"])
+
+
+def _qr_result(status, fixed, reduced_dimension, descent, notes, intertwiner=()):
+    """The record: `notes`, both dimensions, the obstruction weights unless the
+    comparison fails, then the `intertwiner` notes of a pass."""
+    notes.append(f"fixed dimension {fixed.dimension}, reduced dimension {reduced_dimension}")
+    if status != "fail" and descent.obstructions:
+        notes.append("obstruction weights: " + ", ".join(
+            f"{k}: {v}" for k, v in descent.obstructions.items()))
+    failures = [("qr", f"fixed {fixed.dimension}, reduced {reduced_dimension}")] \
+        if status == "fail" else []
+    return CheckResult(status != "fail", failures, notes + list(intertwiner), status=status)

@@ -102,23 +102,6 @@ def _quantization(ctx):
                          for name, mat in zip(rep.generator_names, rep.matrices)}}
 
 
-def _integration(ctx):
-    rep = quantize.integrate_representation(ctx.scenario, ctx.representation)
-    details = {"kind": rep.kind, "description": rep.description}
-    if "weights" in rep.data:
-        details["weights"] = [str(w) for w in rep.data["weights"]]
-    if "phase_exponent" in rep.data:
-        details["phase_exponent"] = str(rep.data["phase_exponent"])
-    if rep.kind == "sphere-family":
-        grid = [10.0 ** (-n) for n in range(8, 24, 4)]
-        probe = rep.data["probe"](grid)
-        details["endpoint_probe"] = [f"{p:.3e}" for p in probe]
-        decreasing = all(a >= b for a, b in zip(probe, probe[1:]))
-        if probe[-1] > 1e-6 or not decreasing:
-            return CheckResult(False, [("continuity", str(details))])
-    return details
-
-
 def _internal_quotient(ctx):
     ctx.reduced = reduce_mod.internal_mw_quotient(ctx.scenario, ctx.scenario.zero_level)
     return {"reduced": repr(ctx.reduced)}
@@ -136,23 +119,6 @@ def _projector(ctx):
     res = reduce_mod.projector_checks(fixed)
     res.notes.append(f"fixed-subspace dimension {fixed.dimension}")
     return res
-
-
-def _qr_comparison(ctx):
-    qr = reduce_mod.qr_commute_check(ctx.fixed_subspace, ctx.reduced, ctx.descent)
-    failures = [] if qr.ok else [("qr", str(qr))]
-    notes = list(qr.notes)
-    notes.append(f"fixed dimension {qr.fixed_dimension}, "
-                 f"reduced dimension {qr.reduced_dimension}")
-    if qr.obstruction:
-        notes.append("obstruction weights: " + ", ".join(
-            f"{k}: {v}" for k, v in qr.obstruction.items()))
-    if qr.intertwiner is not None:
-        notes.append("intertwiner: " + str(
-            [[str(v) for v in row] for row in qr.intertwiner]))
-    if qr.scale_squared is not None:
-        notes.append(f"intertwiner scale^2 = {qr.scale_squared}")
-    return CheckResult(qr.status != "fail", failures, notes, status=qr.status)
 
 
 CHECKS = (
@@ -235,7 +201,8 @@ CHECKS = (
           lambda c: quantization_isomorphism_check(c.scenario, c.representation),
           uses=("representation",), applies=lambda c: c.scenario.gauge is not None),
     Check("integrated-representation", "quantize", "closed-form integrated action data",
-          _integration, uses=("representation",),
+          lambda c: quantize.integrate_representation(c.scenario, c.representation),
+          uses=("representation",),
           applies=lambda c: bool(c.scenario.integration)),
     Check("zero-level", "reduce", "defining equations, tangency, declared regularity",
           lambda c: c.scenario.zero_level.verify(c.scenario), produces="zero_level",
@@ -249,7 +216,8 @@ CHECKS = (
     Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
           _projector, needs=("representation", "zero_level"), produces="fixed_subspace"),
     Check("qr-comparison", "reduce", "reduced quantization versus fixed subspace",
-          _qr_comparison, needs=("reduced", "descent", "fixed_subspace")),
+          lambda c: reduce_mod.qr_commute_check(c.fixed_subspace, c.reduced, c.descent),
+          needs=("reduced", "descent", "fixed_subspace")),
 )
 STAGES = tuple(dict.fromkeys(check.stage for check in CHECKS))
 PRODUCER = {check.produces: check.id for check in CHECKS if check.produces}

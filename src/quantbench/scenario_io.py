@@ -20,8 +20,9 @@ from .scalars import ExactScalar
 # `extras` key -> (ActionScenario field, JSON type).  Other keys are ignored.
 DECLARATIONS = {"level": ("level", int), "degenerate_level": ("degenerate", bool),
                 "integration": ("integration", str), "full_quotient": ("full_quotient", str)}
-# The integration kinds that read nothing but the file's own blocks.
-FILE_INTEGRATIONS = ("s1-plane", "sphere-family")
+# The `quantize.INTEGRATIONS` kinds that read only a file's blocks, each with the
+# `extras` it reads; a file that declares another kind or omits them is invalid.
+FILE_INTEGRATIONS = {"s1-plane": (), "sphere-family": ("level",)}
 
 
 def expr_to_string(expr) -> str:
@@ -163,6 +164,11 @@ def _declarations(extras) -> dict:
                 raise SchemaError(f"scenario file invalid: extras.{key} must be "
                                   f"of type {kind.__name__}")
             out[attr] = extras[key]
+    integration = out.get("integration")
+    if integration is not None and (integration not in FILE_INTEGRATIONS or
+                                    not set(FILE_INTEGRATIONS[integration]) <= set(extras)):
+        raise SchemaError("scenario file invalid: extras.integration and the extras it "
+                          f"reads must be one of {FILE_INTEGRATIONS}")
     return out
 
 

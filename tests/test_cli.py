@@ -215,6 +215,13 @@ class TestScenarioFiles:
                      id="sample-missing-coordinate"),
         pytest.param(("momentum", "pairings", 0, 0, "chart"), "Q",
                      id="pairing-unknown-chart"),
+        pytest.param(("extras", "integration"), "bogus", id="integration-unknown"),
+        pytest.param(("extras", "integration"), "u1-weights",
+                     id="integration-needs-quantization"),
+        pytest.param(("extras",), {"integration": "sphere-family"},
+                     id="integration-without-level"),
+        pytest.param(("model", "anchors"), [], id="anchors-short"),
+        pytest.param(("model", "generators"), ["e1", "e1", "e3"], id="generators-duplicate"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

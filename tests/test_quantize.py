@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from quantbench import catalog, exprs, linalg, quantize, runner
 from quantbench.catalog import (
+    SCENARIO_FAMILIES,
+    build_scenario,
     control_skew_structure,
     holomorphic_coordinates,
     o_bundle,
@@ -29,6 +31,7 @@ from quantbench.exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational, 
 from quantbench.linalg import det, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
+    INTEGRATIONS,
     commutation_check,
     fs_integral,
     fs_monomial_integral,
@@ -39,9 +42,11 @@ from quantbench.quantize import (
     integrate_representation,
     leading_minors_positive,
     polarization_equivariance_check,
+    sphere_family_probe,
     unitarity_check,
 )
 from quantbench.scalars import ExactScalar, I, ONE, ZERO, rational
+from quantbench.scenario_io import FILE_INTEGRATIONS
 
 _part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _scalars = st.builds(ExactScalar, _part, _part)
@@ -557,31 +562,50 @@ class TestInducedRepresentation:
 class TestIntegration:
     def test_rotation_invariant_plane_function(self):
         scenario = s1_plane_scenario()
-        rep = integrate_representation(scenario)
-        assert rep.kind == "s1-plane"
-        assert rep.data["phase_exponent"].is_zero()
-        assert rep.data["carrier"] == ("rotate", "phase", "source")
+        rec = integrate_representation(scenario)
+        assert rec["kind"] == "s1-plane"
+        assert parse_expr(rec["phase_exponent"]).is_zero()
 
     def test_non_invariant_function_keeps_exponent(self):
         scenario = s1_plane_scenario(parse_expr("x"))
-        rep = integrate_representation(scenario)
+        rec = integrate_representation(scenario)
         # f(r, alpha+beta) - f(r, alpha) with f = x: (cb-1) x - sb y
         expected = parse_expr("cb*x - sb*y - x")
-        assert (rep.data["phase_exponent"] - expected).is_zero()
+        assert (parse_expr(rec["phase_exponent"]) - expected).is_zero()
 
     def test_sphere_family_probe_decays(self):
         scenario = sphere_family_scenario(2)
-        rep = integrate_representation(scenario)
+        assert integrate_representation(scenario)["kind"] == "sphere-family"
         deltas = [1e-8, 1e-12, 1e-16, 1e-20]
-        probe = rep.data["probe"](deltas)
+        probe = sphere_family_probe(scenario.level, deltas)
         assert all(a >= b for a, b in zip(probe, probe[1:]))
         assert probe[-1] < 1e-6
 
     def test_u1_weights(self, rotation_scenarios, rotation_quantizations):
-        rep = integrate_representation(rotation_scenarios[2],
+        rec = integrate_representation(rotation_scenarios[2],
                                        rotation_quantizations[2])
-        assert rep.data["weights"] == [ExactScalar(-1), ZERO, ExactScalar(1)]
+        assert rec["weights"] == ["-1", "0", "1"]
 
     def test_unsupported_scenario_rejected(self, orbit_scenarios):
         with pytest.raises(UnsupportedIntegrationError):
             integrate_representation(orbit_scenarios[1])
+
+    def test_declared_kinds_have_rules(self):
+        kinds = {build_scenario(family, level).integration
+                 for family, spec in SCENARIO_FAMILIES.items()
+                 for level in spec["levels"] or (None,)}
+        assert kinds - {None} == {"u1-weights", "s1-plane", "sphere-family"}
+        assert kinds - {None} <= set(INTEGRATIONS)
+        assert set(FILE_INTEGRATIONS) <= set(INTEGRATIONS)
+
+    def test_sphere_family_probe_above_the_bound_fails_continuity(self):
+        # level 10^4: the probe ends at 5.583e-05 at delta 1e-20, above 1e-6
+        report = runner.run_scenario(sphere_family_scenario(10 ** 4),
+                                     checks={"integrated-representation"})
+        (record,) = [r for r in report.records if r.check_id == "integrated-representation"]
+        assert record.status == "fail"
+        assert record.failures == [("continuity", str({
+            "kind": "sphere-family",
+            "description": "(x, arc s) -> exp(twopii mu(x) s) with mu = level on the "
+                           "open interval, 0 at the poles",
+            "endpoint_probe": ["2.000e+00", "5.511e-01", "5.583e-03", "5.583e-05"]}))]

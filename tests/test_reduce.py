@@ -16,7 +16,7 @@ from quantbench.reduce import (
     quantum_fixed_subspace,
 )
 from quantbench.runner import run_scenario
-from quantbench.scalars import ExactScalar, ONE, ZERO
+from quantbench.scalars import ExactScalar, ZERO
 
 
 class TestZeroLevel:
@@ -137,18 +137,18 @@ class TestComparison:
                                                  rotation_quantizations, k, scale2):
         scenario = rotation_scenarios[k]
         report = _compare(scenario, rotation_quantizations[k])
-        assert report.status == "pass"
-        assert report.fixed_dimension == report.reduced_dimension == 1
+        assert report.status == "pass" and report.ok and not report.failures
+        assert "fixed dimension 1, reduced dimension 1" in report.notes
         # scale^2 = 1 / <z^(k/2), z^(k/2)> = (k+1)! / ((k/2)!)^2
-        assert report.scale_squared == ExactScalar(scale2)
-        assert report.intertwiner == [[ONE]]
+        assert report.notes[-2:] == ["intertwiner: [['1']]",
+                                     f"intertwiner scale^2 = {scale2}"]
 
     def test_odd_level_hypotheses_not_met(self, rotation_scenarios,
                                           rotation_quantizations):
         scenario = rotation_scenarios[3]
         report = _compare(scenario, rotation_quantizations[3])
         assert report.status == "hypotheses-not-met"
-        assert report.fixed_dimension == 0
+        assert "fixed dimension 0, reduced dimension None" in report.notes
         assert report.ok  # hypotheses-not-met is not a failure
 
     def test_dimension_equality_where_descent_holds(self, rotation_scenarios,
@@ -156,4 +156,16 @@ class TestComparison:
         for k in (2, 4):
             scenario = rotation_scenarios[k]
             report = _compare(scenario, rotation_quantizations[k])
-            assert report.fixed_dimension == report.reduced_dimension
+            assert "fixed dimension 1, reduced dimension 1" in report.notes
+
+    def test_dimension_mismatch_fails(self, rotation_scenarios, rotation_quantizations):
+        # no isotropy generator: the whole 3-dimensional space is fixed
+        scenario = rotation_scenarios[2]
+        z = scenario.zero_level
+        report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[2], []),
+                                  internal_mw_quotient(scenario, z),
+                                  descent_obstruction_check(
+                                      scenario, kostant_operator(scenario, scenario.bundle), z))
+        assert report.status == "fail" and not report.ok
+        assert report.failures == [("qr", "fixed 3, reduced 1")]
+        assert report.notes == ["dimension mismatch", "fixed dimension 3, reduced dimension 1"]

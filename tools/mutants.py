@@ -23,6 +23,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CECH = "src/quantbench/cech.py"
+GAUGE = "src/quantbench/gauge.py"
+LIEALG = "src/quantbench/liealg.py"
+QUANTIZE = "src/quantbench/quantize.py"
+REDUCE = "src/quantbench/reduce.py"
+SCENARIO_IO = "src/quantbench/scenario_io.py"
 MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two"
 
 MUTANTS = [
@@ -49,40 +54,82 @@ MUTANTS = [
      "new": "ExactScalar(-1)",
      "tests": ["tests/test_cech.py::TestDelta::test_delta_squared_randomized"]},
     {"name": "ZeroLevelData.verify: no isotropy generator",
-     "file": "src/quantbench/reduce.py",
+     "file": REDUCE,
      "old": "        isotropy = scenario.model.isotropy_indices",
      "new": "        isotropy = ()",
      "tests": ["tests/test_reduce.py::TestZeroLevel::test_momentum_must_vanish_on_the_level"]},
     {"name": "descent_obstruction_check: no isotropy generator",
-     "file": "src/quantbench/reduce.py",
+     "file": REDUCE,
      "old": "    for i in scenario.model.isotropy_indices:\n        potential",
      "new": "    for i in ():\n        potential",
      "tests": ["tests/test_reduce.py::TestDescent::test_odd_level_obstructed"]},
     {"name": "curvature_formula_check: tau([w_i, w_j]) taken as zero",
-     "file": "src/quantbench/gauge.py",
+     "file": GAUGE,
      "old": "zip(tau(model.bracket(w_i, w_j)), tau_i, tau_j,",
      "new": "zip([0] * data.algebra.n, tau_i, tau_j,",
      "tests": ["tests/test_gauge.py::TestAssembly::test_curvature_formula_reads_the_model_bracket"]},
     {"name": "curvature_formula_check: w_i.tau(w_j) with the wrong sign",
-     "file": "src/quantbench/gauge.py",
+     "file": GAUGE,
      "old": "[b - rho_i.derive(t_j) +",
      "new": "[b + rho_i.derive(t_j) +",
      "tests": ["tests/test_gauge.py::TestAssembly::test_curvature_formula_reverified"]},
     {"name": "AlgebroidModel: a diagonal bracket pair is accepted",
-     "file": "src/quantbench/liealg.py",
+     "file": LIEALG,
      "old": "0 <= j < self.n and i != j)",
      "new": "0 <= j < self.n)",
      "tests": [f"{MALFORMED}[bracket-diagonal]"]},
     {"name": "AlgebroidModel: isotropy indices unbounded above",
-     "file": "src/quantbench/liealg.py",
+     "file": LIEALG,
      "old": "not 0 <= i < self.n for i in self.isotropy_indices",
      "new": "not 0 <= i for i in self.isotropy_indices",
      "tests": [f"{MALFORMED}[isotropy-out-of-range]"]},
     {"name": "scenario_io: a sample may omit coordinates",
-     "file": "src/quantbench/scenario_io.py",
+     "file": SCENARIO_IO,
      "old": "    if not set(chart.coords) <= set(point):",
      "new": "    if False:",
      "tests": [f"{MALFORMED}[sample-missing-coordinate]"]},
+    {"name": "u1-weights rule: every weight with the opposite sign",
+     "file": QUANTIZE,
+     "old": ".simplify() * I).constant_value()",
+     "new": ".simplify() * -I).constant_value()",
+     "tests": ["tests/test_quantize.py::TestIntegration::test_u1_weights"]},
+    {"name": "sphere-family rule: continuity bound 1e-4 instead of 1e-6",
+     "file": QUANTIZE,
+     "old": "probe[-1] > 1e-6",
+     "new": "probe[-1] > 1e-4",
+     "tests": ["tests/test_quantize.py::TestIntegration::"
+               "test_sphere_family_probe_above_the_bound_fails_continuity"]},
+    {"name": "qr_commute_check: a pass drops the scale^2 note",
+     "file": REDUCE,
+     "old": '["intertwiner: [[\'1\']]", f"intertwiner scale^2 = {ratio.constant_value()}"]',
+     "new": '["intertwiner: [[\'1\']]"]',
+     "tests": ["tests/test_reduce.py::TestComparison::test_even_levels_pass_with_unitary_scale"]},
+    {"name": "qr_commute_check: a failed comparison keeps the obstruction note",
+     "file": REDUCE,
+     "old": "    if status != \"fail\" and descent.obstructions:",
+     "new": "    if descent.obstructions:",
+     "tests": ["tests/test_reduce.py::TestComparison::test_dimension_mismatch_fails"]},
+    {"name": "scenario_io: a file may declare any integration kind",
+     "file": SCENARIO_IO,
+     "old": "    if integration is not None and (integration not in FILE_INTEGRATIONS or",
+     "new": "    if False and (integration not in FILE_INTEGRATIONS or",
+     "tests": [f"{MALFORMED}[integration-unknown]",
+               f"{MALFORMED}[integration-needs-quantization]"]},
+    {"name": "scenario_io: a sphere-family file may omit its level",
+     "file": SCENARIO_IO,
+     "old": "not set(FILE_INTEGRATIONS[integration]) <= set(extras)",
+     "new": "False",
+     "tests": [f"{MALFORMED}[integration-without-level]"]},
+    {"name": "AlgebroidModel: any number of anchor entries",
+     "file": LIEALG,
+     "old": " or len(self.anchor_fields) != self.n:",
+     "new": ":",
+     "tests": [f"{MALFORMED}[anchors-short]"]},
+    {"name": "AlgebroidModel: repeated generator names",
+     "file": LIEALG,
+     "old": "if len(set(self.generator_names)) != self.n or ",
+     "new": "if ",
+     "tests": [f"{MALFORMED}[generators-duplicate]"]},
 ]
 
 
