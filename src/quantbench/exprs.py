@@ -14,8 +14,8 @@ Field positions depend on the order in which a process first meets its
 variables, so nothing that is printed, compared or sorted reads them.  The
 monomial order of `leading()` and of printing is graded lex, the variable
 whose name sorts later dominating; its key is derived from the names and
-memoized per monomial.  ``coeffs()`` and the constructor speak
-``(variable, exponent)`` tuples sorted by name.
+memoized per monomial, and so is the monomial's printed text.  ``coeffs()``
+and the constructor speak ``(variable, exponent)`` tuples sorted by name.
 
 The reserved variable ``twopii`` stands for the formal constant 2*pi*i; it
 participates in arithmetic like any other variable (so 1/pi = 2i/twopii is
@@ -66,6 +66,20 @@ class _OrderKeys(dict):
 
 _ORDER_KEYS = _OrderKeys()
 _order_key = _ORDER_KEYS.__getitem__
+
+
+class _MonomialTexts(dict):
+    """Packed monomial -> its printed text, such as ``x^2*y``: the variables
+    sorted by name, each exponent above 1 after a ``^``.  A field keeps its
+    name once interned, so the text never changes and the memo is never
+    cleared."""
+
+    def __missing__(self, mono):
+        text = self[mono] = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _mono_tuple(mono))
+        return text
+
+
+_MONOMIAL_TEXTS = _MonomialTexts()
 
 
 def _shift(name: str) -> int:
@@ -175,7 +189,10 @@ class PolyExpr:
         return {v for v, s in _SHIFT.items() if (used >> s) & _MASK}
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in _fields(m)) for m in self.terms), default=0)
+        # an order key holds the total degree above its exponent fields
+        if not self.terms:
+            return 0
+        return max(map(_order_key, self.terms)) >> (_FIELD * len(_NAMES))
 
     def coeffs(self) -> dict:
         """{`(variable, exponent)` tuple monomial: ExactScalar coefficient}, in
@@ -326,15 +343,12 @@ class PolyExpr:
     def __str__(self):
         if self.is_zero():
             return "0"
-        den = self.den
+        terms, den = self.terms, self.den
         bits = []
-        for m in sorted(self.terms, key=_order_key, reverse=True):
-            re, im = self.terms[m]
-            c = ExactScalar(Fraction(re, den), Fraction(im, den))
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _mono_tuple(m))
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or (c.im != 0 and c.re != 0):
-                cs = f"({cs})"
+        for m in sorted(terms, key=_order_key, reverse=True):
+            re, im = terms[m]
+            cs = _coefficient_text(re, im, den)
+            mono = _MONOMIAL_TEXTS[m]
             bits.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
         return " + ".join(bits)
 
@@ -395,6 +409,23 @@ def _add(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
             else:
                 del terms[m]
     return _canonical(terms, den)
+
+
+def _fraction_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for a positive `den`."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _coefficient_text(re: int, im: int, den: int) -> str:
+    """str(ExactScalar(Fraction(re, den), Fraction(im, den))), in parentheses
+    when both parts are nonzero."""
+    if not im:
+        return _fraction_text(re, den)
+    imag = _fraction_text(im, den) + "i"
+    if not re:
+        return imag
+    return f"({_fraction_text(re, den)}{'+' if im > 0 else ''}{imag})"
 
 
 def _leading_inverse(p: PolyExpr) -> PolyExpr:
@@ -574,10 +605,6 @@ class RationalExpr:
     def var(name: str) -> "RationalExpr":
         return _quotient(PolyExpr.var(name), _ONE_POLY)
 
-    @staticmethod
-    def from_poly(p: PolyExpr) -> "RationalExpr":
-        return _quotient(p, _ONE_POLY)
-
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -601,6 +628,11 @@ class RationalExpr:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         other = _coerce_rational(other)
+        # zero is 0/1, so a sum with it is the other operand as it stands
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den == other.den:
             return _quotient(self.num + other.num, self.den)
         return _quotient(self.num * other.den + other.num * self.den,
@@ -612,13 +644,18 @@ class RationalExpr:
         return _quotient(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce_rational(other))
+        other = _coerce_rational(other)
+        if not other.num.terms:
+            return self
+        return self + (-other)
 
     def __rsub__(self, other):
         return _coerce_rational(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce_rational(other)
+        if not self.num.terms or not other.num.terms:
+            return _ZERO
         return _quotient(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -39,24 +39,18 @@ class Chart:
         self.fiber_coords = tuple(fiber_coords)
         self.orbit_coords = tuple(orbit_coords)
         self.star_shaped = bool(star_shaped)
-        coords = self.base_coords + self.fiber_coords
+        self.coords = coords = self.base_coords + self.fiber_coords
         if len(set(coords)) != len(coords):
             raise MalformedExpressionError(f"duplicate coordinates in chart {name}")
         if not set(self.orbit_coords) <= set(self.base_coords):
             raise MalformedExpressionError("orbit coordinates must be base coordinates")
-
-    @property
-    def coords(self):
-        return self.base_coords + self.fiber_coords
+        jtilde = set(self.fiber_coords) | set(self.orbit_coords)
+        # each class's coordinates in chart order; any other class reads all of them
+        self._class_coords = {LEAF_J: self.fiber_coords,
+                              LEAF_JTILDE: tuple(c for c in coords if c in jtilde)}
 
     def coords_for(self, leafwise_class):
-        if leafwise_class == LEAF_J:
-            allowed = set(self.fiber_coords)
-        elif leafwise_class == LEAF_JTILDE:
-            allowed = set(self.fiber_coords) | set(self.orbit_coords)
-        else:
-            allowed = set(self.coords)
-        return tuple(c for c in self.coords if c in allowed)
+        return self._class_coords.get(leafwise_class, self.coords)
 
     def coord_index(self, coord):
         return self.coords.index(coord)

@@ -142,7 +142,7 @@ class ActionScenario:
         return self._action_model
 
     def generator_field(self, index):
-        return self.action.of(self.model.basis_section(index))
+        return self.action.generator_field(index)
 
 
 # ---------------------------------------------------------------------------

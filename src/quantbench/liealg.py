@@ -453,6 +453,12 @@ class ActionMap:
             raise ModelMismatchError("section belongs to another model")
         return _field_sum(self.target_atlas, LEAF_JTILDE, zip(section.coeffs, self.fields))
 
+    def generator_field(self, index) -> VectorField:
+        """The field of generator `index`, which `of` gives its basis section:
+        the stored field, or the zero field for None."""
+        field = self.fields[index]
+        return field if field is not None else _field_sum(self.target_atlas, LEAF_JTILDE, ())
+
     def morphism_report(self) -> CheckResult:
         """The four action identities on generators.  Additivity and module
         linearity are first order in a coefficient function f, so f = 1 and
@@ -513,6 +519,6 @@ def action_algebroid(parent: AlgebroidModel, action: ActionMap) -> AlgebroidMode
         base_atlas=action.target_atlas,
         generator_names=parent.generator_names,
         bracket_table=bracket_table,
-        anchor_fields=[action.of(parent.basis_section(i)) for i in range(parent.n)],
+        anchor_fields=[action.generator_field(i) for i in range(parent.n)],
         isotropy_indices=parent.isotropy_indices,
     )

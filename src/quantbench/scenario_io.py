@@ -129,7 +129,7 @@ def dump_scenario(scenario: ActionScenario) -> dict:
             "isotropy": list(model.isotropy_indices),
         },
         "action": {
-            "fields": [_field_to_dict(scenario.action.of(model.basis_section(i)))
+            "fields": [_field_to_dict(scenario.action.generator_field(i))
                        for i in range(model.n)],
         },
         "presymplectic": {
@@ -154,7 +154,7 @@ def dump_scenario(scenario: ActionScenario) -> dict:
     return data
 
 
-def _declarations(extras) -> dict:
+def _declarations(extras, atlas, momentum) -> dict:
     if not isinstance(extras, dict):
         raise SchemaError("scenario file invalid: extras must be an object")
     out = {}
@@ -169,6 +169,11 @@ def _declarations(extras) -> dict:
                                     not set(FILE_INTEGRATIONS[integration]) <= set(extras)):
         raise SchemaError("scenario file invalid: extras.integration and the extras it "
                           f"reads must be one of {FILE_INTEGRATIONS}")
+    if integration == "s1-plane":  # the rule rotates one plane function in x and y
+        charts = list(momentum.pairing(0)) if momentum.pairings else []
+        if len(charts) != 1 or not {"x", "y"} <= set(atlas.chart(charts[0]).coords):
+            raise SchemaError("scenario file invalid: s1-plane needs the first momentum "
+                              "pairing on one chart with coordinates x and y")
     return out
 
 
@@ -205,7 +210,7 @@ def load_scenario(data) -> ActionScenario:
                              for e in entries})
         momentum = MomentumMapRep(model, pairings)
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
-                              **_declarations(data.get("extras", {})))
+                              **_declarations(data.get("extras", {}), atlas, momentum))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             MalformedExpressionError, ModelMismatchError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc

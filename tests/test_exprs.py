@@ -509,7 +509,7 @@ class TestSubstitution:
         rng = random.Random(degree)
         poly = PolyExpr({(("u", i), ("v", j)): rational(rng.randint(1, 9), rng.randint(1, 5))
                          for i in range(degree + 1) for j in range(degree + 1 - i)})
-        pulled = transition.compose_into(RationalExpr.from_poly(poly))
+        pulled = transition.compose_into(RationalExpr(poly))
         assert pulled.den == parse_expr(f"(x^2+y^2)^{degree}").as_poly()
         again = transition.compose_into(RationalExpr(poly, poly + 1))
         assert again.den.total_degree() == again.num.total_degree() == 2 * degree
@@ -517,6 +517,23 @@ class TestSubstitution:
 
 class TestEarlyReturns:
     """The shortcuts give the `terms` and `den` of the general path."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(quotients)
+    def test_rational_zero_operands(self, a):
+        zero = RationalExpr.zero()
+
+        def parts(num, den):
+            return num.terms, num.den, den.terms, den.den
+
+        total = parts(a.num * zero.den + zero.num * a.den, a.den * zero.den)
+        for result in (a + zero, zero + a, a - zero, a + 0, 0 + a, a - 0):
+            assert parts(result.num, result.den) == total
+        difference = parts(zero.num * a.den - a.num * zero.den, zero.den * a.den)
+        for result in (zero - a, 0 - a):
+            assert parts(result.num, result.den) == difference
+        for result in (a * zero, zero * a, a * 0, 0 * a):
+            assert result is zero
 
     @settings(max_examples=50, deadline=None)
     @given(polys)
@@ -529,13 +546,71 @@ class TestEarlyReturns:
     @settings(max_examples=50, deadline=None)
     @given(polys)
     def test_derivative_over_one(self, a):
-        p = RationalExpr.from_poly(a)
+        p = RationalExpr(a)
         for v in VARS:
             num = p.num.derivative(v) * p.den - p.num * p.den.derivative(v)
             den = p.den * p.den
             ours = p.derivative(v)
             assert (ours.num.terms, ours.num.den) == (num.terms, num.den)
             assert (ours.den.terms, ours.den.den) == (den.terms, den.den)
+
+
+def reference_str(p: PolyExpr) -> str:
+    """The text of `p` built from one ExactScalar of two Fractions per term and
+    from the `(variable, exponent)` tuples of `coeffs()`, in graded lex order
+    with later names dominating."""
+    if p.is_zero():
+        return "0"
+    bits = []
+    for mono, c in sorted(p.coeffs().items(), reverse=True,
+                          key=lambda item: (sum(e for _, e in item[0]),
+                                            sorted(item[0], reverse=True))):
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        cs = str(c)
+        if ("+" in cs[1:]) or ("-" in cs[1:]) or (c.im != 0 and c.re != 0):
+            cs = f"({cs})"
+        bits.append(cs if not text else (text if cs == "1" else f"{cs}*{text}"))
+    return " + ".join(bits)
+
+
+# Gaussian-integer pairs over one shared denominator, so mixed signs, a
+# denominator above 1 and both parts nonzero all occur within one polynomial.
+_pairs = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+printed_polys = st.builds(
+    lambda table, den: PolyExpr({tuple((v, e) for v, e in zip(VARS, exps) if e):
+                                 ExactScalar(Fraction(re, den), Fraction(im, den))
+                                 for exps, (re, im) in table.items()}),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(VARS)), _pairs, max_size=6),
+    st.integers(1, 36))
+
+
+class TestPrinting:
+    """`str` reads the integer pairs and a memo of monomial texts; the text is
+    the one of the ExactScalar/Fraction formatter above."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "1", "-1", "i", "-i", "3/6", "-4/6*x", "(1/2-3/4*i)*a*b^2", "(-7/3+2*i)*b",
+        "(5-5*i)*__z^3", "-2/3*i*twopii", "x^2 - x*y/7 + (2/9+1/9*i)*y - 1/2"])
+    def test_reference_texts(self, text):
+        p = parse_expr(text).as_poly()
+        assert str(p) == reference_str(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(printed_polys)
+    def test_matches_the_fraction_formatter(self, p):
+        assert str(p) == reference_str(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_polys(6, max_exp=40))
+    def test_total_degree_is_the_largest_exponent_sum(self, p):
+        assert p.total_degree() == max((sum(e for _, e in m) for m in p.coeffs()), default=0)
+
+    def test_total_degree_after_a_new_name(self):
+        p = parse_expr("x^3*y^2 + twopii").as_poly()
+        assert p.total_degree() == 5
+        PolyExpr.var("__fresh_total_degree")  # clears the order keys
+        assert p.total_degree() == 5
+        assert (p * PolyExpr.var("__fresh_total_degree", 4)).total_degree() == 9
 
 
 class TestMonicByConstruction:

@@ -17,7 +17,9 @@ from quantbench.geometry import (
     Chart,
     DifferentialForm,
     FiberedAtlas,
+    LEAF_FULL,
     LEAF_J,
+    LEAF_JTILDE,
     Transition,
     VectorField,
     commutator,
@@ -53,7 +55,7 @@ def random_polynomial(variables, rng, degree=2, span=5) -> RationalExpr:
                 mono[v] = e
         coeff = ExactScalar(Fraction(rng.randint(-span, span), rng.randint(1, 3)))
         poly = poly + PolyExpr({tuple(sorted(mono.items())): coeff})
-    return RationalExpr.from_poly(poly)
+    return RationalExpr(poly)
 
 
 def random_form(atlas, degree, rng, chart="N"):
@@ -291,6 +293,18 @@ class TestPoincarePrimitive:
         bad = DifferentialForm(atlas, 1, LEAF_J, {"N": {("x",): parse_expr("y*y")}})
         with pytest.raises(NotClosedError):
             poincare_primitive(form + bad, atlas.chart("N"))
+
+
+class TestCharts:
+    def test_coords_for_each_class(self):
+        """J reads the fiber, Jtilde the fiber and the orbit directions, in
+        chart order; full and any other class read every coordinate."""
+        chart = Chart("C", base_coords=("b1", "b2", "b3"), fiber_coords=("f1", "f2"),
+                      orbit_coords=("b3", "b1"))
+        assert chart.coords_for(LEAF_J) == ("f1", "f2")
+        assert chart.coords_for(LEAF_JTILDE) == ("b1", "b3", "f1", "f2")
+        assert chart.coords_for(LEAF_FULL) == ("b1", "b2", "b3", "f1", "f2")
+        assert chart.coords_for("unknown") == chart.coords == ("b1", "b2", "b3", "f1", "f2")
 
 
 class TestVectorFields:

@@ -266,6 +266,32 @@ class TestActions:
             action.fields[1] * section.coeffs[0].derivative("y")
         assert action.morphism_report().failures == [("linearity", "dx")]
 
+    @pytest.mark.parametrize("family", ["su2-orbit-k", "gauge-su2-k", "s1-plane-action",
+                                        "u1-rotation-reduction-k", "foliation-flat"])
+    def test_generator_field_is_the_image_of_the_basis_section(self, family):
+        from quantbench.catalog import build_scenario
+        action = build_scenario(family).action
+        for i in range(action.model.n):
+            ours, image = action.generator_field(i), action.of(action.model.basis_section(i))
+            assert ours.leafwise_class == image.leafwise_class
+            assert list(ours.components) == list(image.components)
+            for ch, table in image.components.items():
+                assert list(ours.components[ch]) == list(table)
+                for coord, value in table.items():
+                    got = ours.components[ch][coord]
+                    assert (got.num, got.den) == (value.num, value.den)
+
+    def test_generator_field_of_an_absent_field_is_zero(self):
+        atlas = sphere_atlas()
+        point = FiberedAtlas([Chart("pt")])
+        model = AlgebroidModel("ab", "bundle_of_algebras", point, ("e1", "e2"),
+                               {}, [None, None])
+        field = rotation_fields(atlas)[0]
+        action = ActionMap(model, atlas, [None, field])
+        zero = action.generator_field(0)
+        assert (zero.leafwise_class, zero.components) == ("Jtilde", {"N": {}, "S": {}})
+        assert action.generator_field(1) is field
+
     def test_zero_abelian_action_passes(self):
         atlas = sphere_atlas()
         point = FiberedAtlas([Chart("pt")])

@@ -23,12 +23,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CECH = "src/quantbench/cech.py"
+EXPRS = "src/quantbench/exprs.py"
+GEOMETRY = "src/quantbench/geometry.py"
 GAUGE = "src/quantbench/gauge.py"
 LIEALG = "src/quantbench/liealg.py"
 QUANTIZE = "src/quantbench/quantize.py"
 REDUCE = "src/quantbench/reduce.py"
 SCENARIO_IO = "src/quantbench/scenario_io.py"
 MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two"
+PRINTING = "tests/test_exprs.py::TestPrinting"
 
 MUTANTS = [
     {"name": "cocycle_value: the offset of (j, l) enters with a plus sign",
@@ -130,6 +133,48 @@ MUTANTS = [
      "old": "if len(set(self.generator_names)) != self.n or ",
      "new": "if ",
      "tests": [f"{MALFORMED}[generators-duplicate]"]},
+    {"name": "PolyExpr.__str__: the imaginary part printed with the opposite sign",
+     "file": EXPRS,
+     "old": '    imag = _fraction_text(im, den) + "i"',
+     "new": '    imag = _fraction_text(-im, den) + "i"',
+     "tests": [PRINTING]},
+    {"name": "PolyExpr.__str__: a part over the denominator without the gcd",
+     "file": EXPRS,
+     "old": "    g = gcd(n, den)\n    return str(n // g)",
+     "new": "    g = 1\n    return str(n // g)",
+     "tests": [PRINTING]},
+    {"name": "PolyExpr.__str__: no parentheses around a coefficient with two parts",
+     "file": EXPRS,
+     "old": "    return f\"({_fraction_text(re, den)}{'+' if im > 0 else ''}{imag})\"",
+     "new": "    return f\"{_fraction_text(re, den)}{'+' if im > 0 else ''}{imag}\"",
+     "tests": [PRINTING]},
+    {"name": "total_degree: the shift leaves the top exponent field in",
+     "file": EXPRS,
+     "old": "max(map(_order_key, self.terms)) >> (_FIELD * len(_NAMES))",
+     "new": "max(map(_order_key, self.terms)) >> (_FIELD * (len(_NAMES) - 1))",
+     "tests": [f"{PRINTING}::test_total_degree_is_the_largest_exponent_sum"]},
+    {"name": "RationalExpr.__sub__: 0 - a returns a",
+     "file": EXPRS,
+     "old": "        if not other.num.terms:\n            return self\n        return self + (-other)",
+     "new": "        if not self.num.terms:\n            return other\n"
+            "        if not other.num.terms:\n            return self\n        return self + (-other)",
+     "tests": ["tests/test_exprs.py::TestEarlyReturns::test_rational_zero_operands"]},
+    {"name": "Chart: the Jtilde coordinates take every base coordinate",
+     "file": GEOMETRY,
+     "old": "jtilde = set(self.fiber_coords) | set(self.orbit_coords)",
+     "new": "jtilde = set(self.fiber_coords) | set(self.base_coords)",
+     "tests": ["tests/test_geometry.py::TestCharts::test_coords_for_each_class"]},
+    {"name": "ActionMap.generator_field: the field of the previous generator",
+     "file": LIEALG,
+     "old": "        field = self.fields[index]",
+     "new": "        field = self.fields[index - 1]",
+     "tests": ["tests/test_liealg.py::TestActions::"
+               "test_generator_field_is_the_image_of_the_basis_section"]},
+    {"name": "scenario_io: s1-plane over a momentum on two charts",
+     "file": SCENARIO_IO,
+     "old": "        if len(charts) != 1 or not",
+     "new": "        if False and not",
+     "tests": [f"{MALFORMED}[integration-s1-plane-two-charts]"]},
 ]
 
 
