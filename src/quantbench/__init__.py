@@ -4,6 +4,8 @@ fiberwise Kahler quantization and symplectic/quantum reduction, all over the
 Gaussian rationals (with a formal 2*pi*i token), so every identity is decided
 exactly."""
 
+import importlib
+
 from .scalars import ExactScalar, rational
 from .exprs import PolyExpr, RationalExpr, parse_expr, simplify
 from .geometry import (
@@ -16,33 +18,19 @@ from .geometry import (
     glue_check,
     interior_product,
     lie_derivative,
-    poincare_primitive,
     pullback,
     wedge,
 )
 from .liealg import (
     ActionMap,
-    Ad,
     AlgebroidModel,
-    GroupElement,
     SectionRep,
     action_algebroid,
-    coAd,
     lie_algebra,
     su2,
     u1,
 )
-from .cech import (
-    Cochain,
-    CohomologyClass,
-    GoodCover,
-    IntegralityReport,
-    OverlapFunction,
-    cech_delta,
-    cohomology_compute,
-    derham_to_cech,
-    integrality_test,
-)
+from .cech import GoodCover, OverlapFunction
 from .hamiltonian import (
     ActionScenario,
     MomentumMapRep,
@@ -60,7 +48,6 @@ from .bundles import (
     LineBundleData,
     chern_class_algebroid,
     connection_equivariance_check,
-    construct_from_integral_class,
     curvature,
     kostant_operator,
     pic_dual,
@@ -99,3 +86,30 @@ from .runner import run_scenario
 from .reports import CheckResult, Report
 
 __version__ = "0.1.0"
+
+# Names that no stage of a run calls, each with the module that defines it.
+# Such a module loads on first use of one of its names (PEP 562), so a run
+# never compiles it.
+_ON_DEMAND = {
+    "Ad": "groups",
+    "GroupElement": "groups",
+    "coAd": "groups",
+    "Cochain": "integrality",
+    "CohomologyClass": "integrality",
+    "IntegralityReport": "integrality",
+    "cech_delta": "integrality",
+    "cohomology_compute": "integrality",
+    "construct_from_integral_class": "integrality",
+    "derham_to_cech": "integrality",
+    "integrality_test": "integrality",
+    "poincare_primitive": "integrality",
+}
+
+
+def __getattr__(name):
+    module = _ON_DEMAND.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

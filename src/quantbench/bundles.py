@@ -1,6 +1,6 @@
-"""Hermitian line bundles as cocycle data, curvature, the integral-class
-construction, covariant-derivative operators with momentum potentials, and
-the tensor/dual group structure.
+"""Hermitian line bundles as cocycle data, curvature, covariant-derivative
+operators with momentum potentials, and the tensor/dual group structure.
+The construction from an integral class is in `integrality`.
 
 Frames follow s_k = c_jk s_j with connection nabla s_j = twopii * eta_j s_j,
 so metric compatibility reads h_k = |c_jk|^2 h_j and the gluing identity is
@@ -11,8 +11,8 @@ bundles share one code path.
 
 from __future__ import annotations
 
-from .cech import GoodCover, OverlapFunction, cocycle_value, derham_to_cech, integrality_test
-from .errors import CurvatureMismatchError, IntegralityError, MalformedExpressionError
+from .cech import GoodCover, OverlapFunction, cocycle_value
+from .errors import CurvatureMismatchError, MalformedExpressionError
 from .exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational
 from .geometry import (
     DifferentialForm,
@@ -238,50 +238,6 @@ def _curvature_form(bundle: LineBundleData) -> DifferentialForm:
         if not report.ok:
             raise MalformedExpressionError(f"curvature does not glue: {report.failures}")
     return form
-
-
-def construct_from_integral_class(omega: DifferentialForm, cover: GoodCover,
-                                  primitives=None, overlap_functions=None,
-                                  branch_offsets=None, name="constructed"):
-    """Bundle with curvature omega from an integral leafwise class.
-
-    Uses the zig-zag data; transitions are exp(-twopii f'_jk) for the
-    integer-corrected overlap functions, unit metric weights, and the declared
-    primitives as potentials.
-    """
-    cls = derham_to_cech(omega, cover, primitives=primitives,
-                         overlap_functions=overlap_functions,
-                         branch_offsets=branch_offsets)
-    report = integrality_test(cls)
-    if not report.integral:
-        raise IntegralityError("class is not integral", report)
-    correction = report.correction
-    transitions = {}
-    for simplex in cover.k_simplices(1):
-        j, k = simplex
-        f = (overlap_functions or {}).get((j, k))
-        if f is None:
-            f = OverlapFunction(cover.chart_of(simplex), 0, 0)
-        corrected = OverlapFunction(
-            f.chart,
-            f.rational_part - RationalExpr.const(correction.value(simplex)),
-            f.angle_coeff)
-        transitions[(j, k)] = TransitionValue(
-            f.chart, 1, corrected.scaled(ExactScalar(-1)))
-    weights = {}
-    pots = dict(primitives or {})
-    for idx in cover.index_set:
-        weights[idx] = RationalExpr.const(1)
-        if idx not in pots:
-            raise MalformedExpressionError("constructed bundles need declared primitives")
-    # under f -> -f the per-pair offsets are unchanged: they scale with the
-    # angle primitive, whose coefficient already flipped
-    bundle = LineBundleData(name, cover, transitions, weights, pots,
-                            branch_offsets=branch_offsets)
-    result = validate_bundle(bundle)
-    if not result.ok:
-        raise MalformedExpressionError(f"constructed bundle fails validation: {result.failures}")
-    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,14 @@ class RationalExpr:
         other = _coerce_rational(other)
         if not self.num.terms or not other.num.terms:
             return _ZERO
+        # a factor 1/1 leaves the other operand as it stands, as a sum with
+        # zero does (a monic constant denominator is 1)
+        if other.num.terms == _ONE_TERMS and other.num.den == 1 and \
+                other.den.terms == _ONE_TERMS:
+            return self
+        if self.num.terms == _ONE_TERMS and self.num.den == 1 and \
+                self.den.terms == _ONE_TERMS:
+            return other
         return _quotient(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -18,10 +18,8 @@ from .errors import (
     DegreeError,
     LeafwiseClassError,
     MalformedExpressionError,
-    NotClosedError,
-    UnsupportedPrimitiveError,
 )
-from .exprs import PolyExpr, RationalExpr, coerce_rational
+from .exprs import RationalExpr, coerce_rational
 from .reports import CheckResult
 from .scalars import ExactScalar
 
@@ -571,38 +569,3 @@ def glue_check_field(atlas: FiberedAtlas, field: VectorField) -> CheckResult:
             if not diff.is_zero():
                 residuals.append((src, tgt, coord, str(diff)))
     return CheckResult(not residuals, residuals)
-
-
-def poincare_primitive(form: DifferentialForm, chart: Chart,
-                       leafwise_class=None) -> DifferentialForm:
-    """Radial-homotopy primitive on a star-shaped chart, exact for polynomials."""
-    cls = leafwise_class or form.leafwise_class
-    if not chart.star_shaped:
-        raise UnsupportedPrimitiveError(f"chart {chart.name} is not star-shaped")
-    if form.degree == 0:
-        raise DegreeError("no primitive for 0-forms")
-    block = chart.coords_for(cls)
-    table = form.coefficients.get(chart.name, {})
-    d_form = exterior_derivative(
-        DifferentialForm(form.atlas, form.degree, cls, {chart.name: table}), cls)
-    if not d_form.is_zero():
-        raise NotClosedError(f"form is not closed on chart {chart.name}")
-    k = form.degree
-    out = {}
-    for idx, coeff in table.items():
-        coeff = coeff.simplify()
-        if not coeff.den.is_constant():
-            raise UnsupportedPrimitiveError(
-                "radial integration requires polynomial coefficients")
-        poly = coeff.as_poly()
-        for mono, scal in poly.coeffs().items():
-            block_deg = sum(e for v, e in mono if v in block)
-            weight = RationalExpr.const(scal) / (block_deg + k)
-            base = PolyExpr({mono: ExactScalar(1)})
-            for pos, coord in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1:]
-                sign = (-1) ** pos
-                contrib = weight * base * PolyExpr.var(coord) * sign
-                cur = out.get(rest, RationalExpr.zero())
-                out[rest] = cur + contrib
-    return DifferentialForm(form.atlas, k - 1, cls, {chart.name: out})

@@ -1,6 +1,6 @@
 """Exact linear algebra: reduced row echelon elimination over any exact field
-(Gaussian rationals or rational-function fields) and Smith normal form over
-the integers (with unimodular transforms)."""
+(Gaussian rationals or rational-function fields).  The integer Smith normal
+form is in `integrality`."""
 
 from __future__ import annotations
 
@@ -128,20 +128,6 @@ def solve_linear(rows, columns):
     return solutions
 
 
-def column_space_completion(image_cols, candidate_cols, nrows):
-    """Indices of the candidates that extend span(image_cols), each outside
-    the span of the image and the candidates before it: the pivot columns of
-    the candidate block in one elimination of [image | candidates]."""
-    cols = list(image_cols) + list(candidate_cols)
-    _, pivots = rref([[col[i] for col in cols] for i in range(nrows)])
-    return [pc - len(image_cols) for pc in pivots if pc >= len(image_cols)]
-
-
-def matvec(rows, vec):
-    return [sum((_fieldify(a) * _fieldify(v)
-                 for a, v in zip(row, vec)), ZERO) for row in rows]
-
-
 def mat_mul(a, b):
     """Product of matrices whose entries `coerce_rational` accepts; the
     entries of the product are `RationalExpr`."""
@@ -163,104 +149,3 @@ def det(rows, one=ONE):
         term = rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]], one)
         total = total + term if j % 2 == 0 else total - term
     return total
-
-
-# ---------------------------------------------------------------------------
-# integer Smith normal form
-# ---------------------------------------------------------------------------
-
-def smith_normal_form(matrix):
-    """U @ A @ V = S diagonal with d_i | d_{i+1}; U, V unimodular.
-
-    Returns (U, S, V, rank) with plain int entries.
-    """
-    a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility d_t | trailing entries
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            t += 1
-    s_rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
-    return u, a, v, s_rank
-
-
-def integer_kernel_basis(matrix):
-    """Basis of the integer kernel lattice of A (list of int vectors)."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _, s, v, r = smith_normal_form(matrix)
-    # kernel = V * (last n-r unit vectors)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]

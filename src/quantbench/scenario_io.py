@@ -174,6 +174,14 @@ def _declarations(extras, atlas, momentum) -> dict:
         if len(charts) != 1 or not {"x", "y"} <= set(atlas.chart(charts[0]).coords):
             raise SchemaError("scenario file invalid: s1-plane needs the first momentum "
                               "pairing on one chart with coordinates x and y")
+    # the sphere-family rule's phase is exp(twopii level s); a missing level
+    # is the error above
+    if integration == "sphere-family" and "level" in out:
+        values = [v for pairing in momentum.pairings for v in pairing.values()]
+        if len(momentum.pairings) != 1 or not values or \
+                any(not (v - out["level"]).is_zero() for v in values):
+            raise SchemaError("scenario file invalid: sphere-family needs one momentum "
+                              "pairing equal to the constant level")
     return out
 
 

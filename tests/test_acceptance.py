@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from quantbench.bundles import (
-    construct_from_integral_class,
     curvature,
     kostant_operator,
     rep_flatness_check,
@@ -37,8 +36,6 @@ from quantbench.catalog import (
     standard_complex_structure,
     su2_orbit_scenario,
 )
-from quantbench.cech import cech_delta, cohomology_compute, derham_to_cech, \
-    integrality_test, Cochain
 from quantbench.errors import IntegralityError
 from quantbench.exprs import parse_expr
 from quantbench.gauge import gauge_momentum_verify, quantization_isomorphism_check
@@ -49,6 +46,8 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
+from quantbench.integrality import Cochain, cech_delta, cohomology_compute, \
+    construct_from_integral_class, derham_to_cech, integrality_test
 from quantbench.quantize import (
     holomorphic_solve,
     integrate_representation,

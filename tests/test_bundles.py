@@ -13,7 +13,6 @@ from quantbench.bundles import (
     TransitionValue,
     chern_class_algebroid,
     connection_equivariance_check,
-    construct_from_integral_class,
     curvature,
     equivariance_pieces,
     flatness_pieces,
@@ -43,6 +42,7 @@ from quantbench.catalog import (
 from quantbench.errors import CurvatureMismatchError, IntegralityError
 from quantbench.exprs import RationalExpr, parse_expr
 from quantbench.geometry import LEAF_J, LEAF_JTILDE, VectorField, commutator, interior_product
+from quantbench.integrality import construct_from_integral_class
 from quantbench.scalars import ExactScalar
 
 

@@ -6,26 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench import cech
+from quantbench import integrality
 from quantbench.catalog import (
     omega_fs,
     sector_cover,
     sector_zigzag_data,
     sphere_atlas,
 )
-from quantbench.cech import (
+from quantbench.cech import GoodCover, OverlapFunction
+from quantbench.errors import MalformedExpressionError
+from quantbench.exprs import parse_expr
+from quantbench.geometry import Chart, DifferentialForm, FiberedAtlas
+from quantbench.integrality import (
     Cochain,
-    GoodCover,
-    OverlapFunction,
     cech_delta,
     cohomology_compute,
     derham_to_cech,
     integrality_test,
+    smith_normal_form,
 )
-from quantbench.errors import MalformedExpressionError
-from quantbench.exprs import parse_expr
-from quantbench.geometry import Chart, DifferentialForm, FiberedAtlas
-from quantbench.linalg import smith_normal_form
 from quantbench.scalars import ExactScalar
 
 
@@ -115,13 +114,13 @@ class TestCohomology:
         """Every image column of the degree-1 coboundary is expressed in the
         kernel basis by one solve."""
         calls = []
-        original = cech.solve_linear
+        original = integrality.solve_linear
 
         def counted(rows, columns):
             calls.append(len(columns))
             return original(rows, columns)
 
-        monkeypatch.setattr(cech, "solve_linear", counted)
+        monkeypatch.setattr(integrality, "solve_linear", counted)
         h2 = cohomology_compute(cover4, 2, "integer")
         assert (h2.rank, h2.torsion) == (1, ())
         assert len(calls) == 1 and calls[0] == len(cover4.k_simplices(1))
@@ -138,7 +137,7 @@ class TestCohomology:
         for d1, d2 in zip(diag, diag[1:]):
             assert d2 % d1 == 0
         # unimodularity via integer inverses
-        from quantbench.cech import _int_inverse
+        from quantbench.integrality import _int_inverse
         assert _int_inverse(u) is not None
         assert _int_inverse(v) is not None
 

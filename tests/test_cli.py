@@ -223,6 +223,8 @@ class TestScenarioFiles:
         pytest.param(("model", "anchors"), [], id="anchors-short"),
         pytest.param(("model", "generators"), ["e1", "e1", "e3"], id="generators-duplicate"),
         pytest.param(("extras", "integration"), "s1-plane", id="integration-s1-plane-two-charts"),
+        pytest.param(("extras", "integration"), "sphere-family",
+                     id="integration-sphere-family-on-su2-orbit"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

@@ -536,6 +536,25 @@ class TestEarlyReturns:
             assert result is zero
 
     @settings(max_examples=50, deadline=None)
+    @given(quotients.filter(lambda q: not q.is_zero()))
+    def test_rational_unit_operands(self, a):
+        """A factor 1 returns the other operand; 1/3, 1/x and x/x, whose
+        numerators hold the one term of 1, take the general path.  A zero
+        operand is `test_rational_zero_operands`'s case."""
+        def parts(num, den):
+            return num.terms, num.den, den.terms, den.den
+
+        x = PolyExpr.var("x")
+        for c in (RationalExpr.const(1), RationalExpr(1, 3), RationalExpr(1, x),
+                  RationalExpr(x, x)):
+            total = parts(a.num * c.num, a.den * c.den)
+            for result in (a * c, c * a):
+                assert parts(result.num, result.den) == total
+        one = RationalExpr.const(1)
+        for result in (a * one, one * a, a * 1, 1 * a):
+            assert result is a
+
+    @settings(max_examples=50, deadline=None)
     @given(polys)
     def test_product_with_zero(self, a):
         zero = PolyExpr()

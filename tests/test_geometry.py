@@ -29,10 +29,10 @@ from quantbench.geometry import (
     glue_check_field,
     interior_product,
     lie_derivative,
-    poincare_primitive,
     pullback,
     wedge,
 )
+from quantbench.integrality import poincare_primitive
 from quantbench.scalars import ExactScalar
 
 

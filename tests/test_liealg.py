@@ -20,18 +20,15 @@ from quantbench.geometry import (
     FiberedAtlas,
     VectorField,
 )
+from quantbench.groups import Ad, GroupElement, coAd, pair
 from quantbench.hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
 from quantbench.liealg import (
     ActionMap,
-    Ad,
     AlgebroidModel,
-    GroupElement,
     abelian,
     action_algebroid,
     ad_star,
-    coAd,
     lie_algebra,
-    pair,
     su2,
     u1,
 )

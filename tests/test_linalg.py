@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
 from quantbench import linalg
+from quantbench.integrality import column_space_completion
 from quantbench.linalg import (
-    column_space_completion,
     inverse,
     kernel_basis,
     rref,

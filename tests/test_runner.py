@@ -88,23 +88,60 @@ def test_reports_do_not_depend_on_the_order_variables_are_first_met():
 
 
 def test_the_runtime_needs_only_the_standard_library():
-    """Runs through every stage, gauge twist included, import neither scipy
-    nor numpy, and the package declares no runtime dependency."""
+    """Runs through every stage, the su(2) and u(1) gauge twists included,
+    import neither scipy nor numpy, nor the modules that load on demand
+    (`integrality`, `groups`), and the package declares no runtime
+    dependency."""
     code = "\n".join([
         "import sys",
         "from quantbench import catalog",
         "from quantbench.runner import run_scenario",
         "for name, level in (('su2-orbit-k', 1), ('u1-rotation-reduction-k', 2), "
-        "('gauge-su2-k', 1)):",
+        "('gauge-su2-k', 1), ('gauge-u1-char-n', 1)):",
         "    assert not run_scenario(catalog.build_scenario(name, level)).failed",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"])
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))",
+        "print(sorted(m for m in sys.modules",
+        "             if m in ('quantbench.integrality', 'quantbench.groups')))"])
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
-    assert out.split() == ["[]"]
+    assert out.split() == ["[]", "[]"]
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_every_package_name_resolves_and_an_unknown_one_does_not():
+    """The names `quantbench` exported when it imported every module still
+    import from it, those of the modules that load on demand included."""
+    import quantbench
+    from quantbench import (  # noqa: F401
+        ActionMap, ActionScenario, Ad, AlgebroidModel, Chart, CheckResult, Cochain,
+        CohomologyClass, ComplexStructureData, DifferentialForm, ExactScalar, FiberedAtlas,
+        GaugeScenario, GoodCover, GroupElement, IntegralityReport, KostantOperator,
+        LineBundleData, MomentumMapRep, OverlapFunction, PolyExpr, PresymplecticData,
+        PrincipalBundleData, QuantizationResult, QuantumReduction, RationalExpr,
+        ReducedSpace, Report, SectionRep, Transition, VectorField, ZeroLevelData,
+        action_algebroid, algebroid_differential, build_gauge_scenario, build_scenario,
+        cech_delta, chern_class_algebroid, coAd, cohomology_compute,
+        connection_equivariance_check, construct_from_integral_class, curvature,
+        derham_to_cech, descent_obstruction_check, equivariance_check, exterior_derivative,
+        gauge_momentum_verify, glue_check, holomorphic_solve, induced_representation,
+        inner_product, integrality_test, integrate_representation, interior_product,
+        internal_momentum_check, internal_mw_quotient, kostant_operator, lie_algebra,
+        lie_derivative, list_scenarios, parse_expr, perturb, pic_dual, pic_tensor,
+        poincare_primitive, polarization_equivariance_check,
+        prequantization_condition_check, presymplectic_check, pullback, qr_commute_check,
+        quantization_condition_check, quantization_isomorphism_check, quantum_fixed_subspace,
+        rational, rep_flatness_check, rep_hermitian_check, run_scenario, simplify, su2,
+        u1, validate_bundle, wedge, __version__)
+    from quantbench import groups, integrality
+    assert (Cochain, construct_from_integral_class, poincare_primitive) == \
+        (integrality.Cochain, integrality.construct_from_integral_class,
+         integrality.poincare_primitive)
+    assert (GroupElement, Ad, coAd) == (groups.GroupElement, groups.Ad, groups.coAd)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quantbench.no_such_name
 
 
 def test_table_matches_the_bench_stage_table_and_produces_before_reading():

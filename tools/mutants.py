@@ -1,9 +1,10 @@
 """Mutation checks: each entry changes one exact text in one source file and
 names the tests that must fail on that change.
 
-The tool copies `src/`, `tests/` and `pyproject.toml` into a temporary
-directory and first runs every listed test there, unchanged; they must pass.
-Then, one entry at a time, it applies the entry's replacement, runs the
+The tool copies `src/`, `tests/`, `tools/` (the runner tests read the
+catalog digests from it) and `pyproject.toml` into a temporary directory
+and first runs every listed test there, unchanged; they must pass.  Then,
+one entry at a time, it applies the entry's replacement, runs the
 entry's tests in one pytest process (no worker pool), and restores the file.
 An entry is killed when pytest reports a failing test (exit status 1).
 
@@ -22,10 +23,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BUNDLES = "src/quantbench/bundles.py"
 CECH = "src/quantbench/cech.py"
 EXPRS = "src/quantbench/exprs.py"
 GEOMETRY = "src/quantbench/geometry.py"
 GAUGE = "src/quantbench/gauge.py"
+INTEGRALITY = "src/quantbench/integrality.py"
 LIEALG = "src/quantbench/liealg.py"
 QUANTIZE = "src/quantbench/quantize.py"
 REDUCE = "src/quantbench/reduce.py"
@@ -47,12 +50,12 @@ MUTANTS = [
      "tests": ["tests/test_bundles.py::TestTripleOverlapCocycle",
                "tests/test_cech.py::TestIntegrality"]},
     {"name": "delta_matrix: every face with the opposite sign",
-     "file": CECH,
+     "file": INTEGRALITY,
      "old": "ExactScalar((-1) ** (j + 1))",
      "new": "ExactScalar((-1) ** j)",
      "tests": ["tests/test_cech.py::TestDelta::test_sign_convention"]},
     {"name": "delta_matrix: every face with sign -1",
-     "file": CECH,
+     "file": INTEGRALITY,
      "old": "ExactScalar((-1) ** (j + 1))",
      "new": "ExactScalar(-1)",
      "tests": ["tests/test_cech.py::TestDelta::test_delta_squared_randomized"]},
@@ -175,6 +178,23 @@ MUTANTS = [
      "old": "        if len(charts) != 1 or not",
      "new": "        if False and not",
      "tests": [f"{MALFORMED}[integration-s1-plane-two-charts]"]},
+    {"name": "scenario_io: sphere-family over any momentum",
+     "file": SCENARIO_IO,
+     "old": "        if len(momentum.pairings) != 1 or not values or \\\n",
+     "new": "        if False and \\\n",
+     "tests": [f"{MALFORMED}[integration-sphere-family-on-su2-orbit]"]},
+    {"name": "RationalExpr.__mul__: a factor with the one term of 1 over any denominator",
+     "file": EXPRS,
+     "old": "        if other.num.terms == _ONE_TERMS and other.num.den == 1 and \\\n",
+     "new": "        if other.num.terms == _ONE_TERMS and \\\n",
+     "tests": ["tests/test_exprs.py::TestEarlyReturns::test_rational_unit_operands"]},
+    {"name": "bundles: the integrality machinery imported eagerly",
+     "file": BUNDLES,
+     "old": "    result.notes.append(\"witness: the declared momentum pairing exhibits alpha^*K as exact\")\n"
+            "    return result\n",
+     "new": "    result.notes.append(\"witness: the declared momentum pairing exhibits alpha^*K as exact\")\n"
+            "    return result\n\n\nfrom .integrality import *  # noqa: E402,F401,F403\n",
+     "tests": ["tests/test_runner.py::test_the_runtime_needs_only_the_standard_library"]},
 ]
 
 
@@ -188,7 +208,7 @@ def _pytest(copy: Path, tests) -> int:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "tools"):
             shutil.copytree(ROOT / name, copy / name)
         shutil.copy(ROOT / "pyproject.toml", copy)
         listed = sorted({test for entry in MUTANTS for test in entry["tests"]})
