@@ -25,13 +25,12 @@ exact) but conjugation sends it to its negative.  Coordinate operations
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
 
 from .errors import MalformedExpressionError
-from .scalars import ExactScalar, ZERO
+from .scalars import ExactScalar, I, ZERO, from_ints, gaussian_text
 
 TWO_PI_I = "twopii"
 
@@ -136,7 +135,8 @@ class PolyExpr:
     monomial is ``(re + im*i) / den``.  No pair is ``(0, 0)`` and the gcd of ``den`` and
     every part is 1 (``den`` is 1 for zero), so equal polynomials have equal
     ``terms`` and ``den``.  Arithmetic runs on these integers; ``coeffs()``
-    gives the coefficients as ExactScalar.
+    gives the coefficients as ExactScalar, whose ``num`` and ``den`` are one
+    term's pair and denominator in the same canonical form.
     """
 
     __slots__ = ("terms", "den")
@@ -149,10 +149,9 @@ class PolyExpr:
             coeff = ExactScalar.coerce(coeff)
             if not coeff.is_zero():
                 clean[_pack(mono)] = coeff
-        # the lcm of reduced denominators shares no factor with every part
-        den = lcm(*(part.denominator for c in clean.values() for part in (c.re, c.im)))
-        _set_terms(self, {m: (c.re.numerator * (den // c.re.denominator),
-                              c.im.numerator * (den // c.im.denominator))
+        # the lcm of canonical denominators shares no factor with every part
+        den = lcm(*(c.den for c in clean.values()))
+        _set_terms(self, {m: tuple(part * (den // c.den) for part in c.num)
                           for m, c in clean.items()})
         _set_den(self, den)
 
@@ -164,7 +163,8 @@ class PolyExpr:
     def const(value) -> "PolyExpr":
         if type(value) is int:
             return _raw({0: (value, 0)} if value else {}, 1)
-        return PolyExpr({(): value})
+        value = ExactScalar.coerce(value)
+        return _raw({} if value.is_zero() else {0: value.num}, value.den)
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "PolyExpr":
@@ -182,7 +182,8 @@ class PolyExpr:
     def constant_value(self) -> ExactScalar:
         if not self.is_constant():
             raise MalformedExpressionError("polynomial is not constant")
-        return self.coeffs().get((), ZERO)
+        re, im = self.terms.get(0, (0, 0))
+        return from_ints(re, im, self.den)
 
     def variables(self) -> set:
         used = reduce(or_, self.terms, 0)
@@ -198,8 +199,7 @@ class PolyExpr:
         """{`(variable, exponent)` tuple monomial: ExactScalar coefficient}, in
         the order of `terms`."""
         den = self.den
-        return {_mono_tuple(m): ExactScalar(Fraction(re, den), Fraction(im, den))
-                for m, (re, im) in self.terms.items()}
+        return {_mono_tuple(m): from_ints(re, im, den) for m, (re, im) in self.terms.items()}
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -347,7 +347,9 @@ class PolyExpr:
         bits = []
         for m in sorted(terms, key=_order_key, reverse=True):
             re, im = terms[m]
-            cs = _coefficient_text(re, im, den)
+            cs = gaussian_text(re, im, den)
+            if re and im:
+                cs = f"({cs})"
             mono = _MONOMIAL_TEXTS[m]
             bits.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
         return " + ".join(bits)
@@ -411,23 +413,6 @@ def _add(a: PolyExpr, b: PolyExpr, sign: int) -> PolyExpr:
     return _canonical(terms, den)
 
 
-def _fraction_text(n: int, den: int) -> str:
-    """str(Fraction(n, den)) for a positive `den`."""
-    g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-
-def _coefficient_text(re: int, im: int, den: int) -> str:
-    """str(ExactScalar(Fraction(re, den), Fraction(im, den))), in parentheses
-    when both parts are nonzero."""
-    if not im:
-        return _fraction_text(re, den)
-    imag = _fraction_text(im, den) + "i"
-    if not re:
-        return imag
-    return f"({_fraction_text(re, den)}{'+' if im > 0 else ''}{imag})"
-
-
 def _leading_inverse(p: PolyExpr) -> PolyExpr:
     """The constant polynomial 1/lc(p)."""
     _, (re, im) = p.leading()
@@ -435,11 +420,9 @@ def _leading_inverse(p: PolyExpr) -> PolyExpr:
 
 
 def _coerce_poly(value) -> PolyExpr:
-    if isinstance(value, PolyExpr):
-        return value
-    if isinstance(value, (int, Fraction, ExactScalar)):
-        return PolyExpr.const(value)
-    raise MalformedExpressionError(f"cannot coerce {value!r} to PolyExpr")
+    """`value` as a PolyExpr; `PolyExpr.const` takes what `ExactScalar.coerce`
+    takes and raises `MalformedExpressionError` for anything else."""
+    return value if isinstance(value, PolyExpr) else PolyExpr.const(value)
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +778,7 @@ def _coerce_rational(value) -> RationalExpr:
         return value
     if isinstance(value, PolyExpr):
         return _quotient(value, _ONE_POLY)
-    if isinstance(value, (int, Fraction, ExactScalar)):
-        return RationalExpr.const(value)
-    raise MalformedExpressionError(f"cannot coerce {value!r} to RationalExpr")
+    return RationalExpr.const(value)
 
 
 def coerce_rational(value) -> RationalExpr:
@@ -1049,6 +1030,6 @@ def _parse_atom(tokens, pos, depth):
     if isinstance(tok, tuple) and tok[0] == "name":
         name = tok[1]
         if name == "i":
-            return RationalExpr.const(ExactScalar(0, 1)), pos + 1
+            return RationalExpr.const(I), pos + 1
         return RationalExpr.var(name), pos + 1
     raise MalformedExpressionError(f"unexpected token {tok!r}")

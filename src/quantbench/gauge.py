@@ -38,6 +38,7 @@ from .hamiltonian import (
     _pair_failures,
 )
 from .liealg import ActionMap, AlgebroidModel
+from .linalg import is_zero_matrix
 from .quantize import ComplexStructureData, quantize_monomial
 from .reports import CheckResult
 from .scalars import ONE, ZERO
@@ -322,15 +323,11 @@ def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> Check
     algebra = gauge.bundle_data.algebra
     n = fiber_rep.dimension
     for a in range(algebra.n):
-        mat_fiber = fiber_rep.matrices[a]
-        mat_gauge = gauge_rep.matrices[n_base + a]
-        if any(not (mat_fiber[i][j] - mat_gauge[i][j]).is_zero()
-               for i in range(n) for j in range(n)):
+        if not is_zero_matrix(fiber_rep.matrices[a], minus=gauge_rep.matrices[n_base + a]):
             failures.append((f"intertwining {algebra.generator_names[a]}",
                              "matrix mismatch"))
     for i in range(n_base):
-        mat = gauge_rep.matrices[i]
-        if any(not mat[r][c].is_zero() for r in range(n) for c in range(n)):
+        if not is_zero_matrix(gauge_rep.matrices[i]):
             failures.append((f"base generator {i}",
                              "does not act by the flat transport"))
     failures.extend(("gram", f"entry {i},{j}") for i in range(n) for j in range(n)

@@ -138,6 +138,12 @@ def _charts_of(atlas, *tables, every=False):
     return [ch for ch in atlas.charts if test(ch in table for table in tables)]
 
 
+def _known_class(leafwise_class):
+    if leafwise_class not in _CLASS_ORDER:
+        raise LeafwiseClassError(f"unknown leafwise class {leafwise_class!r}")
+    return leafwise_class
+
+
 def _check_class(requested, available):
     if _CLASS_ORDER[requested] > _CLASS_ORDER[available]:
         raise LeafwiseClassError(
@@ -150,7 +156,7 @@ class DifferentialForm:
     def __init__(self, atlas, degree, leafwise_class, coefficients):
         self.atlas = atlas
         self.degree = int(degree)
-        self.leafwise_class = leafwise_class
+        self.leafwise_class = _known_class(leafwise_class)
         if self.degree < 0:
             raise DegreeError("negative form degree")
         coeffs = {}
@@ -277,7 +283,7 @@ class DifferentialForm:
 class VectorField:
     def __init__(self, atlas, leafwise_class, components):
         self.atlas = atlas
-        self.leafwise_class = leafwise_class
+        self.leafwise_class = _known_class(leafwise_class)
         comps = {}
         for chart_name, table in components.items():
             chart = atlas.chart(chart_name)

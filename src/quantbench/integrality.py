@@ -13,8 +13,6 @@ exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .bundles import LineBundleData, TransitionValue, validate_bundle
 from .cech import GoodCover, OverlapFunction, cocycle_value
@@ -292,7 +290,7 @@ def _as_int(v):
     v = ExactScalar.coerce(v)
     if not v.is_integer():
         raise MalformedExpressionError(f"expected integer entry, got {v}")
-    return int(v.re)
+    return v.num[0]
 
 
 def _int_inverse(u):
@@ -488,7 +486,7 @@ def integrality_test(cls: CohomologyClass) -> IntegralityReport:
     q_prime = []
     for i in range(min(r, len(cover.k_simplices(1)))):
         d_i = s[i][i]
-        frac = ua[i] - ExactScalar(Fraction(int(ua[i].re // 1)))
+        frac = ua[i] - ExactScalar(ua[i].num[0] // ua[i].den)
         q_prime.append((frac / ExactScalar(d_i)) if not frac.is_zero() else ZERO)
     n1 = len(cover.k_simplices(1))
     q_full = [ZERO] * n1

@@ -137,6 +137,19 @@ def mat_mul(a, b):
              for j in range(p)] for i in range(len(a))]
 
 
+def conj_transpose(rows):
+    """The conjugate transpose of a matrix whose entries have `conj`."""
+    return [[v.conj() for v in column] for column in zip(*rows)]
+
+
+def is_zero_matrix(rows, minus=None):
+    """Whether every entry of `rows`, or of `rows - minus`, is exactly zero."""
+    if minus is None:
+        return all(v.is_zero() for row in rows for v in row)
+    return all((a - b).is_zero() for row, other in zip(rows, minus)
+               for a, b in zip(row, other))
+
+
 def det(rows, one=ONE):
     """Determinant by Laplace expansion along the first row.  `one` is the
     determinant of the empty matrix, so the result has the entries' type."""

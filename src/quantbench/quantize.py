@@ -10,7 +10,6 @@ gluing constraint is exact linear algebra over the Gaussian rationals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bundles import LineBundleData, kostant_operator
 from .errors import (
@@ -21,9 +20,10 @@ from .errors import (
 from .exprs import PolyExpr, RationalExpr, coerce_rational, TWO_PI_I
 from .geometry import LEAF_J, VectorField, commutator, interior_product, to_chart
 from .hamiltonian import ActionScenario
-from .linalg import kernel_basis, mat_mul, rref, rref_kernel, solve_linear
+from .linalg import (conj_transpose, is_zero_matrix, kernel_basis, mat_mul, rref,
+                     rref_kernel, solve_linear)
 from .reports import CheckResult
-from .scalars import ExactScalar, I, ZERO
+from .scalars import ExactScalar, I, ZERO, from_ints
 
 
 class ComplexStructureData:
@@ -279,13 +279,13 @@ def fs_monomial_integral(m, n, weight_power) -> ExactScalar:
         return ZERO
     num = math.factorial(m) * math.factorial(weight_power - m - 2)
     den = math.factorial(weight_power - 1)
-    return ExactScalar(Fraction(num, den))
+    return from_ints(num, 0, den)
 
 
 def _zz_decompose(poly: PolyExpr, x_name, y_name):
     """Rewrite a polynomial in x, y as {(m, n): coeff} over z^m zbar^n."""
     z, zb = PolyExpr.var("__z"), PolyExpr.var("__zb")
-    half = ExactScalar(Fraction(1, 2))
+    half = from_ints(1, 0, 2)
     x_sub = RationalExpr((z + zb) * PolyExpr.const(half))
     y_sub = RationalExpr((z - zb) * PolyExpr.const(half * I))
     moved = poly.subst({x_name: x_sub, y_name: y_sub})
@@ -469,24 +469,22 @@ def _expand_in_basis(images, basis_exprs):
 def commutation_check(result: QuantizationResult, model) -> CheckResult:
     """[M_i, M_j] equals the matrix of the bracket section, exactly."""
     failures = []
-    n = result.dimension
     for i in range(model.n):
         for j in range(i + 1, model.n):
             bracket = model.generator_bracket(i, j)
-            expected = [[RationalExpr.zero()] * n for _ in range(n)]
+            # [M_i, M_j] = M_i M_j - M_j M_i, so M_i M_j is expected to be
+            # M_j M_i plus the bracket's combination of the matrices
+            expected = mat_mul(result.matrices[j], result.matrices[i])
             for k, coeff in enumerate(bracket):
                 if coeff.is_zero():
                     continue
                 if not coeff.is_constant():
                     raise MalformedExpressionError(
                         "commutation check needs constant structure functions")
-                for a in range(n):
-                    for b in range(n):
-                        expected[a][b] = expected[a][b] + \
-                            coeff * coerce_rational(result.matrices[k][a][b])
-            comm = _mat_commutator(result.matrices[i], result.matrices[j])
-            if any(not (comm[a][b] - expected[a][b]).is_zero()
-                   for a in range(n) for b in range(n)):
+                expected = [[e + coeff * m for e, m in zip(row, mat_row)]
+                            for row, mat_row in zip(expected, result.matrices[k])]
+            if not is_zero_matrix(mat_mul(result.matrices[i], result.matrices[j]),
+                                  minus=expected):
                 failures.append((f"{result.generator_names[i]},"
                                  f"{result.generator_names[j]}", "commutator mismatch"))
     return CheckResult(not failures, failures)
@@ -496,24 +494,11 @@ def unitarity_check(result: QuantizationResult) -> CheckResult:
     """M^dagger G + G M = 0 for every generator matrix (conj flips twopii)."""
     failures = []
     g = result.gram
-    n = result.dimension
+    minus_g = [[-v for v in row] for row in g]
     for idx, m in enumerate(result.matrices):
-        m_dag = [[coerce_rational(m[j][i]).conj() for j in range(n)] for i in range(n)]
-        lhs = _mat_add(mat_mul(m_dag, g), mat_mul(g, m))
-        if any(not v.is_zero() for row in lhs for v in row):
+        if not is_zero_matrix(mat_mul(conj_transpose(m), g), minus=mat_mul(minus_g, m)):
             failures.append((result.generator_names[idx], "M*G + GM != 0"))
     return CheckResult(not failures, failures)
-
-
-def _mat_add(a, b):
-    return [[coerce_rational(x) + coerce_rational(y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
-def _mat_commutator(a, b):
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,13 @@ counts, weights) and echoes the declarations in its reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
 from .hamiltonian import ActionScenario
-from .linalg import inverse, kernel_basis, mat_mul
+from .linalg import conj_transpose, inverse, is_zero_matrix, kernel_basis, mat_mul
 from .quantize import QuantizationResult
 from .reports import CheckResult
-from .scalars import ExactScalar, I, ONE, ZERO
+from .scalars import I, ONE, ZERO, from_ints
 
 
 class ZeroLevelData:
@@ -124,7 +122,7 @@ def _metric_projector(columns, gram, n):
         return [[ZERO] * n for _ in range(n)]
     k = len(columns)
     b = [[columns[j][i] for j in range(k)] for i in range(n)]  # n x k
-    b_dag = [[b[i][j].conj() for i in range(n)] for j in range(k)]  # k x n
+    b_dag = conj_transpose(b)  # k x n
     gb = mat_mul(gram, b)
     small = mat_mul(b_dag, gb)  # k x k, Hermitian positive
     small_inv = inverse(small)
@@ -137,15 +135,10 @@ def projector_checks(red: QuantumReduction) -> CheckResult:
     """Idempotence and commutation with the full representation matrices."""
     failures = []
     p = red.projector
-    pp = mat_mul(p, p)
-    if any(not (pp[i][j] - p[i][j]).is_zero()
-           for i in range(len(p)) for j in range(len(p))):
+    if not is_zero_matrix(mat_mul(p, p), minus=p):
         failures.append(("idempotent", "P^2 != P"))
     for idx, mat in enumerate(red.source.matrices):
-        lhs = mat_mul(p, mat)
-        rhs = mat_mul(mat, p)
-        if any(not (lhs[i][j] - rhs[i][j]).is_zero()
-               for i in range(len(p)) for j in range(len(p))):
+        if not is_zero_matrix(mat_mul(p, mat), minus=mat_mul(mat, p)):
             failures.append(("invariance",
                              f"projector does not commute with generator {idx}"))
     return CheckResult(not failures, failures)
@@ -178,7 +171,7 @@ def descent_obstruction_check(scenario: ActionScenario, ops,
         eigen = restricted.constant_value()
         weight = eigen * (-I)  # eigenvalue = i * weight for the circle generator
         weights[scenario.model.generator_names[i]] = weight
-    obstructions = {name: ExactScalar(w.re - Fraction(int(w.re // 1)))
+    obstructions = {name: from_ints(w.num[0] % w.den, 0, w.den)
                     for name, w in weights.items() if w.is_real()}
     descends = all(w.is_integer() for w in weights.values()) and not failures
     notes = [f"weights: {[f'{k}: {v}' for k, v in weights.items()]}",
@@ -209,7 +202,7 @@ def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
     # restricted data on the fixed line
     result = fixed.source
     b = [[column[i] for column in fixed.basis] for i in range(result.dimension)]
-    b_dag = [[row[0].conj() for row in b]]
+    b_dag = conj_transpose(b)
     g_fixed = mat_mul(b_dag, mat_mul(result.gram, b))
     # intertwining: the non-isotropy generators must act on the fixed line as
     # they act on the reduced one, trivially

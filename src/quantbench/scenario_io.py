@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import MalformedExpressionError, ModelMismatchError, SchemaError
+from .errors import QuantbenchError, SchemaError
 from .exprs import PolyExpr, coerce_rational, parse_expr
 from .geometry import Chart, DifferentialForm, FiberedAtlas, Transition, VectorField
 from .hamiltonian import ActionScenario, MomentumMapRep, PresymplecticData
 from .liealg import ActionMap, AlgebroidModel
-from .scalars import ExactScalar
+from .scalars import ONE, gaussian_text
 
 # `extras` key -> (ActionScenario field, JSON type).  Other keys are ignored.
 DECLARATIONS = {"level": ("level", int), "degenerate_level": ("degenerate", bool),
@@ -29,7 +29,7 @@ def expr_to_string(expr) -> str:
     """Fully parseable rendering (explicit '*' between coefficient and i)."""
     expr = coerce_rational(expr).simplify()
     num = _poly_to_string(expr.num)
-    if expr.den.is_constant() and expr.den.constant_value() == ExactScalar(1):
+    if expr.den.is_constant() and expr.den.constant_value() == ONE:
         return num
     return f"({num})/({_poly_to_string(expr.den)})"
 
@@ -39,15 +39,12 @@ def _poly_to_string(poly: PolyExpr) -> str:
         return "0"
     bits = []
     for mono, coeff in sorted(poly.coeffs().items()):
-        factors = []
-        re_part, im_part = coeff.re, coeff.im
-        if im_part == 0:
-            factors.append(f"{re_part}" if re_part >= 0 else f"(0-{-re_part})")
-        elif re_part == 0:
-            factors.append(f"({im_part}*i)" if im_part >= 0 else f"(0-{-im_part}*i)")
+        (re, im), den = coeff.num, coeff.den
+        if re < 0 and not im or im < 0 and not re:  # one negative part: (0-x)
+            factors = [f"(0-{gaussian_text(-re, -im, den, '*i')})"]
         else:
-            im_txt = f"+{im_part}*i" if im_part >= 0 else f"-{-im_part}*i"
-            factors.append(f"({re_part}{im_txt})")
+            text = gaussian_text(re, im, den, "*i")
+            factors = [f"({text})" if im else text]
         for var, exp in mono:
             factors.append(var if exp == 1 else f"{var}^{exp}")
         bits.append("*".join(factors))
@@ -219,8 +216,10 @@ def load_scenario(data) -> ActionScenario:
         momentum = MomentumMapRep(model, pairings)
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
                               **_declarations(data.get("extras", {}), atlas, momentum))
+    except SchemaError:
+        raise  # `_declarations` and `_sample` name the file already
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            MalformedExpressionError, ModelMismatchError) as exc:
+            QuantbenchError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
 
 

@@ -225,11 +225,17 @@ class TestScenarioFiles:
         pytest.param(("extras", "integration"), "s1-plane", id="integration-s1-plane-two-charts"),
         pytest.param(("extras", "integration"), "sphere-family",
                      id="integration-sphere-family-on-su2-orbit"),
+        pytest.param(("action", "fields", 0, "class"), "bogus", id="field-class-unknown"),
+        pytest.param(("model", "anchors"), [{"class": "bogus", "components": []}] * 3,
+                     id="anchor-class-unknown"),
+        pytest.param(("presymplectic", "omega", "coefficients", 0, "index"), ["x"],
+                     id="form-index-length"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as raised:
             load_scenario(data)
+        assert str(raised.value).count("scenario file invalid:") == 1
         file = tmp_path / "bad.json"
         file.write_text(json.dumps(data))
         assert main(["run", str(file)]) == 2

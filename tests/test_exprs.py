@@ -43,19 +43,6 @@ def equal_at_random_points(a: RationalExpr, b: RationalExpr, trials: int = 20,
 
 
 class TestExactScalar:
-    def test_parse_formats(self):
-        assert ExactScalar.parse("3/4") == ExactScalar(Fraction(3, 4))
-        assert ExactScalar.parse("1/2+2/3i") == ExactScalar(Fraction(1, 2), Fraction(2, 3))
-        assert ExactScalar.parse("-i") == ExactScalar(0, -1)
-        assert ExactScalar.parse("-5") == ExactScalar(-5)
-        with pytest.raises(MalformedExpressionError):
-            ExactScalar.parse("1+2i+3i")
-
-    def test_round_trip(self):
-        for text in ("0", "-2/7", "1+1i", "3/5-4/5i"):
-            s = ExactScalar.parse(text)
-            assert ExactScalar.parse(str(s)) == s
-
     def test_field_axioms(self):
         rng = random.Random(1)
         for _ in range(50):
@@ -72,6 +59,69 @@ class TestExactScalar:
     def test_exactness_no_rounding(self):
         third = rational(1, 3)
         assert sum((third for _ in range(3)), ExactScalar(0)) == ExactScalar(1)
+
+
+_scalar_parts = st.tuples(st.fractions(min_value=-30, max_value=30, max_denominator=24),
+                          st.fractions(min_value=-30, max_value=30, max_denominator=24))
+
+
+def exact_value(s: ExactScalar):
+    """(re, im) as Fractions, after checking that the integers of `s` are in
+    canonical form: a positive denominator sharing no factor with both parts."""
+    (re, im), den = s.num, s.den
+    assert den > 0 and math.gcd(re, im, den) == 1
+    return Fraction(re, den), Fraction(im, den)
+
+
+def fraction_text(re: Fraction, im: Fraction) -> str:
+    """The text of re + im*i from `str(Fraction)` of each part."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}+{im}i" if im > 0 else f"{re}{im}i"
+
+
+class TestScalarAgainstFractionPairs:
+    """Every operation of `ExactScalar` against the same operation on a pair
+    of Fractions written out here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scalar_parts, _scalar_parts, st.integers(-5, 5))
+    def test_operations(self, x, y, k):
+        (ar, ai), (br, bi) = x, y
+        a, b = ExactScalar(ar, ai), ExactScalar(br, bi)
+        assert exact_value(a) == (ar, ai)
+        assert exact_value(a + b) == (ar + br, ai + bi)
+        assert exact_value(a - b) == (ar - br, ai - bi)
+        assert exact_value(-a) == (-ar, -ai)
+        assert exact_value(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
+        assert exact_value(a + k) == exact_value(k + a) == (ar + k, ai)
+        assert exact_value(a * k) == exact_value(k * a) == (ar * k, ai * k)
+        assert exact_value(a.conj()) == (ar, -ai)
+        assert exact_value(a.abs2()) == (ar * ar + ai * ai, 0)
+        norm = ar * ar + ai * ai
+        if norm:
+            assert exact_value(a.inverse()) == (ar / norm, -ai / norm)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        assert (a == b) == ((ar, ai) == (br, bi))
+        assert a == ExactScalar(ar, ai) and hash(a) == hash(ExactScalar(ar, ai))
+        assert a.is_zero() == (ar == ai == 0)
+        assert a.is_integer() == (ai == 0 and ar.denominator == 1)
+        assert a.is_positive() == (ai == 0 and ar > 0)
+        assert str(a) == fraction_text(ar, ai)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scalar_parts)
+    def test_constant_polynomial_has_the_integers_of_the_scalar(self, x):
+        s = ExactScalar(*x)
+        p = PolyExpr.const(s)
+        assert p.terms == ({} if s.is_zero() else {0: s.num})
+        assert p.den == s.den
+        value = p.constant_value()
+        assert (value.num, value.den) == (s.num, s.den)
 
 
 class TestSimplify:
@@ -237,8 +287,7 @@ class QQIOracle:
         QQ = self.QQ
         return self.ring.from_dict({
             tuple(dict(m).get(v, 0) for v in VARS):
-                self.QQ_I(QQ(c.re.numerator, c.re.denominator),
-                          QQ(c.im.numerator, c.im.denominator))
+                self.QQ_I(QQ(c.num[0], c.den), QQ(c.num[1], c.den))
             for m, c in p.coeffs().items()})
 
     def from_sympy(self, q) -> PolyExpr:
@@ -575,9 +624,9 @@ class TestEarlyReturns:
 
 
 def reference_str(p: PolyExpr) -> str:
-    """The text of `p` built from one ExactScalar of two Fractions per term and
-    from the `(variable, exponent)` tuples of `coeffs()`, in graded lex order
-    with later names dominating."""
+    """The text of `p` built from two Fractions per term and from the
+    `(variable, exponent)` tuples of `coeffs()`, in graded lex order with
+    later names dominating."""
     if p.is_zero():
         return "0"
     bits = []
@@ -585,8 +634,9 @@ def reference_str(p: PolyExpr) -> str:
                           key=lambda item: (sum(e for _, e in item[0]),
                                             sorted(item[0], reverse=True))):
         text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-        cs = str(c)
-        if ("+" in cs[1:]) or ("-" in cs[1:]) or (c.im != 0 and c.re != 0):
+        re, im = Fraction(c.num[0], c.den), Fraction(c.num[1], c.den)
+        cs = fraction_text(re, im)
+        if re != 0 and im != 0:
             cs = f"({cs})"
         bits.append(cs if not text else (text if cs == "1" else f"{cs}*{text}"))
     return " + ".join(bits)

@@ -12,7 +12,9 @@ from quantbench.exprs import RationalExpr, coerce_rational, parse_expr
 from quantbench import linalg
 from quantbench.integrality import column_space_completion
 from quantbench.linalg import (
+    conj_transpose,
     inverse,
+    is_zero_matrix,
     kernel_basis,
     rref,
     rref_kernel,
@@ -50,8 +52,8 @@ def sympy():
 
 
 def to_sympy(sympy, rows):
-    return sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator)
-                          + sympy.I * sympy.Rational(v.im.numerator, v.im.denominator)
+    return sympy.Matrix([[sympy.Rational(v.num[0], v.den)
+                          + sympy.I * sympy.Rational(v.num[1], v.den)
                           for v in row] for row in rows])
 
 
@@ -265,3 +267,28 @@ def test_rational_entries_match_the_dense_reference(texts):
     assert all(sum((coerce_rational(a) * coerce_rational(x) for a, x in zip(row, vec)),
                    RationalExpr.zero()).is_zero()
                for vec in basis for row in rows)
+
+
+class TestMatrixHelpers:
+    def test_conj_transpose(self):
+        i = ExactScalar(0, 1)
+        a = [[ExactScalar(1, 2), i, ZERO], [ExactScalar(Fraction(1, 3)), ONE, -i]]
+        assert conj_transpose(a) == [[ExactScalar(1, -2), ExactScalar(Fraction(1, 3))],
+                                     [-i, ONE], [ZERO, i]]
+        x = parse_expr("x + 2*i")
+        assert conj_transpose([[x]]) == [[parse_expr("x - 2*i")]]
+        assert conj_transpose([]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(max_dim=4))
+    def test_conj_transpose_against_sympy(self, sympy, rows):
+        assert to_sympy(sympy, conj_transpose(rows)) == to_sympy(sympy, rows).H
+
+    def test_is_zero_matrix(self):
+        x = parse_expr("x/(1+x)")
+        assert is_zero_matrix([[ZERO, RationalExpr.zero()], [ZERO, ZERO]])
+        assert is_zero_matrix([])
+        assert not is_zero_matrix([[ZERO, ZERO], [ZERO, ExactScalar(0, 1)]])
+        assert is_zero_matrix([[x, ONE]], minus=[[parse_expr("(x+x^2)/(1+2*x+x^2)"), ONE]])
+        assert not is_zero_matrix([[x, ONE]], minus=[[x, ZERO]])
+        assert not is_zero_matrix([[ZERO], [x]], minus=[[ZERO], [ZERO]])

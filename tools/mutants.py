@@ -30,11 +30,14 @@ GEOMETRY = "src/quantbench/geometry.py"
 GAUGE = "src/quantbench/gauge.py"
 INTEGRALITY = "src/quantbench/integrality.py"
 LIEALG = "src/quantbench/liealg.py"
+LINALG = "src/quantbench/linalg.py"
 QUANTIZE = "src/quantbench/quantize.py"
 REDUCE = "src/quantbench/reduce.py"
+SCALARS = "src/quantbench/scalars.py"
 SCENARIO_IO = "src/quantbench/scenario_io.py"
 MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two"
 PRINTING = "tests/test_exprs.py::TestPrinting"
+SCALAR_ORACLE = "tests/test_exprs.py::TestScalarAgainstFractionPairs"
 
 MUTANTS = [
     {"name": "cocycle_value: the offset of (j, l) enters with a plus sign",
@@ -136,21 +139,51 @@ MUTANTS = [
      "old": "if len(set(self.generator_names)) != self.n or ",
      "new": "if ",
      "tests": [f"{MALFORMED}[generators-duplicate]"]},
-    {"name": "PolyExpr.__str__: the imaginary part printed with the opposite sign",
-     "file": EXPRS,
-     "old": '    imag = _fraction_text(im, den) + "i"',
-     "new": '    imag = _fraction_text(-im, den) + "i"',
-     "tests": [PRINTING]},
-    {"name": "PolyExpr.__str__: a part over the denominator without the gcd",
-     "file": EXPRS,
+    {"name": "gaussian_text: the imaginary part printed with the opposite sign",
+     "file": SCALARS,
+     "old": "    imag = _fraction_text(im, den) + unit",
+     "new": "    imag = _fraction_text(-im, den) + unit",
+     "tests": [PRINTING, SCALAR_ORACLE]},
+    {"name": "gaussian_text: a part over the denominator without the gcd",
+     "file": SCALARS,
      "old": "    g = gcd(n, den)\n    return str(n // g)",
      "new": "    g = 1\n    return str(n // g)",
-     "tests": [PRINTING]},
+     "tests": [PRINTING, SCALAR_ORACLE]},
     {"name": "PolyExpr.__str__: no parentheses around a coefficient with two parts",
      "file": EXPRS,
-     "old": "    return f\"({_fraction_text(re, den)}{'+' if im > 0 else ''}{imag})\"",
-     "new": "    return f\"{_fraction_text(re, den)}{'+' if im > 0 else ''}{imag}\"",
+     "old": '                cs = f"({cs})"',
+     "new": "                cs = cs",
      "tests": [PRINTING]},
+    {"name": "from_ints: the gcd reduction skipped",
+     "file": SCALARS,
+     "old": "    g = gcd(re, im, den)\n",
+     "new": "    g = 1\n",
+     "tests": [SCALAR_ORACLE]},
+    {"name": "ExactScalar.inverse: the imaginary part with the opposite sign",
+     "file": SCALARS,
+     "old": "        return from_ints(p * a, -p * b, n)",
+     "new": "        return from_ints(p * a, p * b, n)",
+     "tests": [SCALAR_ORACLE]},
+    {"name": "ExactScalar.is_integer: the denominator ignored",
+     "file": SCALARS,
+     "old": "        return not self.num[1] and self.den == 1",
+     "new": "        return not self.num[1]",
+     "tests": [SCALAR_ORACLE]},
+    {"name": "conj_transpose: the entries not conjugated",
+     "file": LINALG,
+     "old": "    return [[v.conj() for v in column] for column in zip(*rows)]",
+     "new": "    return [[v for v in column] for column in zip(*rows)]",
+     "tests": ["tests/test_linalg.py::TestMatrixHelpers::test_conj_transpose"]},
+    {"name": "geometry: any leafwise class accepted",
+     "file": GEOMETRY,
+     "old": "    if leafwise_class not in _CLASS_ORDER:\n",
+     "new": "    if False:\n",
+     "tests": [f"{MALFORMED}[field-class-unknown]", f"{MALFORMED}[anchor-class-unknown]"]},
+    {"name": "load_scenario: a schema error wrapped in a second one",
+     "file": SCENARIO_IO,
+     "old": "    except SchemaError:\n        raise",
+     "new": "    except ZeroDivisionError:\n        raise",
+     "tests": [f"{MALFORMED}[integration-unknown]", f"{MALFORMED}[sample-nan]"]},
     {"name": "total_degree: the shift leaves the top exponent field in",
      "file": EXPRS,
      "old": "max(map(_order_key, self.terms)) >> (_FIELD * len(_NAMES))",
