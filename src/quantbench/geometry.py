@@ -66,8 +66,10 @@ class Transition:
         self.exprs = {k: coerce_rational(v) for k, v in exprs.items()}
         self.overlap = overlap
 
-    def jacobian_entry(self, target_coord, source_coord):
-        return self.exprs[target_coord].derivative(source_coord)
+    def jacobian(self, targets, sources):
+        """The matrix of partials d(target)/d(source): one row per coordinate
+        of `targets`, one column per coordinate of `sources`."""
+        return [[self.exprs[t].derivative(s) for s in sources] for t in targets]
 
     def compose_into(self, expr: RationalExpr) -> RationalExpr:
         """Pull a target-chart expression back to source coordinates."""
@@ -144,6 +146,11 @@ def _known_class(leafwise_class):
     return leafwise_class
 
 
+def _join(*classes):
+    """The coarsest of the leafwise classes, where their sum or product lives."""
+    return max(classes, key=_CLASS_ORDER.__getitem__)
+
+
 def _check_class(requested, available):
     if _CLASS_ORDER[requested] > _CLASS_ORDER[available]:
         raise LeafwiseClassError(
@@ -154,11 +161,11 @@ class DifferentialForm:
     """Chartwise alternating form; indices are strictly increasing coordinate tuples."""
 
     def __init__(self, atlas, degree, leafwise_class, coefficients):
+        if type(degree) is not int or degree < 0:
+            raise DegreeError(f"form degree {degree!r} is not a non-negative int")
         self.atlas = atlas
-        self.degree = int(degree)
+        self.degree = degree
         self.leafwise_class = _known_class(leafwise_class)
-        if self.degree < 0:
-            raise DegreeError("negative form degree")
         coeffs = {}
         for chart_name, table in coefficients.items():
             chart = atlas.chart(chart_name)
@@ -195,9 +202,6 @@ class DifferentialForm:
                    for table in self.coefficients.values() for v in table.values())
 
     # -- algebra ------------------------------------------------------------
-    def _binary_class(self, other):
-        return max(self.leafwise_class, other.leafwise_class, key=lambda c: _CLASS_ORDER[c])
-
     def __add__(self, other):
         if not isinstance(other, DifferentialForm):
             return NotImplemented
@@ -211,7 +215,8 @@ class DifferentialForm:
             for idx, v in other.coefficients.get(ch, {}).items():
                 table[idx] = table.get(idx, RationalExpr.zero()) + v
             out[ch] = table
-        return DifferentialForm(self.atlas, self.degree, self._binary_class(other), out)
+        return DifferentialForm(self.atlas, self.degree,
+                                _join(self.leafwise_class, other.leafwise_class), out)
 
     def __neg__(self):
         return self * ExactScalar(-1)
@@ -220,16 +225,7 @@ class DifferentialForm:
         return self + (-other)
 
     def __mul__(self, factor):
-        """Multiply by a scalar, an expression, or a chartwise function (0-form)."""
-        if isinstance(factor, DifferentialForm):
-            if factor.degree != 0:
-                return NotImplemented
-            out = {}
-            for ch, table in self.coefficients.items():
-                f = factor.coefficient(ch, ())
-                out[ch] = {idx: v * f for idx, v in table.items()}
-            return DifferentialForm(self.atlas, self.degree,
-                                    self._binary_class(factor), out)
+        """Multiply by a scalar or an expression."""
         factor = coerce_rational(factor)
         out = {ch: {idx: v * factor for idx, v in table.items()}
                for ch, table in self.coefficients.items()}
@@ -307,7 +303,7 @@ class VectorField:
     def __add__(self, other):
         if other.atlas is not self.atlas:
             raise AtlasMismatchError("fields on different atlases")
-        cls = max(self.leafwise_class, other.leafwise_class, key=lambda c: _CLASS_ORDER[c])
+        cls = _join(self.leafwise_class, other.leafwise_class)
         out = {}
         for ch in _charts_of(self.atlas, self.components, other.components):
             table = dict(self.components.get(ch, {}))
@@ -332,11 +328,6 @@ class VectorField:
 
     def derive(self, function, chart=None):
         """Directional derivative of a chartwise function dict or expression."""
-        if isinstance(function, DifferentialForm):
-            if function.degree != 0:
-                raise DegreeError("derive expects a function")
-            return {ch: self.derive(function.coefficient(ch, ()), ch)
-                    for ch in function.charts() if ch in self.components}
         if isinstance(function, dict):
             return {ch: self.derive(expr, ch) for ch, expr in function.items()
                     if ch in self.components}
@@ -377,7 +368,7 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
     """[v, w] chartwise."""
     if v.atlas is not w.atlas:
         raise AtlasMismatchError("fields on different atlases")
-    cls = max(v.leafwise_class, w.leafwise_class, key=lambda c: _CLASS_ORDER[c])
+    cls = _join(v.leafwise_class, w.leafwise_class)
     out = {}
     for ch in _charts_of(v.atlas, v.components, w.components, every=True):
         chart = v.atlas.chart(ch)
@@ -431,7 +422,7 @@ def exterior_derivative(form: DifferentialForm, leafwise_class=None) -> Differen
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     if a.atlas is not b.atlas:
         raise AtlasMismatchError("wedge of forms on different atlases")
-    cls = max(a.leafwise_class, b.leafwise_class, key=lambda c: _CLASS_ORDER[c])
+    cls = _join(a.leafwise_class, b.leafwise_class)
     out = {}
     for ch in _charts_of(a.atlas, a.coefficients, b.coefficients, every=True):
         chart = a.atlas.chart(ch)
@@ -499,35 +490,27 @@ def lie_derivative(v: VectorField, form: DifferentialForm) -> DifferentialForm:
 
 
 def pullback(transition: Transition, form: DifferentialForm) -> DifferentialForm:
-    """Pull a target-chart form back to the source chart along the transition."""
+    """Pull a target-chart form back to the source chart along the transition:
+    (T*w)_J = sum over I of (w_I o T) det(dT^I/dx^J), for increasing index
+    tuples I and J (Spivak, *Calculus on Manifolds*, 1965, Thm. 4-9)."""
     if transition.target not in form.charts():
         raise AtlasMismatchError(
             f"form has no coefficients on chart {transition.target}")
     atlas = form.atlas
-    src_chart = atlas.chart(transition.source)
-    order = {c: i for i, c in enumerate(src_chart.coords)}
+    terms = form.coefficients[transition.target]
+    sources = atlas.chart(transition.source).coords
+    targets = atlas.chart(transition.target).coords
+    jacobian = dict(zip(targets, transition.jacobian(targets, sources)))
+    one = RationalExpr.const(1)
     table = {}
-    for idx, coeff in form.coefficients[transition.target].items():
-        pulled_coeff = transition.compose_into(coeff)
-        # wedge of pulled-back coordinate differentials
-        partial_terms = [(tuple(), pulled_coeff)]
-        for target_coord in idx:
-            new_terms = []
-            for prefix, val in partial_terms:
-                for src_coord in src_chart.coords:
-                    jac = transition.jacobian_entry(target_coord, src_coord)
-                    if jac.is_zero() or src_coord in prefix:
-                        continue
-                    new_terms.append((prefix + (src_coord,), val * jac))
-            partial_terms = new_terms
-        for names, val in partial_terms:
-            key = tuple(sorted(names, key=order.__getitem__))
-            sign = _sort_sign(names, order)
-            cur = table.get(key, RationalExpr.zero())
-            table[key] = cur + val * sign
-    out = DifferentialForm(form.atlas, form.degree, LEAF_FULL,
-                           {transition.source: table})
-    return out
+    for idx, coeff in terms.items():
+        pulled = transition.compose_into(coeff)
+        for cols in combinations(range(len(sources)), form.degree):
+            minor = linalg.det([[jacobian[t][j] for j in cols] for t in idx], one)
+            if not minor.is_zero():
+                key = tuple(sources[j] for j in cols)
+                table[key] = table.get(key, RationalExpr.zero()) + pulled * minor
+    return DifferentialForm(atlas, form.degree, LEAF_FULL, {transition.source: table})
 
 
 def form_on_chart(atlas, form: DifferentialForm, chart) -> DifferentialForm:
@@ -564,14 +547,12 @@ def glue_check_field(atlas: FiberedAtlas, field: VectorField) -> CheckResult:
     for (src, tgt), transition in atlas.transitions.items():
         if src not in field.components or tgt not in field.components:
             continue
-        tgt_chart = atlas.chart(tgt)
-        for coord in tgt_chart.coords:
-            pushed = RationalExpr.zero()
-            for src_coord in atlas.chart(src).coords:
-                pushed = pushed + transition.jacobian_entry(coord, src_coord) * \
-                    field.component(src, src_coord)
+        targets, sources = atlas.chart(tgt).coords, atlas.chart(src).coords
+        pushed = linalg.mat_mul(transition.jacobian(targets, sources),
+                                [[field.component(src, c)] for c in sources])
+        for coord, (value,) in zip(targets, pushed):
             declared = transition.compose_into(field.component(tgt, coord))
-            diff = (pushed - declared).simplify()
+            diff = (value - declared).simplify()
             if not diff.is_zero():
                 residuals.append((src, tgt, coord, str(diff)))
     return CheckResult(not residuals, residuals)

@@ -57,17 +57,17 @@ def presymplectic_check(data: PresymplecticData) -> CheckResult:
     glue = glue_check(data.atlas, data.omega_tilde)
     if not glue.ok:
         failures.append(("gluing", str(glue.failures)))
-    # charts in the atlas's declared order, so the failure order is fixed
-    for chart_name in data.omega_tilde.atlas.charts:
-        if chart_name not in data.omega_tilde.coefficients:
-            continue
-        det = linalg.det(data.fiber_matrix(chart_name), RationalExpr.const(1))
-        if data.atlas.chart(chart_name).fiber_coords and det.is_zero():
+    # each chart's fiber determinant, built once for the exact test and the
+    # samples; charts in the atlas's declared order, so the failure order is fixed
+    dets = {ch: linalg.det(data.fiber_matrix(ch), RationalExpr.const(1))
+            for ch in data.atlas.charts}
+    for chart_name, det in dets.items():
+        if chart_name in data.omega_tilde.coefficients and \
+                data.atlas.chart(chart_name).fiber_coords and det.is_zero():
             failures.append(("nondegeneracy", f"chart {chart_name}: determinant vanishes"))
     for sample in data.sample_points:
         chart_name, point = sample["chart"], sample["point"]
-        det = linalg.det(data.fiber_matrix(chart_name), RationalExpr.const(1))
-        value = det.numeric(point)
+        value = dets[chart_name].numeric(point)
         if abs(value) < 1e-12:
             failures.append(("nondegeneracy-sample", f"{chart_name}@{point}"))
     return CheckResult(not failures, failures, notes)

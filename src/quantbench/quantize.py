@@ -38,13 +38,9 @@ class ComplexStructureData:
     def validate(self) -> CheckResult:
         failures = []
         for ch, mat in self.matrices.items():
-            n = len(mat)
-            for i in range(n):
-                for j in range(n):
-                    entry = sum((mat[i][k] * mat[k][j] for k in range(n)),
-                                RationalExpr.zero())
-                    expected = RationalExpr.const(-1) if i == j else RationalExpr.zero()
-                    if not (entry - expected).is_zero():
+            for i, row in enumerate(mat_mul(mat, mat)):
+                for j, entry in enumerate(row):
+                    if not (entry + (1 if i == j else 0)).is_zero():
                         failures.append((f"{ch}: j^2 != -1", f"entry {i},{j}"))
         # glue consistency: the fiber Jacobian intertwines the two matrices
         for (src, tgt), transition in self.atlas.transitions.items():
@@ -52,7 +48,7 @@ class ComplexStructureData:
                 continue
             sf = self.atlas.chart(src).fiber_coords
             tf = self.atlas.chart(tgt).fiber_coords
-            jac = [[transition.jacobian_entry(tc, sc) for sc in sf] for tc in tf]
+            jac = transition.jacobian(tf, sf)
             j_src = self.matrices[src]
             j_tgt_pulled = [[transition.compose_into(v) for v in row]
                             for row in self.matrices[tgt]]

@@ -92,14 +92,26 @@ def internal_mw_quotient(scenario: ActionScenario, z: ZeroLevelData) -> ReducedS
 # ---------------------------------------------------------------------------
 
 class QuantumReduction:
-    """The vectors of `source` that the `isotropy_indices` generators fix."""
+    """The vectors of `source` that the `isotropy_indices` generators fix: the
+    n x k matrix B (`matrix`) whose columns are the `basis`, the pairing B†G
+    with them in the Gram metric G, the restricted Gram matrix B†GB (`gram`)
+    and the metric projector B (B†GB)^-1 B†G."""
 
-    def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns,
-                 projector):
+    def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns):
+        n = source.dimension
         self.source = source
         self.isotropy_indices = tuple(isotropy_indices)
         self.basis = basis_columns
-        self.projector = projector
+        self.matrix = b = [[column[i] for column in basis_columns] for i in range(n)]
+        self.pairing = mat_mul(conj_transpose(b), source.gram)  # k x n
+        self.gram = mat_mul(self.pairing, b)  # k x k, Hermitian positive
+        if not basis_columns:
+            self.projector = [[ZERO] * n for _ in range(n)]
+            return
+        gram_inv = inverse(self.gram)
+        if gram_inv is None:
+            raise MalformedExpressionError("singular Gram restriction")
+        self.projector = mat_mul(mat_mul(b, gram_inv), self.pairing)
 
     @property
     def dimension(self):
@@ -109,26 +121,10 @@ class QuantumReduction:
 def quantum_fixed_subspace(result: QuantizationResult,
                            isotropy_indices) -> QuantumReduction:
     """Joint kernel of the isotropy generator matrices, with metric projector."""
-    n = result.dimension
     stacked = [[coerce_rational(v) for v in row]
                for idx in isotropy_indices for row in result.matrices[idx]]
-    kernel = kernel_basis(stacked, n)
-    return QuantumReduction(result, isotropy_indices, kernel,
-                            _metric_projector(kernel, result.gram, n))
-
-
-def _metric_projector(columns, gram, n):
-    if not columns:
-        return [[ZERO] * n for _ in range(n)]
-    k = len(columns)
-    b = [[columns[j][i] for j in range(k)] for i in range(n)]  # n x k
-    b_dag = conj_transpose(b)  # k x n
-    gb = mat_mul(gram, b)
-    small = mat_mul(b_dag, gb)  # k x k, Hermitian positive
-    small_inv = inverse(small)
-    if small_inv is None:
-        raise MalformedExpressionError("singular Gram restriction")
-    return mat_mul(mat_mul(b, small_inv), mat_mul(b_dag, gram))
+    return QuantumReduction(result, isotropy_indices,
+                            kernel_basis(stacked, result.dimension))
 
 
 def projector_checks(red: QuantumReduction) -> CheckResult:
@@ -199,20 +195,15 @@ def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
             "no declared quantization for a positive-dimensional quotient")
     if fixed.dimension != 1:
         return _qr_result("fail", fixed, 1, descent, ["dimension mismatch"])
-    # restricted data on the fixed line
-    result = fixed.source
-    b = [[column[i] for column in fixed.basis] for i in range(result.dimension)]
-    b_dag = conj_transpose(b)
-    g_fixed = mat_mul(b_dag, mat_mul(result.gram, b))
     # intertwining: the non-isotropy generators must act on the fixed line as
     # they act on the reduced one, trivially
-    residual = [idx for idx, mat in enumerate(result.matrices)
+    residual = [idx for idx, mat in enumerate(fixed.source.matrices)
                 if idx not in fixed.isotropy_indices and
-                not mat_mul(b_dag, mat_mul(result.gram, mat_mul(mat, b)))[0][0].is_zero()]
+                not mat_mul(fixed.pairing, mat_mul(mat, fixed.matrix))[0][0].is_zero()]
     if residual:
         return _qr_result("fail", fixed, 1, descent,
                           [f"intertwiner fails on generators {residual}"])
-    ratio = (coerce_rational(ONE) / g_fixed[0][0]).simplify()
+    ratio = (coerce_rational(ONE) / fixed.gram[0][0]).simplify()
     if not (ratio.is_constant() and ratio.constant_value().is_positive()):
         return _qr_result("fail", fixed, 1, descent, ["Gram ratio not positive"])
     return _qr_result("pass", fixed, 1, descent,

@@ -132,7 +132,11 @@ class ExactScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        """A real value hashes as the equal Fraction, and so int, does."""
+        re, im = self.num
+        if im:
+            return hash((self.num, self.den))
+        return hash(Fraction(re, self.den))
 
     # -- output -----------------------------------------------------------
     def __repr__(self):

@@ -230,6 +230,8 @@ class TestScenarioFiles:
                      id="anchor-class-unknown"),
         pytest.param(("presymplectic", "omega", "coefficients", 0, "index"), ["x"],
                      id="form-index-length"),
+        pytest.param(("presymplectic", "omega", "degree"), 2.9, id="form-degree-float"),
+        pytest.param(("presymplectic", "omega", "degree"), "2", id="form-degree-string"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantbench.errors import MalformedExpressionError
@@ -88,6 +88,7 @@ class TestScalarAgainstFractionPairs:
 
     @settings(max_examples=300, deadline=None)
     @given(_scalar_parts, _scalar_parts, st.integers(-5, 5))
+    @example((Fraction(1), Fraction(0)), (Fraction(-3, 4), Fraction(0)), 2)
     def test_operations(self, x, y, k):
         (ar, ai), (br, bi) = x, y
         a, b = ExactScalar(ar, ai), ExactScalar(br, bi)
@@ -108,6 +109,8 @@ class TestScalarAgainstFractionPairs:
                 a.inverse()
         assert (a == b) == ((ar, ai) == (br, bi))
         assert a == ExactScalar(ar, ai) and hash(a) == hash(ExactScalar(ar, ai))
+        if not ai:
+            assert hash(ExactScalar(ar)) == hash(ar) and ar in {ExactScalar(ar)}
         assert a.is_zero() == (ar == ai == 0)
         assert a.is_integer() == (ai == 0 and ar.denominator == 1)
         assert a.is_positive() == (ai == 0 and ar > 0)

@@ -208,6 +208,15 @@ class TestPullback:
         assert (pulled.coefficient("N", ("x",)) - expected_dx).simplify().is_zero()
         assert (pulled.coefficient("N", ("y",)) - expected_dy).simplify().is_zero()
 
+    def test_two_form_is_the_jacobian_determinant(self, atlas):
+        # du^dv through the inversion is det(d(u, v)/d(x, y)) dx^dy
+        t = atlas.transition("N", "S")
+        dudv = DifferentialForm(atlas, 2, LEAF_J, {"S": {("u", "v"): 1}})
+        (u_x, u_y), (v_x, v_y) = [[t.exprs[c].derivative(s) for s in "xy"] for c in "uv"]
+        pulled = pullback(t, dudv)
+        assert list(pulled.terms("N")) == [("x", "y")]
+        assert (pulled.coefficient("N", ("x", "y")) - (u_x * v_y - u_y * v_x)).is_zero()
+
     def test_identity_and_zero(self, atlas):
         ident = Transition("N", "N", {"x": parse_expr("x"), "y": parse_expr("y")})
         form = DifferentialForm(atlas, 1, LEAF_J,

@@ -58,6 +58,18 @@ class TestPresymplectic:
     def test_gauge_omega_closed(self, gauge_su2_1):
         assert presymplectic_check(gauge_su2_1.presymplectic).ok
 
+    def test_extra_term_fails_closedness_and_gluing(self, gauge_su2_1):
+        """b1 dx^dy added on chart N: its derivative is db1^dx^dy, and chart S
+        does not carry it."""
+        data = gauge_su2_1.presymplectic
+        extra = DifferentialForm(data.atlas, 2, LEAF_JTILDE, {"N": {("x", "y"): parse_expr("b1")}})
+        report = presymplectic_check(
+            PresymplecticData(data.atlas, data.omega_tilde + extra, data.sample_points))
+        residuals = [("N", "S", "d('x', 'y'): -1*b1"),
+                     ("S", "N", "d('u', 'v'): (b1)/(v^4 + 2*u^2*v^2 + u^4)")]
+        assert report.failures == [("closedness", "Form([N] (1) db1^dx^dy)"),
+                                   ("gluing", str(residuals))]
+
     def test_nondegeneracy_runs_no_gcd(self, monkeypatch, orbit_scenarios, gauge_su2_1):
         # a determinant is zero exactly when its numerator is: nothing to cancel
         calls = []

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.catalog import rotation_fields, sphere_atlas, su2_orbit_scenario
+from quantbench.catalog import (
+    pair_groupoid_scenario,
+    rotation_fields,
+    sphere_atlas,
+    su2_orbit_scenario,
+)
 from quantbench.errors import (
     AtlasMismatchError,
     MalformedExpressionError,
@@ -252,6 +257,12 @@ class TestActions:
         report = control_flipped_field().morphism_report()
         assert not report.ok
         assert any(f[0] == "bracket" for f in report.failures)
+
+    def test_twice_the_anchor_fails_the_anchor_half(self):
+        """alpha(ds) = 2 d/ds has base component 2 where the anchor has 1."""
+        scenario = pair_groupoid_scenario()
+        action = ActionMap(scenario.model, scenario.atlas, [scenario.action.fields[0] * 2])
+        assert action.morphism_report().failures == [("anchor", "ds", "s")]
 
     def test_linearity_reaches_first_order_errors(self):
         """An action off by d/dy of the first coefficient is right on f = 1;

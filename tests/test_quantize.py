@@ -172,6 +172,13 @@ class TestComplexStructure:
         structure = scenario.structure
         assert structure.positivity_check(omega).ok
 
+    def test_twice_the_standard_structure_fails_j_squared(self, atlas):
+        """j = 2 j0 glues as j0 does, but j^2 = -4 on the diagonal."""
+        twice = [[0, 2], [-2, 0]]
+        report = quantize.ComplexStructureData(atlas, {"N": twice, "S": twice}).validate()
+        assert report.failures == [(f"{ch}: j^2 != -1", f"entry {i},{i}")
+                                   for ch in "NS" for i in (0, 1)]
+
     def test_polarization_frame_is_antiholomorphic(self, atlas):
         frames = standard_complex_structure(atlas).polarization_frames()
         frame = frames["N"][0]
@@ -451,6 +458,18 @@ class TestInducedRepresentation:
         result = orbit_quantizations[k]
         assert commutation_check(result, orbit_scenarios[k].model).ok
         assert unitarity_check(result).ok
+
+    def test_perturbed_entry_fails_commutation_and_unitarity(self, orbit_scenarios,
+                                                             orbit_quantizations):
+        """1 added to the first diagonal entry of the e3 matrix: a Hermitian
+        part, which the off-diagonal e1 and e2 matrices do not commute with,
+        and which [e1, e2] = e3 does not produce."""
+        result = copy.copy(orbit_quantizations[1])
+        result.matrices = [[list(row) for row in mat] for mat in result.matrices]
+        result.matrices[2][0][0] = result.matrices[2][0][0] + 1
+        assert commutation_check(result, orbit_scenarios[1].model).failures == [
+            (pair, "commutator mismatch") for pair in ("e1,e2", "e1,e3", "e2,e3")]
+        assert unitarity_check(result).failures == [("e3", "M*G + GM != 0")]
 
     def test_level_zero_scalars(self, orbit_quantizations):
         result = orbit_quantizations[0]

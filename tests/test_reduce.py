@@ -1,5 +1,6 @@
 """Symplectic quotients, quantum reduction, descent and the comparison."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,17 @@ class TestFixedSubspace:
             fixed = quantum_fixed_subspace(rotation_quantizations[k], [0])
             report = projector_checks(fixed)
             assert report.ok, report.failures
+
+    def test_a_generator_moving_the_fixed_line_fails_invariance(self, rotation_quantizations):
+        """The fixed line of the level-2 circle is the weight-0 vector; an
+        entry added above it moves it, while the projector stays idempotent."""
+        fixed = quantum_fixed_subspace(rotation_quantizations[2], [0])
+        source = fixed.source = copy.copy(fixed.source)
+        mat = [list(row) for row in source.matrices[0]]
+        mat[0][1] = mat[0][1] + 1
+        source.matrices = [mat]
+        assert projector_checks(fixed).failures == [
+            ("invariance", "projector does not commute with generator 0")]
 
 
 class TestDescent:

@@ -28,6 +28,7 @@ CECH = "src/quantbench/cech.py"
 EXPRS = "src/quantbench/exprs.py"
 GEOMETRY = "src/quantbench/geometry.py"
 GAUGE = "src/quantbench/gauge.py"
+HAMILTONIAN = "src/quantbench/hamiltonian.py"
 INTEGRALITY = "src/quantbench/integrality.py"
 LIEALG = "src/quantbench/liealg.py"
 LINALG = "src/quantbench/linalg.py"
@@ -38,6 +39,9 @@ SCENARIO_IO = "src/quantbench/scenario_io.py"
 MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two"
 PRINTING = "tests/test_exprs.py::TestPrinting"
 SCALAR_ORACLE = "tests/test_exprs.py::TestScalarAgainstFractionPairs"
+INDUCED = "tests/test_quantize.py::TestInducedRepresentation"
+PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
+                       "test_extra_term_fails_closedness_and_gluing")
 
 MUTANTS = [
     {"name": "cocycle_value: the offset of (j, l) enters with a plus sign",
@@ -228,6 +232,62 @@ MUTANTS = [
      "new": "    result.notes.append(\"witness: the declared momentum pairing exhibits alpha^*K as exact\")\n"
             "    return result\n\n\nfrom .integrality import *  # noqa: E402,F401,F403\n",
      "tests": ["tests/test_runner.py::test_the_runtime_needs_only_the_standard_library"]},
+    {"name": "pullback: each minor's columns in reverse order, flipping the sign of a 2-form",
+     "file": GEOMETRY,
+     "old": "[[jacobian[t][j] for j in cols] for t in idx]",
+     "new": "[[jacobian[t][j] for j in reversed(cols)] for t in idx]",
+     "tests": ["tests/test_geometry.py::TestPullback::test_two_form_is_the_jacobian_determinant",
+               "tests/test_geometry.py::TestGlue::test_fs_form_glues"]},
+    {"name": "DifferentialForm: any degree that int() accepts",
+     "file": GEOMETRY,
+     "old": "        if type(degree) is not int or degree < 0:\n"
+            "            raise DegreeError(f\"form degree {degree!r} is not a non-negative int\")\n"
+            "        self.atlas = atlas\n        self.degree = degree\n",
+     "new": "        self.atlas = atlas\n        self.degree = int(degree)\n",
+     "tests": [f"{MALFORMED}[form-degree-float]", f"{MALFORMED}[form-degree-string]"]},
+    {"name": "ExactScalar.__hash__: a real value hashed as a Gaussian one",
+     "file": SCALARS,
+     "old": "        if im:\n            return hash((self.num, self.den))",
+     "new": "        if True:\n            return hash((self.num, self.den))",
+     "tests": [SCALAR_ORACLE]},
+    {"name": "commutation_check: no commutator mismatch reported",
+     "file": QUANTIZE,
+     "old": "            if not is_zero_matrix(mat_mul(result.matrices[i], result.matrices[j]),\n"
+            "                                  minus=expected):",
+     "new": "            if False:",
+     "tests": [f"{INDUCED}::test_perturbed_entry_fails_commutation_and_unitarity"]},
+    {"name": "unitarity_check: no generator reported",
+     "file": QUANTIZE,
+     "old": "        if not is_zero_matrix(mat_mul(conj_transpose(m), g), minus=mat_mul(minus_g, m)):",
+     "new": "        if False:",
+     "tests": [f"{INDUCED}::test_perturbed_entry_fails_commutation_and_unitarity"]},
+    {"name": "ComplexStructureData.validate: j^2 not compared with -1",
+     "file": QUANTIZE,
+     "old": "                    if not (entry + (1 if i == j else 0)).is_zero():",
+     "new": "                    if False:",
+     "tests": ["tests/test_quantize.py::TestComplexStructure::"
+               "test_twice_the_standard_structure_fails_j_squared"]},
+    {"name": "projector_checks: the invariance half skipped",
+     "file": REDUCE,
+     "old": "        if not is_zero_matrix(mat_mul(p, mat), minus=mat_mul(mat, p)):",
+     "new": "        if False:",
+     "tests": ["tests/test_reduce.py::TestFixedSubspace::"
+               "test_a_generator_moving_the_fixed_line_fails_invariance"]},
+    {"name": "ActionMap.morphism_report: the anchor half skipped",
+     "file": LIEALG,
+     "old": "                    if not (alpha_comp - rho_comp).is_zero():",
+     "new": "                    if False:",
+     "tests": ["tests/test_liealg.py::TestActions::test_twice_the_anchor_fails_the_anchor_half"]},
+    {"name": "presymplectic_check: closedness not tested",
+     "file": HAMILTONIAN,
+     "old": "    if not d_omega.is_zero():",
+     "new": "    if False:",
+     "tests": [PRESYMPLECTIC_EXTRA]},
+    {"name": "presymplectic_check: gluing not tested",
+     "file": HAMILTONIAN,
+     "old": "    if not glue.ok:",
+     "new": "    if False:",
+     "tests": [PRESYMPLECTIC_EXTRA]},
 ]
 
 
