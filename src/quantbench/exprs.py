@@ -253,8 +253,9 @@ class PolyExpr:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -10,7 +10,7 @@ from .scalars import ExactScalar, ONE, ZERO
 
 def _fieldify(v):
     """Accept any field element exposing is_zero/inverse/conj arithmetic."""
-    if hasattr(v, "is_zero") and hasattr(v, "inverse"):
+    if type(v) is ExactScalar or hasattr(v, "is_zero") and hasattr(v, "inverse"):
         return v
     return ExactScalar.coerce(v)
 

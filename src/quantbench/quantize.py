@@ -226,7 +226,7 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
     p0 = patches[0]
     elements.sort(key=lambda e: (e[p0].num.total_degree(), str(e[p0])))
     for element in elements:
-        if not all(derivative[p](f).simplify().is_zero() for p, f in element.items()):
+        if not all(derivative[p](f).is_zero() for p, f in element.items()):
             raise MalformedExpressionError("solver returned a non-polarized section")
     return HolomorphicBasis(bundle, elements, total - len(pivots))
 
@@ -242,21 +242,30 @@ def _polarized_derivative(bundle, frames, p):
 
 def _linear_rows(indexed, total):
     """Rows for sum lambda_pos expr = 0 over the (pos, expr) pairs: one row
-    per monomial of the numerators over a common denominator."""
+    per monomial of the numerators over a common multiple of the
+    denominators.  Any common multiple gives the same row space, so nothing
+    is cancelled: `rref` reaches the same reduced form and pivots."""
+    pairs = [(pos, coerce_rational(expr)) for pos, expr in indexed]
+    # a monic constant denominator is 1, which divides every multiple
     den = PolyExpr.const(1)
-    cleaned = []
-    for pos, expr in indexed:
-        expr = coerce_rational(expr).simplify()
-        cleaned.append((pos, expr))
-        # any common multiple of the denominators gives the same row space
-        if den.exact_div(expr.den) is None:
-            den = expr.den if expr.den.exact_div(den) is not None else den * expr.den
+    for _, expr in pairs:
+        d = expr.den
+        if d.is_constant() or d == den or den.exact_div(d) is not None:
+            continue
+        den = d if den.is_constant() or d.exact_div(den) is not None else den * d
     monomial_rows = {}
-    for pos, expr in cleaned:
-        scaled = expr.num * den.exact_div(expr.den)
-        for mono, coeff in scaled.coeffs().items():
-            row = monomial_rows.setdefault(mono, [ZERO] * total)
-            row[pos] = row[pos] + coeff
+    for pos, expr in pairs:
+        d = expr.den
+        scaled = expr.num if d == den else \
+            expr.num * (den if d.is_constant() else den.exact_div(d))
+        scale = scaled.den
+        for mono, (re, im) in scaled.terms.items():
+            row = monomial_rows.get(mono)
+            if row is None:
+                row = monomial_rows[mono] = [ZERO] * total
+            value = from_ints(re, im, scale)
+            # an entry no term has reached yet is the shared ZERO
+            row[pos] = value if row[pos] is ZERO else row[pos] + value
     return list(monomial_rows.values())
 
 
@@ -309,7 +318,7 @@ def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
     exactly when the cancelled one does, so a gcd runs only when a factor
     other than q is left.
     """
-    q = PolyExpr.var(x_name, 2) + PolyExpr.var(y_name, 2) + PolyExpr.const(1)
+    q = _one_plus_r2(x_name, y_name)
     den, n_pow = _strip_powers(expr.den, q)
     if not den.is_constant():
         expr = expr.simplify()
@@ -317,11 +326,25 @@ def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
         if not den.is_constant():
             raise UnsupportedFiberError("denominator is not a power of 1 + r^2")
     scale = den.constant_value().inverse()
-    num = expr.num * PolyExpr.const(scale)
+    return _fs_pairing({(0, 0): scale}, _zz_decompose(expr.num, x_name, y_name), n_pow + 2)
+
+
+def _fs_pairing(left, right, weight_power) -> ExactScalar:
+    """(1/pi) int L R (1+r^2)^(-weight_power) dx dy for L and R given as
+    {(m, n): coeff} over z^m zbar^n.  Every pair of terms is integrated, so a
+    divergent pair raises: the top-degree part of L R is the nonzero product
+    of theirs, so one diverges exactly when L R has a divergent term."""
     total = ZERO
-    for (m, n), coeff in _zz_decompose(num, x_name, y_name).items():
-        total = total + coeff * fs_monomial_integral(m, n, n_pow + 2)
+    for (m1, n1), c1 in left.items():
+        for (m2, n2), c2 in right.items():
+            value = fs_monomial_integral(m1 + m2, n1 + n2, weight_power)
+            if not value.is_zero():
+                total = total + c1 * c2 * value
     return total
+
+
+def _one_plus_r2(x_name, y_name) -> PolyExpr:
+    return PolyExpr.var(x_name, 2) + PolyExpr.var(y_name, 2) + PolyExpr.const(1)
 
 
 def _strip_powers(den: PolyExpr, q: PolyExpr):
@@ -356,15 +379,49 @@ def inner_product(bundle, elem1, elem2):
 def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):
     """Gram matrix of `basis`.  Only the upper triangle is integrated: the
     integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
-    row), so entry (j, i) is the conjugate of entry (i, j)."""
-    n = basis.dimension
+    row), so entry (j, i) is the conjugate of entry (i, j).
+
+    On a projective-line fiber with polynomial elements and a weight c/q^N,
+    q = 1 + x^2 + y^2, each element is written over z, zbar once and each
+    entry integrates the product of two such sums (`_fs_pairing`); any other
+    basis or weight takes `inner_product` entry by entry."""
+    elements = basis.elements
+    n = len(elements)
+    factors = _gram_factors(bundle, elements)
+    if factors is not None:
+        conjugates, decompositions, weight_power = factors
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            gram[i][j] = inner_product(bundle, basis.elements[i], basis.elements[j])
+            if factors is None:
+                gram[i][j] = inner_product(bundle, elements[i], elements[j])
+            else:
+                gram[i][j] = _fs_pairing(conjugates[i], decompositions[j], weight_power)
             if j > i:
                 gram[j][i] = gram[i][j].conj()
     return gram
+
+
+def _gram_factors(bundle, elements):
+    """(conjugates, decompositions, weight power) of the elements on the first
+    patch, every conjugate scaled by the weight's constant, or None when an
+    element is not a polynomial or the weight is not c/q^N.  The conjugate of
+    sum c z^m zbar^n is sum conj(c) z^n zbar^m."""
+    patch = bundle.cover.index_set[0]
+    coords = bundle.cover.atlas.chart(bundle.patch_chart(patch)).fiber_coords
+    weight = bundle.weight(patch)
+    if len(coords) != 2 or not weight.num.is_constant():
+        return None
+    den, n_pow = _strip_powers(weight.den, _one_plus_r2(*coords))
+    local = [coerce_rational(e[patch]) for e in elements]
+    if not den.is_constant() or not all(e.den.is_constant() for e in local):
+        return None
+    scale = weight.num.constant_value() * den.constant_value().inverse()
+    # a monic constant denominator is 1
+    decompositions = [_zz_decompose(e.num, *coords) for e in local]
+    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}
+                  for d in decompositions]
+    return conjugates, decompositions, n_pow + 2
 
 
 def leading_minors_positive(gram) -> bool:

@@ -626,6 +626,32 @@ class TestEarlyReturns:
             assert (ours.den.terms, ours.den.den) == (den.terms, den.den)
 
 
+class TestPower:
+    @pytest.mark.parametrize("text", ["1 + x^2 + y^2", "x - i*y", "2*x*y^3 + 1/3", "5"])
+    def test_no_product_has_a_degree_above_the_power(self, monkeypatch, text):
+        """Square-and-multiply stops once the exponent is used up: no product
+        built for p^n, the squares included, has a degree above n deg(p)."""
+        p = parse_expr(text).as_poly()
+        original = PolyExpr.__mul__
+        degrees = []
+
+        def recorded(a, b):
+            product = original(a, b)
+            degrees.append(product.total_degree())
+            return product
+
+        for n in range(10):
+            expected = PolyExpr.const(1)
+            for _ in range(n):
+                expected = expected * p
+            degrees.clear()
+            monkeypatch.setattr(PolyExpr, "__mul__", recorded)
+            power = p ** n
+            monkeypatch.setattr(PolyExpr, "__mul__", original)
+            assert power == expected
+            assert max(degrees, default=0) <= n * p.total_degree()
+
+
 def reference_str(p: PolyExpr) -> str:
     """The text of `p` built from two Fractions per term and from the
     `(variable, exponent)` tuples of `coeffs()`, in graded lex order with

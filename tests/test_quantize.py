@@ -28,7 +28,7 @@ from quantbench.errors import (
     UnsupportedIntegrationError,
 )
 from quantbench.exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational, parse_expr
-from quantbench.linalg import det, solve_linear
+from quantbench.linalg import det, rref, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
     INTEGRATIONS,
@@ -56,6 +56,33 @@ _xy_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _sc
     lambda table: PolyExpr({tuple((v, e) for v, e in (("x", a), ("y", b)) if e): c
                             for (a, b), c in table.items()})).filter(lambda p: not p.is_zero())
 Q = parse_expr("1 + x^2 + y^2").as_poly()
+_DEN_FACTORS = [parse_expr(t).as_poly() for t in ("x + 1", "x - y", "1 + x^2 + y^2",
+                                                  "y + 2*i", "x^2 + y^2")]
+
+
+def _product(factors):
+    out = PolyExpr.const(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _simplified_rows(indexed, total):
+    """The rows of the sum of lambda_pos expr, built from the simplified
+    expressions over a common multiple of their denominators."""
+    den = PolyExpr.const(1)
+    cleaned = []
+    for pos, expr in indexed:
+        expr = coerce_rational(expr).simplify()
+        cleaned.append((pos, expr))
+        if den.exact_div(expr.den) is None:
+            den = expr.den if expr.den.exact_div(den) is not None else den * expr.den
+    rows = {}
+    for pos, expr in cleaned:
+        for mono, coeff in (expr.num * den.exact_div(expr.den)).coeffs().items():
+            row = rows.setdefault(mono, [ZERO] * total)
+            row[pos] = row[pos] + coeff
+    return list(rows.values())
 
 
 class CallCounter:
@@ -263,6 +290,48 @@ class TestHolomorphicSolve:
                           scenario.ansatz_cap)
         assert row_calls == every.calls  # the polarization frames, then the system
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), _xy_polys,
+                              st.lists(st.sampled_from(_DEN_FACTORS), max_size=3),
+                              st.lists(st.sampled_from(_DEN_FACTORS), max_size=2)),
+                    min_size=1, max_size=5))
+    def test_linear_rows_span_the_rows_of_the_simplified_expressions(self, drawn):
+        """Rows over a common multiple of the denominators as they stand
+        reduce to the rows over the cancelled ones.  Each expression is
+        num / den with a shared factor put on both sides; the factors come
+        from one small set, so denominators share factors and repeat."""
+        indexed = []
+        for pos, num, den_factors, shared in drawn:
+            den = _product(den_factors)
+            common = _product(shared)
+            indexed.append((pos, RationalExpr(num * common, den * common)))
+        ours, pivots = rref(quantize._linear_rows(indexed, 4))
+        theirs, their_pivots = rref(_simplified_rows(indexed, 4))
+        assert pivots == their_pivots
+        assert ours[:len(pivots)] == theirs[:len(pivots)]
+        assert all(v.is_zero() for row in ours[len(pivots):] for v in row)
+
+    def test_linear_rows_add_repeated_positions(self):
+        x, one = parse_expr("x"), parse_expr("1")
+        rows = quantize._linear_rows([(0, x), (1, one), (0, x * 2), (1, x / 2)], 2)
+        assert rows == [[rational(3), rational(1, 2)], [ZERO, ONE]]
+        assert quantize._linear_rows([(0, x), (1, one), (0, -x)], 2) == [[ZERO, ZERO],
+                                                                         [ZERO, ONE]]
+
+    @pytest.mark.parametrize("name", ["u1-rotation-reduction-4", "gauge-su2-1"])
+    def test_solve_and_representation_run_no_gcd(self, monkeypatch, rotation_scenarios,
+                                                  gauge_su2_1, name):
+        scenario = rotation_scenarios[4] if name.startswith("u1") else gauge_su2_1
+        ops = kostant_operator(scenario, scenario.bundle)
+        gcd = CallCounter(exprs, "poly_gcd")
+        monkeypatch.setattr(exprs, "poly_gcd", gcd)
+        cap = scenario.ansatz_cap
+        basis = holomorphic_solve(scenario.bundle, scenario.structure,
+                                  scenario.holomorphic_coords, cap, cap + 2)
+        induced_representation(scenario, ops, basis)
+        assert basis.dimension > 0
+        assert gcd.calls == 0
+
     def test_kernel_is_monomial_span(self, atlas):
         bundle = o_bundle(atlas, 2)
         structure = standard_complex_structure(atlas)
@@ -403,6 +472,47 @@ class TestInnerProducts:
         monkeypatch.setattr(exprs, "poly_gcd", gcd)
         assert gram_matrix(result.bundle, result.basis) == result.gram
         assert gcd.calls == 0
+
+    def test_gram_fallbacks_match_inner_product(self, rotation_quantizations):
+        """A polynomial basis under a weight c/q^N is integrated from its z,
+        zbar decompositions; an element over a non-constant denominator, or a
+        weight with a factor other than q, goes through `inner_product` entry
+        by entry.  Every case gives the per-entry matrix."""
+        basis = rotation_quantizations[2].basis
+        bundle = basis.bundle
+        p0 = bundle.cover.index_set[0]
+        e = [element[p0] for element in basis.elements]
+        f = parse_expr("x + 2")
+        mixed = [e[0] + e[1] * I, e[1] - e[2] * 2, e[2]]
+        over_q = [e[0] / Q, e[1] + e[2], e[2]]
+        cancelling = [e[0], RationalExpr(e[1].num * f.num, f.num), e[2]]
+        weight = bundle.weight(p0)
+        for elements, h, decomposed in (
+                (mixed, weight * 3, True),
+                (over_q, weight, False),
+                (cancelling, weight, False),
+                (mixed, weight * f / f.num, False),
+                (mixed, RationalExpr(weight.num * Q, weight.den * Q), False)):
+            changed = copy.copy(bundle)
+            changed.metric_weights = {**bundle.metric_weights, p0: h}
+            full = [[inner_product(changed, {p0: a}, {p0: b}) for b in elements]
+                    for a in elements]
+            with CallCounter(quantize, "inner_product") as per_entry:
+                gram = gram_matrix(changed, HolomorphicBasis(changed, [
+                    {p0: a} for a in elements]))
+            assert gram == full
+            assert (per_entry.calls == 0) == decomposed
+
+    def test_gram_with_a_non_q_weight_raises_as_inner_product_does(self, rotation_quantizations):
+        basis = rotation_quantizations[2].basis
+        bundle = copy.copy(basis.bundle)
+        p0 = bundle.cover.index_set[0]
+        bundle.metric_weights = {**bundle.metric_weights,
+                                 p0: bundle.weight(p0) / parse_expr("x + 2")}
+        with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):
+            inner_product(bundle, basis.elements[0], basis.elements[0])
+        with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):
+            gram_matrix(bundle, basis)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(

@@ -40,6 +40,8 @@ MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two
 PRINTING = "tests/test_exprs.py::TestPrinting"
 SCALAR_ORACLE = "tests/test_exprs.py::TestScalarAgainstFractionPairs"
 INDUCED = "tests/test_quantize.py::TestInducedRepresentation"
+INNER = "tests/test_quantize.py::TestInnerProducts"
+SOLVE = "tests/test_quantize.py::TestHolomorphicSolve"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -288,6 +290,32 @@ MUTANTS = [
      "old": "    if not glue.ok:",
      "new": "    if False:",
      "tests": [PRESYMPLECTIC_EXTRA]},
+    {"name": "_linear_rows: the common multiple is the last new denominator only",
+     "file": QUANTIZE,
+     "old": "        den = d if den.is_constant() or d.exact_div(den) is not None else den * d",
+     "new": "        den = d",
+     "tests": [f"{SOLVE}::test_linear_rows_span_the_rows_of_the_simplified_expressions"]},
+    {"name": "_linear_rows: a repeated position overwrites instead of adding",
+     "file": QUANTIZE,
+     "old": "            row[pos] = value if row[pos] is ZERO else row[pos] + value",
+     "new": "            row[pos] = value",
+     "tests": [f"{SOLVE}::test_linear_rows_add_repeated_positions"]},
+    {"name": "gram_matrix: the conjugate swaps z and zbar without conjugating",
+     "file": QUANTIZE,
+     "old": "    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}",
+     "new": "    conjugates = [{(n, m): c * scale for (m, n), c in d.items()}",
+     "tests": [f"{INNER}::test_gram_matrix_is_the_full_evaluation"]},
+    {"name": "gram_matrix: the weight's constant dropped on the decomposed path",
+     "file": QUANTIZE,
+     "old": "    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}",
+     "new": "    conjugates = [{(n, m): c.conj() for (m, n), c in d.items()}",
+     "tests": [f"{INNER}::test_gram_fallbacks_match_inner_product"]},
+    {"name": "PolyExpr.__pow__: the base squared once past the last bit",
+     "file": EXPRS,
+     "old": "            n >>= 1\n            if n:  # no square past the last bit\n"
+            "                base = base * base",
+     "new": "            base = base * base\n            n >>= 1",
+     "tests": ["tests/test_exprs.py::TestPower"]},
 ]
 
 
