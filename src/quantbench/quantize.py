@@ -23,7 +23,7 @@ from .hamiltonian import ActionScenario
 from .linalg import (conj_transpose, is_zero_matrix, kernel_basis, mat_mul, rref,
                      rref_kernel, solve_linear)
 from .reports import CheckResult
-from .scalars import ExactScalar, I, ZERO, from_ints
+from .scalars import ExactScalar, I, ONE, ZERO, from_ints
 
 
 class ComplexStructureData:
@@ -250,22 +250,17 @@ def _linear_rows(indexed, total):
     den = PolyExpr.const(1)
     for _, expr in pairs:
         d = expr.den
-        if d.is_constant() or d == den or den.exact_div(d) is not None:
+        if d.is_constant() or den.exact_div(d) is not None:
             continue
         den = d if den.is_constant() or d.exact_div(den) is not None else den * d
     monomial_rows = {}
     for pos, expr in pairs:
         d = expr.den
-        scaled = expr.num if d == den else \
-            expr.num * (den if d.is_constant() else den.exact_div(d))
+        scaled = expr.num * (den if d.is_constant() else den.exact_div(d))
         scale = scaled.den
         for mono, (re, im) in scaled.terms.items():
-            row = monomial_rows.get(mono)
-            if row is None:
-                row = monomial_rows[mono] = [ZERO] * total
-            value = from_ints(re, im, scale)
-            # an entry no term has reached yet is the shared ZERO
-            row[pos] = value if row[pos] is ZERO else row[pos] + value
+            row = monomial_rows.setdefault(mono, [ZERO] * total)
+            row[pos] = row[pos] + from_ints(re, im, scale)
     return list(monomial_rows.values())
 
 
@@ -308,35 +303,51 @@ def _zz_decompose(poly: PolyExpr, x_name, y_name):
     return out
 
 
+class _FiberTerms:
+    """sum c z^m zbar^n / q^power, with `terms` = {(m, n): c}, z = x - iy
+    and q = 1 + x^2 + y^2: one factor of an integrand on the fiber."""
+
+    __slots__ = ("terms", "power")
+
+    def __init__(self, terms, power):
+        self.terms = terms
+        self.power = power
+
+
+def _fiber_terms(expr: RationalExpr, x_name, y_name) -> _FiberTerms:
+    """`expr` as a `_FiberTerms`.  Powers of q are stripped from the
+    denominator as they stand: a numerator that q divides integrates to the
+    same value, and converges exactly when the cancelled one does, so a gcd
+    runs only when a factor other than q is left."""
+    q = _one_plus_r2(x_name, y_name)
+    den, power = _strip_powers(expr.den, q)
+    if not den.is_constant():
+        expr = expr.simplify()
+        den, power = _strip_powers(expr.den, q)
+        if not den.is_constant():
+            raise UnsupportedFiberError("denominator is not a power of 1 + r^2")
+    # den is monic, so the constant left is 1
+    return _FiberTerms(_zz_decompose(expr.num, x_name, y_name), power)
+
+
 def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
     """Exact integral against the unit Fubini-Study density.
 
     Accepts P(x, y) / (1 + x^2 + y^2)^N; the density (1/pi)(1+r^2)^-2 dx dy is
-    included, so the result is (1/pi) int P (1+r^2)^(-N-2).  Powers of
-    q = 1 + x^2 + y^2 are stripped from the denominator as they stand: a
-    numerator that q divides integrates to the same value, and converges
-    exactly when the cancelled one does, so a gcd runs only when a factor
-    other than q is left.
+    included, so the result is (1/pi) int P (1+r^2)^(-N-2).
     """
-    q = _one_plus_r2(x_name, y_name)
-    den, n_pow = _strip_powers(expr.den, q)
-    if not den.is_constant():
-        expr = expr.simplify()
-        den, n_pow = _strip_powers(expr.den, q)
-        if not den.is_constant():
-            raise UnsupportedFiberError("denominator is not a power of 1 + r^2")
-    scale = den.constant_value().inverse()
-    return _fs_pairing({(0, 0): scale}, _zz_decompose(expr.num, x_name, y_name), n_pow + 2)
+    return _fs_pairing(_FiberTerms({(0, 0): ONE}, 0), _fiber_terms(expr, x_name, y_name))
 
 
-def _fs_pairing(left, right, weight_power) -> ExactScalar:
-    """(1/pi) int L R (1+r^2)^(-weight_power) dx dy for L and R given as
-    {(m, n): coeff} over z^m zbar^n.  Every pair of terms is integrated, so a
-    divergent pair raises: the top-degree part of L R is the nonzero product
-    of theirs, so one diverges exactly when L R has a divergent term."""
+def _fs_pairing(left: _FiberTerms, right: _FiberTerms) -> ExactScalar:
+    """Fubini-Study integral of the product of two factors.  Every pair of
+    terms is integrated, so a divergent pair raises: the top-degree part of
+    the product is the nonzero product of theirs, so one diverges exactly
+    when the product has a divergent term."""
+    weight_power = left.power + right.power + 2
     total = ZERO
-    for (m1, n1), c1 in left.items():
-        for (m2, n2), c2 in right.items():
+    for (m1, n1), c1 in left.terms.items():
+        for (m2, n2), c2 in right.terms.items():
             value = fs_monomial_integral(m1 + m2, n1 + n2, weight_power)
             if not value.is_zero():
                 total = total + c1 * c2 * value
@@ -359,69 +370,69 @@ def _strip_powers(den: PolyExpr, q: PolyExpr):
     return den, n_pow
 
 
-def inner_product(bundle, elem1, elem2):
-    """Hermitian pairing <sigma1, sigma2> of two sections (patch -> local
-    expression) integrated exactly over the fiber on the first patch.
+def _fiber_coords(bundle):
+    return bundle.cover.atlas.chart(bundle.patch_chart(bundle.cover.index_set[0])).fiber_coords
 
-    Covers the projective-line model (rational data over the two-chart
-    atlas) and point fibers; conjugation is in the first slot.
+
+def inner_product(bundle, elem1, elem2):
+    """Hermitian pairing <sigma1, sigma2>: conj(sigma1) sigma2 h integrated
+    exactly over the fiber on the first patch, h the bundle's weight.
+
+    Covers point fibers and the projective-line model (rational data over
+    the two-chart atlas).  There the two arguments may also be the factors
+    conj(sigma1) h and sigma2 as `_fiber_factors` writes them, which is how
+    `gram_matrix` passes its basis.
     """
-    patch = bundle.cover.index_set[0]
-    chart = bundle.cover.atlas.chart(bundle.patch_chart(patch))
-    integrand = elem1[patch].conj() * elem2[patch] * bundle.weight(patch)
-    if not chart.fiber_coords:
-        return integrand.constant_value()
-    if len(chart.fiber_coords) != 2:
+    if not isinstance(elem1, _FiberTerms):
+        if not _fiber_coords(bundle):
+            patch = bundle.cover.index_set[0]
+            integrand = elem1[patch].conj() * elem2[patch] * bundle.weight(patch)
+            return integrand.constant_value()
+        (elem1, _), (_, elem2) = _fiber_factors(bundle, [elem1, elem2])
+    return _fs_pairing(elem1, elem2)
+
+
+def _fiber_factors(bundle, elements):
+    """(conj(e) h, e) as `_FiberTerms` for each element on the first patch,
+    from one z, zbar decomposition of e: the conjugate of
+    sum c z^m zbar^n is sum conj(c) z^n zbar^m.  The weight h is written
+    once and multiplied in term by term, since the substitution x, y ->
+    z, zbar is a ring map."""
+    coords = _fiber_coords(bundle)
+    if len(coords) != 2:
         raise UnsupportedFiberError("exact inner products need a 2-dimensional fiber")
-    return fs_integral(integrand, *chart.fiber_coords)
+    patch = bundle.cover.index_set[0]
+    weight = _fiber_terms(bundle.weight(patch), *coords)
+    factors = []
+    for element in elements:
+        right = _fiber_terms(coerce_rational(element[patch]), *coords)
+        left = {}
+        for (m, n), c in right.terms.items():
+            for (mw, nw), cw in weight.terms.items():
+                key = (n + mw, m + nw)
+                left[key] = left.get(key, ZERO) + c.conj() * cw
+        left = {key: c for key, c in left.items() if not c.is_zero()}
+        factors.append((_FiberTerms(left, right.power + weight.power), right))
+    return factors
 
 
 def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):
     """Gram matrix of `basis`.  Only the upper triangle is integrated: the
     integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
-    row), so entry (j, i) is the conjugate of entry (i, j).
-
-    On a projective-line fiber with polynomial elements and a weight c/q^N,
-    q = 1 + x^2 + y^2, each element is written over z, zbar once and each
-    entry integrates the product of two such sums (`_fs_pairing`); any other
-    basis or weight takes `inner_product` entry by entry."""
+    row), so entry (j, i) is the conjugate of entry (i, j).  On a
+    projective-line fiber each element is written over z, zbar once
+    (`_fiber_factors`) and each entry pairs two such factors."""
     elements = basis.elements
     n = len(elements)
-    factors = _gram_factors(bundle, elements)
-    if factors is not None:
-        conjugates, decompositions, weight_power = factors
+    factors = _fiber_factors(bundle, elements) if _fiber_coords(bundle) else \
+        [(e, e) for e in elements]
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if factors is None:
-                gram[i][j] = inner_product(bundle, elements[i], elements[j])
-            else:
-                gram[i][j] = _fs_pairing(conjugates[i], decompositions[j], weight_power)
+            gram[i][j] = inner_product(bundle, factors[i][0], factors[j][1])
             if j > i:
                 gram[j][i] = gram[i][j].conj()
     return gram
-
-
-def _gram_factors(bundle, elements):
-    """(conjugates, decompositions, weight power) of the elements on the first
-    patch, every conjugate scaled by the weight's constant, or None when an
-    element is not a polynomial or the weight is not c/q^N.  The conjugate of
-    sum c z^m zbar^n is sum conj(c) z^n zbar^m."""
-    patch = bundle.cover.index_set[0]
-    coords = bundle.cover.atlas.chart(bundle.patch_chart(patch)).fiber_coords
-    weight = bundle.weight(patch)
-    if len(coords) != 2 or not weight.num.is_constant():
-        return None
-    den, n_pow = _strip_powers(weight.den, _one_plus_r2(*coords))
-    local = [coerce_rational(e[patch]) for e in elements]
-    if not den.is_constant() or not all(e.den.is_constant() for e in local):
-        return None
-    scale = weight.num.constant_value() * den.constant_value().inverse()
-    # a monic constant denominator is 1
-    decompositions = [_zz_decompose(e.num, *coords) for e in local]
-    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}
-                  for d in decompositions]
-    return conjugates, decompositions, n_pow + 2
 
 
 def leading_minors_positive(gram) -> bool:

@@ -383,10 +383,15 @@ class TestInnerProducts:
             {p: e[0][p] + e[1][p] * I for p in e[0]},
             {p: e[1][p] - e[2][p] * 2 for p in e[0]},
             e[2]])
+        p0 = basis.bundle.cover.index_set[0]
+        h = basis.bundle.weight(p0)
         for b in (basis, mixed):
             full = [[inner_product(b.bundle, f, g) for g in b.elements]
                     for f in b.elements]
             assert gram_matrix(b.bundle, b) == full
+            # the whole integrand, integrated at once
+            assert full == [[fs_integral(f[p0].conj() * g[p0] * h) for g in b.elements]
+                            for f in b.elements]
         assert gram_matrix(mixed.bundle, mixed)[1][0] != \
             gram_matrix(mixed.bundle, mixed)[0][1]
 
@@ -473,11 +478,11 @@ class TestInnerProducts:
         assert gram_matrix(result.bundle, result.basis) == result.gram
         assert gcd.calls == 0
 
-    def test_gram_fallbacks_match_inner_product(self, rotation_quantizations):
-        """A polynomial basis under a weight c/q^N is integrated from its z,
-        zbar decompositions; an element over a non-constant denominator, or a
-        weight with a factor other than q, goes through `inner_product` entry
-        by entry.  Every case gives the per-entry matrix."""
+    def test_gram_entries_match_inner_product(self, rotation_quantizations):
+        """Elements over powers of q or with a cancelling factor, and weights
+        with a constant other than 1, a factor f/f or a numerator q, give the
+        per-entry matrix; each entry of the upper triangle is one
+        `inner_product` call on the factors written once per element."""
         basis = rotation_quantizations[2].basis
         bundle = basis.bundle
         p0 = bundle.cover.index_set[0]
@@ -487,21 +492,50 @@ class TestInnerProducts:
         over_q = [e[0] / Q, e[1] + e[2], e[2]]
         cancelling = [e[0], RationalExpr(e[1].num * f.num, f.num), e[2]]
         weight = bundle.weight(p0)
-        for elements, h, decomposed in (
-                (mixed, weight * 3, True),
-                (over_q, weight, False),
-                (cancelling, weight, False),
-                (mixed, weight * f / f.num, False),
-                (mixed, RationalExpr(weight.num * Q, weight.den * Q), False)):
+        coords = bundle.cover.atlas.chart(bundle.patch_chart(p0)).fiber_coords
+        for elements, h in ((mixed, weight * 3),
+                            (over_q, weight),
+                            (cancelling, weight),
+                            (mixed, weight * f / f.num),
+                            (mixed, RationalExpr(weight.num * Q, weight.den * Q))):
             changed = copy.copy(bundle)
             changed.metric_weights = {**bundle.metric_weights, p0: h}
             full = [[inner_product(changed, {p0: a}, {p0: b}) for b in elements]
                     for a in elements]
-            with CallCounter(quantize, "inner_product") as per_entry:
+            # the whole integrand, integrated at once
+            assert full == [[fs_integral(a.conj() * b * h, *coords) for b in elements]
+                            for a in elements]
+            with CallCounter(quantize, "inner_product") as per_entry, \
+                    CallCounter(quantize, "_zz_decompose") as decompositions:
                 gram = gram_matrix(changed, HolomorphicBasis(changed, [
                     {p0: a} for a in elements]))
             assert gram == full
-            assert (per_entry.calls == 0) == decomposed
+            assert per_entry.calls == 6
+            assert decompositions.calls == len(elements) + 1  # and the weight
+
+    def test_gram_diverges_exactly_when_the_whole_integrand_does(self, rotation_quantizations):
+        # a weight c q^k / q^N: the factored Gram raises for the same k as
+        # the whole integrand
+        basis = rotation_quantizations[2].basis
+        bundle = copy.copy(basis.bundle)
+        p0 = bundle.cover.index_set[0]
+        coords = bundle.cover.atlas.chart(bundle.patch_chart(p0)).fiber_coords
+        weight = basis.bundle.weight(p0)
+        elements = [element[p0] for element in basis.elements]
+        diverged = []
+        for k in range(6):
+            h = RationalExpr(weight.num * Q ** k, weight.den)
+            bundle.metric_weights = {**basis.bundle.metric_weights, p0: h}
+            try:
+                whole = [[fs_integral(a.conj() * b * h, *coords) for b in elements]
+                         for a in elements]
+            except UnsupportedFiberError:
+                diverged.append(k)
+                with pytest.raises(UnsupportedFiberError, match="diverges"):
+                    gram_matrix(bundle, basis)
+            else:
+                assert gram_matrix(bundle, basis) == whole
+        assert 0 < len(diverged) < 6
 
     def test_gram_with_a_non_q_weight_raises_as_inner_product_does(self, rotation_quantizations):
         basis = rotation_quantizations[2].basis

@@ -297,19 +297,29 @@ MUTANTS = [
      "tests": [f"{SOLVE}::test_linear_rows_span_the_rows_of_the_simplified_expressions"]},
     {"name": "_linear_rows: a repeated position overwrites instead of adding",
      "file": QUANTIZE,
-     "old": "            row[pos] = value if row[pos] is ZERO else row[pos] + value",
+     "old": "            row[pos] = row[pos] + value",
      "new": "            row[pos] = value",
      "tests": [f"{SOLVE}::test_linear_rows_add_repeated_positions"]},
-    {"name": "gram_matrix: the conjugate swaps z and zbar without conjugating",
+    {"name": "_fiber_factors: the conjugate swaps z and zbar without conjugating",
      "file": QUANTIZE,
-     "old": "    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}",
-     "new": "    conjugates = [{(n, m): c * scale for (m, n), c in d.items()}",
+     "old": "                left[key] = left.get(key, ZERO) + c.conj() * cw",
+     "new": "                left[key] = left.get(key, ZERO) + c * cw",
      "tests": [f"{INNER}::test_gram_matrix_is_the_full_evaluation"]},
-    {"name": "gram_matrix: the weight's constant dropped on the decomposed path",
+    {"name": "_fiber_factors: the conjugate keeps z and zbar in place",
      "file": QUANTIZE,
-     "old": "    conjugates = [{(n, m): c.conj() * scale for (m, n), c in d.items()}",
-     "new": "    conjugates = [{(n, m): c.conj() for (m, n), c in d.items()}",
-     "tests": [f"{INNER}::test_gram_fallbacks_match_inner_product"]},
+     "old": "                key = (n + mw, m + nw)",
+     "new": "                key = (m + mw, n + nw)",
+     "tests": [f"{INNER}::test_gram_matrix_is_the_full_evaluation"]},
+    {"name": "_fiber_factors: the weight's terms dropped",
+     "file": QUANTIZE,
+     "old": "                left[key] = left.get(key, ZERO) + c.conj() * cw",
+     "new": "                left[key] = left.get(key, ZERO) + c.conj()",
+     "tests": [f"{INNER}::test_gram_entries_match_inner_product"]},
+    {"name": "_fiber_factors: the weight's power of q dropped",
+     "file": QUANTIZE,
+     "old": "        factors.append((_FiberTerms(left, right.power + weight.power), right))",
+     "new": "        factors.append((_FiberTerms(left, right.power), right))",
+     "tests": [f"{INNER}::test_gram_entries_match_inner_product"]},
     {"name": "PolyExpr.__pow__: the base squared once past the last bit",
      "file": EXPRS,
      "old": "            n >>= 1\n            if n:  # no square past the last bit\n"
