@@ -297,8 +297,8 @@ MUTANTS = [
      "tests": [f"{SOLVE}::test_linear_rows_span_the_rows_of_the_simplified_expressions"]},
     {"name": "_linear_rows: a repeated position overwrites instead of adding",
      "file": QUANTIZE,
-     "old": "            row[pos] = row[pos] + value",
-     "new": "            row[pos] = value",
+     "old": "            row[pos] = row[pos] + from_ints(re, im, scale)",
+     "new": "            row[pos] = from_ints(re, im, scale)",
      "tests": [f"{SOLVE}::test_linear_rows_add_repeated_positions"]},
     {"name": "_fiber_factors: the conjugate swaps z and zbar without conjugating",
      "file": QUANTIZE,
