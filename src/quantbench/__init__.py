@@ -7,7 +7,7 @@ exactly."""
 import importlib
 
 from .scalars import ExactScalar, rational
-from .exprs import PolyExpr, RationalExpr, parse_expr, simplify
+from .exprs import PolyExpr, RationalExpr, parse_expr
 from .geometry import (
     Chart,
     DifferentialForm,
@@ -19,7 +19,6 @@ from .geometry import (
     interior_product,
     lie_derivative,
     pullback,
-    wedge,
 )
 from .liealg import (
     ActionMap,

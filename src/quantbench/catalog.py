@@ -13,10 +13,9 @@ Conventions used throughout (recorded in reports):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .bundles import LineBundleData, TransitionValue
-from .cech import GoodCover, OverlapFunction
+from .cech import GoodCover
 from .errors import UnknownScenarioError
 from .exprs import RationalExpr, parse_expr
 from .geometry import (
@@ -169,69 +168,6 @@ def u1_rotation_scenario(k: int) -> ActionScenario:
     return ActionScenario(f"u1-rotation-reduction-{k}", model, action, presymplectic,
                           momentum, level=k, integration="u1-weights",
                           zero_level=zero_level, **_sphere_quantization(atlas, k))
-
-
-# ---------------------------------------------------------------------------
-# sector covers with the angle bookkeeping
-# ---------------------------------------------------------------------------
-
-def angle_primitive(atlas) -> DifferentialForm:
-    """d(azimuth)/2pi on the N chart: (x dy - y dx)/(2 pi r^2)."""
-    return DifferentialForm(atlas, 1, "full", {"N": {
-        ("x",): _pe("-y*i/(twopii*(x^2+y^2))"),
-        ("y",): _pe("x*i/(twopii*(x^2+y^2))")}})
-
-
-def sector_cover(atlas, sectors: int) -> GoodCover:
-    """Patch 0 around the far pole plus `sectors` overlapping plane sectors."""
-    if sectors not in (3, 4):
-        raise ValueError("catalog covers use 3 or 4 sectors")
-    idx = list(range(sectors + 1))
-    simplices = [tuple(p) for p in combinations(idx, 2)]
-    if sectors == 3:
-        triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        samples = {(0, 1, 2): {"x": -1, "y": 3},
-                   (0, 2, 3): {"x": -1, "y": -3},
-                   (0, 1, 3): {"x": 3, "y": 1},
-                   (1, 2, 3): {"x": Fraction(1, 4), "y": Fraction(1, 4)}}
-        quads = []
-    else:
-        triples = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4),
-                   (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-        samples = {(0, 1, 2): {"x": 1, "y": 3},
-                   (0, 2, 3): {"x": -3, "y": 1},
-                   (0, 3, 4): {"x": -1, "y": -3},
-                   (0, 1, 4): {"x": 3, "y": 1}}
-        quads = [(1, 2, 3, 4)]
-    charts = {(i,): "N" if i > 0 else "S" for i in idx}
-    for s in simplices + triples + quads:
-        charts[tuple(sorted(s))] = "N"
-    return GoodCover(atlas, idx, simplices + triples + quads,
-                     chart_refs=charts, sample_points=samples,
-                     angle_forms={"N": angle_primitive(atlas)})
-
-
-def sector_zigzag_data(atlas, cover: GoodCover, level: Fraction):
-    """Primitives, overlap functions and branch offsets for level * omega_FS."""
-    eta_n = DifferentialForm(atlas, 1, "full", {"N": {
-        ("x",): _scale(_pe("-y*i/(twopii*(1+x^2+y^2))"), level),
-        ("y",): _scale(_pe("x*i/(twopii*(1+x^2+y^2))"), level)}})
-    eta_s = DifferentialForm(atlas, 1, "full", {"S": {
-        ("u",): _scale(_pe("-v*i/(twopii*(1+u^2+v^2))"), level),
-        ("v",): _scale(_pe("u*i/(twopii*(1+u^2+v^2))"), level)}})
-    primitives = {i: eta_n for i in cover.index_set if i != 0}
-    primitives[0] = eta_s
-    overlaps = {}
-    for simplex in cover.k_simplices(1):
-        j, k = simplex
-        if j == 0:
-            overlaps[(j, k)] = OverlapFunction("N", 0, ExactScalar(-level))
-        else:
-            overlaps[(j, k)] = OverlapFunction("N", 0, 0)
-    sectors = len(cover.index_set) - 1
-    cut_triple = (0, 1, 3) if sectors == 3 else (0, 1, 4)
-    offsets = {cut_triple: {(0, cut_triple[2]): 1}}
-    return primitives, overlaps, offsets
 
 
 # ---------------------------------------------------------------------------

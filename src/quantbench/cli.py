@@ -52,7 +52,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     """`run` honours --checks; `quantize` and `reduce` fix their stages."""
     checks = args.stages or {name for name in args.checks.split(",") if name} or None
-    return _emit(run_scenario(_build(args), checks=checks, seed=args.seed), args)
+    return _emit(run_scenario(_build(args), checks=checks), args)
 
 
 def _cmd_report(args) -> int:
@@ -103,9 +103,6 @@ def main(argv=None) -> int:
                             "checks they depend on run too")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default="", help="write the report to a file")
-        p.add_argument("--seed", type=int, default=1729,
-                       help="accepted and ignored: every check is decided exactly, "
-                       "so no report depends on a seed")
 
     for name, stages, text in (
             ("run", None, "run the full verification stack"),

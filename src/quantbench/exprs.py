@@ -213,9 +213,6 @@ class PolyExpr:
     def __sub__(self, other):
         return _add(self, _coerce_poly(other), -1)
 
-    def __rsub__(self, other):
-        return _add(_coerce_poly(other), self, -1)
-
     def __mul__(self, other):
         other = _coerce_poly(other)
         if not self.terms:
@@ -658,9 +655,6 @@ class RationalExpr:
             raise MalformedExpressionError("division by zero expression")
         return RationalExpr(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _coerce_rational(other) / self
-
     def __pow__(self, n: int):
         if n < 0:
             return (RationalExpr.const(1) / self) ** (-n)
@@ -784,11 +778,6 @@ def _coerce_rational(value) -> RationalExpr:
 
 def coerce_rational(value) -> RationalExpr:
     return _coerce_rational(value)
-
-
-def simplify(expr: RationalExpr) -> RationalExpr:
-    """Module-level canonical simplification (idempotent)."""
-    return _coerce_rational(expr).simplify()
 
 
 class _Substitution:

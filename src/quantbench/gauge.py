@@ -307,8 +307,9 @@ def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> Check
     """Fiber quantization and the gauge scenario's quantization `gauge_rep`
     agree through the identity intertwiner in trivialized coordinates.  The
     Gram matrices are compared once: an entry that varied along the base
-    would not integrate (`fs_integral` rejects leftover variables), so each
-    is one constant matrix."""
+    would not integrate (`quantize._fiber_factors` writes each element
+    through `_zz_decompose`, which raises "leftover variables in
+    decomposition"), so each is one constant matrix."""
     gauge = scenario.gauge
     if scenario.bundle is None:
         return CheckResult(True, notes=["point fiber: both sides are the declared line"])

@@ -188,9 +188,6 @@ class DifferentialForm:
         self.coefficients = coeffs
 
     # -- accessors -----------------------------------------------------------
-    def charts(self):
-        return set(self.coefficients)
-
     def coefficient(self, chart, idx) -> RationalExpr:
         return self.coefficients.get(chart, {}).get(tuple(idx), RationalExpr.zero())
 
@@ -419,46 +416,15 @@ def exterior_derivative(form: DifferentialForm, leafwise_class=None) -> Differen
     return DifferentialForm(form.atlas, form.degree + 1, cls, out)
 
 
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    if a.atlas is not b.atlas:
-        raise AtlasMismatchError("wedge of forms on different atlases")
-    cls = _join(a.leafwise_class, b.leafwise_class)
-    out = {}
-    for ch in _charts_of(a.atlas, a.coefficients, b.coefficients, every=True):
-        chart = a.atlas.chart(ch)
-        order = {c: i for i, c in enumerate(chart.coords)}
-        table = {}
-        for idx_a, ca in a.coefficients[ch].items():
-            for idx_b, cb in b.coefficients[ch].items():
-                if set(idx_a) & set(idx_b):
-                    continue
-                merged = idx_a + idx_b
-                perm_sorted = tuple(sorted(merged, key=order.__getitem__))
-                sign = _sort_sign(merged, order)
-                cur = table.get(perm_sorted, RationalExpr.zero())
-                table[perm_sorted] = cur + ca * cb * sign
-        out[ch] = table
-    return DifferentialForm(a.atlas, a.degree + b.degree, cls, out)
-
-
-def _sort_sign(names, order):
-    keys = [order[n] for n in names]
-    sign = 1
-    for i, j in combinations(range(len(keys)), 2):
-        if keys[i] > keys[j]:
-            sign = -sign
-    return sign
-
-
 def interior_product(v: VectorField, form: DifferentialForm) -> DifferentialForm:
     """Contraction; the field must be tangent to the form's leaf directions."""
     if form.degree == 0:
         raise DegreeError("interior product with a 0-form")
     out = {}
-    for ch in form.charts():
+    for ch, terms in form.coefficients.items():
         if ch not in v.components:
             continue
-        has_terms = any(not val.is_zero() for val in form.coefficients[ch].values())
+        has_terms = any(not val.is_zero() for val in terms.values())
         allowed = set(form.atlas.chart(ch).coords_for(form.leafwise_class))
         for coord, comp in v.components[ch].items():
             if has_terms and coord not in allowed and not comp.is_zero():
@@ -466,7 +432,7 @@ def interior_product(v: VectorField, form: DifferentialForm) -> DifferentialForm
                     f"field component along {coord} is outside the form's "
                     f"{form.leafwise_class} directions on chart {ch}")
         table = {}
-        for idx, coeff in form.coefficients[ch].items():
+        for idx, coeff in terms.items():
             for pos, coord in enumerate(idx):
                 comp = v.component(ch, coord)
                 if comp.is_zero():
@@ -483,7 +449,7 @@ def lie_derivative(v: VectorField, form: DifferentialForm) -> DifferentialForm:
     cls = form.leafwise_class
     if form.degree == 0:
         out = {ch: {(): v.derive(form.coefficient(ch, ()), ch)}
-               for ch in form.charts() if ch in v.components}
+               for ch in form.coefficients if ch in v.components}
         return DifferentialForm(form.atlas, 0, cls, out)
     return exterior_derivative(interior_product(v, form), cls) + \
         interior_product(v, exterior_derivative(form, cls))
@@ -493,7 +459,7 @@ def pullback(transition: Transition, form: DifferentialForm) -> DifferentialForm
     """Pull a target-chart form back to the source chart along the transition:
     (T*w)_J = sum over I of (w_I o T) det(dT^I/dx^J), for increasing index
     tuples I and J (Spivak, *Calculus on Manifolds*, 1965, Thm. 4-9)."""
-    if transition.target not in form.charts():
+    if transition.target not in form.coefficients:
         raise AtlasMismatchError(
             f"form has no coefficients on chart {transition.target}")
     atlas = form.atlas
@@ -527,7 +493,7 @@ def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> CheckResult:
     """Chart expressions agree under every declared transition."""
     residuals = []
     for (src, tgt), transition in atlas.transitions.items():
-        if src not in form.charts() or tgt not in form.charts():
+        if src not in form.coefficients or tgt not in form.coefficients:
             residuals.append((src, tgt, "missing chart coefficients"))
             continue
         pulled = pullback(transition, form)

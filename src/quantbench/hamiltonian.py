@@ -308,7 +308,7 @@ def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScena
         field = s.generator_field(i)
         shift_form = interior_product(field, beta)
         shifted = dict(s.momentum.pairing(i))
-        for ch in shift_form.charts():
+        for ch in shift_form.coefficients:
             add = shift_form.coefficient(ch, ())
             shifted[ch] = shifted.get(ch, RationalExpr.zero()) + add
         pairings.append(shifted)

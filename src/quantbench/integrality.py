@@ -13,6 +13,9 @@ exactly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+
 from . import linalg
 from .bundles import LineBundleData, TransitionValue, validate_bundle
 from .cech import GoodCover, OverlapFunction, cocycle_value
@@ -24,7 +27,7 @@ from .errors import (
     OverlapMismatchError,
     UnsupportedPrimitiveError,
 )
-from .exprs import PolyExpr, RationalExpr
+from .exprs import PolyExpr, RationalExpr, parse_expr
 from .geometry import Chart, DifferentialForm, exterior_derivative, form_on_chart, to_chart
 from .linalg import _fieldify, inverse, kernel_basis, solve_linear
 from .scalars import ExactScalar, ZERO
@@ -183,21 +186,11 @@ class Cochain:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, scalar):
-        scalar = ExactScalar.coerce(scalar)
-        return Cochain(self.cover, self.degree,
-                       {k: v * scalar for k, v in self.values.items()})
-
-    __rmul__ = __mul__
-
     def is_zero(self):
         return all(v.is_zero() for v in self.values.values())
 
     def is_integer(self):
         return all(v.is_integer() for v in self.values.values())
-
-    def is_real(self):
-        return all(v.is_real() for v in self.values.values())
 
     def __repr__(self):
         bits = [f"{s}: {v}" for s, v in sorted(self.values.items()) if not v.is_zero()]
@@ -301,6 +294,69 @@ def _int_inverse(u):
 
 
 # ---------------------------------------------------------------------------
+# sector covers of the projective line: the zig-zag's inputs
+# ---------------------------------------------------------------------------
+
+def angle_primitive(atlas) -> DifferentialForm:
+    """d(azimuth)/2pi on the N chart: (x dy - y dx)/(2 pi r^2)."""
+    return DifferentialForm(atlas, 1, "full", {"N": {
+        ("x",): parse_expr("-y*i/(twopii*(x^2+y^2))"),
+        ("y",): parse_expr("x*i/(twopii*(x^2+y^2))")}})
+
+
+def sector_cover(atlas, sectors: int) -> GoodCover:
+    """Patch 0 around the far pole plus `sectors` overlapping plane sectors."""
+    if sectors not in (3, 4):
+        raise ValueError("sector covers have 3 or 4 sectors")
+    idx = list(range(sectors + 1))
+    simplices = [tuple(p) for p in combinations(idx, 2)]
+    if sectors == 3:
+        triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        samples = {(0, 1, 2): {"x": -1, "y": 3},
+                   (0, 2, 3): {"x": -1, "y": -3},
+                   (0, 1, 3): {"x": 3, "y": 1},
+                   (1, 2, 3): {"x": Fraction(1, 4), "y": Fraction(1, 4)}}
+        quads = []
+    else:
+        triples = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4),
+                   (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+        samples = {(0, 1, 2): {"x": 1, "y": 3},
+                   (0, 2, 3): {"x": -3, "y": 1},
+                   (0, 3, 4): {"x": -1, "y": -3},
+                   (0, 1, 4): {"x": 3, "y": 1}}
+        quads = [(1, 2, 3, 4)]
+    charts = {(i,): "N" if i > 0 else "S" for i in idx}
+    for s in simplices + triples + quads:
+        charts[tuple(sorted(s))] = "N"
+    return GoodCover(atlas, idx, simplices + triples + quads,
+                     chart_refs=charts, sample_points=samples,
+                     angle_forms={"N": angle_primitive(atlas)})
+
+
+def sector_zigzag_data(atlas, cover: GoodCover, level: Fraction):
+    """Primitives, overlap functions and branch offsets for level * omega_FS."""
+    eta_n = DifferentialForm(atlas, 1, "full", {"N": {
+        ("x",): parse_expr("-y*i/(twopii*(1+x^2+y^2))") * ExactScalar(level),
+        ("y",): parse_expr("x*i/(twopii*(1+x^2+y^2))") * ExactScalar(level)}})
+    eta_s = DifferentialForm(atlas, 1, "full", {"S": {
+        ("u",): parse_expr("-v*i/(twopii*(1+u^2+v^2))") * ExactScalar(level),
+        ("v",): parse_expr("u*i/(twopii*(1+u^2+v^2))") * ExactScalar(level)}})
+    primitives = {i: eta_n for i in cover.index_set if i != 0}
+    primitives[0] = eta_s
+    overlaps = {}
+    for simplex in cover.k_simplices(1):
+        j, k = simplex
+        if j == 0:
+            overlaps[(j, k)] = OverlapFunction("N", 0, ExactScalar(-level))
+        else:
+            overlaps[(j, k)] = OverlapFunction("N", 0, 0)
+    sectors = len(cover.index_set) - 1
+    cut_triple = (0, 1, 3) if sectors == 3 else (0, 1, 4)
+    offsets = {cut_triple: {(0, cut_triple[2]): 1}}
+    return primitives, overlaps, offsets
+
+
+# ---------------------------------------------------------------------------
 # the de Rham -> Cech zig-zag and integrality
 # ---------------------------------------------------------------------------
 
@@ -345,9 +401,6 @@ class IntegralityReport:
         self.integral = integral
         self.integer_lift = integer_lift
         self.correction = correction
-
-    def __bool__(self):
-        return self.integral
 
     def __repr__(self):
         return f"IntegralityReport(integral={self.integral})"

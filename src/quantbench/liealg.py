@@ -177,22 +177,6 @@ class AlgebroidModel:
                     out[i] = out[i] - g * df
         return self.section(out)
 
-    def ad(self, x: "SectionRep", y: "SectionRep") -> "SectionRep":
-        """Adjoint action ad(X)Y = [X, Y]; Y must be an isotropy section."""
-        self._own(x)
-        self._own(y)
-        for i, c in enumerate(y.coeffs):
-            if i not in self.isotropy_indices and not c.is_zero():
-                raise ModelMismatchError("ad target must lie in ker(anchor)")
-        return self.bracket(x, y)
-
-    def splitting(self, base_field_coeffs) -> "SectionRep":
-        """Gauge models: base vector field -> section with zero algebra part."""
-        if self.variant != "gauge":
-            raise ModelMismatchError("splitting is only defined for gauge models")
-        coeffs = list(base_field_coeffs) + [0] * (self.n - self.gauge_base_count)
-        return self.section(coeffs)
-
     def _own(self, section):
         if section.model is not self:
             raise ModelMismatchError("section belongs to another model")
@@ -265,9 +249,6 @@ class SectionRep:
 
     def __neg__(self):
         return self * ExactScalar(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)

@@ -370,24 +370,17 @@ def _strip_powers(den: PolyExpr, q: PolyExpr):
     return den, n_pow
 
 
-def _fiber_coords(bundle):
-    return bundle.cover.atlas.chart(bundle.patch_chart(bundle.cover.index_set[0])).fiber_coords
-
-
 def inner_product(bundle, elem1, elem2):
     """Hermitian pairing <sigma1, sigma2>: conj(sigma1) sigma2 h integrated
     exactly over the fiber on the first patch, h the bundle's weight.
 
-    Covers point fibers and the projective-line model (rational data over
-    the two-chart atlas).  There the two arguments may also be the factors
-    conj(sigma1) h and sigma2 as `_fiber_factors` writes them, which is how
-    `gram_matrix` passes its basis.
+    Covers the projective-line model (rational data over the two-chart
+    atlas); any other fiber raises `UnsupportedFiberError`.  The two
+    arguments may also be the factors conj(sigma1) h and sigma2 as
+    `_fiber_factors` writes them, which is how `gram_matrix` passes its
+    basis.
     """
     if not isinstance(elem1, _FiberTerms):
-        if not _fiber_coords(bundle):
-            patch = bundle.cover.index_set[0]
-            integrand = elem1[patch].conj() * elem2[patch] * bundle.weight(patch)
-            return integrand.constant_value()
         (elem1, _), (_, elem2) = _fiber_factors(bundle, [elem1, elem2])
     return _fs_pairing(elem1, elem2)
 
@@ -398,10 +391,10 @@ def _fiber_factors(bundle, elements):
     sum c z^m zbar^n is sum conj(c) z^n zbar^m.  The weight h is written
     once and multiplied in term by term, since the substitution x, y ->
     z, zbar is a ring map."""
-    coords = _fiber_coords(bundle)
+    patch = bundle.cover.index_set[0]
+    coords = bundle.cover.atlas.chart(bundle.patch_chart(patch)).fiber_coords
     if len(coords) != 2:
         raise UnsupportedFiberError("exact inner products need a 2-dimensional fiber")
-    patch = bundle.cover.index_set[0]
     weight = _fiber_terms(bundle.weight(patch), *coords)
     factors = []
     for element in elements:
@@ -419,13 +412,12 @@ def _fiber_factors(bundle, elements):
 def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):
     """Gram matrix of `basis`.  Only the upper triangle is integrated: the
     integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
-    row), so entry (j, i) is the conjugate of entry (i, j).  On a
-    projective-line fiber each element is written over z, zbar once
-    (`_fiber_factors`) and each entry pairs two such factors."""
+    row), so entry (j, i) is the conjugate of entry (i, j).  Each element is
+    written over z, zbar once (`_fiber_factors`), so the fiber must be the
+    projective line, and each entry pairs two such factors."""
     elements = basis.elements
     n = len(elements)
-    factors = _fiber_factors(bundle, elements) if _fiber_coords(bundle) else \
-        [(e, e) for e in elements]
+    factors = _fiber_factors(bundle, elements)
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

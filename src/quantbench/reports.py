@@ -34,9 +34,6 @@ class CheckResult:
         self.notes = list(notes or [])
         self.status = status or ("pass" if self.ok else "fail")
 
-    def __bool__(self):
-        return self.ok
-
     def __repr__(self):
         return f"CheckResult({self.status}, {len(self.failures)} failures)"
 

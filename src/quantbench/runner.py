@@ -257,7 +257,8 @@ def _execute(check, ctx) -> CheckRecord:
 def run_scenario(scenario: hamiltonian.ActionScenario, checks=None, seed=1729) -> Report:
     """Run the check table on `scenario`; `checks` filters by check id or stage
     name and pulls in the checks the selected ones depend on.  Every check is
-    decided on a finite test set, so `seed` is accepted and read by none."""
+    decided on a finite test set, so `seed` is accepted and read by none
+    (`perfbench/one_pass.py` passes one)."""
     selected = select_checks(checks)
     ctx = RunContext(scenario)
     report = Report(ctx.scenario.name)

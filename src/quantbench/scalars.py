@@ -76,12 +76,6 @@ class ExactScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _operand(other)
         if other is None:
@@ -100,9 +94,6 @@ class ExactScalar:
 
     def __truediv__(self, other):
         return self * ExactScalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return ExactScalar.coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

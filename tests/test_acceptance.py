@@ -29,8 +29,6 @@ from quantbench.catalog import (
     omega_fs,
     pair_groupoid_scenario,
     s1_plane_scenario,
-    sector_cover,
-    sector_zigzag_data,
     sphere_atlas,
     sphere_family_scenario,
     standard_complex_structure,
@@ -47,7 +45,8 @@ from quantbench.hamiltonian import (
     quantization_condition_check,
 )
 from quantbench.integrality import Cochain, cech_delta, cohomology_compute, \
-    construct_from_integral_class, derham_to_cech, integrality_test
+    construct_from_integral_class, derham_to_cech, integrality_test, sector_cover, \
+    sector_zigzag_data
 from quantbench.quantize import (
     holomorphic_solve,
     integrate_representation,

@@ -34,15 +34,17 @@ from quantbench.catalog import (
     gauge_su2_scenario,
     o_bundle,
     omega_fs,
-    sector_cover,
-    sector_zigzag_data,
     sphere_atlas,
     two_chart_cover,
 )
 from quantbench.errors import CurvatureMismatchError, IntegralityError
 from quantbench.exprs import RationalExpr, parse_expr
 from quantbench.geometry import LEAF_J, LEAF_JTILDE, VectorField, commutator, interior_product
-from quantbench.integrality import construct_from_integral_class
+from quantbench.integrality import (
+    construct_from_integral_class,
+    sector_cover,
+    sector_zigzag_data,
+)
 from quantbench.scalars import ExactScalar
 
 

@@ -7,12 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quantbench import integrality
-from quantbench.catalog import (
-    omega_fs,
-    sector_cover,
-    sector_zigzag_data,
-    sphere_atlas,
-)
+from quantbench.catalog import omega_fs, sphere_atlas
 from quantbench.cech import GoodCover, OverlapFunction
 from quantbench.errors import MalformedExpressionError
 from quantbench.exprs import parse_expr
@@ -23,6 +18,8 @@ from quantbench.integrality import (
     cohomology_compute,
     derham_to_cech,
     integrality_test,
+    sector_cover,
+    sector_zigzag_data,
     smith_normal_form,
 )
 from quantbench.scalars import ExactScalar

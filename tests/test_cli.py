@@ -144,18 +144,6 @@ class TestReportRendering:
         b = run_scenario(build_scenario("su2-orbit-1"), checks={"hamiltonian"}, seed=5)
         assert a.canonical_json() == b.canonical_json()
 
-    def test_seed_is_accepted_and_changes_nothing(self, tmp_path):
-        texts = set()
-        for seed in ("3", "4"):
-            out = tmp_path / f"report-{seed}.json"
-            assert main(["run", "su2-orbit-1", "--checks", "hamiltonian", "--seed", seed,
-                         "--format", "json", "--out", str(out)]) == 0
-            data = json.loads(out.read_text())
-            for record in data["records"]:
-                record.pop("seconds", None)
-            texts.add(json.dumps(data, sort_keys=True))
-        assert len(texts) == 1
-
     def test_quantize_and_reduce_subcommands(self, capsys):
         assert main(["quantize", "su2-orbit-1"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,12 @@
 """Differential forms, vector fields and the three leafwise differentials."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,10 +35,11 @@ from quantbench.geometry import (
     interior_product,
     lie_derivative,
     pullback,
-    wedge,
 )
 from quantbench.integrality import poincare_primitive
 from quantbench.scalars import ExactScalar
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -100,26 +106,6 @@ class TestExteriorDerivative:
         assert count >= 100
 
 
-class TestWedge:
-    def test_coordinate_wedge(self, atlas):
-        dx = DifferentialForm(atlas, 1, LEAF_J, {"N": {("x",): 1}})
-        dy = DifferentialForm(atlas, 1, LEAF_J, {"N": {("y",): 1}})
-        assert wedge(dx, dy).coefficient("N", ("x", "y")) == RationalExpr.const(1)
-        assert wedge(dx, dx).is_zero()
-
-    def test_graded_commutativity(self, atlas):
-        rng = random.Random(11)
-        a = random_form(atlas, 1, rng)
-        b = random_form(atlas, 1, rng)
-        assert (wedge(a, b) + wedge(b, a)).is_zero()
-        f = random_form(atlas, 0, rng)
-        assert (wedge(f, a) - wedge(a, f)).is_zero()
-
-    def test_wedge_beyond_fiber_dimension(self, atlas):
-        omega = omega_fs(atlas, Fraction(2))
-        assert wedge(omega, omega).is_zero()
-
-
 class TestInteriorProduct:
     def test_coordinate_contraction(self, atlas):
         dxdy = DifferentialForm(atlas, 2, LEAF_J, {"N": {("x", "y"): 1}})
@@ -156,6 +142,21 @@ class TestInteriorProduct:
                     ExactScalar(Fraction(3, 2))}, LEAF_J)
         identity = interior_product(v3, omega) + exterior_derivative(height, LEAF_J)
         assert identity.is_zero()
+
+    def test_chart_order_ignores_hash_seed(self):
+        """The contraction keeps the form's chart order under every string-hash
+        seed; a set of chart names would follow the seed."""
+        code = ("import json; from quantbench import catalog; "
+                "from quantbench.geometry import interior_product; "
+                "s = catalog.su2_orbit_scenario(1); omega = s.presymplectic.omega_tilde; "
+                "print(json.dumps([list(interior_product(s.generator_field(0), omega)"
+                ".coefficients), list(omega.coefficients)]))")
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        for seed in "01":
+            contracted, declared = json.loads(subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout)
+            assert contracted == declared == ["N", "S"]
 
 
 class TestLieDerivative:

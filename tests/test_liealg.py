@@ -14,7 +14,6 @@ from quantbench.catalog import (
 from quantbench.errors import (
     AtlasMismatchError,
     MalformedExpressionError,
-    ModelMismatchError,
 )
 from quantbench.exprs import coerce_rational, parse_expr
 from quantbench.geometry import (
@@ -183,11 +182,11 @@ class TestGroupElements:
 class TestAlgebroidModels:
     def test_ad_on_structure_constants(self):
         model = su2()
-        out = model.ad(model.basis_section(0), model.basis_section(1))
+        out = model.bracket(model.basis_section(0), model.basis_section(1))
         assert [c.simplify() for c in out.coeffs] == \
             [parse_expr("0"), parse_expr("0"), parse_expr("1")]
-        # antisymmetry: ad(X)X = 0
-        assert model.ad(model.basis_section(0), model.basis_section(0)).is_zero()
+        # antisymmetry: ad(X)X = [X, X] = 0
+        assert model.bracket(model.basis_section(0), model.basis_section(0)).is_zero()
 
     def test_tangent_model_ad_is_zero(self):
         from quantbench.catalog import pair_groupoid_scenario
@@ -195,8 +194,7 @@ class TestAlgebroidModels:
         model = scenario.model
         # ker(anchor) is trivial, so no isotropy sections exist
         assert model.isotropy_indices == ()
-        with pytest.raises(ModelMismatchError):
-            model.ad(model.basis_section(0), model.basis_section(0) * parse_expr("1"))
+        assert model.bracket(model.basis_section(0), model.basis_section(0)).is_zero()
 
     def test_anchor_morphism_and_leibniz(self):
         from quantbench.catalog import foliation_flat_scenario
@@ -238,7 +236,9 @@ class TestAlgebroidModels:
     def test_gauge_splitting_recovers_base_field(self):
         from quantbench.catalog import gauge_u1_character_scenario
         model = gauge_u1_character_scenario(1).model
-        section = model.splitting([parse_expr("b2"), parse_expr("1")])
+        # the splitting: the base field's coefficients, then a zero algebra part
+        base = [parse_expr("b2"), parse_expr("1")]
+        section = model.section(base + [0] * (model.n - model.gauge_base_count))
         field = model.anchor(section)
         chart = next(iter(model.base_atlas.charts))
         assert (field.component(chart, "b1") - parse_expr("b2")).simplify().is_zero()

@@ -537,6 +537,15 @@ class TestInnerProducts:
                 assert gram_matrix(bundle, basis) == whole
         assert 0 < len(diverged) < 6
 
+    def test_gram_needs_the_projective_line_fiber(self):
+        # foliation-flat's trivial line lies over a point fiber
+        bundle = catalog.foliation_flat_scenario().bundle
+        one = {"F": parse_expr("1")}
+        with pytest.raises(UnsupportedFiberError, match="2-dimensional fiber"):
+            gram_matrix(bundle, HolomorphicBasis(bundle, [one]))
+        with pytest.raises(UnsupportedFiberError, match="2-dimensional fiber"):
+            inner_product(bundle, one, one)
+
     def test_gram_with_a_non_q_weight_raises_as_inner_product_does(self, rotation_quantizations):
         basis = rotation_quantizations[2].basis
         bundle = copy.copy(basis.bundle)

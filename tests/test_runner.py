@@ -133,8 +133,8 @@ def test_every_package_name_resolves_and_an_unknown_one_does_not():
         poincare_primitive, polarization_equivariance_check,
         prequantization_condition_check, presymplectic_check, pullback, qr_commute_check,
         quantization_condition_check, quantization_isomorphism_check, quantum_fixed_subspace,
-        rational, rep_flatness_check, rep_hermitian_check, run_scenario, simplify, su2,
-        u1, validate_bundle, wedge, __version__)
+        rational, rep_flatness_check, rep_hermitian_check, run_scenario, su2,
+        u1, validate_bundle, __version__)
     from quantbench import groups, integrality
     assert (Cochain, construct_from_integral_class, poincare_primitive) == \
         (integrality.Cochain, integrality.construct_from_integral_class,

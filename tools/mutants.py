@@ -326,6 +326,18 @@ MUTANTS = [
             "                base = base * base",
      "new": "            base = base * base\n            n >>= 1",
      "tests": ["tests/test_exprs.py::TestPower"]},
+    {"name": "interior_product: charts in reverse name order, not the form's",
+     "file": GEOMETRY,
+     "old": "    for ch, terms in form.coefficients.items():",
+     "new": "    for ch, terms in sorted(form.coefficients.items(), reverse=True):",
+     "tests": ["tests/test_geometry.py::TestInteriorProduct::test_chart_order_ignores_hash_seed"]},
+] + [
+    {"name": f"{cls}.__setattr__: attributes may be set",
+     "file": path,
+     "old": f'        raise AttributeError("{cls} is immutable")',
+     "new": "        object.__setattr__(self, name, value)",
+     "tests": ["tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"]}
+    for cls, path in (("ExactScalar", SCALARS), ("PolyExpr", EXPRS), ("RationalExpr", EXPRS))
 ]
 
 
