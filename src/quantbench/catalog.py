@@ -35,8 +35,16 @@ from .reduce import ZeroLevelData
 from .scalars import ExactScalar
 
 
+_PARSED = {}  # text -> its parsed expression
+
+
 def _pe(text):
-    return parse_expr(text)
+    # equal text parses to an equal immutable value, so every build shares
+    # one, and a derivative taken in one scenario serves the next
+    expr = _PARSED.get(text)
+    if expr is None:
+        expr = _PARSED[text] = parse_expr(text)
+    return expr
 
 
 def _scale(expr, q: Fraction):

@@ -263,6 +263,9 @@ class PolyExpr:
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its ExactScalar, and so hashes as that does
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((frozenset(self.terms.items()), self.den))
 
     # -- calculus ------------------------------------------------------------
@@ -319,6 +322,8 @@ class PolyExpr:
         other = _coerce_poly(other)
         if other.is_zero():
             raise MalformedExpressionError("division by zero polynomial")
+        if other.is_constant():  # it divides anything: one product by its inverse
+            return self * _leading_inverse(other)
         rem = self
         quot = PolyExpr()
         lm, (lr, li) = other.leading()
@@ -552,9 +557,14 @@ class RationalExpr:
     (through ``/``) and `conj`, which flips the sign of odd ``twopii`` powers.
     ``simplify()`` also cancels the gcd, which gives the canonical form
     (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).
+
+    An instance never changes, so a partial derivative taken once is the
+    answer for good: ``_derivatives`` maps each variable already derived by
+    to its result, and is set through the slot descriptor on the first call
+    (a memo function; Michie, *Nature* 218, 1968).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_derivatives")
 
     def __init__(self, num, den=None):
         num = _coerce_poly(num)
@@ -673,7 +683,10 @@ class RationalExpr:
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):
+        # a polynomial equals its quotient over 1, and so hashes as that does
         s = self.simplify()
+        if s.den.terms == _ONE_TERMS:  # a monic constant is 1
+            return hash(s.num)
         return hash((s.num, s.den))
 
     # -- canonicalization ----------------------------------------------------
@@ -692,12 +705,21 @@ class RationalExpr:
 
     # -- calculus --------------------------------------------------------------
     def derivative(self, var: str) -> "RationalExpr":
-        if self.den.terms == _ONE_TERMS:  # a monic constant is 1
-            return _quotient(self.num.derivative(var), self.den)
-        return _quotient(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
+        try:
+            memo = self._derivatives
+        except AttributeError:
+            memo = {}
+            _set_derivatives(self, memo)
+        out = memo.get(var)
+        if out is None:
+            if self.den.terms == _ONE_TERMS:  # a monic constant is 1
+                out = _quotient(self.num.derivative(var), self.den)
+            else:
+                out = _quotient(
+                    self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
+                    self.den * self.den)
+            memo[var] = out
+        return out
 
     def conj(self) -> "RationalExpr":
         return RationalExpr(self.num.conj(), self.den.conj())
@@ -746,6 +768,7 @@ class RationalExpr:
 _ONE_POLY = PolyExpr.const(1)  # the one constant-1 denominator
 _set_num = RationalExpr.num.__set__
 _set_quotient_den = RationalExpr.den.__set__
+_set_derivatives = RationalExpr._derivatives.__set__
 _ZERO = object.__new__(RationalExpr)
 _set_num(_ZERO, PolyExpr())
 _set_quotient_den(_ZERO, _ONE_POLY)

@@ -373,8 +373,12 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
         for coord in chart.coords:
             total = RationalExpr.zero()
             for c2 in chart.coords:
-                total = total + v.component(ch, c2) * w.component(ch, coord).derivative(c2)
-                total = total - w.component(ch, c2) * v.component(ch, coord).derivative(c2)
+                # a zero coefficient adds nothing, so its derivative is not taken
+                a, b = v.component(ch, c2), w.component(ch, c2)
+                if not a.is_zero():
+                    total = total + a * w.component(ch, coord).derivative(c2)
+                if not b.is_zero():
+                    total = total - b * v.component(ch, coord).derivative(c2)
             table[coord] = total
         out[ch] = table
     return VectorField(v.atlas, cls, out)

@@ -86,6 +86,35 @@ class TestImmutability:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("value", [3, 0, -2, Fraction(1, 2), ExactScalar(Fraction(-5, 3)),
+                                       ExactScalar(1, 2), ExactScalar(0, 1)])
+    def test_constants_hash_as_the_equal_scalar(self, value):
+        """A constant compares equal to its int, Fraction or ExactScalar, so it
+        must hash as that value does, or a set or dict misses it."""
+        for const in (PolyExpr.const(value), RationalExpr.const(value)):
+            assert const == value
+            assert hash(const) == hash(value)
+            assert value in {const} and const in {value}
+        assert parse_expr("(2*x-2)/(x-1)") in {2}
+
+    def test_a_polynomial_hashes_as_its_quotient_over_one(self):
+        p = parse_expr("x*y + 1/3").as_poly()
+        q = RationalExpr(p)
+        assert q == p and hash(q) == hash(p)
+        assert len({p, q, parse_expr("(x^2*y + x/3)/x")}) == 1
+
+    def test_the_derivative_memo_cannot_be_set(self):
+        """The partial derivatives already taken sit in a slot that, like
+        `num` and `den`, only the class itself fills."""
+        p = parse_expr("x/(1+y)")
+        with pytest.raises(AttributeError, match="immutable"):
+            p._derivatives = {"x": RationalExpr.zero()}
+        first = p.derivative("x")
+        with pytest.raises(AttributeError, match="immutable"):
+            p._derivatives = {"x": RationalExpr.zero()}
+        assert p.derivative("x") is first
+        assert first == parse_expr("1/(1+y)")
+
 
 _scalar_parts = st.tuples(st.fractions(min_value=-30, max_value=30, max_denominator=24),
                           st.fractions(min_value=-30, max_value=30, max_denominator=24))
@@ -448,6 +477,45 @@ class TestAgainstSympy:
         assert_matches(oracle, a.conj(), oracle.conj(sa))
 
     @settings(max_examples=60, deadline=None)
+    @given(quotients, quotients, st.lists(st.tuples(st.booleans(), st.sampled_from(VARS)),
+                                          min_size=1, max_size=12))
+    @example(parse_expr("a*a*b/(1+a)"), parse_expr("__z*__zb/(1+twopii)"),
+             [(True, "a"), (False, "__zb"), (True, "b"), (True, "a"), (False, "__z")])
+    def test_repeated_and_interleaved_derivatives(self, oracle, p, q, calls):
+        """Partial derivatives are taken once per expression and variable:
+        any sequence of calls on two expressions, repeats included, gives the
+        quotient rule's value, and a repeated call gives the object of the
+        first one."""
+        first = {}
+        for which, v in calls:
+            expr = p if which else q
+            d = expr.derivative(v)
+            assert first.setdefault((which, v), d) is d
+            num, den = oracle.to_sympy(expr.num), oracle.to_sympy(expr.den)
+            x = oracle.ring.gens[VARS.index(v)]
+            assert_monic_quotient(oracle, d, num.diff(x) * den - num * den.diff(x), den * den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, st.one_of(st.integers(1, 12).map(lambda d: Fraction(1, d)),
+                            st.integers(-3, -1), _coefficients.filter(lambda c: not c.is_zero())))
+    @example(PolyExpr.var("a") * 3 + 1, ExactScalar(2, 1))
+    def test_division_by_a_constant_is_one_product(self, oracle, a, value):
+        """Dividing by a constant multiplies by its inverse once, with no
+        division loop."""
+        k = PolyExpr.const(value)
+        products = []
+        multiply = PolyExpr.__mul__
+        PolyExpr.__mul__ = lambda *ab: products.append(ab) or multiply(*ab)
+        try:
+            quotient = a.exact_div(k)
+        finally:
+            PolyExpr.__mul__ = multiply
+        assert len(products) == 1
+        expected = oracle.to_sympy(a).exquo(oracle.to_sympy(k))
+        assert_matches(oracle, quotient, expected)
+        assert_matches(oracle, (a * k).exact_div(k), oracle.to_sympy(a))
+
+    @settings(max_examples=60, deadline=None)
     @given(quotients, quotients, st.integers(-2, 3))
     def test_quotients_keep_a_monic_denominator(self, oracle, p, q, n):
         """Every operation gives a monic denominator, whether it normalizes
@@ -615,10 +683,12 @@ class TestEarlyReturns:
 
     @settings(max_examples=50, deadline=None)
     @given(quotients.filter(lambda q: not q.is_zero()))
+    @example(RationalExpr(PolyExpr.const(3), PolyExpr.const(3)))
     def test_rational_unit_operands(self, a):
         """A factor 1 returns the other operand; 1/3, 1/x and x/x, whose
         numerators hold the one term of 1, take the general path.  A zero
-        operand is `test_rational_zero_operands`'s case."""
+        operand is `test_rational_zero_operands`'s case.  When `a` is 1/1
+        too, both operands are the factor 1, and `one * a` returns `one`."""
         def parts(num, den):
             return num.terms, num.den, den.terms, den.den
 
@@ -630,7 +700,7 @@ class TestEarlyReturns:
                 assert parts(result.num, result.den) == total
         one = RationalExpr.const(1)
         for result in (a * one, one * a, a * 1, 1 * a):
-            assert result is a
+            assert result is a or (result is one and a == one)
 
     @settings(max_examples=50, deadline=None)
     @given(polys)

@@ -324,6 +324,36 @@ class TestVectorFields:
         assert (commutator(v2, v3) - v1).is_zero()
         assert (commutator(v3, v1) - v2).is_zero()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_commutator_is_the_coordinate_formula(self, atlas, seed):
+        """[v, w]^c = sum over d of v^d dw^c/dd - w^d dv^c/dd, on fields with
+        some zero components, where the commutator skips a derivative."""
+        rng = random.Random(seed)
+        coords = atlas.chart("N").coords
+
+        def field():
+            return VectorField(atlas, LEAF_J, {"N": {
+                c: random_polynomial(coords, rng) if rng.random() < 0.5 else 0
+                for c in coords}})
+
+        v, w = field(), field()
+        bracket = commutator(v, w)
+        for c in coords:
+            expected = sum((v.component("N", d) * w.component("N", c).derivative(d)
+                            - w.component("N", d) * v.component("N", c).derivative(d)
+                            for d in coords), RationalExpr.zero())
+            assert bracket.component("N", c) == expected
+        assert (commutator(w, v) + bracket).is_zero()
+
+    def test_commutator_of_a_coordinate_field(self):
+        """[d/dx, x d/dy] = d/dy: the second field has no x component."""
+        plane = FiberedAtlas([Chart("C", fiber_coords=("x", "y"))])
+        dx = VectorField(plane, LEAF_J, {"C": {"x": 1}})
+        x_dy = VectorField(plane, LEAF_J, {"C": {"y": parse_expr("x")}})
+        bracket = commutator(dx, x_dy)
+        assert bracket.component("C", "y") == 1 and bracket.component("C", "x").is_zero()
+        assert commutator(x_dy, dx).component("C", "y") == -1
+
     def test_leafwise_component_enforced(self):
         based = FiberedAtlas([Chart("C", base_coords=("b",), fiber_coords=("x",))])
         with pytest.raises(LeafwiseClassError):

@@ -17,6 +17,7 @@ import pytest
 from quantbench import bundles, catalog, hamiltonian, liealg, reduce, runner
 from quantbench.bundles import curvature
 from quantbench.cli import main
+from quantbench.exprs import parse_expr
 from quantbench.hamiltonian import ActionScenario
 from quantbench.runner import CHECKS, PRODUCER, STAGES, RunContext, run_scenario
 
@@ -85,6 +86,44 @@ def test_reports_do_not_depend_on_the_order_variables_are_first_met():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
     assert out.split() == [DIGESTS[label] for label in labels]
+
+
+def test_reports_do_not_depend_on_the_build_order():
+    """Builds share each parsed text and the derivatives taken of it, and the
+    two controls change the scenario `su2_orbit_scenario(1)` returns.  A
+    fresh process builds and runs the su2-orbit benchmark workload's four
+    scenarios, then builds and runs them again in reverse order: all eight
+    reports must be the pinned ones."""
+    labels = {"su2-orbit-k 0": "catalog.build_scenario('su2-orbit-k', 0)",
+              "su2-orbit-k 1": "catalog.build_scenario('su2-orbit-k', 1)",
+              "control_flipped_momentum(1)": "catalog.control_flipped_momentum(1)",
+              "control_imaginary_momentum(1)": "catalog.control_imaginary_momentum(1)"}
+    code = "\n".join([
+        "import hashlib",
+        "from quantbench import catalog",
+        "from quantbench.runner import run_scenario",
+        f"builds = [lambda: {', lambda: '.join(labels.values())}]",
+        "for order in (builds, builds[::-1]):",
+        "    scenarios = [build() for build in order]",
+        "    for scenario in scenarios:",
+        "        text = run_scenario(scenario).canonical_json()",
+        "        print(hashlib.sha256(text.encode()).hexdigest())"])
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    forward = [DIGESTS[label] for label in labels]
+    assert out.split() == forward + forward[::-1]
+
+
+def test_the_parse_table_gives_the_parse_of_its_own_text():
+    """`catalog._pe` parses each text once: a repeated text gives the same
+    object, and texts that share a prefix keep their own values."""
+    texts = ["0", "1", "-1", "x*y", "x*y^2", "x*y^2/(1+x)", "(1-x^2+y^2)/2",
+             "(1+x^2-y^2)/2", "2*i/(twopii*(1+x^2+y^2)^2)"]
+    parsed = [catalog._pe(text) for text in texts]
+    for text, expr in zip(texts, parsed):
+        assert expr == parse_expr(text), text
+        assert catalog._pe(text) is expr
 
 
 def test_the_runtime_needs_only_the_standard_library():

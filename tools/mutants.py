@@ -24,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLES = "src/quantbench/bundles.py"
+CATALOG = "src/quantbench/catalog.py"
 CECH = "src/quantbench/cech.py"
 EXPRS = "src/quantbench/exprs.py"
 GEOMETRY = "src/quantbench/geometry.py"
@@ -331,6 +332,34 @@ MUTANTS = [
      "old": "    for ch, terms in form.coefficients.items():",
      "new": "    for ch, terms in sorted(form.coefficients.items(), reverse=True):",
      "tests": ["tests/test_geometry.py::TestInteriorProduct::test_chart_order_ignores_hash_seed"]},
+    {"name": "RationalExpr.derivative: the memo keyed without the variable",
+     "file": EXPRS,
+     "old": "        out = memo.get(var)\n",
+     "new": "        out = next(iter(memo.values()), None)\n",
+     "tests": ["tests/test_exprs.py::TestAgainstSympy::test_repeated_and_interleaved_derivatives"]},
+    {"name": "commutator: the coefficient of v tested on w",
+     "file": GEOMETRY,
+     "old": "                if not a.is_zero():\n",
+     "new": "                if not b.is_zero():\n",
+     "tests": ["tests/test_geometry.py::TestVectorFields::test_commutator_of_a_coordinate_field",
+               "tests/test_geometry.py::TestVectorFields::test_commutator_is_the_coordinate_formula"]},
+    {"name": "catalog._pe: the parse table keyed by the first three characters",
+     "file": CATALOG,
+     "old": "    expr = _PARSED.get(text)\n    if expr is None:\n"
+            "        expr = _PARSED[text] = parse_expr(text)",
+     "new": "    expr = _PARSED.get(text[:3])\n    if expr is None:\n"
+            "        expr = _PARSED[text[:3]] = parse_expr(text)",
+     "tests": ["tests/test_runner.py::test_the_parse_table_gives_the_parse_of_its_own_text"]},
+    {"name": "PolyExpr.exact_div: a constant divisor multiplied instead of inverted",
+     "file": EXPRS,
+     "old": "            return self * _leading_inverse(other)",
+     "new": "            return self * other",
+     "tests": ["tests/test_exprs.py::TestAgainstSympy::test_division_by_a_constant_is_one_product"]},
+    {"name": "PolyExpr.__hash__: a constant hashed as a polynomial",
+     "file": EXPRS,
+     "old": "        if self.is_constant():\n            return hash(self.constant_value())\n",
+     "new": "",
+     "tests": ["tests/test_exprs.py::TestImmutability::test_constants_hash_as_the_equal_scalar"]},
 ] + [
     {"name": f"{cls}.__setattr__: attributes may be set",
      "file": path,
