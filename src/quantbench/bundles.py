@@ -58,7 +58,7 @@ class TransitionValue:
         table = {}
         inv_twopii = RationalExpr.const(1) / RationalExpr.var("twopii")
         for coord in chart.coords:
-            val = self.rational.derivative(coord) / self.rational * inv_twopii
+            val = self.rational.log_derivative(coord) * inv_twopii
             if not val.is_zero():
                 table[(coord,)] = val
         form = DifferentialForm(atlas, 1, LEAF_FULL, {self.chart: table})
@@ -194,9 +194,10 @@ def validate_bundle(bundle: LineBundleData) -> CheckResult:
         eta = bundle.potential(idx)
         imag_part = eta - eta.conj()
         lhs = imag_part * RationalExpr.var("twopii")
-        dh = exterior_derivative(
-            DifferentialForm(atlas, 0, LEAF_JTILDE, {chart: {(): h}}), LEAF_JTILDE)
-        rhs = dh * (RationalExpr.const(1) / h)
+        # d log h, one logarithmic derivative per coordinate: dh * (1/h)
+        # would square the denominator of h before cancelling it
+        rhs = DifferentialForm(atlas, 1, LEAF_JTILDE, {chart: {
+            (c,): h.log_derivative(c) for c in atlas.chart(chart).coords_for(LEAF_JTILDE)}})
         residual = lhs - rhs
         if not residual.is_zero():
             failures.append(("hermitian", f"patch {idx}: residual {residual}"))
@@ -326,16 +327,24 @@ def hermitian_pieces(ops):
     """(i, patch, I, r) for each generator and patch: I holds the nonzero
     components of V - conj(V) on the patch's chart and r = (p + conj p) h - V(h).
     With h(f, g) = conj(f) g h, the residual h(pi f, g) + h(f, pi g) - V(h(f, g))
-    is -I(conj f) g h + conj(f) g r."""
+    is -I(conj f) g h + conj(f) g r.  The weight h vanishes nowhere, so r = 0
+    exactly when (p + conj p) - V(log h) = 0, which is decided first on the
+    logarithmic derivatives of h; r itself is built only to print it."""
     bundle = ops[0].bundle
     for i, op in enumerate(ops):
         field = op.vector_part
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
-            imaginary = {c: v - v.conj() for c, v in field.components.get(chart, {}).items()}
+            components = field.components[chart]  # V(h) needs the chart's field
+            imaginary = {c: v - v.conj() for c, v in components.items()}
             h, p = bundle.weight(idx), op.potential_part(idx)
-            yield i, idx, {c: v for c, v in imaginary.items() if not v.is_zero()}, \
-                (p + p.conj()) * h - field.derive(h, chart)
+            real = p + p.conj()
+            log_residual = real
+            for c, v in components.items():
+                log_residual = log_residual - v * h.log_derivative(c)
+            r = RationalExpr.zero() if log_residual.is_zero() else \
+                real * h - field.derive(h, chart)
+            yield i, idx, {c: v for c, v in imaginary.items() if not v.is_zero()}, r
 
 
 def equivariance_pieces(ops):

@@ -560,8 +560,9 @@ class RationalExpr:
 
     An instance never changes, so a partial derivative taken once is the
     answer for good: ``_derivatives`` maps each variable already derived by
-    to its result, and is set through the slot descriptor on the first call
-    (a memo function; Michie, *Nature* 218, 1968).
+    to its result, and ``("log", variable)`` to the `log_derivative`; it is
+    set through the slot descriptor on the first call (a memo function;
+    Michie, *Nature* 218, 1968).
     """
 
     __slots__ = ("num", "den", "_derivatives")
@@ -704,12 +705,16 @@ class RationalExpr:
         return self
 
     # -- calculus --------------------------------------------------------------
-    def derivative(self, var: str) -> "RationalExpr":
+    def _memo(self) -> dict:
         try:
-            memo = self._derivatives
+            return self._derivatives
         except AttributeError:
             memo = {}
             _set_derivatives(self, memo)
+            return memo
+
+    def derivative(self, var: str) -> "RationalExpr":
+        memo = self._memo()
         out = memo.get(var)
         if out is None:
             if self.den.terms == _ONE_TERMS:  # a monic constant is 1
@@ -719,6 +724,21 @@ class RationalExpr:
                     self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
                     self.den * self.den)
             memo[var] = out
+        return out
+
+    def log_derivative(self, var: str) -> "RationalExpr":
+        """d log(N/D) / d var = (N'D - ND') / (ND): the quotient rule's
+        numerator over ND, not over D^2, so the weight 1/q^k gives a quotient
+        over q^k, not over q^2k.  Kept in the memo beside `derivative`."""
+        if not self.num.terms:
+            raise MalformedExpressionError("logarithmic derivative of zero")
+        memo = self._memo()
+        key = ("log", var)
+        out = memo.get(key)
+        if out is None:
+            num, den = self.num, self.den
+            top = num.derivative(var) * den - num * den.derivative(var)
+            out = memo[key] = RationalExpr(top, num * den) if top.terms else _ZERO
         return out
 
     def conj(self) -> "RationalExpr":

@@ -9,6 +9,7 @@ linearity over pulled-back base functions.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from itertools import combinations
 
 from . import linalg
@@ -236,24 +237,32 @@ def _pair_failures(s: ActionScenario, pairs, residual) -> list:
 # the condition checks
 # ---------------------------------------------------------------------------
 
-def _fiber_hamilton_check(s: ActionScenario, indices) -> CheckResult:
+def fiber_residual(s: ActionScenario, i) -> DifferentialForm:
+    """d^J <mu, X> + (iota_{alpha(X)} omega_tilde)|_J for the generator X_i,
+    the residual of the fiber Hamilton identity."""
+    lhs = exterior_derivative(s.momentum.pairing_form(s.atlas, i), LEAF_J)
+    contraction = interior_product(s.generator_field(i), s.presymplectic.omega_tilde)
+    return lhs + contraction.restrict(LEAF_J)
+
+
+def _fiber_hamilton_check(s: ActionScenario, indices, residual=None) -> CheckResult:
     """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for the generators
-    `indices`."""
+    `indices`; `residual(i)` gives `fiber_residual(s, i)`, from the caller's
+    memo when it has one."""
+    residual = residual or partial(fiber_residual, s)
     failures = []
     for i in indices:
-        lhs = exterior_derivative(s.momentum.pairing_form(s.atlas, i), LEAF_J)
-        contraction = interior_product(s.generator_field(i), s.presymplectic.omega_tilde)
-        residual = lhs + contraction.restrict(LEAF_J)
-        if not residual.is_zero():
-            failures.append((s.model.generator_names[i], repr(residual)))
+        form = residual(i)
+        if not form.is_zero():
+            failures.append((s.model.generator_names[i], repr(form)))
     return CheckResult(not failures, failures)
 
 
-def internal_momentum_check(s: ActionScenario) -> CheckResult:
+def internal_momentum_check(s: ActionScenario, residual=None) -> CheckResult:
     """d^J <mu, X> = - iota_{alpha(X)} omega for isotropy generators.  For X
     in ker(anchor), alpha(X) is tangent to J, so there the identity is the
     quantization condition."""
-    return _fiber_hamilton_check(s, s.model.isotropy_indices)
+    return _fiber_hamilton_check(s, s.model.isotropy_indices, residual)
 
 
 def equivariance_check(s: ActionScenario) -> CheckResult:
@@ -287,9 +296,9 @@ def prequantization_condition_check(s: ActionScenario, d_mu=None) -> CheckResult
     return _exactness_check(s, s.presymplectic.omega_tilde, d_mu)
 
 
-def quantization_condition_check(s: ActionScenario) -> CheckResult:
+def quantization_condition_check(s: ActionScenario, residual=None) -> CheckResult:
     """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for every generator."""
-    return _fiber_hamilton_check(s, range(s.model.n))
+    return _fiber_hamilton_check(s, range(s.model.n), residual)
 
 
 def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScenario:

@@ -171,14 +171,22 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
     `degree_cap`.  With a `probe_cap` above it, the powers up to the probe
     cap join the same system as trailing columns, and one elimination gives
     both the basis at `degree_cap` (the kernel of the leading columns) and
-    the dimension at `probe_cap`."""
+    the dimension at `probe_cap`.
+
+    Every identity of the system is written over z, zbar of its chart's
+    fiber (`_zz_map`).  The change of variables is linear and invertible, so
+    each identity keeps its kernel, and `rref` reaches the reduced form it
+    reaches over x, y; but on the projective line each power of a
+    coordinate, moved or not, is one monomial, so the system has about one
+    row per column.  A fiber that is not two coordinates raises
+    `UnsupportedFiberError`."""
     probe_cap = degree_cap if probe_cap is None else probe_cap
-    frames = {ch: fs[0] for ch, fs in structure.polarization_frames().items()}
     cover = bundle.cover
     atlas = cover.atlas
     patches = list(cover.index_set)
-    candidates = {p: [holomorphic_coords[bundle.patch_chart(p)] ** a
-                      for a in range(probe_cap + 1)] for p in patches}
+    to_zz = {p: _zz_map(*_fiber_pair(atlas, bundle.patch_chart(p))) for p in patches}
+    frames = {ch: fs[0] for ch, fs in structure.polarization_frames().items()}
+    coords = {p: holomorphic_coords[bundle.patch_chart(p)] for p in patches}
     # the columns up to the degree cap first, patch by patch, then the rest
     low = len(patches) * (degree_cap + 1)
     high = probe_cap - degree_cap
@@ -187,11 +195,19 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
               for i, p in enumerate(patches) for a in range(probe_cap + 1)}
     total = len(column)
     rows = []
-    # (1) polarized-derivative kernel per patch
-    derivative = {p: _polarized_derivative(bundle, frames, p) for p in patches}
+    # (1) polarized-derivative kernel per patch, from the derivation rule
+    # D(h^a) = a h^(a-1) D0(h) + pot h^a, D0 the frame derivative
+    polarized = {p: _polarized_derivative(bundle, frames, p) for p in patches}
+    powers = {}
     for p in patches:
-        rows.extend(_linear_rows([(column[p, a], derivative[p](f))
-                                  for a, f in enumerate(candidates[p])], total))
+        frame_part, pot = polarized[p]
+        h = coords[p]
+        d0_h = frame_part(h).subst(to_zz[p])
+        pot = pot.subst(to_zz[p])
+        powers[p] = _powers(h.subst(to_zz[p]), probe_cap)
+        rows.extend(_linear_rows(
+            [(column[p, a], pot * h_a + (powers[p][a - 1] * d0_h * a if a else 0))
+             for a, h_a in enumerate(powers[p])], total))
     # (2) frame gluing: f_j = c_jk (f_k o T) on every pair overlap
     for simplex in cover.k_simplices(1):
         j, k = simplex
@@ -201,22 +217,22 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
                 "holomorphic solver supports rational transitions only")
         chart_j = bundle.patch_chart(j)
         chart_k = bundle.patch_chart(k)
-        c_expr = to_chart(atlas, c.rational, c.chart, chart_j)
         # to_chart is a ring map: move w once and multiply up its powers
-        w = to_chart(atlas, holomorphic_coords[chart_k], chart_k, chart_j)
-        glue_exprs = [(column[j, a], f) for a, f in enumerate(candidates[j])]
-        moved = RationalExpr.const(1)
+        moved = to_chart(atlas, c.rational, c.chart, chart_j).subst(to_zz[j])
+        w = to_chart(atlas, coords[k], chart_k, chart_j).subst(to_zz[j])
+        glue_exprs = [(column[j, a], h_a) for a, h_a in enumerate(powers[j])]
         for b in range(probe_cap + 1):
-            glue_exprs.append((column[k, b], -(c_expr * moved)))
+            glue_exprs.append((column[k, b], -moved))
             moved = moved * w
         rows.extend(_linear_rows(glue_exprs, total))
     red, pivots = rref(rows)
+    candidates = {p: _powers(coords[p], degree_cap) for p in patches}
     elements = []
     for vec in rref_kernel(red, pivots, low):
         element = {}
         for p in patches:
             expr = RationalExpr.zero()
-            for a, f in enumerate(candidates[p][:degree_cap + 1]):
+            for a, f in enumerate(candidates[p]):
                 coeff = vec[column[p, a]]
                 if not coeff.is_zero():
                     expr = expr + f * coeff
@@ -226,18 +242,29 @@ def holomorphic_solve(bundle: LineBundleData, structure: ComplexStructureData,
     p0 = patches[0]
     elements.sort(key=lambda e: (e[p0].num.total_degree(), str(e[p0])))
     for element in elements:
-        if not all(derivative[p](f).is_zero() for p, f in element.items()):
-            raise MalformedExpressionError("solver returned a non-polarized section")
+        for p, f in element.items():
+            frame_part, pot = polarized[p]
+            if not (frame_part(f) + pot * f).is_zero():
+                raise MalformedExpressionError("solver returned a non-polarized section")
     return HolomorphicBasis(bundle, elements, total - len(pivots))
 
 
+def _powers(base: RationalExpr, top: int) -> list:
+    """[base^0, base^1, ..., base^top], each by one product."""
+    out = [RationalExpr.const(1)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def _polarized_derivative(bundle, frames, p):
-    """f -> nabla_frame (f s_p) / s_p in patch p: frame derivative plus potential."""
+    """(D0, pot) in patch p: nabla_frame (f s_p) / s_p = D0(f) + pot f, with
+    D0 the frame derivative and pot the potential along the frame."""
     chart = bundle.patch_chart(p)
     frame = frames[chart]
     contraction = interior_product(frame, bundle.potential(p))
     pot = contraction.coefficient(chart, ()) * RationalExpr.var(TWO_PI_I)
-    return lambda f: frame.derive(f, chart) + pot * f
+    return (lambda f: frame.derive(f, chart)), pot
 
 
 def _linear_rows(indexed, total):
@@ -282,13 +309,29 @@ def fs_monomial_integral(m, n, weight_power) -> ExactScalar:
     return from_ints(num, 0, den)
 
 
-def _zz_decompose(poly: PolyExpr, x_name, y_name):
-    """Rewrite a polynomial in x, y as {(m, n): coeff} over z^m zbar^n."""
+def _fiber_pair(atlas, chart):
+    """The two fiber coordinates of `chart`; any other fiber raises."""
+    coords = atlas.chart(chart).fiber_coords
+    if len(coords) != 2:
+        raise UnsupportedFiberError(f"chart {chart}: the exact solver and inner products "
+                                    "need a 2-dimensional fiber")
+    return coords
+
+
+def _zz_map(x_name, y_name) -> dict:
+    """x = (z + zbar)/2, y = i(z - zbar)/2: the inverse of z = x - iy,
+    zbar = x + iy, as a substitution into the variables __z and __zb.  It is
+    linear and invertible, so an identity in x, y holds exactly when its
+    image holds."""
     z, zb = PolyExpr.var("__z"), PolyExpr.var("__zb")
     half = from_ints(1, 0, 2)
-    x_sub = RationalExpr((z + zb) * PolyExpr.const(half))
-    y_sub = RationalExpr((z - zb) * PolyExpr.const(half * I))
-    moved = poly.subst({x_name: x_sub, y_name: y_sub})
+    return {x_name: RationalExpr((z + zb) * PolyExpr.const(half)),
+            y_name: RationalExpr((z - zb) * PolyExpr.const(half * I))}
+
+
+def _zz_decompose(poly: PolyExpr, x_name, y_name):
+    """Rewrite a polynomial in x, y as {(m, n): coeff} over z^m zbar^n."""
+    moved = poly.subst(_zz_map(x_name, y_name))
     if not moved.den.is_constant():
         raise MalformedExpressionError("unexpected denominator in decomposition")
     moved_poly = moved.as_poly()
@@ -392,9 +435,7 @@ def _fiber_factors(bundle, elements):
     once and multiplied in term by term, since the substitution x, y ->
     z, zbar is a ring map."""
     patch = bundle.cover.index_set[0]
-    coords = bundle.cover.atlas.chart(bundle.patch_chart(patch)).fiber_coords
-    if len(coords) != 2:
-        raise UnsupportedFiberError("exact inner products need a 2-dimensional fiber")
+    coords = _fiber_pair(bundle.cover.atlas, bundle.patch_chart(patch))
     weight = _fiber_terms(bundle.weight(patch), *coords)
     factors = []
     for element in elements:

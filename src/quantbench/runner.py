@@ -6,7 +6,7 @@ needs and its function; `run_scenario` walks the table once."""
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
@@ -20,7 +20,8 @@ class RunContext:
     """One run's scenario and artifacts.  The stage inputs are the
     scenario's own fields.  The checks that produce `operators`, `basis`,
     `representation`, `reduced`, `descent` and `fixed_subspace` set them;
-    `d_mu` is built on first use by the rows that read it."""
+    `d_mu` and `fiber_residual` are built on first use by the rows that
+    read them."""
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -33,6 +34,12 @@ class RunContext:
         """d_A mu, or None when the scenario declares no momentum map."""
         s = self.scenario
         return None if s.momentum is None else hamiltonian.momentum_differential(s)
+
+    @cached_property
+    def fiber_residual(self):
+        """Generator index -> its fiber Hamilton residual, built on first use
+        and shared by the internal-momentum and quantization-condition rows."""
+        return cache(partial(hamiltonian.fiber_residual, self.scenario))
 
 
 class Check(NamedTuple):
@@ -135,7 +142,7 @@ CHECKS = (
               {"nondegeneracy", "nondegeneracy-sample"})),
     Check("internal-momentum", "hamiltonian",
           "fiber identity d<mu,X> = -i_{alpha(X)} omega on ker(anchor)",
-          lambda c: hamiltonian.internal_momentum_check(c.scenario)),
+          lambda c: hamiltonian.internal_momentum_check(c.scenario, c.fiber_residual)),
     Check("coadjoint-equivariance", "hamiltonian",
           "alpha(X).<mu,Y> = <mu,[X,Y]> on isotropy pairs",
           lambda c: hamiltonian.equivariance_check(c.scenario)),
@@ -144,7 +151,7 @@ CHECKS = (
           lambda c: hamiltonian.prequantization_condition_check(c.scenario, c.d_mu)),
     Check("quantization-condition", "hamiltonian",
           "fiber restriction d<mu,X> = -(i_{alpha(X)} omega)|_J",
-          lambda c: hamiltonian.quantization_condition_check(c.scenario)),
+          lambda c: hamiltonian.quantization_condition_check(c.scenario, c.fiber_residual)),
     Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
           lambda c: hamiltonian.dd_zero_report(c.scenario, c.d_mu)),
     Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",

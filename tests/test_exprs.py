@@ -496,6 +496,30 @@ class TestAgainstSympy:
             assert_monic_quotient(oracle, d, num.diff(x) * den - num * den.diff(x), den * den)
 
     @settings(max_examples=60, deadline=None)
+    @given(quotients.filter(lambda p: not p.is_zero()), st.sampled_from(VARS))
+    # products, not powers: a power's size check at import would read the
+    # total degree, which a mutant of `total_degree` changes
+    @example(parse_expr("3/((1 + a*a)*(1 + a*a)*(1 + a*a))"), "a")  # a constant numerator
+    @example(parse_expr("(2 + i)*a*a*a*b - __z*a + twopii"), "a")  # a constant denominator
+    @example(parse_expr("(a - b)/(1 + i*b)"), "__z")              # free of the variable
+    def test_log_derivative_is_sympys_derivative_of_the_log(self, oracle, p, v):
+        """(N'D - ND')/(ND) is d log(N/D), memoized beside the derivative."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol(v)
+        ours = p.log_derivative(v)
+        assert p.log_derivative(v) is ours
+        assert_canonical(ours.num)
+        assert ours.den.leading()[1] == (ours.den.den, 0)
+        f = oracle.to_sympy(p.num).as_expr() / oracle.to_sympy(p.den).as_expr()
+        difference = oracle.to_sympy(ours.num).as_expr() / oracle.to_sympy(ours.den).as_expr() \
+            - sympy.diff(sympy.log(f), x)
+        assert sympy.expand(sympy.numer(sympy.together(difference))) == 0
+
+    def test_log_derivative_of_zero_raises(self):
+        with pytest.raises(MalformedExpressionError):
+            RationalExpr.zero().log_derivative("a")
+
+    @settings(max_examples=60, deadline=None)
     @given(polys, st.one_of(st.integers(1, 12).map(lambda d: Fraction(1, d)),
                             st.integers(-3, -1), _coefficients.filter(lambda c: not c.is_zero())))
     @example(PolyExpr.var("a") * 3 + 1, ExactScalar(2, 1))

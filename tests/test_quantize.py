@@ -3,6 +3,7 @@ closed-form integration."""
 
 import copy
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,15 @@ from quantbench.catalog import (
     sphere_family_scenario,
     standard_complex_structure,
 )
-from quantbench.bundles import kostant_operator
+from quantbench.bundles import kostant_operator, trivial_bundle
+from quantbench.cech import GoodCover
 from quantbench.errors import (
     MalformedExpressionError,
     UnsupportedFiberError,
     UnsupportedIntegrationError,
 )
 from quantbench.exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational, parse_expr
+from quantbench.geometry import Chart, FiberedAtlas
 from quantbench.linalg import det, rref, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
@@ -310,6 +313,57 @@ class TestHolomorphicSolve:
         assert pivots == their_pivots
         assert ours[:len(pivots)] == theirs[:len(pivots)]
         assert all(v.is_zero() for row in ours[len(pivots):] for v in row)
+
+    def test_the_system_has_no_more_rows_than_columns(self, monkeypatch,
+                                                      rotation_scenarios):
+        """Over z, zbar every gluing term on the projective line is one
+        monomial: the level-4 system has 13 rows for its 18 columns, where
+        the system over x, y had 239."""
+        scenario = rotation_scenarios[4]
+        shapes = []
+
+        def counted(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return rref(rows)
+        monkeypatch.setattr(quantize, "rref", counted)
+        cap = scenario.ansatz_cap
+        basis = holomorphic_solve(scenario.bundle, scenario.structure,
+                                  scenario.holomorphic_coords, cap, cap + 2)
+        assert basis.dimension == basis.probe_dimension == 5
+        assert shapes == [(13, 18)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), _xy_polys,
+                              st.lists(st.sampled_from(_DEN_FACTORS), max_size=2)),
+                    min_size=1, max_size=5))
+    def test_rows_over_z_zbar_reduce_as_the_rows_over_x_y(self, drawn):
+        """The solver's map x, y -> z, zbar is linear and invertible, so the
+        rows of an identity and of its image have one reduced form."""
+        to_zz = quantize._zz_map("x", "y")
+        indexed = [(pos, RationalExpr(num, _product(den))) for pos, num, den in drawn]
+        ours, pivots = rref(quantize._linear_rows(
+            [(pos, expr.subst(to_zz)) for pos, expr in indexed], 4))
+        theirs, their_pivots = rref(quantize._linear_rows(indexed, 4))
+        assert pivots == their_pivots
+        assert ours[:len(pivots)] == theirs[:len(pivots)]
+
+    @pytest.mark.parametrize("coordinate,dimension", [("x - i*y", 4), ("x + i*y", 1)])
+    def test_powers_follow_the_derivation_rule(self, coordinate, dimension):
+        """On the trivial bundle over a plane every power of z is polarized,
+        and of the powers of zbar only the constant is: the frame derivative
+        of zbar^a is a zbar^(a-1) times that of zbar, which is not 0."""
+        plane = FiberedAtlas([Chart("P", fiber_coords=("x", "y"), star_shaped=True)])
+        bundle = trivial_bundle(GoodCover(plane, ["P"], [], chart_refs={("P",): "P"}))
+        structure = quantize.ComplexStructureData(plane, {"P": [[0, 1], [-1, 0]]})
+        basis = holomorphic_solve(bundle, structure, {"P": parse_expr(coordinate)}, 3)
+        assert basis.dimension == dimension
+
+    def test_the_solver_needs_a_two_coordinate_fiber(self):
+        # foliation-flat's trivial line lies over a point fiber
+        bundle = catalog.foliation_flat_scenario().bundle
+        structure = quantize.ComplexStructureData(bundle.cover.atlas, {})
+        with pytest.raises(UnsupportedFiberError, match="2-dimensional fiber"):
+            holomorphic_solve(bundle, structure, {"F": parse_expr("x")}, 1)
 
     def test_linear_rows_add_repeated_positions(self):
         x, one = parse_expr("x"), parse_expr("1")
@@ -729,6 +783,83 @@ class TestInducedRepresentation:
             assert len(result.matrices) == 3
             for mat in result.matrices:
                 assert len(mat) == result.dimension
+
+
+def _gaussian(text):
+    """(re, im) as Fractions from a report entry such as "3/4", "-1/2i" or
+    "1/2-2/3i"."""
+    match = re.fullmatch(r"(-?\d+(?:/\d+)?)??([+-]?\d+(?:/\d+)?i)?", text)
+    assert match and text, text
+    re_part, im_part = match.groups()
+    return (Fraction(re_part or 0), Fraction(im_part[:-1]) if im_part else Fraction(0))
+
+
+def _records(scenario):
+    return {r.check_id: r for r in runner.run_scenario(scenario).records}
+
+
+class TestSpinClosedForms:
+    """The level-k sphere quantizes to spin k/2 (Borel-Weil): in the basis
+    z^m, m = 0..k, the Gram is the Beta integral m!(k-m)!/(k+1)!, the third
+    generator is i(k/2 - m) on z^m, and J_a = i M_a are the spin matrices up
+    to a diagonal change of basis.  The expected numbers are computed here
+    from factorials, at levels no digest pins."""
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_su2_orbit(self, k):
+        records = _records(catalog.su2_orbit_scenario(k))
+        assert records["holomorphic-dimension"].status == "pass"
+        assert records["holomorphic-dimension"].notes == [
+            f"dimension {k + 1} at caps {k + 2} and {k + 4}"]
+        details = records["quantization"].details
+        assert details["dimension"] == k + 1
+        gram = [[_gaussian(v) for v in row] for row in details["gram"]]
+        m1, m2, m3 = ([[_gaussian(v) for v in row] for row in details["matrices"][name]]
+                      for name in ("e1", "e2", "e3"))
+        zero = (Fraction(0), Fraction(0))
+        for m in range(k + 1):
+            for n in range(k + 1):
+                if m == n:
+                    beta = Fraction(math.factorial(m) * math.factorial(k - m),
+                                    math.factorial(k + 1))
+                    assert gram[m][m] == (beta, 0)
+                    assert m3[m][m] == (0, Fraction(k, 2) - m)
+                else:
+                    assert gram[m][n] == zero and m3[m][n] == zero
+
+        def times_i(z):
+            return (-z[1], z[0])
+
+        # J_a = i M_a, and J_+- = J_1 +- i J_2 = i M_1 -+ M_2
+        j1, j2 = ([[times_i(v) for v in row] for row in mat] for mat in (m1, m2))
+        raising = [[(a[0] - b[1], a[1] + b[0]) for a, b in zip(r1, r2)]
+                   for r1, r2 in zip(j1, j2)]
+        lowering = [[(a[0] + b[1], a[1] - b[0]) for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(j1, j2)]
+        for m in range(k + 1):
+            for n in range(k + 1):
+                if m != n + 1:
+                    assert raising[m][n] == zero
+                if n != m + 1:
+                    assert lowering[m][n] == zero
+        for m in range(k):
+            (ar, ai), (br, bi) = raising[m + 1][m], lowering[m][m + 1]
+            # J_+ J_- on the weight m - k/2 + 1 of spin k/2: (m + 1)(k - m)
+            assert (ar * br - ai * bi, ar * bi + ai * br) == ((m + 1) * (k - m), 0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_u1_rotation(self, k):
+        records = _records(catalog.u1_rotation_scenario(k))
+        assert records["holomorphic-dimension"].notes == [
+            f"dimension {k + 1} at caps {k + 2} and {k + 4}"]
+        (mat,) = records["quantization"].details["matrices"].values()
+        assert [_gaussian(mat[m][m]) for m in range(k + 1)] == \
+            [(0, Fraction(k, 2) - m) for m in range(k + 1)]
+        # the record's weight w has eigenvalue -i w, so it reads -(k/2 - m)
+        weights = records["integrated-representation"].details["weights"]
+        assert [-Fraction(w) for w in weights] == [Fraction(k, 2) - m for m in range(k + 1)]
+        assert records["quantum-projector"].notes == [
+            f"fixed-subspace dimension {1 if k % 2 == 0 else 0}"]
 
 
 class TestIntegration:

@@ -332,13 +332,31 @@ def test_failed_curvature_match_skips_the_operator_checks():
 
 
 def test_unexpected_exception_is_a_failed_record(monkeypatch):
-    def broken(scenario):
+    def broken(scenario, residual):
         raise RuntimeError("boom")
     monkeypatch.setattr(hamiltonian, "internal_momentum_check", broken)
     report = run_scenario(catalog.build_scenario("pair-groupoid-flat"))
     record = next(r for r in report.records if r.check_id == "internal-momentum")
     assert (record.status, record.failures) == ("fail", [("RuntimeError", "boom")])
     assert report.records[-1].check_id == "scenario-note"  # the run went on
+
+
+def test_the_fiber_residuals_are_built_once_per_run(monkeypatch):
+    """internal-momentum and quantization-condition read one residual per
+    generator: on su2-orbit every generator is in the isotropy."""
+    calls = Counter()
+    original = hamiltonian.fiber_residual
+
+    def counted(scenario, i):
+        calls[i] += 1
+        return original(scenario, i)
+    monkeypatch.setattr(hamiltonian, "fiber_residual", counted)
+    scenario = catalog.build_scenario("su2-orbit-k", 1)
+    assert scenario.model.isotropy_indices == (0, 1, 2)
+    records = {r.check_id: r for r in run_scenario(scenario).records}
+    assert calls == {0: 1, 1: 1, 2: 1}
+    assert records["internal-momentum"].status == records["quantization-condition"].status \
+        == "pass"
 
 
 def test_each_validation_runs_once_in_the_table(monkeypatch):

@@ -43,6 +43,7 @@ SCALAR_ORACLE = "tests/test_exprs.py::TestScalarAgainstFractionPairs"
 INDUCED = "tests/test_quantize.py::TestInducedRepresentation"
 INNER = "tests/test_quantize.py::TestInnerProducts"
 SOLVE = "tests/test_quantize.py::TestHolomorphicSolve"
+SPIN = "tests/test_quantize.py::TestSpinClosedForms"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -360,6 +361,32 @@ MUTANTS = [
      "old": "        if self.is_constant():\n            return hash(self.constant_value())\n",
      "new": "",
      "tests": ["tests/test_exprs.py::TestImmutability::test_constants_hash_as_the_equal_scalar"]},
+    {"name": "_zz_map: a singular map, y sent to (z + zbar)/2",
+     "file": QUANTIZE,
+     "old": "            y_name: RationalExpr((z - zb) * PolyExpr.const(half * I))}",
+     "new": "            y_name: RationalExpr((z + zb) * PolyExpr.const(half))}",
+     "tests": [f"{SOLVE}::test_rows_over_z_zbar_reduce_as_the_rows_over_x_y"]},
+    {"name": "holomorphic_solve: c_jk left over x, y while the powers are over z, zbar",
+     "file": QUANTIZE,
+     "old": "        moved = to_chart(atlas, c.rational, c.chart, chart_j).subst(to_zz[j])",
+     "new": "        moved = to_chart(atlas, c.rational, c.chart, chart_j)",
+     "tests": [f"{SOLVE}::test_dimensions", f"{SPIN}::test_su2_orbit"]},
+    {"name": "holomorphic_solve: the D0(h) term of the derivation rule dropped",
+     "file": QUANTIZE,
+     "old": "            [(column[p, a], pot * h_a + (powers[p][a - 1] * d0_h * a if a else 0))",
+     "new": "            [(column[p, a], pot * h_a)",
+     "tests": [f"{SOLVE}::test_powers_follow_the_derivation_rule"]},
+    {"name": "catalog: the sphere's ansatz cap stops at 6, too small past level 4",
+     "file": CATALOG,
+     "old": "holomorphic_coords=holomorphic_coordinates(), ansatz_cap=max(k, 0) + 2)",
+     "new": "holomorphic_coords=holomorphic_coordinates(), ansatz_cap=min(max(k, 0) + 2, 6))",
+     "tests": [f"{SPIN}::test_su2_orbit"]},
+    {"name": "RationalExpr.log_derivative: the sign of ND' flipped",
+     "file": EXPRS,
+     "old": "            top = num.derivative(var) * den - num * den.derivative(var)",
+     "new": "            top = num.derivative(var) * den + num * den.derivative(var)",
+     "tests": ["tests/test_exprs.py::TestAgainstSympy::"
+               "test_log_derivative_is_sympys_derivative_of_the_log"]},
 ] + [
     {"name": f"{cls}.__setattr__: attributes may be set",
      "file": path,
