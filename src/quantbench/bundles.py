@@ -89,17 +89,18 @@ def _add_overlap(a, b):
 
 class LineBundleData:
     """Cover + transitions c_jk + metric weights h_j + potentials eta_j.  The
-    data is not changed after construction, so `curvature` is computed once."""
+    attributes cannot be set after construction, so `curvature` is computed
+    once."""
 
     def __init__(self, name, cover: GoodCover, transitions, metric_weights,
                  potentials, branch_offsets=None):
-        self.name = name
-        self.cover = cover
-        self.transitions = {tuple(k): v for k, v in transitions.items()}
-        self.metric_weights = dict(metric_weights)
-        self.potentials = dict(potentials)
-        self.branch_offsets = dict(branch_offsets or {})
-        self._curvature = None
+        vars(self).update(name=name, cover=cover,
+                          transitions={tuple(k): v for k, v in transitions.items()},
+                          metric_weights=dict(metric_weights), potentials=dict(potentials),
+                          branch_offsets=dict(branch_offsets or {}), _curvature=None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LineBundleData is immutable")
 
     def patch_chart(self, index):
         return self.cover.chart_of((index,))
@@ -211,7 +212,7 @@ def _angle_coeff(value: TransitionValue) -> ExactScalar:
 def curvature(bundle: LineBundleData) -> DifferentialForm:
     """Chartwise d eta_j, checked consistent across patches and transitions."""
     if bundle._curvature is None:
-        bundle._curvature = _curvature_form(bundle)
+        vars(bundle)["_curvature"] = _curvature_form(bundle)
     return bundle._curvature
 
 
@@ -447,12 +448,10 @@ def pic_dual(a: LineBundleData) -> LineBundleData:
                           branch_offsets=dict(a.branch_offsets))
 
 
-def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData,
-                          d_mu=None) -> CheckResult:
-    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data;
-    `d_mu` is d_A mu when the caller has it already."""
+def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> CheckResult:
+    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data."""
     if scenario.momentum is None:
         return CheckResult(True, notes=["no witness declared"], status="hypotheses-not-met")
-    result = _exactness_check(scenario, curvature(bundle), d_mu)
+    result = _exactness_check(scenario, curvature(bundle))
     result.notes.append("witness: the declared momentum pairing exhibits alpha^*K as exact")
     return result

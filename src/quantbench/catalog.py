@@ -295,9 +295,8 @@ def control_flipped_momentum(k: int = 2) -> ActionScenario:
     base = su2_orbit_scenario(k)
     pairings = [dict(base.momentum.pairing(0)), dict(base.momentum.pairing(1)),
                 {ch: -v for ch, v in base.momentum.pairing(2).items()}]
-    base.name = f"control-flipped-momentum-{k}"
-    base.momentum = MomentumMapRep(base.model, pairings)
-    return base
+    return base.replace(name=f"control-flipped-momentum-{k}",
+                        momentum=MomentumMapRep(base.model, pairings))
 
 
 def control_scaled_momentum(k: int = 2) -> ActionScenario:
@@ -306,9 +305,8 @@ def control_scaled_momentum(k: int = 2) -> ActionScenario:
     factor = {"N": _pe("1+x"), "S": _pe("1+u/(u^2+v^2)")}
     pairings = [{ch: v * factor[ch] for ch, v in base.momentum.pairing(i).items()}
                 for i in range(3)]
-    base.name = f"control-scaled-momentum-{k}"
-    base.momentum = MomentumMapRep(base.model, pairings)
-    return base
+    return base.replace(name=f"control-scaled-momentum-{k}",
+                        momentum=MomentumMapRep(base.model, pairings))
 
 
 def control_imaginary_momentum(k: int = 2) -> ActionScenario:
@@ -317,9 +315,8 @@ def control_imaginary_momentum(k: int = 2) -> ActionScenario:
     i_unit = ExactScalar(0, 1)
     pairings = [{ch: v * i_unit for ch, v in base.momentum.pairing(idx).items()}
                 for idx in range(3)]
-    base.name = f"control-imaginary-momentum-{k}"
-    base.momentum = MomentumMapRep(base.model, pairings)
-    return base
+    return base.replace(name=f"control-imaginary-momentum-{k}",
+                        momentum=MomentumMapRep(base.model, pairings))
 
 
 def control_flipped_field(k: int = 2):

@@ -31,7 +31,6 @@ from .hamiltonian import (
     ActionScenario,
     MomentumMapRep,
     PresymplecticData,
-    momentum_differential,
     pairing_combination,
     _fn_add,
     _fn_scale,
@@ -271,17 +270,15 @@ def _fiber_pairings(scenario: ActionScenario) -> list:
     return scenario.momentum.pairings[scenario.model.gauge_base_count:]
 
 
-def gauge_momentum_verify(scenario: ActionScenario, d_mu=None) -> CheckResult:
+def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
     """The curvature pairing identity
     d_P mu(s1, s2) = <mu, F(s1, s2)> - omega(beta tau(s1), beta tau(s2)).
-    The two momentum conditions are their own rows of the check table.
-    `d_mu` is d_P mu when the caller has it already."""
+    The two momentum conditions are their own rows of the check table."""
     gauge = scenario.gauge
     model = scenario.model
     n_base = model.gauge_base_count
     dim = gauge.bundle_data.algebra.n
     curv = gauge.bundle_data.curvature_components()
-    d_mu = momentum_differential(scenario) if d_mu is None else d_mu
     atlas = scenario.atlas
     fiber_fields = [scenario.generator_field(n_base + a) for a in range(dim)]
     fiber_pairings = _fiber_pairings(scenario)
@@ -292,7 +289,7 @@ def gauge_momentum_verify(scenario: ActionScenario, d_mu=None) -> CheckResult:
                                           zip(gauge.tau(index), fiber_fields)))
 
     def residual(i, j):
-        terms = [d_mu.value(i, j), omega_fiber.apply(beta_tau(i), beta_tau(j))]
+        terms = [scenario.d_mu.value(i, j), omega_fiber.apply(beta_tau(i), beta_tau(j))]
         if j < n_base:
             terms.append(_fn_scale(pairing_combination(atlas, fiber_pairings, curv[(i, j)]),
                                    -1))

@@ -8,8 +8,7 @@ linearity over pulled-back base functions.
 
 from __future__ import annotations
 
-import copy
-from functools import partial
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -112,35 +111,53 @@ class ActionScenario:
     `integration` kind, a key of `quantize.INTEGRATIONS`; the family `level`;
     `degenerate` for a point orbit modeled with the zero form; a
     `full_quotient` description; and the `gauge` construction that built it.
-    A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
-    into every process."""
+    Immutable: `replace` builds a changed copy, with nothing derived yet, and
+    what the inputs alone determine is built on first use and kept.  A plain
+    class, not a dataclass: importing `dataclasses` pulls `inspect` into
+    every process."""
+
+    _INPUTS = ("name", "model", "action", "presymplectic", "momentum", "bundle",
+               "structure", "holomorphic_coords", "ansatz_cap", "zero_level",
+               "integration", "level", "degenerate", "full_quotient", "gauge")
 
     def __init__(self, name, model: AlgebroidModel, action: ActionMap,
                  presymplectic: PresymplecticData, momentum: MomentumMapRep, *,
                  bundle=None, structure=None, holomorphic_coords=None, ansatz_cap=None,
                  zero_level=None, integration=None, level=None, degenerate=False,
                  full_quotient=None, gauge=None):
-        self.name = name
-        self.model = model
-        self.action = action
-        self.presymplectic = presymplectic
-        self.momentum = momentum
-        self.bundle, self.structure = bundle, structure
-        self.holomorphic_coords, self.ansatz_cap = holomorphic_coords, ansatz_cap
-        self.zero_level, self.integration = zero_level, integration
-        self.level, self.degenerate = level, degenerate
-        self.full_quotient, self.gauge = full_quotient, gauge
-        self._action_model = None
+        given = locals()
+        vars(self).update({name: given[name] for name in self._INPUTS}, _residuals={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ActionScenario is immutable")
+
+    def replace(self, **changes) -> "ActionScenario":
+        """This scenario with `changes` to its inputs, nothing derived yet."""
+        return ActionScenario(**({name: getattr(self, name) for name in self._INPUTS} | changes))
 
     @property
     def atlas(self):
         return self.presymplectic.atlas
 
-    @property
+    @cached_property
     def action_model(self) -> AlgebroidModel:
-        if self._action_model is None:
-            self._action_model = action_algebroid(self.model, self.action)
-        return self._action_model
+        return action_algebroid(self.model, self.action)
+
+    @cached_property
+    def d_mu(self):
+        """d_A mu, or None when the scenario declares no momentum map."""
+        return None if self.momentum is None else momentum_differential(self)
+
+    def fiber_residual(self, i) -> DifferentialForm:
+        """`fiber_residual(self, i)`, built on the first call and kept."""
+        residual = self._residuals.get(i)
+        if residual is None:
+            residual = self._residuals[i] = fiber_residual(self, i)
+        return residual
+
+    @cached_property
+    def has_fibers(self) -> bool:
+        return any(chart.fiber_coords for chart in self.atlas.charts.values())
 
     def generator_field(self, index):
         return self.action.generator_field(index)
@@ -245,24 +262,22 @@ def fiber_residual(s: ActionScenario, i) -> DifferentialForm:
     return lhs + contraction.restrict(LEAF_J)
 
 
-def _fiber_hamilton_check(s: ActionScenario, indices, residual=None) -> CheckResult:
+def _fiber_hamilton_check(s: ActionScenario, indices) -> CheckResult:
     """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for the generators
-    `indices`; `residual(i)` gives `fiber_residual(s, i)`, from the caller's
-    memo when it has one."""
-    residual = residual or partial(fiber_residual, s)
+    `indices`."""
     failures = []
     for i in indices:
-        form = residual(i)
+        form = s.fiber_residual(i)
         if not form.is_zero():
             failures.append((s.model.generator_names[i], repr(form)))
     return CheckResult(not failures, failures)
 
 
-def internal_momentum_check(s: ActionScenario, residual=None) -> CheckResult:
+def internal_momentum_check(s: ActionScenario) -> CheckResult:
     """d^J <mu, X> = - iota_{alpha(X)} omega for isotropy generators.  For X
     in ker(anchor), alpha(X) is tangent to J, so there the identity is the
     quantization condition."""
-    return _fiber_hamilton_check(s, s.model.isotropy_indices, residual)
+    return _fiber_hamilton_check(s, s.model.isotropy_indices)
 
 
 def equivariance_check(s: ActionScenario) -> CheckResult:
@@ -281,24 +296,22 @@ def equivariance_check(s: ActionScenario) -> CheckResult:
     return CheckResult(not failures, failures, notes)
 
 
-def _exactness_check(s: ActionScenario, two_form: DifferentialForm, d_mu=None) -> CheckResult:
-    """d_A mu + alpha^* B = 0 on generator pairs, for the 2-form B; `d_mu` is
-    d_A mu when the caller has it already."""
-    d_mu = momentum_differential(s) if d_mu is None else d_mu
+def _exactness_check(s: ActionScenario, two_form: DifferentialForm) -> CheckResult:
+    """d_A mu + alpha^* B = 0 on generator pairs, for the 2-form B."""
     fields = [s.generator_field(i) for i in range(s.model.n)]
     failures = _pair_failures(s, combinations(range(s.model.n), 2), lambda i, j: _fn_add(
-        d_mu.value(i, j), two_form.apply(fields[i], fields[j])))
+        s.d_mu.value(i, j), two_form.apply(fields[i], fields[j])))
     return CheckResult(not failures, failures)
 
 
-def prequantization_condition_check(s: ActionScenario, d_mu=None) -> CheckResult:
+def prequantization_condition_check(s: ActionScenario) -> CheckResult:
     """d_A mu + alpha^* omega_tilde = 0 on generator pairs."""
-    return _exactness_check(s, s.presymplectic.omega_tilde, d_mu)
+    return _exactness_check(s, s.presymplectic.omega_tilde)
 
 
-def quantization_condition_check(s: ActionScenario, residual=None) -> CheckResult:
+def quantization_condition_check(s: ActionScenario) -> CheckResult:
     """d^J <mu, X> = -(iota_{alpha(X)} omega_tilde)|_J for every generator."""
-    return _fiber_hamilton_check(s, range(s.model.n), residual)
+    return _fiber_hamilton_check(s, range(s.model.n))
 
 
 def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScenario:
@@ -321,10 +334,10 @@ def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScena
             add = shift_form.coefficient(ch, ())
             shifted[ch] = shifted.get(ch, RationalExpr.zero()) + add
         pairings.append(shifted)
-    out = copy.copy(s)
-    out.name = name or f"{s.name}+perturbation"
-    out.presymplectic = PresymplecticData(s.atlas, omega_new, s.presymplectic.sample_points)
-    out.momentum = MomentumMapRep(s.model, pairings)
+    out = s.replace(name=name or f"{s.name}+perturbation",
+                    presymplectic=PresymplecticData(s.atlas, omega_new,
+                                                    s.presymplectic.sample_points),
+                    momentum=MomentumMapRep(s.model, pairings))
     pre = prequantization_condition_check(out)
     quant = quantization_condition_check(out)
     if not (pre.ok and quant.ok):
@@ -334,14 +347,14 @@ def perturb(s: ActionScenario, beta: DifferentialForm, name=None) -> ActionScena
     return out
 
 
-def dd_zero_report(s: ActionScenario, d_mu=None) -> CheckResult:
+def dd_zero_report(s: ActionScenario) -> CheckResult:
     """d_A o d_A = 0 on functions and on the momentum cochain, decided exactly.
 
     On a function, (d_A d_A f)(X, Y) is the vector field
     [alpha X, alpha Y] - alpha [X, Y] applied to f, first order in f.  It
     vanishes for every f exactly when it vanishes on every coordinate of every
     chart, so those coordinates, each on the charts that have it, are the
-    whole test set.  `d_mu` is d_A mu when the caller has it already."""
+    whole test set."""
     failures = []
     names = s.model.generator_names
     charts = s.atlas.charts
@@ -353,7 +366,7 @@ def dd_zero_report(s: ActionScenario, d_mu=None) -> CheckResult:
         for (i, j), fn in dd.values.items():
             failures.extend((f"{names[i]},{names[j]}@chart {ch}", f"d_A^2 {coord} = {v}")
                             for ch, v in fn.items() if not v.is_zero())
-    dd_mu = algebroid_differential(momentum_differential(s) if d_mu is None else d_mu)
+    dd_mu = algebroid_differential(s.d_mu)
     for (i, j, k), fn in dd_mu.values.items():
         failures.extend((f"{names[i]},{names[j]},{names[k]}@chart {ch}", f"d_A^2 mu = {v}")
                         for ch, v in fn.items() if not v.is_zero())

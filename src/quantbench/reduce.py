@@ -63,10 +63,9 @@ class ZeroLevelData:
 
 
 class ReducedSpace:
-    def __init__(self, kind, dimension, omega0=None):
+    def __init__(self, kind, dimension):
         self.kind = kind  # "point" or "symplectic"
         self.dimension = dimension
-        self.omega0 = omega0
 
     def __repr__(self):
         return f"ReducedSpace({self.kind}, dim {self.dimension})"
@@ -82,7 +81,7 @@ def internal_mw_quotient(scenario: ActionScenario, z: ZeroLevelData) -> ReducedS
     if z.orbit_dimension == 0:
         # trivial isotropy: the quotient is the zero level, and the restricted
         # form is the reduced form
-        return ReducedSpace("symplectic", quotient_dim, omega0=scenario.presymplectic.omega)
+        return ReducedSpace("symplectic", quotient_dim)
     raise MalformedExpressionError(
         "positive-dimensional quotients with nontrivial isotropy need a declared model")
 

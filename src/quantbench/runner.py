@@ -6,7 +6,6 @@ needs and its function; `run_scenario` walks the table once."""
 from __future__ import annotations
 
 import time
-from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple
 
 from . import bundles, hamiltonian, quantize, reduce as reduce_mod
@@ -17,29 +16,15 @@ from .reports import CheckRecord, CheckResult, Report
 
 
 class RunContext:
-    """One run's scenario and artifacts.  The stage inputs are the
-    scenario's own fields.  The checks that produce `operators`, `basis`,
-    `representation`, `reduced`, `descent` and `fixed_subspace` set them;
-    `d_mu` and `fiber_residual` are built on first use by the rows that
-    read them."""
+    """One run's scenario and artifacts.  The stage inputs, and what they
+    alone determine, are the scenario's own.  The checks that produce
+    `operators`, `basis`, `representation`, `reduced`, `descent` and
+    `fixed_subspace` set them."""
 
     def __init__(self, scenario):
         self.scenario = scenario
-        self.has_fibers = any(chart.fiber_coords for chart in scenario.atlas.charts.values())
         self.operators = self.basis = self.representation = None
         self.reduced = self.descent = self.fixed_subspace = None
-
-    @cached_property
-    def d_mu(self):
-        """d_A mu, or None when the scenario declares no momentum map."""
-        s = self.scenario
-        return None if s.momentum is None else hamiltonian.momentum_differential(s)
-
-    @cached_property
-    def fiber_residual(self):
-        """Generator index -> its fiber Hamilton residual, built on first use
-        and shared by the internal-momentum and quantization-condition rows."""
-        return cache(partial(hamiltonian.fiber_residual, self.scenario))
 
 
 class Check(NamedTuple):
@@ -142,23 +127,23 @@ CHECKS = (
               {"nondegeneracy", "nondegeneracy-sample"})),
     Check("internal-momentum", "hamiltonian",
           "fiber identity d<mu,X> = -i_{alpha(X)} omega on ker(anchor)",
-          lambda c: hamiltonian.internal_momentum_check(c.scenario, c.fiber_residual)),
+          lambda c: hamiltonian.internal_momentum_check(c.scenario)),
     Check("coadjoint-equivariance", "hamiltonian",
           "alpha(X).<mu,Y> = <mu,[X,Y]> on isotropy pairs",
           lambda c: hamiltonian.equivariance_check(c.scenario)),
     Check("prequantization-condition", "hamiltonian",
           "algebroid differential of mu equals -alpha^* omega",
-          lambda c: hamiltonian.prequantization_condition_check(c.scenario, c.d_mu)),
+          lambda c: hamiltonian.prequantization_condition_check(c.scenario)),
     Check("quantization-condition", "hamiltonian",
           "fiber restriction d<mu,X> = -(i_{alpha(X)} omega)|_J",
-          lambda c: hamiltonian.quantization_condition_check(c.scenario, c.fiber_residual)),
+          lambda c: hamiltonian.quantization_condition_check(c.scenario)),
     Check("differential-squares-to-zero", "hamiltonian", "algebroid differential squares to zero",
-          lambda c: hamiltonian.dd_zero_report(c.scenario, c.d_mu)),
+          lambda c: hamiltonian.dd_zero_report(c.scenario)),
     Check("gauge-curvature-formula", "hamiltonian", "potential curvature recomputed two ways",
           lambda c: curvature_formula_check(c.scenario),
           applies=lambda c: c.scenario.gauge is not None),
     Check("gauge-momentum", "hamiltonian", "curvature pairing identity for the twisted momentum",
-          lambda c: gauge_momentum_verify(c.scenario, c.d_mu),
+          lambda c: gauge_momentum_verify(c.scenario),
           applies=lambda c: c.scenario.gauge is not None),
     Check("bundle-data", "prequantize",
           "cocycle, metric compatibility, gluing, Hermitian potential",
@@ -177,12 +162,12 @@ CHECKS = (
           lambda c: bundles.connection_equivariance_check(c.scenario, c.operators),
           needs=("operators",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
-          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle, c.d_mu),
+          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle),
           needs=("bundle",)),
     Check("complex-structure", "quantize", "j^2 = -1 and transition compatibility",
           lambda c: c.scenario.structure.validate(), produces="structure",
           applies=lambda c: c.scenario.bundle is not None and
-          c.scenario.structure is not None and c.has_fibers),
+          c.scenario.structure is not None and c.scenario.has_fibers),
     Check("kahler-positivity", "quantize", "omega(j . , .) positive at sample points",
           lambda c: _degenerate_downgrade(
               c, c.scenario.structure.positivity_check(c.scenario.presymplectic.omega)),
@@ -193,7 +178,8 @@ CHECKS = (
     Check("holomorphic-dimension", "quantize", "solution-space dimension with cap robustness",
           _holomorphic_dimension, needs=("bundle", "structure"), produces="basis",
           applies=lambda c: c.scenario.holomorphic_coords is not None,
-          note=lambda c: None if c.has_fibers else "fibers are points; quantization empty"),
+          note=lambda c: None if c.scenario.has_fibers else
+          "fibers are points; quantization empty"),
     Check("quantization", "quantize", "exact Gram matrix and representation matrices",
           _quantization, needs=("basis", "operators"), produces="representation"),
     Check("gram-positivity", "quantize", "exact leading principal minors of the Gram matrix",

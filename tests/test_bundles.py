@@ -63,9 +63,10 @@ class TestValidateBundle:
         assert validate_bundle(trivial_bundle(cover)).ok
 
     def test_mismatched_weights_fail(self, atlas):
-        bundle = o_bundle(atlas, 1)
+        good = o_bundle(atlas, 1)
         bad = o_bundle(atlas, 2)
-        bundle.metric_weights = dict(bad.metric_weights)  # O(1) with O(2) weights
+        bundle = LineBundleData(good.name, good.cover, good.transitions,
+                                bad.metric_weights, good.potentials)  # O(1) with O(2) weights
         report = validate_bundle(bundle)
         assert not report.ok
         assert any(f[0] == "metric" for f in report.failures)
@@ -73,9 +74,10 @@ class TestValidateBundle:
     def test_non_real_weight_fails(self, atlas):
         # i times the O(-1) weights: compatible on the overlap and with the
         # connection, but no metric, and the Gram matrix is then not Hermitian
-        bundle = o_bundle(atlas, -1)
-        bundle.metric_weights = {"N": parse_expr("i*(1+x^2+y^2)"),
-                                 "S": parse_expr("i*(1+u^2+v^2)")}
+        base = o_bundle(atlas, -1)
+        bundle = LineBundleData(base.name, base.cover, base.transitions,
+                                {"N": parse_expr("i*(1+x^2+y^2)"),
+                                 "S": parse_expr("i*(1+u^2+v^2)")}, base.potentials)
         report = validate_bundle(bundle)
         assert not report.ok
         assert [f[0] for f in report.failures] == ["metric", "metric"]
@@ -83,6 +85,13 @@ class TestValidateBundle:
 
 
 class TestCurvature:
+    def test_the_curvature_is_kept_by_an_immutable_bundle(self, atlas):
+        bundle = o_bundle(atlas, 1)
+        for name in [*vars(bundle), "other"]:
+            with pytest.raises(AttributeError, match="LineBundleData is immutable"):
+                setattr(bundle, name, None)
+        assert curvature(bundle) is curvature(bundle)
+
     def test_chern_connection_curvature(self, atlas, orbit_scenarios):
         for k in (0, 1, 2, 3):
             bundle = o_bundle(atlas, k)
@@ -310,8 +319,8 @@ class TestChernWitness:
         omega_tilde, so the witness fails on every pair with nonzero alpha^*
         omega_tilde while the prequantization condition passes."""
         from quantbench.runner import run_scenario
-        scenario = build_scenario("su2-orbit-k", 1)
-        scenario.bundle = o_bundle(scenario.atlas, 2)
+        base = build_scenario("su2-orbit-k", 1)
+        scenario = base.replace(bundle=o_bundle(base.atlas, 2))
         records = {r.check_id: r for r in run_scenario(scenario).records}
         assert records["prequantization-condition"].status == "pass"
         assert records["curvature-match"].status == "fail"

@@ -125,7 +125,6 @@ class TestMomentumVerify:
             assert gauge_momentum_verify(gauge_u1_character_scenario(n)).ok
 
     def test_broken_equivariance_fails(self, gauge_su2_1):
-        import copy
         s = gauge_su2_scenario(1)
         # scale one fiber momentum pairing by a fiber function: H-equivariance
         # of the fiber momentum breaks, and with it the curvature identity
@@ -133,7 +132,7 @@ class TestMomentumVerify:
         bad_pairings[2] = {ch: v * parse_expr("2") for ch, v in
                            bad_pairings[2].items()}
         from quantbench.hamiltonian import MomentumMapRep
-        s.momentum = MomentumMapRep(s.model, bad_pairings)
+        s = s.replace(momentum=MomentumMapRep(s.model, bad_pairings))
         report = gauge_momentum_verify(s)
         assert not report.ok
 

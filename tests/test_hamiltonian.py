@@ -1,23 +1,24 @@
 """Momentum-map conditions, the algebroid differential, perturbations."""
 
-import copy
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from quantbench import exprs
+from quantbench import exprs, hamiltonian
 from quantbench.catalog import (
+    build_scenario,
     control_flipped_momentum,
     control_scaled_momentum,
     pair_groupoid_scenario,
     s1_plane_scenario,
     sphere_atlas,
     sphere_family_scenario,
+    su2_orbit_scenario,
 )
 from quantbench.errors import PerturbationRejectedError
 from quantbench.exprs import RationalExpr, parse_expr
-from quantbench.geometry import DifferentialForm, LEAF_JTILDE, VectorField
+from quantbench.geometry import DifferentialForm, LEAF_J, LEAF_JTILDE, VectorField
 from quantbench.hamiltonian import (
     AlgebroidCochain,
     MomentumMapRep,
@@ -31,7 +32,8 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
-from quantbench.liealg import ActionMap
+from quantbench.liealg import ActionMap, lie_algebra
+from quantbench.runner import run_scenario
 
 
 class TestPresymplectic:
@@ -154,8 +156,8 @@ class TestAlgebroidDifferential:
         fields = list(gauge_su2_1.action.fields)
         fields[4] = fields[4] + VectorField(gauge_su2_1.atlas, LEAF_JTILDE,
                                             {"N": {"y": Fraction(1, 7)}})
-        perturbed = copy.copy(gauge_su2_1)
-        perturbed.action = ActionMap(gauge_su2_1.model, gauge_su2_1.atlas, fields)
+        perturbed = gauge_su2_1.replace(
+            action=ActionMap(gauge_su2_1.model, gauge_su2_1.atlas, fields))
         report = dd_zero_report(perturbed)
         assert not report.ok
         on_functions = [(label, text) for label, text in report.failures
@@ -306,3 +308,50 @@ class TestPerturb:
         with pytest.raises(PerturbationRejectedError) as err:
             perturb(s, beta)
         assert err.value.generator is not None
+
+
+class TestImmutableScenario:
+    def test_no_attribute_can_be_set(self):
+        s = su2_orbit_scenario(1)
+        names = [*vars(s), "action_model", "d_mu", "has_fibers", "fiber_residual", "other"]
+        assert {"name", "model", "momentum", "bundle", "gauge"} <= set(names)
+        for name in names:
+            with pytest.raises(AttributeError, match="ActionScenario is immutable"):
+                setattr(s, name, None)
+        assert (s.name, s.level) == ("su2-orbit-1", 1)
+
+    def test_replace_derives_afresh(self):
+        """Once the su(2) scenario has built its action algebroid and d_A mu,
+        a scenario with another model and action builds its own: four
+        generators whose table fails Jacobi, acting by zero fields."""
+        s = su2_orbit_scenario(1)
+        assert (s.action_model.n, s.d_mu.degree) == (3, 2)
+        s.fiber_residual(0)
+        model = lie_algebra("non-jacobi", ("e1", "e2", "e3", "e4"),
+                            {(0, 1, 0): 1, (1, 0, 0): -1, (1, 2, 1): 1, (2, 1, 1): -1,
+                             (2, 0, 2): 1, (0, 2, 2): -1})
+        zero = VectorField(s.atlas, LEAF_J, {"N": {}, "S": {}})
+        changed = s.replace(model=model, action=ActionMap(model, s.atlas, [zero] * 4))
+        assert (changed.action_model.n, s.action_model.n) == (4, 3)
+        records = {r.check_id: r for r in
+                   run_scenario(changed, checks=["bracket-structure"]).records}
+        assert records["action-morphism"].status == "pass"
+        assert records["bracket-structure"].status == "fail"
+        assert {label for label, _ in records["bracket-structure"].failures} == {"jacobi"}
+        again = s.replace(name="su2-orbit-1-again")
+        assert again.d_mu is not s.d_mu and again.action_model is not s.action_model
+        assert again.fiber_residual(0) is not s.fiber_residual(0)
+        records = {r.check_id: r for r in run_scenario(s, checks=["bracket-structure"]).records}
+        assert records["bracket-structure"].status == "pass"
+
+    @pytest.mark.parametrize("name", ["su2-orbit-1", "gauge-su2-1", "u1-rotation-reduction-2"])
+    def test_replace_without_changes_gives_the_same_report(self, name):
+        s = build_scenario(name)
+        assert run_scenario(s.replace()).canonical_json() == run_scenario(s).canonical_json()
+
+    def test_fiber_residuals_are_kept_per_generator(self):
+        s = control_flipped_momentum(1)
+        residuals = [s.fiber_residual(i) for i in range(3)]
+        assert [r.is_zero() for r in residuals] == [True, True, False]
+        assert all(s.fiber_residual(i) is r for i, r in enumerate(residuals))
+        assert repr(residuals[2]) == repr(hamiltonian.fiber_residual(s, 2))

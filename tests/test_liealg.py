@@ -208,7 +208,6 @@ class TestAlgebroidModels:
         anchors, so the bracket half of `action-morphism` reads
         [alpha dx, alpha dy] = 0 against alpha [dx, dy] = d/dx, and with its
         anchor half that is the whole anchor identity."""
-        import copy
         from quantbench.catalog import foliation_flat_scenario
         scenario = foliation_flat_scenario()
         good = scenario.model
@@ -217,8 +216,7 @@ class TestAlgebroidModels:
                                 good.anchor_fields)
         action = ActionMap(broken, scenario.atlas, scenario.action.fields)
         assert action.morphism_report().failures == [("bracket", "dx", "dy")]
-        bad = copy.copy(scenario)
-        bad.model, bad.action = broken, action
+        bad = scenario.replace(model=broken, action=action)
         record = run_scenario(bad, checks=["action-morphism"]).records[0]
         assert (record.check_id, record.status) == ("action-morphism", "fail")
         assert record.failures == [("bracket", "dx", "dy")]

@@ -22,7 +22,7 @@ from quantbench.catalog import (
     sphere_family_scenario,
     standard_complex_structure,
 )
-from quantbench.bundles import kostant_operator, trivial_bundle
+from quantbench.bundles import LineBundleData, kostant_operator, trivial_bundle
 from quantbench.cech import GoodCover
 from quantbench.errors import (
     MalformedExpressionError,
@@ -164,6 +164,12 @@ class Shifted:
         return image + f * self.shift if p in self.patches else image
 
 
+def _reweighted(bundle, patch, weight):
+    """`bundle` with the metric weight `weight` on `patch`."""
+    return LineBundleData(bundle.name, bundle.cover, bundle.transitions,
+                          {**bundle.metric_weights, patch: weight}, bundle.potentials)
+
+
 def _texts(basis):
     return [{p: str(f) for p, f in element.items()} for element in basis.elements]
 
@@ -268,8 +274,7 @@ class TestHolomorphicSolve:
 
     def test_robustness_mismatch_fails(self, orbit_scenarios):
         # at cap 1 only z glues on the level-2 sphere; at cap 3 so do 1 and z^2
-        scenario = copy.copy(orbit_scenarios[2])
-        scenario.ansatz_cap = 1
+        scenario = orbit_scenarios[2].replace(ansatz_cap=1)
         ctx = runner.RunContext(scenario)
         result = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension").run(ctx)
         assert (result.ok, result.failures) == (False, [("robustness", "1 vs 3")])
@@ -552,8 +557,7 @@ class TestInnerProducts:
                             (cancelling, weight),
                             (mixed, weight * f / f.num),
                             (mixed, RationalExpr(weight.num * Q, weight.den * Q))):
-            changed = copy.copy(bundle)
-            changed.metric_weights = {**bundle.metric_weights, p0: h}
+            changed = _reweighted(bundle, p0, h)
             full = [[inner_product(changed, {p0: a}, {p0: b}) for b in elements]
                     for a in elements]
             # the whole integrand, integrated at once
@@ -571,15 +575,14 @@ class TestInnerProducts:
         # a weight c q^k / q^N: the factored Gram raises for the same k as
         # the whole integrand
         basis = rotation_quantizations[2].basis
-        bundle = copy.copy(basis.bundle)
-        p0 = bundle.cover.index_set[0]
-        coords = bundle.cover.atlas.chart(bundle.patch_chart(p0)).fiber_coords
+        p0 = basis.bundle.cover.index_set[0]
+        coords = basis.bundle.cover.atlas.chart(basis.bundle.patch_chart(p0)).fiber_coords
         weight = basis.bundle.weight(p0)
         elements = [element[p0] for element in basis.elements]
         diverged = []
         for k in range(6):
             h = RationalExpr(weight.num * Q ** k, weight.den)
-            bundle.metric_weights = {**basis.bundle.metric_weights, p0: h}
+            bundle = _reweighted(basis.bundle, p0, h)
             try:
                 whole = [[fs_integral(a.conj() * b * h, *coords) for b in elements]
                          for a in elements]
@@ -602,10 +605,8 @@ class TestInnerProducts:
 
     def test_gram_with_a_non_q_weight_raises_as_inner_product_does(self, rotation_quantizations):
         basis = rotation_quantizations[2].basis
-        bundle = copy.copy(basis.bundle)
-        p0 = bundle.cover.index_set[0]
-        bundle.metric_weights = {**bundle.metric_weights,
-                                 p0: bundle.weight(p0) / parse_expr("x + 2")}
+        p0 = basis.bundle.cover.index_set[0]
+        bundle = _reweighted(basis.bundle, p0, basis.bundle.weight(p0) / parse_expr("x + 2"))
         with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):
             inner_product(bundle, basis.elements[0], basis.elements[0])
         with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):

@@ -319,8 +319,8 @@ def test_no_check_draws_from_an_rng():
 
 
 def test_failed_curvature_match_skips_the_operator_checks():
-    scenario = catalog.build_scenario("su2-orbit-k", 2)
-    scenario.bundle = catalog.o_bundle(scenario.atlas, 1)
+    base = catalog.build_scenario("su2-orbit-k", 2)
+    scenario = base.replace(bundle=catalog.o_bundle(base.atlas, 1))
     records = {r.check_id: r for r in run_scenario(scenario).records}
     residual = (curvature(scenario.bundle) - scenario.presymplectic.omega_tilde).simplify()
     assert records["curvature-match"].status == "fail"
@@ -332,7 +332,7 @@ def test_failed_curvature_match_skips_the_operator_checks():
 
 
 def test_unexpected_exception_is_a_failed_record(monkeypatch):
-    def broken(scenario, residual):
+    def broken(scenario):
         raise RuntimeError("boom")
     monkeypatch.setattr(hamiltonian, "internal_momentum_check", broken)
     report = run_scenario(catalog.build_scenario("pair-groupoid-flat"))

@@ -44,6 +44,8 @@ INDUCED = "tests/test_quantize.py::TestInducedRepresentation"
 INNER = "tests/test_quantize.py::TestInnerProducts"
 SOLVE = "tests/test_quantize.py::TestHolomorphicSolve"
 SPIN = "tests/test_quantize.py::TestSpinClosedForms"
+IMMUTABLE = "tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"
+SCENARIO = "tests/test_hamiltonian.py::TestImmutableScenario"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -387,13 +389,34 @@ MUTANTS = [
      "new": "            top = num.derivative(var) * den + num * den.derivative(var)",
      "tests": ["tests/test_exprs.py::TestAgainstSympy::"
                "test_log_derivative_is_sympys_derivative_of_the_log"]},
+    {"name": "ActionScenario.replace: the derived state copied with the inputs",
+     "file": HAMILTONIAN,
+     "old": "        return ActionScenario(**({name: getattr(self, name) for name in self._INPUTS}"
+            " | changes))",
+     "new": "        out = object.__new__(ActionScenario)\n"
+            "        vars(out).update(vars(self), **changes)\n"
+            "        return out",
+     "tests": [f"{SCENARIO}::test_replace_derives_afresh"]},
+    {"name": "ActionScenario.fiber_residual: one residual kept for every generator",
+     "file": HAMILTONIAN,
+     "old": "        residual = self._residuals.get(i)\n        if residual is None:\n"
+            "            residual = self._residuals[i] = fiber_residual(self, i)",
+     "new": "        residual = self._residuals.get(0)\n        if residual is None:\n"
+            "            residual = self._residuals[0] = fiber_residual(self, i)",
+     "tests": [f"{SCENARIO}::test_fiber_residuals_are_kept_per_generator",
+               "tests/test_runner.py::test_control_fails_and_skips_exactly_its_rows"]},
 ] + [
     {"name": f"{cls}.__setattr__: attributes may be set",
      "file": path,
      "old": f'        raise AttributeError("{cls} is immutable")',
      "new": "        object.__setattr__(self, name, value)",
-     "tests": ["tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"]}
-    for cls, path in (("ExactScalar", SCALARS), ("PolyExpr", EXPRS), ("RationalExpr", EXPRS))
+     "tests": [test]}
+    for cls, path, test in (
+        ("ExactScalar", SCALARS, IMMUTABLE), ("PolyExpr", EXPRS, IMMUTABLE),
+        ("RationalExpr", EXPRS, IMMUTABLE),
+        ("ActionScenario", HAMILTONIAN, f"{SCENARIO}::test_no_attribute_can_be_set"),
+        ("LineBundleData", BUNDLES, "tests/test_bundles.py::TestCurvature::"
+                                    "test_the_curvature_is_kept_by_an_immutable_bundle"))
 ]
 
 
