@@ -186,8 +186,7 @@ class PolyExpr:
         return from_ints(re, im, self.den)
 
     def variables(self) -> set:
-        used = reduce(or_, self.terms, 0)
-        return {v for v, s in _SHIFT.items() if (used >> s) & _MASK}
+        return {_NAMES[i] for i, _ in _fields(reduce(or_, self.terms, 0))}
 
     def total_degree(self) -> int:
         # an order key holds the total degree above its exponent fields

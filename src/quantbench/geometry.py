@@ -84,6 +84,7 @@ class FiberedAtlas:
         self.charts = {c.name: c for c in charts}
         self.transitions = {}
         self.leaf_structure = leaf_structure
+        self._roundtrip_failures = None
         for t in transitions:
             self.add_transition(t)
 
@@ -100,6 +101,7 @@ class FiberedAtlas:
                     f"transition {t.source}->{t.target} is not fiber-preserving "
                     f"({coord} depends on {sorted(extra)})")
         self.transitions[(t.source, t.target)] = t
+        self._roundtrip_failures = None
 
     def transition(self, source, target) -> Transition:
         try:
@@ -111,17 +113,20 @@ class FiberedAtlas:
         return self.charts[name]
 
     def check_transition_consistency(self):
-        """T_ba o T_ab = id on declared two-way overlaps, as rational maps."""
-        bad = []
-        for (a, b), t_ab in self.transitions.items():
-            t_ba = self.transitions.get((b, a))
-            if t_ba is None:
-                continue
-            for coord in self.charts[a].coords:
-                roundtrip = t_ab.compose_into(t_ba.exprs[coord])
-                if not (roundtrip - RationalExpr.var(coord)).is_zero():
-                    bad.append((a, b, coord))
-        return bad
+        """T_ba o T_ab = id on declared two-way overlaps, as rational maps;
+        kept until a transition is added, since `glue_check` reads it too."""
+        if self._roundtrip_failures is None:
+            bad = []
+            for (a, b), t_ab in self.transitions.items():
+                t_ba = self.transitions.get((b, a))
+                if t_ba is None:
+                    continue
+                for coord in self.charts[a].coords:
+                    roundtrip = t_ab.compose_into(t_ba.exprs[coord])
+                    if not (roundtrip - RationalExpr.var(coord)).is_zero():
+                        bad.append((a, b, coord))
+            self._roundtrip_failures = bad
+        return self._roundtrip_failures
 
 
 def to_chart(atlas, expr, source, target) -> RationalExpr:
@@ -297,29 +302,30 @@ class VectorField:
     def component(self, chart, coord) -> RationalExpr:
         return self.components.get(chart, {}).get(coord, RationalExpr.zero())
 
-    def __add__(self, other):
+    def __add__(self, other, subtract=False):
         if other.atlas is not self.atlas:
             raise AtlasMismatchError("fields on different atlases")
-        cls = _join(self.leafwise_class, other.leafwise_class)
         out = {}
         for ch in _charts_of(self.atlas, self.components, other.components):
             table = dict(self.components.get(ch, {}))
             for coord, v in other.components.get(ch, {}).items():
-                table[coord] = table.get(coord, RationalExpr.zero()) + v
+                if subtract:
+                    v = -v
+                table[coord] = table[coord] + v if coord in table else v
             out[ch] = table
-        return VectorField(self.atlas, cls, out)
+        return _field(self.atlas, _join(self.leafwise_class, other.leafwise_class), out)
 
     def __neg__(self):
         return self * ExactScalar(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, subtract=True)
 
     def __mul__(self, factor):
         factor = coerce_rational(factor)
         out = {ch: {coord: v * factor for coord, v in table.items()}
                for ch, table in self.components.items()}
-        return VectorField(self.atlas, self.leafwise_class, out)
+        return _field(self.atlas, self.leafwise_class, out)
 
     __rmul__ = __mul__
 
@@ -350,6 +356,16 @@ class VectorField:
         return "Field(" + "; ".join(bits) + ")" if bits else "Field(0)"
 
 
+def _field(atlas, leafwise_class, components) -> VectorField:
+    """A field operation's result, its tables inside the leafwise class: zero
+    entries are dropped, nothing is checked (outside input is validated)."""
+    field = object.__new__(VectorField)
+    field.atlas, field.leafwise_class = atlas, leafwise_class
+    field.components = {ch: {c: v for c, v in table.items() if not v.is_zero()}
+                        for ch, table in components.items()}
+    return field
+
+
 def _field_sum(atlas, leafwise_class, terms) -> VectorField:
     """Sum of coeff * field over (coeff, field) terms, skipping absent fields and
     zero coefficients; the zero field of `leafwise_class` when none remain."""
@@ -358,7 +374,7 @@ def _field_sum(atlas, leafwise_class, terms) -> VectorField:
         if field is not None and not coeff.is_zero():
             out = field * coeff if out is None else out + field * coeff
     return out if out is not None else \
-        VectorField(atlas, leafwise_class, {ch: {} for ch in atlas.charts})
+        _field(atlas, leafwise_class, dict.fromkeys(atlas.charts, {}))
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:
@@ -367,21 +383,25 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
         raise AtlasMismatchError("fields on different atlases")
     cls = _join(v.leafwise_class, w.leafwise_class)
     out = {}
+    zero = RationalExpr.zero()
     for ch in _charts_of(v.atlas, v.components, w.components, every=True):
-        chart = v.atlas.chart(ch)
+        vt, wt = v.components[ch], w.components[ch]
+        coords = v.atlas.chart(ch).coords
         table = {}
-        for coord in chart.coords:
-            total = RationalExpr.zero()
-            for c2 in chart.coords:
+        for coord in coords:
+            if coord not in vt and coord not in wt:
+                continue  # v.w^c - w.v^c with w^c = v^c = 0
+            total = zero
+            for c2 in coords:
                 # a zero coefficient adds nothing, so its derivative is not taken
-                a, b = v.component(ch, c2), w.component(ch, c2)
+                a, b = vt.get(c2, zero), wt.get(c2, zero)
                 if not a.is_zero():
-                    total = total + a * w.component(ch, coord).derivative(c2)
+                    total = total + a * wt.get(coord, zero).derivative(c2)
                 if not b.is_zero():
-                    total = total - b * v.component(ch, coord).derivative(c2)
+                    total = total - b * vt.get(coord, zero).derivative(c2)
             table[coord] = total
         out[ch] = table
-    return VectorField(v.atlas, cls, out)
+    return _field(v.atlas, cls, out)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +514,14 @@ def form_on_chart(atlas, form: DifferentialForm, chart) -> DifferentialForm:
 
 
 def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> CheckResult:
-    """Chart expressions agree under every declared transition."""
-    residuals = []
+    """Chart expressions agree under every declared transition.  Once a -> b
+    glues, b -> a is not decided if `check_transition_consistency` finds the
+    two maps inverse: T_ab^* w_b = w_a and T_ab o T_ba = id give T_ba^* w_a = w_b."""
+    residuals, glued = [], set()
     for (src, tgt), transition in atlas.transitions.items():
+        if (tgt, src) in glued and all({a, b} != {src, tgt}
+                                       for a, b, _ in atlas.check_transition_consistency()):
+            continue
         if src not in form.coefficients or tgt not in form.coefficients:
             residuals.append((src, tgt, "missing chart coefficients"))
             continue
@@ -504,10 +529,13 @@ def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> CheckResult:
         local = DifferentialForm(atlas, form.degree, LEAF_FULL,
                                  {src: form.coefficients[src]})
         diff = pulled - local
+        found = len(residuals)
         for idx, value in diff.coefficients.get(src, {}).items():
             value = value.simplify()
             if not value.is_zero():
                 residuals.append((src, tgt, f"d{idx}: {value}"))
+        if len(residuals) == found:
+            glued.add((src, tgt))
     return CheckResult(not residuals, residuals)
 
 

@@ -220,10 +220,9 @@ def algebroid_differential(cochain: AlgebroidCochain) -> AlgebroidCochain:
         for a, b in combinations(range(p + 1), 2):
             rest = gens[:a] + gens[a + 1:b] + gens[b + 1:]
             sign = (-1) ** (p + a + b)
-            for m, coeff in enumerate(model.generator_bracket(gens[a], gens[b])):
-                if not coeff.is_zero():
-                    total = _fn_add(total, _fn_scale(cochain.value(m, *rest),
-                                                     coeff if sign == 1 else -coeff))
+            for m, coeff in model.bracket_entries.get((gens[a], gens[b]), ()):
+                total = _fn_add(total, _fn_scale(cochain.value(m, *rest),
+                                                 coeff if sign == 1 else -coeff))
         for a in range(p + 1):
             derived = fields[gens[a]].derive(cochain.value(*gens[:a], *gens[a + 1:]))
             total = _fn_add(total, _fn_scale(derived, (-1) ** (p + a)))

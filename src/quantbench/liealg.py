@@ -12,6 +12,8 @@ alike.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import AtlasMismatchError, MalformedExpressionError, ModelMismatchError
 from .exprs import TWO_PI_I, RationalExpr, coerce_rational
 from .geometry import (
@@ -88,6 +90,9 @@ class AlgebroidModel:
     """Anchor + bracket over declared generating sections.
 
     bracket_table[(i, j)] is the coefficient vector of [gen_i, gen_j] (i < j);
+    bracket_entries[(i, j)] holds its nonzero (k, coefficient) pairs for both
+    orders of each pair, [gen_j, gen_i] = -[gen_i, gen_j] where the table
+    gives one order only.
     anchor_fields[i] is the vector field the anchor assigns to gen_i (None = 0).
     isotropy_indices flags the generators spanning ker(anchor).
     """
@@ -103,12 +108,20 @@ class AlgebroidModel:
         if len(set(self.generator_names)) != self.n or len(self.anchor_fields) != self.n:
             raise ModelMismatchError(f"{self.n} distinct generator names need "
                                      f"{self.n} anchor entries")
-        self.bracket_table = {}
+        table = {}
         for (i, j), vec in bracket_table.items():
             if not (0 <= i < self.n and 0 <= j < self.n and i != j) or len(vec) != self.n:
                 raise ModelMismatchError(f"bracket entry {(i, j)} needs two distinct "
                                          f"generator indices and {self.n} coefficients")
-            self.bracket_table[(i, j)] = tuple(coerce_rational(v) for v in vec)
+            table[(i, j)] = tuple(coerce_rational(v) for v in vec)
+        # read-only, since `bracket_entries` is derived from it once
+        self.bracket_table = MappingProxyType(table)
+        self.bracket_entries = {pair: tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
+                                for pair, vec in table.items()}
+        for (i, j), entries in list(self.bracket_entries.items()):
+            self.bracket_entries.setdefault((j, i), tuple((k, -c) for k, c in entries))
+        self._basis = tuple(self.section([int(i == k) for i in range(self.n)])
+                            for k in range(self.n))
         self.isotropy_indices = tuple(
             isotropy_indices if isotropy_indices is not None
             else [i for i, f in enumerate(self.anchor_fields)
@@ -126,19 +139,17 @@ class AlgebroidModel:
         return SectionRep(self, coeffs)
 
     def basis_section(self, index) -> "SectionRep":
-        return self.section([1 if i == index else 0 for i in range(self.n)])
+        """The kept section of generator `index`, which `ActionMap.of` knows."""
+        return self._basis[index]
 
     def generators(self):
-        return [self.basis_section(i) for i in range(self.n)]
+        return list(self._basis)
 
     def generator_bracket(self, i, j):
-        if i == j:
-            return tuple(RationalExpr.zero() for _ in range(self.n))
-        if (i, j) in self.bracket_table:
-            return self.bracket_table[(i, j)]
-        if (j, i) in self.bracket_table:
-            return tuple(-v for v in self.bracket_table[(j, i)])
-        return tuple(RationalExpr.zero() for _ in range(self.n))
+        out = [RationalExpr.zero()] * self.n
+        for k, c in self.bracket_entries.get((i, j), ()):
+            out[k] = c
+        return tuple(out)
 
     # -- structure maps ------------------------------------------------------
     def anchor(self, section: "SectionRep") -> VectorField:
@@ -146,36 +157,34 @@ class AlgebroidModel:
         return _field_sum(self.base_atlas, LEAF_FULL, zip(section.coeffs, self.anchor_fields))
 
     def bracket(self, s1: "SectionRep", s2: "SectionRep") -> "SectionRep":
-        """Leibniz extension of the generator bracket table."""
+        """Leibniz extension of the generator bracket table, over the nonzero
+        coefficients of both sections; a constant one is not derived."""
         self._own(s1)
         self._own(s2)
-        out = [RationalExpr.zero() for _ in range(self.n)]
-        for i, f in enumerate(s1.coeffs):
-            if f.is_zero():
-                continue
-            for j, g in enumerate(s2.coeffs):
-                if g.is_zero():
-                    continue
-                for k, c in enumerate(self.generator_bracket(i, j)):
-                    if not c.is_zero():
-                        out[k] = out[k] + f * g * c
-        for i, f in enumerate(s1.coeffs):
+        out = [RationalExpr.zero()] * self.n
+        fs = [(i, f) for i, f in enumerate(s1.coeffs) if not f.is_zero()]
+        gs = [(j, g) for j, g in enumerate(s2.coeffs) if not g.is_zero()]
+        for i, f in fs:
+            for j, g in gs:
+                for k, c in self.bracket_entries.get((i, j), ()):
+                    out[k] = out[k] + f * g * c
+        for i, f in fs:
             rho_i = self.anchor_fields[i]
-            if rho_i is None or f.is_zero():
+            if rho_i is None:
                 continue
-            for j, g in enumerate(s2.coeffs):
+            for j, g in filter(_varies_at, gs):
                 dg = _derive_everywhere(rho_i, g)
                 if not dg.is_zero():
                     out[j] = out[j] + f * dg
-        for j, g in enumerate(s2.coeffs):
+        for j, g in gs:
             rho_j = self.anchor_fields[j]
-            if rho_j is None or g.is_zero():
+            if rho_j is None:
                 continue
-            for i, f in enumerate(s1.coeffs):
+            for i, f in filter(_varies_at, fs):
                 df = _derive_everywhere(rho_j, f)
                 if not df.is_zero():
                     out[i] = out[i] - g * df
-        return self.section(out)
+        return SectionRep(self, out)
 
     def _own(self, section):
         if section.model is not self:
@@ -232,9 +241,12 @@ class AlgebroidModel:
 
 
 class SectionRep:
+    """One RationalExpr per generator of `model`, taken as given; outside
+    input goes through `AlgebroidModel.section`."""
+
     def __init__(self, model: AlgebroidModel, coeffs):
         self.model = model
-        self.coeffs = tuple(coerce_rational(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     def __add__(self, other):
         if other.model is not self.model:
@@ -257,6 +269,13 @@ class SectionRep:
         bits = [f"({c})*{n}" for c, n in zip(self.coeffs, self.model.generator_names)
                 if not c.is_zero()]
         return " + ".join(bits) if bits else "0"
+
+
+def _varies_at(entry) -> bool:
+    """Whether the coefficient of an (index, coefficient) pair has a
+    non-constant monomial on either side of its quotient."""
+    _, expr = entry
+    return any(expr.num.terms) or any(expr.den.terms)
 
 
 def _derive_everywhere(field: VectorField, expr: RationalExpr) -> RationalExpr:
@@ -311,6 +330,9 @@ class ActionMap:
     def of(self, section: SectionRep) -> VectorField:
         if section.model is not self.model:
             raise ModelMismatchError("section belongs to another model")
+        for i, gen in enumerate(self.model._basis):
+            if section is gen:
+                return self.generator_field(i)
         return _field_sum(self.target_atlas, LEAF_JTILDE, zip(section.coeffs, self.fields))
 
     def generator_field(self, index) -> VectorField:

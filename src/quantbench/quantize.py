@@ -23,7 +23,7 @@ from .hamiltonian import ActionScenario
 from .linalg import (conj_transpose, is_zero_matrix, kernel_basis, mat_mul, rref,
                      rref_kernel, solve_linear)
 from .reports import CheckResult
-from .scalars import ExactScalar, I, ONE, ZERO, from_ints
+from .scalars import ExactScalar, I, ZERO, from_ints
 
 
 class ComplexStructureData:
@@ -371,15 +371,6 @@ def _fiber_terms(expr: RationalExpr, x_name, y_name) -> _FiberTerms:
             raise UnsupportedFiberError("denominator is not a power of 1 + r^2")
     # den is monic, so the constant left is 1
     return _FiberTerms(_zz_decompose(expr.num, x_name, y_name), power)
-
-
-def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
-    """Exact integral against the unit Fubini-Study density.
-
-    Accepts P(x, y) / (1 + x^2 + y^2)^N; the density (1/pi)(1+r^2)^-2 dx dy is
-    included, so the result is (1/pi) int P (1+r^2)^(-N-2).
-    """
-    return _fs_pairing(_FiberTerms({(0, 0): ONE}, 0), _fiber_terms(expr, x_name, y_name))
 
 
 def _fs_pairing(left: _FiberTerms, right: _FiberTerms) -> ExactScalar:

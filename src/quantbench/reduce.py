@@ -71,7 +71,7 @@ class ReducedSpace:
         return f"ReducedSpace({self.kind}, dim {self.dimension})"
 
 
-def internal_mw_quotient(scenario: ActionScenario, z: ZeroLevelData) -> ReducedSpace:
+def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
     """Per-fiber symplectic quotient of the zero level by the isotropy orbits."""
     quotient_dim = z.level_dimension - z.orbit_dimension
     if quotient_dim < 0:

@@ -95,7 +95,7 @@ def _quantization(ctx):
 
 
 def _internal_quotient(ctx):
-    ctx.reduced = reduce_mod.internal_mw_quotient(ctx.scenario, ctx.scenario.zero_level)
+    ctx.reduced = reduce_mod.internal_mw_quotient(ctx.scenario.zero_level)
     return {"reduced": repr(ctx.reduced)}
 
 

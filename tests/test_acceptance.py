@@ -231,7 +231,7 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
         s = rotation_scenarios[k]
         z = s.zero_level
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
-                                  internal_mw_quotient(s, z),
+                                  internal_mw_quotient(z),
                                   descent_obstruction_check(
                                       s, kostant_operator(s, s.bundle), z))
         ok &= report.status == "pass" and report.ok
@@ -242,7 +242,7 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
     descent = descent_obstruction_check(s3, kostant_operator(s3, s3.bundle),
                                         s3.zero_level)
     report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
-                               internal_mw_quotient(s3, s3.zero_level), descent)
+                               internal_mw_quotient(s3.zero_level), descent)
     ok &= not descent.descends
     ok &= descent.obstructions["e1"] == ExactScalar(Fraction(1, 2))
     ok &= report3.status == "hypotheses-not-met"

@@ -591,22 +591,33 @@ class TestAgainstSympy:
 
 def _ring_subst(oracle, poly: PolyExpr, values: dict):
     """(A, B) with poly(values) = A/B in sympy's ring, `values` mapping names
-    to (numerator, denominator) ring pairs: the textbook term-by-term sum,
-    each term over the product of its values' denominators."""
+    to (numerator, denominator) ring pairs: the textbook term-by-term sum over
+    one common multiple B = prod d_v^(e_v), e_v the largest exponent of v in
+    `poly`, each term's numerator times the powers of d_v its own
+    denominator lacks.  A factor to the power 0 is skipped, since sympy's
+    ring raises on 0**0."""
     ring = oracle.ring
     gens = dict(zip(VARS, ring.gens))
-    total, common = ring.zero, ring.one
-    for exps, c in oracle.to_sympy(poly).terms():
-        num, den = ring(c), ring.one
+    terms = oracle.to_sympy(poly).terms()
+    top = {v: max((exps[k] for exps, _ in terms), default=0)
+           for k, v in enumerate(VARS) if v in values}
+    common = ring.one
+    for v, e in top.items():
+        if e:
+            common = common * values[v][1] ** e
+    total = ring.zero
+    for exps, c in terms:
+        num = ring(c)
         for v, e in zip(VARS, exps):
-            if not e:
-                continue
             if v in values:
                 n, d = values[v]
-                num, den = num * n ** e, den * d ** e
-            else:
+                if e:
+                    num = num * n ** e
+                if top[v] - e:
+                    num = num * d ** (top[v] - e)
+            elif e:
                 num = num * gens[v] ** e
-        total, common = total * den + num * common, common * den
+        total = total + num
     return total, common
 
 

@@ -28,7 +28,7 @@ from quantbench.hamiltonian import (
     presymplectic_check,
     quantization_condition_check,
 )
-from quantbench.liealg import su2
+from quantbench.liealg import AlgebroidModel, su2
 from quantbench.quantize import quantize_monomial
 from quantbench.runner import run_scenario
 from quantbench.reduce import (
@@ -50,7 +50,11 @@ class TestAssembly:
         the recomputed F(d_b1, d_b2), which then differs from the potential's."""
         scenario = gauge_su2_scenario(1)
         zero, one = parse_expr("0"), parse_expr("1")
-        scenario.model.bracket_table[(0, 1)] = (zero, zero, zero, zero, one)
+        m = scenario.model
+        table = {**m.bracket_table, (0, 1): (zero, zero, zero, zero, one)}
+        scenario = scenario.replace(model=AlgebroidModel(
+            m.name, m.variant, m.base_atlas, m.generator_names, table, m.anchor_fields,
+            m.isotropy_indices, m.gauge_base_count))
         report = run_scenario(scenario, checks={"gauge-curvature-formula"})
         (record,) = report.records
         assert (record.check_id, record.status) == ("gauge-curvature-formula", "fail")
@@ -179,6 +183,6 @@ class TestGaugeReduction:
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1
-        report = qr_commute_check(fixed, internal_mw_quotient(scenario, z), descent)
+        report = qr_commute_check(fixed, internal_mw_quotient(z), descent)
         assert report.status == "pass"
         assert "fixed dimension 1, reduced dimension 1" in report.notes

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantbench.catalog import omega_fs, rotation_fields, sphere_atlas
 from quantbench.errors import (
@@ -37,6 +39,7 @@ from quantbench.geometry import (
     pullback,
 )
 from quantbench.integrality import poincare_primitive
+from quantbench.reports import CheckResult
 from quantbench.scalars import ExactScalar
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -268,6 +271,92 @@ class TestGlue:
             assert glue_check_field(atlas, v).ok
 
 
+def _glue_every_direction(atlas, form) -> CheckResult:
+    """`glue_check` without its shortcut: every declared transition is
+    decided, whether or not its inverse glued."""
+    residuals = []
+    for (src, tgt), transition in atlas.transitions.items():
+        if src not in form.coefficients or tgt not in form.coefficients:
+            residuals.append((src, tgt, "missing chart coefficients"))
+            continue
+        local = DifferentialForm(atlas, form.degree, LEAF_FULL, {src: form.coefficients[src]})
+        for idx, value in (pullback(transition, form) - local).coefficients[src].items():
+            if not value.simplify().is_zero():
+                residuals.append((src, tgt, f"d{idx}: {value.simplify()}"))
+    return CheckResult(not residuals, residuals)
+
+
+def _wrong_inverse_atlas():
+    """The sphere's charts with the true N -> S map and an S -> N map that
+    does not undo it."""
+    n, s = sphere_atlas().charts.values()
+    return FiberedAtlas([n, s], [
+        Transition("N", "S", {"u": parse_expr("x/(x^2+y^2)"), "v": parse_expr("-y/(x^2+y^2)")}),
+        Transition("S", "N", {"x": parse_expr("u/(u^2+v^2)"), "y": parse_expr("v/(u^2+v^2)")})])
+
+
+class TestGlueShortcut:
+    """`glue_check` decides the second direction of an inverse pair only when
+    the first fails; its verdict is that of deciding every direction."""
+
+    @staticmethod
+    def same(a: CheckResult, b: CheckResult):
+        assert (a.ok, a.failures, a.notes, a.status) == (b.ok, b.failures, b.notes, b.status)
+
+    @staticmethod
+    def counted_pullbacks(monkeypatch):
+        from quantbench import geometry
+        calls = []
+        inner = geometry.pullback
+
+        def counting(transition, form):
+            calls.append((transition.source, transition.target))
+            return inner(transition, form)
+        monkeypatch.setattr(geometry, "pullback", counting)
+        return calls
+
+    def test_a_form_that_glues_is_pulled_back_once(self, monkeypatch):
+        atlas = sphere_atlas()
+        form = omega_fs(atlas, Fraction(3))
+        reference = _glue_every_direction(atlas, form)
+        calls = self.counted_pullbacks(monkeypatch)
+        self.same(glue_check(atlas, form), reference)
+        assert reference.ok and calls == [("N", "S")]
+        assert atlas.check_transition_consistency() == []
+
+    def test_a_perturbed_s_coefficient_fails_both_directions(self, monkeypatch):
+        atlas = sphere_atlas()
+        fs = omega_fs(atlas, Fraction(1))
+        form = DifferentialForm(atlas, 2, LEAF_JTILDE, {
+            "N": fs.terms("N"),
+            "S": {("u", "v"): fs.coefficient("S", ("u", "v")) + parse_expr("u")}})
+        reference = _glue_every_direction(atlas, form)
+        calls = self.counted_pullbacks(monkeypatch)
+        self.same(glue_check(atlas, form), reference)
+        assert {f[:2] for f in reference.failures} == {("N", "S"), ("S", "N")}
+        assert calls == [("N", "S"), ("S", "N")]
+
+    def test_a_pair_that_is_not_inverse_is_decided_both_ways(self, monkeypatch):
+        atlas = _wrong_inverse_atlas()
+        form = omega_fs(atlas, Fraction(1))
+        reference = _glue_every_direction(atlas, form)
+        calls = self.counted_pullbacks(monkeypatch)
+        self.same(glue_check(atlas, form), reference)
+        assert {bad[:2] for bad in atlas.check_transition_consistency()} == \
+            {("N", "S"), ("S", "N")}
+        assert [f[:2] for f in reference.failures] == [("S", "N")]
+        assert calls == [("N", "S"), ("S", "N")]
+
+    def test_adding_a_transition_drops_the_verdict(self):
+        atlas = sphere_atlas()
+        form = omega_fs(atlas, Fraction(1))
+        assert glue_check(atlas, form).ok and atlas.check_transition_consistency() == []
+        atlas.add_transition(_wrong_inverse_atlas().transition("S", "N"))
+        assert atlas.check_transition_consistency() != []
+        self.same(glue_check(atlas, form), _glue_every_direction(atlas, form))
+        assert not glue_check(atlas, form).ok
+
+
 class TestPoincarePrimitive:
     def test_area_form(self, atlas):
         area = DifferentialForm(atlas, 2, LEAF_J, {"N": {("x", "y"): 1}})
@@ -363,3 +452,88 @@ class TestVectorFields:
 
     def test_transition_consistency(self, atlas):
         assert atlas.check_transition_consistency() == []
+
+
+# two charts sharing a base coordinate b, so J, Jtilde and full fields differ
+_TWO_CHARTS = FiberedAtlas([Chart("A", base_coords=("b", "c"), fiber_coords=("x", "y"),
+                                  orbit_coords=("b",)),
+                            Chart("B", base_coords=("b",), fiber_coords=("p",),
+                                  orbit_coords=("b",))])
+
+
+@st.composite
+def _fields(draw, cls=None):
+    """A field on `_TWO_CHARTS` over some of its charts, each entry zero or
+    a small polynomial in the chart's coordinates."""
+    cls = cls or draw(st.sampled_from([LEAF_J, LEAF_JTILDE, LEAF_FULL]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    tables = {}
+    for name, chart in _TWO_CHARTS.charts.items():
+        if draw(st.booleans()):
+            tables[name] = {c: random_polynomial(chart.coords, rng, degree=1)
+                            if draw(st.booleans()) else 0 for c in chart.coords_for(cls)}
+    return VectorField(_TWO_CHARTS, cls, tables)
+
+
+def _same_entries(ours: VectorField, reference: VectorField):
+    """Equal class, charts in the same order, coordinates in the same order,
+    and each entry the same numerator and denominator."""
+    assert ours.leafwise_class == reference.leafwise_class
+    assert list(ours.components) == list(reference.components)
+    for ch, table in reference.components.items():
+        assert list(ours.components[ch]) == list(table)
+        for coord, value in table.items():
+            got = ours.components[ch][coord]
+            assert (got.num, got.den) == (value.num, value.den)
+
+
+def _validated_combination(v, w, sign):
+    """v + sign*w as the validating constructor builds it from the summed
+    tables, zero sums included."""
+    cls = max(v.leafwise_class, w.leafwise_class, key=[LEAF_J, LEAF_JTILDE, LEAF_FULL].index)
+    out = {}
+    for ch in _TWO_CHARTS.charts:
+        if ch in v.components or ch in w.components:
+            table = dict(v.components.get(ch, {}))
+            for coord, value in w.components.get(ch, {}).items():
+                term = value if sign == 1 else -value
+                table[coord] = table[coord] + term if coord in table else term
+            out[ch] = table
+    return VectorField(_TWO_CHARTS, cls, out)
+
+
+class TestFieldAlgebra:
+    """Sums, differences, multiples and commutators, built by the unchecked
+    field builder, equal what the validating constructor builds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_fields(), _fields(), st.booleans())
+    def test_sum_and_difference(self, v, w, cancel):
+        if cancel:  # every entry of v - v is zero, and is dropped
+            w = v
+        _same_entries(v + w, _validated_combination(v, w, 1))
+        _same_entries(v - w, _validated_combination(v, w, -1))
+        _same_entries(-w, _validated_combination(w * 0, w, -1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_fields(), st.sampled_from(["0", "3", "-1/2", "x - b", "1/(1 + y^2)"]))
+    def test_multiple(self, v, factor):
+        factor = parse_expr(factor)
+        reference = VectorField(_TWO_CHARTS, v.leafwise_class, {
+            ch: {c: value * factor for c, value in table.items()}
+            for ch, table in v.components.items()})
+        _same_entries(v * factor, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_fields(LEAF_JTILDE), _fields())
+    def test_commutator(self, v, w):
+        cls = max(v.leafwise_class, w.leafwise_class, key=[LEAF_J, LEAF_JTILDE, LEAF_FULL].index)
+        out = {}
+        for ch, chart in _TWO_CHARTS.charts.items():
+            if ch in v.components and ch in w.components:
+                out[ch] = {c: sum((v.component(ch, d) * w.component(ch, c).derivative(d)
+                                   - w.component(ch, d) * v.component(ch, c).derivative(d)
+                                   for d in chart.coords), RationalExpr.zero())
+                           for c in chart.coords}
+        _same_entries(commutator(v, w), VectorField(_TWO_CHARTS, cls, out))
+

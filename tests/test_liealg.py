@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantbench.catalog import (
+    gauge_su2_scenario,
     pair_groupoid_scenario,
     rotation_fields,
     sphere_atlas,
@@ -15,7 +19,7 @@ from quantbench.errors import (
     AtlasMismatchError,
     MalformedExpressionError,
 )
-from quantbench.exprs import coerce_rational, parse_expr
+from quantbench.exprs import PolyExpr, RationalExpr, coerce_rational, parse_expr
 from quantbench.geometry import (
     LEAF_J,
     LEAF_JTILDE,
@@ -353,3 +357,106 @@ class TestActions:
         section = derived.section([coeff, 0, 0])
         anchored = derived.anchor(section)
         assert (anchored - fields[0] * coeff).is_zero()
+
+
+@cache
+def _bracket_model(name) -> AlgebroidModel:
+    """su2-orbit-1's action algebroid (anchors on both sphere charts) or
+    gauge-su2-1's model (three isotropy generators and two base anchors)."""
+    if name == "su2-orbit-1":
+        return su2_orbit_scenario(1).action_model
+    return gauge_su2_scenario(1).model
+
+
+def _dense_bracket(model, chart, f, g):
+    """[f, g] for coefficient lists f and g: all n^3 structure terms, the
+    structure constants read off `bracket_table` (its missing order by
+    antisymmetry), plus every anchor term, each derivative taken on `chart`."""
+    n, zero = model.n, RationalExpr.zero()
+
+    def c(i, j, k):
+        if (i, j) in model.bracket_table:
+            return model.bracket_table[(i, j)][k]
+        if (j, i) in model.bracket_table:
+            return -model.bracket_table[(j, i)][k]
+        return zero
+
+    def rho(i, h):
+        field = model.anchor_fields[i]
+        return zero if field is None else field.derive(h, chart)
+
+    return [sum((f[i] * g[j] * c(i, j, k) for i in range(n) for j in range(n)), zero)
+            + sum((f[i] * rho(i, g[k]) - g[i] * rho(i, f[k]) for i in range(n)), zero)
+            for k in range(n)]
+
+
+def _coefficients(coords):
+    """Zero, a constant, a polynomial, a constant over a polynomial, or a
+    quotient of polynomials, in `coords`."""
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(coords)), parts,
+                            max_size=3).map(lambda table: PolyExpr({
+                                tuple((v, e) for v, e in zip(coords, exps) if e): c
+                                for exps, c in table.items()}))
+    nonzero = polys.filter(lambda p: not p.is_zero())
+    return st.one_of(st.just(RationalExpr.zero()), parts.map(RationalExpr.const),
+                     polys.map(RationalExpr), st.builds(RationalExpr, parts, nonzero),
+                     st.builds(RationalExpr, polys, nonzero))
+
+
+class TestSparseBracket:
+    """The bracket over the nonzero entries equals the dense Leibniz sum, and
+    section arithmetic equals what `model.section` builds."""
+
+    @pytest.mark.parametrize("name", ["su2-orbit-1", "gauge-su2-1"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bracket_is_the_dense_sum(self, name, data):
+        model = _bracket_model(name)
+        chart = data.draw(st.sampled_from(list(model.base_atlas.charts)))
+        coeffs = st.lists(_coefficients(model.base_atlas.chart(chart).coords),
+                          min_size=model.n, max_size=model.n)
+        f, g = data.draw(coeffs), data.draw(coeffs)
+        ours = model.bracket(model.section(f), model.section(g))
+        assert list(ours.coeffs) == _dense_bracket(model, chart, f, g)
+
+    @pytest.mark.parametrize("name", ["su2-orbit-1", "gauge-su2-1"])
+    def test_a_constant_over_a_polynomial_is_derived(self, name):
+        model = _bracket_model(name)
+        chart = next(iter(model.base_atlas.charts))
+        a, b = model.base_atlas.chart(chart).coords[:2]
+        f = [RationalExpr.const(1)] * model.n
+        g = [parse_expr(f"1/(1 + {a}^2 + {b})")] * model.n
+        ours = model.bracket(model.section(f), model.section(g))
+        assert list(ours.coeffs) == _dense_bracket(model, chart, f, g)
+        assert any(not c.is_zero() for c in ours.coeffs)
+
+    @pytest.mark.parametrize("name", ["su2-orbit-1", "gauge-su2-1"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_section_arithmetic_is_the_validated_section(self, name, data):
+        model = _bracket_model(name)
+        coeffs = st.lists(_coefficients(model.base_atlas.chart(
+            next(iter(model.base_atlas.charts))).coords), min_size=model.n, max_size=model.n)
+        s, t = model.section(data.draw(coeffs)), model.section(data.draw(coeffs))
+        factor = data.draw(st.sampled_from([parse_expr("0"), parse_expr("-2/3"),
+                                            parse_expr("1/(1+b1^2)")]))
+        for ours, tables in ((s + t, [a + b for a, b in zip(s.coeffs, t.coeffs)]),
+                             (s * factor, [a * factor for a in s.coeffs]),
+                             (model.bracket(s, t), _dense_bracket(
+                                 model, next(iter(model.base_atlas.charts)),
+                                 s.coeffs, t.coeffs))):
+            reference = model.section(tables)
+            assert ours.model is model and len(ours.coeffs) == model.n
+            assert all(type(c) is RationalExpr for c in ours.coeffs)
+            assert list(ours.coeffs) == list(reference.coeffs)
+
+    @pytest.mark.parametrize("family", ["su2-orbit-k", "gauge-su2-k", "s1-plane-action"])
+    def test_a_basis_section_acts_by_its_stored_field(self, family):
+        from quantbench.catalog import build_scenario
+        action = build_scenario(family).action
+        for i in range(action.model.n):
+            assert action.of(action.model.basis_section(i)) is action.fields[i]
+            copy = action.model.section(action.model.basis_section(i).coeffs)
+            assert action.of(copy) is not action.fields[i]
+

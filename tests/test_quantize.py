@@ -35,8 +35,10 @@ from quantbench.linalg import det, rref, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
     INTEGRATIONS,
+    _FiberTerms,
+    _fiber_terms,
+    _fs_pairing,
     commutation_check,
-    fs_integral,
     fs_monomial_integral,
     gram_matrix,
     holomorphic_solve,
@@ -61,6 +63,16 @@ _xy_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _sc
 Q = parse_expr("1 + x^2 + y^2").as_poly()
 _DEN_FACTORS = [parse_expr(t).as_poly() for t in ("x + 1", "x - y", "1 + x^2 + y^2",
                                                   "y + 2*i", "x^2 + y^2")]
+
+
+def fs_integral(expr: RationalExpr, x_name="x", y_name="y") -> ExactScalar:
+    """Exact integral against the unit Fubini-Study density, through the
+    integration path of `inner_product`.
+
+    Accepts P(x, y) / (1 + x^2 + y^2)^N; the density (1/pi)(1+r^2)^-2 dx dy is
+    included, so the result is (1/pi) int P (1+r^2)^(-N-2).
+    """
+    return _fs_pairing(_FiberTerms({(0, 0): ONE}, 0), _fiber_terms(expr, x_name, y_name))
 
 
 def _product(factors):

@@ -58,14 +58,14 @@ class TestZeroLevel:
 class TestInternalQuotient:
     def test_equator_reduces_to_point(self, rotation_scenarios):
         scenario = rotation_scenarios[2]
-        red = internal_mw_quotient(scenario, scenario.zero_level)
+        red = internal_mw_quotient(scenario.zero_level)
         assert red.kind == "point" and red.dimension == 0
 
     def test_trivial_isotropy_keeps_the_level(self, rotation_scenarios):
         scenario = rotation_scenarios[2]
         z = ZeroLevelData("N", [], {"x": parse_expr("p"), "y": parse_expr("q")},
                           ("p", "q"), orbit_dimension=0)
-        red = internal_mw_quotient(scenario, z)
+        red = internal_mw_quotient(z)
         assert red.kind == "symplectic" and red.dimension == 2
 
 
@@ -137,7 +137,7 @@ def _compare(scenario, result):
     """qr_commute_check on the artifacts its check-table row reads."""
     z = scenario.zero_level
     return qr_commute_check(quantum_fixed_subspace(result, scenario.model.isotropy_indices),
-                            internal_mw_quotient(scenario, z),
+                            internal_mw_quotient(z),
                             descent_obstruction_check(
                                 scenario, kostant_operator(scenario, scenario.bundle), z))
 
@@ -174,7 +174,7 @@ class TestComparison:
         scenario = rotation_scenarios[2]
         z = scenario.zero_level
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[2], []),
-                                  internal_mw_quotient(scenario, z),
+                                  internal_mw_quotient(z),
                                   descent_obstruction_check(
                                       scenario, kostant_operator(scenario, scenario.bundle), z))
         assert report.status == "fail" and not report.ok

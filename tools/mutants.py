@@ -46,6 +46,8 @@ SOLVE = "tests/test_quantize.py::TestHolomorphicSolve"
 SPIN = "tests/test_quantize.py::TestSpinClosedForms"
 IMMUTABLE = "tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"
 SCENARIO = "tests/test_hamiltonian.py::TestImmutableScenario"
+SPARSE = "tests/test_liealg.py::TestSparseBracket"
+GLUE_SHORTCUT = "tests/test_geometry.py::TestGlueShortcut"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -215,7 +217,9 @@ MUTANTS = [
      "old": "        field = self.fields[index]",
      "new": "        field = self.fields[index - 1]",
      "tests": ["tests/test_liealg.py::TestActions::"
-               "test_generator_field_is_the_image_of_the_basis_section"]},
+               "test_generator_field_is_the_image_of_the_basis_section",
+               "tests/test_liealg.py::TestSparseBracket::"
+               "test_a_basis_section_acts_by_its_stored_field"]},
     {"name": "scenario_io: s1-plane over a momentum on two charts",
      "file": SCENARIO_IO,
      "old": "        if len(charts) != 1 or not",
@@ -345,7 +349,8 @@ MUTANTS = [
      "old": "                if not a.is_zero():\n",
      "new": "                if not b.is_zero():\n",
      "tests": ["tests/test_geometry.py::TestVectorFields::test_commutator_of_a_coordinate_field",
-               "tests/test_geometry.py::TestVectorFields::test_commutator_is_the_coordinate_formula"]},
+               "tests/test_geometry.py::TestVectorFields::test_commutator_is_the_coordinate_formula",
+               "tests/test_geometry.py::TestFieldAlgebra::test_commutator"]},
     {"name": "catalog._pe: the parse table keyed by the first three characters",
      "file": CATALOG,
      "old": "    expr = _PARSED.get(text)\n    if expr is None:\n"
@@ -405,6 +410,37 @@ MUTANTS = [
             "            residual = self._residuals[0] = fiber_residual(self, i)",
      "tests": [f"{SCENARIO}::test_fiber_residuals_are_kept_per_generator",
                "tests/test_runner.py::test_control_fails_and_skips_exactly_its_rows"]},
+    {"name": "AlgebroidModel.bracket: a coefficient with a constant numerator not derived",
+     "file": LIEALG,
+     "old": "    return any(expr.num.terms) or any(expr.den.terms)",
+     "new": "    return any(expr.num.terms)",
+     "tests": [f"{SPARSE}::test_a_constant_over_a_polynomial_is_derived"]},
+    {"name": "AlgebroidModel: the (j, i) bracket entry read without its sign",
+     "file": LIEALG,
+     "old": "tuple((k, -c) for k, c in entries)",
+     "new": "tuple((k, c) for k, c in entries)",
+     "tests": [f"{SPARSE}::test_bracket_is_the_dense_sum"]},
+    {"name": "glue_check: the second direction skipped when the pair is not inverse",
+     "file": GEOMETRY,
+     "old": "        if (tgt, src) in glued and all({a, b} != {src, tgt}\n"
+            "                                       for a, b, _ in atlas.check_transition_consistency()):",
+     "new": "        if (tgt, src) in glued:",
+     "tests": [f"{GLUE_SHORTCUT}::test_a_pair_that_is_not_inverse_is_decided_both_ways"]},
+    {"name": "FiberedAtlas.add_transition: the round-trip verdict kept",
+     "file": GEOMETRY,
+     "old": "        self.transitions[(t.source, t.target)] = t\n        self._roundtrip_failures = None\n",
+     "new": "        self.transitions[(t.source, t.target)] = t\n",
+     "tests": [f"{GLUE_SHORTCUT}::test_adding_a_transition_drops_the_verdict"]},
+    {"name": "geometry._field: zero entries kept",
+     "file": GEOMETRY,
+     "old": "{c: v for c, v in table.items() if not v.is_zero()}",
+     "new": "dict(table)",
+     "tests": ["tests/test_geometry.py::TestFieldAlgebra::test_sum_and_difference"]},
+    {"name": "_Substitution.numerator: each term one power of its group denominator short",
+     "file": EXPRS,
+     "old": "            factors += [power(self.groups[g], k - d)",
+     "new": "            factors += [power(self.groups[g], k - d - 1)",
+     "tests": ["tests/test_exprs.py::TestSubstitution::test_values_over_distinct_denominators"]},
 ] + [
     {"name": f"{cls}.__setattr__: attributes may be set",
      "file": path,
