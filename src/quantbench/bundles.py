@@ -11,6 +11,8 @@ bundles share one code path.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cech import GoodCover, OverlapFunction, cocycle_value
 from .errors import CurvatureMismatchError, MalformedExpressionError
 from .exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational
@@ -21,6 +23,7 @@ from .geometry import (
     _field_sum,
     exterior_derivative,
     form_on_chart,
+    frozen,
     glue_check,
     interior_product,
     commutator,
@@ -89,15 +92,15 @@ def _add_overlap(a, b):
 
 class LineBundleData:
     """Cover + transitions c_jk + metric weights h_j + potentials eta_j.  The
-    attributes cannot be set after construction, so `curvature` is computed
-    once."""
+    attributes cannot be set after construction, and the tables are frozen
+    copies, so `curvature` is computed once."""
 
     def __init__(self, name, cover: GoodCover, transitions, metric_weights,
                  potentials, branch_offsets=None):
         vars(self).update(name=name, cover=cover,
-                          transitions={tuple(k): v for k, v in transitions.items()},
-                          metric_weights=dict(metric_weights), potentials=dict(potentials),
-                          branch_offsets=dict(branch_offsets or {}), _curvature=None)
+                          transitions=frozen({tuple(k): v for k, v in transitions.items()}),
+                          metric_weights=frozen(metric_weights), potentials=frozen(potentials),
+                          branch_offsets=frozen(branch_offsets or {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("LineBundleData is immutable")
@@ -118,6 +121,32 @@ class LineBundleData:
 
     def potential(self, index) -> DifferentialForm:
         return self.potentials[index]
+
+    @cached_property
+    def _curvature_form(self) -> DifferentialForm:  # what `curvature` returns
+        atlas = self.cover.atlas
+        tables = {}
+        for idx in self.cover.index_set:
+            chart = self.patch_chart(idx)
+            k_form = exterior_derivative(self.potential(idx))
+            table = k_form.coefficients.get(chart, {})
+            if chart in tables:
+                ref = tables[chart]
+                keys = set(ref) | set(table)
+                for key in keys:
+                    a = ref.get(key, RationalExpr.zero())
+                    b = table.get(key, RationalExpr.zero())
+                    if not (a - b).is_zero():
+                        raise MalformedExpressionError(
+                            f"curvature differs between patches sharing chart {chart}")
+            else:
+                tables[chart] = table
+        form = DifferentialForm(atlas, 2, LEAF_JTILDE, tables)
+        if len(tables) > 1:
+            report = glue_check(atlas, form)
+            if not report.ok:
+                raise MalformedExpressionError(f"curvature does not glue: {report.failures}")
+        return form
 
 
 def trivial_bundle(cover: GoodCover, name="trivial") -> LineBundleData:
@@ -210,36 +239,9 @@ def _angle_coeff(value: TransitionValue) -> ExactScalar:
 
 
 def curvature(bundle: LineBundleData) -> DifferentialForm:
-    """Chartwise d eta_j, checked consistent across patches and transitions."""
-    if bundle._curvature is None:
-        vars(bundle)["_curvature"] = _curvature_form(bundle)
-    return bundle._curvature
-
-
-def _curvature_form(bundle: LineBundleData) -> DifferentialForm:
-    atlas = bundle.cover.atlas
-    tables = {}
-    for idx in bundle.cover.index_set:
-        chart = bundle.patch_chart(idx)
-        k_form = exterior_derivative(bundle.potential(idx))
-        table = k_form.coefficients.get(chart, {})
-        if chart in tables:
-            ref = tables[chart]
-            keys = set(ref) | set(table)
-            for key in keys:
-                a = ref.get(key, RationalExpr.zero())
-                b = table.get(key, RationalExpr.zero())
-                if not (a - b).is_zero():
-                    raise MalformedExpressionError(
-                        f"curvature differs between patches sharing chart {chart}")
-        else:
-            tables[chart] = table
-    form = DifferentialForm(atlas, 2, LEAF_JTILDE, tables)
-    if len(tables) > 1:
-        report = glue_check(atlas, form)
-        if not report.ok:
-            raise MalformedExpressionError(f"curvature does not glue: {report.failures}")
-    return form
+    """Chartwise d eta_j, checked consistent across patches and transitions;
+    built once and kept by the bundle."""
+    return bundle._curvature_form
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,7 @@ def pic_dual(a: LineBundleData) -> LineBundleData:
     weights = {idx: RationalExpr.const(1) / a.weight(idx) for idx in a.cover.index_set}
     pots = {idx: -a.potential(idx) for idx in a.cover.index_set}
     return LineBundleData(f"{a.name}^*", a.cover, transitions, weights, pots,
-                          branch_offsets=dict(a.branch_offsets))
+                          branch_offsets=a.branch_offsets)
 
 
 def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> CheckResult:

@@ -99,8 +99,7 @@ def standard_complex_structure(atlas) -> ComplexStructureData:
     mat = [[_pe("0"), _pe("1")], [_pe("-1"), _pe("0")]]
     samples = [{"chart": "N", "point": {"x": 0.4, "y": -0.3}},
                {"chart": "S", "point": {"u": 0.2, "v": 0.5}}]
-    return ComplexStructureData(atlas, {"N": mat, "S": [[r for r in row] for row in mat]},
-                                positivity_samples=samples)
+    return ComplexStructureData(atlas, {"N": mat, "S": mat}, positivity_samples=samples)
 
 
 def holomorphic_coordinates():
@@ -293,7 +292,7 @@ def foliation_flat_scenario() -> ActionScenario:
 def control_flipped_momentum(k: int = 2) -> ActionScenario:
     """Vertical momentum component negated: internal check must fail."""
     base = su2_orbit_scenario(k)
-    pairings = [dict(base.momentum.pairing(0)), dict(base.momentum.pairing(1)),
+    pairings = [base.momentum.pairing(0), base.momentum.pairing(1),
                 {ch: -v for ch, v in base.momentum.pairing(2).items()}]
     return base.replace(name=f"control-flipped-momentum-{k}",
                         momentum=MomentumMapRep(base.model, pairings))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import MalformedExpressionError, OverlapMismatchError
 from .exprs import coerce_rational
-from .geometry import DifferentialForm, FiberedAtlas
+from .geometry import DifferentialForm, FiberedAtlas, frozen
 from .scalars import ExactScalar
 
 
@@ -38,12 +38,12 @@ class GoodCover:
                 if face and face not in simps:
                     raise MalformedExpressionError(
                         f"cover simplices not downward closed: missing {face}")
-        self.simplices = simps
-        self.position = pos
-        self.chart_refs = dict(chart_refs or {})
-        self.sample_points = dict(sample_points or {})
+        self.simplices = frozenset(simps)
+        self.position = frozen(pos)
+        self.chart_refs = frozen(chart_refs or {})
+        self.sample_points = frozen(sample_points or {})
         # chart-local closed 1-forms with unit monodromy (angle primitives)
-        self.angle_forms = dict(angle_forms or {})
+        self.angle_forms = frozen(angle_forms or {})
 
     def k_simplices(self, k):
         """The k-simplices in index order: the basis of C^k."""

@@ -201,8 +201,14 @@ class PolyExpr:
         return {_mono_tuple(m): from_ints(re, im, den) for m, (re, im) in self.terms.items()}
 
     # -- arithmetic --------------------------------------------------------
+    # an operand that does not coerce is left to its own reflected method,
+    # as in `ExactScalar`: `expr * field` is `field * expr`
     def __add__(self, other):
-        return _add(self, _coerce_poly(other), 1)
+        try:
+            other = _coerce_poly(other)
+        except MalformedExpressionError:
+            return NotImplemented
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -210,10 +216,17 @@ class PolyExpr:
         return _raw({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return _add(self, _coerce_poly(other), -1)
+        try:
+            other = _coerce_poly(other)
+        except MalformedExpressionError:
+            return NotImplemented
+        return _add(self, other, -1)
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
+        try:
+            other = _coerce_poly(other)
+        except MalformedExpressionError:
+            return NotImplemented
         if not self.terms:
             return self
         if not other.terms:
@@ -617,8 +630,11 @@ class RationalExpr:
         return self.num.variables() | self.den.variables()
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        other = _coerce_rational(other)
+    def __add__(self, other):  # a foreign operand as in `PolyExpr.__add__`
+        try:
+            other = _coerce_rational(other)
+        except MalformedExpressionError:
+            return NotImplemented
         # zero is 0/1, so a sum with it is the other operand as it stands
         if not other.num.terms:
             return self
@@ -635,16 +651,26 @@ class RationalExpr:
         return _quotient(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _coerce_rational(other)
+        try:
+            other = _coerce_rational(other)
+        except MalformedExpressionError:
+            return NotImplemented
         if not other.num.terms:
             return self
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce_rational(other) + (-self)
+        try:
+            other = _coerce_rational(other)
+        except MalformedExpressionError:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_rational(other)
+        try:
+            other = _coerce_rational(other)
+        except MalformedExpressionError:
+            return NotImplemented
         if not self.num.terms or not other.num.terms:
             return _ZERO
         # a factor 1/1 leaves the other operand as it stands, as a sum with
@@ -660,7 +686,10 @@ class RationalExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_rational(other)
+        try:
+            other = _coerce_rational(other)
+        except MalformedExpressionError:
+            return NotImplemented
         if other.is_zero():
             raise MalformedExpressionError("division by zero expression")
         return RationalExpr(self.num * other.den, self.den * other.num)

@@ -55,7 +55,7 @@ class PrincipalBundleData:
         if not self.base_chart.star_shaped:
             raise MalformedExpressionError("base chart must be star-shaped")
         self.algebra = algebra
-        self.potential = [tuple(coerce_rational(c) for c in vec) for vec in potential]
+        self.potential = tuple(tuple(coerce_rational(c) for c in vec) for vec in potential)
         if len(self.potential) != len(self.base_chart.coords):
             raise MalformedExpressionError("one potential component per base coordinate")
         for vec in self.potential:
@@ -108,22 +108,9 @@ def _product_atlas(base_chart: Chart, fiber_atlas: FiberedAtlas) -> FiberedAtlas
                             star_shaped=fc.star_shaped and base_chart.star_shaped))
     transitions = []
     for (src, tgt), t in fiber_atlas.transitions.items():
-        exprs = dict(t.exprs)
-        for b in base_chart.coords:
-            exprs[b] = RationalExpr.var(b)
+        exprs = t.exprs | {b: RationalExpr.var(b) for b in base_chart.coords}
         transitions.append(Transition(src, tgt, exprs, overlap=t.overlap))
     return FiberedAtlas(charts, transitions, leaf_structure="transitive")
-
-
-def _lift_field(field: VectorField, atlas: FiberedAtlas) -> VectorField:
-    return VectorField(atlas, LEAF_JTILDE,
-                       {ch: dict(tbl) for ch, tbl in field.components.items()})
-
-
-def _lift_form(form: DifferentialForm, atlas: FiberedAtlas,
-               leafwise_class) -> DifferentialForm:
-    return DifferentialForm(atlas, form.degree, leafwise_class,
-                            {ch: dict(tbl) for ch, tbl in form.coefficients.items()})
 
 
 def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario,
@@ -136,8 +123,8 @@ def build_gauge_scenario(bundle_data: PrincipalBundleData, fiber: ActionScenario
     algebra = bundle_data.algebra
     dim = algebra.n
     atlas = _product_atlas(base_chart, fiber.atlas)
-    fields = [_lift_field(v, atlas) for v in fiber.action.fields]
-    omega_fiber = _lift_form(fiber.presymplectic.omega, atlas, LEAF_J)
+    fields = [VectorField(atlas, LEAF_JTILDE, v.components) for v in fiber.action.fields]
+    omega_fiber = DifferentialForm(atlas, 2, LEAF_J, fiber.presymplectic.omega.coefficients)
 
     # gauge algebroid model over the base
     names = tuple(f"d{b}" for b in base_coords) + algebra.generator_names
@@ -218,11 +205,8 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
     """Fiber bundle data extended by the <mu, A_i> db_i connection terms."""
     cover = GoodCover(atlas, fiber_bundle.cover.index_set,
                       [s for s in fiber_bundle.cover.simplices if len(s) > 1],
-                      chart_refs=dict(fiber_bundle.cover.chart_refs),
-                      sample_points=dict(fiber_bundle.cover.sample_points),
-                      angle_forms={})
-    transitions = dict(fiber_bundle.transitions)
-    weights = dict(fiber_bundle.metric_weights)
+                      chart_refs=fiber_bundle.cover.chart_refs,
+                      sample_points=fiber_bundle.cover.sample_points, angle_forms={})
     potentials = {}
     for idx in fiber_bundle.cover.index_set:
         chart = fiber_bundle.patch_chart(idx)
@@ -233,7 +217,8 @@ def _twisted_bundle(fiber_bundle: LineBundleData, atlas, base_coords,
             if not val.is_zero():
                 table[(bc,)] = table.get((bc,), RationalExpr.zero()) + val
         potentials[idx] = DifferentialForm(atlas, 1, LEAF_JTILDE, {chart: table})
-    return LineBundleData(f"{name}-bundle", cover, transitions, weights, potentials)
+    return LineBundleData(f"{name}-bundle", cover, fiber_bundle.transitions,
+                          fiber_bundle.metric_weights, potentials)
 
 
 # ---------------------------------------------------------------------------

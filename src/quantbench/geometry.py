@@ -10,7 +10,9 @@ than the form carries is an error while finer requests restrict first.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (
@@ -29,6 +31,16 @@ LEAF_FULL = "full"
 _CLASS_ORDER = {LEAF_J: 0, LEAF_JTILDE: 1, LEAF_FULL: 2}
 
 
+def frozen(value):
+    """`value` copied once into read-only containers, nested ones included: a
+    mapping becomes a `MappingProxyType` of its own dict, a list a tuple."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(frozen(v) for v in value)
+    return value
+
+
 class Chart:
     def __init__(self, name, base_coords=(), fiber_coords=(), orbit_coords=(),
                  star_shaped=False):
@@ -44,8 +56,8 @@ class Chart:
             raise MalformedExpressionError("orbit coordinates must be base coordinates")
         jtilde = set(self.fiber_coords) | set(self.orbit_coords)
         # each class's coordinates in chart order; any other class reads all of them
-        self._class_coords = {LEAF_J: self.fiber_coords,
-                              LEAF_JTILDE: tuple(c for c in coords if c in jtilde)}
+        self._class_coords = MappingProxyType({
+            LEAF_J: self.fiber_coords, LEAF_JTILDE: tuple(c for c in coords if c in jtilde)})
 
     def coords_for(self, leafwise_class):
         return self._class_coords.get(leafwise_class, self.coords)
@@ -63,7 +75,7 @@ class Transition:
     def __init__(self, source, target, exprs, overlap=""):
         self.source = source
         self.target = target
-        self.exprs = {k: coerce_rational(v) for k, v in exprs.items()}
+        self.exprs = MappingProxyType({k: coerce_rational(v) for k, v in exprs.items()})
         self.overlap = overlap
 
     def jacobian(self, targets, sources):
@@ -81,27 +93,23 @@ class Transition:
 
 class FiberedAtlas:
     def __init__(self, charts, transitions=(), leaf_structure=""):
-        self.charts = {c.name: c for c in charts}
-        self.transitions = {}
+        self.charts = MappingProxyType({c.name: c for c in charts})
         self.leaf_structure = leaf_structure
-        self._roundtrip_failures = None
+        table = {}
         for t in transitions:
-            self.add_transition(t)
-
-    def add_transition(self, t: Transition):
-        src, tgt = self.charts[t.source], self.charts[t.target]
-        if set(t.exprs) != set(tgt.coords):
-            raise MalformedExpressionError(
-                f"transition {t.source}->{t.target} must map every target coordinate")
-        for coord in tgt.base_coords:
-            extra = t.exprs[coord].variables() - set(src.base_coords)
-            extra.discard("twopii")
-            if extra:
+            src, tgt = self.charts[t.source], self.charts[t.target]
+            if set(t.exprs) != set(tgt.coords):
                 raise MalformedExpressionError(
-                    f"transition {t.source}->{t.target} is not fiber-preserving "
-                    f"({coord} depends on {sorted(extra)})")
-        self.transitions[(t.source, t.target)] = t
-        self._roundtrip_failures = None
+                    f"transition {t.source}->{t.target} must map every target coordinate")
+            for coord in tgt.base_coords:
+                extra = t.exprs[coord].variables() - set(src.base_coords)
+                extra.discard("twopii")
+                if extra:
+                    raise MalformedExpressionError(
+                        f"transition {t.source}->{t.target} is not fiber-preserving "
+                        f"({coord} depends on {sorted(extra)})")
+            table[(t.source, t.target)] = t
+        self.transitions = MappingProxyType(table)
 
     def transition(self, source, target) -> Transition:
         try:
@@ -112,21 +120,23 @@ class FiberedAtlas:
     def chart(self, name) -> Chart:
         return self.charts[name]
 
-    def check_transition_consistency(self):
-        """T_ba o T_ab = id on declared two-way overlaps, as rational maps;
-        kept until a transition is added, since `glue_check` reads it too."""
-        if self._roundtrip_failures is None:
-            bad = []
-            for (a, b), t_ab in self.transitions.items():
-                t_ba = self.transitions.get((b, a))
-                if t_ba is None:
-                    continue
-                for coord in self.charts[a].coords:
-                    roundtrip = t_ab.compose_into(t_ba.exprs[coord])
-                    if not (roundtrip - RationalExpr.var(coord)).is_zero():
-                        bad.append((a, b, coord))
-            self._roundtrip_failures = bad
-        return self._roundtrip_failures
+    def check_transition_consistency(self) -> list:
+        """T_ba o T_ab = id on declared two-way overlaps, as rational maps:
+        the (a, b, coordinate) triples where it fails."""
+        return list(self._bad_roundtrips)
+
+    @cached_property
+    def _bad_roundtrips(self) -> tuple:  # decided once: `glue_check` reads it too
+        bad = []
+        for (a, b), t_ab in self.transitions.items():
+            t_ba = self.transitions.get((b, a))
+            if t_ba is None:
+                continue
+            for coord in self.charts[a].coords:
+                roundtrip = t_ab.compose_into(t_ba.exprs[coord])
+                if not (roundtrip - RationalExpr.var(coord)).is_zero():
+                    bad.append((a, b, coord))
+        return tuple(bad)
 
 
 def to_chart(atlas, expr, source, target) -> RationalExpr:
@@ -189,8 +199,8 @@ class DifferentialForm:
                     raise MalformedExpressionError(f"index {idx} is not strictly increasing")
                 if not value.is_zero():
                     clean[idx] = value
-            coeffs[chart_name] = clean
-        self.coefficients = coeffs
+            coeffs[chart_name] = MappingProxyType(clean)
+        self.coefficients = MappingProxyType(coeffs)
 
     # -- accessors -----------------------------------------------------------
     def coefficient(self, chart, idx) -> RationalExpr:
@@ -296,8 +306,8 @@ class VectorField:
                         f"component along {coord} leaves class {leafwise_class}")
                 if not value.is_zero():
                     clean[coord] = value
-            comps[chart_name] = clean
-        self.components = comps
+            comps[chart_name] = MappingProxyType(clean)
+        self.components = MappingProxyType(comps)
 
     def component(self, chart, coord) -> RationalExpr:
         return self.components.get(chart, {}).get(coord, RationalExpr.zero())
@@ -331,7 +341,7 @@ class VectorField:
 
     def derive(self, function, chart=None):
         """Directional derivative of a chartwise function dict or expression."""
-        if isinstance(function, dict):
+        if isinstance(function, (dict, MappingProxyType)):
             return {ch: self.derive(expr, ch) for ch, expr in function.items()
                     if ch in self.components}
         expr = coerce_rational(function)
@@ -361,8 +371,9 @@ def _field(atlas, leafwise_class, components) -> VectorField:
     entries are dropped, nothing is checked (outside input is validated)."""
     field = object.__new__(VectorField)
     field.atlas, field.leafwise_class = atlas, leafwise_class
-    field.components = {ch: {c: v for c, v in table.items() if not v.is_zero()}
-                        for ch, table in components.items()}
+    field.components = MappingProxyType({
+        ch: MappingProxyType({c: v for c, v in table.items() if not v.is_zero()})
+        for ch, table in components.items()})
     return field
 
 

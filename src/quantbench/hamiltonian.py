@@ -20,6 +20,7 @@ from .geometry import (
     LEAF_JTILDE,
     exterior_derivative,
     form_function,
+    frozen,
     glue_check,
     interior_product,
     lie_derivative,
@@ -35,7 +36,7 @@ class PresymplecticData:
         self.atlas = atlas
         self.omega_tilde = omega_tilde
         self.omega = omega_tilde.restrict(LEAF_J)
-        self.sample_points = list(sample_points or [])
+        self.sample_points = frozen(sample_points or ())
 
     def fiber_matrix(self, chart_name):
         chart = self.atlas.chart(chart_name)
@@ -80,10 +81,10 @@ class MomentumMapRep:
         if len(pairings) != model.n:
             raise ValueError("one pairing function per generator required")
         self.model = model
-        self.pairings = [dict((ch, coerce_rational(v)) for ch, v in p.items())
-                         for p in pairings]
+        self.pairings = frozen([{ch: coerce_rational(v) for ch, v in p.items()}
+                                for p in pairings])
 
-    def pairing(self, index) -> dict:
+    def pairing(self, index):
         return self.pairings[index]
 
     def pairing_form(self, atlas, index) -> DifferentialForm:
@@ -111,10 +112,10 @@ class ActionScenario:
     `integration` kind, a key of `quantize.INTEGRATIONS`; the family `level`;
     `degenerate` for a point orbit modeled with the zero form; a
     `full_quotient` description; and the `gauge` construction that built it.
-    Immutable: `replace` builds a changed copy, with nothing derived yet, and
-    what the inputs alone determine is built on first use and kept.  A plain
-    class, not a dataclass: importing `dataclasses` pulls `inspect` into
-    every process."""
+    Immutable, inputs frozen: `replace` builds a changed copy, with nothing
+    derived yet, and what the inputs alone determine is built once and kept.
+    A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
+    into every process."""
 
     _INPUTS = ("name", "model", "action", "presymplectic", "momentum", "bundle",
                "structure", "holomorphic_coords", "ansatz_cap", "zero_level",
@@ -126,7 +127,7 @@ class ActionScenario:
                  zero_level=None, integration=None, level=None, degenerate=False,
                  full_quotient=None, gauge=None):
         given = locals()
-        vars(self).update({name: given[name] for name in self._INPUTS}, _residuals={})
+        vars(self).update({name: frozen(given[name]) for name in self._INPUTS}, _residuals={})
 
     def __setattr__(self, name, value):
         raise AttributeError("ActionScenario is immutable")

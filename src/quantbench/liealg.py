@@ -104,7 +104,7 @@ class AlgebroidModel:
         self.base_atlas = base_atlas
         self.generator_names = tuple(generator_names)
         self.n = len(self.generator_names)
-        self.anchor_fields = list(anchor_fields)
+        self.anchor_fields = tuple(anchor_fields)
         if len(set(self.generator_names)) != self.n or len(self.anchor_fields) != self.n:
             raise ModelMismatchError(f"{self.n} distinct generator names need "
                                      f"{self.n} anchor entries")
@@ -116,10 +116,11 @@ class AlgebroidModel:
             table[(i, j)] = tuple(coerce_rational(v) for v in vec)
         # read-only, since `bracket_entries` is derived from it once
         self.bracket_table = MappingProxyType(table)
-        self.bracket_entries = {pair: tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
-                                for pair, vec in table.items()}
-        for (i, j), entries in list(self.bracket_entries.items()):
-            self.bracket_entries.setdefault((j, i), tuple((k, -c) for k, c in entries))
+        both = {pair: tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
+                for pair, vec in table.items()}
+        for (i, j), entries in list(both.items()):
+            both.setdefault((j, i), tuple((k, -c) for k, c in entries))
+        self.bracket_entries = MappingProxyType(both)
         self._basis = tuple(self.section([int(i == k) for i in range(self.n)])
                             for k in range(self.n))
         self.isotropy_indices = tuple(
@@ -324,7 +325,7 @@ class ActionMap:
             raise ModelMismatchError("one field per generator required")
         self.model = model
         self.target_atlas = target_atlas
-        self.fields = list(fields)
+        self.fields = tuple(fields)
         self.name = name
 
     def of(self, section: SectionRep) -> VectorField:

@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedIntegrationError,
 )
 from .exprs import PolyExpr, RationalExpr, coerce_rational, TWO_PI_I
-from .geometry import LEAF_J, VectorField, commutator, interior_product, to_chart
+from .geometry import LEAF_J, VectorField, commutator, frozen, interior_product, to_chart
 from .hamiltonian import ActionScenario
 from .linalg import (conj_transpose, is_zero_matrix, kernel_basis, mat_mul, rref,
                      rref_kernel, solve_linear)
@@ -31,9 +31,9 @@ class ComplexStructureData:
 
     def __init__(self, atlas, matrices, positivity_samples=None):
         self.atlas = atlas
-        self.matrices = {ch: [[coerce_rational(v) for v in row] for row in mat]
-                         for ch, mat in matrices.items()}
-        self.positivity_samples = list(positivity_samples or [])
+        self.matrices = frozen({ch: [[coerce_rational(v) for v in row] for row in mat]
+                                for ch, mat in matrices.items()})
+        self.positivity_samples = frozen(positivity_samples or ())
 
     def validate(self) -> CheckResult:
         failures = []

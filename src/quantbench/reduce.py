@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
+from .geometry import frozen
 from .hamiltonian import ActionScenario
 from .linalg import conj_transpose, inverse, is_zero_matrix, kernel_basis, mat_mul
 from .quantize import QuantizationResult
@@ -25,9 +26,9 @@ class ZeroLevelData:
 
     def __init__(self, chart, equations, parametrization, param_names, orbit_dimension=0):
         self.chart = chart
-        self.equations = [coerce_rational(e) for e in equations]
-        self.parametrization = {c: coerce_rational(v)
-                                for c, v in parametrization.items()}
+        self.equations = tuple(coerce_rational(e) for e in equations)
+        self.parametrization = frozen({c: coerce_rational(v)
+                                       for c, v in parametrization.items()})
         self.param_names = tuple(param_names)
         self.orbit_dimension = int(orbit_dimension)
 

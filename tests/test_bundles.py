@@ -169,8 +169,10 @@ class TestTripleOverlapCocycle:
         offsets are read only once the (0, 1) transition loses its angle part."""
         bundle = self._zigzag_bundle(atlas, Fraction(1), offsets=False)
         assert validate_bundle(bundle).ok
-        bundle.transitions[(0, 1)] = TransitionValue("N", 1, None)
-        cocycle = [text for kind, text in validate_bundle(bundle).failures if kind == "cocycle"]
+        changed = LineBundleData(bundle.name, bundle.cover,
+                                 {**bundle.transitions, (0, 1): TransitionValue("N", 1, None)},
+                                 bundle.metric_weights, bundle.potentials)
+        cocycle = [text for kind, text in validate_bundle(changed).failures if kind == "cocycle"]
         assert cocycle == ["(0, 1, 2): angle part without offsets",
                            "(0, 1, 3): angle part without offsets"]
 

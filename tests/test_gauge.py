@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.bundles import curvature, kostant_operator, validate_bundle
+from quantbench.bundles import LineBundleData, curvature, kostant_operator, validate_bundle
 from quantbench.catalog import (
     gauge_su2_scenario,
     su2_orbit_scenario,
@@ -15,6 +15,7 @@ from quantbench.catalog import (
 from quantbench.exprs import parse_expr
 from quantbench.geometry import Chart, FiberedAtlas
 from quantbench.gauge import (
+    GaugeScenario,
     PrincipalBundleData,
     build_gauge_scenario,
     curvature_formula_check,
@@ -132,7 +133,7 @@ class TestMomentumVerify:
         s = gauge_su2_scenario(1)
         # scale one fiber momentum pairing by a fiber function: H-equivariance
         # of the fiber momentum breaks, and with it the curvature identity
-        bad_pairings = [dict(s.momentum.pairing(i)) for i in range(s.model.n)]
+        bad_pairings = list(s.momentum.pairings)
         bad_pairings[2] = {ch: v * parse_expr("2") for ch, v in
                            bad_pairings[2].items()}
         from quantbench.hamiltonian import MomentumMapRep
@@ -155,14 +156,19 @@ class TestQuantizationIsomorphism:
         assert report.ok
 
     def test_scaled_fiber_weights_fail_the_gram(self):
-        """The gauge bundle copies the fiber's weights at the build; scaling
-        the fiber's afterwards scales its Gram matrix, whose nonzero entries
+        """The gauge bundle's weights are the fiber's at the build; a fiber
+        with scaled weights has a scaled Gram matrix, whose nonzero entries
         (the diagonal) then differ from the gauge scenario's."""
         scenario = gauge_su2_scenario(1)
         gauge_rep = quantize_monomial(scenario)
-        fiber_bundle = scenario.gauge.fiber.bundle
-        for patch, weight in list(fiber_bundle.metric_weights.items()):
-            fiber_bundle.metric_weights[patch] = parse_expr("2") * weight
+        fiber = scenario.gauge.fiber
+        b = fiber.bundle
+        scaled = LineBundleData(b.name, b.cover, b.transitions,
+                                {patch: parse_expr("2") * weight
+                                 for patch, weight in b.metric_weights.items()},
+                                b.potentials, b.branch_offsets)
+        scenario = scenario.replace(gauge=GaugeScenario(scenario.gauge.bundle_data,
+                                                        fiber.replace(bundle=scaled)))
         report = quantization_isomorphism_check(scenario, gauge_rep)
         assert (report.ok, report.failures) == \
             (False, [("gram", "entry 0,0"), ("gram", "entry 1,1")])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantbench.catalog import omega_fs, rotation_fields, sphere_atlas
+from quantbench.catalog import omega_fs, rotation_fields, sphere_atlas, su2_orbit_scenario
 from quantbench.errors import (
     DegreeError,
     LeafwiseClassError,
@@ -348,10 +348,18 @@ class TestGlueShortcut:
         assert calls == [("N", "S"), ("S", "N")]
 
     def test_adding_a_transition_drops_the_verdict(self):
+        """The transitions cannot be rewritten after the build, so the kept
+        round-trip verdict stays that of the atlas's own maps; an atlas with
+        another map is built, and decides its own."""
         atlas = sphere_atlas()
         form = omega_fs(atlas, Fraction(1))
         assert glue_check(atlas, form).ok and atlas.check_transition_consistency() == []
-        atlas.add_transition(_wrong_inverse_atlas().transition("S", "N"))
+        wrong = _wrong_inverse_atlas().transition("S", "N")
+        with pytest.raises(TypeError):
+            atlas.transitions[("S", "N")] = wrong
+        self.same(glue_check(atlas, form), _glue_every_direction(atlas, form))
+        atlas = FiberedAtlas(atlas.charts.values(), [atlas.transition("N", "S"), wrong])
+        form = omega_fs(atlas, Fraction(1))
         assert atlas.check_transition_consistency() != []
         self.same(glue_check(atlas, form), _glue_every_direction(atlas, form))
         assert not glue_check(atlas, form).ok
@@ -537,3 +545,23 @@ class TestFieldAlgebra:
                            for c in chart.coords}
         _same_entries(commutator(v, w), VectorField(_TWO_CHARTS, cls, out))
 
+
+class TestForeignOperands:
+    """An expression leaves a field or form operand to that operand's
+    reflected product, as `ExactScalar` does, so the product reads the same
+    with the expression on either side."""
+
+    def test_expression_times_field_and_form(self):
+        s = su2_orbit_scenario(1)
+        values = [v for i in range(s.model.n) for v in s.momentum.pairing(i).values()]
+        exprs = [ExactScalar(2), *values, *(v.num for v in values)]
+        assert {type(e).__name__ for e in exprs} == {"ExactScalar", "RationalExpr", "PolyExpr"}
+        forms = [s.presymplectic.omega_tilde, *s.bundle.potentials.values()]
+        for expr in exprs:
+            for i in range(s.model.n):
+                field = s.generator_field(i)
+                _same_entries(expr * field, field * expr)
+            for form in forms:
+                left, right = expr * form, form * expr
+                assert (left.degree, left.leafwise_class) == (right.degree, right.leafwise_class)
+                assert left.coefficients == right.coefficients

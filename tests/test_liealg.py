@@ -102,7 +102,7 @@ class TestJacobi:
         for algebra in (su2(), u1(), abelian(2)):
             assert isinstance(algebra, AlgebroidModel)
             assert list(algebra.base_atlas.charts) == ["pt"]
-            assert algebra.anchor_fields == [None] * algebra.n
+            assert algebra.anchor_fields == (None,) * algebra.n
 
     def test_bracket_structure_row_decides_jacobi(self):
         # zero fields act by every table, so only the table can fail

@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,10 @@ import pytest
 from quantbench import bundles, catalog, hamiltonian, liealg, reduce, runner
 from quantbench.bundles import curvature
 from quantbench.cli import main
-from quantbench.exprs import parse_expr
+from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
 from quantbench.hamiltonian import ActionScenario
 from quantbench.runner import CHECKS, PRODUCER, STAGES, RunContext, run_scenario
+from quantbench.scalars import ExactScalar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -212,6 +215,35 @@ def test_filter_runs_prerequisites(selection, expected, tmp_path):
     records = json.loads(out.read_text())["records"]
     assert [r["check"] for r in records] == expected
     assert {r["status"] for r in records} == {"pass"}
+    full = run_scenario(catalog.build_scenario("u1-rotation-reduction-2")).to_json(with_timing=False)
+    full = {r["check"]: r for r in json.loads(full)["records"]}
+    assert [{k: v for k, v in r.items() if k != "seconds"} for r in records] == \
+        [full[r["check"]] for r in records]
+
+
+@pytest.mark.parametrize("build", [lambda: catalog.su2_orbit_scenario(1),
+                                   lambda: catalog.gauge_su2_scenario(1),
+                                   lambda: catalog.u1_rotation_scenario(2),
+                                   lambda: catalog.control_flipped_momentum(1)],
+                         ids=["su2-orbit-1", "gauge-su2-1", "u1-rotation-reduction-2",
+                              "control-flipped-momentum-1"])
+def test_a_filtered_record_is_the_full_runs(build):
+    """For every check id, each record of the run filtered to it, the
+    prerequisites' included, is the full run's record of that check: status,
+    failures, notes and details.  Each filtered run starts from a scenario
+    with nothing derived yet."""
+    s = build()
+    full = [r.to_dict(with_timing=False) for r in run_scenario(s).records]
+    by_id = {r["check"]: r for r in full if r["check"] != "scenario-note"}
+    compared, mismatches = 0, []
+    for check in CHECKS:
+        for record in run_scenario(s.replace(), checks=[check.id]).records:
+            got = record.to_dict(with_timing=False)
+            compared += 1
+            if got != by_id.get(got["check"]) and \
+                    not (got["check"] == "scenario-note" and got in full):
+                mismatches.append((check.id, got["check"]))
+    assert mismatches == [] and compared >= len(CHECKS)
 
 
 @pytest.mark.parametrize("selection", ["bogus-check", "quantize,bogus-stage"])
@@ -249,6 +281,69 @@ def test_every_build_is_an_action_scenario():
         if scenario.gauge is not None:
             assert isinstance(scenario.gauge.fiber, ActionScenario), label
             assert not hasattr(scenario.gauge, "scenario"), label
+
+
+# Values that are immutable by their own slots (`TestImmutability`) or by type.
+_VALUES = (PolyExpr, RationalExpr, ExactScalar, str, int, float, bool, Fraction, type(None))
+
+
+def _held_containers(value, path, seen):
+    """(path, container) for every mapping, sequence and set reachable from
+    `value`: through the inputs of a scenario, the attributes of every other
+    quantbench object, and the keys and items of every container."""
+    if isinstance(value, _VALUES) or id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (Mapping, list, tuple, set, frozenset)):
+        yield path, value
+        pairs = value.items() if isinstance(value, Mapping) else enumerate(value)
+        for key, item in pairs:
+            yield from _held_containers(key, f"{path}<key {key!r}>", seen)
+            yield from _held_containers(item, f"{path}[{key!r}]", seen)
+        return
+    assert type(value).__module__.startswith("quantbench."), (path, type(value))
+    names = ActionScenario._INPUTS if isinstance(value, ActionScenario) else vars(value)
+    for name in names:
+        yield from _held_containers(getattr(value, name), f"{path}.{name}", seen)
+
+
+def _takes_a_write(container) -> bool:
+    try:
+        if isinstance(container, (set, frozenset)):
+            container.add("written")
+        else:
+            key = next(iter(container), "written") if isinstance(container, Mapping) else 0
+            container[key] = "written"
+    except (TypeError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("label,build", [
+    pytest.param(label, build, id=_run_id(label)) for label, build in catalog_digests.runs()])
+def test_every_stage_input_is_frozen(label, build):
+    """Every mapping, sequence and set a scenario's inputs hold, nested form,
+    field, pairing and cover tables included, refuses a write: what is derived
+    from them and kept cannot go stale."""
+    s = build()
+    held = list(_held_containers(s, "scenario", set()))
+    reached = {id(container) for _, container in held}
+    tables = [s.atlas.transitions, s.model.anchor_fields, s.action.fields,
+              s.presymplectic.omega_tilde.coefficients, *s.momentum.pairings]
+    if s.bundle is not None:
+        tables += [s.bundle.potentials, *(eta.coefficients for eta in s.bundle.potentials.values())]
+    assert all(id(table) in reached for table in tables)
+    assert [path for path, container in held if _takes_a_write(container)] == []
+
+
+def test_a_pairing_written_after_a_run_raises_at_the_write():
+    """A rewritten pairing would leave the kept d_A mu and fiber residuals of
+    the run before stale; the write itself fails."""
+    s = catalog.su2_orbit_scenario(1)
+    run_scenario(s)
+    with pytest.raises(TypeError):
+        s.momentum.pairings[2]["N"] = -s.momentum.pairing(2)["N"]
+    assert {r.status for r in run_scenario(s).records} == {"pass"}
 
 
 @pytest.mark.parametrize("factory,fails", [

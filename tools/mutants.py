@@ -8,6 +8,7 @@ one entry at a time, it applies the entry's replacement, runs the
 entry's tests in one pytest process (no worker pool), and restores the file.
 An entry is killed when pytest reports a failing test (exit status 1).
 
+A SIGTERM ends the run as an ordinary exit does, so the copy is removed.
 It exits 1 when a mutant survives, when a run ends in any other pytest
 status, or when an entry's old text does not occur exactly once in its file;
 otherwise it exits 0.
@@ -17,6 +18,7 @@ otherwise it exits 0.
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -48,6 +50,7 @@ IMMUTABLE = "tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"
 SCENARIO = "tests/test_hamiltonian.py::TestImmutableScenario"
 SPARSE = "tests/test_liealg.py::TestSparseBracket"
 GLUE_SHORTCUT = "tests/test_geometry.py::TestGlueShortcut"
+FROZEN = "tests/test_runner.py::test_every_stage_input_is_frozen"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -426,11 +429,26 @@ MUTANTS = [
             "                                       for a, b, _ in atlas.check_transition_consistency()):",
      "new": "        if (tgt, src) in glued:",
      "tests": [f"{GLUE_SHORTCUT}::test_a_pair_that_is_not_inverse_is_decided_both_ways"]},
-    {"name": "FiberedAtlas.add_transition: the round-trip verdict kept",
+    {"name": "FiberedAtlas: the transitions handed back mutable",
      "file": GEOMETRY,
-     "old": "        self.transitions[(t.source, t.target)] = t\n        self._roundtrip_failures = None\n",
-     "new": "        self.transitions[(t.source, t.target)] = t\n",
-     "tests": [f"{GLUE_SHORTCUT}::test_adding_a_transition_drops_the_verdict"]},
+     "old": "        self.transitions = MappingProxyType(table)\n",
+     "new": "        self.transitions = table\n",
+     "tests": [FROZEN, f"{GLUE_SHORTCUT}::test_adding_a_transition_drops_the_verdict"]},
+    {"name": "LineBundleData: the potentials handed back mutable",
+     "file": BUNDLES,
+     "old": "potentials=frozen(potentials)",
+     "new": "potentials=dict(potentials)",
+     "tests": [FROZEN]},
+    {"name": "MomentumMapRep: the pairings handed back mutable",
+     "file": HAMILTONIAN,
+     "old": "        self.pairings = frozen([{ch: coerce_rational(v) for ch, v in p.items()}",
+     "new": "        self.pairings = ([{ch: coerce_rational(v) for ch, v in p.items()}",
+     "tests": [FROZEN, "tests/test_runner.py::test_a_pairing_written_after_a_run_raises_at_the_write"]},
+    {"name": "DifferentialForm: the chart tables handed back mutable",
+     "file": GEOMETRY,
+     "old": "            coeffs[chart_name] = MappingProxyType(clean)\n",
+     "new": "            coeffs[chart_name] = clean\n",
+     "tests": [FROZEN]},
     {"name": "geometry._field: zero entries kept",
      "file": GEOMETRY,
      "old": "{c: v for c, v in table.items() if not v.is_zero()}",
@@ -464,6 +482,8 @@ def _pytest(copy: Path, tests) -> int:
 
 
 def main() -> int:
+    # a stopped run exits through the `with` below, which removes the copy
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for name in ("src", "tests", "tools"):
