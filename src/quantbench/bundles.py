@@ -254,20 +254,18 @@ _TWO_PI_I_POLY = PolyExpr.var(TWO_PI_I)
 class KostantOperator:
     """First-order operator nabla_{alpha(X)} - twopii <mu, X> on local frames."""
 
-    def __init__(self, scenario: ActionScenario, bundle: LineBundleData, section):
-        self.scenario = scenario
-        self.bundle = bundle
-        self.section = section
+    def __init__(self, scenario: ActionScenario, section):
+        bundle = self.bundle = scenario.bundle
         self.vector_part = scenario.action.of(section)
-        self.pairing = pairing_combination(scenario.atlas, scenario.momentum.pairings,
-                                           section.coeffs)
+        pairing = pairing_combination(scenario.atlas, scenario.momentum.pairings,
+                                      section.coeffs)
         self._potentials = {}
         self._multipliers = {}
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
             contraction = interior_product(self.vector_part, bundle.potential(idx))
             pot = contraction.coefficient(chart, ()) - \
-                self.pairing.get(chart, RationalExpr.zero())
+                pairing.get(chart, RationalExpr.zero())
             self._potentials[idx] = pot * RationalExpr.var(TWO_PI_I)
             # the same potential with its 1/twopii cancelled by an exact
             # division of the denominator by the monomial, so that images
@@ -286,17 +284,17 @@ class KostantOperator:
         return self.vector_part.derive(f, chart) + self._multipliers[idx] * f
 
 
-def kostant_operator(scenario: ActionScenario, bundle: LineBundleData) -> tuple:
+def kostant_operator(scenario: ActionScenario) -> tuple:
     """The operator of every basis generator, in generator order.  They exist
-    only once the bundle prequantizes: its curvature must equal the
+    only once the scenario's bundle prequantizes: its curvature must equal the
     scenario's leafwise 2-form, else `CurvatureMismatchError` carries the
     simplified residual."""
-    residual = (curvature(bundle) - scenario.presymplectic.omega_tilde).simplify()
+    residual = (curvature(scenario.bundle) - scenario.presymplectic.omega_tilde).simplify()
     if not residual.is_zero():
         raise CurvatureMismatchError(
             "bundle curvature differs from the scenario's leafwise 2-form", residual)
     model = scenario.model
-    return tuple(KostantOperator(scenario, bundle, model.basis_section(i))
+    return tuple(KostantOperator(scenario, model.basis_section(i))
                  for i in range(model.n))
 
 
@@ -450,10 +448,11 @@ def pic_dual(a: LineBundleData) -> LineBundleData:
                           branch_offsets=a.branch_offsets)
 
 
-def chern_class_algebroid(scenario: ActionScenario, bundle: LineBundleData) -> CheckResult:
-    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data."""
+def chern_class_algebroid(scenario: ActionScenario) -> CheckResult:
+    """Exactness witness: alpha^* K = -d_A mu for the scenario's momentum data
+    and the curvature K of its bundle."""
     if scenario.momentum is None:
         return CheckResult(True, notes=["no witness declared"], status="hypotheses-not-met")
-    result = _exactness_check(scenario, curvature(bundle))
+    result = _exactness_check(scenario, curvature(scenario.bundle))
     result.notes.append("witness: the declared momentum pairing exhibits alpha^*K as exact")
     return result

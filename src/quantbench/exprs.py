@@ -632,7 +632,7 @@ class RationalExpr:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):  # a foreign operand as in `PolyExpr.__add__`
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         # zero is 0/1, so a sum with it is the other operand as it stands
@@ -652,7 +652,7 @@ class RationalExpr:
 
     def __sub__(self, other):
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         if not other.num.terms:
@@ -661,14 +661,14 @@ class RationalExpr:
 
     def __rsub__(self, other):
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         if not self.num.terms or not other.num.terms:
@@ -687,7 +687,7 @@ class RationalExpr:
 
     def __truediv__(self, other):
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         if other.is_zero():
@@ -706,7 +706,7 @@ class RationalExpr:
 
     def __eq__(self, other):
         try:
-            other = _coerce_rational(other)
+            other = coerce_rational(other)
         except MalformedExpressionError:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
@@ -839,16 +839,12 @@ def _mono_numeric(m: tuple, point: dict) -> complex:
     return out
 
 
-def _coerce_rational(value) -> RationalExpr:
+def coerce_rational(value) -> RationalExpr:
     if isinstance(value, RationalExpr):
         return value
     if isinstance(value, PolyExpr):
         return _quotient(value, _ONE_POLY)
     return RationalExpr.const(value)
-
-
-def coerce_rational(value) -> RationalExpr:
-    return _coerce_rational(value)
 
 
 class _Substitution:
@@ -871,7 +867,7 @@ class _Substitution:
             s = _SHIFT.get(v)
             if s is None or not (used >> s) & _MASK:
                 continue
-            value = _coerce_rational(value)
+            value = coerce_rational(value)
             group = None
             if value.den.terms != _ONE_TERMS:  # a monic constant is 1
                 for group, powers in enumerate(self.groups):

@@ -92,12 +92,14 @@ class Transition:
 
 
 class FiberedAtlas:
+    """Charts and the transitions between them.  The attributes cannot be set
+    after construction, so the round-trip verdict is decided once."""
+
     def __init__(self, charts, transitions=(), leaf_structure=""):
-        self.charts = MappingProxyType({c.name: c for c in charts})
-        self.leaf_structure = leaf_structure
+        charts = MappingProxyType({c.name: c for c in charts})
         table = {}
         for t in transitions:
-            src, tgt = self.charts[t.source], self.charts[t.target]
+            src, tgt = charts[t.source], charts[t.target]
             if set(t.exprs) != set(tgt.coords):
                 raise MalformedExpressionError(
                     f"transition {t.source}->{t.target} must map every target coordinate")
@@ -109,7 +111,11 @@ class FiberedAtlas:
                         f"transition {t.source}->{t.target} is not fiber-preserving "
                         f"({coord} depends on {sorted(extra)})")
             table[(t.source, t.target)] = t
-        self.transitions = MappingProxyType(table)
+        vars(self).update(charts=charts, transitions=MappingProxyType(table),
+                          leaf_structure=leaf_structure)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiberedAtlas is immutable")
 
     def transition(self, source, target) -> Transition:
         try:

@@ -66,12 +66,9 @@ def rref(rows):
     return [[row.get(c, zero) for c in range(ncols)] for row in m], pivots
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel (list of column vectors)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for empty matrix")
-        ncols = len(rows[0])
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel (list of column vectors) of a matrix with
+    `ncols` columns."""
     return rref_kernel(*rref(rows), ncols)
 
 

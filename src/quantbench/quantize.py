@@ -123,9 +123,10 @@ class ComplexStructureData:
                            notes=["positivity sampled numerically at declared points"])
 
 
-def polarization_equivariance_check(scenario: ActionScenario,
-                                    structure: ComplexStructureData) -> CheckResult:
-    """[alpha(X), j v] = j [alpha(X), v] on coordinate fiber frames."""
+def polarization_equivariance_check(scenario: ActionScenario) -> CheckResult:
+    """[alpha(X), j v] = j [alpha(X), v] on coordinate fiber frames, j the
+    scenario's complex structure."""
+    structure = scenario.structure
     failures = []
     for i in range(scenario.model.n):
         alpha = scenario.generator_field(i)
@@ -482,8 +483,7 @@ def leading_minors_positive(gram) -> bool:
 # ---------------------------------------------------------------------------
 
 class QuantizationResult:
-    def __init__(self, bundle, basis, gram, matrices, generator_names):
-        self.bundle = bundle
+    def __init__(self, basis, gram, matrices, generator_names):
         self.basis = basis
         self.gram = gram
         self.matrices = matrices
@@ -517,17 +517,16 @@ def induced_representation(scenario: ActionScenario, ops,
                         "representation matrices differ between patches")
         matrices.append(mat)
     gram = gram_matrix(bundle, basis)
-    return QuantizationResult(bundle, basis, gram, matrices, scenario.model.generator_names)
+    return QuantizationResult(basis, gram, matrices, scenario.model.generator_names)
 
 
 def quantize_monomial(scenario: ActionScenario) -> QuantizationResult:
     """The fiberwise quantization pipeline on the scenario's stage inputs:
     holomorphic kernel over the monomial ansatz, then the induced
     representation on it."""
-    bundle = scenario.bundle
-    basis = holomorphic_solve(bundle, scenario.structure, scenario.holomorphic_coords,
+    basis = holomorphic_solve(scenario.bundle, scenario.structure, scenario.holomorphic_coords,
                               scenario.ansatz_cap)
-    return induced_representation(scenario, kostant_operator(scenario, bundle), basis)
+    return induced_representation(scenario, kostant_operator(scenario), basis)
 
 
 def _expand_in_basis(images, basis_exprs):

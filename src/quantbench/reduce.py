@@ -144,11 +144,11 @@ def projector_checks(red: QuantumReduction) -> CheckResult:
 # descent obstruction and the quantization/reduction comparison
 # ---------------------------------------------------------------------------
 
-def descent_obstruction_check(scenario: ActionScenario, ops,
-                              z: ZeroLevelData) -> CheckResult:
-    """Isotropy weight on the frame along the zero level; descends iff
-    integral.  `ops` are the operators of `kostant_operator`."""
+def descent_obstruction_check(scenario: ActionScenario, ops) -> CheckResult:
+    """Isotropy weight on the frame along the scenario's zero level; descends
+    iff integral.  `ops` are the operators of `kostant_operator`."""
     bundle = ops[0].bundle
+    z = scenario.zero_level
     weights = {}
     failures = []
     patch = None

@@ -65,9 +65,9 @@ class CheckRecord:
 
 
 class Report:
-    def __init__(self, scenario_name, records=None, conventions=None):
+    def __init__(self, scenario_name, conventions=None):
         self.scenario_name = scenario_name
-        self.records = list(records or [])
+        self.records = []
         self.conventions = list(conventions if conventions is not None
                                 else CONVENTION_NOTES)
 

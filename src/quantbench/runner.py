@@ -70,7 +70,7 @@ def _bracket_structure(ctx):
 
 def _curvature_match(ctx):
     try:
-        ctx.operators = bundles.kostant_operator(ctx.scenario, ctx.scenario.bundle)
+        ctx.operators = bundles.kostant_operator(ctx.scenario)
     except CurvatureMismatchError as exc:
         return CheckResult(False, [("curvature", repr(exc.residual))])
     return CheckResult(True)
@@ -100,8 +100,7 @@ def _internal_quotient(ctx):
 
 
 def _descent(ctx):
-    ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.operators,
-                                                       ctx.scenario.zero_level)
+    ctx.descent = reduce_mod.descent_obstruction_check(ctx.scenario, ctx.operators)
     return ctx.descent
 
 
@@ -162,7 +161,7 @@ CHECKS = (
           lambda c: bundles.connection_equivariance_check(c.scenario, c.operators),
           needs=("operators",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
-          lambda c: bundles.chern_class_algebroid(c.scenario, c.scenario.bundle),
+          lambda c: bundles.chern_class_algebroid(c.scenario),
           needs=("bundle",)),
     Check("complex-structure", "quantize", "j^2 = -1 and transition compatibility",
           lambda c: c.scenario.structure.validate(), produces="structure",
@@ -173,7 +172,7 @@ CHECKS = (
               c, c.scenario.structure.positivity_check(c.scenario.presymplectic.omega)),
           needs=("structure",)),
     Check("polarization-equivariance", "quantize", "[alpha(X), j v] = j [alpha(X), v]",
-          lambda c: quantize.polarization_equivariance_check(c.scenario, c.scenario.structure),
+          lambda c: quantize.polarization_equivariance_check(c.scenario),
           needs=("structure",)),
     Check("holomorphic-dimension", "quantize", "solution-space dimension with cap robustness",
           _holomorphic_dimension, needs=("bundle", "structure"), produces="basis",

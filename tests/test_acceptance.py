@@ -116,23 +116,23 @@ def test_criterion_3_kostant_closure_and_hermiticity(orbit_scenarios):
     ok = True
     for k in (0, 1, 2, 3):
         s = orbit_scenarios[k]
-        ops = kostant_operator(s, s.bundle)
+        ops = kostant_operator(s)
         ok &= rep_flatness_check(s, ops).ok
         ok &= rep_hermitian_check(s, ops).ok
     for k in (0, 1, 2, 3):
         g = gauge_su2_scenario(k)
-        ops = kostant_operator(g, g.bundle)
+        ops = kostant_operator(g)
         ok &= rep_flatness_check(g, ops).ok
         ok &= rep_hermitian_check(g, ops).ok
     controls = []
     flipped = control_flipped_momentum(2)
-    r1 = rep_flatness_check(flipped, kostant_operator(flipped, flipped.bundle))
+    r1 = rep_flatness_check(flipped, kostant_operator(flipped))
     controls.append(not r1.ok and bool(r1.failures))
     imag = control_imaginary_momentum(2)
-    r2 = rep_hermitian_check(imag, kostant_operator(imag, imag.bundle))
+    r2 = rep_hermitian_check(imag, kostant_operator(imag))
     controls.append(not r2.ok and bool(r2.failures))
     scaled = control_scaled_momentum(2)
-    r3 = rep_flatness_check(scaled, kostant_operator(scaled, scaled.bundle))
+    r3 = rep_flatness_check(scaled, kostant_operator(scaled))
     controls.append(not r3.ok and bool(r3.failures))
     ok &= all(controls)
     _verdict(3, ok, "orbit + gauge catalogs pass for k <= 3; three negative "
@@ -232,15 +232,13 @@ def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
         z = s.zero_level
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
                                   internal_mw_quotient(z),
-                                  descent_obstruction_check(
-                                      s, kostant_operator(s, s.bundle), z))
+                                  descent_obstruction_check(s, kostant_operator(s)))
         ok &= report.status == "pass" and report.ok
         ok &= "fixed dimension 1, reduced dimension 1" in report.notes
         ok &= f"intertwiner scale^2 = {scale2}" in report.notes
         details.append(f"k={k}: dims 1/1, scale^2 = {scale2}")
     s3 = rotation_scenarios[3]
-    descent = descent_obstruction_check(s3, kostant_operator(s3, s3.bundle),
-                                        s3.zero_level)
+    descent = descent_obstruction_check(s3, kostant_operator(s3))
     report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
                                internal_mw_quotient(s3.zero_level), descent)
     ok &= not descent.descends
@@ -304,13 +302,13 @@ def test_criterion_9_morphism_and_equivariance_suites(orbit_scenarios,
         ok &= s.action.morphism_report().ok
         ok &= equivariance_check(s).ok
         if s.structure is not None:  # the gauge's own, for the gauge scenario
-            ok &= polarization_equivariance_check(s, s.structure).ok
+            ok &= polarization_equivariance_check(s).ok
     # negative controls
     ok &= not control_flipped_field().morphism_report().ok
     ok &= not equivariance_check(control_scaled_momentum(2)).ok
     base = orbit_scenarios[2]
     ok &= not polarization_equivariance_check(
-        base, control_skew_structure(base.atlas)).ok
+        base.replace(structure=control_skew_structure(base.atlas))).ok
     _verdict(9, ok, f"{len(scenarios)} catalog scenarios pass the morphism, "
                     "equivariance and polarization suites; one negative "
                     "control fails per suite")

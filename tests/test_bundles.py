@@ -182,8 +182,7 @@ class TestKostantOperators:
         # vertical generator on z^a: eigenvalue -i (a - k/2)
         for k in (1, 2, 3):
             scenario = orbit_scenarios[k]
-            bundle = scenario.bundle
-            op = kostant_operator(scenario, bundle)[2]
+            op = kostant_operator(scenario)[2]
             z = parse_expr("x - i*y")
             for a in range(k + 1):
                 image = op.apply("N", z ** a).simplify()
@@ -192,16 +191,14 @@ class TestKostantOperators:
 
     def test_zero_section_zero_operator(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        bundle = scenario.bundle
-        op = KostantOperator(scenario, bundle, scenario.model.section([0, 0, 0]))
+        op = KostantOperator(scenario, scenario.model.section([0, 0, 0]))
         assert op.apply("N", parse_expr("x^2 - i*y")).simplify().is_zero()
 
     def test_flat_connection_example(self):
         # trivial bundle over a foliated chart: the operator is the flat
         # transport minus the momentum potential
         scenario = foliation_flat_scenario()
-        bundle = scenario.bundle
-        op = kostant_operator(scenario, bundle)[1]
+        op = kostant_operator(scenario)[1]
         f = parse_expr("x*w")
         manual = parse_expr("x*w").derivative("y") * 0 + \
             op.vector_part.derive(f, "F") + \
@@ -211,9 +208,9 @@ class TestKostantOperators:
 
     def test_curvature_mismatch_rejected(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        wrong = o_bundle(scenario.atlas, 1)
+        wrong = scenario.replace(bundle=o_bundle(scenario.atlas, 1))
         with pytest.raises(CurvatureMismatchError) as err:
-            kostant_operator(scenario, wrong)
+            kostant_operator(wrong)
         assert not err.value.residual.is_zero()
 
 
@@ -221,35 +218,32 @@ class TestRepresentationChecks:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_flatness_and_hermiticity(self, orbit_scenarios, k):
         scenario = orbit_scenarios[k]
-        bundle = scenario.bundle
-        ops = kostant_operator(scenario, bundle)
+        ops = kostant_operator(scenario)
         assert rep_flatness_check(scenario, ops).ok
         assert rep_hermitian_check(scenario, ops).ok
 
     def test_connection_equivariance(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        bundle = scenario.bundle
-        assert connection_equivariance_check(scenario, kostant_operator(scenario, bundle)).ok
+        assert connection_equivariance_check(scenario, kostant_operator(scenario)).ok
 
     def test_flipped_momentum_breaks_flatness(self):
         bad = control_flipped_momentum(2)
-        bundle = bad.bundle
-        report = rep_flatness_check(bad, kostant_operator(bad, bundle))
+        report = rep_flatness_check(bad, kostant_operator(bad))
         assert not report.ok
 
     def test_flipped_momentum_breaks_connection_equivariance(self):
         bad = control_flipped_momentum(2)
-        report = connection_equivariance_check(bad, kostant_operator(bad, bad.bundle))
+        report = connection_equivariance_check(bad, kostant_operator(bad))
         assert not report.ok
 
     def test_imaginary_momentum_breaks_hermiticity(self):
         bad = control_imaginary_momentum(2)
-        report = rep_hermitian_check(bad, kostant_operator(bad, bad.bundle))
+        report = rep_hermitian_check(bad, kostant_operator(bad))
         assert not report.ok
 
     def test_zero_operator_hermitian(self, orbit_scenarios):
         scenario = orbit_scenarios[0]
-        assert rep_hermitian_check(scenario, kostant_operator(scenario, scenario.bundle)).ok
+        assert rep_hermitian_check(scenario, kostant_operator(scenario)).ok
 
 
 class TestPicardStructure:
@@ -301,19 +295,17 @@ class TestChernWitness:
     def test_catalog_scenarios_have_witness(self, orbit_scenarios):
         for k in (1, 2):
             scenario = orbit_scenarios[k]
-            assert chern_class_algebroid(scenario, scenario.bundle).ok
+            assert chern_class_algebroid(scenario).ok
 
     def test_withheld_momentum_reports_no_witness(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        from quantbench.hamiltonian import ActionScenario
-        stripped = ActionScenario(scenario.name, scenario.model, scenario.action,
-                                  scenario.presymplectic, None)
-        report = chern_class_algebroid(stripped, scenario.bundle)
+        stripped = scenario.replace(momentum=None)
+        report = chern_class_algebroid(stripped)
         assert report.status == "hypotheses-not-met"
         assert any("no witness" in n for n in report.notes)
 
     def test_gauge_witness_is_connection_pairing(self, gauge_su2_1):
-        assert chern_class_algebroid(gauge_su2_1, gauge_su2_1.bundle).ok
+        assert chern_class_algebroid(gauge_su2_1).ok
 
     def test_witness_reads_the_bundle_curvature(self):
         """On the level-1 orbit with the degree-2 bundle, the momentum still
@@ -393,7 +385,7 @@ def _shifted_potential(scenario, ops):
 def _operators(build, perturb=None):
     def make():
         scenario = build()
-        ops = kostant_operator(scenario, scenario.bundle)
+        ops = kostant_operator(scenario)
         return scenario, ops if perturb is None else perturb(scenario, ops)
     return make
 

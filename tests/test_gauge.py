@@ -184,8 +184,8 @@ class TestGaugeReduction:
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
                           ("t",), orbit_dimension=1)
-        descent = descent_obstruction_check(
-            scenario, kostant_operator(scenario, scenario.bundle), z)
+        reducing = scenario.replace(zero_level=z)
+        descent = descent_obstruction_check(reducing, kostant_operator(reducing))
         assert descent.descends
         fixed = quantum_fixed_subspace(result, [n_base])
         assert fixed.dimension == 1

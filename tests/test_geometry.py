@@ -364,6 +364,20 @@ class TestGlueShortcut:
         self.same(glue_check(atlas, form), _glue_every_direction(atlas, form))
         assert not glue_check(atlas, form).ok
 
+    @pytest.mark.parametrize("name", ["transitions", "charts"])
+    def test_the_atlas_tables_cannot_be_rebound(self, name):
+        """Rebinding a table after the round-trip verdict is kept raises, so
+        `glue_check` still decides the su2-orbit-1 2-form on the atlas's own
+        transitions."""
+        scenario = su2_orbit_scenario(1)
+        atlas, form = scenario.atlas, scenario.presymplectic.omega_tilde
+        assert atlas.check_transition_consistency() == []
+        before = dict(getattr(atlas, name))
+        with pytest.raises(AttributeError):
+            setattr(atlas, name, {})
+        assert dict(getattr(atlas, name)) == before and len(atlas.transitions) == 2
+        self.same(glue_check(atlas, form), _glue_every_direction(atlas, form))
+
 
 class TestPoincarePrimitive:
     def test_area_form(self, atlas):

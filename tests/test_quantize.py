@@ -237,21 +237,20 @@ class TestComplexStructure:
 class TestPolarizationEquivariance:
     def test_rotations_are_holomorphic(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        structure = scenario.structure
-        assert polarization_equivariance_check(scenario, structure).ok
+        assert polarization_equivariance_check(scenario).ok
 
     def test_skew_perturbation_fails(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        structure = control_skew_structure(scenario.atlas)
-        report = polarization_equivariance_check(scenario, structure)
+        skewed = scenario.replace(structure=control_skew_structure(scenario.atlas))
+        report = polarization_equivariance_check(skewed)
         assert not report.ok
 
     def test_zero_action_passes(self):
         from quantbench.catalog import sphere_family_scenario
         scenario = sphere_family_scenario(1)
         from quantbench.quantize import ComplexStructureData
-        structure = ComplexStructureData(scenario.atlas, {"I": []})
-        assert polarization_equivariance_check(scenario, structure).ok
+        empty = scenario.replace(structure=ComplexStructureData(scenario.atlas, {"I": []}))
+        assert polarization_equivariance_check(empty).ok
 
 
 class TestHolomorphicSolve:
@@ -393,7 +392,7 @@ class TestHolomorphicSolve:
     def test_solve_and_representation_run_no_gcd(self, monkeypatch, rotation_scenarios,
                                                   gauge_su2_1, name):
         scenario = rotation_scenarios[4] if name.startswith("u1") else gauge_su2_1
-        ops = kostant_operator(scenario, scenario.bundle)
+        ops = kostant_operator(scenario)
         gcd = CallCounter(exprs, "poly_gcd")
         monkeypatch.setattr(exprs, "poly_gcd", gcd)
         cap = scenario.ansatz_cap
@@ -546,7 +545,7 @@ class TestInnerProducts:
         result = rotation_quantizations[4]  # u1-rotation-reduction-4
         gcd = CallCounter(exprs, "poly_gcd")
         monkeypatch.setattr(exprs, "poly_gcd", gcd)
-        assert gram_matrix(result.bundle, result.basis) == result.gram
+        assert gram_matrix(result.basis.bundle, result.basis) == result.gram
         assert gcd.calls == 0
 
     def test_gram_entries_match_inner_product(self, rotation_quantizations):
@@ -717,7 +716,7 @@ class TestInducedRepresentation:
         result = quantize.quantize_monomial(scenario)
         elements = result.basis.elements
         p0 = scenario.bundle.cover.index_set[0]
-        for op, mat in zip(kostant_operator(scenario, scenario.bundle), result.matrices):
+        for op, mat in zip(kostant_operator(scenario), result.matrices):
             expected = reference_matrix([op.apply(p0, e[p0]) for e in elements],
                                         [e[p0] for e in elements])
             assert [[str(v) for v in row] for row in mat] == \
@@ -736,7 +735,7 @@ class TestInducedRepresentation:
         scenario = orbit_scenarios[2]
         token = RationalExpr.var(TWO_PI_I)
         shift = token * rational(1, 3) + token ** 2 * rational(-2, 5)
-        ops = kostant_operator(scenario, scenario.bundle)
+        ops = kostant_operator(scenario)
         shifted = [Shifted(op, shift, set(scenario.bundle.cover.index_set)) for op in ops]
         basis = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, scenario.ansatz_cap)
@@ -754,7 +753,7 @@ class TestInducedRepresentation:
 
     def test_perturbed_patch_differs(self, orbit_scenarios):
         scenario = orbit_scenarios[1]
-        ops = kostant_operator(scenario, scenario.bundle)
+        ops = kostant_operator(scenario)
         basis = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, scenario.ansatz_cap)
         assert scenario.bundle.cover.index_set == ("N", "S")
@@ -764,7 +763,7 @@ class TestInducedRepresentation:
             induced_representation(scenario, perturbed, basis)
 
     def test_one_elimination_per_operator(self, monkeypatch, gauge_su2_1):
-        ops = kostant_operator(gauge_su2_1, gauge_su2_1.bundle)
+        ops = kostant_operator(gauge_su2_1)
         basis = holomorphic_solve(gauge_su2_1.bundle, gauge_su2_1.structure,
                                   gauge_su2_1.holomorphic_coords, gauge_su2_1.ansatz_cap)
         every = CallCounter(linalg, "rref")
@@ -818,9 +817,9 @@ class TestSpinClosedForms:
     to a diagonal change of basis.  The expected numbers are computed here
     from factorials, at levels no digest pins."""
 
-    @pytest.mark.parametrize("k", range(13))
-    def test_su2_orbit(self, k):
-        records = _records(catalog.su2_orbit_scenario(k))
+    @staticmethod
+    def assert_spin(records, k):
+        """The holomorphic-dimension and quantization records of spin k/2."""
         assert records["holomorphic-dimension"].status == "pass"
         assert records["holomorphic-dimension"].notes == [
             f"dimension {k + 1} at caps {k + 2} and {k + 4}"]
@@ -859,6 +858,21 @@ class TestSpinClosedForms:
             (ar, ai), (br, bi) = raising[m + 1][m], lowering[m][m + 1]
             # J_+ J_- on the weight m - k/2 + 1 of spin k/2: (m + 1)(k - m)
             assert (ar * br - ai * bi, ar * bi + ai * br) == ((m + 1) * (k - m), 0)
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_su2_orbit(self, k):
+        self.assert_spin(_records(catalog.su2_orbit_scenario(k)), k)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_gauge_su2(self, k):
+        """The twisted quantization over the base plane is the fiber's spin
+        k/2, and the base generators db1, db2 act by zero."""
+        records = _records(catalog.gauge_su2_scenario(k))
+        self.assert_spin(records, k)
+        matrices = records["quantization"].details["matrices"]
+        assert [[_gaussian(v) for row in matrices[name] for v in row]
+                for name in ("db1", "db2")] == [[(0, 0)] * (k + 1) ** 2] * 2
+        assert records["quantization-isomorphism"].status == "pass"
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_u1_rotation(self, k):

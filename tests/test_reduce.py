@@ -107,29 +107,26 @@ class TestDescent:
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_levels_descend(self, rotation_scenarios, k):
         scenario = rotation_scenarios[k]
-        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
-                                           scenario.zero_level)
+        result = descent_obstruction_check(scenario, kostant_operator(scenario))
         assert result.descends
         assert result.weights["e1"] == ExactScalar(Fraction(k, 2))
         assert result.obstructions["e1"] == ZERO
 
     def test_odd_level_obstructed(self, rotation_scenarios):
         scenario = rotation_scenarios[3]
-        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
-                                           scenario.zero_level)
+        result = descent_obstruction_check(scenario, kostant_operator(scenario))
         assert not result.descends
         assert result.status == "hypotheses-not-met"
         assert result.obstructions["e1"] == ExactScalar(Fraction(1, 2))
 
     def test_trivial_bundle_descends(self):
         from quantbench.catalog import foliation_flat_scenario
-        scenario = foliation_flat_scenario()
         z = ZeroLevelData("F", [],
                           {"x": parse_expr("p"), "y": parse_expr("q"),
                            "w": parse_expr("r")},
                           ("p", "q", "r"), orbit_dimension=0)
-        result = descent_obstruction_check(scenario, kostant_operator(scenario, scenario.bundle),
-                                           z)
+        scenario = foliation_flat_scenario().replace(zero_level=z)
+        result = descent_obstruction_check(scenario, kostant_operator(scenario))
         assert result.descends
 
 
@@ -138,8 +135,7 @@ def _compare(scenario, result):
     z = scenario.zero_level
     return qr_commute_check(quantum_fixed_subspace(result, scenario.model.isotropy_indices),
                             internal_mw_quotient(z),
-                            descent_obstruction_check(
-                                scenario, kostant_operator(scenario, scenario.bundle), z))
+                            descent_obstruction_check(scenario, kostant_operator(scenario)))
 
 
 class TestComparison:
@@ -175,8 +171,7 @@ class TestComparison:
         z = scenario.zero_level
         report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[2], []),
                                   internal_mw_quotient(z),
-                                  descent_obstruction_check(
-                                      scenario, kostant_operator(scenario, scenario.bundle), z))
+                                  descent_obstruction_check(scenario, kostant_operator(scenario)))
         assert report.status == "fail" and not report.ok
         assert report.failures == [("qr", "fixed 3, reduced 1")]
         assert report.notes == ["dimension mismatch", "fixed dimension 3, reduced dimension 1"]

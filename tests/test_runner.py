@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from quantbench import bundles, catalog, hamiltonian, liealg, reduce, runner
+from quantbench import bundles, catalog, hamiltonian, liealg, quantize, reduce, runner
 from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
@@ -424,6 +424,22 @@ def test_failed_curvature_match_skips_the_operator_checks():
                      "connection-equivariance", "quantization"):
         assert records[check_id].status == "skipped"
         assert records[check_id].notes == ["needs operators from curvature-match, which failed"]
+
+
+@pytest.mark.parametrize("build,consumer", [
+    (lambda: catalog.gauge_su2_scenario(1), "quantization-isomorphism"),
+    (lambda: catalog.u1_rotation_scenario(2), "integrated-representation"),
+], ids=["gauge-su2-1", "u1-rotation-reduction-2"])
+def test_a_failed_quantization_skips_the_rows_that_use_it(monkeypatch, build, consumer):
+    """A row that reads the representation where the scenario has one (its
+    `uses`) is skipped once `quantization` fails, as the rows that need it are."""
+    def broken(scenario, ops, basis):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(quantize, "induced_representation", broken)
+    records = {r.check_id: r for r in run_scenario(build()).records}
+    assert records["quantization"].failures == [("RuntimeError", "boom")]
+    assert records[consumer].status == "skipped"
+    assert records[consumer].notes == ["needs representation from quantization, which failed"]
 
 
 def test_unexpected_exception_is_a_failed_record(monkeypatch):

@@ -37,6 +37,7 @@ LIEALG = "src/quantbench/liealg.py"
 LINALG = "src/quantbench/linalg.py"
 QUANTIZE = "src/quantbench/quantize.py"
 REDUCE = "src/quantbench/reduce.py"
+RUNNER = "src/quantbench/runner.py"
 SCALARS = "src/quantbench/scalars.py"
 SCENARIO_IO = "src/quantbench/scenario_io.py"
 MALFORMED = "tests/test_cli.py::TestScenarioFiles::test_malformed_file_exits_two"
@@ -51,6 +52,7 @@ SCENARIO = "tests/test_hamiltonian.py::TestImmutableScenario"
 SPARSE = "tests/test_liealg.py::TestSparseBracket"
 GLUE_SHORTCUT = "tests/test_geometry.py::TestGlueShortcut"
 FROZEN = "tests/test_runner.py::test_every_stage_input_is_frozen"
+FILTERED = "tests/test_runner.py::test_a_filtered_record_is_the_full_runs"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
 
@@ -431,8 +433,8 @@ MUTANTS = [
      "tests": [f"{GLUE_SHORTCUT}::test_a_pair_that_is_not_inverse_is_decided_both_ways"]},
     {"name": "FiberedAtlas: the transitions handed back mutable",
      "file": GEOMETRY,
-     "old": "        self.transitions = MappingProxyType(table)\n",
-     "new": "        self.transitions = table\n",
+     "old": "transitions=MappingProxyType(table)",
+     "new": "transitions=table",
      "tests": [FROZEN, f"{GLUE_SHORTCUT}::test_adding_a_transition_drops_the_verdict"]},
     {"name": "LineBundleData: the potentials handed back mutable",
      "file": BUNDLES,
@@ -449,6 +451,16 @@ MUTANTS = [
      "old": "            coeffs[chart_name] = MappingProxyType(clean)\n",
      "new": "            coeffs[chart_name] = clean\n",
      "tests": [FROZEN]},
+    {"name": "select_checks: the producers of `uses` not pulled in",
+     "file": RUNNER,
+     "old": "selected.update(PRODUCER[name] for name in check.needs + check.uses)",
+     "new": "selected.update(PRODUCER[name] for name in check.needs)",
+     "tests": [f"{FILTERED}[gauge-su2-1]", f"{FILTERED}[u1-rotation-reduction-2]"]},
+    {"name": "run_scenario: a `uses` consumer run after its producer failed",
+     "file": RUNNER,
+     "old": "                  for name in check.needs + check.uses\n",
+     "new": "                  for name in check.needs\n",
+     "tests": ["tests/test_runner.py::test_a_failed_quantization_skips_the_rows_that_use_it"]},
     {"name": "geometry._field: zero entries kept",
      "file": GEOMETRY,
      "old": "{c: v for c, v in table.items() if not v.is_zero()}",
@@ -470,7 +482,8 @@ MUTANTS = [
         ("RationalExpr", EXPRS, IMMUTABLE),
         ("ActionScenario", HAMILTONIAN, f"{SCENARIO}::test_no_attribute_can_be_set"),
         ("LineBundleData", BUNDLES, "tests/test_bundles.py::TestCurvature::"
-                                    "test_the_curvature_is_kept_by_an_immutable_bundle"))
+                                    "test_the_curvature_is_kept_by_an_immutable_bundle"),
+        ("FiberedAtlas", GEOMETRY, f"{GLUE_SHORTCUT}::test_the_atlas_tables_cannot_be_rebound"))
 ]
 
 
