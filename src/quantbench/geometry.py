@@ -10,6 +10,7 @@ than the form carries is an error while finer requests restrict first.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .exprs import RationalExpr, coerce_rational
 from .reports import CheckResult
-from .scalars import ExactScalar
 
 LEAF_J = "J"
 LEAF_JTILDE = "Jtilde"
@@ -178,15 +178,105 @@ def _check_class(requested, available):
             f"requested class {requested} is coarser than operand class {available}")
 
 
-class DifferentialForm:
+class ChartTables:
+    """Tables {chart: {key: RationalExpr}} on one atlas inside one leafwise
+    class, with the algebra that differential forms and vector fields share.
+    The tables are read-only and no attribute can be set after construction.
+    Outside input goes through the validating constructor of `DifferentialForm`
+    or `VectorField`; every result of validated operands through `_built`."""
+
+    _NAME = ""  # "Form" or "Field": the noun of the repr and the error texts
+
+    def __init__(self, atlas, leafwise_class, tables, **degree):
+        """Keep `tables`, whose entries lie inside `leafwise_class`, without
+        their zero entries; nothing is checked.  A form passes its `degree`."""
+        vars(self).update(degree, atlas=atlas, leafwise_class=leafwise_class,
+                          tables=MappingProxyType({
+                              ch: MappingProxyType({k: v for k, v in table.items()
+                                                    if not v.is_zero()})
+                              for ch, table in tables.items()}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _built(cls, atlas, leafwise_class, tables, **degree):
+        """The one builder of results from validated operands: the base
+        constructor, without the validating one of `cls`."""
+        out = object.__new__(cls)
+        ChartTables.__init__(out, atlas, leafwise_class, tables, **degree)
+        return out
+
+    def _like(self, leafwise_class, tables, **degree):
+        """`tables` as a result of this operand's kind and atlas, and of its
+        degree unless another is given."""
+        return self._built(**dict(vars(self), leafwise_class=leafwise_class, tables=tables,
+                                  **degree))
+
+    def _map(self, fn):
+        return self._like(self.leafwise_class, {ch: {k: fn(v) for k, v in table.items()}
+                                                for ch, table in self.tables.items()})
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for table in self.tables.values() for v in table.values())
+
+    # -- algebra ------------------------------------------------------------
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other, op):
+        """op on the entries of two operands of one kind, over the charts of
+        either in the atlas's order; an entry only `other` has is op(0, entry),
+        so a difference subtracts each entry once."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.atlas is not self.atlas:
+            raise AtlasMismatchError(f"{self._NAME.lower()}s on different atlases")
+        if vars(other).get("degree") != vars(self).get("degree"):  # a field has none
+            raise DegreeError("cannot add forms of different degree")
+        zero = RationalExpr.zero()
+        out = {}
+        for ch in _charts_of(self.atlas, self.tables, other.tables):
+            table = dict(self.tables.get(ch, {}))
+            for key, v in other.tables.get(ch, {}).items():
+                table[key] = op(table.get(key, zero), v)
+            out[ch] = table
+        return self._like(_join(self.leafwise_class, other.leafwise_class), out)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def __mul__(self, factor):
+        """Multiply by a scalar or an expression."""
+        factor = coerce_rational(factor)
+        return self._map(lambda v: v * factor)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return self._map(operator.methodcaller("conj"))
+
+    def simplify(self):
+        return self._map(operator.methodcaller("simplify"))
+
+    def __repr__(self):
+        bits = [f"[{ch}] ({v}) {self._label(key)}"
+                for ch, table in self.tables.items() for key, v in table.items()]
+        return f"{self._NAME}({'; '.join(bits) or 0})"
+
+
+class DifferentialForm(ChartTables):
     """Chartwise alternating form; indices are strictly increasing coordinate tuples."""
+
+    _NAME = "Form"
 
     def __init__(self, atlas, degree, leafwise_class, coefficients):
         if type(degree) is not int or degree < 0:
             raise DegreeError(f"form degree {degree!r} is not a non-negative int")
-        self.atlas = atlas
-        self.degree = degree
-        self.leafwise_class = _known_class(leafwise_class)
+        _known_class(leafwise_class)
         coeffs = {}
         for chart_name, table in coefficients.items():
             chart = atlas.chart(chart_name)
@@ -195,18 +285,19 @@ class DifferentialForm:
             for idx, value in table.items():
                 idx = tuple(idx)
                 value = coerce_rational(value)
-                if len(idx) != self.degree:
-                    raise DegreeError(f"index {idx} has wrong length for degree {self.degree}")
+                if len(idx) != degree:
+                    raise DegreeError(f"index {idx} has wrong length for degree {degree}")
                 if any(c not in allowed for c in idx):
                     raise LeafwiseClassError(
                         f"differential {idx} leaves class {leafwise_class} on chart {chart_name}")
                 order = [chart.coord_index(c) for c in idx]
                 if sorted(order) != order or len(set(order)) != len(order):
                     raise MalformedExpressionError(f"index {idx} is not strictly increasing")
-                if not value.is_zero():
-                    clean[idx] = value
-            coeffs[chart_name] = MappingProxyType(clean)
-        self.coefficients = MappingProxyType(coeffs)
+                clean[idx] = value
+            coeffs[chart_name] = clean
+        super().__init__(atlas, leafwise_class, coeffs, degree=degree)
+
+    coefficients = property(lambda self: self.tables)  # {chart: {index: coefficient}}
 
     # -- accessors -----------------------------------------------------------
     def coefficient(self, chart, idx) -> RationalExpr:
@@ -215,42 +306,6 @@ class DifferentialForm:
     def terms(self, chart):
         return self.coefficients.get(chart, {})
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero()
-                   for table in self.coefficients.values() for v in table.values())
-
-    # -- algebra ------------------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        if other.atlas is not self.atlas:
-            raise AtlasMismatchError("forms on different atlases")
-        if other.degree != self.degree:
-            raise DegreeError("cannot add forms of different degree")
-        out = {}
-        for ch in _charts_of(self.atlas, self.coefficients, other.coefficients):
-            table = dict(self.coefficients.get(ch, {}))
-            for idx, v in other.coefficients.get(ch, {}).items():
-                table[idx] = table.get(idx, RationalExpr.zero()) + v
-            out[ch] = table
-        return DifferentialForm(self.atlas, self.degree,
-                                _join(self.leafwise_class, other.leafwise_class), out)
-
-    def __neg__(self):
-        return self * ExactScalar(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, factor):
-        """Multiply by a scalar or an expression."""
-        factor = coerce_rational(factor)
-        out = {ch: {idx: v * factor for idx, v in table.items()}
-               for ch, table in self.coefficients.items()}
-        return DifferentialForm(self.atlas, self.degree, self.leafwise_class, out)
-
-    __rmul__ = __mul__
-
     def restrict(self, leafwise_class) -> "DifferentialForm":
         """Keep only differentials inside the requested (finer) class."""
         _check_class(leafwise_class, self.leafwise_class)
@@ -258,17 +313,7 @@ class DifferentialForm:
         for ch, table in self.coefficients.items():
             allowed = set(self.atlas.chart(ch).coords_for(leafwise_class))
             out[ch] = {idx: v for idx, v in table.items() if set(idx) <= allowed}
-        return DifferentialForm(self.atlas, self.degree, leafwise_class, out)
-
-    def conj(self) -> "DifferentialForm":
-        out = {ch: {idx: v.conj() for idx, v in table.items()}
-               for ch, table in self.coefficients.items()}
-        return DifferentialForm(self.atlas, self.degree, self.leafwise_class, out)
-
-    def simplify(self) -> "DifferentialForm":
-        out = {ch: {idx: v.simplify() for idx, v in table.items()}
-               for ch, table in self.coefficients.items()}
-        return DifferentialForm(self.atlas, self.degree, self.leafwise_class, out)
+        return self._like(leafwise_class, out)
 
     def apply(self, *fields) -> dict:
         """Evaluate on vector fields; returns {chart: RationalExpr}."""
@@ -285,19 +330,16 @@ class DifferentialForm:
             out[ch] = total
         return out
 
-    def __repr__(self):
-        bits = []
-        for ch, table in self.coefficients.items():
-            for idx, v in table.items():
-                label = "^".join(f"d{c}" for c in idx) or "1"
-                bits.append(f"[{ch}] ({v}) {label}")
-        return "Form(" + "; ".join(bits) + ")" if bits else "Form(0)"
+    @staticmethod
+    def _label(idx):
+        return "^".join(f"d{c}" for c in idx) or "1"
 
 
-class VectorField:
+class VectorField(ChartTables):
+    _NAME = "Field"
+
     def __init__(self, atlas, leafwise_class, components):
-        self.atlas = atlas
-        self.leafwise_class = _known_class(leafwise_class)
+        _known_class(leafwise_class)
         comps = {}
         for chart_name, table in components.items():
             chart = atlas.chart(chart_name)
@@ -310,40 +352,14 @@ class VectorField:
                 if coord not in allowed and not value.is_zero():
                     raise LeafwiseClassError(
                         f"component along {coord} leaves class {leafwise_class}")
-                if not value.is_zero():
-                    clean[coord] = value
-            comps[chart_name] = MappingProxyType(clean)
-        self.components = MappingProxyType(comps)
+                clean[coord] = value
+            comps[chart_name] = clean
+        super().__init__(atlas, leafwise_class, comps)
+
+    components = property(lambda self: self.tables)  # {chart: {coordinate: component}}
 
     def component(self, chart, coord) -> RationalExpr:
         return self.components.get(chart, {}).get(coord, RationalExpr.zero())
-
-    def __add__(self, other, subtract=False):
-        if other.atlas is not self.atlas:
-            raise AtlasMismatchError("fields on different atlases")
-        out = {}
-        for ch in _charts_of(self.atlas, self.components, other.components):
-            table = dict(self.components.get(ch, {}))
-            for coord, v in other.components.get(ch, {}).items():
-                if subtract:
-                    v = -v
-                table[coord] = table[coord] + v if coord in table else v
-            out[ch] = table
-        return _field(self.atlas, _join(self.leafwise_class, other.leafwise_class), out)
-
-    def __neg__(self):
-        return self * ExactScalar(-1)
-
-    def __sub__(self, other):
-        return self.__add__(other, subtract=True)
-
-    def __mul__(self, factor):
-        factor = coerce_rational(factor)
-        out = {ch: {coord: v * factor for coord, v in table.items()}
-               for ch, table in self.components.items()}
-        return _field(self.atlas, self.leafwise_class, out)
-
-    __rmul__ = __mul__
 
     def derive(self, function, chart=None):
         """Directional derivative of a chartwise function dict or expression."""
@@ -360,27 +376,9 @@ class VectorField:
             total = total + comp * expr.derivative(coord)
         return total
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero()
-                   for table in self.components.values() for v in table.values())
-
-    def __repr__(self):
-        bits = []
-        for ch, table in self.components.items():
-            for coord, v in table.items():
-                bits.append(f"[{ch}] ({v}) d/d{coord}")
-        return "Field(" + "; ".join(bits) + ")" if bits else "Field(0)"
-
-
-def _field(atlas, leafwise_class, components) -> VectorField:
-    """A field operation's result, its tables inside the leafwise class: zero
-    entries are dropped, nothing is checked (outside input is validated)."""
-    field = object.__new__(VectorField)
-    field.atlas, field.leafwise_class = atlas, leafwise_class
-    field.components = MappingProxyType({
-        ch: MappingProxyType({c: v for c, v in table.items() if not v.is_zero()})
-        for ch, table in components.items()})
-    return field
+    @staticmethod
+    def _label(coord):
+        return f"d/d{coord}"
 
 
 def _field_sum(atlas, leafwise_class, terms) -> VectorField:
@@ -391,7 +389,7 @@ def _field_sum(atlas, leafwise_class, terms) -> VectorField:
         if field is not None and not coeff.is_zero():
             out = field * coeff if out is None else out + field * coeff
     return out if out is not None else \
-        _field(atlas, leafwise_class, dict.fromkeys(atlas.charts, {}))
+        VectorField._built(atlas, leafwise_class, dict.fromkeys(atlas.charts, {}))
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:
@@ -418,7 +416,7 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
                     total = total - b * vt.get(coord, zero).derivative(c2)
             table[coord] = total
         out[ch] = table
-    return _field(v.atlas, cls, out)
+    return v._like(cls, out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +452,7 @@ def exterior_derivative(form: DifferentialForm, leafwise_class=None) -> Differen
                 cur = new_table.get(key, RationalExpr.zero())
                 new_table[key] = cur + partial * sign
         out[ch] = new_table
-    return DifferentialForm(form.atlas, form.degree + 1, cls, out)
+    return form._like(cls, out, degree=form.degree + 1)
 
 
 def interior_product(v: VectorField, form: DifferentialForm) -> DifferentialForm:
@@ -483,7 +481,7 @@ def interior_product(v: VectorField, form: DifferentialForm) -> DifferentialForm
                 cur = table.get(rest, RationalExpr.zero())
                 table[rest] = cur + coeff * comp * sign
         out[ch] = table
-    return DifferentialForm(form.atlas, form.degree - 1, form.leafwise_class, out)
+    return form._like(form.leafwise_class, out, degree=form.degree - 1)
 
 
 def lie_derivative(v: VectorField, form: DifferentialForm) -> DifferentialForm:
@@ -491,7 +489,7 @@ def lie_derivative(v: VectorField, form: DifferentialForm) -> DifferentialForm:
     if form.degree == 0:
         out = {ch: {(): v.derive(form.coefficient(ch, ()), ch)}
                for ch in form.coefficients if ch in v.components}
-        return DifferentialForm(form.atlas, 0, cls, out)
+        return form._like(cls, out)
     return exterior_derivative(interior_product(v, form), cls) + \
         interior_product(v, exterior_derivative(form, cls))
 
@@ -517,15 +515,15 @@ def pullback(transition: Transition, form: DifferentialForm) -> DifferentialForm
             if not minor.is_zero():
                 key = tuple(sources[j] for j in cols)
                 table[key] = table.get(key, RationalExpr.zero()) + pulled * minor
-    return DifferentialForm(atlas, form.degree, LEAF_FULL, {transition.source: table})
+    return form._like(LEAF_FULL, {transition.source: table})
 
 
 def form_on_chart(atlas, form: DifferentialForm, chart) -> DifferentialForm:
     """`form` on `chart`: its own coefficients there, or else the pullback
     from the first chart, in the atlas's declared order, that carries it."""
     if chart in form.coefficients:
-        return DifferentialForm(atlas, form.degree, LEAF_FULL,
-                                {chart: form.coefficients[chart]})
+        return DifferentialForm._built(atlas, LEAF_FULL, {chart: form.coefficients[chart]},
+                                       degree=form.degree)
     source = _charts_of(atlas, form.coefficients)[0]
     return pullback(atlas.transition(chart, source), form)
 
@@ -543,9 +541,7 @@ def glue_check(atlas: FiberedAtlas, form: DifferentialForm) -> CheckResult:
             residuals.append((src, tgt, "missing chart coefficients"))
             continue
         pulled = pullback(transition, form)
-        local = DifferentialForm(atlas, form.degree, LEAF_FULL,
-                                 {src: form.coefficients[src]})
-        diff = pulled - local
+        diff = pulled - form_on_chart(atlas, form, src)
         found = len(residuals)
         for idx, value in diff.coefficients.get(src, {}).items():
             value = value.simplify()

@@ -95,16 +95,16 @@ class AlgebroidModel:
     gives one order only.
     anchor_fields[i] is the vector field the anchor assigns to gen_i (None = 0).
     isotropy_indices flags the generators spanning ker(anchor).
+    No attribute can be set after construction, so what is derived here
+    cannot outlive its inputs.
     """
 
     def __init__(self, name, variant, base_atlas, generator_names, bracket_table,
                  anchor_fields, isotropy_indices=None, gauge_base_count=0):
-        self.name = name
-        self.variant = variant
-        self.base_atlas = base_atlas
-        self.generator_names = tuple(generator_names)
-        self.n = len(self.generator_names)
-        self.anchor_fields = tuple(anchor_fields)
+        generator_names = tuple(generator_names)
+        vars(self).update(name=name, variant=variant, base_atlas=base_atlas,
+                          generator_names=generator_names, n=len(generator_names),
+                          anchor_fields=tuple(anchor_fields), gauge_base_count=gauge_base_count)
         if len(set(self.generator_names)) != self.n or len(self.anchor_fields) != self.n:
             raise ModelMismatchError(f"{self.n} distinct generator names need "
                                      f"{self.n} anchor entries")
@@ -114,23 +114,24 @@ class AlgebroidModel:
                 raise ModelMismatchError(f"bracket entry {(i, j)} needs two distinct "
                                          f"generator indices and {self.n} coefficients")
             table[(i, j)] = tuple(coerce_rational(v) for v in vec)
-        # read-only, since `bracket_entries` is derived from it once
-        self.bracket_table = MappingProxyType(table)
         both = {pair: tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
                 for pair, vec in table.items()}
         for (i, j), entries in list(both.items()):
             both.setdefault((j, i), tuple((k, -c) for k, c in entries))
-        self.bracket_entries = MappingProxyType(both)
-        self._basis = tuple(self.section([int(i == k) for i in range(self.n)])
-                            for k in range(self.n))
-        self.isotropy_indices = tuple(
-            isotropy_indices if isotropy_indices is not None
-            else [i for i, f in enumerate(self.anchor_fields)
-                  if f is None or f.is_zero()])
-        if any(type(i) is not int or not 0 <= i < self.n for i in self.isotropy_indices):
-            raise ModelMismatchError(f"isotropy indices {self.isotropy_indices} "
+        isotropy = tuple(isotropy_indices if isotropy_indices is not None
+                         else [i for i, f in enumerate(self.anchor_fields)
+                               if f is None or f.is_zero()])
+        if any(type(i) is not int or not 0 <= i < self.n for i in isotropy):
+            raise ModelMismatchError(f"isotropy indices {isotropy} "
                                      "are not generator indices")
-        self.gauge_base_count = gauge_base_count
+        # read-only, since `bracket_entries` is derived from it once
+        vars(self).update(bracket_table=MappingProxyType(table),
+                          bracket_entries=MappingProxyType(both), isotropy_indices=isotropy)
+        vars(self)["_basis"] = tuple(self.section([int(i == k) for i in range(self.n)])
+                                     for k in range(self.n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebroidModel is immutable")
 
     # -- sections ---------------------------------------------------------
     def section(self, coeffs) -> "SectionRep":

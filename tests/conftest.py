@@ -3,11 +3,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quantbench import catalog
 from quantbench.quantize import quantize_monomial
+
+# `tools/mutants.py` selects this profile: the first failing example kills a
+# mutant, so none is shrunk, and no example database is read or written
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate),
+                          database=None)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantbench.catalog import omega_fs, rotation_fields, sphere_atlas, su2_orbit_scenario
+from quantbench.catalog import (
+    gauge_su2_scenario,
+    omega_fs,
+    rotation_fields,
+    sphere_atlas,
+    su2_orbit_scenario,
+)
 from quantbench.errors import (
     DegreeError,
     LeafwiseClassError,
@@ -32,6 +38,7 @@ from quantbench.geometry import (
     commutator,
     exterior_derivative,
     form_function,
+    form_on_chart,
     glue_check,
     glue_check_field,
     interior_product,
@@ -525,8 +532,8 @@ def _validated_combination(v, w, sign):
 
 
 class TestFieldAlgebra:
-    """Sums, differences, multiples and commutators, built by the unchecked
-    field builder, equal what the validating constructor builds."""
+    """Sums, differences, multiples and commutators of fields, built by the
+    unchecked builder, equal what the validating constructor builds."""
 
     @settings(max_examples=40, deadline=None)
     @given(_fields(), _fields(), st.booleans())
@@ -560,6 +567,55 @@ class TestFieldAlgebra:
         _same_entries(commutator(v, w), VectorField(_TWO_CHARTS, cls, out))
 
 
+def _every_result(s):
+    """Every result of the shared algebra, `restrict`, `commutator`, the
+    exterior derivative, contraction, pullback and `form_on_chart` on `s`'s
+    omega-tilde, Kostant potentials and generator fields."""
+    atlas = s.atlas
+    etas = list(s.bundle.potentials.values())
+    forms = [s.presymplectic.omega_tilde, *etas, etas[0] + etas[-1]]
+    fields = [s.generator_field(i) for i in range(s.model.n)]
+    factors = [ExactScalar(-3), parse_expr("x - 1/2"), s.momentum.pairing(s.model.n - 1)["N"]]
+    for a in forms + fields:
+        yield from (-a, a.conj(), a.simplify())
+        yield from (a * f for f in factors)
+        yield from (f * a for f in factors)
+    for a, b in [(a, b) for a in forms for b in forms if a.degree == b.degree]:
+        yield from (a + b, a - b)
+    for v in fields:
+        yield from (result for w in fields for result in (v + w, v - w, commutator(v, w)))
+    for form in forms:
+        yield form.restrict(LEAF_J)
+        yield from (exterior_derivative(form), exterior_derivative(form, LEAF_J))
+        yield from (interior_product(v, form) for v in fields)
+        yield from (form_on_chart(atlas, form, ch) for ch in atlas.charts)
+        yield from (pullback(t, form) for (_, tgt), t in atlas.transitions.items()
+                    if tgt in form.coefficients)
+
+
+@pytest.mark.parametrize("build", [lambda: su2_orbit_scenario(1), lambda: gauge_su2_scenario(1)],
+                         ids=["su2-orbit-1", "gauge-su2-1"])
+def test_results_are_what_the_validating_constructor_builds(build):
+    """A result of validated forms and fields, built unchecked, is rebuilt
+    unchanged by the validating constructor: the same leafwise class and
+    degree, the charts and keys in the same order, and no zero entry."""
+    results = list(_every_result(build()))
+    assert len(results) > 100 and any(r.is_zero() for r in results)
+    for result in results:
+        assert not any(v.is_zero() for table in result.tables.values() for v in table.values())
+        if isinstance(result, DifferentialForm):
+            rebuilt = DifferentialForm(result.atlas, result.degree, result.leafwise_class,
+                                       result.coefficients)
+        else:
+            rebuilt = VectorField(result.atlas, result.leafwise_class, result.components)
+        assert (type(rebuilt), rebuilt.leafwise_class, getattr(rebuilt, "degree", None)) == \
+            (type(result), result.leafwise_class, getattr(result, "degree", None))
+        assert [(ch, [(key, v.num, v.den) for key, v in table.items()])
+                for ch, table in rebuilt.tables.items()] == \
+            [(ch, [(key, v.num, v.den) for key, v in table.items()])
+             for ch, table in result.tables.items()]
+
+
 class TestForeignOperands:
     """An expression leaves a field or form operand to that operand's
     reflected product, as `ExactScalar` does, so the product reads the same
@@ -579,3 +635,13 @@ class TestForeignOperands:
                 left, right = expr * form, form * expr
                 assert (left.degree, left.leafwise_class) == (right.degree, right.leafwise_class)
                 assert left.coefficients == right.coefficients
+
+    def test_a_form_and_a_field_do_not_add(self):
+        """Either operand leaves the other kind to Python, which raises
+        `TypeError`, whichever comes first."""
+        s = su2_orbit_scenario(1)
+        form, field = s.presymplectic.omega_tilde, s.generator_field(0)
+        for left, right in ((form, field), (field, form)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b):
+                with pytest.raises(TypeError):
+                    op(left, right)

@@ -225,14 +225,15 @@ class TestAlgebroidModels:
         assert (record.check_id, record.status) == ("action-morphism", "fail")
         assert record.failures == [("bracket", "dx", "dy")]
 
-    def test_leibniz_reaches_first_order_errors(self):
+    def test_leibniz_reaches_first_order_errors(self, monkeypatch):
         """A bracket off by d/dw of the second slot's coefficients is wrong
         only on functions of w: f = 1 passes it, and f = w catches it."""
         from quantbench.catalog import foliation_flat_scenario
         model = foliation_flat_scenario().model
         right = model.bracket
-        model.bracket = lambda s1, s2: right(s1, s2) + model.section(
-            [c.derivative("w") for c in s2.coeffs])
+        # the model refuses attribute assignment; the wrong bracket goes into its dict
+        monkeypatch.setitem(vars(model), "bracket", lambda s1, s2: right(s1, s2) + model.section(
+            [c.derivative("w") for c in s2.coeffs]))
         assert model.leibniz_report().failures == [("dx", "dy"), ("dy", "dx")]
 
     def test_gauge_splitting_recovers_base_field(self):
@@ -334,7 +335,7 @@ class TestActions:
         with pytest.raises(AtlasMismatchError):
             derived.bracket(e1, e2 * parse_expr("x*u"))
 
-    def test_leibniz_catches_an_anchor_perturbed_on_chart_s(self):
+    def test_leibniz_catches_an_anchor_perturbed_on_chart_s(self, monkeypatch):
         """A bracket built from an anchor whose e3 field gains 1/7 d/du on
         chart S breaks Leibniz only where f = u is derived on chart S."""
         scenario = su2_orbit_scenario(1)
@@ -343,8 +344,8 @@ class TestActions:
         fields = rotation_fields(atlas)
         fields[2] = fields[2] + VectorField(atlas, LEAF_J, {"S": {"u": Fraction(1, 7)}})
         perturbed = action_algebroid(scenario.model, ActionMap(scenario.model, atlas, fields))
-        derived.bracket = lambda s1, s2: derived.section(perturbed.bracket(
-            perturbed.section(s1.coeffs), perturbed.section(s2.coeffs)).coeffs)
+        monkeypatch.setitem(vars(derived), "bracket", lambda s1, s2: derived.section(
+            perturbed.bracket(perturbed.section(s1.coeffs), perturbed.section(s2.coeffs)).coeffs))
         assert derived.leibniz_report().failures == [("e3", "e1"), ("e3", "e2")]
 
     def test_action_algebroid_anchor_is_action(self):
@@ -450,6 +451,23 @@ class TestSparseBracket:
             assert ours.model is model and len(ours.coeffs) == model.n
             assert all(type(c) is RationalExpr for c in ours.coeffs)
             assert list(ours.coeffs) == list(reference.coeffs)
+
+    @pytest.mark.parametrize("target,name", [
+        ("model", "bracket_table"), ("form", "coefficients"), ("form", "leafwise_class"),
+        ("field", "components"), ("field", "leafwise_class")])
+    def test_no_attribute_can_be_set(self, target, name):
+        """The model, a form and a field refuse attribute assignment, so what
+        they derive at construction cannot outlive a rebound input: su(2)'s
+        [e1, e2] is e3, read from its kept `bracket_entries`."""
+        model, scenario = su2(), su2_orbit_scenario(1)
+        held = {"model": model, "form": scenario.presymplectic.omega_tilde,
+                "field": scenario.generator_field(0)}[target]
+        before = getattr(held, name)
+        with pytest.raises(AttributeError):
+            setattr(held, name, {} if name != "leafwise_class" else LEAF_JTILDE)
+        assert getattr(held, name) is before
+        e1, e2, e3 = model.generators()
+        assert model.bracket(e1, e2).coeffs == e3.coeffs
 
     @pytest.mark.parametrize("family", ["su2-orbit-k", "gauge-su2-k", "s1-plane-action"])
     def test_a_basis_section_acts_by_its_stored_field(self, family):

@@ -7,6 +7,9 @@ and first runs every listed test there, unchanged; they must pass.  Then,
 one entry at a time, it applies the entry's replacement, runs the
 entry's tests in one pytest process (no worker pool), and restores the file.
 An entry is killed when pytest reports a failing test (exit status 1).
+Every pytest run selects the `mutants` hypothesis profile of
+`tests/conftest.py`, which does not shrink a failing example: the first
+failure kills the mutant.
 
 A SIGTERM ends the run as an ordinary exit does, so the copy is removed.
 It exits 1 when a mutant survives, when a run ends in any other pytest
@@ -51,6 +54,9 @@ IMMUTABLE = "tests/test_exprs.py::TestImmutability::test_slots_cannot_be_set"
 SCENARIO = "tests/test_hamiltonian.py::TestImmutableScenario"
 SPARSE = "tests/test_liealg.py::TestSparseBracket"
 GLUE_SHORTCUT = "tests/test_geometry.py::TestGlueShortcut"
+FIELD_ALGEBRA = "tests/test_geometry.py::TestFieldAlgebra"
+BUILDER_CONTRACT = ("tests/test_geometry.py::"
+                    "test_results_are_what_the_validating_constructor_builds")
 FROZEN = "tests/test_runner.py::test_every_stage_input_is_frozen"
 FILTERED = "tests/test_runner.py::test_a_filtered_record_is_the_full_runs"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
@@ -106,8 +112,8 @@ MUTANTS = [
      "tests": [f"{MALFORMED}[bracket-diagonal]"]},
     {"name": "AlgebroidModel: isotropy indices unbounded above",
      "file": LIEALG,
-     "old": "not 0 <= i < self.n for i in self.isotropy_indices",
-     "new": "not 0 <= i for i in self.isotropy_indices",
+     "old": "not 0 <= i < self.n for i in isotropy",
+     "new": "not 0 <= i for i in isotropy",
      "tests": [f"{MALFORMED}[isotropy-out-of-range]"]},
     {"name": "scenario_io: a sample may omit coordinates",
      "file": SCENARIO_IO,
@@ -256,9 +262,8 @@ MUTANTS = [
     {"name": "DifferentialForm: any degree that int() accepts",
      "file": GEOMETRY,
      "old": "        if type(degree) is not int or degree < 0:\n"
-            "            raise DegreeError(f\"form degree {degree!r} is not a non-negative int\")\n"
-            "        self.atlas = atlas\n        self.degree = degree\n",
-     "new": "        self.atlas = atlas\n        self.degree = int(degree)\n",
+            "            raise DegreeError(f\"form degree {degree!r} is not a non-negative int\")\n",
+     "new": "        degree = int(degree)\n",
      "tests": [f"{MALFORMED}[form-degree-float]", f"{MALFORMED}[form-degree-string]"]},
     {"name": "ExactScalar.__hash__: a real value hashed as a Gaussian one",
      "file": SCALARS,
@@ -446,10 +451,10 @@ MUTANTS = [
      "old": "        self.pairings = frozen([{ch: coerce_rational(v) for ch, v in p.items()}",
      "new": "        self.pairings = ([{ch: coerce_rational(v) for ch, v in p.items()}",
      "tests": [FROZEN, "tests/test_runner.py::test_a_pairing_written_after_a_run_raises_at_the_write"]},
-    {"name": "DifferentialForm: the chart tables handed back mutable",
+    {"name": "ChartTables: the chart tables handed back mutable",
      "file": GEOMETRY,
-     "old": "            coeffs[chart_name] = MappingProxyType(clean)\n",
-     "new": "            coeffs[chart_name] = clean\n",
+     "old": "ch: MappingProxyType({k: v for k, v in table.items()",
+     "new": "ch: ({k: v for k, v in table.items()",
      "tests": [FROZEN]},
     {"name": "select_checks: the producers of `uses` not pulled in",
      "file": RUNNER,
@@ -461,11 +466,23 @@ MUTANTS = [
      "old": "                  for name in check.needs + check.uses\n",
      "new": "                  for name in check.needs\n",
      "tests": ["tests/test_runner.py::test_a_failed_quantization_skips_the_rows_that_use_it"]},
-    {"name": "geometry._field: zero entries kept",
+    {"name": "ChartTables: zero entries kept",
      "file": GEOMETRY,
-     "old": "{c: v for c, v in table.items() if not v.is_zero()}",
+     "old": "{k: v for k, v in table.items()\n"
+            "                                                    if not v.is_zero()}",
      "new": "dict(table)",
-     "tests": ["tests/test_geometry.py::TestFieldAlgebra::test_sum_and_difference"]},
+     "tests": [BUILDER_CONTRACT]},
+    {"name": "ChartTables: an entry only the subtrahend has kept un-negated",
+     "file": GEOMETRY,
+     "old": "                table[key] = op(table.get(key, zero), v)",
+     "new": "                table[key] = op(table[key], v) if key in table else v",
+     "tests": [f"{FIELD_ALGEBRA}::test_sum_and_difference"]},
+    {"name": "ChartTables.__setattr__: attributes may be set",
+     "file": GEOMETRY,
+     "old": '        raise AttributeError(f"{type(self).__name__} is immutable")',
+     "new": "        object.__setattr__(self, name, value)",
+     "tests": [f"{SPARSE}::test_no_attribute_can_be_set[form-leafwise_class]",
+               f"{SPARSE}::test_no_attribute_can_be_set[field-leafwise_class]"]},
     {"name": "_Substitution.numerator: each term one power of its group denominator short",
      "file": EXPRS,
      "old": "            factors += [power(self.groups[g], k - d)",
@@ -483,15 +500,16 @@ MUTANTS = [
         ("ActionScenario", HAMILTONIAN, f"{SCENARIO}::test_no_attribute_can_be_set"),
         ("LineBundleData", BUNDLES, "tests/test_bundles.py::TestCurvature::"
                                     "test_the_curvature_is_kept_by_an_immutable_bundle"),
-        ("FiberedAtlas", GEOMETRY, f"{GLUE_SHORTCUT}::test_the_atlas_tables_cannot_be_rebound"))
+        ("FiberedAtlas", GEOMETRY, f"{GLUE_SHORTCUT}::test_the_atlas_tables_cannot_be_rebound"),
+        ("AlgebroidModel", LIEALG, f"{SPARSE}::test_no_attribute_can_be_set[model-bracket_table]"))
 ]
 
 
 def _pytest(copy: Path, tests) -> int:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+                           "--hypothesis-profile=mutants", *tests], cwd=copy, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def main() -> int:
