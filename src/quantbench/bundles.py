@@ -18,6 +18,7 @@ from .errors import CurvatureMismatchError, MalformedExpressionError
 from .exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational
 from .geometry import (
     DifferentialForm,
+    Frozen,
     LEAF_FULL,
     LEAF_JTILDE,
     _field_sum,
@@ -34,15 +35,15 @@ from .reports import CheckResult
 from .scalars import ExactScalar, ZERO
 
 
-class TransitionValue:
+class TransitionValue(Frozen):
     """c = rational * exp(twopii * g); either factor may be trivial."""
 
     def __init__(self, chart, rational=1, exponent=None):
-        self.chart = chart
-        self.rational = coerce_rational(rational)
-        if self.rational.is_zero():
+        rational = coerce_rational(rational)
+        if rational.is_zero():
             raise MalformedExpressionError("transition function must not vanish")
-        self.exponent = exponent  # OverlapFunction or None
+        vars(self).update(chart=chart, rational=rational,
+                          exponent=exponent)  # OverlapFunction or None
 
     def tensor(self, other):
         if other.chart != self.chart:
@@ -90,10 +91,9 @@ def _add_overlap(a, b):
                            a.angle_coeff + b.angle_coeff)
 
 
-class LineBundleData:
-    """Cover + transitions c_jk + metric weights h_j + potentials eta_j.  The
-    attributes cannot be set after construction, and the tables are frozen
-    copies, so `curvature` is computed once."""
+class LineBundleData(Frozen):
+    """Cover + transitions c_jk + metric weights h_j + potentials eta_j;
+    `curvature` is computed once."""
 
     def __init__(self, name, cover: GoodCover, transitions, metric_weights,
                  potentials, branch_offsets=None):
@@ -101,9 +101,6 @@ class LineBundleData:
                           transitions=frozen({tuple(k): v for k, v in transitions.items()}),
                           metric_weights=frozen(metric_weights), potentials=frozen(potentials),
                           branch_offsets=frozen(branch_offsets or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineBundleData is immutable")
 
     def patch_chart(self, index):
         return self.cover.chart_of((index,))
@@ -251,28 +248,30 @@ def curvature(bundle: LineBundleData) -> DifferentialForm:
 _TWO_PI_I_POLY = PolyExpr.var(TWO_PI_I)
 
 
-class KostantOperator:
+class KostantOperator(Frozen):
     """First-order operator nabla_{alpha(X)} - twopii <mu, X> on local frames."""
 
     def __init__(self, scenario: ActionScenario, section):
-        bundle = self.bundle = scenario.bundle
-        self.vector_part = scenario.action.of(section)
+        bundle = scenario.bundle
+        vector_part = scenario.action.of(section)
         pairing = pairing_combination(scenario.atlas, scenario.momentum.pairings,
                                       section.coeffs)
-        self._potentials = {}
-        self._multipliers = {}
+        potentials = {}
+        multipliers = {}
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
-            contraction = interior_product(self.vector_part, bundle.potential(idx))
+            contraction = interior_product(vector_part, bundle.potential(idx))
             pot = contraction.coefficient(chart, ()) - \
                 pairing.get(chart, RationalExpr.zero())
-            self._potentials[idx] = pot * RationalExpr.var(TWO_PI_I)
+            potentials[idx] = pot * RationalExpr.var(TWO_PI_I)
             # the same potential with its 1/twopii cancelled by an exact
             # division of the denominator by the monomial, so that images
             # stay free of twopii; the identity rows print the form above
             lowered = pot.den.exact_div(_TWO_PI_I_POLY)
-            self._multipliers[idx] = self._potentials[idx] if lowered is None \
+            multipliers[idx] = potentials[idx] if lowered is None \
                 else RationalExpr(pot.num, lowered)
+        vars(self).update(bundle=bundle, vector_part=vector_part,
+                          _potentials=frozen(potentials), _multipliers=frozen(multipliers))
 
     def potential_part(self, idx) -> RationalExpr:
         return self._potentials[idx]

@@ -11,25 +11,24 @@ from __future__ import annotations
 
 from .errors import MalformedExpressionError, OverlapMismatchError
 from .exprs import coerce_rational
-from .geometry import DifferentialForm, FiberedAtlas, frozen
+from .geometry import DifferentialForm, FiberedAtlas, Frozen, frozen
 from .scalars import ExactScalar
 
 
-class GoodCover:
+class GoodCover(Frozen):
     """Finite good cover with declared nerve and chart references."""
 
     def __init__(self, atlas: FiberedAtlas, index_set, simplices, chart_refs=None,
                  sample_points=None, angle_forms=None):
-        self.atlas = atlas
-        self.index_set = tuple(index_set)
-        pos = {label: i for i, label in enumerate(self.index_set)}
+        index_set = tuple(index_set)
+        pos = {label: i for i, label in enumerate(index_set)}
         simps = set()
         for s in simplices:
             s = tuple(sorted(s, key=pos.__getitem__))
             if len(set(s)) != len(s):
                 raise MalformedExpressionError(f"repeated index in simplex {s}")
             simps.add(s)
-        for label in self.index_set:
+        for label in index_set:
             simps.add((label,))
         # downward closure check
         for s in simps:
@@ -38,12 +37,12 @@ class GoodCover:
                 if face and face not in simps:
                     raise MalformedExpressionError(
                         f"cover simplices not downward closed: missing {face}")
-        self.simplices = frozenset(simps)
-        self.position = frozen(pos)
-        self.chart_refs = frozen(chart_refs or {})
-        self.sample_points = frozen(sample_points or {})
-        # chart-local closed 1-forms with unit monodromy (angle primitives)
-        self.angle_forms = frozen(angle_forms or {})
+        vars(self).update(
+            atlas=atlas, index_set=index_set, simplices=frozenset(simps),
+            position=frozen(pos), chart_refs=frozen(chart_refs or {}),
+            sample_points=frozen(sample_points or {}),
+            # chart-local closed 1-forms with unit monodromy (angle primitives)
+            angle_forms=frozen(angle_forms or {}))
 
     def k_simplices(self, k):
         """The k-simplices in index order: the basis of C^k."""
@@ -62,13 +61,12 @@ class GoodCover:
 # overlap functions with angle bookkeeping
 # ---------------------------------------------------------------------------
 
-class OverlapFunction:
+class OverlapFunction(Frozen):
     """f = rational_part + angle_coeff * (declared angle primitive + branch)."""
 
     def __init__(self, chart, rational_part=0, angle_coeff=0):
-        self.chart = chart
-        self.rational_part = coerce_rational(rational_part)
-        self.angle_coeff = ExactScalar.coerce(angle_coeff)
+        vars(self).update(chart=chart, rational_part=coerce_rational(rational_part),
+                          angle_coeff=ExactScalar.coerce(angle_coeff))
 
     def scaled(self, factor):
         factor = ExactScalar.coerce(factor)

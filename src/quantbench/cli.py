@@ -59,7 +59,7 @@ def _cmd_report(args) -> int:
     with open(args.file) as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"report file invalid: {exc}") from exc
     report = Report(_field(data, "scenario", str, "?"),
                     conventions=_field(data, "conventions", list, []))
@@ -125,8 +125,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"missing file: {exc}\n")
+    except OSError as exc:  # a missing file, a directory, no permission
+        sys.stderr.write(f"file error: {exc}\n")
         return 2
     except QuantbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,6 +20,7 @@ from .geometry import (
     Chart,
     DifferentialForm,
     FiberedAtlas,
+    Frozen,
     LEAF_J,
     LEAF_JTILDE,
     Transition,
@@ -43,24 +44,24 @@ from .reports import CheckResult
 from .scalars import ONE, ZERO
 
 
-class PrincipalBundleData:
+class PrincipalBundleData(Frozen):
     """Trivialized principal bundle: star-shaped base chart plus a polynomial
     connection potential A with values in the structure algebra."""
 
     def __init__(self, base_atlas: FiberedAtlas, algebra: AlgebroidModel, potential):
-        self.base_atlas = base_atlas
         if len(base_atlas.charts) != 1:
             raise MalformedExpressionError("catalog principal bundles are single-chart")
-        self.base_chart = next(iter(base_atlas.charts.values()))
-        if not self.base_chart.star_shaped:
+        base_chart = next(iter(base_atlas.charts.values()))
+        if not base_chart.star_shaped:
             raise MalformedExpressionError("base chart must be star-shaped")
-        self.algebra = algebra
-        self.potential = tuple(tuple(coerce_rational(c) for c in vec) for vec in potential)
-        if len(self.potential) != len(self.base_chart.coords):
+        potential = tuple(tuple(coerce_rational(c) for c in vec) for vec in potential)
+        if len(potential) != len(base_chart.coords):
             raise MalformedExpressionError("one potential component per base coordinate")
-        for vec in self.potential:
+        for vec in potential:
             if len(vec) != algebra.n:
                 raise MalformedExpressionError("potential components live in the algebra")
+        vars(self).update(base_atlas=base_atlas, base_chart=base_chart, algebra=algebra,
+                          potential=potential)
 
     def _bracket(self, u, v):
         return self.algebra.bracket(self.algebra.section(u), self.algebra.section(v)).coeffs
@@ -82,13 +83,12 @@ class PrincipalBundleData:
                    for vec in self.curvature_components().values())
 
 
-class GaugeScenario:
+class GaugeScenario(Frozen):
     """The construction behind a gauge scenario, kept at `scenario.gauge`: the
     principal-bundle data and the fiber `ActionScenario` it twists."""
 
     def __init__(self, bundle_data: PrincipalBundleData, fiber: ActionScenario):
-        self.bundle_data = bundle_data
-        self.fiber = fiber
+        vars(self).update(bundle_data=bundle_data, fiber=fiber)
 
     def tau(self, index):
         """Connection functional on the generator: algebra coefficient vector."""

@@ -41,23 +41,33 @@ def frozen(value):
     return value
 
 
-class Chart:
+class Frozen:
+    """The one immutability rule of the stage modules: a constructor fills the
+    instance dict once, with `vars(self).update`, and no attribute can be set
+    afterwards; held containers are frozen (`frozen`).  What is derived from
+    the attributes can then be kept, by `cached_property`, without going stale."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Chart(Frozen):
     def __init__(self, name, base_coords=(), fiber_coords=(), orbit_coords=(),
                  star_shaped=False):
-        self.name = name
-        self.base_coords = tuple(base_coords)
-        self.fiber_coords = tuple(fiber_coords)
-        self.orbit_coords = tuple(orbit_coords)
-        self.star_shaped = bool(star_shaped)
-        self.coords = coords = self.base_coords + self.fiber_coords
+        base_coords, fiber_coords = tuple(base_coords), tuple(fiber_coords)
+        orbit_coords = tuple(orbit_coords)
+        coords = base_coords + fiber_coords
         if len(set(coords)) != len(coords):
             raise MalformedExpressionError(f"duplicate coordinates in chart {name}")
-        if not set(self.orbit_coords) <= set(self.base_coords):
+        if not set(orbit_coords) <= set(base_coords):
             raise MalformedExpressionError("orbit coordinates must be base coordinates")
-        jtilde = set(self.fiber_coords) | set(self.orbit_coords)
-        # each class's coordinates in chart order; any other class reads all of them
-        self._class_coords = MappingProxyType({
-            LEAF_J: self.fiber_coords, LEAF_JTILDE: tuple(c for c in coords if c in jtilde)})
+        jtilde = set(fiber_coords) | set(orbit_coords)
+        vars(self).update(
+            name=name, base_coords=base_coords, fiber_coords=fiber_coords,
+            orbit_coords=orbit_coords, star_shaped=bool(star_shaped), coords=coords,
+            # each class's coordinates in chart order; any other class reads all of them
+            _class_coords=MappingProxyType({
+                LEAF_J: fiber_coords, LEAF_JTILDE: tuple(c for c in coords if c in jtilde)}))
 
     def coords_for(self, leafwise_class):
         return self._class_coords.get(leafwise_class, self.coords)
@@ -69,14 +79,12 @@ class Chart:
         return f"Chart({self.name})"
 
 
-class Transition:
+class Transition(Frozen):
     """Coordinate map source -> target; exprs give target coords in source coords."""
 
     def __init__(self, source, target, exprs, overlap=""):
-        self.source = source
-        self.target = target
-        self.exprs = MappingProxyType({k: coerce_rational(v) for k, v in exprs.items()})
-        self.overlap = overlap
+        vars(self).update(source=source, target=target, overlap=overlap, exprs=MappingProxyType(
+            {k: coerce_rational(v) for k, v in exprs.items()}))
 
     def jacobian(self, targets, sources):
         """The matrix of partials d(target)/d(source): one row per coordinate
@@ -91,9 +99,9 @@ class Transition:
         return f"Transition({self.source}->{self.target})"
 
 
-class FiberedAtlas:
-    """Charts and the transitions between them.  The attributes cannot be set
-    after construction, so the round-trip verdict is decided once."""
+class FiberedAtlas(Frozen):
+    """Charts and the transitions between them; the round-trip verdict is
+    decided once."""
 
     def __init__(self, charts, transitions=(), leaf_structure=""):
         charts = MappingProxyType({c.name: c for c in charts})
@@ -113,9 +121,6 @@ class FiberedAtlas:
             table[(t.source, t.target)] = t
         vars(self).update(charts=charts, transitions=MappingProxyType(table),
                           leaf_structure=leaf_structure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberedAtlas is immutable")
 
     def transition(self, source, target) -> Transition:
         try:
@@ -178,10 +183,9 @@ def _check_class(requested, available):
             f"requested class {requested} is coarser than operand class {available}")
 
 
-class ChartTables:
+class ChartTables(Frozen):
     """Tables {chart: {key: RationalExpr}} on one atlas inside one leafwise
     class, with the algebra that differential forms and vector fields share.
-    The tables are read-only and no attribute can be set after construction.
     Outside input goes through the validating constructor of `DifferentialForm`
     or `VectorField`; every result of validated operands through `_built`."""
 
@@ -195,9 +199,6 @@ class ChartTables:
                               ch: MappingProxyType({k: v for k, v in table.items()
                                                     if not v.is_zero()})
                               for ch, table in tables.items()}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _built(cls, atlas, leafwise_class, tables, **degree):

@@ -16,6 +16,7 @@ from .errors import PerturbationRejectedError
 from .exprs import RationalExpr, coerce_rational
 from .geometry import (
     DifferentialForm,
+    Frozen,
     LEAF_J,
     LEAF_JTILDE,
     exterior_derivative,
@@ -29,14 +30,13 @@ from .liealg import ActionMap, AlgebroidModel, action_algebroid
 from .reports import CheckResult
 
 
-class PresymplecticData:
+class PresymplecticData(Frozen):
     """A leafwise-closed 2-form restricting to fiberwise symplectic forms."""
 
     def __init__(self, atlas, omega_tilde: DifferentialForm, sample_points=None):
-        self.atlas = atlas
-        self.omega_tilde = omega_tilde
-        self.omega = omega_tilde.restrict(LEAF_J)
-        self.sample_points = frozen(sample_points or ())
+        vars(self).update(atlas=atlas, omega_tilde=omega_tilde,
+                          omega=omega_tilde.restrict(LEAF_J),
+                          sample_points=frozen(sample_points or ()))
 
     def fiber_matrix(self, chart_name):
         chart = self.atlas.chart(chart_name)
@@ -74,15 +74,14 @@ def presymplectic_check(data: PresymplecticData) -> CheckResult:
     return CheckResult(not failures, failures, notes)
 
 
-class MomentumMapRep:
+class MomentumMapRep(Frozen):
     """Chartwise pairing functions <mu, gen_i> plus isotropy restriction."""
 
     def __init__(self, model: AlgebroidModel, pairings):
         if len(pairings) != model.n:
             raise ValueError("one pairing function per generator required")
-        self.model = model
-        self.pairings = frozen([{ch: coerce_rational(v) for ch, v in p.items()}
-                                for p in pairings])
+        vars(self).update(model=model, pairings=frozen(
+            [{ch: coerce_rational(v) for ch, v in p.items()} for p in pairings]))
 
     def pairing(self, index):
         return self.pairings[index]
@@ -104,7 +103,7 @@ def pairing_combination(atlas, pairings, vec) -> dict:
     return out
 
 
-class ActionScenario:
+class ActionScenario(Frozen):
     """Everything the checks need, bundled.  The keyword-only stage inputs are
     None (or False) where a stage does not apply: the prequantization `bundle`;
     the Kahler polarization `structure` with its `holomorphic_coords` and
@@ -112,8 +111,8 @@ class ActionScenario:
     `integration` kind, a key of `quantize.INTEGRATIONS`; the family `level`;
     `degenerate` for a point orbit modeled with the zero form; a
     `full_quotient` description; and the `gauge` construction that built it.
-    Immutable, inputs frozen: `replace` builds a changed copy, with nothing
-    derived yet, and what the inputs alone determine is built once and kept.
+    `replace` builds a changed copy, with nothing derived yet, and what the
+    inputs alone determine is built once and kept.
     A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
     into every process."""
 
@@ -128,9 +127,6 @@ class ActionScenario:
                  full_quotient=None, gauge=None):
         given = locals()
         vars(self).update({name: frozen(given[name]) for name in self._INPUTS}, _residuals={})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ActionScenario is immutable")
 
     def replace(self, **changes) -> "ActionScenario":
         """This scenario with `changes` to its inputs, nothing derived yet."""
@@ -168,15 +164,13 @@ class ActionScenario:
 # the algebroid differential (sign: d_p = (-1)^p * Chevalley-Eilenberg d_p)
 # ---------------------------------------------------------------------------
 
-class AlgebroidCochain:
+class AlgebroidCochain(Frozen):
     """An alternating p-cochain on the action algebroid's generators:
     `values` maps each increasing index tuple of length p (the empty tuple at
     degree 0) to a chartwise function; a missing tuple is zero."""
 
     def __init__(self, scenario: ActionScenario, degree, values):
-        self.scenario = scenario
-        self.degree = degree
-        self.values = values
+        vars(self).update(scenario=scenario, degree=degree, values=frozen(values))
 
     def value(self, *indices) -> dict:
         """c(X_i, X_j, ...) in any order: zero on a repeated index, otherwise

@@ -12,6 +12,7 @@ alike.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import AtlasMismatchError, MalformedExpressionError, ModelMismatchError
@@ -21,6 +22,7 @@ from .geometry import (
     LEAF_JTILDE,
     Chart,
     FiberedAtlas,
+    Frozen,
     VectorField,
     _field_sum,
     commutator,
@@ -86,7 +88,7 @@ def ad_star(model: AlgebroidModel, x_coeffs, covector):
 # algebroid models and sections
 # ---------------------------------------------------------------------------
 
-class AlgebroidModel:
+class AlgebroidModel(Frozen):
     """Anchor + bracket over declared generating sections.
 
     bracket_table[(i, j)] is the coefficient vector of [gen_i, gen_j] (i < j);
@@ -95,43 +97,41 @@ class AlgebroidModel:
     gives one order only.
     anchor_fields[i] is the vector field the anchor assigns to gen_i (None = 0).
     isotropy_indices flags the generators spanning ker(anchor).
-    No attribute can be set after construction, so what is derived here
-    cannot outlive its inputs.
     """
 
     def __init__(self, name, variant, base_atlas, generator_names, bracket_table,
                  anchor_fields, isotropy_indices=None, gauge_base_count=0):
-        generator_names = tuple(generator_names)
-        vars(self).update(name=name, variant=variant, base_atlas=base_atlas,
-                          generator_names=generator_names, n=len(generator_names),
-                          anchor_fields=tuple(anchor_fields), gauge_base_count=gauge_base_count)
-        if len(set(self.generator_names)) != self.n or len(self.anchor_fields) != self.n:
-            raise ModelMismatchError(f"{self.n} distinct generator names need "
-                                     f"{self.n} anchor entries")
+        generator_names, anchor_fields = tuple(generator_names), tuple(anchor_fields)
+        n = len(generator_names)
+        if len(set(generator_names)) != n or len(anchor_fields) != n:
+            raise ModelMismatchError(f"{n} distinct generator names need "
+                                     f"{n} anchor entries")
         table = {}
         for (i, j), vec in bracket_table.items():
-            if not (0 <= i < self.n and 0 <= j < self.n and i != j) or len(vec) != self.n:
+            if not (0 <= i < n and 0 <= j < n and i != j) or len(vec) != n:
                 raise ModelMismatchError(f"bracket entry {(i, j)} needs two distinct "
-                                         f"generator indices and {self.n} coefficients")
+                                         f"generator indices and {n} coefficients")
             table[(i, j)] = tuple(coerce_rational(v) for v in vec)
         both = {pair: tuple((k, c) for k, c in enumerate(vec) if not c.is_zero())
                 for pair, vec in table.items()}
         for (i, j), entries in list(both.items()):
             both.setdefault((j, i), tuple((k, -c) for k, c in entries))
         isotropy = tuple(isotropy_indices if isotropy_indices is not None
-                         else [i for i, f in enumerate(self.anchor_fields)
+                         else [i for i, f in enumerate(anchor_fields)
                                if f is None or f.is_zero()])
-        if any(type(i) is not int or not 0 <= i < self.n for i in isotropy):
+        if any(type(i) is not int or not 0 <= i < n for i in isotropy):
             raise ModelMismatchError(f"isotropy indices {isotropy} "
                                      "are not generator indices")
-        # read-only, since `bracket_entries` is derived from it once
-        vars(self).update(bracket_table=MappingProxyType(table),
-                          bracket_entries=MappingProxyType(both), isotropy_indices=isotropy)
-        vars(self)["_basis"] = tuple(self.section([int(i == k) for i in range(self.n)])
-                                     for k in range(self.n))
+        vars(self).update(name=name, variant=variant, base_atlas=base_atlas,
+                          generator_names=generator_names, n=n, anchor_fields=anchor_fields,
+                          gauge_base_count=gauge_base_count, isotropy_indices=isotropy,
+                          # read-only, since `bracket_entries` is derived from it once
+                          bracket_table=MappingProxyType(table),
+                          bracket_entries=MappingProxyType(both))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebroidModel is immutable")
+    @cached_property
+    def _basis(self) -> tuple:
+        return tuple(self.section([int(i == k) for i in range(self.n)]) for k in range(self.n))
 
     # -- sections ---------------------------------------------------------
     def section(self, coeffs) -> "SectionRep":
@@ -242,13 +242,12 @@ class AlgebroidModel:
         return CheckResult(not failures, failures)
 
 
-class SectionRep:
+class SectionRep(Frozen):
     """One RationalExpr per generator of `model`, taken as given; outside
     input goes through `AlgebroidModel.section`."""
 
     def __init__(self, model: AlgebroidModel, coeffs):
-        self.model = model
-        self.coeffs = tuple(coeffs)
+        vars(self).update(model=model, coeffs=tuple(coeffs))
 
     def __add__(self, other):
         if other.model is not self.model:
@@ -313,7 +312,7 @@ def _base_functions(atlas: FiberedAtlas):
 # actions of algebroids on fibered atlases
 # ---------------------------------------------------------------------------
 
-class ActionMap:
+class ActionMap(Frozen):
     """Assignment of leafwise fields on the target to sections of the model.
 
     Target charts reuse the base coordinate names of the model's base, so the
@@ -324,10 +323,8 @@ class ActionMap:
                  fields, name=""):
         if len(fields) != model.n:
             raise ModelMismatchError("one field per generator required")
-        self.model = model
-        self.target_atlas = target_atlas
-        self.fields = tuple(fields)
-        self.name = name
+        vars(self).update(model=model, target_atlas=target_atlas, fields=tuple(fields),
+                          name=name)
 
     def of(self, section: SectionRep) -> VectorField:
         if section.model is not self.model:

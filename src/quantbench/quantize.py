@@ -18,7 +18,8 @@ from .errors import (
     UnsupportedIntegrationError,
 )
 from .exprs import PolyExpr, RationalExpr, coerce_rational, TWO_PI_I
-from .geometry import LEAF_J, VectorField, commutator, frozen, interior_product, to_chart
+from .geometry import (LEAF_J, Frozen, VectorField, commutator, frozen, interior_product,
+                       to_chart)
 from .hamiltonian import ActionScenario
 from .linalg import (conj_transpose, is_zero_matrix, kernel_basis, mat_mul, rref,
                      rref_kernel, solve_linear)
@@ -26,14 +27,13 @@ from .reports import CheckResult
 from .scalars import ExactScalar, I, ZERO, from_ints
 
 
-class ComplexStructureData:
+class ComplexStructureData(Frozen):
     """Fiberwise almost complex structure as a matrix on the fiber frame."""
 
     def __init__(self, atlas, matrices, positivity_samples=None):
-        self.atlas = atlas
-        self.matrices = frozen({ch: [[coerce_rational(v) for v in row] for row in mat]
-                                for ch, mat in matrices.items()})
-        self.positivity_samples = frozen(positivity_samples or ())
+        vars(self).update(atlas=atlas, positivity_samples=frozen(positivity_samples or ()),
+                          matrices=frozen({ch: [[coerce_rational(v) for v in row] for row in mat]
+                                           for ch, mat in matrices.items()}))
 
     def validate(self) -> CheckResult:
         failures = []
@@ -151,14 +151,14 @@ def polarization_equivariance_check(scenario: ActionScenario) -> CheckResult:
 # holomorphic-section solver
 # ---------------------------------------------------------------------------
 
-class HolomorphicBasis:
+class HolomorphicBasis(Frozen):
     """The holomorphic sections found at a degree cap, and `probe_dimension`,
     the dimension of the solution space at the solve's probe cap."""
 
     def __init__(self, bundle, elements, probe_dimension=None):
-        self.bundle = bundle
-        self.elements = elements  # list of {patch: RationalExpr}
-        self.probe_dimension = len(elements) if probe_dimension is None else probe_dimension
+        vars(self).update(bundle=bundle, elements=frozen(elements),  # {patch: RationalExpr}s
+                          probe_dimension=len(elements) if probe_dimension is None
+                          else probe_dimension)
 
     @property
     def dimension(self):
@@ -482,12 +482,10 @@ def leading_minors_positive(gram) -> bool:
 # the induced representation on the solution space
 # ---------------------------------------------------------------------------
 
-class QuantizationResult:
+class QuantizationResult(Frozen):
     def __init__(self, basis, gram, matrices, generator_names):
-        self.basis = basis
-        self.gram = gram
-        self.matrices = matrices
-        self.generator_names = tuple(generator_names)
+        vars(self).update(basis=basis, gram=frozen(gram), matrices=frozen(matrices),
+                          generator_names=tuple(generator_names))
 
     @property
     def dimension(self):

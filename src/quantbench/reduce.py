@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import MalformedExpressionError
 from .exprs import coerce_rational
-from .geometry import frozen
+from .geometry import Frozen, frozen
 from .hamiltonian import ActionScenario
 from .linalg import conj_transpose, inverse, is_zero_matrix, kernel_basis, mat_mul
 from .quantize import QuantizationResult
@@ -19,18 +19,16 @@ from .reports import CheckResult
 from .scalars import I, ONE, ZERO, from_ints
 
 
-class ZeroLevelData:
+class ZeroLevelData(Frozen):
     """Parametrized zero level of the internal momentum map on one chart.  The
     isotropy generators are the scenario model's; the free and proper action
     of their orbits is declared, and `verify` echoes it."""
 
     def __init__(self, chart, equations, parametrization, param_names, orbit_dimension=0):
-        self.chart = chart
-        self.equations = tuple(coerce_rational(e) for e in equations)
-        self.parametrization = frozen({c: coerce_rational(v)
-                                       for c, v in parametrization.items()})
-        self.param_names = tuple(param_names)
-        self.orbit_dimension = int(orbit_dimension)
+        vars(self).update(chart=chart, equations=tuple(coerce_rational(e) for e in equations),
+                          parametrization=frozen({c: coerce_rational(v)
+                                                  for c, v in parametrization.items()}),
+                          param_names=tuple(param_names), orbit_dimension=int(orbit_dimension))
 
     @property
     def level_dimension(self):
@@ -63,10 +61,9 @@ class ZeroLevelData:
                            notes=["freeness declared: True", "properness declared: True"])
 
 
-class ReducedSpace:
+class ReducedSpace(Frozen):
     def __init__(self, kind, dimension):
-        self.kind = kind  # "point" or "symplectic"
-        self.dimension = dimension
+        vars(self).update(kind=kind, dimension=dimension)  # kind "point" or "symplectic"
 
     def __repr__(self):
         return f"ReducedSpace({self.kind}, dim {self.dimension})"
@@ -91,7 +88,7 @@ def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
 # quantum reduction
 # ---------------------------------------------------------------------------
 
-class QuantumReduction:
+class QuantumReduction(Frozen):
     """The vectors of `source` that the `isotropy_indices` generators fix: the
     n x k matrix B (`matrix`) whose columns are the `basis`, the pairing B†G
     with them in the Gram metric G, the restricted Gram matrix B†GB (`gram`)
@@ -99,19 +96,19 @@ class QuantumReduction:
 
     def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns):
         n = source.dimension
-        self.source = source
-        self.isotropy_indices = tuple(isotropy_indices)
-        self.basis = basis_columns
-        self.matrix = b = [[column[i] for column in basis_columns] for i in range(n)]
-        self.pairing = mat_mul(conj_transpose(b), source.gram)  # k x n
-        self.gram = mat_mul(self.pairing, b)  # k x k, Hermitian positive
+        b = [[column[i] for column in basis_columns] for i in range(n)]
+        pairing = mat_mul(conj_transpose(b), source.gram)  # k x n
+        gram = mat_mul(pairing, b)  # k x k, Hermitian positive
         if not basis_columns:
-            self.projector = [[ZERO] * n for _ in range(n)]
-            return
-        gram_inv = inverse(self.gram)
-        if gram_inv is None:
-            raise MalformedExpressionError("singular Gram restriction")
-        self.projector = mat_mul(mat_mul(b, gram_inv), self.pairing)
+            projector = [[ZERO] * n for _ in range(n)]
+        else:
+            gram_inv = inverse(gram)
+            if gram_inv is None:
+                raise MalformedExpressionError("singular Gram restriction")
+            projector = mat_mul(mat_mul(b, gram_inv), pairing)
+        vars(self).update(source=source, isotropy_indices=tuple(isotropy_indices),
+                          basis=frozen(basis_columns), matrix=frozen(b),
+                          pairing=frozen(pairing), gram=frozen(gram), projector=frozen(projector))
 
     @property
     def dimension(self):

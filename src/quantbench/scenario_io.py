@@ -245,6 +245,6 @@ def load_scenario_file(path) -> ActionScenario:
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     return load_scenario(data)

@@ -153,6 +153,24 @@ class TestReportRendering:
         assert "qr-comparison" in out
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "{bad}"], id="run-undecodable"),
+    pytest.param(["report", "{bad}"], id="report-undecodable"),
+    pytest.param(["report", "{dir}"], id="report-directory"),
+    pytest.param(["run", "su2-orbit-k", "--level", "0", "--out", "{dir}"],
+                 id="run-out-directory"),
+])
+def test_an_unreadable_file_exits_two(argv, tmp_path, capsys):
+    """A file that is not UTF-8 or is a directory is an input error: exit 2
+    and a one-line message, never a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([arg.format(bad=bad, dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 class TestScenarioFiles:
     def test_round_trip_preserves_checks(self, tmp_path):
         scenario = su2_orbit_scenario(2)

@@ -267,14 +267,15 @@ class TestActions:
         action = ActionMap(scenario.model, scenario.atlas, [scenario.action.fields[0] * 2])
         assert action.morphism_report().failures == [("anchor", "ds", "s")]
 
-    def test_linearity_reaches_first_order_errors(self):
+    def test_linearity_reaches_first_order_errors(self, monkeypatch):
         """An action off by d/dy of the first coefficient is right on f = 1;
         the base variable y catches it."""
         from quantbench.catalog import foliation_flat_scenario
         action = foliation_flat_scenario().action
         right = action.of
-        action.of = lambda section: right(section) + \
-            action.fields[1] * section.coeffs[0].derivative("y")
+        # the action refuses attribute assignment; the wrong `of` goes into its dict
+        monkeypatch.setitem(vars(action), "of", lambda section: right(section) +
+                            action.fields[1] * section.coeffs[0].derivative("y"))
         assert action.morphism_report().failures == [("linearity", "dx")]
 
     @pytest.mark.parametrize("family", ["su2-orbit-k", "gauge-su2-k", "s1-plane-action",

@@ -1,7 +1,6 @@
 """Holomorphic solver, exact inner products, representation matrices,
 closed-form integration."""
 
-import copy
 import math
 import re
 from fractions import Fraction
@@ -35,6 +34,7 @@ from quantbench.linalg import det, rref, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
     INTEGRATIONS,
+    QuantizationResult,
     _FiberTerms,
     _fiber_terms,
     _fs_pairing,
@@ -545,7 +545,8 @@ class TestInnerProducts:
         result = rotation_quantizations[4]  # u1-rotation-reduction-4
         gcd = CallCounter(exprs, "poly_gcd")
         monkeypatch.setattr(exprs, "poly_gcd", gcd)
-        assert gram_matrix(result.basis.bundle, result.basis) == result.gram
+        gram = gram_matrix(result.basis.bundle, result.basis)
+        assert [tuple(row) for row in gram] == list(result.gram)
         assert gcd.calls == 0
 
     def test_gram_entries_match_inner_product(self, rotation_quantizations):
@@ -683,9 +684,10 @@ class TestInducedRepresentation:
         """1 added to the first diagonal entry of the e3 matrix: a Hermitian
         part, which the off-diagonal e1 and e2 matrices do not commute with,
         and which [e1, e2] = e3 does not produce."""
-        result = copy.copy(orbit_quantizations[1])
-        result.matrices = [[list(row) for row in mat] for mat in result.matrices]
-        result.matrices[2][0][0] = result.matrices[2][0][0] + 1
+        source = orbit_quantizations[1]
+        matrices = [[list(row) for row in mat] for mat in source.matrices]
+        matrices[2][0][0] = matrices[2][0][0] + 1
+        result = QuantizationResult(source.basis, source.gram, matrices, source.generator_names)
         assert commutation_check(result, orbit_scenarios[1].model).failures == [
             (pair, "commutator mismatch") for pair in ("e1,e2", "e1,e3", "e2,e3")]
         assert unitarity_check(result).failures == [("e3", "M*G + GM != 0")]

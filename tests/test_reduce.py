@@ -1,6 +1,5 @@
 """Symplectic quotients, quantum reduction, descent and the comparison."""
 
-import copy
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,9 @@ import pytest
 from quantbench.bundles import kostant_operator
 from quantbench.catalog import build_scenario
 from quantbench.exprs import parse_expr
+from quantbench.quantize import QuantizationResult
 from quantbench.reduce import (
+    QuantumReduction,
     ZeroLevelData,
     descent_obstruction_check,
     internal_mw_quotient,
@@ -95,10 +96,11 @@ class TestFixedSubspace:
         """The fixed line of the level-2 circle is the weight-0 vector; an
         entry added above it moves it, while the projector stays idempotent."""
         fixed = quantum_fixed_subspace(rotation_quantizations[2], [0])
-        source = fixed.source = copy.copy(fixed.source)
+        source = fixed.source
         mat = [list(row) for row in source.matrices[0]]
         mat[0][1] = mat[0][1] + 1
-        source.matrices = [mat]
+        moved = QuantizationResult(source.basis, source.gram, [mat], source.generator_names)
+        fixed = QuantumReduction(moved, fixed.isotropy_indices, fixed.basis)
         assert projector_checks(fixed).failures == [
             ("invariance", "projector does not commute with generator 0")]
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from quantbench import bundles, catalog, hamiltonian, liealg, quantize, reduce, runner
+from quantbench import (bundles, catalog, cech, gauge, geometry, hamiltonian, liealg,
+                        quantize, reduce, runner)
 from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
@@ -287,24 +288,31 @@ def test_every_build_is_an_action_scenario():
 _VALUES = (PolyExpr, RationalExpr, ExactScalar, str, int, float, bool, Fraction, type(None))
 
 
-def _held_containers(value, path, seen):
-    """(path, container) for every mapping, sequence and set reachable from
+_CONTAINERS = (Mapping, list, tuple, set, frozenset)
+
+
+def _held(value, path, seen):
+    """(path, value) for every container and quantbench object reachable from
     `value`: through the inputs of a scenario, the attributes of every other
     quantbench object, and the keys and items of every container."""
     if isinstance(value, _VALUES) or id(value) in seen:
         return
     seen.add(id(value))
-    if isinstance(value, (Mapping, list, tuple, set, frozenset)):
-        yield path, value
+    yield path, value
+    if isinstance(value, _CONTAINERS):
         pairs = value.items() if isinstance(value, Mapping) else enumerate(value)
         for key, item in pairs:
-            yield from _held_containers(key, f"{path}<key {key!r}>", seen)
-            yield from _held_containers(item, f"{path}[{key!r}]", seen)
+            yield from _held(key, f"{path}<key {key!r}>", seen)
+            yield from _held(item, f"{path}[{key!r}]", seen)
         return
     assert type(value).__module__.startswith("quantbench."), (path, type(value))
     names = ActionScenario._INPUTS if isinstance(value, ActionScenario) else vars(value)
     for name in names:
-        yield from _held_containers(getattr(value, name), f"{path}.{name}", seen)
+        yield from _held(getattr(value, name), f"{path}.{name}", seen)
+
+
+def _held_containers(value, path, seen):
+    return ((p, v) for p, v in _held(value, path, seen) if isinstance(v, _CONTAINERS))
 
 
 def _takes_a_write(container) -> bool:
@@ -334,6 +342,88 @@ def test_every_stage_input_is_frozen(label, build):
         tables += [s.bundle.potentials, *(eta.coefficients for eta in s.bundle.potentials.values())]
     assert all(id(table) in reached for table in tables)
     assert [path for path, container in held if _takes_a_write(container)] == []
+
+
+def _assignments_taken(obj) -> list:
+    """The names of `obj`, each it holds and one new, whose assignment does
+    not raise `AttributeError("<Class> is immutable")` or changes the value."""
+    taken = []
+    for name in [*vars(obj), "other"]:
+        before = vars(obj).get(name)
+        try:
+            setattr(obj, name, "written")
+        except AttributeError as exc:
+            if str(exc) != f"{type(obj).__name__} is immutable":
+                taken.append((name, str(exc)))
+        else:
+            taken.append(name)
+        if vars(obj).get(name) is not before:
+            taken.append((name, "changed"))
+    return taken
+
+
+@pytest.mark.parametrize("label,build", [
+    pytest.param(label, build, id=_run_id(label)) for label, build in catalog_digests.runs()])
+def test_every_held_object_refuses_assignment(label, build):
+    """After a run, every quantbench object the scenario holds, in its inputs
+    and in what it keeps, refuses assignment to each of its names and to a
+    new one, through `geometry.Frozen`."""
+    s = build()
+    run_scenario(s)
+    kept = {name: value for name, value in vars(s).items() if name not in ActionScenario._INPUTS}
+    seen = set()
+    objects = [(path, value) for path, value in
+               (*_held(s, "scenario", seen), *_held(kept, "scenario", seen))
+               if not isinstance(value, _CONTAINERS)]
+    reached = {type(value).__name__ for _, value in objects}
+    assert reached >= {"ActionScenario", "FiberedAtlas", "Chart", "AlgebroidModel",
+                       "SectionRep", "ActionMap", "PresymplecticData", "DifferentialForm"}
+    assert [(path, taken) for path, value in objects
+            if (taken := _assignments_taken(value))] == []
+
+
+@pytest.mark.parametrize("build", [lambda: catalog.gauge_su2_scenario(1),
+                                   lambda: catalog.u1_rotation_scenario(2)],
+                         ids=["gauge-su2-1", "u1-rotation-reduction-2"])
+def test_every_artifact_is_frozen(build):
+    """What one check builds and hands to the checks after it (the Kostant
+    operators, the holomorphic basis, the quantization, the fixed subspace and
+    the reduced space) refuses assignment, and every container it holds
+    refuses a write."""
+    s = build()
+    result = quantize.quantize_monomial(s)
+    fixed = reduce.quantum_fixed_subspace(result, s.model.isotropy_indices)
+    artifacts = [*bundles.kostant_operator(s), result.basis, result, fixed]
+    if s.zero_level is not None:
+        artifacts.append(reduce.internal_mw_quotient(s.zero_level))
+    assert {type(a).__name__ for a in artifacts} >= {
+        "KostantOperator", "HolomorphicBasis", "QuantizationResult", "QuantumReduction"}
+    assert [(type(a).__name__, taken) for a in artifacts if (taken := _assignments_taken(a))] == []
+    held = [(path, container) for artifact in artifacts
+            for path, container in _held_containers(artifact, type(artifact).__name__, set())]
+    reached = {id(container) for _, container in held}
+    tables = [result.basis.elements, result.gram, result.matrices, fixed.basis, fixed.matrix,
+              fixed.pairing, fixed.gram, fixed.projector,
+              *(vars(op)[name] for op in artifacts[:s.model.n]
+                for name in ("_potentials", "_multipliers"))]
+    assert all(id(table) in reached for table in tables)
+    assert [path for path, container in held if _takes_a_write(container)] == []
+
+
+def test_every_stage_class_is_frozen():
+    """Every public class the eight stage modules define is a
+    `geometry.Frozen`, whose `__setattr__` is the only one in those modules:
+    a new class cannot skip the rule."""
+    modules = (geometry, cech, liealg, hamiltonian, bundles, quantize, reduce, gauge)
+    classes = [cls for module in modules for name, cls in vars(module).items()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and not name.startswith("_")]
+    assert len(classes) >= 24
+    assert [cls.__name__ for cls in classes if not issubclass(cls, geometry.Frozen)] == []
+    assert [cls.__name__ for cls in classes if "__setattr__" in vars(cls)] == ["Frozen"]
+    assert {module.__name__: Path(module.__file__).read_text().count("def __setattr__")
+            for module in modules} == {module.__name__: int(module is geometry)
+                                       for module in modules}
 
 
 def test_a_pairing_written_after_a_run_raises_at_the_write():

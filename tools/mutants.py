@@ -58,6 +58,7 @@ FIELD_ALGEBRA = "tests/test_geometry.py::TestFieldAlgebra"
 BUILDER_CONTRACT = ("tests/test_geometry.py::"
                     "test_results_are_what_the_validating_constructor_builds")
 FROZEN = "tests/test_runner.py::test_every_stage_input_is_frozen"
+HELD_OBJECTS = "tests/test_runner.py::test_every_held_object_refuses_assignment"
 FILTERED = "tests/test_runner.py::test_a_filtered_record_is_the_full_runs"
 PRESYMPLECTIC_EXTRA = ("tests/test_hamiltonian.py::TestPresymplectic::"
                        "test_extra_term_fails_closedness_and_gluing")
@@ -107,12 +108,12 @@ MUTANTS = [
      "tests": ["tests/test_gauge.py::TestAssembly::test_curvature_formula_reverified"]},
     {"name": "AlgebroidModel: a diagonal bracket pair is accepted",
      "file": LIEALG,
-     "old": "0 <= j < self.n and i != j)",
-     "new": "0 <= j < self.n)",
+     "old": "0 <= j < n and i != j)",
+     "new": "0 <= j < n)",
      "tests": [f"{MALFORMED}[bracket-diagonal]"]},
     {"name": "AlgebroidModel: isotropy indices unbounded above",
      "file": LIEALG,
-     "old": "not 0 <= i < self.n for i in isotropy",
+     "old": "not 0 <= i < n for i in isotropy",
      "new": "not 0 <= i for i in isotropy",
      "tests": [f"{MALFORMED}[isotropy-out-of-range]"]},
     {"name": "scenario_io: a sample may omit coordinates",
@@ -154,12 +155,12 @@ MUTANTS = [
      "tests": [f"{MALFORMED}[integration-without-level]"]},
     {"name": "AlgebroidModel: any number of anchor entries",
      "file": LIEALG,
-     "old": " or len(self.anchor_fields) != self.n:",
+     "old": " or len(anchor_fields) != n:",
      "new": ":",
      "tests": [f"{MALFORMED}[anchors-short]"]},
     {"name": "AlgebroidModel: repeated generator names",
      "file": LIEALG,
-     "old": "if len(set(self.generator_names)) != self.n or ",
+     "old": "if len(set(generator_names)) != n or ",
      "new": "if ",
      "tests": [f"{MALFORMED}[generators-duplicate]"]},
     {"name": "gaussian_text: the imaginary part printed with the opposite sign",
@@ -220,8 +221,8 @@ MUTANTS = [
      "tests": ["tests/test_exprs.py::TestEarlyReturns::test_rational_zero_operands"]},
     {"name": "Chart: the Jtilde coordinates take every base coordinate",
      "file": GEOMETRY,
-     "old": "jtilde = set(self.fiber_coords) | set(self.orbit_coords)",
-     "new": "jtilde = set(self.fiber_coords) | set(self.base_coords)",
+     "old": "jtilde = set(fiber_coords) | set(orbit_coords)",
+     "new": "jtilde = set(fiber_coords) | set(base_coords)",
      "tests": ["tests/test_geometry.py::TestCharts::test_coords_for_each_class"]},
     {"name": "ActionMap.generator_field: the field of the previous generator",
      "file": LIEALG,
@@ -443,13 +444,13 @@ MUTANTS = [
      "tests": [FROZEN, f"{GLUE_SHORTCUT}::test_adding_a_transition_drops_the_verdict"]},
     {"name": "LineBundleData: the potentials handed back mutable",
      "file": BUNDLES,
-     "old": "potentials=frozen(potentials)",
-     "new": "potentials=dict(potentials)",
+     "old": "metric_weights=frozen(metric_weights), potentials=frozen(potentials)",
+     "new": "metric_weights=frozen(metric_weights), potentials=dict(potentials)",
      "tests": [FROZEN]},
     {"name": "MomentumMapRep: the pairings handed back mutable",
      "file": HAMILTONIAN,
-     "old": "        self.pairings = frozen([{ch: coerce_rational(v) for ch, v in p.items()}",
-     "new": "        self.pairings = ([{ch: coerce_rational(v) for ch, v in p.items()}",
+     "old": "pairings=frozen(\n",
+     "new": "pairings=(\n",
      "tests": [FROZEN, "tests/test_runner.py::test_a_pairing_written_after_a_run_raises_at_the_write"]},
     {"name": "ChartTables: the chart tables handed back mutable",
      "file": GEOMETRY,
@@ -477,12 +478,20 @@ MUTANTS = [
      "old": "                table[key] = op(table.get(key, zero), v)",
      "new": "                table[key] = op(table[key], v) if key in table else v",
      "tests": [f"{FIELD_ALGEBRA}::test_sum_and_difference"]},
-    {"name": "ChartTables.__setattr__: attributes may be set",
+    {"name": "Frozen.__setattr__: attributes may be set",
      "file": GEOMETRY,
      "old": '        raise AttributeError(f"{type(self).__name__} is immutable")',
      "new": "        object.__setattr__(self, name, value)",
-     "tests": [f"{SPARSE}::test_no_attribute_can_be_set[form-leafwise_class]",
-               f"{SPARSE}::test_no_attribute_can_be_set[field-leafwise_class]"]},
+     "tests": [HELD_OBJECTS, f"{SCENARIO}::test_no_attribute_can_be_set",
+               "tests/test_bundles.py::TestCurvature::"
+               "test_the_curvature_is_kept_by_an_immutable_bundle",
+               f"{GLUE_SHORTCUT}::test_the_atlas_tables_cannot_be_rebound",
+               f"{SPARSE}::test_no_attribute_can_be_set"]},
+    {"name": "QuantizationResult: matrices handed back mutable",
+     "file": QUANTIZE,
+     "old": "matrices=frozen(matrices)",
+     "new": "matrices=matrices",
+     "tests": ["tests/test_runner.py::test_every_artifact_is_frozen"]},
     {"name": "_Substitution.numerator: each term one power of its group denominator short",
      "file": EXPRS,
      "old": "            factors += [power(self.groups[g], k - d)",
@@ -496,12 +505,7 @@ MUTANTS = [
      "tests": [test]}
     for cls, path, test in (
         ("ExactScalar", SCALARS, IMMUTABLE), ("PolyExpr", EXPRS, IMMUTABLE),
-        ("RationalExpr", EXPRS, IMMUTABLE),
-        ("ActionScenario", HAMILTONIAN, f"{SCENARIO}::test_no_attribute_can_be_set"),
-        ("LineBundleData", BUNDLES, "tests/test_bundles.py::TestCurvature::"
-                                    "test_the_curvature_is_kept_by_an_immutable_bundle"),
-        ("FiberedAtlas", GEOMETRY, f"{GLUE_SHORTCUT}::test_the_atlas_tables_cannot_be_rebound"),
-        ("AlgebroidModel", LIEALG, f"{SPARSE}::test_no_attribute_can_be_set[model-bracket_table]"))
+        ("RationalExpr", EXPRS, IMMUTABLE))
 ]
 
 
