@@ -98,9 +98,6 @@ def main(argv=None) -> int:
         p.add_argument("scenario", help="catalog name or scenario JSON path")
         p.add_argument("--level", type=int, default=None,
                        help="level parameter for parametrized families")
-        p.add_argument("--checks", default="",
-                       help="comma-separated check ids or stage names; the "
-                            "checks they depend on run too")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default="", help="write the report to a file")
 
@@ -110,6 +107,10 @@ def main(argv=None) -> int:
             ("reduce", {"quantize", "reduce"}, "quantization + reduction stages")):
         p_cmd = sub.add_parser(name, help=text)
         add_common(p_cmd)
+        if stages is None:
+            p_cmd.add_argument("--checks", default="",
+                               help="comma-separated check ids or stage names; the "
+                                    "checks they depend on run too")
         p_cmd.set_defaults(func=_cmd_run, stages=stages)
 
     p_rep = sub.add_parser("report", help="render a saved JSON report as text")

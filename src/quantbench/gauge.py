@@ -39,7 +39,7 @@ from .hamiltonian import (
 )
 from .liealg import ActionMap, AlgebroidModel
 from .linalg import is_zero_matrix
-from .quantize import ComplexStructureData, quantize_monomial
+from .quantize import ComplexStructureData
 from .reports import CheckResult
 from .scalars import ONE, ZERO
 
@@ -285,26 +285,24 @@ def gauge_momentum_verify(scenario: ActionScenario) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> CheckResult:
-    """Fiber quantization and the gauge scenario's quantization `gauge_rep`
-    agree through the identity intertwiner in trivialized coordinates.  The
-    Gram matrices are compared once: an entry that varied along the base
-    would not integrate (`quantize._fiber_factors` writes each element
-    through `_zz_decompose`, which raises "leftover variables in
-    decomposition"), so each is one constant matrix."""
+def quantization_isomorphism_check(scenario: ActionScenario) -> CheckResult:
+    """The fiber's quantization and the gauge scenario's agree through the
+    identity intertwiner in trivialized coordinates.  The Gram matrices are
+    compared once: an entry that varied along the base would not integrate
+    (`quantize._fiber_factors` writes each element through `_zz_decompose`,
+    which raises "leftover variables in decomposition"), so each is one
+    constant matrix."""
     gauge = scenario.gauge
     if scenario.bundle is None:
         return CheckResult(True, notes=["point fiber: both sides are the declared line"])
-    failures = []
-    notes = []
-    fiber_rep = quantize_monomial(gauge.fiber)
-
+    fiber_rep, gauge_rep = gauge.fiber.representation, scenario.representation
     if fiber_rep.dimension != gauge_rep.dimension:
         return CheckResult(False, [("dimension", f"fiber {fiber_rep.dimension} vs "
                                                  f"gauge {gauge_rep.dimension}")])
     n_base = scenario.model.gauge_base_count
     algebra = gauge.bundle_data.algebra
     n = fiber_rep.dimension
+    failures = []
     for a in range(algebra.n):
         if not is_zero_matrix(fiber_rep.matrices[a], minus=gauge_rep.matrices[n_base + a]):
             failures.append((f"intertwining {algebra.generator_names[a]}",
@@ -315,7 +313,7 @@ def quantization_isomorphism_check(scenario: ActionScenario, gauge_rep) -> Check
                              "does not act by the flat transport"))
     failures.extend(("gram", f"entry {i},{j}") for i in range(n) for j in range(n)
                     if gauge_rep.gram[i][j] != fiber_rep.gram[i][j])
-    notes.append("intertwiner: identity matrix in trivialized frames; "
-                 "unitary since the Gram matrices coincide")
-    notes.append(f"dimension per base point: {n}")
-    return CheckResult(not failures, failures, notes)
+    return CheckResult(not failures, failures,
+                       ["intertwiner: identity matrix in trivialized frames; "
+                        "unitary since the Gram matrices coincide",
+                        f"dimension per base point: {n}"])

@@ -112,7 +112,9 @@ class ActionScenario(Frozen):
     `degenerate` for a point orbit modeled with the zero form; a
     `full_quotient` description; and the `gauge` construction that built it.
     `replace` builds a changed copy, with nothing derived yet, and what the
-    inputs alone determine is built once and kept.
+    inputs alone determine is built once and kept: the check artifacts
+    (`operators` to `fixed_subspace`) too.  Their builders are imported when
+    first called, since their modules import this one.
     A plain class, not a dataclass: importing `dataclasses` pulls `inspect`
     into every process."""
 
@@ -151,6 +153,39 @@ class ActionScenario(Frozen):
         if residual is None:
             residual = self._residuals[i] = fiber_residual(self, i)
         return residual
+
+    @cached_property
+    def operators(self) -> tuple:
+        """The Kostant operators; raises unless the bundle prequantizes."""
+        from . import bundles
+        return bundles.kostant_operator(self)
+
+    @cached_property
+    def basis(self):
+        """The holomorphic sections at `ansatz_cap`, probed at `ansatz_cap + 2`."""
+        from . import quantize
+        return quantize.holomorphic_solve(self.bundle, self.structure, self.holomorphic_coords,
+                                          self.ansatz_cap, self.ansatz_cap + 2)
+
+    @cached_property
+    def representation(self):
+        from . import quantize
+        return quantize.induced_representation(self, self.operators, self.basis)
+
+    @cached_property
+    def reduced(self):
+        from . import reduce
+        return reduce.internal_mw_quotient(self.zero_level)
+
+    @cached_property
+    def descent(self):
+        from . import reduce
+        return reduce.descent_obstruction_check(self, self.operators)
+
+    @cached_property
+    def fixed_subspace(self):
+        from . import reduce
+        return reduce.quantum_fixed_subspace(self.representation, self.model.isotropy_indices)
 
     @cached_property
     def has_fibers(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .bundles import LineBundleData, kostant_operator
+from .bundles import LineBundleData
 from .errors import (
     MalformedExpressionError,
     UnsupportedFiberError,
@@ -518,15 +518,6 @@ def induced_representation(scenario: ActionScenario, ops,
     return QuantizationResult(basis, gram, matrices, scenario.model.generator_names)
 
 
-def quantize_monomial(scenario: ActionScenario) -> QuantizationResult:
-    """The fiberwise quantization pipeline on the scenario's stage inputs:
-    holomorphic kernel over the monomial ansatz, then the induced
-    representation on it."""
-    basis = holomorphic_solve(scenario.bundle, scenario.structure, scenario.holomorphic_coords,
-                              scenario.ansatz_cap)
-    return induced_representation(scenario, kostant_operator(scenario), basis)
-
-
 def _expand_in_basis(images, basis_exprs):
     """M with images[e] = sum_i M[i][e] basis_exprs[i], entries polynomial in
     twopii.  Basis elements must be free of twopii; images may carry it
@@ -590,19 +581,18 @@ def unitarity_check(result: QuantizationResult) -> CheckResult:
 # closed-form integrations: one rule per `ActionScenario.integration` kind
 # ---------------------------------------------------------------------------
 
-def integrate_representation(scenario: ActionScenario, result=None):
+def integrate_representation(scenario: ActionScenario):
     """The `integrated-representation` record: the `INTEGRATIONS` rule of the
     scenario's kind returns the details, or a failed `CheckResult`."""
     rule = INTEGRATIONS.get(scenario.integration)
     if rule is None:
         raise UnsupportedIntegrationError(
             f"scenario {scenario.name} has no closed-form integration")
-    return rule({"kind": scenario.integration}, scenario, result)
+    return rule({"kind": scenario.integration}, scenario)
 
 
-def _u1_weights(record, scenario, result):
-    if result is None:
-        raise UnsupportedIntegrationError("need a quantization result to integrate")
+def _u1_weights(record, scenario):
+    result = scenario.representation
     mat = result.matrices[0]
     weights = []
     for a in range(result.dimension):
@@ -615,7 +605,7 @@ def _u1_weights(record, scenario, result):
                 weights=weights)
 
 
-def _s1_plane(record, scenario, result):
+def _s1_plane(record, scenario):
     (f,) = scenario.momentum.pairing(0).values()  # the one-chart plane function
     cb, sb = RationalExpr.var("cb"), RationalExpr.var("sb")
     rotated = f.subst({"x": cb * RationalExpr.var("x") - sb * RationalExpr.var("y"),
@@ -626,7 +616,7 @@ def _s1_plane(record, scenario, result):
                 phase_exponent=str(_reduce_rotation(rotated - f)))
 
 
-def _sphere_family(record, scenario, result):
+def _sphere_family(record, scenario):
     """Continuity at the poles: the probe decreases to at most 1e-6."""
     probe = sphere_family_probe(scenario.level, [10.0 ** (-n) for n in range(8, 24, 4)])
     record = dict(record,

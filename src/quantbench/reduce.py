@@ -141,9 +141,30 @@ def projector_checks(red: QuantumReduction) -> CheckResult:
 # descent obstruction and the quantization/reduction comparison
 # ---------------------------------------------------------------------------
 
-def descent_obstruction_check(scenario: ActionScenario, ops) -> CheckResult:
-    """Isotropy weight on the frame along the scenario's zero level; descends
-    iff integral.  `ops` are the operators of `kostant_operator`."""
+class Descent(Frozen):
+    """The isotropy `weights` on the frame along the zero level, their
+    `obstructions` (weight mod 1) and the `failures` of weights that vary
+    along it.  The line bundle `descends` iff every weight is constant and integral."""
+
+    def __init__(self, weights, failures):
+        descends = not failures and all(w.is_integer() for w in weights.values())
+        obstructions = {name: from_ints(w.num[0] % w.den, 0, w.den)
+                        for name, w in weights.items() if w.is_real()}
+        vars(self).update(weights=frozen(weights), obstructions=frozen(obstructions),
+                          failures=frozen(failures), descends=descends,
+                          status="pass" if descends else "hypotheses-not-met")
+
+    def result(self) -> CheckResult:
+        """The `descent-obstruction` record."""
+        notes = [f"weights: {[f'{k}: {v}' for k, v in self.weights.items()]}",
+                 f"obstruction (weight mod 1): "
+                 f"{[f'{k}: {v}' for k, v in self.obstructions.items()]}"]
+        return CheckResult(not self.failures, self.failures, notes, status=self.status)
+
+
+def descent_obstruction_check(scenario: ActionScenario, ops) -> Descent:
+    """The descent of the line bundle along the scenario's zero level.  `ops`
+    are the operators of `kostant_operator`."""
     bundle = ops[0].bundle
     z = scenario.zero_level
     weights = {}
@@ -164,21 +185,11 @@ def descent_obstruction_check(scenario: ActionScenario, ops) -> CheckResult:
         eigen = restricted.constant_value()
         weight = eigen * (-I)  # eigenvalue = i * weight for the circle generator
         weights[scenario.model.generator_names[i]] = weight
-    obstructions = {name: from_ints(w.num[0] % w.den, 0, w.den)
-                    for name, w in weights.items() if w.is_real()}
-    descends = all(w.is_integer() for w in weights.values()) and not failures
-    notes = [f"weights: {[f'{k}: {v}' for k, v in weights.items()]}",
-             f"obstruction (weight mod 1): {[f'{k}: {v}' for k, v in obstructions.items()]}"]
-    status = "pass" if descends else "hypotheses-not-met"
-    result = CheckResult(not failures, failures, notes, status=status)
-    result.weights = weights
-    result.obstructions = obstructions
-    result.descends = descends
-    return result
+    return Descent(weights, failures)
 
 
 def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
-                     descent: CheckResult) -> CheckResult:
+                     descent: Descent) -> CheckResult:
     """Compare the quantization of the `reduced` space with the `fixed`
     subspace, given the `descent` obstruction of the line bundle.  A point
     quotient quantizes to the line with unit Gram matrix and trivial action;

@@ -185,17 +185,14 @@ def _declarations(extras, atlas, momentum) -> dict:
 def load_scenario(data) -> ActionScenario:
     try:
         atlas = FiberedAtlas(
-            [Chart(c["name"], c["base"], c["fiber"], c["orbit"], c["star_shaped"])
-             for c in data["atlas"]["charts"]],
+            [_chart(c) for c in data["atlas"]["charts"]],
             [Transition(t["source"], t["target"],
                         {k: parse_expr(v) for k, v in t["map"].items()},
                         overlap=t.get("overlap", ""))
              for t in data["atlas"]["transitions"]],
             leaf_structure=data["atlas"].get("leaf_structure", ""))
         mdata = data["model"]
-        base_atlas = FiberedAtlas(
-            [Chart(c["name"], c["base"], c["fiber"], c["orbit"], c["star_shaped"])
-             for c in mdata["base_charts"]])
+        base_atlas = FiberedAtlas([_chart(c) for c in mdata["base_charts"]])
         anchors = []
         for entry in mdata["anchors"]:
             anchors.append(None if entry is None else _field_from_dict(base_atlas, entry))
@@ -217,10 +214,20 @@ def load_scenario(data) -> ActionScenario:
         return ActionScenario(data["name"], model, action, presymplectic, momentum,
                               **_declarations(data.get("extras", {}), atlas, momentum))
     except SchemaError:
-        raise  # `_declarations` and `_sample` name the file already
+        raise  # `_chart`, `_declarations` and `_sample` name the file already
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
             QuantbenchError) as exc:
         raise SchemaError(f"scenario file invalid: {exc}") from exc
+
+
+def _chart(entry) -> Chart:
+    """A chart entry: lists of coordinate names and a bool `star_shaped`."""
+    coords = [entry["base"], entry["fiber"], entry["orbit"]]
+    if type(entry["star_shaped"]) is not bool or \
+            not all(type(c) is list and all(type(n) is str for n in c) for c in coords):
+        raise SchemaError(f"scenario file invalid: chart {entry['name']} needs lists of "
+                          "coordinate names and a bool star_shaped")
+    return Chart(entry["name"], *coords, entry["star_shaped"])
 
 
 def _sample(atlas, entry) -> dict:

@@ -8,7 +8,6 @@ from hypothesis import Phase, settings
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quantbench import catalog
-from quantbench.quantize import quantize_monomial
 
 # `tools/mutants.py` selects this profile: the first failing example kills a
 # mutant, so none is shrunk, and no example database is read or written
@@ -28,12 +27,12 @@ def rotation_scenarios():
 
 @pytest.fixture(scope="session")
 def orbit_quantizations(orbit_scenarios):
-    return {k: quantize_monomial(s) for k, s in orbit_scenarios.items()}
+    return {k: s.representation for k, s in orbit_scenarios.items()}
 
 
 @pytest.fixture(scope="session")
 def rotation_quantizations(rotation_scenarios):
-    return {k: quantize_monomial(s) for k, s in rotation_scenarios.items()}
+    return {k: s.representation for k, s in rotation_scenarios.items()}
 
 
 @pytest.fixture(scope="session")

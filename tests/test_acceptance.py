@@ -51,7 +51,6 @@ from quantbench.quantize import (
     holomorphic_solve,
     integrate_representation,
     polarization_equivariance_check,
-    quantize_monomial,
     sphere_family_probe,
 )
 from quantbench.reduce import descent_obstruction_check, internal_mw_quotient, \
@@ -88,7 +87,7 @@ def test_criterion_2_exact_gram_matrices(orbit_quantizations, fs_quadrature):
     ok = True
     details = []
     quantizations = dict(orbit_quantizations)
-    quantizations[4] = quantize_monomial(su2_orbit_scenario(4))
+    quantizations[4] = su2_orbit_scenario(4).representation
     for k in (0, 1, 2, 3, 4):
         gram = quantizations[k].gram
         for a in range(k + 1):
@@ -261,7 +260,7 @@ def test_criterion_7_gauge_pipeline():
         ok &= prequantization_condition_check(scenario).ok
         ok &= quantization_condition_check(scenario).ok
         ok &= gauge_momentum_verify(scenario).ok
-        iso = quantization_isomorphism_check(scenario, quantize_monomial(scenario))
+        iso = quantization_isomorphism_check(scenario)
         ok &= iso.ok
         ok &= any(f"dimension per base point: {k + 1}" in n for n in iso.notes)
         details.append(f"k={k}: dimension {k + 1} per base point")

@@ -152,6 +152,15 @@ class TestReportRendering:
         out = capsys.readouterr().out
         assert "qr-comparison" in out
 
+    @pytest.mark.parametrize("command", ["quantize", "reduce"])
+    def test_quantize_and_reduce_reject_checks(self, command, capsys):
+        """The two subcommands fix their stages, so a --checks filter is a
+        usage error, not a filter they ignore."""
+        with pytest.raises(SystemExit) as exited:
+            main([command, "sphere-family", "--checks", "bogus"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --checks bogus" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["run", "{bad}"], id="run-undecodable"),
@@ -238,6 +247,10 @@ class TestScenarioFiles:
                      id="form-index-length"),
         pytest.param(("presymplectic", "omega", "degree"), 2.9, id="form-degree-float"),
         pytest.param(("presymplectic", "omega", "degree"), "2", id="form-degree-string"),
+        pytest.param(("atlas", "charts", 0, "star_shaped"), "no", id="chart-star-shaped-string"),
+        pytest.param(("atlas", "charts", 0, "fiber"), "xy", id="chart-fiber-string"),
+        pytest.param(("model", "base_charts", 0, "star_shaped"), 0,
+                     id="base-chart-star-shaped-int"),
     ])
     def test_malformed_file_exits_two(self, path, value, tmp_path, capsys):
         data = _mutated(path, value)

@@ -30,7 +30,6 @@ from quantbench.hamiltonian import (
     quantization_condition_check,
 )
 from quantbench.liealg import AlgebroidModel, su2
-from quantbench.quantize import quantize_monomial
 from quantbench.runner import run_scenario
 from quantbench.reduce import (
     descent_obstruction_check,
@@ -146,13 +145,13 @@ class TestQuantizationIsomorphism:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_su2_levels(self, k):
         scenario = gauge_su2_scenario(k)
-        report = quantization_isomorphism_check(scenario, quantize_monomial(scenario))
+        report = quantization_isomorphism_check(scenario)
         assert report.ok, report.failures
         assert any(f"dimension per base point: {k + 1}" in n for n in report.notes)
 
     def test_point_fiber_character(self):
         scenario = gauge_u1_character_scenario(1)
-        report = quantization_isomorphism_check(scenario, None)
+        report = quantization_isomorphism_check(scenario)
         assert report.ok
 
     def test_scaled_fiber_weights_fail_the_gram(self):
@@ -160,7 +159,6 @@ class TestQuantizationIsomorphism:
         with scaled weights has a scaled Gram matrix, whose nonzero entries
         (the diagonal) then differ from the gauge scenario's."""
         scenario = gauge_su2_scenario(1)
-        gauge_rep = quantize_monomial(scenario)
         fiber = scenario.gauge.fiber
         b = fiber.bundle
         scaled = LineBundleData(b.name, b.cover, b.transitions,
@@ -169,7 +167,7 @@ class TestQuantizationIsomorphism:
                                 b.potentials, b.branch_offsets)
         scenario = scenario.replace(gauge=GaugeScenario(scenario.gauge.bundle_data,
                                                         fiber.replace(bundle=scaled)))
-        report = quantization_isomorphism_check(scenario, gauge_rep)
+        report = quantization_isomorphism_check(scenario)
         assert (report.ok, report.failures) == \
             (False, [("gram", "entry 0,0"), ("gram", "entry 1,1")])
 
@@ -177,7 +175,7 @@ class TestQuantizationIsomorphism:
 class TestGaugeReduction:
     def test_u1_rotation_gauge_reduces_like_the_fiber(self):
         scenario = gauge_u1_rotation_scenario(2)
-        result = quantize_monomial(scenario)
+        result = scenario.representation
         n_base = scenario.model.gauge_base_count
         z = ZeroLevelData("N", [parse_expr("x^2+y^2-1")],
                           {"x": parse_expr("(1-t^2)/(1+t^2)"),

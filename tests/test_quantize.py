@@ -286,23 +286,21 @@ class TestHolomorphicSolve:
     def test_robustness_mismatch_fails(self, orbit_scenarios):
         # at cap 1 only z glues on the level-2 sphere; at cap 3 so do 1 and z^2
         scenario = orbit_scenarios[2].replace(ansatz_cap=1)
-        ctx = runner.RunContext(scenario)
-        result = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension").run(ctx)
+        result = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension").run(scenario)
         assert (result.ok, result.failures) == (False, [("robustness", "1 vs 3")])
         assert result.notes == ["dimension 1 at caps 1 and 3"]
         alone = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, 1)
-        assert _texts(ctx.basis) == _texts(alone) == [{"N": "-1i*y + x", "S": "-1i*v + u"}]
+        assert _texts(scenario.basis) == _texts(alone) == [{"N": "-1i*y + x", "S": "-1i*v + u"}]
 
     def test_holomorphic_dimension_eliminates_once(self, monkeypatch, rotation_scenarios):
-        scenario = rotation_scenarios[4]
-        ctx = runner.RunContext(scenario)
+        scenario = rotation_scenarios[4].replace()
         row = next(c for c in runner.CHECKS if c.id == "holomorphic-dimension")
         section_system = CallCounter(quantize, "rref")
         every = CallCounter(linalg, "rref")
         monkeypatch.setattr(quantize, "rref", section_system)
         monkeypatch.setattr(linalg, "rref", every)
-        assert row.run(ctx).ok
+        assert row.run(scenario).ok
         assert section_system.calls == 1
         row_calls, every.calls = every.calls, 0
         holomorphic_solve(scenario.bundle, scenario.structure, scenario.holomorphic_coords,
@@ -715,7 +713,7 @@ class TestInducedRepresentation:
         """One elimination per operator gives the matrices of one solve per
         image and twopii degree, and image = sum_i M[i][e] basis_i holds on
         every patch."""
-        result = quantize.quantize_monomial(scenario)
+        result = scenario.representation
         elements = result.basis.elements
         p0 = scenario.bundle.cover.index_set[0]
         for op, mat in zip(kostant_operator(scenario), result.matrices):
@@ -787,7 +785,7 @@ class TestInducedRepresentation:
             return solve_linear(rows, columns)
 
         monkeypatch.setattr(quantize, "solve_linear", recorded)
-        result = quantize.quantize_monomial(catalog.build_scenario(family, level))
+        result = catalog.build_scenario(family, level).representation
         assert widths == [result.dimension] * len(result.matrices)
 
     def test_kernel_preserved_for_all_generators(self, orbit_quantizations):
@@ -913,9 +911,8 @@ class TestIntegration:
         assert all(a >= b for a, b in zip(probe, probe[1:]))
         assert probe[-1] < 1e-6
 
-    def test_u1_weights(self, rotation_scenarios, rotation_quantizations):
-        rec = integrate_representation(rotation_scenarios[2],
-                                       rotation_quantizations[2])
+    def test_u1_weights(self, rotation_scenarios):
+        rec = integrate_representation(rotation_scenarios[2])
         assert rec["weights"] == ["-1", "0", "1"]
 
     def test_unsupported_scenario_rejected(self, orbit_scenarios):

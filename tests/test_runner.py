@@ -22,7 +22,7 @@ from quantbench.bundles import curvature
 from quantbench.cli import main
 from quantbench.exprs import PolyExpr, RationalExpr, parse_expr
 from quantbench.hamiltonian import ActionScenario
-from quantbench.runner import CHECKS, PRODUCER, STAGES, RunContext, run_scenario
+from quantbench.runner import CHECKS, PRODUCER, STAGES, run_scenario
 from quantbench.scalars import ExactScalar
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +208,8 @@ PREREQUISITES = ["bundle-data", "curvature-match", "complex-structure", "holomor
     ("quantization", PREREQUISITES),
     ("qr-comparison", PREREQUISITES + ["zero-level", "internal-quotient", "descent-obstruction",
                                        "quantum-projector", "qr-comparison"]),
+    # a row that only `uses` the representation pulls in its producers too
+    ("integrated-representation", PREREQUISITES + ["integrated-representation"]),
 ])
 def test_filter_runs_prerequisites(selection, expected, tmp_path):
     out = tmp_path / "report.json"
@@ -378,6 +380,9 @@ def test_every_held_object_refuses_assignment(label, build):
     reached = {type(value).__name__ for _, value in objects}
     assert reached >= {"ActionScenario", "FiberedAtlas", "Chart", "AlgebroidModel",
                        "SectionRep", "ActionMap", "PresymplecticData", "DifferentialForm"}
+    if label.startswith("u1-rotation-reduction"):
+        assert reached >= {"KostantOperator", "HolomorphicBasis", "QuantizationResult",
+                           "QuantumReduction", "ReducedSpace", "Descent"}
     assert [(path, taken) for path, value in objects
             if (taken := _assignments_taken(value))] == []
 
@@ -386,16 +391,15 @@ def test_every_held_object_refuses_assignment(label, build):
                                    lambda: catalog.u1_rotation_scenario(2)],
                          ids=["gauge-su2-1", "u1-rotation-reduction-2"])
 def test_every_artifact_is_frozen(build):
-    """What one check builds and hands to the checks after it (the Kostant
-    operators, the holomorphic basis, the quantization, the fixed subspace and
-    the reduced space) refuses assignment, and every container it holds
+    """What the scenario keeps for its checks (the Kostant operators, the
+    holomorphic basis, the quantization, the fixed subspace, and the reduced
+    space and descent) refuses assignment, and every container it holds
     refuses a write."""
     s = build()
-    result = quantize.quantize_monomial(s)
-    fixed = reduce.quantum_fixed_subspace(result, s.model.isotropy_indices)
-    artifacts = [*bundles.kostant_operator(s), result.basis, result, fixed]
+    result, fixed = s.representation, s.fixed_subspace
+    artifacts = [*s.operators, s.basis, result, fixed]
     if s.zero_level is not None:
-        artifacts.append(reduce.internal_mw_quotient(s.zero_level))
+        artifacts += [s.reduced, s.descent]
     assert {type(a).__name__ for a in artifacts} >= {
         "KostantOperator", "HolomorphicBasis", "QuantizationResult", "QuantumReduction"}
     assert [(type(a).__name__, taken) for a in artifacts if (taken := _assignments_taken(a))] == []
@@ -491,9 +495,9 @@ def test_reports_do_not_depend_on_the_seed(label):
 
 
 def test_no_check_draws_from_an_rng():
-    """The run context carries no RNG, and the modules of the check table do
-    not import `random`."""
-    assert not hasattr(RunContext(catalog.pair_groupoid_scenario()), "rng")
+    """The scenario a run reads carries no RNG, and the modules of the check
+    table do not import `random`."""
+    assert not hasattr(catalog.pair_groupoid_scenario(), "rng")
     for module in (runner, bundles, hamiltonian):
         tree = ast.parse(Path(module.__file__).read_text())
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -597,6 +601,50 @@ def test_each_validation_runs_once_in_the_table(monkeypatch):
         assert calls["morphism_report"] == 0
         run_scenario(scenario)
         assert calls == expected
+
+
+ARTIFACT_BUILDERS = ((bundles, "kostant_operator"), (quantize, "holomorphic_solve"),
+                     (quantize, "induced_representation"), (reduce, "quantum_fixed_subspace"),
+                     (reduce, "descent_obstruction_check"), (reduce, "internal_mw_quotient"))
+
+
+def _count_builders(monkeypatch) -> list:
+    """(builder name, first argument) for each call of the artifact builders."""
+    calls = []
+    for module, name in ARTIFACT_BUILDERS:
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls.append((_name, args[0]))
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_scenario_keeps_its_check_artifacts(monkeypatch):
+    """A second run of one scenario builds none of the artifacts its checks
+    read and gives the same report; `replace` builds each once again."""
+    calls = _count_builders(monkeypatch)
+    s = catalog.u1_rotation_scenario(2)
+    first = run_scenario(s).canonical_json()
+    once = Counter(name for _, name in ARTIFACT_BUILDERS)
+    assert Counter(name for name, _ in calls) == once
+    calls.clear()
+    assert run_scenario(s).canonical_json() == first
+    assert calls == []
+    assert run_scenario(s.replace()).canonical_json() == first
+    assert Counter(name for name, _ in calls) == once
+
+
+def test_the_gauge_fiber_keeps_its_quantization(monkeypatch):
+    """The quantization-isomorphism row quantizes the fiber once, and the
+    fiber keeps it."""
+    calls = _count_builders(monkeypatch)
+    s = catalog.gauge_su2_scenario(1)
+    fiber = s.gauge.fiber
+    run_scenario(s)
+    assert [arg for name, arg in calls if name == "induced_representation"] == [s, fiber]
+    assert vars(fiber)["representation"] is fiber.representation
+    run_scenario(s)
+    assert [arg for name, arg in calls if name == "induced_representation"] == [s, fiber]
 
 
 @pytest.mark.parametrize("build", [lambda: catalog.gauge_su2_scenario(1),

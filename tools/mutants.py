@@ -96,6 +96,22 @@ MUTANTS = [
      "old": "    for i in scenario.model.isotropy_indices:\n        potential",
      "new": "    for i in ():\n        potential",
      "tests": ["tests/test_reduce.py::TestDescent::test_odd_level_obstructed"]},
+    {"name": "Descent: an obstructed level reads as descending",
+     "file": REDUCE,
+     "old": "        descends = not failures and all(w.is_integer() for w in weights.values())",
+     "new": "        descends = not failures",
+     "tests": ["tests/test_reduce.py::TestDescent::test_odd_level_obstructed"]},
+    {"name": "ActionScenario.basis: solved without the probe cap",
+     "file": HAMILTONIAN,
+     "old": "self.ansatz_cap, self.ansatz_cap + 2)",
+     "new": "self.ansatz_cap)",
+     "tests": ["tests/test_quantize.py::TestHolomorphicSolve::test_robustness_mismatch_fails"]},
+    {"name": "quantization_isomorphism_check: the gauge quantization compared with itself",
+     "file": GAUGE,
+     "old": "fiber_rep, gauge_rep = gauge.fiber.representation, scenario.representation",
+     "new": "fiber_rep, gauge_rep = scenario.representation, scenario.representation",
+     "tests": ["tests/test_gauge.py::TestQuantizationIsomorphism::"
+               "test_scaled_fiber_weights_fail_the_gram"]},
     {"name": "curvature_formula_check: tau([w_i, w_j]) taken as zero",
      "file": GAUGE,
      "old": "zip(tau(model.bracket(w_i, w_j)), tau_i, tau_j,",
@@ -461,7 +477,9 @@ MUTANTS = [
      "file": RUNNER,
      "old": "selected.update(PRODUCER[name] for name in check.needs + check.uses)",
      "new": "selected.update(PRODUCER[name] for name in check.needs)",
-     "tests": [f"{FILTERED}[gauge-su2-1]", f"{FILTERED}[u1-rotation-reduction-2]"]},
+     "tests": [f"{FILTERED}[gauge-su2-1]", f"{FILTERED}[u1-rotation-reduction-2]",
+               "tests/test_runner.py::test_filter_runs_prerequisites["
+               "integrated-representation-expected3]"]},
     {"name": "run_scenario: a `uses` consumer run after its producer failed",
      "file": RUNNER,
      "old": "                  for name in check.needs + check.uses\n",
