@@ -72,6 +72,7 @@ from .reduce import (
     internal_mw_quotient,
     qr_commute_check,
     quantum_fixed_subspace,
+    zero_level_check,
 )
 from .gauge import (
     GaugeScenario,

@@ -297,16 +297,15 @@ def kostant_operator(scenario: ActionScenario) -> tuple:
                  for i in range(model.n))
 
 
-def flatness_pieces(scenario: ActionScenario, ops):
-    """(i, j, patch, W, q) for each generator pair i < j and patch.  pi is
-    linear over functions in the section, so pi([X_i, X_j]) = sum_k c_k pi(X_k)
-    for [X_i, X_j] = sum_k c_k X_k.  pi(X) = V_X + p_X is first order and
-    multiplications commute, so on the patch [pi(X_i), pi(X_j)] -
-    pi([X_i, X_j]) is the vector field W (the chart's nonzero components of
-    [V_i, V_j] - sum_k c_k V_k) plus multiplication by
-    q = V_i p_j - V_j p_i - sum_k c_k p_k."""
-    model = scenario.model
-    bundle = ops[0].bundle
+def flatness_pieces(scenario: ActionScenario):
+    """(i, j, patch, W, q) for each generator pair i < j and patch, pi the
+    scenario's `operators`.  pi is linear over functions in the section, so
+    pi([X_i, X_j]) = sum_k c_k pi(X_k) for [X_i, X_j] = sum_k c_k X_k.
+    pi(X) = V_X + p_X is first order and multiplications commute, so on the
+    patch [pi(X_i), pi(X_j)] - pi([X_i, X_j]) is the vector field W (the
+    chart's nonzero components of [V_i, V_j] - sum_k c_k V_k) plus
+    multiplication by q = V_i p_j - V_j p_i - sum_k c_k p_k."""
+    model, bundle, ops = scenario.model, scenario.bundle, scenario.operators
     for i in range(model.n):
         for j in range(i + 1, model.n):
             c = model.bracket(model.basis_section(i), model.basis_section(j)).coeffs
@@ -323,15 +322,16 @@ def flatness_pieces(scenario: ActionScenario, ops):
                 yield i, j, idx, field.components.get(chart, {}), q
 
 
-def hermitian_pieces(ops):
-    """(i, patch, I, r) for each generator and patch: I holds the nonzero
-    components of V - conj(V) on the patch's chart and r = (p + conj p) h - V(h).
-    With h(f, g) = conj(f) g h, the residual h(pi f, g) + h(f, pi g) - V(h(f, g))
-    is -I(conj f) g h + conj(f) g r.  The weight h vanishes nowhere, so r = 0
-    exactly when (p + conj p) - V(log h) = 0, which is decided first on the
-    logarithmic derivatives of h; r itself is built only to print it."""
-    bundle = ops[0].bundle
-    for i, op in enumerate(ops):
+def hermitian_pieces(scenario: ActionScenario):
+    """(i, patch, I, r) for each generator and patch, pi the scenario's
+    `operators`: I holds the nonzero components of V - conj(V) on the patch's
+    chart and r = (p + conj p) h - V(h).  With h(f, g) = conj(f) g h, the
+    residual h(pi f, g) + h(f, pi g) - V(h(f, g)) is -I(conj f) g h
+    + conj(f) g r.  The weight h vanishes nowhere, so r = 0 exactly when
+    (p + conj p) - V(log h) = 0, which is decided first on the logarithmic
+    derivatives of h; r itself is built only to print it."""
+    bundle = scenario.bundle
+    for i, op in enumerate(scenario.operators):
         field = op.vector_part
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
@@ -347,16 +347,16 @@ def hermitian_pieces(ops):
             yield i, idx, {c: v for c, v in imaginary.items() if not v.is_zero()}, r
 
 
-def equivariance_pieces(ops):
+def equivariance_pieces(scenario: ActionScenario):
     """(i, patch, c, E) for each generator, patch and fiber coordinate c of the
-    patch's chart.  With nabla_v = v + theta(v), theta = twopii eta, the
-    residual [pi(X), nabla_v] - nabla_[V, v] is V(theta(v)) - v(p)
-    - theta([V, v]): of order 0 and C-infinity-linear in v, so it is
-    multiplication by sum_c v^c E with E = V(theta_c) - d_c p
+    patch's chart, pi the scenario's `operators`.  With nabla_v = v + theta(v),
+    theta = twopii eta, the residual [pi(X), nabla_v] - nabla_[V, v] is
+    V(theta(v)) - v(p) - theta([V, v]): of order 0 and C-infinity-linear in
+    v, so it is multiplication by sum_c v^c E with E = V(theta_c) - d_c p
     + sum_a d_c(V^a) theta_a, the leafwise L_V theta = dp."""
-    bundle = ops[0].bundle
+    bundle = scenario.bundle
     twopii = RationalExpr.var("twopii")
-    for i, op in enumerate(ops):
+    for i, op in enumerate(scenario.operators):
         field = op.vector_part
         for idx in bundle.cover.index_set:
             chart = bundle.patch_chart(idx)
@@ -374,13 +374,13 @@ def _vector_text(table) -> str:
     return "; ".join(f"({v}) d/d{c}" for c, v in table.items())
 
 
-def rep_flatness_check(scenario: ActionScenario, ops) -> CheckResult:
+def rep_flatness_check(scenario: ActionScenario) -> CheckResult:
     """[pi(X), pi(Y)] = pi([X, Y]) on every patch, decided exactly: a
     first-order operator vanishes on a patch exactly when both of its
     `flatness_pieces` do."""
     names = scenario.model.generator_names
     failures = []
-    for i, j, idx, field, q in flatness_pieces(scenario, ops):
+    for i, j, idx, field, q in flatness_pieces(scenario):
         label = f"{names[i]},{names[j]}@patch {idx}"
         if field:
             failures.append((label, "[V_X, V_Y] - V_[X,Y] = " + _vector_text(field)))
@@ -389,14 +389,14 @@ def rep_flatness_check(scenario: ActionScenario, ops) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def rep_hermitian_check(scenario: ActionScenario, ops) -> CheckResult:
+def rep_hermitian_check(scenario: ActionScenario) -> CheckResult:
     """h(pi(X)f, g) + h(f, pi(X)g) = alpha(X).h(f, g) on every patch, decided
     exactly: the residual vanishes for all f and g exactly when both
     `hermitian_pieces` do (f = g = 1 isolates r; g = 1 and f a coordinate
     then isolate I)."""
     names = scenario.model.generator_names
     failures = []
-    for i, idx, imaginary, r in hermitian_pieces(ops):
+    for i, idx, imaginary, r in hermitian_pieces(scenario):
         label = f"{names[i]}@patch {idx}"
         if imaginary:
             failures.append((label, "V - conj(V) = " + _vector_text(imaginary)))
@@ -405,14 +405,14 @@ def rep_hermitian_check(scenario: ActionScenario, ops) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def connection_equivariance_check(scenario: ActionScenario, ops) -> CheckResult:
+def connection_equivariance_check(scenario: ActionScenario) -> CheckResult:
     """[pi(X), nabla_v] = nabla_{[alpha(X), v]} for every fiber field v on
     every patch, decided exactly: the residual is multiplication by
     sum_c v^c E_c, so it vanishes for every v exactly when each
     `equivariance_pieces` E_c does."""
     names = scenario.model.generator_names
     failures = [(f"{names[i]}@patch {idx}", f"d/d{c}: {resid}")
-                for i, idx, c, resid in equivariance_pieces(ops)
+                for i, idx, c, resid in equivariance_pieces(scenario)
                 if not resid.is_zero()]
     return CheckResult(not failures, failures)
 

@@ -170,7 +170,7 @@ class ActionScenario(Frozen):
     @cached_property
     def representation(self):
         from . import quantize
-        return quantize.induced_representation(self, self.operators, self.basis)
+        return quantize.induced_representation(self)
 
     @cached_property
     def reduced(self):
@@ -180,12 +180,12 @@ class ActionScenario(Frozen):
     @cached_property
     def descent(self):
         from . import reduce
-        return reduce.descent_obstruction_check(self, self.operators)
+        return reduce.descent_obstruction_check(self)
 
     @cached_property
     def fixed_subspace(self):
         from . import reduce
-        return reduce.quantum_fixed_subspace(self.representation, self.model.isotropy_indices)
+        return reduce.quantum_fixed_subspace(self)
 
     @cached_property
     def has_fibers(self) -> bool:

@@ -105,8 +105,9 @@ class ComplexStructureData(Frozen):
         return frames
 
     def positivity_check(self, omega) -> CheckResult:
-        """omega(j v, v) > 0 at declared sample points (float evaluation)."""
-        failures = []
+        """omega(j v, v) > 0 at declared sample points (float evaluation); with
+        none declared it fails, since it would pass having tested nothing."""
+        failures = [] if self.positivity_samples else [("samples", "no sample point declared")]
         for sample in self.positivity_samples:
             ch, point = sample["chart"], sample["point"]
             fibers = self.atlas.chart(ch).fiber_coords
@@ -442,13 +443,14 @@ def _fiber_factors(bundle, elements):
     return factors
 
 
-def gram_matrix(bundle: LineBundleData, basis: HolomorphicBasis):
-    """Gram matrix of `basis`.  Only the upper triangle is integrated: the
-    integrand conj(f) g h has a real weight h (a verdict of the `bundle-data`
-    row), so entry (j, i) is the conjugate of entry (i, j).  Each element is
-    written over z, zbar once (`_fiber_factors`), so the fiber must be the
-    projective line, and each entry pairs two such factors."""
-    elements = basis.elements
+def gram_matrix(basis: HolomorphicBasis):
+    """Gram matrix of `basis` in the metric of its bundle.  Only the upper
+    triangle is integrated: the integrand conj(f) g h has a real weight h (a
+    verdict of the `bundle-data` row), so entry (j, i) is the conjugate of
+    entry (i, j).  Each element is written over z, zbar once
+    (`_fiber_factors`), so the fiber must be the projective line, and each
+    entry pairs two such factors."""
+    bundle, elements = basis.bundle, basis.elements
     n = len(elements)
     factors = _fiber_factors(bundle, elements)
     gram = [[None] * n for _ in range(n)]
@@ -483,26 +485,23 @@ def leading_minors_positive(gram) -> bool:
 # ---------------------------------------------------------------------------
 
 class QuantizationResult(Frozen):
-    def __init__(self, basis, gram, matrices, generator_names):
-        vars(self).update(basis=basis, gram=frozen(gram), matrices=frozen(matrices),
-                          generator_names=tuple(generator_names))
+    def __init__(self, basis, gram, matrices):
+        vars(self).update(basis=basis, gram=frozen(gram), matrices=frozen(matrices))
 
     @property
     def dimension(self):
         return self.basis.dimension
 
 
-def induced_representation(scenario: ActionScenario, ops,
-                           basis: HolomorphicBasis) -> QuantizationResult:
-    """Matrices of the operators `ops` of `kostant_operator` in the
-    holomorphic basis: one elimination per operator on the first patch, then
-    the identity image = sum_i M[i][e] basis_i, checked exactly on every other
-    patch."""
-    bundle = basis.bundle
+def induced_representation(scenario: ActionScenario) -> QuantizationResult:
+    """Matrices of the scenario's `operators` in its holomorphic `basis`: one
+    elimination per operator on the first patch, then the identity
+    image = sum_i M[i][e] basis_i, checked exactly on every other patch."""
+    basis = scenario.basis
     elements = basis.elements
-    p0, *others = bundle.cover.index_set
+    p0, *others = scenario.bundle.cover.index_set
     matrices = []
-    for op in ops:
+    for op in scenario.operators:
         mat = _expand_in_basis([op.apply(p0, e[p0]) for e in elements],
                                [e[p0] for e in elements])
         for p in others:
@@ -514,8 +513,7 @@ def induced_representation(scenario: ActionScenario, ops,
                     raise MalformedExpressionError(
                         "representation matrices differ between patches")
         matrices.append(mat)
-    gram = gram_matrix(bundle, basis)
-    return QuantizationResult(basis, gram, matrices, scenario.model.generator_names)
+    return QuantizationResult(basis, gram_matrix(basis), matrices)
 
 
 def _expand_in_basis(images, basis_exprs):
@@ -542,8 +540,9 @@ def _expand_in_basis(images, basis_exprs):
              for sol in solutions] for i in range(n)]
 
 
-def commutation_check(result: QuantizationResult, model) -> CheckResult:
-    """[M_i, M_j] equals the matrix of the bracket section, exactly."""
+def commutation_check(scenario: ActionScenario) -> CheckResult:
+    """[M_i, M_j] equals the matrix of the bracket section in the `representation`, exactly."""
+    model, result = scenario.model, scenario.representation
     failures = []
     for i in range(model.n):
         for j in range(i + 1, model.n):
@@ -561,19 +560,20 @@ def commutation_check(result: QuantizationResult, model) -> CheckResult:
                             for row, mat_row in zip(expected, result.matrices[k])]
             if not is_zero_matrix(mat_mul(result.matrices[i], result.matrices[j]),
                                   minus=expected):
-                failures.append((f"{result.generator_names[i]},"
-                                 f"{result.generator_names[j]}", "commutator mismatch"))
+                failures.append((f"{model.generator_names[i]},{model.generator_names[j]}",
+                                 "commutator mismatch"))
     return CheckResult(not failures, failures)
 
 
-def unitarity_check(result: QuantizationResult) -> CheckResult:
-    """M^dagger G + G M = 0 for every generator matrix (conj flips twopii)."""
+def unitarity_check(scenario: ActionScenario) -> CheckResult:
+    """M^dagger G + G M = 0 for every matrix of the `representation` (conj flips twopii)."""
+    result = scenario.representation
     failures = []
     g = result.gram
     minus_g = [[-v for v in row] for row in g]
     for idx, m in enumerate(result.matrices):
         if not is_zero_matrix(mat_mul(conj_transpose(m), g), minus=mat_mul(minus_g, m)):
-            failures.append((result.generator_names[idx], "M*G + GM != 0"))
+            failures.append((scenario.model.generator_names[idx], "M*G + GM != 0"))
     return CheckResult(not failures, failures)
 
 

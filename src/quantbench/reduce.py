@@ -14,7 +14,6 @@ from .exprs import coerce_rational
 from .geometry import Frozen, frozen
 from .hamiltonian import ActionScenario
 from .linalg import conj_transpose, inverse, is_zero_matrix, kernel_basis, mat_mul
-from .quantize import QuantizationResult
 from .reports import CheckResult
 from .scalars import I, ONE, ZERO, from_ints
 
@@ -22,7 +21,7 @@ from .scalars import I, ONE, ZERO, from_ints
 class ZeroLevelData(Frozen):
     """Parametrized zero level of the internal momentum map on one chart.  The
     isotropy generators are the scenario model's; the free and proper action
-    of their orbits is declared, and `verify` echoes it."""
+    of their orbits is declared, and `zero_level_check` echoes it."""
 
     def __init__(self, chart, equations, parametrization, param_names, orbit_dimension=0):
         vars(self).update(chart=chart, equations=tuple(coerce_rational(e) for e in equations),
@@ -34,31 +33,33 @@ class ZeroLevelData(Frozen):
     def level_dimension(self):
         return len(self.param_names)
 
-    def verify(self, scenario: ActionScenario) -> CheckResult:
-        """Equations vanish on the parametrization; momentum vanishes too."""
-        failures = []
-        isotropy = scenario.model.isotropy_indices
-        for eq in self.equations:
-            resid = eq.subst(self.parametrization).simplify()
-            if not resid.is_zero():
-                failures.append(("defining-equation", str(resid)))
-        for i in isotropy:
-            pairing = scenario.momentum.pairing(i).get(self.chart)
-            if pairing is None:
-                continue
-            resid = pairing.subst(self.parametrization).simplify()
-            if not resid.is_zero():
-                failures.append(("momentum-vanishing",
-                                 f"generator {i}: {resid}"))
-        # isotropy orbit directions are tangent to the zero level
-        for i in isotropy:
-            field = scenario.generator_field(i)
-            for eq in self.equations:
-                derived = field.derive(eq, self.chart).subst(self.parametrization)
-                if not derived.is_zero():
-                    failures.append(("tangency", f"generator {i}"))
-        return CheckResult(not failures, failures,
-                           notes=["freeness declared: True", "properness declared: True"])
+
+def zero_level_check(scenario: ActionScenario) -> CheckResult:
+    """The scenario's zero level: its equations and momentum vanish on it."""
+    z = scenario.zero_level
+    failures = []
+    isotropy = scenario.model.isotropy_indices
+    for eq in z.equations:
+        resid = eq.subst(z.parametrization).simplify()
+        if not resid.is_zero():
+            failures.append(("defining-equation", str(resid)))
+    for i in isotropy:
+        pairing = scenario.momentum.pairing(i).get(z.chart)
+        if pairing is None:
+            continue
+        resid = pairing.subst(z.parametrization).simplify()
+        if not resid.is_zero():
+            failures.append(("momentum-vanishing",
+                             f"generator {i}: {resid}"))
+    # isotropy orbit directions are tangent to the zero level
+    for i in isotropy:
+        field = scenario.generator_field(i)
+        for eq in z.equations:
+            derived = field.derive(eq, z.chart).subst(z.parametrization)
+            if not derived.is_zero():
+                failures.append(("tangency", f"generator {i}"))
+    return CheckResult(not failures, failures,
+                       notes=["freeness declared: True", "properness declared: True"])
 
 
 class ReducedSpace(Frozen):
@@ -89,15 +90,15 @@ def internal_mw_quotient(z: ZeroLevelData) -> ReducedSpace:
 # ---------------------------------------------------------------------------
 
 class QuantumReduction(Frozen):
-    """The vectors of `source` that the `isotropy_indices` generators fix: the
+    """The fixed vectors of a representation with n x n Gram matrix G: the
     n x k matrix B (`matrix`) whose columns are the `basis`, the pairing B†G
-    with them in the Gram metric G, the restricted Gram matrix B†GB (`gram`)
-    and the metric projector B (B†GB)^-1 B†G."""
+    with them, the restricted Gram matrix B†GB (`gram`) and the metric
+    projector B (B†GB)^-1 B†G."""
 
-    def __init__(self, source: QuantizationResult, isotropy_indices, basis_columns):
-        n = source.dimension
+    def __init__(self, source_gram, basis_columns):
+        n = len(source_gram)
         b = [[column[i] for column in basis_columns] for i in range(n)]
-        pairing = mat_mul(conj_transpose(b), source.gram)  # k x n
+        pairing = mat_mul(conj_transpose(b), source_gram)  # k x n
         gram = mat_mul(pairing, b)  # k x k, Hermitian positive
         if not basis_columns:
             projector = [[ZERO] * n for _ in range(n)]
@@ -106,8 +107,7 @@ class QuantumReduction(Frozen):
             if gram_inv is None:
                 raise MalformedExpressionError("singular Gram restriction")
             projector = mat_mul(mat_mul(b, gram_inv), pairing)
-        vars(self).update(source=source, isotropy_indices=tuple(isotropy_indices),
-                          basis=frozen(basis_columns), matrix=frozen(b),
+        vars(self).update(basis=frozen(basis_columns), matrix=frozen(b),
                           pairing=frozen(pairing), gram=frozen(gram), projector=frozen(projector))
 
     @property
@@ -115,26 +115,27 @@ class QuantumReduction(Frozen):
         return len(self.basis)
 
 
-def quantum_fixed_subspace(result: QuantizationResult,
-                           isotropy_indices) -> QuantumReduction:
-    """Joint kernel of the isotropy generator matrices, with metric projector."""
+def quantum_fixed_subspace(scenario: ActionScenario) -> QuantumReduction:
+    """Joint kernel of the isotropy matrices of the `representation`, with metric projector."""
+    result = scenario.representation
     stacked = [[coerce_rational(v) for v in row]
-               for idx in isotropy_indices for row in result.matrices[idx]]
-    return QuantumReduction(result, isotropy_indices,
-                            kernel_basis(stacked, result.dimension))
+               for idx in scenario.model.isotropy_indices for row in result.matrices[idx]]
+    return QuantumReduction(result.gram, kernel_basis(stacked, result.dimension))
 
 
-def projector_checks(red: QuantumReduction) -> CheckResult:
-    """Idempotence and commutation with the full representation matrices."""
+def projector_checks(scenario: ActionScenario) -> CheckResult:
+    """Idempotence of the projector of the scenario's `fixed_subspace` and
+    its commutation with the full representation matrices."""
+    fixed = scenario.fixed_subspace
     failures = []
-    p = red.projector
+    p = fixed.projector
     if not is_zero_matrix(mat_mul(p, p), minus=p):
         failures.append(("idempotent", "P^2 != P"))
-    for idx, mat in enumerate(red.source.matrices):
+    for idx, mat in enumerate(scenario.representation.matrices):
         if not is_zero_matrix(mat_mul(p, mat), minus=mat_mul(mat, p)):
             failures.append(("invariance",
                              f"projector does not commute with generator {idx}"))
-    return CheckResult(not failures, failures)
+    return CheckResult(not failures, failures, [f"fixed-subspace dimension {fixed.dimension}"])
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +163,10 @@ class Descent(Frozen):
         return CheckResult(not self.failures, self.failures, notes, status=self.status)
 
 
-def descent_obstruction_check(scenario: ActionScenario, ops) -> Descent:
-    """The descent of the line bundle along the scenario's zero level.  `ops`
-    are the operators of `kostant_operator`."""
-    bundle = ops[0].bundle
-    z = scenario.zero_level
+def descent_obstruction_check(scenario: ActionScenario) -> Descent:
+    """The descent of the line bundle along the scenario's zero level, read
+    from the potentials of its `operators`."""
+    bundle, z = scenario.bundle, scenario.zero_level
     weights = {}
     failures = []
     patch = None
@@ -177,7 +177,7 @@ def descent_obstruction_check(scenario: ActionScenario, ops) -> Descent:
     if patch is None:
         raise MalformedExpressionError("no bundle patch covers the zero-level chart")
     for i in scenario.model.isotropy_indices:
-        potential = ops[i].potential_part(patch)
+        potential = scenario.operators[i].potential_part(patch)
         restricted = potential.subst(z.parametrization).simplify()
         if not restricted.is_constant():
             failures.append(("weight", f"generator {i}: non-constant along the level"))
@@ -188,25 +188,25 @@ def descent_obstruction_check(scenario: ActionScenario, ops) -> Descent:
     return Descent(weights, failures)
 
 
-def qr_commute_check(fixed: QuantumReduction, reduced: ReducedSpace,
-                     descent: Descent) -> CheckResult:
-    """Compare the quantization of the `reduced` space with the `fixed`
-    subspace, given the `descent` obstruction of the line bundle.  A point
-    quotient quantizes to the line with unit Gram matrix and trivial action;
-    positive-dimensional quotients have no declared quantization."""
+def qr_commute_check(scenario: ActionScenario) -> CheckResult:
+    """Compare the quantization of the scenario's `reduced` space with its
+    `fixed_subspace`, given the `descent` obstruction of the line bundle.  A
+    point quotient quantizes to the line with unit Gram matrix and trivial
+    action; positive-dimensional quotients have no declared quantization."""
+    fixed, descent = scenario.fixed_subspace, scenario.descent
     if not descent.descends:
         return _qr_result("hypotheses-not-met", fixed, None, descent,
                           ["line bundle does not descend; comparison hypotheses not met",
                            f"fixed-subspace dimension {fixed.dimension}"])
-    if reduced.kind != "point":
+    if scenario.reduced.kind != "point":
         raise MalformedExpressionError(
             "no declared quantization for a positive-dimensional quotient")
     if fixed.dimension != 1:
         return _qr_result("fail", fixed, 1, descent, ["dimension mismatch"])
     # intertwining: the non-isotropy generators must act on the fixed line as
     # they act on the reduced one, trivially
-    residual = [idx for idx, mat in enumerate(fixed.source.matrices)
-                if idx not in fixed.isotropy_indices and
+    residual = [idx for idx, mat in enumerate(scenario.representation.matrices)
+                if idx not in scenario.model.isotropy_indices and
                 not mat_mul(fixed.pairing, mat_mul(mat, fixed.matrix))[0][0].is_zero()]
     if residual:
         return _qr_result("fail", fixed, 1, descent,

@@ -78,13 +78,7 @@ def _quantization(s):
     return {"dimension": rep.dimension,
             "gram": [[str(v) for v in row] for row in rep.gram],
             "matrices": {name: [[str(v) for v in row] for row in mat]
-                         for name, mat in zip(rep.generator_names, rep.matrices)}}
-
-
-def _projector(s):
-    res = reduce_mod.projector_checks(s.fixed_subspace)
-    res.notes.append(f"fixed-subspace dimension {s.fixed_subspace.dimension}")
-    return res
+                         for name, mat in zip(s.model.generator_names, rep.matrices)}}
 
 
 CHECKS = (
@@ -125,14 +119,14 @@ CHECKS = (
     Check("curvature-match", "prequantize", "chartwise curvature equals the scenario 2-form",
           _curvature_match, needs=("bundle",), produces="operators"),
     Check("representation-flatness", "prequantize", "[pi(X), pi(Y)] = pi([X,Y]) on local sections",
-          lambda s: bundles.rep_flatness_check(s, s.operators),
+          lambda s: bundles.rep_flatness_check(s),
           needs=("operators",)),
     Check("representation-hermitian", "prequantize",
           "pairing derivative identity for the operators",
-          lambda s: bundles.rep_hermitian_check(s, s.operators),
+          lambda s: bundles.rep_hermitian_check(s),
           needs=("operators",)),
     Check("connection-equivariance", "prequantize", "[pi(X), nabla_v] = nabla_{[alpha(X), v]}",
-          lambda s: bundles.connection_equivariance_check(s, s.operators),
+          lambda s: bundles.connection_equivariance_check(s),
           needs=("operators",)),
     Check("chern-witness", "prequantize", "alpha^* curvature is exact with the momentum witness",
           lambda s: bundles.chern_class_algebroid(s),
@@ -156,10 +150,10 @@ CHECKS = (
           lambda s: CheckResult(quantize.leading_minors_positive(s.representation.gram)),
           needs=("representation",)),
     Check("matrix-commutation", "quantize", "representation matrices close under the bracket",
-          lambda s: quantize.commutation_check(s.representation, s.model),
+          lambda s: quantize.commutation_check(s),
           needs=("representation",)),
     Check("infinitesimal-unitarity", "quantize", "M^dagger G + G M = 0 exactly",
-          lambda s: quantize.unitarity_check(s.representation), needs=("representation",)),
+          lambda s: quantize.unitarity_check(s), needs=("representation",)),
     Check("quantization-isomorphism", "quantize", "twisted quantization matches the fiber model",
           lambda s: quantization_isomorphism_check(s),
           uses=("representation",), applies=lambda s: s.gauge is not None),
@@ -167,7 +161,7 @@ CHECKS = (
           lambda s: quantize.integrate_representation(s),
           uses=("representation",), applies=lambda s: bool(s.integration)),
     Check("zero-level", "reduce", "defining equations, tangency, declared regularity",
-          lambda s: s.zero_level.verify(s), produces="zero_level",
+          lambda s: reduce_mod.zero_level_check(s), produces="zero_level",
           applies=lambda s: s.zero_level is not None),
     Check("internal-quotient", "reduce", "fiberwise reduced model and dimension count",
           lambda s: {"reduced": repr(s.reduced)}, needs=("zero_level",), produces="reduced",
@@ -175,9 +169,10 @@ CHECKS = (
     Check("descent-obstruction", "reduce", "isotropy weight on the frame along the zero level",
           lambda s: s.descent.result(), needs=("operators", "zero_level"), produces="descent"),
     Check("quantum-projector", "reduce", "fixed-subspace projector idempotent and invariant",
-          _projector, needs=("representation", "zero_level"), produces="fixed_subspace"),
+          lambda s: reduce_mod.projector_checks(s), needs=("representation", "zero_level"),
+          produces="fixed_subspace"),
     Check("qr-comparison", "reduce", "reduced quantization versus fixed subspace",
-          lambda s: reduce_mod.qr_commute_check(s.fixed_subspace, s.reduced, s.descent),
+          lambda s: reduce_mod.qr_commute_check(s),
           needs=("reduced", "descent", "fixed_subspace")),
 )
 STAGES = tuple(dict.fromkeys(check.stage for check in CHECKS))

@@ -36,6 +36,19 @@ def rotation_quantizations(rotation_scenarios):
 
 
 @pytest.fixture(scope="session")
+def preset():
+    """`preset(scenario, **artifacts)`: a `replace()` copy of `scenario` that
+    keeps `artifacts` (`operators=`, `basis=`, `representation=`, ...) as if
+    it had built them.  A `cached_property` is a non-data descriptor, so
+    every reader of the copy sees the value in its instance dict."""
+    def make(scenario, **artifacts):
+        copy = scenario.replace()
+        vars(copy).update(artifacts)
+        return copy
+    return make
+
+
+@pytest.fixture(scope="session")
 def gauge_su2_1():
     return catalog.gauge_su2_scenario(1)
 

@@ -13,7 +13,6 @@ import pytest
 
 from quantbench.bundles import (
     curvature,
-    kostant_operator,
     rep_flatness_check,
     rep_hermitian_check,
 )
@@ -53,8 +52,8 @@ from quantbench.quantize import (
     polarization_equivariance_check,
     sphere_family_probe,
 )
-from quantbench.reduce import descent_obstruction_check, internal_mw_quotient, \
-    qr_commute_check, quantum_fixed_subspace
+from quantbench.reduce import descent_obstruction_check, qr_commute_check, \
+    quantum_fixed_subspace
 from quantbench.scalars import ExactScalar, ZERO
 
 
@@ -115,23 +114,18 @@ def test_criterion_3_kostant_closure_and_hermiticity(orbit_scenarios):
     ok = True
     for k in (0, 1, 2, 3):
         s = orbit_scenarios[k]
-        ops = kostant_operator(s)
-        ok &= rep_flatness_check(s, ops).ok
-        ok &= rep_hermitian_check(s, ops).ok
+        ok &= rep_flatness_check(s).ok
+        ok &= rep_hermitian_check(s).ok
     for k in (0, 1, 2, 3):
         g = gauge_su2_scenario(k)
-        ops = kostant_operator(g)
-        ok &= rep_flatness_check(g, ops).ok
-        ok &= rep_hermitian_check(g, ops).ok
+        ok &= rep_flatness_check(g).ok
+        ok &= rep_hermitian_check(g).ok
     controls = []
-    flipped = control_flipped_momentum(2)
-    r1 = rep_flatness_check(flipped, kostant_operator(flipped))
+    r1 = rep_flatness_check(control_flipped_momentum(2))
     controls.append(not r1.ok and bool(r1.failures))
-    imag = control_imaginary_momentum(2)
-    r2 = rep_hermitian_check(imag, kostant_operator(imag))
+    r2 = rep_hermitian_check(control_imaginary_momentum(2))
     controls.append(not r2.ok and bool(r2.failures))
-    scaled = control_scaled_momentum(2)
-    r3 = rep_flatness_check(scaled, kostant_operator(scaled))
+    r3 = rep_flatness_check(control_scaled_momentum(2))
     controls.append(not r3.ok and bool(r3.failures))
     ok &= all(controls)
     _verdict(3, ok, "orbit + gauge catalogs pass for k <= 3; three negative "
@@ -220,30 +214,24 @@ def test_criterion_5_cech_suite(orbit_scenarios):
                     "generator; 5-patch verdicts agree")
 
 
-def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios,
-                                                          rotation_quantizations):
+def test_criterion_6_quantization_commutes_with_reduction(rotation_scenarios):
     """Even levels: both sides dimension 1 with an exact unitary intertwiner;
     odd levels: half-integer obstruction and zero fixed subspace."""
     ok = True
     details = []
     for k, scale2 in ((2, 6), (4, 30)):
-        s = rotation_scenarios[k]
-        z = s.zero_level
-        report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[k], [0]),
-                                  internal_mw_quotient(z),
-                                  descent_obstruction_check(s, kostant_operator(s)))
+        report = qr_commute_check(rotation_scenarios[k])
         ok &= report.status == "pass" and report.ok
         ok &= "fixed dimension 1, reduced dimension 1" in report.notes
         ok &= f"intertwiner scale^2 = {scale2}" in report.notes
         details.append(f"k={k}: dims 1/1, scale^2 = {scale2}")
     s3 = rotation_scenarios[3]
-    descent = descent_obstruction_check(s3, kostant_operator(s3))
-    report3 = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[3], [0]),
-                               internal_mw_quotient(s3.zero_level), descent)
+    descent = descent_obstruction_check(s3)
+    report3 = qr_commute_check(s3)
     ok &= not descent.descends
     ok &= descent.obstructions["e1"] == ExactScalar(Fraction(1, 2))
     ok &= report3.status == "hypotheses-not-met"
-    ok &= quantum_fixed_subspace(rotation_quantizations[3], [0]).dimension == 0
+    ok &= quantum_fixed_subspace(s3).dimension == 0
     details.append("k=3: obstruction 1/2, fixed dimension 0, hypotheses-not-met")
     _verdict(6, ok, "; ".join(details))
 

@@ -218,32 +218,31 @@ class TestRepresentationChecks:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_flatness_and_hermiticity(self, orbit_scenarios, k):
         scenario = orbit_scenarios[k]
-        ops = kostant_operator(scenario)
-        assert rep_flatness_check(scenario, ops).ok
-        assert rep_hermitian_check(scenario, ops).ok
+        assert rep_flatness_check(scenario).ok
+        assert rep_hermitian_check(scenario).ok
 
     def test_connection_equivariance(self, orbit_scenarios):
         scenario = orbit_scenarios[2]
-        assert connection_equivariance_check(scenario, kostant_operator(scenario)).ok
+        assert connection_equivariance_check(scenario).ok
 
     def test_flipped_momentum_breaks_flatness(self):
         bad = control_flipped_momentum(2)
-        report = rep_flatness_check(bad, kostant_operator(bad))
+        report = rep_flatness_check(bad)
         assert not report.ok
 
     def test_flipped_momentum_breaks_connection_equivariance(self):
         bad = control_flipped_momentum(2)
-        report = connection_equivariance_check(bad, kostant_operator(bad))
+        report = connection_equivariance_check(bad)
         assert not report.ok
 
     def test_imaginary_momentum_breaks_hermiticity(self):
         bad = control_imaginary_momentum(2)
-        report = rep_hermitian_check(bad, kostant_operator(bad))
+        report = rep_hermitian_check(bad)
         assert not report.ok
 
     def test_zero_operator_hermitian(self, orbit_scenarios):
         scenario = orbit_scenarios[0]
-        assert rep_hermitian_check(scenario, kostant_operator(scenario)).ok
+        assert rep_hermitian_check(scenario).ok
 
 
 class TestPicardStructure:
@@ -402,12 +401,14 @@ ORACLE_RUNS = {
 
 
 @pytest.fixture(scope="module")
-def operators_of():
+def operators_of(preset):
+    """(scenario, ops) of a run, the scenario keeping `ops` as its operators."""
     made = {}
 
     def get(label):
         if label not in made:
-            made[label] = ORACLE_RUNS[label]()
+            scenario, ops = ORACLE_RUNS[label]()
+            made[label] = preset(scenario, operators=ops), ops
         return made[label]
     return get
 
@@ -423,7 +424,7 @@ class TestExactPiecesAgainstComposition:
         scenario, ops = operators_of(label)
         model, bundle = scenario.model, ops[0].bundle
         atlas = bundle.cover.atlas
-        for i, j, idx, field, q in flatness_pieces(scenario, ops):
+        for i, j, idx, field, q in flatness_pieces(scenario):
             c = model.bracket(model.basis_section(i), model.basis_section(j)).coeffs
             for f in _test_functions(atlas.chart(bundle.patch_chart(idx))):
                 direct = (ops[i].apply(idx, ops[j].apply(idx, f))
@@ -433,10 +434,10 @@ class TestExactPiecesAgainstComposition:
                 assert (direct - _apply_field(field, f) - q * f).is_zero(), (i, j, idx, f)
 
     def test_hermitian(self, label, operators_of):
-        _, ops = operators_of(label)
+        scenario, ops = operators_of(label)
         bundle = ops[0].bundle
         atlas = bundle.cover.atlas
-        for i, idx, imaginary, r in hermitian_pieces(ops):
+        for i, idx, imaginary, r in hermitian_pieces(scenario):
             op, h, chart = ops[i], bundle.weight(idx), bundle.patch_chart(idx)
             tests = _test_functions(atlas.chart(chart))
             one, fixed = tests[0], tests[-1]
@@ -447,11 +448,11 @@ class TestExactPiecesAgainstComposition:
                 assert (direct - pieces).is_zero(), (i, idx, f, g)
 
     def test_connection_equivariance(self, label, operators_of):
-        _, ops = operators_of(label)
+        scenario, ops = operators_of(label)
         bundle = ops[0].bundle
         atlas = bundle.cover.atlas
         pieces = {}
-        for i, idx, c, resid in equivariance_pieces(ops):
+        for i, idx, c, resid in equivariance_pieces(scenario):
             pieces.setdefault((i, idx), {})[c] = resid
         for (i, idx), table in pieces.items():
             chart_name = bundle.patch_chart(idx)
@@ -471,18 +472,17 @@ class TestExactPiecesAgainstComposition:
                     assert (direct - expected * f).is_zero(), (i, idx, comps, f)
 
 
-def test_flatness_closes_the_given_operators(operators_of):
+def test_flatness_closes_the_given_operators(operators_of, preset):
     """pi([e1, e2]) is e3's own operator: shifting e3's potential on patch N
     by the constant i/7 keeps V, p + conj(p) and every derivative of p, so
     only the closure [pi(e1), pi(e2)] = pi(e3) on patch N fails."""
     scenario, ops = operators_of("gauge-su2-1")
     potentials = dict(ops[PERTURBED]._potentials)
     potentials["N"] = potentials["N"] + ExactScalar(0, EPS)
-    shifted = _with_operator(ops, PERTURBED, _potentials=potentials)
-    assert [label for label, _ in rep_flatness_check(scenario, shifted).failures] == \
-        ["e1,e2@patch N"]
-    assert rep_hermitian_check(scenario, shifted).ok
-    assert connection_equivariance_check(scenario, shifted).ok
+    shifted = preset(scenario, operators=_with_operator(ops, PERTURBED, _potentials=potentials))
+    assert [label for label, _ in rep_flatness_check(shifted).failures] == ["e1,e2@patch N"]
+    assert rep_hermitian_check(shifted).ok
+    assert connection_equivariance_check(shifted).ok
 
 
 # The identities each perturbation breaks, by row: the text of a failure
@@ -507,12 +507,12 @@ BROKEN = {
                                      _shifted_potential])
 @pytest.mark.parametrize("row", [rep_flatness_check, rep_hermitian_check,
                                  connection_equivariance_check])
-def test_fiber_perturbation_fails_the_row_at_its_patch(row, perturb, operators_of):
+def test_fiber_perturbation_fails_the_row_at_its_patch(row, perturb, operators_of, preset):
     """Each perturbation of e3 on patch N fails the row there, and only
     there, at the generators it moves, through the identities it breaks."""
     scenario, ops = operators_of("gauge-su2-1")
-    assert row(scenario, ops).ok
-    report = row(scenario, perturb(scenario, ops))
+    assert row(scenario).ok
+    report = row(preset(scenario, operators=perturb(scenario, ops)))
     assert not report.ok
     # flatness: the pairs with e3 in the pair or in its bracket [e1, e2] = e3
     named = {"e1,e2", "e1,e3", "e2,e3"} if row is rep_flatness_check else {"e3"}

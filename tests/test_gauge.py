@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.bundles import LineBundleData, curvature, kostant_operator, validate_bundle
+from quantbench.bundles import LineBundleData, curvature, validate_bundle
 from quantbench.catalog import (
     gauge_su2_scenario,
     su2_orbit_scenario,
@@ -33,7 +33,6 @@ from quantbench.liealg import AlgebroidModel, su2
 from quantbench.runner import run_scenario
 from quantbench.reduce import (
     descent_obstruction_check,
-    internal_mw_quotient,
     qr_commute_check,
     quantum_fixed_subspace,
     ZeroLevelData,
@@ -174,19 +173,18 @@ class TestQuantizationIsomorphism:
 
 class TestGaugeReduction:
     def test_u1_rotation_gauge_reduces_like_the_fiber(self):
-        scenario = gauge_u1_rotation_scenario(2)
-        result = scenario.representation
-        n_base = scenario.model.gauge_base_count
         z = ZeroLevelData("N", [parse_expr("x^2+y^2-1")],
                           {"x": parse_expr("(1-t^2)/(1+t^2)"),
                            "y": parse_expr("2*t/(1+t^2)"),
                            "b1": parse_expr("0"), "b2": parse_expr("0")},
                           ("t",), orbit_dimension=1)
-        reducing = scenario.replace(zero_level=z)
-        descent = descent_obstruction_check(reducing, kostant_operator(reducing))
+        reducing = gauge_u1_rotation_scenario(2).replace(zero_level=z)
+        # the fiber generator is the model's one isotropy generator
+        assert reducing.model.isotropy_indices == (reducing.model.gauge_base_count,)
+        descent = descent_obstruction_check(reducing)
         assert descent.descends
-        fixed = quantum_fixed_subspace(result, [n_base])
+        fixed = quantum_fixed_subspace(reducing)
         assert fixed.dimension == 1
-        report = qr_commute_check(fixed, internal_mw_quotient(z), descent)
+        report = qr_commute_check(reducing)
         assert report.status == "pass"
         assert "fixed dimension 1, reduced dimension 1" in report.notes

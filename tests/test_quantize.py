@@ -30,6 +30,8 @@ from quantbench.errors import (
 )
 from quantbench.exprs import TWO_PI_I, PolyExpr, RationalExpr, coerce_rational, parse_expr
 from quantbench.geometry import Chart, FiberedAtlas
+from quantbench.hamiltonian import MomentumMapRep, pairing_combination
+from quantbench.liealg import ActionMap, lie_algebra
 from quantbench.linalg import det, rref, solve_linear
 from quantbench.quantize import (
     HolomorphicBasis,
@@ -220,6 +222,18 @@ class TestComplexStructure:
         structure = scenario.structure
         assert structure.positivity_check(omega).ok
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["j", "minus-j"])
+    def test_a_structure_without_sample_points_fails_positivity(self, orbit_scenarios, sign):
+        """The scenario's j, or -j (negative), declared with no sample point:
+        the row has tested nothing, so it fails rather than pass."""
+        scenario = orbit_scenarios[1]
+        matrices = {ch: [[v * sign for v in row] for row in mat]
+                    for ch, mat in scenario.structure.matrices.items()}
+        bare = scenario.replace(structure=quantize.ComplexStructureData(scenario.atlas, matrices))
+        record = runner.run_scenario(bare, checks=["kahler-positivity"]).records[-1]
+        assert (record.check_id, record.status, record.failures) == \
+            ("kahler-positivity", "fail", [("samples", "no sample point declared")])
+
     def test_twice_the_standard_structure_fails_j_squared(self, atlas):
         """j = 2 j0 glues as j0 does, but j^2 = -4 on the diagonal."""
         twice = [[0, 2], [-2, 0]]
@@ -388,7 +402,7 @@ class TestHolomorphicSolve:
 
     @pytest.mark.parametrize("name", ["u1-rotation-reduction-4", "gauge-su2-1"])
     def test_solve_and_representation_run_no_gcd(self, monkeypatch, rotation_scenarios,
-                                                  gauge_su2_1, name):
+                                                  gauge_su2_1, preset, name):
         scenario = rotation_scenarios[4] if name.startswith("u1") else gauge_su2_1
         ops = kostant_operator(scenario)
         gcd = CallCounter(exprs, "poly_gcd")
@@ -396,7 +410,7 @@ class TestHolomorphicSolve:
         cap = scenario.ansatz_cap
         basis = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, cap, cap + 2)
-        induced_representation(scenario, ops, basis)
+        induced_representation(preset(scenario, operators=ops, basis=basis))
         assert basis.dimension > 0
         assert gcd.calls == 0
 
@@ -456,12 +470,11 @@ class TestInnerProducts:
         for b in (basis, mixed):
             full = [[inner_product(b.bundle, f, g) for g in b.elements]
                     for f in b.elements]
-            assert gram_matrix(b.bundle, b) == full
+            assert gram_matrix(b) == full
             # the whole integrand, integrated at once
             assert full == [[fs_integral(f[p0].conj() * g[p0] * h) for g in b.elements]
                             for f in b.elements]
-        assert gram_matrix(mixed.bundle, mixed)[1][0] != \
-            gram_matrix(mixed.bundle, mixed)[0][1]
+        assert gram_matrix(mixed)[1][0] != gram_matrix(mixed)[0][1]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_gram_diagonal_closed_form(self, orbit_quantizations, k):
@@ -543,7 +556,7 @@ class TestInnerProducts:
         result = rotation_quantizations[4]  # u1-rotation-reduction-4
         gcd = CallCounter(exprs, "poly_gcd")
         monkeypatch.setattr(exprs, "poly_gcd", gcd)
-        gram = gram_matrix(result.basis.bundle, result.basis)
+        gram = gram_matrix(result.basis)
         assert [tuple(row) for row in gram] == list(result.gram)
         assert gcd.calls == 0
 
@@ -575,8 +588,7 @@ class TestInnerProducts:
                             for a in elements]
             with CallCounter(quantize, "inner_product") as per_entry, \
                     CallCounter(quantize, "_zz_decompose") as decompositions:
-                gram = gram_matrix(changed, HolomorphicBasis(changed, [
-                    {p0: a} for a in elements]))
+                gram = gram_matrix(HolomorphicBasis(changed, [{p0: a} for a in elements]))
             assert gram == full
             assert per_entry.calls == 6
             assert decompositions.calls == len(elements) + 1  # and the weight
@@ -592,16 +604,16 @@ class TestInnerProducts:
         diverged = []
         for k in range(6):
             h = RationalExpr(weight.num * Q ** k, weight.den)
-            bundle = _reweighted(basis.bundle, p0, h)
+            reweighted = HolomorphicBasis(_reweighted(basis.bundle, p0, h), basis.elements)
             try:
                 whole = [[fs_integral(a.conj() * b * h, *coords) for b in elements]
                          for a in elements]
             except UnsupportedFiberError:
                 diverged.append(k)
                 with pytest.raises(UnsupportedFiberError, match="diverges"):
-                    gram_matrix(bundle, basis)
+                    gram_matrix(reweighted)
             else:
-                assert gram_matrix(bundle, basis) == whole
+                assert gram_matrix(reweighted) == whole
         assert 0 < len(diverged) < 6
 
     def test_gram_needs_the_projective_line_fiber(self):
@@ -609,7 +621,7 @@ class TestInnerProducts:
         bundle = catalog.foliation_flat_scenario().bundle
         one = {"F": parse_expr("1")}
         with pytest.raises(UnsupportedFiberError, match="2-dimensional fiber"):
-            gram_matrix(bundle, HolomorphicBasis(bundle, [one]))
+            gram_matrix(HolomorphicBasis(bundle, [one]))
         with pytest.raises(UnsupportedFiberError, match="2-dimensional fiber"):
             inner_product(bundle, one, one)
 
@@ -620,7 +632,7 @@ class TestInnerProducts:
         with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):
             inner_product(bundle, basis.elements[0], basis.elements[0])
         with pytest.raises(UnsupportedFiberError, match="not a power of 1 \\+ r\\^2"):
-            gram_matrix(bundle, basis)
+            gram_matrix(HolomorphicBasis(bundle, basis.elements))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -672,23 +684,22 @@ class TestInducedRepresentation:
                     assert (result.matrices[idx][a][b] - mat[a][b]).is_zero()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_commutation_and_unitarity(self, orbit_scenarios, orbit_quantizations, k):
-        result = orbit_quantizations[k]
-        assert commutation_check(result, orbit_scenarios[k].model).ok
-        assert unitarity_check(result).ok
+    def test_commutation_and_unitarity(self, orbit_scenarios, k):
+        assert commutation_check(orbit_scenarios[k]).ok
+        assert unitarity_check(orbit_scenarios[k]).ok
 
-    def test_perturbed_entry_fails_commutation_and_unitarity(self, orbit_scenarios,
-                                                             orbit_quantizations):
+    def test_perturbed_entry_fails_commutation_and_unitarity(self, orbit_scenarios, preset):
         """1 added to the first diagonal entry of the e3 matrix: a Hermitian
         part, which the off-diagonal e1 and e2 matrices do not commute with,
         and which [e1, e2] = e3 does not produce."""
-        source = orbit_quantizations[1]
+        source = orbit_scenarios[1].representation
         matrices = [[list(row) for row in mat] for mat in source.matrices]
         matrices[2][0][0] = matrices[2][0][0] + 1
-        result = QuantizationResult(source.basis, source.gram, matrices, source.generator_names)
-        assert commutation_check(result, orbit_scenarios[1].model).failures == [
+        perturbed = preset(orbit_scenarios[1],
+                           representation=QuantizationResult(source.basis, source.gram, matrices))
+        assert commutation_check(perturbed).failures == [
             (pair, "commutator mismatch") for pair in ("e1,e2", "e1,e3", "e2,e3")]
-        assert unitarity_check(result).failures == [("e3", "M*G + GM != 0")]
+        assert unitarity_check(perturbed).failures == [("e3", "M*G + GM != 0")]
 
     def test_level_zero_scalars(self, orbit_quantizations):
         result = orbit_quantizations[0]
@@ -727,7 +738,7 @@ class TestInducedRepresentation:
                                       RationalExpr.zero())
                     assert (op.apply(p, element[p]) - combination).is_zero()
 
-    def test_twopii_images_split_by_degree(self, orbit_scenarios):
+    def test_twopii_images_split_by_degree(self, orbit_scenarios, preset):
         """The catalog's images cancel twopii; operators shifted by a
         polynomial in twopii on every patch give matrices of twopii degree 2,
         equal to the per-degree solves and to the unshifted matrices plus the
@@ -739,8 +750,8 @@ class TestInducedRepresentation:
         shifted = [Shifted(op, shift, set(scenario.bundle.cover.index_set)) for op in ops]
         basis = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, scenario.ansatz_cap)
-        plain = induced_representation(scenario, ops, basis).matrices
-        result = induced_representation(scenario, shifted, basis).matrices
+        plain = induced_representation(preset(scenario, operators=ops, basis=basis)).matrices
+        result = induced_representation(preset(scenario, operators=shifted, basis=basis)).matrices
         elements = basis.elements
         for op, mat, before in zip(shifted, result, plain):
             expected = reference_matrix([op.apply("N", e["N"]) for e in elements],
@@ -751,24 +762,24 @@ class TestInducedRepresentation:
                 for j, value in enumerate(row):
                     assert (value - before[i][j] - (shift if i == j else 0)).is_zero()
 
-    def test_perturbed_patch_differs(self, orbit_scenarios):
+    def test_perturbed_patch_differs(self, orbit_scenarios, preset):
         scenario = orbit_scenarios[1]
         ops = kostant_operator(scenario)
         basis = holomorphic_solve(scenario.bundle, scenario.structure,
                                   scenario.holomorphic_coords, scenario.ansatz_cap)
         assert scenario.bundle.cover.index_set == ("N", "S")
-        induced_representation(scenario, ops, basis)
+        induced_representation(preset(scenario, operators=ops, basis=basis))
         perturbed = (ops[0], Shifted(ops[1], rational(1, 7), {"S"}), ops[2])
         with pytest.raises(MalformedExpressionError, match="differ between patches"):
-            induced_representation(scenario, perturbed, basis)
+            induced_representation(preset(scenario, operators=perturbed, basis=basis))
 
-    def test_one_elimination_per_operator(self, monkeypatch, gauge_su2_1):
+    def test_one_elimination_per_operator(self, monkeypatch, gauge_su2_1, preset):
         ops = kostant_operator(gauge_su2_1)
         basis = holomorphic_solve(gauge_su2_1.bundle, gauge_su2_1.structure,
                                   gauge_su2_1.holomorphic_coords, gauge_su2_1.ansatz_cap)
         every = CallCounter(linalg, "rref")
         monkeypatch.setattr(linalg, "rref", every)
-        result = induced_representation(gauge_su2_1, ops, basis)
+        result = induced_representation(preset(gauge_su2_1, operators=ops, basis=basis))
         assert len(ops) == len(result.matrices) == 5
         assert every.calls == 5
 
@@ -795,6 +806,56 @@ class TestInducedRepresentation:
             assert len(result.matrices) == 3
             for mat in result.matrices:
                 assert len(mat) == result.dimension
+
+
+class TestChangeOfBasis:
+    """A rational change of basis f_a = sum_b P_ab e_b of the Lie algebra,
+    made together in the structure constants, the action fields and the
+    momentum pairings, is the same Hamiltonian action.  The bundle and the
+    polarization do not change, so neither does the holomorphic basis: the
+    verdicts stay, the Gram matrix is the same, and the matrix of f_a is
+    sum_b P_ab M_b."""
+
+    P = [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, rational(1, 2), rational(2)]]
+
+    @classmethod
+    def changed(cls, scenario):
+        model, n = scenario.model, scenario.model.n
+        inverse = linalg.inverse(cls.P)
+        # [f_a, f_b] = sum P_ac P_bd [e_c, e_d], and e_k = sum_l (P^-1)_kl f_l
+        constants = {}
+        for a in range(n):
+            for b in range(n):
+                bracket = [sum((model.generator_bracket(c, d)[k] * cls.P[a][c] * cls.P[b][d]
+                                for c in range(n) for d in range(n)), RationalExpr.zero())
+                           for k in range(n)]
+                for target in range(n):
+                    value = sum((bracket[k] * inverse[k][target] for k in range(n)),
+                                RationalExpr.zero())
+                    if not value.is_zero():
+                        constants[(a, b, target)] = value.constant_value()
+        new_model = lie_algebra("su2-changed", ("f1", "f2", "f3"), constants)
+        fields = [scenario.action.of(model.section(row)) for row in cls.P]
+        pairings = [pairing_combination(scenario.atlas, scenario.momentum.pairings, row)
+                    for row in cls.P]
+        return scenario.replace(model=new_model,
+                                action=ActionMap(new_model, scenario.atlas, fields),
+                                momentum=MomentumMapRep(new_model, pairings))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_su2_orbit(self, orbit_scenarios, k):
+        scenario = orbit_scenarios[k]
+        changed = self.changed(scenario)
+        assert [(r.check_id, r.status) for r in runner.run_scenario(changed).records] == \
+            [(r.check_id, r.status) for r in runner.run_scenario(scenario).records]
+        before, after = scenario.representation, changed.representation
+        assert after.gram == before.gram
+        for row, matrix in zip(self.P, after.matrices):
+            combination = [[sum((m[i][j] * p for p, m in zip(row, before.matrices)),
+                                RationalExpr.zero()) for j in range(before.dimension)]
+                           for i in range(before.dimension)]
+            assert all((a - b).is_zero() for a_row, b_row in zip(matrix, combination)
+                       for a, b in zip(a_row, b_row))
 
 
 def _gaussian(text):

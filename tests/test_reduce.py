@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from quantbench.bundles import kostant_operator
 from quantbench.catalog import build_scenario
 from quantbench.exprs import parse_expr
+from quantbench.liealg import AlgebroidModel
 from quantbench.quantize import QuantizationResult
 from quantbench.reduce import (
-    QuantumReduction,
     ZeroLevelData,
     descent_obstruction_check,
     internal_mw_quotient,
     projector_checks,
     qr_commute_check,
     quantum_fixed_subspace,
+    zero_level_check,
 )
 from quantbench.runner import run_scenario
 from quantbench.scalars import ExactScalar, ZERO
@@ -25,14 +25,14 @@ class TestZeroLevel:
     def test_equator_data_verifies(self, rotation_scenarios):
         for k in (2, 3):
             scenario = rotation_scenarios[k]
-            assert scenario.zero_level.verify(scenario).ok
+            assert zero_level_check(scenario).ok
 
     def test_broken_parametrization_rejected(self, rotation_scenarios):
         scenario = rotation_scenarios[2]
         bad = ZeroLevelData("N", [parse_expr("x^2+y^2-1")],
                             {"x": parse_expr("t"), "y": parse_expr("t")}, ("t",),
                             orbit_dimension=1)
-        assert not bad.verify(scenario).ok
+        assert not zero_level_check(scenario.replace(zero_level=bad)).ok
         # the table rejects it: the zero-level row fails and its consumers skip
         scenario = build_scenario("u1-rotation-reduction-k", 2)
         scenario = scenario.replace(zero_level=ZeroLevelData(
@@ -51,7 +51,7 @@ class TestZeroLevel:
         z = ZeroLevelData("N", [parse_expr("x^2+y^2-4")],
                           {"x": parse_expr("2*(1-t^2)/(1+t^2)"),
                            "y": parse_expr("4*t/(1+t^2)")}, ("t",), orbit_dimension=1)
-        result = z.verify(scenario)
+        result = zero_level_check(scenario.replace(zero_level=z))
         assert [kind for kind, _ in result.failures] == ["momentum-vanishing"]
         assert result.failures[0][1].startswith("generator 0: ")
 
@@ -72,51 +72,63 @@ class TestInternalQuotient:
 
 class TestFixedSubspace:
     @pytest.mark.parametrize("k,expected", [(2, 1), (3, 0), (4, 1)])
-    def test_circle_weight_kernel(self, rotation_quantizations, k, expected):
-        fixed = quantum_fixed_subspace(rotation_quantizations[k], [0])
+    def test_circle_weight_kernel(self, rotation_scenarios, k, expected):
+        assert rotation_scenarios[k].model.isotropy_indices == (0,)
+        fixed = quantum_fixed_subspace(rotation_scenarios[k])
         assert fixed.dimension == expected
 
-    def test_trivial_isotropy_fixes_everything(self, rotation_quantizations):
-        fixed = quantum_fixed_subspace(rotation_quantizations[2], [])
-        assert fixed.dimension == rotation_quantizations[2].dimension
+    def test_trivial_isotropy_fixes_everything(self, rotation_scenarios, preset):
+        scenario = rotation_scenarios[2]
+        fixed = quantum_fixed_subspace(_without_isotropy(scenario, preset))
+        assert fixed.dimension == scenario.representation.dimension
 
-    def test_full_su2_irreducibility(self, orbit_quantizations):
+    def test_full_su2_irreducibility(self, orbit_scenarios):
+        assert {s.model.isotropy_indices for s in orbit_scenarios.values()} == {(0, 1, 2)}
         for k in (1, 2, 3):
-            fixed = quantum_fixed_subspace(orbit_quantizations[k], [0, 1, 2])
+            fixed = quantum_fixed_subspace(orbit_scenarios[k])
             assert fixed.dimension == 0
-        assert quantum_fixed_subspace(orbit_quantizations[0], [0, 1, 2]).dimension == 1
+        assert quantum_fixed_subspace(orbit_scenarios[0]).dimension == 1
 
-    def test_projector_properties(self, rotation_quantizations):
+    def test_projector_properties(self, rotation_scenarios):
         for k in (2, 4):
-            fixed = quantum_fixed_subspace(rotation_quantizations[k], [0])
-            report = projector_checks(fixed)
+            report = projector_checks(rotation_scenarios[k])
             assert report.ok, report.failures
 
-    def test_a_generator_moving_the_fixed_line_fails_invariance(self, rotation_quantizations):
+    def test_a_generator_moving_the_fixed_line_fails_invariance(self, rotation_scenarios,
+                                                                preset):
         """The fixed line of the level-2 circle is the weight-0 vector; an
         entry added above it moves it, while the projector stays idempotent."""
-        fixed = quantum_fixed_subspace(rotation_quantizations[2], [0])
-        source = fixed.source
+        scenario = rotation_scenarios[2]
+        source = scenario.representation
         mat = [list(row) for row in source.matrices[0]]
         mat[0][1] = mat[0][1] + 1
-        moved = QuantizationResult(source.basis, source.gram, [mat], source.generator_names)
-        fixed = QuantumReduction(moved, fixed.isotropy_indices, fixed.basis)
-        assert projector_checks(fixed).failures == [
+        moved = QuantizationResult(source.basis, source.gram, [mat])
+        moved = preset(scenario, representation=moved, fixed_subspace=scenario.fixed_subspace)
+        assert projector_checks(moved).failures == [
             ("invariance", "projector does not commute with generator 0")]
+
+
+def _without_isotropy(scenario, preset):
+    """`scenario` over a model with no isotropy generator, keeping its
+    representation: no matrix then constrains the fixed subspace."""
+    m = scenario.model
+    model = AlgebroidModel(m.name, m.variant, m.base_atlas, m.generator_names, m.bracket_table,
+                           m.anchor_fields, (), m.gauge_base_count)
+    return preset(scenario.replace(model=model), representation=scenario.representation)
 
 
 class TestDescent:
     @pytest.mark.parametrize("k", [2, 4])
     def test_even_levels_descend(self, rotation_scenarios, k):
         scenario = rotation_scenarios[k]
-        result = descent_obstruction_check(scenario, kostant_operator(scenario))
+        result = descent_obstruction_check(scenario)
         assert result.descends
         assert result.weights["e1"] == ExactScalar(Fraction(k, 2))
         assert result.obstructions["e1"] == ZERO
 
     def test_odd_level_obstructed(self, rotation_scenarios):
         scenario = rotation_scenarios[3]
-        result = descent_obstruction_check(scenario, kostant_operator(scenario))
+        result = descent_obstruction_check(scenario)
         assert not result.descends
         assert result.status == "hypotheses-not-met"
         assert result.obstructions["e1"] == ExactScalar(Fraction(1, 2))
@@ -128,52 +140,36 @@ class TestDescent:
                            "w": parse_expr("r")},
                           ("p", "q", "r"), orbit_dimension=0)
         scenario = foliation_flat_scenario().replace(zero_level=z)
-        result = descent_obstruction_check(scenario, kostant_operator(scenario))
+        result = descent_obstruction_check(scenario)
         assert result.descends
-
-
-def _compare(scenario, result):
-    """qr_commute_check on the artifacts its check-table row reads."""
-    z = scenario.zero_level
-    return qr_commute_check(quantum_fixed_subspace(result, scenario.model.isotropy_indices),
-                            internal_mw_quotient(z),
-                            descent_obstruction_check(scenario, kostant_operator(scenario)))
 
 
 class TestComparison:
     @pytest.mark.parametrize("k,scale2", [(2, Fraction(6)), (4, Fraction(30))])
-    def test_even_levels_pass_with_unitary_scale(self, rotation_scenarios,
-                                                 rotation_quantizations, k, scale2):
-        scenario = rotation_scenarios[k]
-        report = _compare(scenario, rotation_quantizations[k])
+    def test_even_levels_pass_with_unitary_scale(self, rotation_scenarios, k, scale2):
+        report = qr_commute_check(rotation_scenarios[k])
         assert report.status == "pass" and report.ok and not report.failures
         assert "fixed dimension 1, reduced dimension 1" in report.notes
         # scale^2 = 1 / <z^(k/2), z^(k/2)> = (k+1)! / ((k/2)!)^2
         assert report.notes[-2:] == ["intertwiner: [['1']]",
                                      f"intertwiner scale^2 = {scale2}"]
 
-    def test_odd_level_hypotheses_not_met(self, rotation_scenarios,
-                                          rotation_quantizations):
-        scenario = rotation_scenarios[3]
-        report = _compare(scenario, rotation_quantizations[3])
+    def test_odd_level_hypotheses_not_met(self, rotation_scenarios):
+        report = qr_commute_check(rotation_scenarios[3])
         assert report.status == "hypotheses-not-met"
         assert "fixed dimension 0, reduced dimension None" in report.notes
         assert report.ok  # hypotheses-not-met is not a failure
 
-    def test_dimension_equality_where_descent_holds(self, rotation_scenarios,
-                                                    rotation_quantizations):
+    def test_dimension_equality_where_descent_holds(self, rotation_scenarios):
         for k in (2, 4):
-            scenario = rotation_scenarios[k]
-            report = _compare(scenario, rotation_quantizations[k])
+            report = qr_commute_check(rotation_scenarios[k])
             assert "fixed dimension 1, reduced dimension 1" in report.notes
 
-    def test_dimension_mismatch_fails(self, rotation_scenarios, rotation_quantizations):
+    def test_dimension_mismatch_fails(self, rotation_scenarios, preset):
         # no isotropy generator: the whole 3-dimensional space is fixed
         scenario = rotation_scenarios[2]
-        z = scenario.zero_level
-        report = qr_commute_check(quantum_fixed_subspace(rotation_quantizations[2], []),
-                                  internal_mw_quotient(z),
-                                  descent_obstruction_check(scenario, kostant_operator(scenario)))
+        whole = quantum_fixed_subspace(_without_isotropy(scenario, preset))
+        report = qr_commute_check(preset(scenario, fixed_subspace=whole))
         assert report.status == "fail" and not report.ok
         assert report.failures == [("qr", "fixed 3, reduced 1")]
         assert report.notes == ["dimension mismatch", "fixed dimension 3, reduced dimension 1"]

@@ -177,7 +177,7 @@ def test_every_package_name_resolves_and_an_unknown_one_does_not():
         prequantization_condition_check, presymplectic_check, pullback, qr_commute_check,
         quantization_condition_check, quantization_isomorphism_check, quantum_fixed_subspace,
         rational, rep_flatness_check, rep_hermitian_check, run_scenario, su2,
-        u1, validate_bundle, __version__)
+        u1, validate_bundle, zero_level_check, __version__)
     from quantbench import groups, integrality
     assert (Cochain, construct_from_integral_class, poincare_primitive) == \
         (integrality.Cochain, integrality.construct_from_integral_class,
@@ -527,7 +527,7 @@ def test_failed_curvature_match_skips_the_operator_checks():
 def test_a_failed_quantization_skips_the_rows_that_use_it(monkeypatch, build, consumer):
     """A row that reads the representation where the scenario has one (its
     `uses`) is skipped once `quantization` fails, as the rows that need it are."""
-    def broken(scenario, ops, basis):
+    def broken(scenario):
         raise RuntimeError("boom")
     monkeypatch.setattr(quantize, "induced_representation", broken)
     records = {r.check_id: r for r in run_scenario(build()).records}
@@ -585,12 +585,12 @@ def test_each_validation_runs_once_in_the_table(monkeypatch):
     for name in ("descent_obstruction_check", "quantum_fixed_subspace", "internal_mw_quotient"):
         count(reduce, name)
     count(bundles, "kostant_operator")
-    count(reduce.ZeroLevelData, "verify")
+    count(reduce, "zero_level_check")
     validations = {"morphism_report": 1, "prequantization_condition_check": 1,
                    "quantization_condition_check": 1}
     bundled = {**validations, "kostant_operator": 1}
     reduction = {**bundled, "descent_obstruction_check": 1, "quantum_fixed_subspace": 1,
-                 "internal_mw_quotient": 1, "verify": 1}
+                 "internal_mw_quotient": 1, "zero_level_check": 1}
     for name, level, expected in (("pair-groupoid-flat", None, validations),
                                   ("gauge-u1-char-n", 1, validations),
                                   ("foliation-flat", None, bundled),

@@ -86,10 +86,10 @@ MUTANTS = [
      "old": "ExactScalar((-1) ** (j + 1))",
      "new": "ExactScalar(-1)",
      "tests": ["tests/test_cech.py::TestDelta::test_delta_squared_randomized"]},
-    {"name": "ZeroLevelData.verify: no isotropy generator",
+    {"name": "zero_level_check: no isotropy generator",
      "file": REDUCE,
-     "old": "        isotropy = scenario.model.isotropy_indices",
-     "new": "        isotropy = ()",
+     "old": "    isotropy = scenario.model.isotropy_indices",
+     "new": "    isotropy = ()",
      "tests": ["tests/test_reduce.py::TestZeroLevel::test_momentum_must_vanish_on_the_level"]},
     {"name": "descent_obstruction_check: no isotropy generator",
      "file": REDUCE,
@@ -298,6 +298,17 @@ MUTANTS = [
      "old": "        if not is_zero_matrix(mat_mul(conj_transpose(m), g), minus=mat_mul(minus_g, m)):",
      "new": "        if False:",
      "tests": [f"{INDUCED}::test_perturbed_entry_fails_commutation_and_unitarity"]},
+    {"name": "positivity_check: no sample point passes",
+     "file": QUANTIZE,
+     "old": "failures = [] if self.positivity_samples else [(",
+     "new": "failures = [] if True else [(",
+     "tests": ["tests/test_quantize.py::TestComplexStructure::"
+               "test_a_structure_without_sample_points_fails_positivity"]},
+    {"name": "fs_monomial_integral: m + n + 2 = 2w read as convergent",
+     "file": QUANTIZE,
+     "old": "    if m + n + 2 >= 2 * weight_power:",
+     "new": "    if m + n + 2 > 2 * weight_power:",
+     "tests": [f"{INNER}::test_monomial_convergence_counts_both_exponents"]},
     {"name": "ComplexStructureData.validate: j^2 not compared with -1",
      "file": QUANTIZE,
      "old": "                    if not (entry + (1 if i == j else 0)).is_zero():",
